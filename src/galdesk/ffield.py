@@ -1,13 +1,21 @@
 """Exact linear algebra over prime fields F_p.
 
-Everything is dense numpy int64 reduced mod p.  Matrices are small (dims
-rarely above a few hundred), so plain Gaussian elimination is fine.
+Everything is dense numpy int64 reduced mod p.  Most matrices are small
+(a few dozen rows), but the finite-group H^1 systems reach about 1000 x 500,
+so `rref` clears each pivot column with one vectorised update over a bounded
+block of rows.  `solve` accepts a vector or a matrix right-hand side, and the
+span helpers (`span_contains`, `extend_basis`, `QuotientSpace.coords_matrix`)
+each make one elimination rather than one per column.
 Subspaces are represented by matrices whose *columns* are basis vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# rref clears a pivot column in blocks of at most this many rows, which keeps
+# the temporaries of one update small on the largest (~1000-row) systems.
+_CLEAR_ROWS = 64
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -47,75 +55,75 @@ def inv_scalar(x: int, p: int) -> int:
 
 def rref(a, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = normalize(a, p).copy()
+    r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
     m, n = r.shape
     pivots = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         best = row + nz[0]
         if best != row:
             r[[row, best]] = r[[best, row]]
-        r[row] = (r[row] * inv_scalar(int(r[row, col]), p)) % p
-        others = np.nonzero(r[:, col])[0]
-        for i in others:
-            if i != row:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        # Entries left of `col` are zero in the pivot row, so only col: changes.
+        pivot = r[row, col:]
+        pivot[:] = (pivot * inv_scalar(int(pivot[0]), p)) % p
+        others = r[:, col].nonzero()[0]
+        others = others[others != row]
+        for start in range(0, others.size, _CLEAR_ROWS):
+            rows = others[start : start + _CLEAR_ROWS]
+            r[rows, col:] = (r[rows, col:] - r[rows, col, None] * pivot) % p
         pivots.append(col)
         row += 1
     return r, pivots
 
 
 def rank(a, p: int) -> int:
-    a = normalize(a, p)
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+    a = np.asarray(a)
+    return len(rref(a, p)[1]) if a.size else 0
 
 
 def nullspace(a, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of an (n x k) matrix."""
-    a = normalize(a, p)
-    m, n = a.shape
     r, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = zeros((n, len(free)))
-    for idx, j in enumerate(free):
-        basis[j, idx] = 1
-        for row_i, piv in enumerate(pivots):
-            basis[piv, idx] = (-r[row_i, j]) % p
+    n = r.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    basis = zeros((n, free.size))
+    basis[free, np.arange(free.size)] = 1
+    basis[np.array(pivots, dtype=np.intp)] = (-r[: len(pivots), free]) % p
     return basis
 
 
 def solve(a, b, p: int):
-    """One solution of A x = b, or None if inconsistent.  b may be a vector."""
+    """One solution of A x = b, or None if inconsistent.
+
+    b may be a vector or a matrix; for a matrix, x solves every column at
+    once and None means some column is inconsistent.
+    """
     a = normalize(a, p)
     b = normalize(b, p)
     vec = b.ndim == 1
     if vec:
         b = b.reshape(-1, 1)
-    m, n = a.shape
-    aug = np.hstack([a, b])
-    r, pivots = rref(aug, p)
+    n = a.shape[1]
+    r, pivots = rref(np.hstack([a, b]), p)
     # Inconsistent iff some pivot lands in the augmented block.
-    main_pivots = [c for c in pivots if c < n]
-    if len(main_pivots) != len(pivots):
+    if pivots and pivots[-1] >= n:
         return None
     x = zeros((n, b.shape[1]))
-    for row_i, piv in enumerate(main_pivots):
-        x[piv] = r[row_i, n:]
+    x[np.array(pivots, dtype=np.intp)] = r[: len(pivots), n:]
     return x[:, 0] if vec else x
 
 
 def inv(a, p: int) -> np.ndarray:
-    a = normalize(a, p)
-    n = len(a)
-    x = solve(a, eye(n), p)
-    if x is None or rank(a, p) < n:
+    # A singular a leaves a pivot in the identity block, so solve gives None.
+    x = solve(a, eye(len(a)), p)
+    if x is None:
         raise ValueError("matrix is singular mod p")
     return x
 
@@ -136,8 +144,11 @@ def in_span(basis, v, p: int) -> bool:
 
 
 def span_contains(big, small, p: int) -> bool:
+    big = normalize(big, p)
     small = normalize(small, p)
-    return all(in_span(big, small[:, j], p) for j in range(small.shape[1]))
+    if big.size == 0:
+        return not small.any()
+    return solve(big, small, p) is not None
 
 
 def sum_spans(a, b, p: int) -> np.ndarray:
@@ -171,20 +182,15 @@ def extend_basis(sub, vectors, p: int) -> np.ndarray:
     """Columns of `vectors` that extend span(sub) to span(sub, vectors).
 
     Vectors are taken in order; the result is the greedy independent
-    complement, which makes the choice deterministic.
+    complement, which makes the choice deterministic.  A column of
+    [sub | vectors] is a pivot of its RREF exactly when it is independent of
+    the columns before it, so the pivots beyond `sub` are the greedy choice.
     """
     sub = normalize(sub, p)
     vectors = normalize(vectors, p)
-    current = sub
-    chosen = []
-    r = rank(current, p) if current.size else 0
-    for j in range(vectors.shape[1]):
-        cand = np.hstack([current, vectors[:, j : j + 1]])
-        if rank(cand, p) > r:
-            current = cand
-            r += 1
-            chosen.append(j)
-    return vectors[:, chosen]
+    k = sub.shape[1]
+    _, pivots = rref(np.hstack([sub, vectors]), p)
+    return vectors[:, [c - k for c in pivots if c >= k]]
 
 
 class QuotientSpace:
@@ -200,19 +206,18 @@ class QuotientSpace:
         self.dim = self.reps.shape[1]
 
     def coords(self, v) -> np.ndarray:
-        """Coordinates of [v] on the representative basis."""
-        v = normalize(v, self.p)
-        full = np.hstack([self.den, self.reps])
-        x = solve(full, v, self.p)
+        """Coordinates of [v] on the representative basis.
+
+        v may be one vector or a matrix whose columns are vectors.
+        """
+        x = solve(np.hstack([self.den, self.reps]), v, self.p)
         if x is None:
             raise ValueError("vector is not in the numerator span")
         return x[self.den.shape[1] :]
 
     def coords_matrix(self, vectors) -> np.ndarray:
-        vectors = normalize(vectors, self.p)
-        return np.column_stack(
-            [self.coords(vectors[:, j]) for j in range(vectors.shape[1])]
-        ) if vectors.shape[1] else zeros((self.dim, 0))
+        """Coordinates of every column of `vectors`, one column each."""
+        return self.coords(vectors)
 
 
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:

@@ -102,26 +102,26 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
 
     if degree == 1:
         # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
-        # closure f(x s) = f(x) + x.f(s).
-        rows = []
-        ident_row = ff.zeros((n, k * n))
-        ident_row[:, 0:n] = ff.eye(n)
-        rows.append(ident_row)
+        # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
+        # written in place; nullspace reduces the whole system mod p once.
+        system = ff.zeros((n + len(g.generators) * k * n, k * n))
+        system[:n, :n] = ff.eye(n)
+        top = n
         for mat in g.generators:
             s = g.index[mat.tobytes()]
             for x in range(k):
                 xs = g.mult[x, s]
-                block = ff.zeros((n, k * n))
+                block = system[top : top + n]
                 block[:, xs * n : (xs + 1) * n] += ff.eye(n)
                 block[:, x * n : (x + 1) * n] -= ff.eye(n)
                 block[:, s * n : (s + 1) * n] -= g.elements[x]
-                rows.append(block % p)
-        z1 = ff.nullspace(np.vstack(rows) % p, p)
+                top += n
+        z1 = ff.nullspace(system, p)
         # Coboundaries f(x) = (x - 1) v.
         cob = np.vstack([(g.elements[x] - ff.eye(n)) % p for x in range(k)])
         b1_rank = ff.rank(cob, p)
         dim = z1.shape[1] - b1_rank
-        quotient = ff.QuotientSpace(z1, _column_space_of(cob, p), p)
+        quotient = ff.QuotientSpace(z1, ff.column_space(cob, p), p)
         return dim, quotient.reps
 
     if degree == 2:
@@ -130,10 +130,6 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         return _h2_bar(g)
 
     raise SelmerError("degree must be 0, 1, or 2")
-
-
-def _column_space_of(stacked_rows, p):
-    return ff.column_space(stacked_rows, p)
 
 
 def _h2_bar(g: FiniteGroupAction):

@@ -111,3 +111,185 @@ def test_extend_basis_deterministic():
     assert ext.shape[1] == 2
     assert np.array_equal(ext[:, 0], vecs[:, 0])
     assert np.array_equal(ext[:, 1], vecs[:, 2])
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the row-by-row elimination and the per-column greedy extension in
+# pure Python, checked against the vectorised ffield versions.
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(a, p):
+    """Row-by-row Gauss-Jordan on lists of ints.  Returns (R, pivots)."""
+    m, n = a.shape
+    r = [[int(x) % p for x in row] for row in a.tolist()]
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        best = next((i for i in range(row, m) if r[i][col]), None)
+        if best is None:
+            continue
+        r[row], r[best] = r[best], r[row]
+        scale = pow(r[row][col], p - 2, p)
+        r[row] = [x * scale % p for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col]:
+                f = r[i][col]
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def ref_rank(a, p):
+    return len(ref_rref(a, p)[1])
+
+
+def ref_extend_basis(sub, vectors, p):
+    """Greedy: keep a column when it raises the rank of what is kept so far."""
+    current = sub
+    chosen = []
+    for j in range(vectors.shape[1]):
+        cand = np.hstack([current, vectors[:, j : j + 1]])
+        if ref_rank(cand, p) > ref_rank(current, p):
+            current = cand
+            chosen.append(j)
+    return chosen
+
+
+def seeded_matrix(seed, p, m, n, rank=None, zero_cols=()):
+    """A random m x n matrix mod p, of rank at most `rank`, with zero columns."""
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        a = rng.integers(0, p, size=(m, n))
+    else:
+        a = rng.integers(0, p, size=(m, rank)) @ rng.integers(0, p, size=(rank, n))
+    a = a % p
+    a[:, list(zero_cols)] = 0
+    return a.astype(np.int64)
+
+
+@st.composite
+def shaped_matrices(draw, min_rows=0, max_rows=12, min_cols=0, max_cols=12):
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(min_cols, max_cols))
+    rank = draw(st.none() | st.integers(0, max(min(m, n), 0)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, seeded_matrix(seed, p, m, n, rank, sorted(zero_cols))
+
+
+def assert_rref_matches(a, p):
+    r, pivots = ff.rref(a, p)
+    ref_r, ref_pivots = ref_rref(a, p)
+    assert pivots == ref_pivots
+    assert r.shape == a.shape
+    assert r.tolist() == ref_r
+
+
+@given(shaped_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_row_by_row_reference(case):
+    p, a = case
+    assert_rref_matches(a, p)
+
+
+@given(shaped_matrices(min_rows=200, max_rows=260, min_cols=1, max_cols=8))
+@settings(max_examples=25, deadline=None)
+def test_rref_tall_matches_reference(case):
+    p, a = case
+    # Every row is nonzero in column 0, so the first pivot clears more than
+    # one block of rows.
+    a[:, 0] = np.random.default_rng(int(a.sum())).integers(1, p, size=a.shape[0])
+    assert_rref_matches(a, p)
+
+
+def test_rref_does_not_modify_input():
+    a = np.array([[2, 4], [1, 3]], dtype=np.int64)
+    ff.rref(a, 5)
+    assert a.tolist() == [[2, 4], [1, 3]]
+
+
+@st.composite
+def extension_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 8))
+    k_sub = draw(st.integers(0, 6))
+    k_vec = draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # A dependent sub: its columns span at most n // 2 dimensions.
+    sub = seeded_matrix(seed, p, n, k_sub, rank=min(k_sub, n // 2))
+    vectors = seeded_matrix(seed + 1, p, n, k_vec, rank=draw(st.none() | st.integers(0, n)))
+    # Some vectors repeat sub's columns or are zero.
+    for j in range(k_vec):
+        pick = rng.integers(0, 3)
+        if pick == 0 and k_sub:
+            vectors[:, j] = sub[:, rng.integers(0, k_sub)]
+        elif pick == 1:
+            vectors[:, j] = 0
+    return p, sub, vectors
+
+
+@given(extension_cases())
+@settings(max_examples=120, deadline=None)
+def test_extend_basis_matches_greedy_reference(case):
+    p, sub, vectors = case
+    expected = vectors[:, ref_extend_basis(sub, vectors, p)]
+    assert np.array_equal(ff.extend_basis(sub, vectors, p), expected)
+
+
+def test_extend_basis_empty_sub_and_zero_columns():
+    p = 7
+    vectors = np.array([[0, 1, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int64)
+    ext = ff.extend_basis(ff.zeros((3, 0)), vectors, p)
+    assert np.array_equal(ext, vectors[:, [1, 3]])
+    assert ff.extend_basis(ff.zeros((3, 0)), ff.zeros((3, 0)), p).shape == (3, 0)
+
+
+@given(extension_cases())
+@settings(max_examples=80, deadline=None)
+def test_coords_matrix_matches_per_column_coords(case):
+    p, sub, vectors = case
+    q = ff.QuotientSpace(np.hstack([sub, vectors]), sub, p)
+    span = np.hstack([sub, vectors])
+    rng = np.random.default_rng(int(span.sum()))
+    # Random combinations of the numerator, so every column has coordinates.
+    vecs = (span @ rng.integers(0, p, size=(span.shape[1], 4))) % p
+    expected = np.column_stack([q.coords(vecs[:, j]) for j in range(4)])
+    assert np.array_equal(q.coords_matrix(vecs), expected)
+    assert q.coords_matrix(ff.zeros((span.shape[0], 0))).shape == (q.dim, 0)
+
+
+@given(extension_cases())
+@settings(max_examples=80, deadline=None)
+def test_span_contains_matches_rank_reference(case):
+    p, big, small = case
+    expected = ref_rank(np.hstack([big, small]), p) == ref_rank(big, p)
+    assert ff.span_contains(big, small, p) == expected
+
+
+def test_span_contains_edge_cases():
+    p = 5
+    big = np.array([[1], [0]], dtype=np.int64)
+    assert ff.span_contains(big, ff.zeros((2, 0)), p)
+    assert ff.span_contains(ff.zeros((2, 0)), ff.zeros((2, 0)), p)
+    assert ff.span_contains(ff.zeros((2, 0)), ff.zeros((2, 3)), p)
+    assert not ff.span_contains(ff.zeros((2, 0)), np.array([[0, 1], [0, 0]]), p)
+    assert not ff.span_contains(big, np.array([[1, 0], [0, 1]]), p)
+
+
+def test_solve_matrix_rhs_with_one_inconsistent_column():
+    p = 7
+    a = np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)
+    good = (a @ np.array([[3, 1], [5, 6]])) % p
+    x = ff.solve(a, good, p)
+    assert x is not None and np.array_equal((a @ x) % p, good)
+    bad = good.copy()
+    bad[1, 1] = (bad[1, 1] + 1) % p  # row 1 is no longer twice row 0
+    assert ff.solve(a, bad, p) is None
+    assert ff.solve(a, bad[:, 1], p) is None
+    assert np.array_equal(ff.solve(a, bad[:, 0], p), x[:, 0])
