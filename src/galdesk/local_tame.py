@@ -7,14 +7,24 @@ and T for the two actions, the relator forces
     (1 - T^q) a + (Phi - S_q) b = 0,      S_q = 1 + T + ... + T^{q-1},
 
 coboundaries are ((Phi-1)m, (T-1)m), and H^2 is the cokernel of that same
-relator map.  The local duality pairing is evaluated by pushing the cup
-product through the relator chain:
+relator map.  The local duality pairing is the cup product pushed through
+the relator chain:
 
     V(x, y) = <a, Phi' b'> - <S_q b, T'^q a'> - sum_{i=1}^{q-1} <N_i b, T'^i b'>
 
 with primes denoting the dual-twist actions and N_i = 1 + ... + T^{i-1}.
-The overall scalar is pinned down by the checks the duality operations must
-satisfy (perfect Gram matrices, annihilator of the unramified subspace).
+It is bilinear in the stacked cocycles x = (a; b) on M and y = (a'; b') on
+M^vee(1), so V(x, y) = x^T G y for one 2n x 2n matrix G.  The dual twist
+has T' = (T^T)^-1, so N_i^T T'^i = T' + T'^2 + ... + T'^i (and S_q = N_q):
+
+    G = [[0,                     Phi'                          ],
+         [-sum_{m=1}^{q} T'^m,   -sum_{m=1}^{q-1} (q - m) T'^m ]]
+
+The upper-right block pairs a with b'; the lower blocks pair b with a' and
+with b'.  Since T'^p = 1, the terms group by m mod p, so G costs p products
+of n x n matrices for any q.  The overall scalar is pinned down by the
+checks the duality operations must satisfy (perfect Gram matrices,
+annihilator of the unramified subspace).
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from . import ffield as ff
 from .root_datum import (
     RootDatum,
     TorusElement,
-    inv_scalar_int,
     is_regular_semisimple,
     ramakrishna_root_set,
 )
@@ -73,11 +82,13 @@ class TameGaloisModule:
         object.__setattr__(self, "tau", tau)
         if self.q % p == 0:
             raise TameModuleError("q must be prime to p")
-        if ff.rank(phi, p) < n:
-            raise TameModuleError("Phi must be invertible")
+        try:
+            phi_inv = ff.inv(phi, p)
+        except ValueError:
+            raise TameModuleError("Phi must be invertible") from None
         if not np.array_equal(ff.mat_pow(tau, p, p), ff.eye(n)):
             raise TameModuleError("Tau must have order dividing p")
-        lhs = ff.mat_mul(ff.mat_mul(phi, tau, p), ff.inv(phi, p), p)
+        lhs = ff.mat_mul(ff.mat_mul(phi, tau, p), phi_inv, p)
         rhs = ff.mat_pow(tau, self.q % p, p)
         if not np.array_equal(lhs, rhs):
             raise TameModuleError("Phi Tau Phi^-1 != Tau^q")
@@ -100,6 +111,10 @@ class TameGaloisModule:
 
     def dual_twist(self) -> "TameGaloisModule":
         """M^vee(1): arithmetic action qbar * (Phi_eff^T)^-1, inertia (Tau^T)^-1."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "TameGaloisModule":
         p = self.p
         phi_d = (self.qbar * ff.inv(self.phi_eff.T, p)) % p
         tau_d = ff.inv(self.tau.T, p)
@@ -130,11 +145,34 @@ class TameGaloisModule:
         return np.hstack([(ff.eye(self.dim) - tq) % p, (self.phi_eff - sq) % p])
 
     @cached_property
+    def pairing_matrix(self) -> np.ndarray:
+        """G (2n x 2n) with V(x, y) = x^T G y for stacked cocycles x on M and
+        y on M.dual_twist(); see the module docstring."""
+        p, n, q = self.p, self.dim, self.q
+        md = self.dual_twist()
+        # -sum_{m=1}^{q} T'^m and -sum_{m=1}^{q} (q - m) T'^m (its m = q term
+        # is zero), grouped by c = m mod p, which occurs k times in 1..q.
+        left, right = ff.zeros((n, n)), ff.zeros((n, n))
+        td_c = ff.eye(n)
+        for c in range(1, p + 1):
+            td_c = (td_c @ md.tau) % p
+            k = (q - c) // p + 1
+            left = (left - k % p * td_c) % p
+            right = (right - k * (q - c) % p * td_c) % p
+        return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
+
+    @cached_property
     def coboundary_matrix(self) -> np.ndarray:
         """d0 as a (2n x n) block matrix [Phi - 1; T - 1]."""
         p = self.p
         return np.vstack([(self.phi_eff - ff.eye(self.dim)) % p,
                           (self.tau - ff.eye(self.dim)) % p])
+
+    @cached_property
+    def _h1(self) -> "H1Space":
+        z1 = ff.nullspace(self.relator_matrix, self.p)
+        b1 = ff.column_space(self.coboundary_matrix, self.p)
+        return H1Space(self, ff.QuotientSpace(z1, b1, self.p))
 
 
 @dataclass(eq=False)
@@ -161,9 +199,8 @@ class H1Space:
 
 
 def h1_space(m: TameGaloisModule) -> H1Space:
-    z1 = ff.nullspace(m.relator_matrix, m.p)
-    b1 = ff.column_space(m.coboundary_matrix, m.p)
-    return H1Space(m, ff.QuotientSpace(z1, b1, m.p))
+    """H^1(M), computed once per module and cached on it."""
+    return m._h1
 
 
 def cohomology_dims(m: TameGaloisModule) -> tuple[int, int, int]:
@@ -238,8 +275,9 @@ def tate_pairing(m: TameGaloisModule, declared_dual: TameGaloisModule | None = N
     """Local duality pairing H^1(M) x H^1(M^vee(1)) -> F_p as a callable.
 
     Arguments to the returned function are stacked cocycles (a; b) on M and
-    (a'; b') on M.dual_twist().  A caller-declared dual, when given, must
-    match the canonical one.
+    (a'; b') on M.dual_twist(), and its value is x^T G y mod p for
+    G = m.pairing_matrix.  A caller-declared dual, when given, must match
+    the canonical one.
     """
     p = m.p
     md = m.dual_twist()
@@ -249,48 +287,21 @@ def tate_pairing(m: TameGaloisModule, declared_dual: TameGaloisModule | None = N
         if not (np.array_equal(declared_dual.phi_eff, md.phi_eff)
                 and np.array_equal(declared_dual.tau, md.tau)):
             raise TameModuleError("declared dual disagrees with M^vee(1)")
-    n = m.dim
-    q = m.q
-    phi_d = md.phi_eff
-    tau_d = md.tau
-
-    if q > 10**5:
-        raise TameModuleError("q too large for direct cup-product evaluation")
+    g = m.pairing_matrix
 
     def pair(x, y) -> int:
-        x = ff.normalize(x, p)
-        y = ff.normalize(y, p)
-        a, b = x[:n], x[n:]
-        ap, bp = y[:n], y[n:]
-        total = int(np.dot(a, (phi_d @ bp) % p)) % p
-        sq_b = (m._tau_power_sum(q) @ b) % p
-        tq_ap = (ff.mat_pow(tau_d, q % p, p) @ ap) % p
-        total = (total - int(np.dot(sq_b, tq_ap))) % p
-        # sum_{i=1}^{q-1} <N_i b, T'^i b'>, accumulated incrementally.
-        ni_b = ff.zeros(n)  # N_0 b = 0
-        ti_b = b.copy()  # T^{i-1} b at the top of iteration i
-        tdi_bp = (tau_d @ bp) % p  # T'^i b' at the top of iteration i
-        for _ in range(1, q):
-            ni_b = (ni_b + ti_b) % p  # now N_i b
-            total = (total - int(np.dot(ni_b, tdi_bp))) % p
-            ti_b = (m.tau @ ti_b) % p
-            tdi_bp = (tau_d @ tdi_bp) % p
-        return total % p
+        return int(ff.mat_mul(x, g, p) @ ff.normalize(y, p)) % p
 
     return pair
 
 
 def pairing_gram(m: TameGaloisModule):
-    """Gram matrix of the duality pairing on canonical H^1 bases."""
+    """Gram matrix of the duality pairing on canonical H^1 bases: B^T G B'."""
     p = m.p
-    md = m.dual_twist()
     h1 = h1_space(m)
-    h1d = h1_space(md)
-    pair = tate_pairing(m)
-    g = ff.zeros((h1.dim, h1d.dim))
-    for i in range(h1.dim):
-        for j in range(h1d.dim):
-            g[i, j] = pair(h1.basis_cocycles[:, i], h1d.basis_cocycles[:, j])
+    h1d = h1_space(m.dual_twist())
+    g = ff.mat_mul(ff.mat_mul(h1.basis_cocycles.T, m.pairing_matrix, p),
+                   h1d.basis_cocycles, p)
     return g, h1, h1d
 
 
@@ -342,7 +353,7 @@ class AdjointModule:
         for i in range(d):
             m[i, i] = scale
         for k, root in enumerate(self.rd.all_roots()):
-            m[d + k, d + k] = inv_scalar_int(self.t.root_value(root), p) * scale % p
+            m[d + k, d + k] = ff.inv_scalar(self.t.root_value(root), p) * scale % p
         return TameGaloisModule(p, m, self.q)
 
 
@@ -394,7 +405,7 @@ def l_alpha_component(a: AdjointModule, vector, alpha) -> int:
     d = a.rd.rank_ss
     t_part = ff.normalize(vector[:d], a.p)
     pairing = sum(int(a.rd.pair_root_coroot(alpha, j)) * int(t_part[j]) for j in range(d))
-    return pairing * inv_scalar_int(2, a.p) % a.p
+    return pairing * ff.inv_scalar(2, a.p) % a.p
 
 
 def dual_root_component(a: AdjointModule, dual_vector, root) -> int:

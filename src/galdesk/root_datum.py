@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ffield as ff
+
 
 class RootDatumError(ValueError):
     pass
@@ -494,12 +496,8 @@ class TorusElement:
             if c >= 0:
                 out = out * pow(v, c, self.p) % self.p
             else:
-                out = out * pow(inv_scalar_int(v, self.p), -c, self.p) % self.p
+                out = out * pow(ff.inv_scalar(v, self.p), -c, self.p) % self.p
         return out
-
-
-def inv_scalar_int(x: int, p: int) -> int:
-    return pow(x % p, p - 2, p)
 
 
 def is_regular_semisimple(t: TorusElement) -> bool:
@@ -516,7 +514,7 @@ def ramakrishna_root_set(t: TorusElement, q: int):
     qbar = q % p
     if qbar in (0, 1):
         raise RootDatumError("q must not be 0 or 1 mod p")
-    target = inv_scalar_int(qbar, p)
+    target = ff.inv_scalar(qbar, p)
     hits = [r for r in t.rd.all_roots() if t.root_value(r) == target]
     unique = len(hits) == 1
     return hits, unique, (hits[0] if unique else None)

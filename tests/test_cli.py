@@ -71,6 +71,19 @@ def test_local_scenario(tmp_path, capsys):
     assert report["certified_root"] == [1]
 
 
+def test_local_scenario_large_q(tmp_path, capsys):
+    # q = 1000003 = 3 mod 5: the same local package as q = 3, with the
+    # duality pairing built in O(p) matrix products.
+    payload = {"root_datum": {"gl": 2}, "p": 5, "torus_values": [2], "q": 1000003}
+    path = write_scenario(tmp_path, "local", payload)
+    code, out = run_cli(capsys, "run", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass"
+    assert report["cohomology"] == [1, 2, 1]
+    assert report["ramakrishna"] is True
+
+
 def test_local_scenario_twisted_and_irregular(tmp_path, capsys):
     # Twist by one: the GL2/F5 module's twisted fixed space is the g_{-alpha}
     # line, matching h0 of the (1)-twist being one-dimensional.

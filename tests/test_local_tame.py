@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galdesk import ffield as ff
 from galdesk import local_tame as lt
@@ -392,6 +393,147 @@ def test_pairing_well_defined_on_classes():
         mvec_d = np.array([rng.randrange(p) for _ in range(n)])
         y_shift = (y + md.coboundary_matrix @ mvec_d) % p
         assert pair(x, y_shift) == base
+
+
+# ---------------------------------------------------------------------------
+# The pairing matrix against the cup-product loop
+# ---------------------------------------------------------------------------
+
+PAIRING_PRIMES = (3, 5, 7, 11, 13)
+
+
+def reference_pairing(m: lt.TameGaloisModule, x, y) -> int:
+    """V(x, y) by the cup-product loop in pure Python: q steps, no folding.
+
+    V = <a, Phi' b'> - <N_q b, T'^q a'> - sum_{i=1}^{q-1} <N_i b, T'^i b'>.
+    """
+    p, n, q = m.p, m.dim, m.q
+    md = m.dual_twist()
+    tau, tau_d, phi_d = m.tau.tolist(), md.tau.tolist(), md.phi_eff.tolist()
+
+    def apply(mat, v):
+        return [sum(mat[i][k] * v[k] for k in range(n)) % p for i in range(n)]
+
+    def dot(u, v):
+        return sum(s * t for s, t in zip(u, v))
+
+    x = [int(c) % p for c in x]
+    y = [int(c) % p for c in y]
+    a, b, ap, bp = x[:n], x[n:], y[:n], y[n:]
+    total = dot(a, apply(phi_d, bp))
+    ni_b = [0] * n  # N_i b
+    ti_b = b  # T^i b
+    tdi_bp = bp  # T'^i b'
+    for _ in range(1, q):
+        ni_b = [(s + t) % p for s, t in zip(ni_b, ti_b)]
+        ti_b = apply(tau, ti_b)
+        tdi_bp = apply(tau_d, tdi_bp)
+        total -= dot(ni_b, tdi_bp)
+    nq_b = [(s + t) % p for s, t in zip(ni_b, ti_b)]
+    tq_ap = ap
+    for _ in range(q):
+        tq_ap = apply(tau_d, tq_ap)
+    total -= dot(nq_b, tq_ap)
+    return total % p
+
+
+def module_with(p, n, q, twist, block, seed) -> lt.TameGaloisModule:
+    """Tau a unipotent Jordan block of size `block` <= min(n, p) plus an
+    identity block (Tau = 1 when block = 1), Phi random with Phi Tau Phi^-1 =
+    Tau^q, both conjugated by a random change of basis."""
+    rng = random.Random(seed)
+    if block == 1:
+        return lt.TameGaloisModule(p, ff.random_invertible(rng, n, p), q, twist=twist)
+    tau = ff.eye(n)
+    tau[: block - 1, 1:block] += np.eye(block - 1, dtype=np.int64)
+    phi = conjugator(tau, ff.mat_pow(tau, q % p, p), p, rng)
+    g = ff.random_invertible(rng, n, p)
+    gi = ff.inv(g, p)
+    return lt.TameGaloisModule(p, ff.mat_mul(ff.mat_mul(g, phi, p), gi, p), q,
+                               ff.mat_mul(ff.mat_mul(g, tau, p), gi, p), twist=twist)
+
+
+def q_values(p):
+    """q below p (no residue class repeats), q = 1 mod p, and q up to 4 p^2."""
+    return (st.integers(2, p - 1)
+            | st.integers(1, 4 * p).map(lambda k: 1 + k * p)
+            | st.integers(2, 4 * p * p).filter(lambda q: q % p))
+
+
+@st.composite
+def pairing_cases(draw):
+    p = draw(st.sampled_from(PAIRING_PRIMES))
+    n = draw(st.integers(1, 5))
+    m = module_with(p, n, draw(q_values(p)), draw(st.integers(-2, 2)),
+                    draw(st.integers(1, min(n, p))), draw(st.integers(0, 2**32 - 1)))
+    vector = st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n)
+    return m, draw(vector), draw(vector)
+
+
+@given(pairing_cases())
+@settings(max_examples=200, deadline=None)
+def test_pairing_matrix_matches_cup_product_loop(case):
+    """x^T G y equals the loop on arbitrary vectors, not only cocycles, so
+    every block of G is pinned."""
+    m, x, y = case
+    g = m.pairing_matrix
+    assert g.shape == (2 * m.dim, 2 * m.dim)
+    assert g.min() >= 0 and g.max() < m.p
+    expected = reference_pairing(m, x, y)
+    assert int(np.array(x) @ g @ np.array(y)) % m.p == expected
+    assert lt.tate_pairing(m)(x, y) == expected
+
+
+@given(st.sampled_from(PAIRING_PRIMES), st.integers(1, 5), st.integers(-2, 2),
+       st.integers(0, 2**32 - 1), st.integers(1, 5 * 10**4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pairing_matrix_has_period_p_squared_in_q(p, n, twist, seed, k, data):
+    """G(q) = G(q + p^2 k): q up to about 10^6 against a q the loop can afford."""
+    q = data.draw(q_values(p))
+    small = module_with(p, n, q, twist, data.draw(st.integers(1, min(n, p))), seed)
+    large = lt.TameGaloisModule(p, small.phi, q + p * p * k, small.tau, twist)
+    assert np.array_equal(large.pairing_matrix, small.pairing_matrix)
+    x = [data.draw(st.integers(0, p - 1)) for _ in range(2 * n)]
+    y = [data.draw(st.integers(0, p - 1)) for _ in range(2 * n)]
+    assert lt.tate_pairing(large)(x, y) == reference_pairing(small, x, y)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pairing_matrix_entries_full_jordan_block(p):
+    """Every entry of G against the loop when Tau is one Jordan block of size
+    p, the case where sum_c T'^c != 0 and no block of G collapses to a scalar."""
+    for q in (2, p + 1, 2 * p + 2, 3 * p + 1, 4 * p * p - 1):
+        for twist, seed in ((0, q), (1, q + 1)):
+            m = module_with(p, p, q, twist, p, seed)
+            basis = ff.eye(2 * p)
+            ref = [[reference_pairing(m, basis[i], basis[j]) for j in range(2 * p)]
+                   for i in range(2 * p)]
+            assert np.array_equal(m.pairing_matrix, np.array(ref))
+
+
+def test_tate_pairing_declared_dual():
+    m = gl2_f5_adjoint().module
+    pair = lt.tate_pairing(m, m.dual_twist())
+    x = [1, 2, 3, 4, 0, 1]
+    assert pair(x, x) == reference_pairing(m, x, x)
+    with pytest.raises(lt.TameModuleError, match="disagrees"):
+        lt.tate_pairing(m, m.twisted(1))
+    with pytest.raises(lt.TameModuleError, match="dimension mismatch"):
+        lt.tate_pairing(m, lt.TameGaloisModule(5, ff.eye(2), 3))
+
+
+def test_dual_and_h1_computed_once_per_module():
+    m = gl2_f5_adjoint().module
+    assert m.dual_twist() is m.dual_twist()
+    assert lt.h1_space(m) is lt.h1_space(m)
+    g, h1, h1d = lt.pairing_gram(m)
+    assert h1 is lt.h1_space(m) and h1d is lt.h1_space(m.dual_twist())
+
+
+def test_singular_phi_rejected_before_tau_checks():
+    # Tau here also has the wrong order; the invertibility message comes first.
+    with pytest.raises(lt.TameModuleError, match="Phi must be invertible"):
+        lt.TameGaloisModule(5, np.array([[1, 2], [2, 4]]), 3, np.array([[0, 1], [1, 0]]))
 
 
 def test_annihilator_unramified_random():
