@@ -204,13 +204,13 @@ def h1_space(m: TameGaloisModule) -> H1Space:
 
 
 def cohomology_dims(m: TameGaloisModule) -> tuple[int, int, int]:
-    """(h0, h1, h2): fixed space, relator-kernel classes, relator cokernel."""
-    p = m.p
-    stacked = np.vstack([(m.phi_eff - ff.eye(m.dim)) % p, (m.tau - ff.eye(m.dim)) % p])
-    h0 = ff.nullspace(stacked, p).shape[1]
-    h1 = h1_space(m).dim
-    h2 = m.dim - ff.rank(m.relator_matrix, p)
-    return h0, h1, h2
+    """(h0, h1, h2): fixed space, relator-kernel classes, relator cokernel.
+
+    All three are read off the cached H^1 quotient Z^1/B^1: h0 = n - rank d0
+    with B^1 = im d0, and h2 = n - rank d1 = dim Z^1 - n with Z^1 = ker d1.
+    """
+    quotient = h1_space(m).quotient
+    return m.dim - quotient.den.shape[1], quotient.dim, quotient.num.shape[1] - m.dim
 
 
 # -- local condition subspaces ----------------------------------------------

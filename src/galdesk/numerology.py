@@ -101,11 +101,6 @@ class FinitePlace:
         return cls(h0, h0)
 
 
-@dataclass(frozen=True)
-class RealPlace:
-    h0: int  # fixed-space dimension of the involution on g0
-
-
 @dataclass(eq=False)
 class Scenario:
     """Everything the difference formula needs, place by place."""
@@ -117,7 +112,6 @@ class Scenario:
     real_h0: tuple[int, ...] = ()
     h0_global: int = 0
     h0_global_twist: int = 0
-    fixed_multiplier: bool = True
 
     def __post_init__(self):
         if len(self.real_h0) != self.signature.real_places:
@@ -265,7 +259,6 @@ def example_local_dims(r: int, p: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class ExampleReport:
     pairing_identity: bool  # <alpha, 2 rho^vee> = 2 for every simple root
-    r_admissible: bool
     very_good: bool
     extension_space_dim: int
     multiplicative_check: bool
@@ -274,7 +267,7 @@ class ExampleReport:
 
     @property
     def all_pass(self) -> bool:
-        return (self.pairing_identity and self.r_admissible and self.very_good
+        return (self.pairing_identity and self.very_good
                 and self.extension_space_dim == 1 and self.multiplicative_check)
 
 
@@ -315,7 +308,6 @@ def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:
         notes.append("extension space is not one-dimensional; no canonical non-split class")
     return ExampleReport(
         pairing_identity=pairing_ok,
-        r_admissible=True,
         very_good=vg,
         extension_space_dim=dims[1],
         multiplicative_check=ok,

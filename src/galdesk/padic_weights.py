@@ -556,8 +556,6 @@ class DichotomyFamily:
     f: int  # local degree
     minus_w0: tuple[int, ...]
     entries: list[DichotomyEntry]
-    orientation: str = "minus-w0-precomposed"
-    nonsplit_assumed: bool = True
 
     def __post_init__(self):
         if sorted(self.minus_w0) != list(range(self.d)):

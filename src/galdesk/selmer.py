@@ -1,6 +1,11 @@
-"""Finite-group cohomology via the bar resolution, and synthetic Selmer-system
-linear algebra: Selmer/dual-Selmer computation, the dual-annihilation step,
-the inflation decomposition check, and the avoidance step.
+"""Finite-group cohomology and synthetic Selmer-system linear algebra:
+Selmer/dual-Selmer computation, the dual-annihilation step, the inflation
+decomposition check, and the avoidance step.
+
+Group cohomology in degrees 1 and 2 comes from one cocycle system on the
+breadth-first enumeration of the group: a cocycle is fixed by f(1) = 0 and
+f(x s) = f(x) + x.f(s) for the generators s.  Degree 2 is degree 1 of the
+coinduced quotient CoInd(M)/M (dimension shifting).
 
 Synthetic systems make global duality true by construction: the global space
 H maps isomorphically onto a chosen subspace I of the direct sum of local
@@ -24,21 +29,29 @@ class SelmerError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Finite group actions and bar-resolution cohomology
+# Finite group actions and their cohomology
 # ---------------------------------------------------------------------------
+
+# Cell budget (rows x columns) of the degree-2 system, which is the degree-1
+# system of a module of dimension n(k - 1); checked before it is built.
+_H2_CELL_BUDGET = 10**7
 
 
 @dataclass(eq=False)
 class FiniteGroupAction:
-    """Group generated by matrices over F_p, enumerated with a Cayley table."""
+    """Group generated by matrices over F_p, enumerated breadth first.
+
+    step[x, i] is the index of elements[x] @ generators[i], and parent[y] is
+    the (x, i) whose step first reached y (None for the identity, y = 0).
+    """
 
     p: int
     generators: list[np.ndarray]
     order_bound: int = 100_000
     elements: list = field(init=False)
     index: dict = field(init=False)
-    mult: np.ndarray = field(init=False)
-    inverse: np.ndarray = field(init=False)
+    step: np.ndarray = field(init=False)
+    parent: list = field(init=False)
 
     def __post_init__(self):
         p = self.p
@@ -51,31 +64,25 @@ class FiniteGroupAction:
         ident = ff.eye(n)
         elements = [ident]
         index = {ident.tobytes(): 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = ff.mat_mul(m, g, p)
-                    key = prod.tobytes()
-                    if key not in index:
-                        index[key] = len(elements)
-                        elements.append(prod)
-                        nxt.append(prod)
-                        if len(elements) > self.order_bound:
-                            raise SelmerError("enumeration overflow beyond the order bound")
-            frontier = nxt
+        step, parent = [], [None]
+        # `elements` grows while it is walked, so x runs in breadth-first order.
+        for x, m in enumerate(elements):
+            row = []
+            for i, g in enumerate(gens):
+                prod = ff.mat_mul(m, g, p)
+                key = prod.tobytes()
+                if key not in index:
+                    index[key] = len(elements)
+                    elements.append(prod)
+                    parent.append((x, i))
+                    if len(elements) > self.order_bound:
+                        raise SelmerError("enumeration overflow beyond the order bound")
+                row.append(index[key])
+            step.append(row)
         self.elements = elements
         self.index = index
-        k = len(elements)
-        self.mult = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                self.mult[i, j] = index[ff.mat_mul(a, b, p).tobytes()]
-        self.inverse = np.zeros(k, dtype=np.int64)
-        for i in range(k):
-            row = np.nonzero(self.mult[i] == 0)[0]
-            self.inverse[i] = row[0]
+        self.step = np.array(step, dtype=np.int64).reshape(len(elements), len(gens))
+        self.parent = parent
 
     @property
     def order(self) -> int:
@@ -89,9 +96,11 @@ class FiniteGroupAction:
 def finite_cohomology(g: FiniteGroupAction, degree: int):
     """(dimension, basis) of H^degree(G, M) for degree in {0, 1, 2}.
 
-    Degree 0 and 1 come from fixed vectors and the generator-constrained
-    cocycle system; degree 2 materializes 2-cochains as arrays indexed by
-    group pairs, guarded at order^2 entries.
+    Degree 0 is the fixed space and degree 1 the generator-constrained
+    cocycle system.  Degree 2 shifts dimension: CoInd(M) = Maps(G, M) with
+    (s.f)(x) = f(x s) has no higher cohomology, so the embedding
+    m -> (x.m)_x gives H^2(G, M) = H^1(G, CoInd(M)/M), solved by the same
+    degree-1 system for a module of dimension n(k - 1); its basis is None.
     """
     p, n, k = g.p, g.dim, g.order
     if degree == 0:
@@ -101,92 +110,51 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         return basis.shape[1], basis
 
     if degree == 1:
-        # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
-        # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
-        # written in place; nullspace reduces the whole system mod p once.
-        system = ff.zeros((n + len(g.generators) * k * n, k * n))
-        system[:n, :n] = ff.eye(n)
-        top = n
-        for mat in g.generators:
-            s = g.index[mat.tobytes()]
-            for x in range(k):
-                xs = g.mult[x, s]
-                block = system[top : top + n]
-                block[:, xs * n : (xs + 1) * n] += ff.eye(n)
-                block[:, x * n : (x + 1) * n] -= ff.eye(n)
-                block[:, s * n : (s + 1) * n] -= g.elements[x]
-                top += n
-        z1 = ff.nullspace(system, p)
-        # Coboundaries f(x) = (x - 1) v.
-        cob = np.vstack([(g.elements[x] - ff.eye(n)) % p for x in range(k)])
-        b1_rank = ff.rank(cob, p)
-        dim = z1.shape[1] - b1_rank
-        quotient = ff.QuotientSpace(z1, ff.column_space(cob, p), p)
-        return dim, quotient.reps
+        return _h1(p, g.elements, g.step)
 
     if degree == 2:
-        if k * k > 100_000:
-            raise SelmerError("order^2 exceeds the 2-cochain memory guard")
-        return _h2_bar(g)
+        r, dim_q = len(g.generators), n * (k - 1)
+        if (r * k + 1) * dim_q * k * dim_q > _H2_CELL_BUDGET:
+            raise SelmerError("the shifted degree-2 system exceeds its cell budget")
+        quotient = ff.QuotientSpace(ff.eye(k * n), np.vstack(g.elements), p)
+        # s_i acts on Maps(G, M) by the block permutation f -> (f(x s_i))_x,
+        # which moves the rows of block step[x, i] to block x.
+        rows = g.step[:, :, None] * n + np.arange(n)
+        q_gens = [quotient.coords_matrix(quotient.reps[rows[:, i].ravel()]) for i in range(r)]
+        q_elements = [ff.eye(dim_q)]
+        for x, i in g.parent[1:]:
+            q_elements.append(q_elements[x] @ q_gens[i] % p)
+        return _h1(p, q_elements, g.step)[0], None
 
     raise SelmerError("degree must be 0, 1, or 2")
 
 
-def _h2_bar(g: FiniteGroupAction):
-    """H^2 from the full bar differentials d1: C^1 -> C^2 and d2: C^2 -> C^3."""
-    p, n, k = g.p, g.dim, g.order
-    # d2 f (x, y, z) = x.f(y,z) - f(xy,z) + f(x,yz) - f(x,y); unknowns f(x,y).
-    unknowns = k * k * n
-
-    def slot(x, y):
-        return (x * k + y) * n
-
-    # Batched row elimination: echelon basis accumulated over constraint chunks.
-    echelon: list[np.ndarray] = []
-    pivots: dict[int, int] = {}
-
-    def reduce_row(row):
-        row = row % p
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                return None
-            lead = nz[0]
-            if lead in pivots:
-                row = (row - row[lead] * echelon[pivots[lead]]) % p
-            else:
-                row = row * pow(int(row[lead]), p - 2, p) % p
-                pivots[lead] = len(echelon)
-                echelon.append(row)
-                return lead
-
-    for x in range(k):
-        for y in range(k):
-            xy = g.mult[x, y]
-            for z in range(k):
-                yz = g.mult[y, z]
-                xyz = g.mult[xy, z]
-                for c in range(n):
-                    row = np.zeros(unknowns, dtype=np.int64)
-                    row[slot(y, z) : slot(y, z) + n] += g.elements[x][c]
-                    row[slot(xy, z) + c] -= 1
-                    row[slot(x, yz) + c] += 1
-                    row[slot(x, y) + c] -= 1
-                    reduce_row(row)
-    rank_d2 = len(echelon)
-    z2 = unknowns - rank_d2
-    # b2 = rank of d1: C^1 -> C^2, f |-> x.f(y) - f(xy) + f(x).
-    rows = []
-    for x in range(k):
-        for y in range(k):
-            xy = g.mult[x, y]
-            block = ff.zeros((n, k * n))
-            block[:, y * n : (y + 1) * n] += g.elements[x]
-            block[:, xy * n : (xy + 1) * n] -= ff.eye(n)
-            block[:, x * n : (x + 1) * n] += ff.eye(n)
-            rows.append(block % p)
-    b2 = ff.rank(np.vstack(rows) % p, p)
-    return z2 - b2, None
+def _h1(p: int, elements, step):
+    """(dim, basis) of H^1(G, M), where elements[x] is the matrix of x on M
+    and step is the table of FiniteGroupAction."""
+    k, r = step.shape
+    n = elements[0].shape[0]
+    one = ff.eye(n)
+    # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
+    # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
+    # written in place; nullspace reduces the whole system mod p once.
+    system = ff.zeros((n + r * k * n, k * n))
+    system[:n, :n] = one
+    top = n
+    for i in range(r):
+        s = step[0, i]
+        for x in range(k):
+            xs = step[x, i]
+            block = system[top : top + n]
+            block[:, xs * n : (xs + 1) * n] += one
+            block[:, x * n : (x + 1) * n] -= one
+            block[:, s * n : (s + 1) * n] -= elements[x]
+            top += n
+    z1 = ff.nullspace(system, p)
+    # Coboundaries f(x) = (x - 1) v.
+    b1 = ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
+    quotient = ff.QuotientSpace(z1, b1, p)
+    return quotient.dim, quotient.reps
 
 
 # ---------------------------------------------------------------------------

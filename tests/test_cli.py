@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +214,11 @@ def test_out_flag_and_table_format(tmp_path, capsys):
 
 
 def test_every_builtin_exits_zero(capsys):
-    for entry in sc.list_builtins():
-        code, _ = run_cli(capsys, "run", entry["id"], "--seed", "1")
-        assert code == 0, entry["id"]
+    # sha256 of each report's stdout, so reports stay byte-identical.
+    golden = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+    ids = [entry["id"] for entry in sc.list_builtins()]
+    assert sorted(ids) == sorted(golden)
+    for builtin in ids:
+        code, out = run_cli(capsys, "run", builtin, "--seed", "1")
+        assert code == 0, builtin
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[builtin], builtin

@@ -530,6 +530,31 @@ def test_dual_and_h1_computed_once_per_module():
     assert h1 is lt.h1_space(m) and h1d is lt.h1_space(m.dual_twist())
 
 
+def rank_formula_dims(m: lt.TameGaloisModule):
+    """(h0, h1, h2) by their own eliminations: h0 from the nullspace of
+    [Phi - 1; T - 1] and h2 from the rank of the relator matrix."""
+    p, n = m.p, m.dim
+    stacked = np.vstack([(m.phi_eff - ff.eye(n)) % p, (m.tau - ff.eye(n)) % p])
+    return (ff.nullspace(stacked, p).shape[1], lt.h1_space(m).dim,
+            n - ff.rank(m.relator_matrix, p))
+
+
+@given(st.sampled_from(PAIRING_PRIMES), st.integers(1, 6), st.integers(-2, 2),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cohomology_dims_match_rank_formulas(p, n, twist, seed, data):
+    m = module_with(p, n, data.draw(q_values(p)), twist,
+                    data.draw(st.integers(1, min(n, p))), seed)
+    assert lt.cohomology_dims(m) == rank_formula_dims(m)
+
+
+def test_cohomology_dims_eliminates_nothing_beyond_h1(monkeypatch):
+    m = gl2_f5_adjoint().module
+    lt.h1_space(m)
+    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated again"))
+    assert lt.cohomology_dims(m) == (1, 2, 1)
+
+
 def test_singular_phi_rejected_before_tau_checks():
     # Tau here also has the wrong order; the invertibility message comes first.
     with pytest.raises(lt.TameModuleError, match="Phi must be invertible"):

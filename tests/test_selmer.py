@@ -8,16 +8,27 @@ from galdesk import selmer as sl
 
 
 # ---------------------------------------------------------------------------
-# Oracle: degree-0/1 cohomology by the full bar differential, no generator
-# shortcut.
+# Oracles: degree-1 and degree-2 cohomology by the full bar differentials, no
+# generator shortcut.  They read a Cayley table built here from the elements,
+# independent of the enumeration's step table.
 # ---------------------------------------------------------------------------
+
+def cayley_table(g: sl.FiniteGroupAction) -> np.ndarray:
+    k = g.order
+    mult = np.zeros((k, k), dtype=np.int64)
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            mult[i, j] = g.index[ff.mat_mul(a, b, g.p).tobytes()]
+    return mult
+
 
 def bar_h1_oracle(g: sl.FiniteGroupAction) -> int:
     p, n, k = g.p, g.dim, g.order
+    mult = cayley_table(g)
     rows = []
     for x in range(k):
         for y in range(k):
-            xy = g.mult[x, y]
+            xy = mult[x, y]
             block = ff.zeros((n, k * n))
             block[:, y * n : (y + 1) * n] += g.elements[x]
             block[:, xy * n : (xy + 1) * n] -= ff.eye(n)
@@ -29,6 +40,64 @@ def bar_h1_oracle(g: sl.FiniteGroupAction) -> int:
     z1 = ff.nullspace(np.vstack(rows) % p, p).shape[1]
     cob = np.vstack([(g.elements[x] - ff.eye(n)) % p for x in range(k)])
     return z1 - ff.rank(cob, p)
+
+
+def bar_h2_oracle(g: sl.FiniteGroupAction):
+    """H^2 from the full bar differentials d1: C^1 -> C^2 and d2: C^2 -> C^3."""
+    p, n, k = g.p, g.dim, g.order
+    mult = cayley_table(g)
+    # d2 f (x, y, z) = x.f(y,z) - f(xy,z) + f(x,yz) - f(x,y); unknowns f(x,y).
+    unknowns = k * k * n
+
+    def slot(x, y):
+        return (x * k + y) * n
+
+    # Batched row elimination: echelon basis accumulated over constraint chunks.
+    echelon: list[np.ndarray] = []
+    pivots: dict[int, int] = {}
+
+    def reduce_row(row):
+        row = row % p
+        while True:
+            nz = np.nonzero(row)[0]
+            if nz.size == 0:
+                return None
+            lead = nz[0]
+            if lead in pivots:
+                row = (row - row[lead] * echelon[pivots[lead]]) % p
+            else:
+                row = row * pow(int(row[lead]), p - 2, p) % p
+                pivots[lead] = len(echelon)
+                echelon.append(row)
+                return lead
+
+    for x in range(k):
+        for y in range(k):
+            xy = mult[x, y]
+            for z in range(k):
+                yz = mult[y, z]
+                xyz = mult[xy, z]
+                for c in range(n):
+                    row = np.zeros(unknowns, dtype=np.int64)
+                    row[slot(y, z) : slot(y, z) + n] += g.elements[x][c]
+                    row[slot(xy, z) + c] -= 1
+                    row[slot(x, yz) + c] += 1
+                    row[slot(x, y) + c] -= 1
+                    reduce_row(row)
+    rank_d2 = len(echelon)
+    z2 = unknowns - rank_d2
+    # b2 = rank of d1: C^1 -> C^2, f |-> x.f(y) - f(xy) + f(x).
+    rows = []
+    for x in range(k):
+        for y in range(k):
+            xy = mult[x, y]
+            block = ff.zeros((n, k * n))
+            block[:, y * n : (y + 1) * n] += g.elements[x]
+            block[:, xy * n : (xy + 1) * n] -= ff.eye(n)
+            block[:, x * n : (x + 1) * n] += ff.eye(n)
+            rows.append(block % p)
+    b2 = ff.rank(np.vstack(rows) % p, p)
+    return z2 - b2, None
 
 
 def cyclic_h_oracle(order: int, mat, p: int):
@@ -156,6 +225,79 @@ def test_enumeration_overflow_guard():
     big = np.array([[1, 1], [0, 1]], dtype=np.int64)
     with pytest.raises(sl.SelmerError):
         sl.FiniteGroupAction(13, [big, big.T], order_bound=20)
+
+
+def diag_blocks(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = ff.zeros((n, n))
+    pos = 0
+    for b in blocks:
+        out[pos : pos + len(b), pos : pos + len(b)] = b
+        pos += len(b)
+    return out
+
+
+J2 = [[1, 1], [0, 1]]
+SWAP = [[0, 1], [1, 0]]
+S3_GENS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
+
+# (p, generators) of order <= 12: cyclic, dihedral over F_3 and prime to p
+# over F_7, the Borel subgroup of GL2(F_3), S3 permuting coordinates, and
+# cyclic groups with and without p in their order, and (Z/3)^2.
+SMALL_GROUPS = {
+    "cyclic-5": (5, [J2]),
+    "cyclic-6-dim-3": (3, [diag_blocks(J2, [[2]])]),
+    "dihedral-6-mod-3": (3, [J2, diag_blocks([[2]], [[1]])]),
+    "dihedral-6-mod-7": (7, [diag_blocks([[2]], [[4]]), SWAP]),
+    "borel-12-mod-3": (3, [J2, diag_blocks([[2]], [[1]]), diag_blocks([[1]], [[2]])]),
+    "s3-mod-3": (3, S3_GENS),
+    "s3-mod-7": (7, S3_GENS),
+    "cyclic-4-mod-5": (5, [[[2]]]),
+    "cyclic-3-jordan-mod-3": (3, [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]),
+    "cyclic-10-dim-3": (5, [diag_blocks(J2, [[4]])]),
+    "cyclic-3-with-trivial-summand": (3, [diag_blocks(J2, [[1]])]),
+    "elementary-9-mod-3": (3, [diag_blocks(J2, ff.eye(2)), diag_blocks(ff.eye(2), J2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_h2_matches_bar_oracle(name):
+    p, gens = SMALL_GROUPS[name]
+    g = sl.FiniteGroupAction(p, [np.array(m, dtype=np.int64) for m in gens])
+    assert g.order <= 12
+    dim, basis = sl.finite_cohomology(g, 2)
+    assert basis is None
+    assert dim == bar_h2_oracle(g)[0]
+
+
+def test_h2_affine_group_of_f5():
+    # [[a, b], [0, 1]] in the Borel subgroup of GL2(F_5), order 20, on F_5^2.
+    g = sl.FiniteGroupAction(5, [np.array([[2, 0], [0, 1]]), np.array(J2)])
+    assert g.order == 20
+    assert sl.finite_cohomology(g, 2)[0] == 1
+
+
+@pytest.mark.parametrize("g", [sl2_adjoint_action(5), sl.FiniteGroupAction(3, [
+    np.array(m, dtype=np.int64) for m in SMALL_GROUPS["borel-12-mod-3"][1]])])
+def test_step_table_and_parents(g):
+    k, r = g.step.shape
+    assert (k, r) == (g.order, len(g.generators))
+    for x in range(k):
+        for i in range(r):
+            assert np.array_equal(g.elements[g.step[x, i]],
+                                  ff.mat_mul(g.elements[x], g.generators[i], g.p))
+    assert g.parent[0] is None
+    for y in range(1, k):
+        x, i = g.parent[y]
+        assert x < y and g.step[x, i] == y
+
+
+def test_h2_over_budget_refused_before_elimination(monkeypatch):
+    g = sl.FiniteGroupAction(101, [np.array([[2]])])
+    assert g.order == 100
+    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
+    with pytest.raises(sl.SelmerError, match="budget"):
+        sl.finite_cohomology(g, 2)
 
 
 # ---------------------------------------------------------------------------
