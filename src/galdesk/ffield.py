@@ -1,11 +1,12 @@
 """Exact linear algebra over prime fields F_p.
 
 Everything is dense numpy int64 reduced mod p.  Most matrices are small
-(a few dozen rows), but the finite-group H^1 systems reach about 1000 x 500,
-so `rref` clears each pivot column with one vectorised update over a bounded
-block of rows.  `solve` accepts a vector or a matrix right-hand side, and the
-span helpers (`span_contains`, `extend_basis`, `QuotientSpace.coords_matrix`)
-each make one elimination rather than one per column.
+(a few dozen rows), but the finite-group degree-2 systems are tall, up to
+about 21000 x 350, so `rref` clears each pivot column with one vectorised
+update over a bounded block of rows.  `solve` accepts a vector or a matrix
+right-hand side, and the span helpers (`span_contains`, `extend_basis`,
+`QuotientSpace.coords_matrix`) each make one elimination rather than one per
+column.
 Subspaces are represented by matrices whose *columns* are basis vectors.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 # rref clears a pivot column in blocks of at most this many rows, which keeps
-# the temporaries of one update small on the largest (~1000-row) systems.
+# the temporaries of one update small on the largest (tall) systems.
 _CLEAR_ROWS = 64
 
 
@@ -135,15 +136,8 @@ def column_space(a, p: int) -> np.ndarray:
     return r[: len(pivots)].T % p
 
 
-def in_span(basis, v, p: int) -> bool:
-    basis = normalize(basis, p)
-    v = normalize(v, p)
-    if basis.size == 0:
-        return not v.any()
-    return solve(basis, v, p) is not None
-
-
 def span_contains(big, small, p: int) -> bool:
+    """Is the vector `small`, or every column of the matrix `small`, in span(big)?"""
     big = normalize(big, p)
     small = normalize(small, p)
     if big.size == 0:

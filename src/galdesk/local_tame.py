@@ -473,6 +473,6 @@ def nonsplit_check(rd: RootDatum, p: int, q: int, sigma_scalars, tau_scalars,
         if (line.relator_matrix @ cocycle % p).any():
             raise TameModuleError(f"cocycle relation violated on the line of root {i}")
         b1 = line.coboundary_matrix  # (2 x 1)
-        if ff.in_span(b1, cocycle, p):
+        if ff.span_contains(b1, cocycle, p):
             return False
     return True

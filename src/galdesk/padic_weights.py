@@ -66,10 +66,6 @@ class TruncatedSeries:
         zero = tuple(0 for _ in range(nvars))
         return cls(p, nvars, prec, degree_cap, {zero: value})
 
-    @classmethod
-    def from_terms(cls, terms, p, nvars, prec, degree_cap):
-        return cls(p, nvars, prec, degree_cap, dict(terms))
-
     # -- access ----------------------------------------------------------------
 
     def coeff(self, idx) -> PadicInt:
@@ -364,14 +360,6 @@ class UnitsModel:
 
     def slots(self) -> list[tuple[str, int]]:
         return [(pl, j) for pl in self.places for j in range(self.degree_of(pl))]
-
-    @property
-    def full_rank(self) -> int:
-        return sum(2 * f for _, _, f in self.pairs)
-
-    @property
-    def norm_image_rank(self) -> int:
-        return sum(f for _, _, f in self.pairs)
 
 
 @dataclass(frozen=True)

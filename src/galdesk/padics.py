@@ -28,10 +28,6 @@ class PadicInt:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_int(cls, x: int, p: int, prec: int) -> "PadicInt":
-        return cls(p, x, prec)
-
-    @classmethod
     def zero(cls, p: int, prec: int) -> "PadicInt":
         return cls(p, 0, prec)
 

@@ -192,13 +192,6 @@ class RootDatum:
         out[j] -= self.pair_root_coroot(root, j)
         return tuple(out)
 
-    def pair_root_cochar(self, root, mu) -> int:
-        """<root, mu> for mu in cocharacter coordinates."""
-        row = sum(
-            root[i] * self.cochar_pairing[i] for i in range(self.rank_ss)
-        )
-        return int(np.dot(row, np.asarray(mu, dtype=np.int64)))
-
     def simple_pairings_cochar(self, mu) -> list[int]:
         return [int(np.dot(self.cochar_pairing[i], mu)) for i in range(self.rank_ss)]
 

@@ -257,7 +257,7 @@ def builtin_selmer_avoidance(seed, precision, count=100):
         _, rep = sl.avoidance_step(sc.system, sc.conditions, sc.beta,
                                    sc.u_subspace, sc.y, sc.ram)
         if rep.selmer_after == rep.selmer_before and \
-                not ff.in_span(sc.u_subspace, rep.beta_psi_tilde, sc.system.p):
+                not ff.span_contains(sc.u_subspace, rep.beta_psi_tilde, sc.system.p):
             ok += 1
     return _report([check("escape witness outside U with Selmer preserved",
                           ok == count, count=count, passed=ok)])
@@ -497,7 +497,7 @@ BUILTINS = {
     "selmer-inflation-checks": ("inflation decomposition, positive and negative",
                                 builtin_selmer_inflation),
     "selmer-avoidance-suite": ("100 seeded avoidance steps", builtin_selmer_avoidance),
-    "finite-cohomology-small": ("bar-resolution cohomology spot checks",
+    "finite-cohomology-small": ("finite-group cohomology spot checks",
                                 builtin_finite_cohomology),
     "numerology-wiles-table": ("difference formula menus over A1, A2, B2",
                                builtin_numerology_wiles),

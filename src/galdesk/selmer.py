@@ -2,10 +2,10 @@
 Selmer/dual-Selmer computation, the dual-annihilation step, the inflation
 decomposition check, and the avoidance step.
 
-Group cohomology in degrees 1 and 2 comes from one cocycle system on the
-breadth-first enumeration of the group: a cocycle is fixed by f(1) = 0 and
-f(x s) = f(x) + x.f(s) for the generators s.  Degree 2 is degree 1 of the
-coinduced quotient CoInd(M)/M (dimension shifting).
+Group cohomology in degrees 1 and 2 comes from one cocycle system over the
+generators, constrained by the Schreier relators of the breadth-first
+enumeration.  Degree 2 is degree 1 of the coinduced quotient CoInd(M)/M
+(dimension shifting).
 
 Synthetic systems make global duality true by construction: the global space
 H maps isomorphically onto a chosen subspace I of the direct sum of local
@@ -32,8 +32,8 @@ class SelmerError(ValueError):
 # Finite group actions and their cohomology
 # ---------------------------------------------------------------------------
 
-# Cell budget (rows x columns) of the degree-2 system, which is the degree-1
-# system of a module of dimension n(k - 1); checked before it is built.
+# Cell budget of the degree-2 system, the cocycle system of a module of
+# dimension n(k - 1): k.r.n(k - 1) x r.n(k - 1); checked before it is built.
 _H2_CELL_BUDGET = 10**7
 
 
@@ -96,25 +96,32 @@ class FiniteGroupAction:
 def finite_cohomology(g: FiniteGroupAction, degree: int):
     """(dimension, basis) of H^degree(G, M) for degree in {0, 1, 2}.
 
-    Degree 0 is the fixed space and degree 1 the generator-constrained
-    cocycle system.  Degree 2 shifts dimension: CoInd(M) = Maps(G, M) with
-    (s.f)(x) = f(x s) has no higher cohomology, so the embedding
-    m -> (x.m)_x gives H^2(G, M) = H^1(G, CoInd(M)/M), solved by the same
-    degree-1 system for a module of dimension n(k - 1); its basis is None.
+    Degree 0 is the fixed space.  Degree 1 solves the generator-level system
+    of `_cocycles` and returns a basis in the coordinates (f(x))_x.  Degree 2
+    shifts dimension: CoInd(M) = Maps(G, M) with (s.f)(x) = f(x s) has no
+    higher cohomology, so m -> (x.m)_x gives H^2(G, M) = H^1(G, CoInd(M)/M).
+    Only its dimension is computed, and the basis is None.
     """
-    p, n, k = g.p, g.dim, g.order
+    p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
-        rows = np.vstack([(mat - ff.eye(n)) % p for mat in g.generators]) if g.generators \
-            else ff.zeros((0, n))
+        rows = np.vstack([ff.zeros((0, n))] + [(mat - ff.eye(n)) % p for mat in g.generators])
         basis = ff.nullspace(rows, p) if rows.size else ff.eye(n)
         return basis.shape[1], basis
 
     if degree == 1:
-        return _h1(p, g.elements, g.step)
+        z, f = _cocycles(p, g.elements, g.step, g.parent)
+        # ff.nullspace of a system in the unknowns f(x) gives the basis that is
+        # the identity on the last independent coordinates of Z^1 (its free
+        # columns, by matroid duality); so does reducing them in reverse.
+        z1 = ff.column_space((f.reshape(k * n, r * n) @ z % p)[::-1], p)[::-1, ::-1]
+        # Coboundaries f(x) = (x - 1) v.
+        b1 = ff.column_space(np.vstack([(mat - ff.eye(n)) % p for mat in g.elements]), p)
+        quotient = ff.QuotientSpace(z1, b1, p)
+        return quotient.dim, quotient.reps
 
     if degree == 2:
-        r, dim_q = len(g.generators), n * (k - 1)
-        if (r * k + 1) * dim_q * k * dim_q > _H2_CELL_BUDGET:
+        dim_q = n * (k - 1)
+        if k * r * dim_q * r * dim_q > _H2_CELL_BUDGET:
             raise SelmerError("the shifted degree-2 system exceeds its cell budget")
         quotient = ff.QuotientSpace(ff.eye(k * n), np.vstack(g.elements), p)
         # s_i acts on Maps(G, M) by the block permutation f -> (f(x s_i))_x,
@@ -124,37 +131,33 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         q_elements = [ff.eye(dim_q)]
         for x, i in g.parent[1:]:
             q_elements.append(q_elements[x] @ q_gens[i] % p)
-        return _h1(p, q_elements, g.step)[0], None
+        # dim H^1(G, Q) = dim Z^1 - dim B^1, and dim B^1 = dim Q - dim Q^G.
+        moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % p for q in q_gens])
+        return _cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p), None
 
     raise SelmerError("degree must be 0, 1, or 2")
 
 
-def _h1(p: int, elements, step):
-    """(dim, basis) of H^1(G, M), where elements[x] is the matrix of x on M
-    and step is the table of FiniteGroupAction."""
-    k, r = step.shape
-    n = elements[0].shape[0]
-    one = ff.eye(n)
-    # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
-    # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
-    # written in place; nullspace reduces the whole system mod p once.
-    system = ff.zeros((n + r * k * n, k * n))
-    system[:n, :n] = one
-    top = n
+def _cocycles(p: int, elements, step, parent):
+    """(Z, F) for the 1-cocycles of G on M, elements[x] acting on F_p^n.
+
+    The unknowns are u = (f(s_1), ..., f(s_r)); along the BFS tree f(y) = F[y] u
+    with F[0] = 0 and F[y] = F[x] + x.E_i for parent[y] = (x, i), E_i picking
+    out f(s_i).  Edge (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0: zero on
+    tree edges, and the Schreier relators, which generate every relation of
+    G, on the others.  Z is a basis of the solutions u.
+    """
+    acts = np.asarray(elements)
+    (k, r), n = step.shape, acts.shape[1]
+    f = ff.zeros((k, n, r * n))
+    for y, (x, i) in enumerate(parent[1:], 1):
+        f[y] = f[x]
+        f[y, :, i * n : (i + 1) * n] = (f[x, :, i * n : (i + 1) * n] + acts[x]) % p
+    system = f[step]  # (k, r, n, r.n), then updated in place
+    system -= f[:, None]
     for i in range(r):
-        s = step[0, i]
-        for x in range(k):
-            xs = step[x, i]
-            block = system[top : top + n]
-            block[:, xs * n : (xs + 1) * n] += one
-            block[:, x * n : (x + 1) * n] -= one
-            block[:, s * n : (s + 1) * n] -= elements[x]
-            top += n
-    z1 = ff.nullspace(system, p)
-    # Coboundaries f(x) = (x - 1) v.
-    b1 = ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
-    quotient = ff.QuotientSpace(z1, b1, p)
-    return quotient.dim, quotient.reps
+        system[:, i, :, i * n : (i + 1) * n] -= acts
+    return ff.nullspace(system.reshape(k * r * n, r * n), p), f
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +331,17 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     psi = ff.normalize(psi, p)
     sel_before = selmer(system, conditions)
     dual_before = dual_selmer(system, conditions)
-    if not ff.in_span(sel_before, psi, p):
+    if not ff.span_contains(sel_before, psi, p):
         raise SelmerError("psi is not a Selmer class")
-    if not ff.in_span(dual_before, phi, p):
+    if not ff.span_contains(dual_before, phi, p):
         raise SelmerError("phi is not a dual-Selmer class")
     ram_perp = ff.annihilator(ram.ram, system.pairing[w], p)
     phi_at_w = (system.res_dual[w] @ phi) % p
-    if ff.in_span(ram_perp, phi_at_w, p):
+    if ff.span_contains(ram_perp, phi_at_w, p):
         raise SelmerError("phi restricts into the ramified annihilator at w")
     psi_at_w = (system.res[w] @ psi) % p
     meet = ff.intersect_spans(ram.unr, ram.ram, p)
-    if ff.in_span(meet, psi_at_w, p):
+    if ff.span_contains(meet, psi_at_w, p):
         raise SelmerError("psi restricts into the unramified/ramified intersection at w")
     new_conditions = conditions.replaced(w, ff.sum_spans(ram.unr, ram.ram, p))
     sel_after = selmer(system, new_conditions)
@@ -384,17 +387,13 @@ def inflation_decomposition_check(family: InflationFamily) -> bool:
     """
     p = family.p
     q_full = ff.QuotientSpace(family.full, family.base, p)
-    pieces = []
-    for h in family.enlargements:
-        qi = ff.QuotientSpace(h, family.base, p)
-        if qi.dim:
-            pieces.append(q_full.coords_matrix(qi.reps))
-    total = sum(ff.QuotientSpace(h, family.base, p).dim for h in family.enlargements)
+    quotients = [ff.QuotientSpace(h, family.base, p) for h in family.enlargements]
+    total = sum(q.dim for q in quotients)
     if total != q_full.dim:
         return False
-    if not pieces:
-        return q_full.dim == 0
-    joint = np.hstack(pieces)
+    if not total:
+        return True
+    joint = np.hstack([q_full.coords_matrix(q.reps) for q in quotients if q.dim])
     return ff.rank(joint, p) == total
 
 
@@ -450,7 +449,7 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     # Deterministic psi': first kernel basis vector extending the old Selmer.
     ext = ff.extend_basis(sel_old, ker_phi, p)
     psi_prime = ext[:, 0]
-    if ff.in_span(u_basis, (beta @ psi_prime) % p, p):
+    if ff.span_contains(u_basis, (beta @ psi_prime) % p, p):
         raise SelmerError("enlargement does not escape U")
     new_conditions = conditions.replaced(y, ram.ram)
     sel_new = selmer(system, new_conditions)
@@ -469,7 +468,7 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     if psi_tilde is None:
         raise SelmerError("no new Selmer class has a psi'-component")
     beta_val = (beta @ psi_tilde) % p
-    if ff.in_span(u_basis, beta_val, p):
+    if ff.span_contains(u_basis, beta_val, p):
         raise SelmerError("avoidance failed: beta(psi_tilde) landed in U")
     return new_conditions, AvoidanceReport(
         sel_old.shape[1], sel_new.shape[1], psi_prime, psi_tilde, beta_val
@@ -622,7 +621,7 @@ def _class_avoiding(system, basis, w, ram: RamakrishnaData, p, dual_side: bool):
         restrict = system.res[w]
     for j in range(basis.shape[1]):
         loc = (restrict @ basis[:, j]) % p
-        if not ff.in_span(forbidden, loc, p):
+        if not ff.span_contains(forbidden, loc, p):
             return basis[:, j]
     return None
 

@@ -67,7 +67,7 @@ def test_intersect_and_sum():
     b = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
     inter = ff.intersect_spans(a, b, p)
     assert inter.shape[1] == 1
-    assert ff.in_span(a, inter[:, 0], p) and ff.in_span(b, inter[:, 0], p)
+    assert ff.span_contains(a, inter[:, 0], p) and ff.span_contains(b, inter[:, 0], p)
     total = ff.sum_spans(a, b, p)
     assert total.shape[1] == 3
 

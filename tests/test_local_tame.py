@@ -590,7 +590,7 @@ def test_dual_image_description():
         v[i] = 1
         if i == a.root_index(alpha):
             continue
-        if i < d and t_alpha.size and ff.in_span(t_alpha, v[:d], p) is False:
+        if i < d and t_alpha.size and ff.span_contains(t_alpha, v[:d], p) is False:
             # t0 functionals not vanishing on t_alpha are excluded below.
             pass
         keep.append(i)

@@ -10,7 +10,8 @@ from galdesk import selmer as sl
 # ---------------------------------------------------------------------------
 # Oracles: degree-1 and degree-2 cohomology by the full bar differentials, no
 # generator shortcut.  They read a Cayley table built here from the elements,
-# independent of the enumeration's step table.
+# independent of the enumeration's step table.  kn_h1_oracle solves for f(x)
+# on every element x (k.n unknowns) and fixes the H^1 basis bytes.
 # ---------------------------------------------------------------------------
 
 def cayley_table(g: sl.FiniteGroupAction) -> np.ndarray:
@@ -98,6 +99,34 @@ def bar_h2_oracle(g: sl.FiniteGroupAction):
             rows.append(block % p)
     b2 = ff.rank(np.vstack(rows) % p, p)
     return z2 - b2, None
+
+
+def kn_h1_oracle(p: int, elements, step):
+    """(dim, basis) of H^1(G, M), where elements[x] is the matrix of x on M
+    and step is the table of FiniteGroupAction."""
+    k, r = step.shape
+    n = elements[0].shape[0]
+    one = ff.eye(n)
+    # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
+    # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
+    # written in place; nullspace reduces the whole system mod p once.
+    system = ff.zeros((n + r * k * n, k * n))
+    system[:n, :n] = one
+    top = n
+    for i in range(r):
+        s = step[0, i]
+        for x in range(k):
+            xs = step[x, i]
+            block = system[top : top + n]
+            block[:, xs * n : (xs + 1) * n] += one
+            block[:, x * n : (x + 1) * n] -= one
+            block[:, s * n : (s + 1) * n] -= elements[x]
+            top += n
+    z1 = ff.nullspace(system, p)
+    # Coboundaries f(x) = (x - 1) v.
+    b1 = ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
+    quotient = ff.QuotientSpace(z1, b1, p)
+    return quotient.dim, quotient.reps
 
 
 def cyclic_h_oracle(order: int, mat, p: int):
@@ -260,10 +289,14 @@ SMALL_GROUPS = {
 }
 
 
+def small_group(name) -> sl.FiniteGroupAction:
+    p, gens = SMALL_GROUPS[name]
+    return sl.FiniteGroupAction(p, [np.array(m, dtype=np.int64) for m in gens])
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
 def test_h2_matches_bar_oracle(name):
-    p, gens = SMALL_GROUPS[name]
-    g = sl.FiniteGroupAction(p, [np.array(m, dtype=np.int64) for m in gens])
+    g = small_group(name)
     assert g.order <= 12
     dim, basis = sl.finite_cohomology(g, 2)
     assert basis is None
@@ -277,8 +310,7 @@ def test_h2_affine_group_of_f5():
     assert sl.finite_cohomology(g, 2)[0] == 1
 
 
-@pytest.mark.parametrize("g", [sl2_adjoint_action(5), sl.FiniteGroupAction(3, [
-    np.array(m, dtype=np.int64) for m in SMALL_GROUPS["borel-12-mod-3"][1]])])
+@pytest.mark.parametrize("g", [sl2_adjoint_action(5), small_group("borel-12-mod-3")])
 def test_step_table_and_parents(g):
     k, r = g.step.shape
     assert (k, r) == (g.order, len(g.generators))
@@ -292,12 +324,45 @@ def test_step_table_and_parents(g):
         assert x < y and g.step[x, i] == y
 
 
+@pytest.mark.parametrize("g", [small_group(name) for name in sorted(SMALL_GROUPS)]
+                         + [sl2_adjoint_action(5), sl2_adjoint_action(7)])
+def test_h1_basis_matches_kn_oracle(g):
+    dim, basis = sl.finite_cohomology(g, 1)
+    want_dim, want_basis = kn_h1_oracle(g.p, g.elements, g.step)
+    assert dim == want_dim
+    assert np.array_equal(basis, want_basis)
+
+
+def test_adjoint_psl2_f5_within_sylow_bound():
+    # Restriction to a Sylow p-subgroup P is injective on H^n (its index is
+    # prime to p), so dim H^n(G, ad) <= dim H^n(P, ad).  The image of
+    # [[1, 1], [0, 1]] generates P, cyclic of order 5, where
+    # H^1 = ker N / (u - 1)M and H^2 = M^P / N M.
+    g = sl2_adjoint_action(5)
+    assert g.order == 60 and g.order % 25
+    u = g.generators[0]
+    assert sl.FiniteGroupAction(5, [u]).order == 5
+    _, sylow_h1, sylow_h2 = cyclic_h_oracle(5, u, 5)
+    assert sylow_h1 == sylow_h2 == 1
+    h1, h2 = sl.finite_cohomology(g, 1)[0], sl.finite_cohomology(g, 2)[0]
+    assert (h1, h2) == (1, 1)
+    assert h1 <= sylow_h1 and h2 <= sylow_h2
+
+
 def test_h2_over_budget_refused_before_elimination(monkeypatch):
-    g = sl.FiniteGroupAction(101, [np.array([[2]])])
-    assert g.order == 100
+    g = sl2_adjoint_action(7)
+    assert g.order == 168
     monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
     with pytest.raises(sl.SelmerError, match="budget"):
         sl.finite_cohomology(g, 2)
+
+
+def test_coprime_order_has_no_higher_cohomology():
+    # <2> in F_101^x has order 100, prime to 101.
+    g = sl.FiniteGroupAction(101, [np.array([[2]])])
+    assert g.order == 100
+    assert sl.finite_cohomology(g, 1)[0] == 0
+    assert sl.finite_cohomology(g, 2)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +575,10 @@ def test_avoidance_canonical():
         sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram
     )
     assert report.selmer_after == report.selmer_before
-    assert not ff.in_span(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
+    assert not ff.span_contains(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
     # psi_tilde is in the new Selmer group.
     sel_new = sl.selmer(sc.system, new_conds)
-    assert ff.in_span(sel_new, report.psi_tilde, sc.system.p)
+    assert ff.span_contains(sel_new, report.psi_tilde, sc.system.p)
 
 
 def test_avoidance_u_zero():
@@ -567,7 +632,7 @@ def test_avoidance_100_seeds():
             sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram
         )
         assert report.selmer_after == report.selmer_before
-        assert not ff.in_span(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
+        assert not ff.span_contains(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
 
 
 def test_avoidance_dimension_count_control():
