@@ -2,8 +2,24 @@
 root-of-unity constancy test, weight-space ranks, parallel-weight
 functionals, and the infinitesimal-weight dichotomy.
 
-Series are finitely supported coefficient maps on exponent multi-indices of
-total degree <= cap D, with PadicInt coefficients at precision <= cap N.
+A series in nvars variables to total degree cap D is dense: it has one slot
+per monomial of degree <= D, in the fixed order of `_monomials` (by total
+degree, then a fixed order within each degree).  Because of that order the
+slots of a smaller cap are a prefix of those of a larger one.  Two arrays
+run over the slots: `residues`, Python ints (p^prec overflows int64 once
+squared), and `precs`, an int64 precision per coefficient.  Precision 0
+means the term is absent, which is not the same as a present zero: the
+absent term is a zero known to the full series precision, and `serialize`
+lists only present terms.  An absent term has residue 0.
+
+Products are formed by index lookup.  The monomial e has the mixed-radix
+code sum_k e_k (cap+1)^k; below the cap the code of a product is the sum of
+the codes, and one cached layout per (nvars, cap) maps codes back to slots.
+Every output coefficient sums its products once, takes the minimum
+precision of the pairs that feed it, and is reduced once mod p^prec; that
+equals chained PadicInt arithmetic, because reducing mod p^a and then mod
+p^b with b <= a is reducing mod p^b.
+
 The root-of-unity budget is the set of Teichmuller representatives: those
 are the only roots of unity in Z_p for odd p, so a unit series over Z_p can
 only be constant at one of them.
@@ -11,8 +27,10 @@ only be constant at one of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +40,10 @@ from .padics import PadicInt, PrecisionError, log_unit, teichmuller, teichmuller
 
 class SeriesError(ValueError):
     pass
+
+
+# A series allocates one slot per monomial, C(nvars + cap, nvars) of them.
+MAX_MONOMIALS = 10**5
 
 
 def _monomials(nvars: int, max_degree: int):
@@ -36,28 +58,99 @@ def _monomials(nvars: int, max_degree: int):
             yield tuple(parts)
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The slots of every series in nvars variables to a degree cap."""
+
+    monomials: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    degrees: np.ndarray  # total degree per slot
+    starts: np.ndarray  # degree d fills slots starts[d] .. starts[d + 1] - 1
+    codes: np.ndarray  # mixed-radix code per slot, base cap + 1
+    sorted_codes: np.ndarray
+    order: np.ndarray  # slot of each entry of sorted_codes
+
+    def slots(self, codes: np.ndarray) -> np.ndarray:
+        return self.order[np.searchsorted(self.sorted_codes, codes)]
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(nvars: int, cap: int) -> _Layout:
+    if nvars < 1 or cap < 0:
+        raise SeriesError("a series needs at least one variable and a degree cap >= 0")
+    if nvars > 62 or (cap + 1) ** nvars > 2**62:
+        raise SeriesError(f"{nvars} variables to degree {cap}: monomial codes overflow int64")
+    if math.comb(nvars + cap, nvars) > MAX_MONOMIALS:
+        raise SeriesError(f"{nvars} variables to degree {cap} exceed the series budget "
+                          f"of {MAX_MONOMIALS} monomials")
+    monomials = tuple(_monomials(nvars, cap))
+    exps = np.array(monomials, dtype=np.int64)
+    codes = exps @ (cap + 1) ** np.arange(nvars, dtype=np.int64)
+    order = np.argsort(codes)
+    degrees = exps.sum(axis=1)
+    return _Layout(monomials, {m: i for i, m in enumerate(monomials)}, degrees,
+                   np.searchsorted(degrees, np.arange(cap + 2)), codes, codes[order], order)
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(p: int, prec: int) -> np.ndarray:
+    """p^k for k = 0..prec; indexed by `precs` it gives each term's modulus."""
+    return np.array([p**k for k in range(prec + 1)], dtype=object)
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges range(s, s + c), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 @dataclass(eq=False)
 class TruncatedSeries:
-    """Finitely many PadicInt coefficients on multi-indices of degree <= cap."""
+    """A series over Z_p to total degree `degree_cap`, dense in monomial order.
+
+    `residues[i]` and `precs[i]` hold the coefficient of the i-th monomial of
+    `_monomials(nvars, degree_cap)`; precision 0 marks an absent term.  The
+    constructor takes a dict from exponent tuples to PadicInts or ints, drops
+    terms above the cap and clamps each precision to `prec`.  The arrays are
+    never written after construction, so results may share them.
+    """
 
     p: int
     nvars: int
     prec: int
     degree_cap: int
-    coeffs: dict[tuple[int, ...], PadicInt] = field(default_factory=dict)
+    coeffs: InitVar[dict | None] = None
+    residues: np.ndarray = field(init=False, repr=False)
+    precs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        clean = {}
-        for idx, c in self.coeffs.items():
+    def __post_init__(self, coeffs):
+        if self.prec < 1:
+            raise SeriesError("series precision must be at least 1")
+        layout = _layout(self.nvars, self.degree_cap)
+        self.residues = np.zeros(len(layout.monomials), dtype=object)
+        self.precs = np.zeros(len(layout.monomials), dtype=np.int64)
+        for idx, c in (coeffs or {}).items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != self.nvars or any(i < 0 for i in idx):
                 raise SeriesError(f"bad exponent {idx}")
-            if sum(idx) > self.degree_cap:
-                continue
-            if not isinstance(c, PadicInt):
-                c = PadicInt(self.p, int(c), self.prec)
-            clean[idx] = c.at_precision(min(c.prec, self.prec))
-        self.coeffs = clean
+            slot = layout.index.get(idx)
+            if slot is None:
+                continue  # above the degree cap
+            if isinstance(c, PadicInt):
+                if c.p != self.p:
+                    raise SeriesError(f"a {c.p}-adic coefficient in a series over Z_{self.p}")
+                n, r = min(c.prec, self.prec), c.residue
+            else:
+                n, r = self.prec, int(c)
+            self.residues[slot] = r % self.p**n
+            self.precs[slot] = n
+
+    @classmethod
+    def _from_arrays(cls, p, nvars, prec, degree_cap, residues, precs) -> "TruncatedSeries":
+        out = cls.__new__(cls)
+        out.p, out.nvars, out.prec, out.degree_cap = p, nvars, prec, degree_cap
+        out.residues, out.precs = residues, precs
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -69,8 +162,16 @@ class TruncatedSeries:
     # -- access ----------------------------------------------------------------
 
     def coeff(self, idx) -> PadicInt:
-        idx = tuple(idx)
-        return self.coeffs.get(idx, PadicInt.zero(self.p, self.prec))
+        slot = _layout(self.nvars, self.degree_cap).index.get(tuple(idx))
+        if slot is None or not self.precs[slot]:
+            return PadicInt.zero(self.p, self.prec)
+        return PadicInt(self.p, self.residues[slot], int(self.precs[slot]))
+
+    def terms(self) -> dict[tuple[int, ...], PadicInt]:
+        """The present terms, by exponent tuple."""
+        monomials = _layout(self.nvars, self.degree_cap).monomials
+        return {monomials[i]: PadicInt(self.p, self.residues[i], int(self.precs[i]))
+                for i in np.flatnonzero(self.precs)}
 
     @property
     def constant_term(self) -> PadicInt:
@@ -80,7 +181,7 @@ class TruncatedSeries:
         return self.constant_term.is_unit()
 
     def is_zero_at_prec(self) -> bool:
-        return all(c.is_zero_at_prec() for c in self.coeffs.values())
+        return np.count_nonzero(self.residues) == 0
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -88,60 +189,89 @@ class TruncatedSeries:
         if (self.p, self.nvars) != (other.p, other.nvars):
             raise SeriesError("incompatible series")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _termwise(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
         self._check_compatible(other)
         prec = min(self.prec, other.prec)
         cap = min(self.degree_cap, other.degree_cap)
-        out = {}
-        for idx in set(self.coeffs) | set(other.coeffs):
-            out[idx] = self.coeff(idx) + other.coeff(idx)
-        return TruncatedSeries(self.p, self.nvars, prec, cap, out)
+        n = len(_layout(self.nvars, cap).monomials)
+        pa, pb = self.precs[:n], other.precs[:n]
+        # An absent term is a zero known to the full precision of its series.
+        precs = np.minimum(np.where(pa > 0, pa, prec), np.where(pb > 0, pb, prec))
+        precs = np.where((pa > 0) | (pb > 0), np.minimum(precs, prec), 0)
+        residues = op(self.residues[:n], other.residues[:n]) % _powers(self.p, prec)[precs]
+        return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._termwise(other, np.add)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.p, self.nvars, self.prec, self.degree_cap,
-                               {i: -c for i, c in self.coeffs.items()})
+        residues = -self.residues % _powers(self.p, self.prec)[self.precs]
+        return self._from_arrays(self.p, self.nvars, self.prec, self.degree_cap,
+                                 residues, self.precs)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._termwise(other, np.subtract)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         prec = min(self.prec, other.prec)
         cap = min(self.degree_cap, other.degree_cap)
-        out: dict[tuple[int, ...], PadicInt] = {}
-        for i1, c1 in self.coeffs.items():
-            for i2, c2 in other.coeffs.items():
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                if sum(idx) > cap:
-                    continue
-                prod = c1 * c2
-                out[idx] = out[idx] + prod if idx in out else prod
-        return TruncatedSeries(self.p, self.nvars, prec, cap, out)
+        layout = _layout(self.nvars, cap)
+        n = len(layout.monomials)
+        a = np.flatnonzero(self.precs[:n])
+        b = np.flatnonzero(other.precs[:n])
+        # b is in degree order, so the partners of a term of a within the cap
+        # are a prefix of b.
+        counts = np.searchsorted(layout.degrees[b], cap - layout.degrees[a], side="right")
+        i = np.repeat(a, counts)
+        j = b[_spans(np.zeros_like(counts), counts)]
+        k = layout.slots(layout.codes[i] + layout.codes[j])
+        residues = np.zeros(n, dtype=object)
+        np.add.at(residues, k, self.residues[i] * other.residues[j])
+        precs = np.full(n, prec)
+        np.minimum.at(precs, k, np.minimum(self.precs[i], other.precs[j]))
+        precs[np.bincount(k, minlength=n) == 0] = 0
+        residues %= _powers(self.p, prec)[precs]
+        return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
 
     def scale(self, c: PadicInt) -> "TruncatedSeries":
-        return TruncatedSeries(self.p, self.nvars, min(self.prec, c.prec), self.degree_cap,
-                               {i: x * c for i, x in self.coeffs.items()})
+        if c.p != self.p:
+            raise SeriesError(f"a {c.p}-adic scalar for a series over Z_{self.p}")
+        prec = min(self.prec, c.prec)
+        precs = np.minimum(self.precs, prec)
+        residues = self.residues * c.residue % _powers(self.p, prec)[precs]
+        return self._from_arrays(self.p, self.nvars, prec, self.degree_cap, residues, precs)
 
     def inverse(self) -> "TruncatedSeries":
-        """Unit-series inverse to the degree cap."""
+        """Unit-series inverse to the degree cap, one total degree at a time:
+        the degree-d terms are -c0^-1 times the sum of f_j g_k over deg j >= 1,
+        deg j + deg k = d."""
         if not self.is_unit():
             raise SeriesError("inverse of a non-unit series")
-        c0_inv = self.constant_term.unit_inverse()
-        out = {tuple(0 for _ in range(self.nvars)): c0_inv}
-        for idx in _monomials(self.nvars, self.degree_cap):
-            if sum(idx) == 0:
-                continue
-            acc = PadicInt.zero(self.p, self.prec)
-            for jdx, cj in self.coeffs.items():
-                if sum(jdx) == 0:
-                    continue
-                kdx = tuple(a - b for a, b in zip(idx, jdx))
-                if any(x < 0 for x in kdx):
-                    continue
-                if kdx in out:
-                    acc = acc + cj * out[kdx]
-            out[idx] = -(c0_inv * acc)
-        return TruncatedSeries(self.p, self.nvars, self.prec, self.degree_cap, out)
+        layout = _layout(self.nvars, self.degree_cap)
+        starts, degrees = layout.starts, layout.degrees
+        c0 = int(self.precs[0])
+        moduli = _powers(self.p, c0)
+        c0_inv = pow(self.residues[0], -1, moduli[c0])
+        residues = np.zeros(len(layout.monomials), dtype=object)
+        residues[0] = c0_inv
+        precs = np.full(len(layout.monomials), c0)
+        terms = np.flatnonzero(self.precs[1:]) + 1
+        for d in range(1, self.degree_cap + 1):
+            j = terms[degrees[terms] <= d]
+            rest = d - degrees[j]
+            counts = starts[rest + 1] - starts[rest]
+            k = _spans(starts[rest], counts)
+            j = np.repeat(j, counts)
+            lo, hi = starts[d], starts[d + 1]
+            t = layout.slots(layout.codes[j] + layout.codes[k]) - lo
+            acc = np.zeros(hi - lo, dtype=object)
+            np.add.at(acc, t, self.residues[j] * residues[k])
+            block = precs[lo:hi]
+            np.minimum.at(block, t, np.minimum(self.precs[j], precs[k]))
+            residues[lo:hi] = -c0_inv * acc % moduli[block]
+        return self._from_arrays(self.p, self.nvars, self.prec, self.degree_cap,
+                                 residues, precs)
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self * other.inverse()
@@ -156,11 +286,10 @@ class TruncatedSeries:
 
     def specialize_to_axis(self, var: int) -> "TruncatedSeries":
         """One-variable series: every other variable set to 0."""
-        out = {}
-        for idx, c in self.coeffs.items():
-            if all(v == 0 for i, v in enumerate(idx) if i != var):
-                out[(idx[var],)] = c
-        return TruncatedSeries(self.p, 1, self.prec, self.degree_cap, out)
+        cap = self.degree_cap
+        layout = _layout(self.nvars, cap)
+        axis = layout.slots(np.arange(cap + 1) * (cap + 1) ** var)
+        return self._from_arrays(self.p, 1, self.prec, cap, self.residues[axis], self.precs[axis])
 
     def serialize(self) -> dict:
         return {
@@ -169,7 +298,7 @@ class TruncatedSeries:
             "prec": self.prec,
             "degree_cap": self.degree_cap,
             "coeffs": sorted(
-                [[list(i), str(c.residue), c.prec] for i, c in self.coeffs.items()]
+                [[list(i), str(c.residue), c.prec] for i, c in self.terms().items()]
             ),
         }
 
@@ -211,7 +340,7 @@ def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
     if g.is_zero_at_prec():
         raise SeriesError("zero series")
     vals = {}
-    for idx, c in g.coeffs.items():
+    for idx, c in g.terms().items():
         v = c.valuation()
         if v is not None:
             vals[idx[0]] = v
@@ -450,39 +579,17 @@ def parallel_functional(chi: WeightPoint, u: NormOneElement) -> PadicInt:
 
 
 def closure_rank(model: UnitsModel, which: str) -> int:
-    """Rank of the exponent lattice cut out by the weight-subgroup choice."""
-    slots = model.slots()
+    """Rank of the exponent lattice cut out by the weight-subgroup choice.
+
+    "full" is the identity on the generator slots.  "norm-image" has one row
+    per (pair, generator index), with ones on the two slots it pairs; the rows
+    have disjoint supports, so its rank is the number of rows, sum f.
+    """
     if which == "full":
-        mat = np.eye(len(slots), dtype=np.int64)
-    elif which == "norm-image":
-        rows = []
-        for w, wbar, f in model.pairs:
-            for j in range(f):
-                row = [1 if (pl in (w, wbar) and jj == j) else 0 for pl, jj in slots]
-                rows.append(row)
-        mat = np.array(rows, dtype=np.int64)
-    else:
-        raise WeightsError(f"unknown subgroup spec {which!r}")
-    return _integer_rank(mat)
-
-
-def _integer_rank(mat: np.ndarray) -> int:
-    m = [[Fraction(int(x)) for x in row] for row in mat]
-    rank = 0
-    rows, cols = len(m), len(m[0]) if len(m) else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        return len(model.slots())
+    if which == "norm-image":
+        return sum(f for _, _, f in model.pairs)
+    raise WeightsError(f"unknown subgroup spec {which!r}")
 
 
 # -- infinitesimal weights -------------------------------------------------------
@@ -553,9 +660,13 @@ class DichotomyFamily:
                 for i in range(self.d) for j in range(self.f)}
         if needed != want:
             raise WeightsError("family must carry one entry per (place, root, generator)")
-        for e in self.entries:
-            if not (e.f_w.is_unit() and e.f_wbar.is_unit()):
-                raise WeightsError("family series must be units")
+        series = [s for e in self.entries for s in (e.f_w, e.f_wbar)]
+        if any(s.p != self.p for s in series):
+            raise WeightsError(f"family series must be over Z_{self.p}")
+        if len({s.nvars for s in series}) > 1:
+            raise WeightsError("family series must share one number of variables")
+        if not all(s.is_unit() for s in series):
+            raise WeightsError("family series must be units")
 
 
 @dataclass(eq=False)

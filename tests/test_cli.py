@@ -178,6 +178,33 @@ def test_weights_scenario_parallel(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "parallel-weights"
 
 
+def _weights_payload(p, f_w, f_wbar):
+    return {"p": p, "d": 1, "f": 1, "minus_w0": [0],
+            "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
+                         "f_w": f_w.serialize(), "f_wbar": f_wbar.serialize()}]}
+
+
+def test_weights_scenario_over_budget_exit_2(tmp_path, capsys):
+    one = {"p": 5, "nvars": 8, "prec": 8, "degree_cap": 40, "coeffs": [[[0] * 8, "1", 8]]}
+    payload = {"p": 5, "d": 1, "f": 1, "minus_w0": [0],
+               "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
+                            "f_w": one, "f_wbar": one}]}
+    path = write_scenario(tmp_path, "weights", payload)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "budget" in err and len(err.strip().splitlines()) == 1
+
+
+def test_weights_scenario_mixed_primes_exit_2(tmp_path, capsys):
+    five = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
+    seven = pw.TruncatedSeries(7, 1, 8, 6, {(0,): 1, (1,): 2})
+    for p, f_w, f_wbar in [(5, five, seven), (5, seven, seven)]:
+        path = write_scenario(tmp_path, "weights", _weights_payload(p, f_w, f_wbar))
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "Z_5" in err and "Traceback" not in err
+
+
 def test_example_scenario(tmp_path, capsys):
     payload = {"root_datum": {"type": [["A", 2]]}, "r": 2, "p": 29}
     path = write_scenario(tmp_path, "example", payload)

@@ -1,5 +1,9 @@
+import itertools
 import random
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +177,142 @@ def test_log_rejects_non_units():
 
 
 # ---------------------------------------------------------------------------
+# Dict-of-PadicInt series: the per-term arithmetic the dense layout replaced,
+# kept as the oracle for it
+# ---------------------------------------------------------------------------
+
+def _oracle_monomials(nvars: int, max_degree: int):
+    for total in range(max_degree + 1):
+        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
+            prev = -1
+            parts = []
+            for c in cuts:
+                parts.append(c - prev - 1)
+                prev = c
+            parts.append(total + nvars - 2 - prev)
+            yield tuple(parts)
+
+
+@dataclass(eq=False)
+class DictSeries:
+    """Finitely many PadicInt coefficients on multi-indices of degree <= cap."""
+
+    p: int
+    nvars: int
+    prec: int
+    degree_cap: int
+    coeffs: dict[tuple[int, ...], pa.PadicInt] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {}
+        for idx, c in self.coeffs.items():
+            idx = tuple(int(i) for i in idx)
+            if len(idx) != self.nvars or any(i < 0 for i in idx):
+                raise pw.SeriesError(f"bad exponent {idx}")
+            if sum(idx) > self.degree_cap:
+                continue
+            if not isinstance(c, pa.PadicInt):
+                c = pa.PadicInt(self.p, int(c), self.prec)
+            clean[idx] = c.at_precision(min(c.prec, self.prec))
+        self.coeffs = clean
+
+    def coeff(self, idx) -> pa.PadicInt:
+        idx = tuple(idx)
+        return self.coeffs.get(idx, pa.PadicInt.zero(self.p, self.prec))
+
+    @property
+    def constant_term(self) -> pa.PadicInt:
+        return self.coeff(tuple(0 for _ in range(self.nvars)))
+
+    def is_unit(self) -> bool:
+        return self.constant_term.is_unit()
+
+    def is_zero_at_prec(self) -> bool:
+        return all(c.is_zero_at_prec() for c in self.coeffs.values())
+
+    def _check_compatible(self, other: "DictSeries"):
+        if (self.p, self.nvars) != (other.p, other.nvars):
+            raise pw.SeriesError("incompatible series")
+
+    def __add__(self, other: "DictSeries") -> "DictSeries":
+        self._check_compatible(other)
+        prec = min(self.prec, other.prec)
+        cap = min(self.degree_cap, other.degree_cap)
+        out = {}
+        for idx in set(self.coeffs) | set(other.coeffs):
+            out[idx] = self.coeff(idx) + other.coeff(idx)
+        return DictSeries(self.p, self.nvars, prec, cap, out)
+
+    def __neg__(self) -> "DictSeries":
+        return DictSeries(self.p, self.nvars, self.prec, self.degree_cap,
+                          {i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other: "DictSeries") -> "DictSeries":
+        self._check_compatible(other)
+        prec = min(self.prec, other.prec)
+        cap = min(self.degree_cap, other.degree_cap)
+        out: dict[tuple[int, ...], pa.PadicInt] = {}
+        for i1, c1 in self.coeffs.items():
+            for i2, c2 in other.coeffs.items():
+                idx = tuple(a + b for a, b in zip(i1, i2))
+                if sum(idx) > cap:
+                    continue
+                prod = c1 * c2
+                out[idx] = out[idx] + prod if idx in out else prod
+        return DictSeries(self.p, self.nvars, prec, cap, out)
+
+    def scale(self, c: pa.PadicInt) -> "DictSeries":
+        return DictSeries(self.p, self.nvars, min(self.prec, c.prec), self.degree_cap,
+                          {i: x * c for i, x in self.coeffs.items()})
+
+    def inverse(self) -> "DictSeries":
+        """Unit-series inverse to the degree cap."""
+        if not self.is_unit():
+            raise pw.SeriesError("inverse of a non-unit series")
+        c0_inv = self.constant_term.unit_inverse()
+        out = {tuple(0 for _ in range(self.nvars)): c0_inv}
+        for idx in _oracle_monomials(self.nvars, self.degree_cap):
+            if sum(idx) == 0:
+                continue
+            acc = pa.PadicInt.zero(self.p, self.prec)
+            for jdx, cj in self.coeffs.items():
+                if sum(jdx) == 0:
+                    continue
+                kdx = tuple(a - b for a, b in zip(idx, jdx))
+                if any(x < 0 for x in kdx):
+                    continue
+                if kdx in out:
+                    acc = acc + cj * out[kdx]
+            out[idx] = -(c0_inv * acc)
+        return DictSeries(self.p, self.nvars, self.prec, self.degree_cap, out)
+
+    def divide(self, other: "DictSeries") -> "DictSeries":
+        return self * other.inverse()
+
+    def specialize_to_axis(self, var: int) -> "DictSeries":
+        """One-variable series: every other variable set to 0."""
+        out = {}
+        for idx, c in self.coeffs.items():
+            if all(v == 0 for i, v in enumerate(idx) if i != var):
+                out[(idx[var],)] = c
+        return DictSeries(self.p, 1, self.prec, self.degree_cap, out)
+
+    def serialize(self) -> dict:
+        return {
+            "p": self.p,
+            "nvars": self.nvars,
+            "prec": self.prec,
+            "degree_cap": self.degree_cap,
+            "coeffs": sorted(
+                [[list(i), str(c.residue), c.prec] for i, c in self.coeffs.items()]
+            ),
+        }
+
+
+# ---------------------------------------------------------------------------
 # Series arithmetic
 # ---------------------------------------------------------------------------
 
@@ -215,6 +355,102 @@ def test_series_ring_laws(data):
     assert _series_equal(f * g, g * f)
     assert _series_equal((f * g) * h, f * (g * h))
     assert _series_equal(f * (g + h), f * g + f * h)
+
+
+def _draw_terms(data, p, nvars, prec, cap, unit_constant=False):
+    """Terms up to one degree past the cap: PadicInts at their own precision
+    (some above the series precision) or ints, with present zeros among them."""
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 6))):
+        idx = tuple(data.draw(st.integers(0, cap + 1)) for _ in range(nvars))
+        n = data.draw(st.integers(1, prec + 2))
+        r = data.draw(st.one_of(st.just(0), st.integers(0, p**n - 1)))
+        terms[idx] = r if data.draw(st.booleans()) else pa.PadicInt(p, r, n)
+    if unit_constant:
+        n = data.draw(st.integers(1, prec + 2))
+        terms[(0,) * nvars] = pa.PadicInt(p, data.draw(st.integers(1, p - 1)), n)
+    return terms
+
+
+def _both(data, p, nvars, unit_constant=False):
+    prec = data.draw(st.integers(1, 9))
+    cap = data.draw(st.integers(0, 5))
+    terms = _draw_terms(data, p, nvars, prec, cap, unit_constant)
+    return (pw.TruncatedSeries(p, nvars, prec, cap, terms),
+            DictSeries(p, nvars, prec, cap, terms))
+
+
+def _agree(dense, oracle):
+    # Every residue is reduced mod p^prec of its own term; an absent term holds 0.
+    assert all(0 <= r < dense.p ** int(n) for r, n in zip(dense.residues, dense.precs))
+    assert dense.serialize() == oracle.serialize()
+    assert dense.is_zero_at_prec() == oracle.is_zero_at_prec()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dense_series_match_dict_oracle(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    nvars = data.draw(st.integers(1, 4))
+    f, f0 = _both(data, p, nvars)
+    g, g0 = _both(data, p, nvars)
+    u, u0 = _both(data, p, nvars, unit_constant=True)
+    _agree(f, f0)
+    _agree(f + g, f0 + g0)
+    _agree(f - g, f0 - g0)
+    _agree(f * g, f0 * g0)
+    _agree(-f, -f0)
+    c = pa.PadicInt(p, data.draw(st.integers(0, p**6)), data.draw(st.integers(1, 10)))
+    _agree(f.scale(c), f0.scale(c))
+    _agree(u.inverse(), u0.inverse())
+    _agree(f.divide(u), f0.divide(u0))
+    var = data.draw(st.integers(0, nvars - 1))
+    _agree(f.specialize_to_axis(var), f0.specialize_to_axis(var))
+    idx = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
+    assert f.coeff(idx) == f0.coeff(idx)
+
+
+def test_dense_times_dense_exact_at_nvars4_cap10():
+    """Every one of the 1001 terms present, residues mod 7^16, so the pair
+    products overflow int64.  The product equals the oracle's, and g times
+    its inverse is exactly 1 with every term at full precision."""
+    rng = random.Random(4)
+    p, prec = 7, 16
+    monomials = list(_oracle_monomials(4, 10))
+    f_terms = {m: pa.PadicInt(p, rng.randrange(p**prec), prec) for m in monomials}
+    g_terms = {m: pa.PadicInt(p, rng.randrange(p**prec), prec) for m in monomials}
+    g_terms[monomials[0]] = pa.PadicInt(p, 3, prec)
+    f, g = pw.TruncatedSeries(p, 4, prec, 10, f_terms), pw.TruncatedSeries(p, 4, prec, 10, g_terms)
+    _agree(f * g, DictSeries(p, 4, prec, 10, f_terms) * DictSeries(p, 4, prec, 10, g_terms))
+    one = g * g.inverse()
+    assert one.serialize()["coeffs"] == sorted([list(m), str(int(i == 0)), prec]
+                                               for i, m in enumerate(monomials))
+
+
+def test_series_budget():
+    with pytest.raises(pw.SeriesError, match="budget"):
+        pw.TruncatedSeries(5, 8, 8, 40, {(0,) * 8: 1})
+    with pytest.raises(pw.SeriesError):
+        pw.TruncatedSeries(5, 70, 8, 1, {})
+    assert len(pw.TruncatedSeries(5, 4, 8, 20, {}).residues) == 10626
+
+
+def test_series_rejects_other_primes():
+    with pytest.raises(pw.SeriesError):
+        pw.TruncatedSeries(5, 1, 8, 4, {(0,): pa.PadicInt(7, 1, 8)})
+    with pytest.raises(pw.SeriesError):
+        pw.TruncatedSeries(5, 1, 8, 4, {(0,): 1}).scale(pa.PadicInt(7, 1, 8))
+
+
+def test_traced_series_methods_are_defined_on_the_class():
+    """perfbench/tracing.py wraps these methods by reading vars(cls)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    for name in tracing.METHODS["padic_weights"]["TruncatedSeries"]:
+        assert name in vars(pw.TruncatedSeries), name
 
 
 def test_dual_reduction():

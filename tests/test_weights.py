@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,38 @@ def test_closure_ranks():
     assert pw.closure_rank(q, "norm-image") == 2
     with pytest.raises(pw.WeightsError):
         pw.closure_rank(m, "zariski")
+
+
+def integer_rank(rows) -> int:
+    """Rank over Q by Fraction elimination."""
+    m = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_closure_rank_matches_elimination():
+    rng = random.Random(12)
+    for _ in range(40):
+        pairs = tuple((f"w{i}", f"wbar{i}", rng.randrange(1, 4))
+                      for i in range(rng.randrange(1, 5)))
+        model = pw.UnitsModel(rng.choice([3, 5, 7]), pairs)
+        slots = model.slots()
+        norm_rows = [[int(pl in (w, wbar) and jj == j) for pl, jj in slots]
+                     for w, wbar, f in pairs for j in range(f)]
+        assert pw.closure_rank(model, "full") == integer_rank(np.eye(len(slots), dtype=int))
+        assert pw.closure_rank(model, "norm-image") == integer_rank(norm_rows)
 
 
 def test_parallel_functional_vanishing():
@@ -279,8 +312,11 @@ def test_dichotomy_rejects_non_units():
     p, prec, cap = 5, 8, 6
     bad = pw.TruncatedSeries(p, 1, prec, cap, {(0,): 5, (1,): 1})
     good = pw.TruncatedSeries(p, 1, prec, cap, {(0,): 1})
-    with pytest.raises(pw.WeightsError):
-        pw.DichotomyFamily(p, 1, 1, (0,), [pw.DichotomyEntry("w0", 0, 0, bad, good)])
+    other_prime = pw.TruncatedSeries(7, 1, prec, cap, {(0,): 1})
+    two_vars = pw.TruncatedSeries(p, 2, prec, cap, {(0, 0): 1})
+    for f_w in (bad, other_prime, two_vars):
+        with pytest.raises(pw.WeightsError):
+            pw.DichotomyFamily(p, 1, 1, (0,), [pw.DichotomyEntry("w0", 0, 0, f_w, good)])
 
 
 def test_dichotomy_arity_check():
