@@ -12,6 +12,8 @@ Subspaces are represented by matrices whose *columns* are basis vectors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # rref clears a pivot column in blocks of at most this many rows, which keeps
@@ -45,6 +47,15 @@ def mat_pow(a, k: int, p: int) -> np.ndarray:
         base = (base @ base) % p
         k >>= 1
     return result
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; the one primality test every layer uses."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def is_odd_prime(p: int) -> bool:
+    return p != 2 and is_prime(p)
 
 
 def inv_scalar(x: int, p: int) -> int:

@@ -47,17 +47,6 @@ class TameModuleError(ValueError):
     pass
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class TameGaloisModule:
     """Module over the tame quotient: arithmetic Frobenius Phi, inertia Tau."""
@@ -70,7 +59,7 @@ class TameGaloisModule:
 
     def __post_init__(self):
         p = self.p
-        if not _is_odd_prime(p):
+        if not ff.is_odd_prime(p):
             raise TameModuleError("base field characteristic must be an odd prime")
         phi = ff.normalize(self.phi, p)
         object.__setattr__(self, "phi", phi)
@@ -83,7 +72,7 @@ class TameGaloisModule:
         if self.q % p == 0:
             raise TameModuleError("q must be prime to p")
         try:
-            phi_inv = ff.inv(phi, p)
+            phi_inv = self.phi_inv
         except ValueError:
             raise TameModuleError("Phi must be invertible") from None
         if not np.array_equal(ff.mat_pow(tau, p, p), ff.eye(n)):
@@ -102,6 +91,10 @@ class TameGaloisModule:
         return self.q % self.p
 
     @cached_property
+    def phi_inv(self) -> np.ndarray:
+        return ff.inv(self.phi, self.p)
+
+    @cached_property
     def phi_eff(self) -> np.ndarray:
         """Arithmetic Frobenius including the Tate twist: qbar^e * Phi."""
         return (pow(self.qbar, self.twist % (self.p - 1), self.p) * self.phi) % self.p
@@ -115,9 +108,11 @@ class TameGaloisModule:
 
     @cached_property
     def _dual(self) -> "TameGaloisModule":
+        # Phi_eff = s.Phi with s = qbar^twist, and Tau^-1 = Tau^(p-1) as Tau^p = 1.
         p = self.p
-        phi_d = (self.qbar * ff.inv(self.phi_eff.T, p)) % p
-        tau_d = ff.inv(self.tau.T, p)
+        s = pow(self.qbar, self.twist % (p - 1), p)
+        phi_d = self.qbar * ff.inv_scalar(s, p) % p * self.phi_inv.T % p
+        tau_d = ff.mat_pow(self.tau, p - 1, p).T
         return TameGaloisModule(p, phi_d, self.q, tau_d, 0)
 
     # -- relator operators -------------------------------------------------

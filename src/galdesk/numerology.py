@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ffield as ff
-from .root_datum import RootDatum, dimension_profile, very_good_prime, _is_prime
+from .root_datum import RootDatum, dimension_profile, very_good_prime
 
 
 class NumerologyError(ValueError):
@@ -238,7 +238,7 @@ def large_image_prime_bound(rd: RootDatum) -> int:
     threshold = max(8 * z, parity_bound)
     p = 3
     while True:
-        if _is_prime(p) and p - 1 > threshold and very_good_prime(rd, p):
+        if ff.is_prime(p) and p - 1 > threshold and very_good_prime(rd, p):
             return p
         p += 2
 
@@ -249,7 +249,7 @@ def example_local_dims(r: int, p: int) -> tuple[int, int, int]:
     h0 = 1 iff r = 0 mod p-1, h2 = 1 iff r = 1 mod p-1, and the local
     Euler characteristic in degree one over Q_p adds 1 to h0 + h2.
     """
-    if not _is_prime(p) or p == 2:
+    if not ff.is_odd_prime(p):
         raise NumerologyError("p must be an odd prime")
     h0 = 1 if r % (p - 1) == 0 else 0
     h2 = 1 if r % (p - 1) == 1 else 0

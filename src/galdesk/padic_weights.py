@@ -653,6 +653,8 @@ class DichotomyFamily:
     entries: list[DichotomyEntry]
 
     def __post_init__(self):
+        if not self.entries:
+            raise WeightsError("family must carry at least one entry")
         if sorted(self.minus_w0) != list(range(self.d)):
             raise WeightsError("minus_w0 must be a permutation of the simple indices")
         needed = {(e.place, e.root_index, e.gen_index) for e in self.entries}

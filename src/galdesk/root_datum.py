@@ -40,23 +40,12 @@ def _center_order(family: str, rank: int) -> int:
 # Primes that fail to be very good, per irreducible family.
 def _very_good_exclusions(family: str, rank: int) -> set[int]:
     if family == "A":
-        return {q for q in range(2, rank + 2) if (rank + 1) % q == 0 and _is_prime(q)}
+        return {q for q in range(2, rank + 2) if (rank + 1) % q == 0 and ff.is_prime(q)}
     if family in ("B", "C", "D"):
         return {2}
     if family == "E" and rank == 8:
         return {2, 3, 5}
     return {2, 3}  # E6, E7, F4, G2
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _cartan_matrix(family: str, rank: int) -> np.ndarray:
@@ -345,7 +334,7 @@ def borel_height_filtration(rd: RootDatum, r: int) -> int:
 
 
 def very_good_prime(rd: RootDatum, p: int) -> bool:
-    if not _is_prime(p) or p == 2:
+    if not ff.is_odd_prime(p):
         raise RootDatumError("p must be an odd prime")
     for fam, rk in rd.cartan_type:
         if p in _very_good_exclusions(fam, rk):
@@ -473,7 +462,7 @@ class TorusElement:
     simple_values: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
+        if not ff.is_odd_prime(self.p):
             raise RootDatumError("base field characteristic must be an odd prime")
         if len(self.simple_values) != self.rd.rank_ss:
             raise RootDatumError("need one value per simple root")

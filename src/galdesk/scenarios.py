@@ -636,7 +636,9 @@ def _run_numerology(payload):
 
 
 def _run_selmer(payload, seed):
-    p = int(payload["p"])
+    p = payload.get("p")
+    if not isinstance(p, int) or not ff.is_odd_prime(p):
+        raise ScenarioError("p must be an odd prime")
     if "res" in payload:
         places = tuple(sorted(payload["local_dims"]))
         local_dims = {v: int(payload["local_dims"][v]) for v in places}
@@ -682,7 +684,7 @@ def _run_selmer(payload, seed):
 def _run_weights(payload):
     try:
         p = int(payload["p"])
-        if not lt._is_odd_prime(p):
+        if not ff.is_odd_prime(p):
             raise ScenarioError("p must be an odd prime")
         entries = [
             pw.DichotomyEntry(
@@ -692,7 +694,7 @@ def _run_weights(payload):
         ]
         fam = pw.DichotomyFamily(p, int(payload["d"]), int(payload["f"]),
                                  tuple(int(i) for i in payload["minus_w0"]), entries)
-    except (KeyError, pw.SeriesError, pw.WeightsError) as exc:
+    except (KeyError, pa.PrecisionError, pw.SeriesError, pw.WeightsError) as exc:
         raise ScenarioError(str(exc)) from exc
     verdict = pw.passage_dichotomy(fam)
     if isinstance(verdict, pw.ParallelWeights):

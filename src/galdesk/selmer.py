@@ -12,6 +12,10 @@ H maps isomorphically onto a chosen subspace I of the direct sum of local
 spaces, and the dual global space H' onto the annihilator of I under the
 local pairings.  "New primes" are explicit indices carried by the system;
 nothing is ever searched for.
+
+A local condition L_v enters only through equations whose kernel it is, so
+Sel_L and Sel*_{L-perp} are each one nullspace, and exactness and the
+inflation decomposition are rank counts; no quotient space is built.
 """
 
 from __future__ import annotations
@@ -222,15 +226,17 @@ class SelmerSystem:
     def reciprocity_holds(self) -> bool:
         total = ff.zeros((self.dim_h, self.dim_h_dual))
         for v in self.places:
-            total = (total + self.res[v].T @ self.pairing[v] @ self.res_dual[v]) % self.p
+            left = self.res[v].T @ self.pairing[v] % self.p
+            total = (total + left @ self.res_dual[v]) % self.p
         return not total.any()
 
     def exactness_holds(self) -> bool:
-        image = ff.column_space(self.stacked_res(), self.p)
-        image_dual = ff.column_space(self.stacked_res_dual(), self.p)
-        ann = ff.annihilator(image_dual, self.block_pairing().T, self.p)
-        # ann lives on the V-side: {x : <x, y> = 0 for all y in image_dual}.
-        return image.shape[1] == ann.shape[1] and ff.span_contains(ann, image, self.p)
+        """Is the image of H the annihilator of the image of H'?  Reciprocity
+        puts it inside, and perfect pairings give the annihilator dimension
+        sum dim V_v - rank res', so equality is a rank count."""
+        total = sum(self.local_dims[v] for v in self.places)
+        return self.reciprocity_holds() and \
+            ff.rank(self.stacked_res(), self.p) + ff.rank(self.stacked_res_dual(), self.p) == total
 
 
 @dataclass(eq=False)
@@ -244,6 +250,9 @@ class ConditionAssignment:
         for v in self.system.places:
             if v not in self.l_spaces:
                 raise SelmerError(f"assignment misses place {v}")
+            l = np.asarray(self.l_spaces[v])
+            if l.ndim != 2 or l.shape[0] != self.system.local_dims[v]:
+                raise SelmerError(f"condition at {v} is not a column basis in V_{v}")
 
     def l_perp(self, v) -> np.ndarray:
         return ff.annihilator(self.l_spaces[v], self.system.pairing[v], self.system.p)
@@ -258,29 +267,27 @@ class ConditionAssignment:
 
 
 def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
-    """Kernel of H -> sum of V_v / L_v, as a column basis in H-coordinates."""
+    """Sel_L = {h : res_v h in L_v for all v}, as a column basis in H-coordinates.
+
+    E_v = nullspace(L_v^T)^T has kernel L_v, so Sel_L is the nullspace of the
+    stacked E_v res_v.  All equations of L_v share one row space, so the
+    basis, read off its RREF, does not depend on which are taken.
+    """
     p = system.p
-    rows = []
-    for v in system.places:
-        q = ff.QuotientSpace(ff.eye(system.local_dims[v]), conditions.l_spaces[v], p)
-        if q.dim:
-            rows.append(q.coords_matrix(system.res[v]) % p)
-    if not rows:
-        return ff.eye(system.dim_h)
-    return ff.nullspace(np.vstack(rows) % p, p)
+    rows = [ff.nullspace(conditions.l_spaces[v].T, p).T @ system.res[v] for v in system.places]
+    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h)), *rows]) % p, p)
 
 
 def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
+    """Sel*_{L-perp} = {h' : res'_v h' in L_v-perp for all v}, in H'-coordinates.
+
+    y lies in L_v-perp exactly when L_v^T P_v y = 0, so the rows L_v^T P_v res'_v
+    need no elimination of their own.
+    """
     p = system.p
-    rows = []
-    for v in system.places:
-        lperp = conditions.l_perp(v)
-        q = ff.QuotientSpace(ff.eye(system.local_dims[v]), lperp, p)
-        if q.dim:
-            rows.append(q.coords_matrix(system.res_dual[v]) % p)
-    if not rows:
-        return ff.eye(system.dim_h_dual)
-    return ff.nullspace(np.vstack(rows) % p, p)
+    rows = [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
+            for v in system.places]
+    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h_dual)), *rows]) % p, p)
 
 
 def surjectivity_check(system: SelmerSystem, target_places) -> bool:
@@ -383,18 +390,15 @@ def inflation_decomposition_check(family: InflationFamily) -> bool:
     """Do the one-index quotients decompose the joint quotient?
 
     True iff the inflations induce an isomorphism from the direct sum of
-    H_i/H_base onto H_full/H_base; in particular the quotient dimensions add.
+    H_i/H_base onto H_full/H_base.  Every H_i lies in H_full, so that holds
+    exactly when the quotient dimensions add and base + sum H_i = H_full.
     """
     p = family.p
-    q_full = ff.QuotientSpace(family.full, family.base, p)
-    quotients = [ff.QuotientSpace(h, family.base, p) for h in family.enlargements]
-    total = sum(q.dim for q in quotients)
-    if total != q_full.dim:
-        return False
-    if not total:
-        return True
-    joint = np.hstack([q_full.coords_matrix(q.reps) for q in quotients if q.dim])
-    return ff.rank(joint, p) == total
+    base = ff.rank(family.base, p)
+    full = ff.rank(family.full, p)
+    added = sum(ff.rank(h, p) - base for h in family.enlargements)
+    joint = np.hstack([family.base, *family.enlargements])
+    return added == full - base and ff.rank(joint, p) == full
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +459,14 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     sel_new = selmer(system, new_conditions)
     if sel_new.shape[1] != sel_old.shape[1]:
         raise SelmerError("new Selmer dimension moved; enlargement is inconsistent")
-    # psi_tilde: a new-Selmer vector with nonzero psi'-coordinate.
-    basis = np.hstack([sel_old, psi_prime.reshape(-1, 1)])
-    psi_tilde = None
-    for j in range(sel_new.shape[1]):
-        coords = ff.solve(basis, sel_new[:, j], p)
-        if coords is None:
-            raise SelmerError("new Selmer leaves the span of the old Selmer and psi'")
-        if coords[-1] % p:
-            psi_tilde = sel_new[:, j]
-            break
-    if psi_tilde is None:
+    # psi_tilde: the first new-Selmer vector with nonzero psi'-coordinate.
+    coords = ff.solve(np.hstack([sel_old, psi_prime.reshape(-1, 1)]), sel_new, p)
+    if coords is None:
+        raise SelmerError("new Selmer leaves the span of the old Selmer and psi'")
+    hits = coords[-1].nonzero()[0]
+    if not hits.size:
         raise SelmerError("no new Selmer class has a psi'-component")
+    psi_tilde = sel_new[:, hits[0]]
     beta_val = (beta @ psi_tilde) % p
     if ff.span_contains(u_basis, beta_val, p):
         raise SelmerError("avoidance failed: beta(psi_tilde) landed in U")

@@ -147,6 +147,19 @@ def test_selmer_scenario_explicit_matrices(tmp_path, capsys):
     assert report["condition_dims"] == {"a": 1, "b": 1}
 
 
+@pytest.mark.parametrize("p", [1, 6, 9, None])
+def test_selmer_scenario_bad_p_exit_2(tmp_path, capsys, p):
+    # p = 1 used to hang in random_subspace, p = 6 to compute over Z/6, and a
+    # missing p to end in a KeyError traceback.
+    payload = {"local_dims": {"a": 2, "b": 1}, "global_dim": 1}
+    if p is not None:
+        payload["p"] = p
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: p must be an odd prime\n"
+
+
 def test_weights_scenario_certificate(tmp_path, capsys):
     f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
     f_wbar = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2})
@@ -203,6 +216,24 @@ def test_weights_scenario_mixed_primes_exit_2(tmp_path, capsys):
         assert cli.main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "Z_5" in err and "Traceback" not in err
+
+
+def test_weights_scenario_no_entries_exit_2(tmp_path, capsys):
+    payload = {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": []}
+    path = write_scenario(tmp_path, "weights", payload)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "at least one entry" in err and len(err.strip().splitlines()) == 1
+
+
+def test_weights_scenario_zero_precision_coefficient_exit_2(tmp_path, capsys):
+    f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
+    payload = _weights_payload(5, f_w, f_w)
+    payload["entries"][0]["f_w"]["coeffs"] = [[[0], "1", 0]]
+    path = write_scenario(tmp_path, "weights", payload)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "precision" in err and len(err.strip().splitlines()) == 1
 
 
 def test_example_scenario(tmp_path, capsys):

@@ -555,6 +555,23 @@ def test_cohomology_dims_eliminates_nothing_beyond_h1(monkeypatch):
     assert lt.cohomology_dims(m) == (1, 2, 1)
 
 
+def test_dual_twist_makes_one_elimination(monkeypatch):
+    """The dual reuses Phi^-1 and Tau^-1 = Tau^(p-1); the one elimination left
+    is the dual's own Phi^-1.  Oracle: the inverses by elimination."""
+    rng = random.Random(77)
+    rref = ff.rref
+    calls = []
+    monkeypatch.setattr(ff, "rref", lambda a, p: calls.append(a) or rref(a, p))
+    for _ in range(40):
+        m = random_tame_module(rng)
+        p = m.p
+        calls.clear()
+        md = m.dual_twist()
+        assert len(calls) == 1
+        assert np.array_equal(md.phi, m.qbar * ff.inv(m.phi_eff.T, p) % p)
+        assert np.array_equal(md.tau, ff.inv(m.tau.T, p))
+
+
 def test_singular_phi_rejected_before_tau_checks():
     # Tau here also has the wrong order; the invertibility message comes first.
     with pytest.raises(lt.TameModuleError, match="Phi must be invertible"):

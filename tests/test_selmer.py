@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galdesk import ffield as ff
 from galdesk import selmer as sl
@@ -451,6 +452,167 @@ def test_condition_tightening_bounds():
         assert d0 <= d1 <= d0 + drop
 
 
+# ---------------------------------------------------------------------------
+# Oracles for the Selmer-layer predicates: one quotient space per place (and
+# per inflation index), taking coordinates in V_v/L_v.
+# ---------------------------------------------------------------------------
+
+def quotient_selmer_oracle(system, conditions):
+    p = system.p
+    rows = []
+    for v in system.places:
+        q = ff.QuotientSpace(ff.eye(system.local_dims[v]), conditions.l_spaces[v], p)
+        if q.dim:
+            rows.append(q.coords_matrix(system.res[v]) % p)
+    if not rows:
+        return ff.eye(system.dim_h)
+    return ff.nullspace(np.vstack(rows) % p, p)
+
+
+def quotient_dual_selmer_oracle(system, conditions):
+    p = system.p
+    rows = []
+    for v in system.places:
+        lperp = conditions.l_perp(v)
+        q = ff.QuotientSpace(ff.eye(system.local_dims[v]), lperp, p)
+        if q.dim:
+            rows.append(q.coords_matrix(system.res_dual[v]) % p)
+    if not rows:
+        return ff.eye(system.dim_h_dual)
+    return ff.nullspace(np.vstack(rows) % p, p)
+
+
+def annihilator_exactness_oracle(system) -> bool:
+    image = ff.column_space(system.stacked_res(), system.p)
+    image_dual = ff.column_space(system.stacked_res_dual(), system.p)
+    ann = ff.annihilator(image_dual, system.block_pairing().T, system.p)
+    # ann lives on the V-side: {x : <x, y> = 0 for all y in image_dual}.
+    return image.shape[1] == ann.shape[1] and ff.span_contains(ann, image, system.p)
+
+
+def quotient_inflation_oracle(family) -> bool:
+    p = family.p
+    q_full = ff.QuotientSpace(family.full, family.base, p)
+    quotients = [ff.QuotientSpace(h, family.base, p) for h in family.enlargements]
+    total = sum(q.dim for q in quotients)
+    if total != q_full.dim:
+        return False
+    if not total:
+        return True
+    joint = np.hstack([q_full.coords_matrix(q.reps) for q in quotients if q.dim])
+    return ff.rank(joint, p) == total
+
+
+def any_matrix(rng, m, n, p):
+    """Uniform m x n matrix mod p; m or n may be zero."""
+    return ff.normalize(np.array([rng.randrange(p) for _ in range(m * n)]).reshape(m, n), p)
+
+
+def any_condition(rng, n, p):
+    """Columns spanning 0, the whole space or a random subspace, some with a
+    dependent and a zero column appended."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ff.zeros((n, rng.randrange(0, 3)))
+    if kind == 1:
+        cols = ff.random_invertible(rng, n, p)
+    else:
+        cols = any_matrix(rng, n, rng.randrange(1, n + 2), p)
+    if rng.random() < 0.5:
+        cols = np.hstack([cols, cols[:, :1] * rng.randrange(p) % p, ff.zeros((n, 1))])
+    return cols
+
+
+def any_selmer_case(p, seed):
+    """A system with random perfect pairings and conditions.  Exact systems
+    come from `build_exact_system` with res' moved by P_v^-1; the others
+    compose both sides with random maps into those images, which keeps
+    reciprocity and may break exactness."""
+    rng = random.Random(seed)
+    dims = {f"v{i}": rng.randrange(1, 5) for i in range(rng.randrange(1, 4))}
+    base = sl.build_exact_system(rng, p, dims, rng.randrange(0, sum(dims.values()) + 1))
+    pairing = {v: ff.random_invertible(rng, n, p) for v, n in dims.items()}
+    res = dict(base.res)
+    res_dual = {v: ff.mat_mul(ff.inv(pairing[v], p), base.res_dual[v], p) for v in dims}
+    exact = rng.random() < 0.5
+    if not exact:
+        s = any_matrix(rng, base.dim_h, rng.randrange(0, base.dim_h + 2), p)
+        s_dual = any_matrix(rng, base.dim_h_dual, rng.randrange(0, base.dim_h_dual + 2), p)
+        res = {v: ff.mat_mul(res[v], s, p) for v in dims}
+        res_dual = {v: ff.mat_mul(res_dual[v], s_dual, p) for v in dims}
+    system = sl.SelmerSystem(p, base.places, dims, res, res_dual, pairing, exact=exact)
+    conditions = sl.ConditionAssignment(system, {v: any_condition(rng, n, p)
+                                                 for v, n in dims.items()})
+    return system, conditions
+
+
+def any_inflation_family(p, seed):
+    """A built family (overlapping or not), or base, enlargements and full
+    drawn as random spanning sets, which may coincide, overlap or miss."""
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    added = [rng.randrange(1, 3) for _ in range(rng.randrange(0 if kind == 2 else 1, 4))]
+    if kind < 2:
+        return sl.build_inflation_family(rng, p, rng.randrange(0, 3), added,
+                                         overlapping=kind == 1 and len(added) >= 2)
+    n = rng.randrange(1, 7)
+    base = any_matrix(rng, n, rng.randrange(0, 3), p)
+    enlargements = [np.hstack([base, any_matrix(rng, n, a, p)]) for a in added]
+    full = np.hstack([base, *enlargements, any_matrix(rng, n, rng.randrange(0, 2), p)])
+    return sl.InflationFamily(p, n, base, enlargements, full)
+
+
+SELMER_PRIMES = (3, 5, 7, 11, 13)
+
+
+@given(st.sampled_from(SELMER_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_selmer_layer_matches_quotient_oracles(p, seed):
+    system, conditions = any_selmer_case(p, seed)
+    assert np.array_equal(sl.selmer(system, conditions),
+                          quotient_selmer_oracle(system, conditions))
+    assert np.array_equal(sl.dual_selmer(system, conditions),
+                          quotient_dual_selmer_oracle(system, conditions))
+    assert system.exactness_holds() == annihilator_exactness_oracle(system)
+    if system.exact:
+        assert system.exactness_holds()
+
+
+@given(st.sampled_from(SELMER_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_inflation_check_matches_quotient_oracle(p, seed):
+    family = any_inflation_family(p, seed)
+    assert sl.inflation_decomposition_check(family) == quotient_inflation_oracle(family)
+
+
+def test_selmer_layer_eliminations(monkeypatch):
+    rng = random.Random(3)
+    system = sl.build_exact_system(rng, 7, {"a": 3, "b": 2, "c": 2}, 4)
+    conditions = sl.random_conditions(rng, system)
+    family = sl.build_inflation_family(rng, 7, base_dim=2, added=[1, 2])
+    calls = []
+    rref = ff.rref
+    monkeypatch.setattr(ff, "rref", lambda a, p: calls.append(a) or rref(a, p))
+    monkeypatch.setattr(ff, "QuotientSpace", lambda *args: pytest.fail("quotient built"))
+
+    def eliminations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert eliminations(sl.dual_selmer, system, conditions) == 1
+    assert eliminations(sl.selmer, system, conditions) <= len(system.places) + 1
+    assert eliminations(system.exactness_holds) == 2
+    assert eliminations(sl.inflation_decomposition_check, family) == 5
+
+
+def test_condition_shape_checked():
+    system = sl.build_exact_system(random.Random(0), 5, {"a": 2, "b": 1}, 1)
+    for bad in (ff.zeros((1, 1)), ff.zeros(2), ff.zeros((3, 0))):
+        with pytest.raises(sl.SelmerError, match="condition at a"):
+            sl.ConditionAssignment(system, {"a": bad, "b": ff.eye(1)})
+
+
 def test_reciprocity_enforced():
     p = 5
     with pytest.raises(sl.SelmerError):
@@ -633,6 +795,23 @@ def test_avoidance_100_seeds():
         )
         assert report.selmer_after == report.selmer_before
         assert not ff.span_contains(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
+
+
+def test_avoidance_psi_tilde_is_first_hit():
+    """psi_tilde is the first new-Selmer column whose psi'-coordinate, solved
+    one column at a time, is nonzero."""
+    for seed in range(20):
+        sc = sl.build_avoidance_scenario(seed=seed, p=[5, 7, 11, 13][seed % 4])
+        p = sc.system.p
+        new_conds, report = sl.avoidance_step(
+            sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram
+        )
+        basis = np.hstack([sl.selmer(sc.system, sc.conditions),
+                           report.psi_prime.reshape(-1, 1)])
+        sel_new = sl.selmer(sc.system, new_conds)
+        first = next(j for j in range(sel_new.shape[1])
+                     if ff.solve(basis, sel_new[:, j], p)[-1] % p)
+        assert np.array_equal(report.psi_tilde, sel_new[:, first])
 
 
 def test_avoidance_dimension_count_control():
