@@ -1,13 +1,24 @@
 """Exact linear algebra over prime fields F_p.
 
-Everything is dense numpy int64 reduced mod p.  Most matrices are small
-(a few dozen rows), but the finite-group degree-2 systems are tall, up to
-about 21000 x 350, so `rref` clears each pivot column with one vectorised
-update over a bounded block of rows.  `solve` accepts a vector or a matrix
-right-hand side, and the span helpers (`span_contains`, `extend_basis`,
-`QuotientSpace.coords_matrix`) each make one elimination rather than one per
-column.
-Subspaces are represented by matrices whose *columns* are basis vectors.
+Matrices are dense numpy int64 reduced mod p; subspaces are represented by
+matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
+matrix right-hand side, and the span helpers (`span_contains`,
+`extend_basis`, `QuotientSpace.coords_matrix`) each make one elimination
+rather than one per column.
+
+`rref` is the one elimination, with two kernels chosen by input size.  Almost
+every system the Selmer and local-duality layers build has at most a few
+hundred cells, where numpy's per-pivot call overhead outweighs its
+arithmetic, so inputs of at most `_SMALL_CELLS` cells run row-by-row
+Gauss-Jordan on lists of Python ints.  Larger inputs, such as the
+finite-group degree-2 systems of up to about 21000 x 350, clear each pivot
+column with one vectorised update over a bounded block of rows.  Where the
+crossover sits depends on how much clearing a system needs.  On the sparse,
+often rank-deficient systems the layers build, the Python kernel is about 2x
+faster per call up to 2^6 cells and 1.2-1.6x at 2^8, and breaks even near
+2^9; on dense full-rank matrices it is 2x faster up to 2^5 cells but 0.6x
+from 2^7 and 0.3x from 2^10.  Both kernels make the same pivot choices and
+return the same R for every p with p^2 < 2^63 (see `products_fit`).
 """
 
 from __future__ import annotations
@@ -19,6 +30,14 @@ import numpy as np
 # rref clears a pivot column in blocks of at most this many rows, which keeps
 # the temporaries of one update small on the largest (tall) systems.
 _CLEAR_ROWS = 64
+
+# rref runs the Python-int kernel on inputs of at most this many cells.
+_SMALL_CELLS = 256
+
+# random_invertible and random_subspace give up after this many draws.  For an
+# odd prime a random square matrix is invertible with probability above 1/2,
+# so the cap is reached only for a p that is not prime (p = 1 never succeeds).
+_MAX_DRAWS = 1000
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -58,6 +77,11 @@ def is_odd_prime(p: int) -> bool:
     return p != 2 and is_prime(p)
 
 
+def products_fit(p: int, n: int) -> bool:
+    """Does a sum of n products of residues mod p stay below 2^63 (int64)?"""
+    return max(n, 1) * p * p < 2**63
+
+
 def inv_scalar(x: int, p: int) -> int:
     x %= p
     if x == 0:
@@ -68,6 +92,8 @@ def inv_scalar(x: int, p: int) -> int:
 def rref(a, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
+    if r.size <= _SMALL_CELLS:
+        return _rref_small(r, p)
     m, n = r.shape
     pivots = []
     row = 0
@@ -91,6 +117,31 @@ def rref(a, p: int):
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def _rref_small(r: np.ndarray, p: int):
+    """rref on lists of Python ints: the same pivots, scaling and clearing order."""
+    rows = r.tolist()
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        best = next((i for i in range(row, m) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[row], rows[best] = rows[best], rows[row]
+        scale = inv_scalar(rows[row][col], p)
+        pivot = [x * scale % p for x in rows[row][col:]]
+        rows[row][col:] = pivot
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f and i != row:
+                other[col:] = [(x - f * y) % p for x, y in zip(other[col:], pivot)]
+        pivots.append(col)
+        row += 1
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
 def rank(a, p: int) -> int:
@@ -230,17 +281,19 @@ def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
 
 
 def random_invertible(rng, n: int, p: int) -> np.ndarray:
-    while True:
+    for _ in range(_MAX_DRAWS):
         a = random_matrix(rng, n, n, p)
         if rank(a, p) == n:
             return a
+    raise ValueError(f"no invertible {n} x {n} matrix mod {p} in {_MAX_DRAWS} draws")
 
 
 def random_subspace(rng, n: int, dim: int, p: int) -> np.ndarray:
     """Random dim-dimensional subspace of F_p^n (column basis)."""
     if dim == 0:
         return zeros((n, 0))
-    while True:
+    for _ in range(_MAX_DRAWS):
         a = random_matrix(rng, n, dim, p)
         if rank(a, p) == dim:
             return column_space(a, p)
+    raise ValueError(f"no {dim}-dimensional subspace of F_{p}^{n} in {_MAX_DRAWS} draws")

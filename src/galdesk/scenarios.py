@@ -635,9 +635,27 @@ def _run_numerology(payload):
     return _report(checks, **out)
 
 
+def _largest_dim(payload) -> int:
+    """The largest local or global dimension a selmer payload declares."""
+    try:
+        dims = [int(d) for d in payload.get("local_dims", {}).values()]
+        dims.append(int(payload.get("global_dim", 0)))
+        for key in ("res", "res_dual"):
+            dims += [len(rows[0]) for rows in payload.get(key, {}).values() if rows]
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed dimensions: {exc}") from exc
+    return max(dims)
+
+
 def _run_selmer(payload, seed):
     p = payload.get("p")
-    if not isinstance(p, int) or not ff.is_odd_prime(p):
+    if not isinstance(p, int):
+        raise ScenarioError("p must be an odd prime")
+    # Checked first: it also keeps trial division off primes near 2^63.
+    n = _largest_dim(payload)
+    if not ff.products_fit(p, n):
+        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
+    if not ff.is_odd_prime(p):
         raise ScenarioError("p must be an odd prime")
     if "res" in payload:
         places = tuple(sorted(payload["local_dims"]))

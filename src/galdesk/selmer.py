@@ -245,6 +245,8 @@ class ConditionAssignment:
 
     system: SelmerSystem
     l_spaces: dict
+    # E_v per place, filled by `equations`; `replaced` carries over all but one.
+    _equations: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for v in self.system.places:
@@ -257,10 +259,18 @@ class ConditionAssignment:
     def l_perp(self, v) -> np.ndarray:
         return ff.annihilator(self.l_spaces[v], self.system.pairing[v], self.system.p)
 
+    def equations(self, v) -> np.ndarray:
+        """E_v = nullspace(L_v^T)^T, whose kernel is L_v; one elimination per place."""
+        if v not in self._equations:
+            self._equations[v] = ff.nullspace(self.l_spaces[v].T, self.system.p).T
+        return self._equations[v]
+
     def replaced(self, v, new_l) -> "ConditionAssignment":
         new = dict(self.l_spaces)
         new[v] = ff.column_space(new_l, self.system.p)
-        return ConditionAssignment(self.system, new)
+        out = ConditionAssignment(self.system, new)
+        out._equations.update((u, e) for u, e in self._equations.items() if u != v)
+        return out
 
     def dims(self) -> dict:
         return {v: int(self.l_spaces[v].shape[1]) for v in self.system.places}
@@ -274,7 +284,7 @@ def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
     basis, read off its RREF, does not depend on which are taken.
     """
     p = system.p
-    rows = [ff.nullspace(conditions.l_spaces[v].T, p).T @ system.res[v] for v in system.places]
+    rows = [conditions.equations(v) @ system.res[v] for v in system.places]
     return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h)), *rows]) % p, p)
 
 

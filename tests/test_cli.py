@@ -160,6 +160,25 @@ def test_selmer_scenario_bad_p_exit_2(tmp_path, capsys, p):
     assert err == "input error: p must be an odd prime\n"
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("p", [2**61 - 1, 4294967311])
+def test_selmer_scenario_p_too_large_exit_2(tmp_path, capsys, p, explicit):
+    # 2^61 - 1 used to hang in trial division; the prime 4294967311 passed the
+    # prime check and then overflowed int64 products.  The global dimension 3
+    # is the largest, declared or read off the width of `res`.
+    if explicit:
+        payload = {"p": p, "local_dims": {"a": 2, "b": 1},
+                   "res": {"a": [[1, 0, 0], [0, 1, 0]], "b": [[0, 0, 1]]},
+                   "res_dual": {"a": [[], []], "b": [[]]},
+                   "pairing": {"a": [[1, 0], [0, 1]], "b": [[1]]}}
+    else:
+        payload = {"p": p, "local_dims": {"a": 2, "b": 1}, "global_dim": 3}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: p is too large: n*p^2 must be below 2^63 at dimension n = 3\n"
+
+
 def test_weights_scenario_certificate(tmp_path, capsys):
     f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
     f_wbar = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2})

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from galdesk import ffield as ff
 
 PRIMES = [5, 7, 11, 13]
+BIG_PRIME = 3037000493  # the largest prime p with p^2 < 2^63
 
 
 def small_matrix(draw, p, max_dim=6):
@@ -165,7 +166,9 @@ def seeded_matrix(seed, p, m, n, rank=None, zero_cols=()):
     if rank is None:
         a = rng.integers(0, p, size=(m, n))
     else:
-        a = rng.integers(0, p, size=(m, rank)) @ rng.integers(0, p, size=(rank, n))
+        # Python-int products: for p near 2^31.5 an int64 product would wrap.
+        left = rng.integers(0, p, size=(m, rank)).astype(object)
+        a = left @ rng.integers(0, p, size=(rank, n)).astype(object)
     a = a % p
     a[:, list(zero_cols)] = 0
     return a.astype(np.int64)
@@ -186,7 +189,7 @@ def assert_rref_matches(a, p):
     r, pivots = ff.rref(a, p)
     ref_r, ref_pivots = ref_rref(a, p)
     assert pivots == ref_pivots
-    assert r.shape == a.shape
+    assert r.shape == a.shape and r.dtype == np.int64
     assert r.tolist() == ref_r
 
 
@@ -207,10 +210,62 @@ def test_rref_tall_matches_reference(case):
     assert_rref_matches(a, p)
 
 
+@st.composite
+def threshold_matrices(draw):
+    """Shapes from T/4 to 8T cells for T = ff._SMALL_CELLS, on both sides of
+    T, plus matrices with no rows or no columns."""
+    t = ff._SMALL_CELLS
+    p = draw(st.sampled_from(PRIMES + [BIG_PRIME]))
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        m = draw(st.integers((t // 4 + n - 1) // n, t // n))
+    else:
+        m = draw(st.integers(t // n + 1, 8 * t // n))
+    empty = draw(st.sampled_from([None, "rows", "cols"]))
+    if empty == "rows":
+        m = 0
+    elif empty == "cols":
+        m, n = m * n, 0
+    rank = draw(st.none() | st.integers(0, min(m, n)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=4)) if n else set()
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, seeded_matrix(seed, p, m, n, rank, sorted(zero_cols))
+
+
+@given(threshold_matrices())
+@settings(max_examples=120, deadline=None)
+def test_rref_kernels_match_reference_across_threshold(case):
+    p, a = case
+    assert_rref_matches(a, p)
+
+
 def test_rref_does_not_modify_input():
-    a = np.array([[2, 4], [1, 3]], dtype=np.int64)
-    ff.rref(a, 5)
-    assert a.tolist() == [[2, 4], [1, 3]]
+    t = ff._SMALL_CELLS
+    small = np.array([[2, 4], [1, 3]], dtype=np.int64)
+    large = seeded_matrix(1, 5, t // 8 + 1, 8)
+    for a in (small, large):
+        before = a.copy()
+        r, _ = ff.rref(a, 5)
+        assert np.array_equal(a, before)
+        assert r.dtype == np.int64 and r.shape == a.shape
+        assert not np.shares_memory(r, a)
+    assert small.size <= t < large.size
+
+
+def test_products_fit_bounds_p():
+    assert ff.products_fit(BIG_PRIME, 1)
+    assert not ff.products_fit(BIG_PRIME, 2)
+    assert not ff.products_fit(4294967311, 1)
+    assert ff.products_fit(13, 10**15) and not ff.products_fit(13, 10**17)
+
+
+def test_random_draws_are_capped():
+    # Mod 1 every draw has rank 0, so neither loop can succeed.
+    rng = __import__("random").Random(0)
+    with pytest.raises(ValueError, match="draws"):
+        ff.random_invertible(rng, 2, 1)
+    with pytest.raises(ValueError, match="draws"):
+        ff.random_subspace(rng, 3, 1, 1)
 
 
 @st.composite

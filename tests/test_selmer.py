@@ -602,6 +602,12 @@ def test_selmer_layer_eliminations(monkeypatch):
 
     assert eliminations(sl.dual_selmer, system, conditions) == 1
     assert eliminations(sl.selmer, system, conditions) <= len(system.places) + 1
+    # The equations E_v are kept, and `replaced` recomputes only the new place's.
+    assert eliminations(sl.selmer, system, conditions) == 1
+    tighter = conditions.replaced("a", conditions.l_spaces["a"][:, :1])
+    assert eliminations(sl.selmer, system, tighter) == 2
+    fresh = sl.ConditionAssignment(system, dict(tighter.l_spaces))
+    assert sl.selmer(system, tighter).tobytes() == sl.selmer(system, fresh).tobytes()
     assert eliminations(system.exactness_holds) == 2
     assert eliminations(sl.inflation_decomposition_check, family) == 5
 
