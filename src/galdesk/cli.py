@@ -63,6 +63,10 @@ def _load_scenario_file(path: Path) -> dict:
         raise sc.ScenarioError("missing payload object")
     if "seed" not in doc:
         raise sc.ScenarioError("seed is mandatory for reproducible runs")
+    try:
+        doc["seed"] = int(doc["seed"])
+    except (TypeError, ValueError):
+        raise sc.ScenarioError(f"seed must be an integer, got {doc['seed']!r}") from None
     return doc
 
 
@@ -72,7 +76,7 @@ def cmd_run(args) -> int:
         path = Path(target)
         if path.exists():
             doc = _load_scenario_file(path)
-            seed = args.seed if args.seed is not None else int(doc["seed"])
+            seed = args.seed if args.seed is not None else doc["seed"]
             report = sc.run_scenario_payload(doc["kind"], doc["payload"], seed,
                                              args.precision)
             report["scenario"] = str(path)

@@ -4,7 +4,9 @@ Matrices are dense numpy int64 reduced mod p; subspaces are represented by
 matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
 matrix right-hand side, and the span helpers (`span_contains`,
 `extend_basis`, `QuotientSpace.coords_matrix`) each make one elimination
-rather than one per column.
+rather than one per column.  A `QuotientSpace` is built from one reduction
+of [denominator | numerator] (plus a rank of at most dim(den) rows for its
+containment check), so its denominator may be any spanning set.
 
 `rref` is the one elimination, with two kernels chosen by input size.  Almost
 every system the Selmer and local-duality layers build has at most a few
@@ -54,18 +56,6 @@ def zeros(shape) -> np.ndarray:
 
 def mat_mul(a, b, p: int) -> np.ndarray:
     return (normalize(a, p) @ normalize(b, p)) % p
-
-
-def mat_pow(a, k: int, p: int) -> np.ndarray:
-    n = len(a)
-    result = eye(n)
-    base = normalize(a, p)
-    while k:
-        if k & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        k >>= 1
-    return result
 
 
 def is_prime(n: int) -> bool:
@@ -250,15 +240,28 @@ def extend_basis(sub, vectors, p: int) -> np.ndarray:
 
 
 class QuotientSpace:
-    """Quotient span(numerator)/span(denominator) with canonical coordinates."""
+    """Quotient span(numerator)/span(denominator) with canonical coordinates.
+
+    One reduction R of [den | num] gives both bases.  Its pivot columns
+    inside den are kept as `den`, so the denominator may be any spanning set
+    of the subspace, with dependent or zero columns.  Its pivot columns
+    beyond den are `reps`: the greedy complement `extend_basis` chooses.
+    """
 
     def __init__(self, numerator, denominator, p: int):
         self.p = p
         self.num = normalize(numerator, p)
-        self.den = normalize(denominator, p)
-        if self.den.size and not span_contains(self.num, self.den, p):
+        den = normalize(denominator, p)
+        k = den.shape[1]
+        r, pivots = rref(np.hstack([den, self.num]), p)
+        r_d = sum(c < k for c in pivots)
+        # The r_d rows with a pivot in den vanish on the pivot columns of
+        # reps, so rank [den | num] = rank num, that is span(den) lies in
+        # span(num), exactly when those rows have rank r_d on num's columns.
+        if r_d and rank(r[:r_d, k:], p) < r_d:
             raise ValueError("denominator is not contained in numerator")
-        self.reps = extend_basis(self.den, self.num, p)
+        self.den = den[:, pivots[:r_d]]
+        self.reps = self.num[:, [c - k for c in pivots[r_d:]]]
         self.dim = self.reps.shape[1]
 
     def coords(self, v) -> np.ndarray:

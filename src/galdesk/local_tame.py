@@ -21,10 +21,17 @@ has T' = (T^T)^-1, so N_i^T T'^i = T' + T'^2 + ... + T'^i (and S_q = N_q):
          [-sum_{m=1}^{q} T'^m,   -sum_{m=1}^{q-1} (q - m) T'^m ]]
 
 The upper-right block pairs a with b'; the lower blocks pair b with a' and
-with b'.  Since T'^p = 1, the terms group by m mod p, so G costs p products
-of n x n matrices for any q.  The overall scalar is pinned down by the
-checks the duality operations must satisfy (perfect Gram matrices,
-annihilator of the unramified subspace).
+with b'.  Since T'^p = 1, the terms group by m mod p, so G is a weighted sum
+of the dual's table of powers T'^0, ..., T'^p for any q.  The overall scalar
+is pinned down by the checks the duality operations must satisfy (perfect
+Gram matrices, annihilator of the unramified subspace).
+
+Each module builds that table of inertia powers once, in p products of
+n x n matrices, and reads every power of T from it: the order check
+T^p = 1, T^q, the relator's S_q as prefix sums, and T^-1 = T^(p-1) for the
+dual.  It holds (p + 1) n^2 entries.  Phi^-1 is one elimination, except for
+a dual or a twist, which inherit it in closed form and check it with one
+product.
 """
 
 from __future__ import annotations
@@ -75,12 +82,24 @@ class TameGaloisModule:
             phi_inv = self.phi_inv
         except ValueError:
             raise TameModuleError("Phi must be invertible") from None
-        if not np.array_equal(ff.mat_pow(tau, p, p), ff.eye(n)):
+        # One product checks an inverse inherited through _with_inverse.
+        if not np.array_equal(ff.mat_mul(phi, phi_inv, p), ff.eye(n)):
+            raise TameModuleError("Phi^-1 does not invert Phi")
+        powers = self._tau_powers
+        if not np.array_equal(powers[p], ff.eye(n)):
             raise TameModuleError("Tau must have order dividing p")
         lhs = ff.mat_mul(ff.mat_mul(phi, tau, p), phi_inv, p)
-        rhs = ff.mat_pow(tau, self.q % p, p)
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(lhs, powers[self.q % p]):
             raise TameModuleError("Phi Tau Phi^-1 != Tau^q")
+
+    @classmethod
+    def _with_inverse(cls, phi_inv, p, phi, q, tau, twist) -> "TameGaloisModule":
+        """A module whose Phi^-1 is already known: it is seeded into the
+        `phi_inv` cache before __post_init__ runs, which then checks it."""
+        m = cls.__new__(cls)
+        m.__dict__["phi_inv"] = phi_inv
+        m.__init__(p, phi, q, tau, twist)
+        return m
 
     @property
     def dim(self) -> int:
@@ -95,12 +114,23 @@ class TameGaloisModule:
         return ff.inv(self.phi, self.p)
 
     @cached_property
+    def _tau_powers(self) -> np.ndarray:
+        """T^0, ..., T^p stacked as a (p + 1) x n x n array."""
+        p = self.p
+        powers = np.empty((p + 1, self.dim, self.dim), dtype=np.int64)
+        powers[0] = ff.eye(self.dim)
+        for i in range(p):
+            powers[i + 1] = (powers[i] @ self.tau) % p
+        return powers
+
+    @cached_property
     def phi_eff(self) -> np.ndarray:
         """Arithmetic Frobenius including the Tate twist: qbar^e * Phi."""
         return (pow(self.qbar, self.twist % (self.p - 1), self.p) * self.phi) % self.p
 
     def twisted(self, e: int) -> "TameGaloisModule":
-        return TameGaloisModule(self.p, self.phi, self.q, self.tau, self.twist + e)
+        return TameGaloisModule._with_inverse(self.phi_inv, self.p, self.phi, self.q,
+                                              self.tau, self.twist + e)
 
     def dual_twist(self) -> "TameGaloisModule":
         """M^vee(1): arithmetic action qbar * (Phi_eff^T)^-1, inertia (Tau^T)^-1."""
@@ -109,35 +139,28 @@ class TameGaloisModule:
     @cached_property
     def _dual(self) -> "TameGaloisModule":
         # Phi_eff = s.Phi with s = qbar^twist, and Tau^-1 = Tau^(p-1) as Tau^p = 1.
+        # Phi_d = c.Phi^-T with c = qbar/s has the inverse c^-1.Phi^T.
         p = self.p
-        s = pow(self.qbar, self.twist % (p - 1), p)
-        phi_d = self.qbar * ff.inv_scalar(s, p) % p * self.phi_inv.T % p
-        tau_d = ff.mat_pow(self.tau, p - 1, p).T
-        return TameGaloisModule(p, phi_d, self.q, tau_d, 0)
+        c = self.qbar * ff.inv_scalar(pow(self.qbar, self.twist % (p - 1), p), p) % p
+        phi_d = c * self.phi_inv.T % p
+        phi_d_inv = ff.inv_scalar(c, p) * self.phi.T % p
+        tau_d = self._tau_powers[p - 1].T
+        return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, tau_d, 0)
 
     # -- relator operators -------------------------------------------------
 
-    def _tau_power_sum(self, k: int) -> np.ndarray:
-        """N_k = 1 + T + ... + T^{k-1}, using T^p = 1 to fold large k."""
-        p = self.p
-        whole, rem = divmod(k, p)
-        n_p = ff.zeros((self.dim, self.dim))
-        t_i = ff.eye(self.dim)
-        acc = ff.zeros((self.dim, self.dim))
-        for i in range(p):
-            if i < rem:
-                acc = (acc + t_i) % p
-            n_p = (n_p + t_i) % p
-            t_i = ff.mat_mul(t_i, self.tau, p)
-        return (whole % p * n_p + acc) % p
-
     @cached_property
     def relator_matrix(self) -> np.ndarray:
-        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b)."""
+        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b).
+
+        S_q = N_q with N_k = 1 + T + ... + T^{k-1}, folded by T^p = 1 into
+        (q div p) N_p + N_{q mod p}.
+        """
         p = self.p
-        tq = ff.mat_pow(self.tau, self.q % p, p)
-        sq = self._tau_power_sum(self.q)
-        return np.hstack([(ff.eye(self.dim) - tq) % p, (self.phi_eff - sq) % p])
+        powers = self._tau_powers
+        whole, rem = divmod(self.q, p)
+        sq = (whole % p * (powers[:p].sum(axis=0) % p) + powers[:rem].sum(axis=0)) % p
+        return np.hstack([(ff.eye(self.dim) - powers[rem]) % p, (self.phi_eff - sq) % p])
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
@@ -146,14 +169,16 @@ class TameGaloisModule:
         p, n, q = self.p, self.dim, self.q
         md = self.dual_twist()
         # -sum_{m=1}^{q} T'^m and -sum_{m=1}^{q} (q - m) T'^m (its m = q term
-        # is zero), grouped by c = m mod p, which occurs k times in 1..q.
-        left, right = ff.zeros((n, n)), ff.zeros((n, n))
-        td_c = ff.eye(n)
-        for c in range(1, p + 1):
-            td_c = (td_c @ md.tau) % p
-            k = (q - c) // p + 1
-            left = (left - k % p * td_c) % p
-            right = (right - k * (q - c) % p * td_c) % p
+        # is zero), grouped by c = m mod p, which occurs k times in 1..q.  The
+        # weights are formed in Python ints: k (q - c) overflows int64 for
+        # large q.
+        ks = [(q - c) // p + 1 for c in range(1, p + 1)]
+        weights = np.array([[k % p for k in ks],
+                            [k * (q - c) % p for c, k in zip(range(1, p + 1), ks)]],
+                           dtype=np.int64)
+        # Each weighted term is reduced before the sum, so p of them fit int64.
+        terms = weights[:, :, None, None] * md._tau_powers[None, 1:] % p
+        left, right = -terms.sum(axis=1) % p
         return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
 
     @cached_property
@@ -166,8 +191,7 @@ class TameGaloisModule:
     @cached_property
     def _h1(self) -> "H1Space":
         z1 = ff.nullspace(self.relator_matrix, self.p)
-        b1 = ff.column_space(self.coboundary_matrix, self.p)
-        return H1Space(self, ff.QuotientSpace(z1, b1, self.p))
+        return H1Space(self, ff.QuotientSpace(z1, self.coboundary_matrix, self.p))
 
 
 @dataclass(eq=False)

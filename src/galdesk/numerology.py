@@ -129,6 +129,8 @@ def ordinary_scenario(rd, signature, mode=ORDINARY, finite_places=(), h0_at_p=0,
                       odd_real=True) -> Scenario:
     """Scenario with the same mode at every place above p; real places all odd
     (fixed space of dimension dim n) unless odd_real is False."""
+    if mode not in (ORDINARY, NEARLY_ORDINARY):
+        raise NumerologyError(f"unknown mode {mode!r}")
     _, n, _, _, _, _ = dimension_profile(rd)
     places = tuple(PlaceAboveP(mode, f, h0_at_p) for f in signature.local_degrees_above_p)
     real = tuple(n for _ in range(signature.real_places)) if odd_real else ()

@@ -45,11 +45,13 @@ def _report(checks: list, **extra):
 def parse_root_datum(payload) -> rdm.RootDatum:
     if payload == "GL2" or payload == {"gl": 2}:
         return rdm.gl_datum(2)
-    if isinstance(payload, dict) and "gl" in payload:
-        return rdm.gl_datum(int(payload["gl"]))
     try:
+        if isinstance(payload, dict) and "gl" in payload:
+            return rdm.gl_datum(int(payload["gl"]))
         spec = [(str(f), int(r)) for f, r in payload["type"]]
         central = int(payload.get("central_rank", 0))
+    except rdm.RootDatumError as exc:
+        raise ScenarioError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad root datum payload: {exc}") from exc
     try:
@@ -565,10 +567,21 @@ def _run_rootdatum(payload):
                    heights=sorted(rd.height(r) for r in rd.positive_roots))
 
 
+def _check_p_fits(p: int, n: int) -> None:
+    """Refuse a p whose products overflow int64 at dimension n.  Checked
+    before the primality test: it also keeps trial division off primes near
+    2^63."""
+    if not ff.products_fit(p, n):
+        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
+
+
 def _run_local(payload):
     rd = parse_root_datum(payload["root_datum"])
     try:
-        t = rdm.TorusElement(rd, int(payload["p"]), tuple(int(x) for x in payload["torus_values"]))
+        p = int(payload["p"])
+        # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
+        _check_p_fits(p, 2 * (rd.rank_ss + len(rd.all_roots())))
+        t = rdm.TorusElement(rd, p, tuple(int(x) for x in payload["torus_values"]))
         twist = int(payload.get("twist", 0))
         base = lt.AdjointModule(rd, t, int(payload["q"]), 0)
     except (KeyError, rdm.RootDatumError, lt.TameModuleError) as exc:
@@ -651,10 +664,7 @@ def _run_selmer(payload, seed):
     p = payload.get("p")
     if not isinstance(p, int):
         raise ScenarioError("p must be an odd prime")
-    # Checked first: it also keeps trial division off primes near 2^63.
-    n = _largest_dim(payload)
-    if not ff.products_fit(p, n):
-        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
+    _check_p_fits(p, _largest_dim(payload))
     if not ff.is_odd_prime(p):
         raise ScenarioError("p must be an odd prime")
     if "res" in payload:
@@ -702,6 +712,7 @@ def _run_selmer(payload, seed):
 def _run_weights(payload):
     try:
         p = int(payload["p"])
+        _check_p_fits(p, 1)
         if not ff.is_odd_prime(p):
             raise ScenarioError("p must be an odd prime")
         entries = [

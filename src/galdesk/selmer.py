@@ -118,8 +118,8 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # the identity on the last independent coordinates of Z^1 (its free
         # columns, by matroid duality); so does reducing them in reverse.
         z1 = ff.column_space((f.reshape(k * n, r * n) @ z % p)[::-1], p)[::-1, ::-1]
-        # Coboundaries f(x) = (x - 1) v.
-        b1 = ff.column_space(np.vstack([(mat - ff.eye(n)) % p for mat in g.elements]), p)
+        # Coboundaries f(x) = (x - 1) v, spanned by the columns of b1.
+        b1 = np.vstack([(mat - ff.eye(n)) % p for mat in g.elements])
         quotient = ff.QuotientSpace(z1, b1, p)
         return quotient.dim, quotient.reps
 

@@ -255,6 +255,44 @@ def test_weights_scenario_zero_precision_coefficient_exit_2(tmp_path, capsys):
     assert "precision" in err and len(err.strip().splitlines()) == 1
 
 
+def assert_one_line_input_error(capsys, path, expected):
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+
+
+def test_local_scenario_p_too_large_exit_2(tmp_path, capsys):
+    # Used to spin in trial division; the bound is checked first, at twice
+    # the adjoint dimension 3 of GL2 (the pairing matrix is 2n x 2n).
+    payload = {"root_datum": {"gl": 2}, "p": 2**61 - 1, "torus_values": [2], "q": 3}
+    path = write_scenario(tmp_path, "local", payload)
+    assert_one_line_input_error(
+        capsys, path, "p is too large: n*p^2 must be below 2^63 at dimension n = 6")
+
+
+def test_weights_scenario_p_too_large_exit_2(tmp_path, capsys):
+    f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
+    path = write_scenario(tmp_path, "weights", _weights_payload(2**61 - 1, f_w, f_w))
+    assert_one_line_input_error(
+        capsys, path, "p is too large: n*p^2 must be below 2^63 at dimension n = 1")
+
+
+def test_numerology_unknown_mode_exit_2(tmp_path, capsys):
+    payload = {"root_datum": {"gl": 2}, "signature": {"kind": "rational"}, "mode": "bogus"}
+    path = write_scenario(tmp_path, "numerology", payload)
+    assert_one_line_input_error(capsys, path, "unknown mode 'bogus'")
+
+
+def test_rootdatum_gl1_exit_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, "rootdatum", {"gl": 1})
+    assert_one_line_input_error(capsys, path, "gl_datum requires n >= 2")
+
+
+@pytest.mark.parametrize("seed", ["a", None, [1]])
+def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
+    path = write_scenario(tmp_path, "rootdatum", {"gl": 2}, seed=seed)
+    assert_one_line_input_error(capsys, path, f"seed must be an integer, got {seed!r}")
+
+
 def test_example_scenario(tmp_path, capsys):
     payload = {"root_datum": {"type": [["A", 2]]}, "r": 2, "p": 29}
     path = write_scenario(tmp_path, "example", payload)

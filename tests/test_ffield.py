@@ -348,3 +348,100 @@ def test_solve_matrix_rhs_with_one_inconsistent_column():
     assert ff.solve(a, bad, p) is None
     assert ff.solve(a, bad[:, 1], p) is None
     assert np.array_equal(ff.solve(a, bad[:, 0], p), x[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the two-elimination QuotientSpace (a containment solve, then
+# extend_basis), checked against the one-reduction ff.QuotientSpace.
+# ---------------------------------------------------------------------------
+
+
+class TwoEliminationQuotient:
+    """Quotient span(numerator)/span(denominator) with canonical coordinates."""
+
+    def __init__(self, numerator, denominator, p: int):
+        self.p = p
+        self.num = ff.normalize(numerator, p)
+        self.den = ff.normalize(denominator, p)
+        if self.den.size and not ff.span_contains(self.num, self.den, p):
+            raise ValueError("denominator is not contained in numerator")
+        self.reps = ff.extend_basis(self.den, self.num, p)
+        self.dim = self.reps.shape[1]
+
+    def coords(self, v) -> np.ndarray:
+        """Coordinates of [v] on the representative basis.
+
+        v may be one vector or a matrix whose columns are vectors.
+        """
+        x = ff.solve(np.hstack([self.den, self.reps]), v, self.p)
+        if x is None:
+            raise ValueError("vector is not in the numerator span")
+        return x[self.den.shape[1] :]
+
+    def coords_matrix(self, vectors) -> np.ndarray:
+        """Coordinates of every column of `vectors`, one column each."""
+        return self.coords(vectors)
+
+
+@st.composite
+def quotient_cases(draw):
+    """(p, num, den): num dependent with zero columns; den dependent, zero or
+    empty, built inside span(num) unless `contained` is False."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(0, 8))
+    k_num = draw(st.integers(0, 9))
+    k_den = draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    num_zeros = draw(st.sets(st.integers(0, k_num - 1), max_size=3)) if k_num else set()
+    num = seeded_matrix(seed, p, n, k_num, draw(st.none() | st.integers(0, n)),
+                        sorted(num_zeros))
+    if draw(st.booleans()):
+        # den = num . C for C of rank at most `den_rank`: inside span(num).
+        den_rank = draw(st.integers(0, min(k_num, k_den)))
+        c = seeded_matrix(seed + 1, p, k_num, k_den, den_rank)
+        den = (num @ c) % p
+    else:
+        den = seeded_matrix(seed + 1, p, n, k_den, draw(st.none() | st.integers(0, n)))
+    if k_den and draw(st.booleans()):
+        den[:, rng.integers(0, k_den)] = 0
+    return p, num, den
+
+
+@given(quotient_cases())
+@settings(max_examples=400, deadline=None)
+def test_quotient_space_matches_two_elimination_oracle(case):
+    p, num, den = case
+    try:
+        expected = TwoEliminationQuotient(num, den, p)
+    except ValueError:
+        with pytest.raises(ValueError, match="not contained"):
+            ff.QuotientSpace(num, den, p)
+        return
+    q = ff.QuotientSpace(num, den, p)
+    assert q.dim == expected.dim
+    assert q.reps.tobytes() == expected.reps.tobytes()
+    assert q.reps.shape == expected.reps.shape
+    # den is a basis of span(den): independent columns with the same span.
+    assert q.den.shape[1] == ff.rank(den, p)
+    assert np.array_equal(ff.column_space(q.den, p), ff.column_space(expected.den, p))
+    rng = np.random.default_rng(int(num.sum()) + num.size)
+    vecs = (num @ rng.integers(0, p, size=(num.shape[1], 5))) % p
+    got = q.coords_matrix(vecs)
+    assert got.tobytes() == expected.coords_matrix(vecs).tobytes()
+    assert got.shape == (q.dim, 5)
+
+
+def test_quotient_space_makes_one_reduction_and_one_small_rank(monkeypatch):
+    p = 7
+    num = seeded_matrix(3, p, 6, 5)
+    den = np.hstack([num[:, :2], num[:, :2] * 3 % p, ff.zeros((6, 1))])  # rank 2
+    rref = ff.rref
+    shapes = []
+    monkeypatch.setattr(ff, "rref", lambda a, p: shapes.append(np.shape(a)) or rref(a, p))
+    q = ff.QuotientSpace(num, den, p)
+    assert shapes == [(6, 10), (2, 5)]
+    assert q.den.shape == (6, 2) and q.dim == ff.rank(num, p) - 2
+    shapes.clear()
+    ff.QuotientSpace(num, ff.zeros((6, 3)), p)
+    assert shapes == [(6, 8)]  # no pivot in den: nothing to check

@@ -9,6 +9,18 @@ from galdesk import local_tame as lt
 from galdesk import root_datum as rdm
 
 
+def mat_pow(a, k: int, p: int) -> np.ndarray:
+    """a^k mod p by repeated squaring: the oracle for the power table."""
+    result = ff.eye(len(a))
+    base = ff.normalize(a, p)
+    while k:
+        if k & 1:
+            result = (result @ base) % p
+        base = (base @ base) % p
+        k >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: derive the cocycle constraint by walking the two sides
 # of the relation sigma.tau = tau^q.sigma letter by letter, never touching
@@ -25,7 +37,7 @@ def walk_cocycle_rows(m: lt.TameGaloisModule):
     for _ in range(m.q):
         acc = (ff.eye(n) + m.tau @ acc) % p
     # c(tau^q sigma) = c(tau^q) + Tau^q a.
-    right_a = ff.mat_pow(m.tau, m.q, p)
+    right_a = mat_pow(m.tau, m.q, p)
     right_b = acc
     return np.hstack([(left_a - right_a) % p, (left_b - right_b) % p])
 
@@ -71,7 +83,7 @@ def random_tame_module(rng: random.Random, allow_tau=True) -> lt.TameGaloisModul
             blk = np.eye(s, dtype=np.int64) + np.eye(s, k=1, dtype=np.int64)
             tau[pos : pos + s, pos : pos + s] = blk
             pos += s
-        tau_q = ff.mat_pow(tau, q % p, p)
+        tau_q = mat_pow(tau, q % p, p)
         phi = conjugator(tau, tau_q, p, rng)
         g = ff.random_invertible(rng, n, p)
         gi = ff.inv(g, p)
@@ -446,7 +458,7 @@ def module_with(p, n, q, twist, block, seed) -> lt.TameGaloisModule:
         return lt.TameGaloisModule(p, ff.random_invertible(rng, n, p), q, twist=twist)
     tau = ff.eye(n)
     tau[: block - 1, 1:block] += np.eye(block - 1, dtype=np.int64)
-    phi = conjugator(tau, ff.mat_pow(tau, q % p, p), p, rng)
+    phi = conjugator(tau, mat_pow(tau, q % p, p), p, rng)
     g = ff.random_invertible(rng, n, p)
     gi = ff.inv(g, p)
     return lt.TameGaloisModule(p, ff.mat_mul(ff.mat_mul(g, phi, p), gi, p), q,
@@ -555,21 +567,126 @@ def test_cohomology_dims_eliminates_nothing_beyond_h1(monkeypatch):
     assert lt.cohomology_dims(m) == (1, 2, 1)
 
 
-def test_dual_twist_makes_one_elimination(monkeypatch):
-    """The dual reuses Phi^-1 and Tau^-1 = Tau^(p-1); the one elimination left
-    is the dual's own Phi^-1.  Oracle: the inverses by elimination."""
-    rng = random.Random(77)
+def count_rref(monkeypatch) -> list:
+    """Record the input of every ff.rref call from here on."""
     rref = ff.rref
     calls = []
     monkeypatch.setattr(ff, "rref", lambda a, p: calls.append(a) or rref(a, p))
+    return calls
+
+
+def test_dual_twist_makes_no_elimination(monkeypatch):
+    """The dual's Phi^-1 and Tau are closed forms in Phi and the power table,
+    and a twist inherits Phi^-1.  Oracle: the inverses by elimination."""
+    rng = random.Random(77)
+    calls = count_rref(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         p = m.p
         calls.clear()
         md = m.dual_twist()
-        assert len(calls) == 1
+        mt = m.twisted(rng.randrange(-2, 3))
+        assert len(calls) == 0
         assert np.array_equal(md.phi, m.qbar * ff.inv(m.phi_eff.T, p) % p)
         assert np.array_equal(md.tau, ff.inv(m.tau.T, p))
+        assert np.array_equal(md.phi_inv, ff.inv(md.phi, p))
+        assert np.array_equal(mt.phi_inv, ff.inv(mt.phi, p))
+
+
+def test_h1_makes_at_most_three_eliminations(monkeypatch):
+    """The nullspace of the relator, the quotient's reduction and its
+    containment rank."""
+    rng = random.Random(78)
+    calls = count_rref(monkeypatch)
+    for _ in range(40):
+        m = random_tame_module(rng)
+        calls.clear()
+        lt.h1_space(m)
+        assert len(calls) <= 3
+
+
+def test_wrong_supplied_phi_inverse_rejected():
+    rng = random.Random(79)
+    for _ in range(20):
+        m = random_tame_module(rng)
+        p, n = m.p, m.dim
+        args = (p, m.phi, m.q, m.tau, m.twist)
+        same = lt.TameGaloisModule._with_inverse(m.phi_inv, *args)
+        assert np.array_equal(same.relator_matrix, m.relator_matrix)
+        wrong = m.phi_inv.copy()
+        wrong[rng.randrange(n), rng.randrange(n)] += rng.randrange(1, p)
+        for bad in (wrong % p, ff.zeros((n, n)), ff.eye(n) if n > 1 else 2 * m.phi_inv % p):
+            if np.array_equal(bad, m.phi_inv):
+                continue
+            with pytest.raises(lt.TameModuleError, match="does not invert"):
+                lt.TameGaloisModule._with_inverse(bad, *args)
+
+
+# The parent's loop versions of the relator and the pairing matrix, kept as
+# oracles for the power table.
+
+def loop_tau_power_sum(m: lt.TameGaloisModule, k: int) -> np.ndarray:
+    """N_k = 1 + T + ... + T^{k-1}, using T^p = 1 to fold large k."""
+    p = m.p
+    whole, rem = divmod(k, p)
+    n_p = ff.zeros((m.dim, m.dim))
+    t_i = ff.eye(m.dim)
+    acc = ff.zeros((m.dim, m.dim))
+    for i in range(p):
+        if i < rem:
+            acc = (acc + t_i) % p
+        n_p = (n_p + t_i) % p
+        t_i = ff.mat_mul(t_i, m.tau, p)
+    return (whole % p * n_p + acc) % p
+
+
+def loop_relator_matrix(m: lt.TameGaloisModule) -> np.ndarray:
+    p = m.p
+    tq = mat_pow(m.tau, m.q % p, p)
+    sq = loop_tau_power_sum(m, m.q)
+    return np.hstack([(ff.eye(m.dim) - tq) % p, (m.phi_eff - sq) % p])
+
+
+def loop_pairing_matrix(m: lt.TameGaloisModule) -> np.ndarray:
+    p, n, q = m.p, m.dim, m.q
+    md = m.dual_twist()
+    left, right = ff.zeros((n, n)), ff.zeros((n, n))
+    td_c = ff.eye(n)
+    for c in range(1, p + 1):
+        td_c = (td_c @ md.tau) % p
+        k = (q - c) // p + 1
+        left = (left - k % p * td_c) % p
+        right = (right - k * (q - c) % p * td_c) % p
+    return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pairing_matrix_large_q_full_jordan_block(p):
+    """k (q - c) passes 2^63 at these q.  A wrapped weight is off by the same
+    amount for every c, which only shows where sum_c T'^c != 0: for T one
+    Jordan block of size p."""
+    for q in (10**10, 3 * 10**12, 10**13, 2**70):
+        if q % p == 0:
+            q += 1
+        for twist in (0, 1):
+            m = module_with(p, p, q, twist, p, q + twist)
+            assert np.array_equal(m.pairing_matrix, loop_pairing_matrix(m))
+
+
+@given(st.sampled_from(PAIRING_PRIMES), st.integers(1, 6), st.integers(-2, 2),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_table_relator_and_pairing_match_loops(p, n, twist, seed, data):
+    """Unipotent or trivial T, q from 2 up to 10^13 (k (q - c) passes 2^63)."""
+    q = data.draw(q_values(p) | st.integers(10**6, 10**13).filter(lambda q: q % p))
+    m = module_with(p, n, q, twist, data.draw(st.integers(1, min(n, p))), seed)
+    for mod in (m, m.dual_twist()):
+        table = mod._tau_powers
+        assert table.shape == (p + 1, n, n) and table.dtype == np.int64
+        for i in range(p + 1):
+            assert np.array_equal(table[i], mat_pow(mod.tau, i, p))
+        assert np.array_equal(mod.relator_matrix, loop_relator_matrix(mod))
+        assert np.array_equal(mod.pairing_matrix, loop_pairing_matrix(mod))
 
 
 def test_singular_phi_rejected_before_tau_checks():
