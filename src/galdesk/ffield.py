@@ -135,8 +135,7 @@ def _rref_small(r: np.ndarray, p: int):
 
 
 def rank(a, p: int) -> int:
-    a = np.asarray(a)
-    return len(rref(a, p)[1]) if a.size else 0
+    return len(rref(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:
@@ -190,10 +189,6 @@ def column_space(a, p: int) -> np.ndarray:
 
 def span_contains(big, small, p: int) -> bool:
     """Is the vector `small`, or every column of the matrix `small`, in span(big)?"""
-    big = normalize(big, p)
-    small = normalize(small, p)
-    if big.size == 0:
-        return not small.any()
     return solve(big, small, p) is not None
 
 
@@ -205,8 +200,6 @@ def intersect_spans(a, b, p: int) -> np.ndarray:
     """Basis of span(a) ∩ span(b)."""
     a = normalize(a, p)
     b = normalize(b, p)
-    if a.size == 0 or b.size == 0:
-        return zeros((a.shape[0], 0))
     k = nullspace(np.hstack([a, -b]), p)
     vecs = (a @ k[: a.shape[1]]) % p
     return column_space(vecs, p)
@@ -219,8 +212,6 @@ def annihilator(basis, pairing, p: int) -> np.ndarray:
     """
     basis = normalize(basis, p)
     pairing = normalize(pairing, p)
-    if basis.shape[1] == 0:
-        return eye(pairing.shape[1])
     return nullspace((basis.T @ pairing) % p, p)
 
 
@@ -280,7 +271,8 @@ class QuotientSpace:
 
 
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    return np.array(rows, dtype=np.int64).reshape(m, n)
 
 
 def random_invertible(rng, n: int, p: int) -> np.ndarray:

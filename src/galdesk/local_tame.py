@@ -45,6 +45,7 @@ from . import ffield as ff
 from .root_datum import (
     RootDatum,
     TorusElement,
+    adjoint_torus_matrix,
     is_regular_semisimple,
     ramakrishna_root_set,
 )
@@ -252,11 +253,14 @@ def unramified_subspace(m: TameGaloisModule) -> LocalConditionSubspace:
     """Classes represented with b = 0; only defined for trivial inertia."""
     if not np.array_equal(m.tau, ff.eye(m.dim)):
         raise TameModuleError("unramified subspace requires Tau = identity")
+    return _class_span(m, np.vstack([ff.eye(m.dim), ff.zeros((m.dim, m.dim))]), "unramified")
+
+
+def _class_span(m: TameGaloisModule, cocycles, label: str) -> LocalConditionSubspace:
+    """The subspace of H^1(M) spanned by the classes of the columns of `cocycles`."""
     space = h1_space(m)
-    n = m.dim
-    cocycles = np.vstack([ff.eye(n), ff.zeros((n, n))])
     coords = space.quotient.coords_matrix(cocycles)
-    return LocalConditionSubspace(space, ff.column_space(coords, m.p), "unramified")
+    return LocalConditionSubspace(space, ff.column_space(coords, m.p), label)
 
 
 def submodule_restriction(m: TameGaloisModule, basis) -> TameGaloisModule:
@@ -274,17 +278,12 @@ def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalCondition
     """Image of H^1(W) -> H^1(M) for an invariant subspace W."""
     p = m.p
     sub = submodule_restriction(m, sub_basis)
-    w_h1 = h1_space(sub)
-    k = sub.dim
     incl = ff.normalize(sub_basis, p)
-    big = np.vstack([
-        np.hstack([incl, ff.zeros((m.dim, k))]),
-        np.hstack([ff.zeros((m.dim, k)), incl]),
-    ])
-    pushed = (big @ w_h1.basis_cocycles) % p
-    space = h1_space(m)
-    coords = space.quotient.coords_matrix(pushed)
-    return LocalConditionSubspace(space, ff.column_space(coords, p), label)
+    n, k = incl.shape
+    # The inclusion acts on both halves of a stacked cocycle (a; b).
+    big = ff.zeros((2 * n, 2 * k))
+    big[:n, :k] = big[n:, k:] = incl
+    return _class_span(m, (big @ h1_space(sub).basis_cocycles) % p, label)
 
 
 # -- duality pairing ---------------------------------------------------------
@@ -365,15 +364,11 @@ class AdjointModule:
 
     @cached_property
     def module(self) -> TameGaloisModule:
+        # beta(t)^-1 = beta(t^-1), and t^-1 has the inverse simple values.
         p = self.p
-        d = self.rd.rank_ss
+        inverse = [ff.inv_scalar(v, p) for v in self.t.simple_values]
         scale = pow(self.q % p, self.twist % (p - 1), p)
-        m = ff.zeros((self.dim, self.dim))
-        for i in range(d):
-            m[i, i] = scale
-        for k, root in enumerate(self.rd.all_roots()):
-            m[d + k, d + k] = ff.inv_scalar(self.t.root_value(root), p) * scale % p
-        return TameGaloisModule(p, m, self.q)
+        return TameGaloisModule(p, adjoint_torus_matrix(self.rd, p, inverse, scale), self.q)
 
 
 def is_ramakrishna_type(a: AdjointModule):

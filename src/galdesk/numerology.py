@@ -8,7 +8,7 @@ pretends to compute cohomology of infinite groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,17 +125,14 @@ class Scenario:
                 raise NumerologyError("real-place h0 out of the [dim n, dim g0] range")
 
 
-def ordinary_scenario(rd, signature, mode=ORDINARY, finite_places=(), h0_at_p=0,
-                      odd_real=True) -> Scenario:
+def ordinary_scenario(rd, signature, mode=ORDINARY, finite_places=(), h0_at_p=0) -> Scenario:
     """Scenario with the same mode at every place above p; real places all odd
-    (fixed space of dimension dim n) unless odd_real is False."""
+    (fixed space of dimension dim n)."""
     if mode not in (ORDINARY, NEARLY_ORDINARY):
         raise NumerologyError(f"unknown mode {mode!r}")
     _, n, _, _, _, _ = dimension_profile(rd)
     places = tuple(PlaceAboveP(mode, f, h0_at_p) for f in signature.local_degrees_above_p)
-    real = tuple(n for _ in range(signature.real_places)) if odd_real else ()
-    if not odd_real and signature.real_places:
-        raise NumerologyError("non-odd real places need explicit h0 values")
+    real = tuple(n for _ in range(signature.real_places))
     return Scenario(rd, signature, places, tuple(finite_places), real)
 
 
@@ -194,8 +191,9 @@ class WilesReport:
     terms: tuple[tuple[str, int], ...]
 
 
-def wiles_difference(scenario: Scenario, report: bool = False):
-    """Selmer minus dual-Selmer dimension from the per-place local terms."""
+def wiles_difference(scenario: Scenario) -> WilesReport:
+    """Selmer minus dual-Selmer dimension from the per-place local terms, as
+    a WilesReport: the difference and the named terms it sums."""
     g0, n, b0, t0, _, _ = dimension_profile(scenario.rd)
     terms: list[tuple[str, int]] = [
         ("h0_global", scenario.h0_global),
@@ -210,20 +208,11 @@ def wiles_difference(scenario: Scenario, report: bool = False):
         terms.append(("v real", -h))  # L_v = 0 at archimedean places, p odd
     for _ in range(scenario.signature.complex_places):
         terms.append(("v complex", -g0))
-    total = sum(v for _, v in terms)
-    if report:
-        return WilesReport(total, tuple(terms))
-    return total
+    return WilesReport(sum(v for _, v in terms), tuple(terms))
 
 
-def cm_parameter(scenario_or_signature, rd: RootDatum | None = None) -> int:
-    """r = ([F:Q]/2) dim t0 for a CM signature."""
-    if isinstance(scenario_or_signature, Scenario):
-        sig, rd = scenario_or_signature.signature, scenario_or_signature.rd
-    else:
-        sig = scenario_or_signature
-        if rd is None:
-            raise NumerologyError("root datum required")
+def cm_parameter(sig: FieldSignature, rd: RootDatum) -> int:
+    """r = ([F:Q]/2) dim t0 for a CM signature `sig` and root datum `rd`."""
     if not sig.cm:
         raise NumerologyError("CM parameter needs a CM signature")
     t0 = dimension_profile(rd)[3]
@@ -288,14 +277,14 @@ def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:
     pairing_ok = _principal_pairing_identity(rd)
 
     # Multiplicative verification.  c generates F_p^x; the torus element has
-    # beta(T) = a^{<beta, 2 rho^vee>} with a^2 = c^r.
+    # beta(T) = a^{<beta, 2 rho^vee>} with a^2 = c^r.  As p - 1 is even, c^r
+    # is a square in F_p exactly when r is even, and then a = c^(r/2).
     c = _primitive_root(p)
     target = pow(c, r, p)
-    legendre = pow(target, (p - 1) // 2, p)
-    sqrt_in_base = legendre == 1
+    sqrt_in_base = r % 2 == 0
     notes = []
     if sqrt_in_base:
-        a = _sqrt_mod_p(target, p)
+        a = pow(c, r // 2, p)
         ok = all(pow(a, _pair_with_2rho(rd, i), p) == target for i in range(rd.rank_ss))
     else:
         # Exponent arithmetic in F_{p^2}: write c = G^(p+1) for a generator G,
@@ -348,10 +337,3 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    for x in range(p):
-        if x * x % p == a % p:
-            return x
-    raise NumerologyError("not a quadratic residue")

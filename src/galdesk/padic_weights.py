@@ -517,7 +517,6 @@ class WeightPoint:
 
     model: UnitsModel
     values: dict[tuple[str, int], PadicInt]
-    torsion: dict[tuple[str, int], int] = field(default_factory=dict)
     algebraic_exponents: dict[tuple[str, int], int] | None = None
 
     def __post_init__(self):
@@ -536,7 +535,7 @@ def algebraic_weight(model: UnitsModel, exponents: dict, prec: int,
     """Weight with value (1+p)^{n_slot} at each generator slot, times a
     finite-order part given per slot as a unit residue mod p."""
     base = PadicInt(model.p, 1 + model.p, prec)
-    torsion = dict(torsion or {})
+    torsion = torsion or {}
     values = {}
     for slot in model.slots():
         n = int(exponents.get(slot, 0))
@@ -544,7 +543,7 @@ def algebraic_weight(model: UnitsModel, exponents: dict, prec: int,
         if slot in torsion:
             value = value * teichmuller(int(torsion[slot]), model.p, prec)
         values[slot] = value
-    return WeightPoint(model, values, torsion, dict(exponents))
+    return WeightPoint(model, values, dict(exponents))
 
 
 def _unit_power(u: PadicInt, n: int) -> PadicInt:

@@ -11,7 +11,7 @@ diag(t, 1) are representable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,28 +256,13 @@ def gl_datum(n: int) -> RootDatum:
     """GL_n with the standard diagonal torus model Z^n."""
     if n < 2:
         raise RootDatumError("gl_datum requires n >= 2")
-    base = build_root_datum([("A", n - 1)], central_rank=1)
-    d = n - 1
-    cochar_pairing = np.zeros((d, n), dtype=np.int64)
-    coroot_vectors = np.zeros((d, n), dtype=np.int64)
-    for i in range(d):
-        cochar_pairing[i, i] = 1
-        cochar_pairing[i, i + 1] = -1
-        coroot_vectors[i, i] = 1
-        coroot_vectors[i, i + 1] = -1
-    # Characters of the diagonal torus use the same Z^n model.
-    return RootDatum(
-        cartan_type=base.cartan_type,
-        central_rank=1,
-        cartan=base.cartan,
-        positive_roots=base.positive_roots,
-        coxeter_numbers=base.coxeter_numbers,
-        cochar_pairing=cochar_pairing,
-        coroot_vectors=coroot_vectors,
-        weight_pairing=cochar_pairing.copy(),
-        root_weight_vectors=coroot_vectors.copy(),
-        label=f"GL{n}",
-    )
+    # alpha_i = e_i - e_{i+1} and alpha_i^vee = e_i - e_{i+1}; characters of
+    # the diagonal torus use the same Z^n model.
+    simple = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
+    return replace(build_root_datum([("A", n - 1)], central_rank=1),
+                   cochar_pairing=simple, coroot_vectors=simple.copy(),
+                   weight_pairing=simple.copy(), root_weight_vectors=simple.copy(),
+                   label=f"GL{n}")
 
 
 def _positive_closure(cartan: np.ndarray) -> tuple[tuple[int, ...], ...]:

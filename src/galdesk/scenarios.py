@@ -305,10 +305,12 @@ def builtin_numerology_wiles(seed, precision):
         rd = rdm.build_root_datum([(name[0], int(name[1:]))])
         t0 = rdm.dimension_profile(rd)[3]
         for degree in (2, 4):
-            tr = num.wiles_difference(num.ordinary_scenario(rd, num.totally_real_signature(degree)))
-            cm_ord = num.wiles_difference(num.ordinary_scenario(rd, num.cm_signature(degree)))
-            cm_no = num.wiles_difference(
-                num.ordinary_scenario(rd, num.cm_signature(degree), mode=num.NEARLY_ORDINARY))
+            tr = num.wiles_difference(
+                num.ordinary_scenario(rd, num.totally_real_signature(degree))).difference
+            cm_ord = num.wiles_difference(
+                num.ordinary_scenario(rd, num.cm_signature(degree))).difference
+            cm_no = num.wiles_difference(num.ordinary_scenario(
+                rd, num.cm_signature(degree), mode=num.NEARLY_ORDINARY)).difference
             checks.append(check(f"{name} deg {degree}: totally real ordinary = 0", tr == 0, got=tr))
             checks.append(check(f"{name} deg {degree}: CM ordinary = -deg/2*t0",
                                 cm_ord == -(degree // 2) * t0, got=cm_ord))
@@ -576,8 +578,8 @@ def _check_p_fits(p: int, n: int) -> None:
 
 
 def _run_local(payload):
-    rd = parse_root_datum(payload["root_datum"])
     try:
+        rd = parse_root_datum(payload["root_datum"])
         p = int(payload["p"])
         # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
         _check_p_fits(p, 2 * (rd.rank_ss + len(rd.all_roots())))
@@ -622,8 +624,8 @@ def _signature_from_payload(payload):
 
 
 def _run_numerology(payload):
-    rd = parse_root_datum(payload["root_datum"])
     try:
+        rd = parse_root_datum(payload["root_datum"])
         sig = _signature_from_payload(payload["signature"])
         mode = payload.get("mode", num.ORDINARY)
         finite = tuple(num.FinitePlace(int(a), int(b))
@@ -632,7 +634,7 @@ def _run_numerology(payload):
                                      h0_at_p=int(payload.get("h0_at_p", 0)))
     except (KeyError, num.NumerologyError) as exc:
         raise ScenarioError(str(exc)) from exc
-    rep = num.wiles_difference(scen, report=True)
+    rep = num.wiles_difference(scen)
     checks = [check("terms sum to the difference",
                     sum(v for _, v in rep.terms) == rep.difference)]
     out = {"difference": rep.difference,
@@ -670,15 +672,12 @@ def _run_selmer(payload, seed):
     if "res" in payload:
         places = tuple(sorted(payload["local_dims"]))
         local_dims = {v: int(payload["local_dims"][v]) for v in places}
-        def mat(rows):
-            arr = np.array(rows, dtype=np.int64) % p
-            return arr
         try:
             system = sl.SelmerSystem(
                 p, places, local_dims,
-                {v: mat(payload["res"][v]) for v in places},
-                {v: mat(payload["res_dual"][v]) for v in places},
-                {v: mat(payload["pairing"][v]) for v in places},
+                {v: ff.normalize(payload["res"][v], p) for v in places},
+                {v: ff.normalize(payload["res_dual"][v], p) for v in places},
+                {v: ff.normalize(payload["pairing"][v], p) for v in places},
             )
         except (KeyError, sl.SelmerError) as exc:
             raise ScenarioError(str(exc)) from exc
@@ -744,12 +743,16 @@ def _run_weights(payload):
 
 
 def _run_example(payload):
-    rd = parse_root_datum(payload["root_datum"])
     try:
-        rep = num.example_conditions_check(rd, int(payload["r"]), int(payload["p"]))
-    except (KeyError, num.NumerologyError) as exc:
+        rd = parse_root_datum(payload["root_datum"])
+        r, p = int(payload["r"]), int(payload["p"])
+        _check_p_fits(p, 1)
+        if not ff.is_odd_prime(p):
+            raise ScenarioError("p must be an odd prime")
+        rep = num.example_conditions_check(rd, r, p)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
-    dims = num.example_local_dims(int(payload["r"]), int(payload["p"]))
+    dims = num.example_local_dims(r, p)
     checks = [
         check("pairing identity", rep.pairing_identity),
         check("very good prime", rep.very_good),

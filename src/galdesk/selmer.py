@@ -109,7 +109,7 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
         rows = np.vstack([ff.zeros((0, n))] + [(mat - ff.eye(n)) % p for mat in g.generators])
-        basis = ff.nullspace(rows, p) if rows.size else ff.eye(n)
+        basis = ff.nullspace(rows, p)
         return basis.shape[1], basis
 
     if degree == 1:
@@ -186,8 +186,13 @@ class SelmerSystem:
     exact: bool = True
 
     def __post_init__(self):
+        h, h_dual = self.dim_h, self.dim_h_dual
         for v in self.places:
             nv = self.local_dims[v]
+            if self.res[v].shape != (nv, h):
+                raise SelmerError(f"res at {v} is not {nv} x {h}")
+            if self.res_dual[v].shape != (nv, h_dual):
+                raise SelmerError(f"res_dual at {v} is not {nv} x {h_dual}")
             if self.pairing[v].shape != (nv, nv):
                 raise SelmerError(f"pairing at {v} has the wrong shape")
             if ff.rank(self.pairing[v], self.p) < nv:
@@ -209,9 +214,8 @@ class SelmerSystem:
         places = places if places is not None else self.places
         return np.vstack([self.res[v] for v in places]) % self.p
 
-    def stacked_res_dual(self, places=None):
-        places = places if places is not None else self.places
-        return np.vstack([self.res_dual[v] for v in places]) % self.p
+    def stacked_res_dual(self):
+        return np.vstack([self.res_dual[v] for v in self.places]) % self.p
 
     def block_pairing(self):
         sizes = [self.local_dims[v] for v in self.places]
@@ -494,21 +498,25 @@ def build_exact_system(rng: random.Random, p: int, local_dims: dict,
                        global_dim: int) -> SelmerSystem:
     """Random exact system: H maps onto a random subspace I of the local sum,
     H' onto the annihilator of I; identity pairings."""
-    places = tuple(sorted(local_dims))
     total = sum(local_dims.values())
     if not 0 <= global_dim <= total:
         raise SelmerError("global dimension out of range")
     image = ff.random_subspace(rng, total, global_dim, p)
-    pairings = {v: ff.eye(local_dims[v]) for v in places}
-    image_dual = ff.annihilator(image, ff.eye(total), p)
-    res, res_dual = {}, {}
-    pos = 0
+    return _exact_system(p, tuple(sorted(local_dims)), local_dims, image)
+
+
+def _exact_system(p: int, places: tuple, local_dims: dict, image) -> SelmerSystem:
+    """Exact system with identity pairings: H maps onto the span of `image`
+    in the local sum, whose rows run over `places` in order, and H' onto its
+    annihilator."""
+    image_dual = ff.annihilator(image, ff.eye(len(image)), p)
+    res, res_dual, pos = {}, {}, 0
     for v in places:
         s = local_dims[v]
-        res[v] = image[pos : pos + s, :]
-        res_dual[v] = image_dual[pos : pos + s, :]
+        res[v], res_dual[v] = image[pos : pos + s], image_dual[pos : pos + s]
         pos += s
-    return SelmerSystem(p, places, dict(local_dims), res, res_dual, pairings)
+    return SelmerSystem(p, places, dict(local_dims), res, res_dual,
+                        {v: ff.eye(local_dims[v]) for v in places})
 
 
 def random_conditions(rng: random.Random, system: SelmerSystem) -> ConditionAssignment:
@@ -574,32 +582,13 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     specials = tuple(f"w{i}" for i in range(k))
     places = ("v0", *specials)
     local_dims = {"v0": n0, **{w: 2 for w in specials}}
-    total = n0 + 2 * k
-
-    def unit(i):
-        e = ff.zeros(total)
-        e[i] = 1
-        return e
-
-    cols = [unit(i) for i in range(s0 - 1)]
-    psi_vec = unit(s0 - 1)
-    for i in range(k):
-        psi_vec = psi_vec + unit(n0 + 2 * i)  # unramified coordinate of w_i
-    cols.append(psi_vec % p)
-    for i in range(k):
-        ghost = (unit(s0 + i) + unit(n0 + 2 * i + 1)) % p  # ramified coordinate
-        cols.append(ghost)
-    image = np.column_stack(cols)
-    image_dual = ff.annihilator(image, ff.eye(total), p)
-    res, res_dual = {}, {}
-    pos = 0
-    for v in places:
-        s = local_dims[v]
-        res[v] = image[pos : pos + s, :]
-        res_dual[v] = image_dual[pos : pos + s, :]
-        pos += s
-    system = SelmerSystem(p, places, local_dims, res, res_dual,
-                          {v: ff.eye(local_dims[v]) for v in places})
+    e = ff.eye(n0 + 2 * k)
+    # psi threads the unramified coordinate of every w_i, the ghost of w_i
+    # its ramified coordinate.
+    psi_vec = e[:, s0 - 1] + e[:, n0 : n0 + 2 * k : 2].sum(axis=1)
+    ghosts = e[:, s0:n0] + e[:, n0 + 1 : n0 + 2 * k : 2]
+    image = np.column_stack([e[:, : s0 - 1], psi_vec % p, ghosts % p])
+    system = _exact_system(p, places, local_dims, image)
     l0 = ff.zeros((n0, s0))
     l0[:s0, :] = ff.eye(s0)
     unr = ff.zeros((2, 1)); unr[0, 0] = 1
@@ -667,42 +656,23 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
     n0 = selmer_dim + carriers
     places = ("v0", "y")
     local_dims = {"v0": n0, "y": ny}
-    total = n0 + ny
-
-    def unit(i):
-        e = ff.zeros(total)
-        e[i] = 1
-        return e
-
-    cols = [unit(i) for i in range(selmer_dim - 1)]
-    cols.append((unit(selmer_dim - 1) + unit(n0)) % p)  # through the unramified line
-    for j in range(carriers):
-        cols.append((unit(selmer_dim + j) + unit(n0 + 1 + j)) % p)  # ramified side
-    image = np.column_stack(cols)
-    image_dual = ff.annihilator(image, ff.eye(total), p)
-    res = {"v0": image[:n0, :], "y": image[n0:, :]}
-    res_dual = {"v0": image_dual[:n0, :], "y": image_dual[n0:, :]}
-    system = SelmerSystem(p, places, local_dims, res, res_dual,
-                          {v: ff.eye(local_dims[v]) for v in places})
+    e = ff.eye(n0 + ny)
+    image = np.column_stack([
+        e[:, : selmer_dim - 1],
+        (e[:, selmer_dim - 1] + e[:, n0]) % p,  # through the unramified line
+        (e[:, selmer_dim:n0] + e[:, n0 + 1 : n0 + 1 + carriers]) % p,  # ramified side
+    ])
+    system = _exact_system(p, places, local_dims, image)
     unr = ff.zeros((ny, 1)); unr[0, 0] = 1
     ram = ff.zeros((ny, 1)); ram[1, 0] = 1
     marked = {"y": {"unr": unr, "ram": ram}}
     # Weight map in canonical H-coordinates: Selmer columns land in U (spanned
     # by the all-ones vector and d-2 unit vectors), carriers land outside.
-    dim_h = image.shape[1]
-    beta = ff.zeros((d_weights, dim_h))
-    u_cols = [np.ones(d_weights, dtype=np.int64)]
-    for r in range(d_weights - 2):
-        e = ff.zeros(d_weights)
-        e[r + 1] = 1
-        u_cols.append(e)
-    u_basis = np.column_stack(u_cols)
-    for i in range(selmer_dim):
-        beta[:, i] = u_cols[i % len(u_cols)]
-    outside = ff.zeros(d_weights)
-    outside[d_weights - 1] = 1
-    for j in range(carriers):
-        beta[:, selmer_dim + j] = outside
+    w = ff.eye(d_weights)
+    u_basis = np.column_stack([np.ones(d_weights, dtype=np.int64), w[:, 1 : d_weights - 1]])
+    beta = ff.zeros((d_weights, image.shape[1]))
+    beta[:, :selmer_dim] = u_basis[:, np.arange(selmer_dim) % u_basis.shape[1]]
+    beta[:, selmer_dim:] = w[:, [d_weights - 1]]
     system, marked, gh = _dress(rng, system, marked)
     beta = (beta @ gh) % p
     conditions = ConditionAssignment(system, {

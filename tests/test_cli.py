@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,26 @@ def test_selmer_scenario_p_too_large_exit_2(tmp_path, capsys, p, explicit):
     assert err == "input error: p is too large: n*p^2 must be below 2^63 at dimension n = 3\n"
 
 
+RES = {"a": [[1], [0], [0]], "b": [[0]]}
+RES_DUAL = {"a": [[0], [1], [0]], "b": [[1]]}
+
+
+@pytest.mark.parametrize("res,res_dual,expected", [
+    # Two rows where local_dims declares three: used to end in a numpy
+    # matmul traceback.
+    ({**RES, "a": [[1], [0]]}, RES_DUAL, "res at a is not 3 x 1"),
+    # Widths 1 and 2: used to be refused as "reciprocity fails".
+    ({**RES, "b": [[0, 1]]}, RES_DUAL, "res at b is not 1 x 1"),
+    # Widths 1 and 2 on the dual side: used to end in a numpy vstack traceback.
+    (RES, {**RES_DUAL, "b": [[1, 0]]}, "res_dual at b is not 1 x 1"),
+])
+def test_selmer_scenario_res_shape_exit_2(tmp_path, capsys, res, res_dual, expected):
+    payload = {"p": 5, "local_dims": {"a": 3, "b": 1}, "res": res, "res_dual": res_dual,
+               "pairing": {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [[1]]}}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(capsys, path, expected)
+
+
 def test_weights_scenario_certificate(tmp_path, capsys):
     f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
     f_wbar = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2})
@@ -307,6 +328,40 @@ def test_example_scenario_invalid_r(tmp_path, capsys):
     payload = {"root_datum": {"type": [["A", 1]]}, "r": 1, "p": 19}
     path = write_scenario(tmp_path, "example", payload)
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("p,expected", [
+    # p = 9 used to end in a RootDatumError traceback, and 2^61 - 1 to hang
+    # in trial division.
+    (9, "p must be an odd prime"),
+    (2**61 - 1, "p is too large: n*p^2 must be below 2^63 at dimension n = 1"),
+])
+def test_example_scenario_bad_p_exit_2(tmp_path, capsys, p, expected):
+    payload = {"root_datum": {"type": [["A", 1]]}, "r": 3, "p": p}
+    path = write_scenario(tmp_path, "example", payload)
+    assert_one_line_input_error(capsys, path, expected)
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("local", {"p": 5, "torus_values": [2], "q": 3}),
+    ("numerology", {"signature": {"kind": "rational"}}),
+    ("example", {"r": 3, "p": 19}),
+])
+def test_missing_root_datum_exit_2(tmp_path, capsys, kind, payload):
+    # Used to end in a KeyError traceback: the field was read outside the try.
+    path = write_scenario(tmp_path, kind, payload)
+    assert_one_line_input_error(capsys, path, "'root_datum'")
+
+
+def test_example_scenario_large_prime_is_fast(tmp_path, capsys):
+    # p = 2^31 - 1 used to spin in a search of F_p for a square root.
+    payload = {"root_datum": {"type": [["A", 1]]}, "r": 1000002, "p": 2147483647}
+    path = write_scenario(tmp_path, "example", payload)
+    start = time.monotonic()
+    code, out = run_cli(capsys, "run", path)
+    assert code == 0 and time.monotonic() - start < 5
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["sqrt_in_base_field"] is True
 
 
 def test_report_determinism(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,3 +447,39 @@ def test_quotient_space_makes_one_reduction_and_one_small_rank(monkeypatch):
     shapes.clear()
     ff.QuotientSpace(num, ff.zeros((6, 3)), p)
     assert shapes == [(6, 8)]  # no pivot in den: nothing to check
+
+
+# Empty inputs: what the elimination returns for them is what each helper
+# once special-cased, in shape, dtype and bytes.
+EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("shape", EMPTY_SHAPES)
+def test_empty_inputs_need_no_special_case(shape):
+    p = 7
+    m, n = shape
+    empty = ff.zeros(shape)
+
+    def same(got, expected):
+        return got.shape == expected.shape and got.dtype == expected.dtype \
+            and got.tobytes() == expected.tobytes()
+
+    assert ff.rank(empty, p) == 0
+    assert ff.random_invertible(random.Random(0), 0, p).shape == (0, 0)
+    # nullspace of no equations: all of F_p^n.
+    assert same(ff.nullspace(empty, p), ff.eye(n))
+    # span_contains with nothing to span: only zero columns lie inside.
+    assert ff.span_contains(empty, ff.zeros((m, 2)), p)
+    assert ff.span_contains(empty, ff.zeros(m), p)
+    if m:
+        assert not ff.span_contains(empty, ff.eye(m)[:, :1], p)
+        assert not ff.span_contains(empty, ff.eye(m)[0], p)
+    # intersect_spans with an empty side: no columns.
+    other = np.ones((m, 2), dtype=np.int64)
+    for a, b in [(empty, other), (other, empty), (empty, empty)]:
+        assert same(ff.intersect_spans(a, b, p), ff.zeros((m, 0)))
+    # annihilator of the zero subspace: the whole right-hand space.
+    if n == 0:
+        pairing = ff.eye(m) if m else ff.zeros((0, 0))
+        assert same(ff.annihilator(empty, pairing, p), ff.eye(m))
+        assert same(ff.annihilator(empty, np.ones((m, 4), dtype=np.int64), p), ff.eye(4))

@@ -805,3 +805,30 @@ def test_nonsplit_check():
     with pytest.raises(lt.TameModuleError):
         # Relation violated: scalar 1, tau 1 forces (1 - qbar) phi_tau = 0.
         lt.nonsplit_check(rd, p, q, (1,), (1,), (2,), (1,))
+
+
+def per_root_adjoint_phi(a: lt.AdjointModule) -> np.ndarray:
+    """The arithmetic Frobenius of g0 built root by root: the oracle for
+    AdjointModule.module, which reads it from adjoint_torus_matrix."""
+    p, d = a.p, a.rd.rank_ss
+    scale = pow(a.q % p, a.twist % (p - 1), p)
+    m = ff.zeros((a.dim, a.dim))
+    for i in range(d):
+        m[i, i] = scale
+    for k, root in enumerate(a.rd.all_roots()):
+        m[d + k, d + k] = ff.inv_scalar(a.t.root_value(root), p) * scale % p
+    return m
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "GL2"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_adjoint_module_matches_per_root_construction(name, p):
+    rd = rdm.gl_datum(2) if name == "GL2" else rdm.build_root_datum([(name[0], int(name[1]))])
+    rng = random.Random(p * 100 + len(name))
+    for twist in range(-2, 3):
+        values = tuple(rng.randrange(1, p) for _ in range(rd.rank_ss))
+        q = rng.choice([q for q in range(2, 4 * p) if q % p])
+        a = lt.AdjointModule(rd, rdm.TorusElement(rd, p, values), q, twist)
+        expected = per_root_adjoint_phi(a)
+        assert a.module.phi.dtype == expected.dtype
+        assert a.module.phi.tobytes() == expected.tobytes(), (values, q, twist)
