@@ -577,15 +577,33 @@ def _check_p_fits(p: int, n: int) -> None:
         raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _matrix(rows, name: str, p: int) -> np.ndarray:
+    try:
+        return ff.normalize(rows, p)
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"{name} must be a matrix of integers with rows of one length")
+
+
 def _run_local(payload):
     try:
         rd = parse_root_datum(payload["root_datum"])
-        p = int(payload["p"])
+        p = _integer(payload["p"], "p")
         # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
         _check_p_fits(p, 2 * (rd.rank_ss + len(rd.all_roots())))
-        t = rdm.TorusElement(rd, p, tuple(int(x) for x in payload["torus_values"]))
-        twist = int(payload.get("twist", 0))
-        base = lt.AdjointModule(rd, t, int(payload["q"]), 0)
+        values = payload["torus_values"]
+        if not isinstance(values, list):
+            raise ScenarioError(f"torus_values must be a list of integers, got {values!r}")
+        t = rdm.TorusElement(rd, p, tuple(_integer(x, "torus_values entry") for x in values))
+        twist = _integer(payload.get("twist", 0), "twist")
+        base = lt.AdjointModule(rd, t, _integer(payload["q"], "q"), 0)
     except (KeyError, rdm.RootDatumError, lt.TameModuleError) as exc:
         raise ScenarioError(str(exc)) from exc
     m = base.module.twisted(twist)
@@ -675,9 +693,9 @@ def _run_selmer(payload, seed):
         try:
             system = sl.SelmerSystem(
                 p, places, local_dims,
-                {v: ff.normalize(payload["res"][v], p) for v in places},
-                {v: ff.normalize(payload["res_dual"][v], p) for v in places},
-                {v: ff.normalize(payload["pairing"][v], p) for v in places},
+                {v: _matrix(payload["res"][v], f"res at {v}", p) for v in places},
+                {v: _matrix(payload["res_dual"][v], f"res_dual at {v}", p) for v in places},
+                {v: _matrix(payload["pairing"][v], f"pairing at {v}", p) for v in places},
             )
         except (KeyError, sl.SelmerError) as exc:
             raise ScenarioError(str(exc)) from exc

@@ -4,8 +4,17 @@ decomposition check, and the avoidance step.
 
 Group cohomology in degrees 1 and 2 comes from one cocycle system over the
 generators, constrained by the Schreier relators of the breadth-first
-enumeration.  Degree 2 is degree 1 of the coinduced quotient CoInd(M)/M
-(dimension shifting).
+enumeration.  Degree 2 is degree 1 of a coinduced quotient (dimension
+shifting), made small in three ways:
+- when p does not divide |G|, H^2 = 0 and nothing is built (Brown,
+  Cohomology of Groups, III.10);
+- when p exactly divides |G|, G is replaced by the normaliser N_G(P) of a
+  subgroup P of order p, by the stable-element theorem (Cartan-Eilenberg,
+  Homological Algebra, ch. XII; Brown III.10);
+- the shift is by CoInd_H^G(M)/M for a subgroup H of order prime to p, of
+  dimension n([G:H] - 1), by Shapiro's lemma (Brown III.5-6).
+Subgroups, normalisers and cosets are found by index arithmetic on the step
+table of the enumeration, with no matrix product.
 
 Synthetic systems make global duality true by construction: the global space
 H maps isomorphically onto a chosen subspace I of the direct sum of local
@@ -37,8 +46,14 @@ class SelmerError(ValueError):
 # ---------------------------------------------------------------------------
 
 # Cell budget of the degree-2 system, the cocycle system of a module of
-# dimension n(k - 1): k.r.n(k - 1) x r.n(k - 1); checked before it is built.
+# dimension n([K:H] - 1) over K with r generators: k.r.n([K:H] - 1) x
+# r.n([K:H] - 1) for |K| = k; checked before the subgroup H is searched for,
+# from [K:H] >= |K|_p, and again once H is known.
 _H2_CELL_BUDGET = 10**7
+
+# The enumeration multiplies at most this many queued elements by the
+# generators in one matmul.
+_ENUM_ROWS = 256
 
 
 @dataclass(eq=False)
@@ -65,24 +80,29 @@ class FiniteGroupAction:
             if g.shape != (n, n) or ff.rank(g, p) < n:
                 raise SelmerError("generators must be invertible and same-sized")
         self.generators = gens
+        stacked = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
         ident = ff.eye(n)
         elements = [ident]
         index = {ident.tobytes(): 0}
         step, parent = [], [None]
-        # `elements` grows while it is walked, so x runs in breadth-first order.
-        for x, m in enumerate(elements):
-            row = []
-            for i, g in enumerate(gens):
-                prod = ff.mat_mul(m, g, p)
-                key = prod.tobytes()
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    parent.append((x, i))
-                    if len(elements) > self.order_bound:
-                        raise SelmerError("enumeration overflow beyond the order bound")
-                row.append(index[key])
-            step.append(row)
+        # `elements` grows while it is walked, so x runs in breadth-first
+        # order; each batch of the queue is multiplied by every generator at once.
+        x = 0
+        while x < len(elements):
+            batch = np.array(elements[x : x + _ENUM_ROWS])
+            for prods in batch[:, None] @ stacked % p:
+                row = []
+                for i, prod in enumerate(prods):
+                    key = prod.tobytes()
+                    if key not in index:
+                        index[key] = len(elements)
+                        elements.append(prod)
+                        parent.append((x, i))
+                        if len(elements) > self.order_bound:
+                            raise SelmerError("enumeration overflow beyond the order bound")
+                    row.append(index[key])
+                step.append(row)
+                x += 1
         self.elements = elements
         self.index = index
         self.step = np.array(step, dtype=np.int64).reshape(len(elements), len(gens))
@@ -101,10 +121,26 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     """(dimension, basis) of H^degree(G, M) for degree in {0, 1, 2}.
 
     Degree 0 is the fixed space.  Degree 1 solves the generator-level system
-    of `_cocycles` and returns a basis in the coordinates (f(x))_x.  Degree 2
-    shifts dimension: CoInd(M) = Maps(G, M) with (s.f)(x) = f(x s) has no
-    higher cohomology, so m -> (x.m)_x gives H^2(G, M) = H^1(G, CoInd(M)/M).
-    Only its dimension is computed, and the basis is None.
+    of `_cocycles` and returns a basis in the coordinates (f(x))_x, so it
+    always works on G itself.
+
+    Degree 2 returns only a dimension (the basis is None), computed on a
+    smaller group and a smaller module where theory allows:
+    - p does not divide |G|: restriction to the trivial Sylow subgroup is
+      injective, so H^2 = 0 and nothing is built (Brown, Cohomology of
+      Groups, III.10).
+    - p exactly divides |G|: a subgroup P of order p meets each conjugate
+      other than itself trivially, so by the stable-element theorem
+      restriction gives H^n(G, M) = H^n(N_G(P), M) for n >= 1
+      (Cartan-Eilenberg, ch. XII; Brown III.10), and G is replaced by N_G(P).
+    - Then, for a subgroup H of order prime to p, CoInd_H^G M = {f: G -> M,
+      f(hx) = h.f(x)} with (s.f)(x) = f(x s) has H^n(G, CoInd) = H^n(H, M) = 0
+      for n >= 1 (Shapiro's lemma, Brown III.5-6), and m -> (x -> x.m) embeds M.
+      So H^2(G, M) = H^1(G, Q) for Q = CoInd/M, of dimension n([G:H] - 1);
+      H is grown greedily (`_p_prime_subgroup`), and H = {1} gives the plain
+      coinduced module.
+    The cell budget refuses the system before H is searched for when even
+    [G:H] = |G|_p, the smallest index possible, is over it.
     """
     p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
@@ -119,19 +155,35 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # columns, by matroid duality); so does reducing them in reverse.
         z1 = ff.column_space((f.reshape(k * n, r * n) @ z % p)[::-1], p)[::-1, ::-1]
         # Coboundaries f(x) = (x - 1) v, spanned by the columns of b1.
-        b1 = np.vstack([(mat - ff.eye(n)) % p for mat in g.elements])
+        b1 = ((np.array(g.elements) - ff.eye(n)) % p).reshape(k * n, n)
         quotient = ff.QuotientSpace(z1, b1, p)
         return quotient.dim, quotient.reps
 
     if degree == 2:
-        dim_q = n * (k - 1)
-        if k * r * dim_q * r * dim_q > _H2_CELL_BUDGET:
-            raise SelmerError("the shifted degree-2 system exceeds its cell budget")
-        quotient = ff.QuotientSpace(ff.eye(k * n), np.vstack(g.elements), p)
-        # s_i acts on Maps(G, M) by the block permutation f -> (f(x s_i))_x,
-        # which moves the rows of block step[x, i] to block x.
-        rows = g.step[:, :, None] * n + np.arange(n)
-        q_gens = [quotient.coords_matrix(quotient.reps[rows[:, i].ravel()]) for i in range(r)]
+        sylow = _p_part(k, p)
+        if sylow == 1:
+            return 0, None
+        times = _multiplier(g)
+        if sylow == p and (normaliser := _sylow_normaliser(g, times)) is not g:
+            g, times = normaliser, _multiplier(normaliser)
+            k, r = g.step.shape
+        _check_h2_budget(k, r, n * (sylow - 1))
+        coset, head, reps = _right_cosets(g, times, _p_prime_subgroup(g, times))
+        dim_q = n * (len(reps) - 1)
+        _check_h2_budget(k, r, dim_q)
+        # s_i maps f to (f(t_j s_i))_j, and t_j s_i = h t_j' puts the block h
+        # at (j, j') of its matrix on CoInd, in the coordinates (f(t_j))_j.
+        # Q is the complement f(t_0) = f(1) = 0, and f is reduced into it by
+        # subtracting the image (t_j f(1))_j of M.
+        acts = np.array(g.elements)
+        embed = acts[reps].reshape(-1, n)
+        q_gens = []
+        for i in range(r):
+            y = g.step[reps, i]
+            s = ff.zeros((len(reps), n, len(reps), n))
+            s[np.arange(len(reps)), :, coset[y], :] = acts[head[y]]
+            s = s.reshape(n * len(reps), n * len(reps))
+            q_gens.append((s[n:, n:] - embed[n:] @ s[:n, n:]) % p)
         q_elements = [ff.eye(dim_q)]
         for x, i in g.parent[1:]:
             q_elements.append(q_elements[x] @ q_gens[i] % p)
@@ -147,21 +199,142 @@ def _cocycles(p: int, elements, step, parent):
 
     The unknowns are u = (f(s_1), ..., f(s_r)); along the BFS tree f(y) = F[y] u
     with F[0] = 0 and F[y] = F[x] + x.E_i for parent[y] = (x, i), E_i picking
-    out f(s_i).  Edge (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0: zero on
-    tree edges, and the Schreier relators, which generate every relation of
-    G, on the others.  Z is a basis of the solutions u.
+    out f(s_i).  Edge (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0.  That is
+    zero on the k - 1 tree edges, so only the others enter the system: the
+    Schreier relators, which generate every relation of G.  Z is a basis of
+    the solutions u.
     """
     acts = np.asarray(elements)
     (k, r), n = step.shape, acts.shape[1]
     f = ff.zeros((k, n, r * n))
-    for y, (x, i) in enumerate(parent[1:], 1):
-        f[y] = f[x]
-        f[y, :, i * n : (i + 1) * n] = (f[x, :, i * n : (i + 1) * n] + acts[x]) % p
-    system = f[step]  # (k, r, n, r.n), then updated in place
-    system -= f[:, None]
+    blocks = f.reshape(k, n, r, n)  # blocks[y, :, i] is the block of f(s_i)
+    tree_x, tree_i = np.array(parent[1:], dtype=np.int64).reshape(k - 1, 2).T
+    # Parents are nondecreasing in y, so the next BFS layer is every y whose
+    # parent lies in this one; F is filled a layer at a time.
+    lo, hi = 1, 1 + np.searchsorted(tree_x, 1)
+    while lo < hi:
+        xs, gs = tree_x[lo - 1 : hi - 1], tree_i[lo - 1 : hi - 1]
+        ys = np.arange(lo, hi)
+        f[ys] = f[xs]
+        blocks[ys, :, gs] = (blocks[ys, :, gs] + acts[xs]) % p
+        lo, hi = hi, 1 + np.searchsorted(tree_x, hi)
+    relator = np.ones((k, r), dtype=bool)
+    relator[tree_x, tree_i] = False
+    xs, gs = relator.nonzero()
+    system = f[step[xs, gs]] - f[xs]  # (edges, n, r.n), then updated in place
     for i in range(r):
-        system[:, i, :, i * n : (i + 1) * n] -= acts
-    return ff.nullspace(system.reshape(k * r * n, r * n), p), f
+        system[gs == i, :, i * n : (i + 1) * n] -= acts[xs[gs == i]]
+    return ff.nullspace(system.reshape(len(xs) * n, r * n), p), f
+
+
+def _p_part(k: int, p: int) -> int:
+    """The largest power of p dividing k."""
+    part = 1
+    while k % (part * p) == 0:
+        part *= p
+    return part
+
+
+def _check_h2_budget(k: int, r: int, dim_q: int) -> None:
+    if k * r * dim_q * r * dim_q > _H2_CELL_BUDGET:
+        raise SelmerError("the shifted degree-2 system exceeds its cell budget")
+
+
+def _multiplier(g: FiniteGroupAction):
+    """times(a, b): the index of elements[a] @ elements[b], elementwise over
+    index arrays.  b's word along the BFS tree is applied to a through the
+    step table, so no matrix is multiplied."""
+    k, r = g.step.shape
+    words = [()]
+    for x, i in g.parent[1:]:
+        words.append(words[x] + (i,))
+    letters = np.full((k, max(map(len, words))), r)  # letter r multiplies by 1
+    for y, word in enumerate(words):
+        letters[y, : len(word)] = word
+    table = np.hstack([g.step, np.arange(k)[:, None]])
+
+    def times(a, b):
+        for column in letters.T:
+            a = table[a, column[b]]
+        return a
+
+    return times
+
+
+def _subgroup(times, gens, limit: int):
+    """Sorted indices of the subgroup generated by the indices gens, or None
+    once it has more than limit elements."""
+    members = {0}
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = set(times(frontier[:, None], np.asarray(gens)).ravel().tolist()) - members
+        members |= new
+        if len(members) > limit:
+            return None
+        frontier = np.fromiter(new, dtype=np.int64, count=len(new))
+    return np.array(sorted(members), dtype=np.int64)
+
+
+def _sylow_normaliser(g: FiniteGroupAction, times) -> FiniteGroupAction:
+    """N_G(P) for the P generated by the first x (in BFS order) of order p,
+    when p exactly divides |G|.  The Sylow subgroups then have order p and
+    share no element of order p, so P is normal, and g is returned, when
+    there are only p - 1 such elements.  Otherwise N is enumerated from a
+    greedy generating set of the y with x.y in y.P."""
+    p, k = g.p, g.order
+    every = np.arange(k)
+    power = np.zeros(k, dtype=np.int64)
+    for _ in range(p):
+        power = times(power, every)
+    of_order_p = np.flatnonzero(power[1:] == 0) + 1
+    if len(of_order_p) == p - 1:
+        return g
+    sylow = [int(of_order_p[0])]
+    while len(sylow) < p - 1:
+        sylow.append(int(times(sylow[-1], sylow[0])))
+    left = times(sylow[0], every)
+    normalising = np.flatnonzero(np.any([left == times(every, xj) for xj in sylow], axis=0))
+    gens, _ = _grow_subgroup(times, normalising, len(normalising))
+    return FiniteGroupAction(p, [g.elements[y] for y in gens])
+
+
+def _p_prime_subgroup(g: FiniteGroupAction, times) -> np.ndarray:
+    """Sorted indices of a subgroup H of G with p not dividing |H|, grown
+    greedily in BFS order up to the p'-part of |G|, the most |H| can be."""
+    k = g.order
+    return _grow_subgroup(times, range(1, k), k // _p_part(k, g.p), g.p)[1]
+
+
+def _grow_subgroup(times, candidates, limit: int, p: int | None = None):
+    """(gens, members): a generating set, greedy over candidates, and the
+    sorted indices of the subgroup it generates.  A candidate y outside the
+    subgroup joins when the subgroup with y has at most limit elements and,
+    when p is given, order prime to p; the search ends at limit elements."""
+    gens, members = [], np.zeros(1, dtype=np.int64)
+    for y in candidates:
+        if len(members) == limit:
+            break
+        if y in members:
+            continue
+        grown = _subgroup(times, gens + [int(y)], limit)
+        if grown is not None and (p is None or len(grown) % p):
+            gens, members = gens + [int(y)], grown
+    return gens, members
+
+
+def _right_cosets(g: FiniteGroupAction, times, members):
+    """(coset, head, reps) for the right cosets H t_j of the subgroup with the
+    given sorted indices: reps[j] is the first index of the j-th coset, so
+    reps[0] = 0, and y = head[y] . reps[coset[y]] with head[y] in H."""
+    every = np.arange(g.order)
+    left = np.array([times(h, every) for h in members])  # left[m, y] = h_m . y
+    first = left.min(axis=0)
+    reps = np.flatnonzero(first == every)
+    coset = np.searchsorted(reps, first)
+    head = np.empty(g.order, dtype=np.int64)
+    for h, row in zip(members, left):
+        head[row[reps]] = h
+    return coset, head, reps
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +359,8 @@ class SelmerSystem:
     exact: bool = True
 
     def __post_init__(self):
+        if not self.places:
+            raise SelmerError("a Selmer system needs at least one place")
         h, h_dual = self.dim_h, self.dim_h_dual
         for v in self.places:
             nv = self.local_dims[v]

@@ -290,6 +290,43 @@ def test_local_scenario_p_too_large_exit_2(tmp_path, capsys):
         capsys, path, "p is too large: n*p^2 must be below 2^63 at dimension n = 6")
 
 
+LOCAL = {"root_datum": {"gl": 2}, "p": 5, "torus_values": [2], "q": 3}
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    # Each used to end in a ValueError or TypeError traceback from int().
+    ("p", "x", "p must be an integer, got 'x'"),
+    ("q", [3], "q must be an integer, got [3]"),
+    ("twist", "one", "twist must be an integer, got 'one'"),
+    ("torus_values", ["x"], "torus_values entry must be an integer, got 'x'"),
+    ("torus_values", 2, "torus_values must be a list of integers, got 2"),
+])
+def test_local_scenario_non_integer_field_exit_2(tmp_path, capsys, field, value, expected):
+    path = write_scenario(tmp_path, "local", {**LOCAL, field: value})
+    assert_one_line_input_error(capsys, path, expected)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_selmer_scenario_no_places_exit_2(tmp_path, capsys, explicit):
+    # Used to end in a StopIteration traceback from SelmerSystem.dim_h.
+    payload = {"p": 5, "local_dims": {}}
+    payload.update({"res": {}, "res_dual": {}, "pairing": {}} if explicit
+                   else {"global_dim": 0})
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(capsys, path, "a Selmer system needs at least one place")
+
+
+@pytest.mark.parametrize("key", ["res", "res_dual", "pairing"])
+def test_selmer_scenario_ragged_rows_exit_2(tmp_path, capsys, key):
+    # Used to end in a numpy ValueError traceback ("inhomogeneous shape").
+    payload = {"p": 5, "local_dims": {"a": 2}, "res": {"a": [[1, 0], [0, 1]]},
+               "res_dual": {"a": [[0, 0], [0, 0]]}, "pairing": {"a": [[1, 0], [0, 1]]}}
+    payload[key] = {"a": [[1, 0], [1]]}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(
+        capsys, path, f"{key} at a must be a matrix of integers with rows of one length")
+
+
 def test_weights_scenario_p_too_large_exit_2(tmp_path, capsys):
     f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
     path = write_scenario(tmp_path, "weights", _weights_payload(2**61 - 1, f_w, f_w))

@@ -1,4 +1,6 @@
+import functools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from galdesk import selmer as sl
 # generator shortcut.  They read a Cayley table built here from the elements,
 # independent of the enumeration's step table.  kn_h1_oracle solves for f(x)
 # on every element x (k.n unknowns) and fixes the H^1 basis bytes.
+# coind_h2_oracle shifts by the whole coinduced module, with no Sylow
+# normaliser and no subgroup, and bfs_oracle enumerates with one matrix
+# product per (element, generator).
 # ---------------------------------------------------------------------------
 
 def cayley_table(g: sl.FiniteGroupAction) -> np.ndarray:
@@ -128,6 +133,46 @@ def kn_h1_oracle(p: int, elements, step):
     b1 = ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
     quotient = ff.QuotientSpace(z1, b1, p)
     return quotient.dim, quotient.reps
+
+
+def coind_h2_oracle(g: sl.FiniteGroupAction) -> int:
+    """dim H^2(G, M) = dim H^1(G, CoInd(M)/M) for CoInd(M) = Maps(G, M),
+    (s.f)(x) = f(x s), with no subgroup: the shift by a module of dimension
+    n(k - 1), its quotient taken by QuotientSpace."""
+    p, n, (k, r) = g.p, g.dim, g.step.shape
+    dim_q = n * (k - 1)
+    quotient = ff.QuotientSpace(ff.eye(k * n), np.vstack(g.elements), p)
+    # s_i acts on Maps(G, M) by the block permutation f -> (f(x s_i))_x,
+    # which moves the rows of block step[x, i] to block x.
+    rows = g.step[:, :, None] * n + np.arange(n)
+    q_gens = [quotient.coords_matrix(quotient.reps[rows[:, i].ravel()]) for i in range(r)]
+    q_elements = [ff.eye(dim_q)]
+    for x, i in g.parent[1:]:
+        q_elements.append(q_elements[x] @ q_gens[i] % p)
+    moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % p for q in q_gens])
+    return sl._cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p)
+
+
+def bfs_oracle(p: int, generators, order_bound: int = 100_000):
+    """(elements, index, step, parent) by one matrix product per (element,
+    generator), in the breadth-first order FiniteGroupAction promises."""
+    gens = [ff.normalize(g, p) for g in generators]
+    ident = ff.eye(len(gens[0]))
+    elements, index, step, parent = [ident], {ident.tobytes(): 0}, [], [None]
+    for x, m in enumerate(elements):
+        row = []
+        for i, g in enumerate(gens):
+            prod = ff.mat_mul(m, g, p)
+            key = prod.tobytes()
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(prod)
+                parent.append((x, i))
+                if len(elements) > order_bound:
+                    raise sl.SelmerError("enumeration overflow beyond the order bound")
+            row.append(index[key])
+        step.append(row)
+    return elements, index, np.array(step, dtype=np.int64), parent
 
 
 def cyclic_h_oracle(order: int, mat, p: int):
@@ -249,12 +294,22 @@ def test_sl2_adjoint_h1():
     g7 = sl2_adjoint_action(7)
     assert g7.order == 168
     assert sl.finite_cohomology(g7, 1)[0] == 0
+    # Its Sylow normaliser, the Borel subgroup of order 21, has the same H^1
+    # (the coinduced oracle does not reach H^2 at order 168).
+    n7 = sl._sylow_normaliser(g7, sl._multiplier(g7))
+    assert n7.order == 21 and sl.finite_cohomology(n7, 1)[0] == 0
 
 
 def test_enumeration_overflow_guard():
     big = np.array([[1, 1], [0, 1]], dtype=np.int64)
     with pytest.raises(sl.SelmerError):
         sl.FiniteGroupAction(13, [big, big.T], order_bound=20)
+    # The bound is the largest order allowed, in batches as one by one.
+    gens = sl2_adjoint_action(5).generators
+    assert sl.FiniteGroupAction(5, gens, order_bound=60).order == 60
+    for enumerate_group in (sl.FiniteGroupAction, bfs_oracle):
+        with pytest.raises(sl.SelmerError, match="order bound"):
+            enumerate_group(5, gens, order_bound=59)
 
 
 def diag_blocks(*blocks):
@@ -301,14 +356,96 @@ def test_h2_matches_bar_oracle(name):
     assert g.order <= 12
     dim, basis = sl.finite_cohomology(g, 2)
     assert basis is None
-    assert dim == bar_h2_oracle(g)[0]
+    assert dim == bar_h2_oracle(g)[0] == coind_h2_oracle(g)
 
 
 def test_h2_affine_group_of_f5():
     # [[a, b], [0, 1]] in the Borel subgroup of GL2(F_5), order 20, on F_5^2.
     g = sl.FiniteGroupAction(5, [np.array([[2, 0], [0, 1]]), np.array(J2)])
     assert g.order == 20
-    assert sl.finite_cohomology(g, 2)[0] == 1
+    assert sl.finite_cohomology(g, 2)[0] == 1 == coind_h2_oracle(g)
+
+
+def permutation_matrix(perm):
+    out = ff.zeros((len(perm), len(perm)))
+    out[perm, np.arange(len(perm))] = 1
+    return out
+
+
+# Groups where p exactly divides the order, beyond SMALL_GROUPS: the
+# Sylow normaliser is the Borel subgroup (order 20, normal Sylow), of order
+# 10 in the adjoint PSL2(F_5), P itself in A4 and S3 in S4 (permuting
+# coordinates of F_3^4).
+NORMALISER_GROUPS = {
+    "affine-20-mod-5": lambda: sl.FiniteGroupAction(5, [np.array([[2, 0], [0, 1]]),
+                                                        np.array(J2)]),
+    "adjoint-psl2-f5": lambda: sl2_adjoint_action(5),
+    "a4-mod-3": lambda: sl.FiniteGroupAction(3, [permutation_matrix([1, 2, 0, 3]),
+                                                 permutation_matrix([1, 0, 3, 2])]),
+    "s4-mod-3": lambda: sl.FiniteGroupAction(3, [permutation_matrix([1, 2, 3, 0]),
+                                                 permutation_matrix([1, 0, 2, 3])]),
+    **{name: partial(small_group, name) for name, (p, _) in SMALL_GROUPS.items()
+       if sl._p_part(small_group(name).order, p) == p},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def normaliser_case(name):
+    """(G, N_G(P), dim H^2(G) by the coinduced oracle)."""
+    g = NORMALISER_GROUPS[name]()
+    return g, sl._sylow_normaliser(g, sl._multiplier(g)), coind_h2_oracle(g)
+
+
+def elements_of_order_p(elements, p):
+    def power(m):
+        out = ff.eye(len(m))
+        for _ in range(p):
+            out = ff.mat_mul(out, m, p)
+        return out
+    one = ff.eye(len(elements[0])).tobytes()
+    return [m for m in elements if m.tobytes() != one and power(m).tobytes() == one]
+
+
+@pytest.mark.parametrize("name", ["affine-20-mod-5", "adjoint-psl2-f5", "a4-mod-3",
+                                  "s4-mod-3"])
+def test_h2_matches_coinduced_oracle(name):
+    g, _, want = normaliser_case(name)
+    assert sl.finite_cohomology(g, 2) == (want, None)
+
+
+@pytest.mark.parametrize("name", sorted(NORMALISER_GROUPS))
+def test_sylow_normaliser(name):
+    # N is a subgroup of G with a normal subgroup P of order p (the only p - 1
+    # elements of order p in N), and |N| = |N_G(P)| by conjugating matrices,
+    # so N = N_G(P).  Its H^1 and H^2 are those of G.
+    g, n, h2 = normaliser_case(name)
+    p = g.p
+    assert sl._p_part(g.order, p) == p
+    assert all(m.tobytes() in g.index for m in n.elements)
+    sylow = elements_of_order_p(n.elements, p)
+    assert len(sylow) == p - 1
+    keys = {m.tobytes() for m in sylow}
+    x = sylow[0]
+    assert n.order == sum(ff.mat_mul(ff.mat_mul(m, x, p), ff.inv(m, p), p).tobytes() in keys
+                          for m in g.elements)
+    assert (n is g) == (n.order == g.order)
+    assert sl.finite_cohomology(n, 1)[0] == sl.finite_cohomology(g, 1)[0]
+    assert coind_h2_oracle(n) == h2
+
+
+ENUMERATED = {**{name: partial(small_group, name) for name in SMALL_GROUPS},
+              **{f"adjoint-psl2-f{p}": partial(sl2_adjoint_action, p) for p in (5, 7, 11)}}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_enumeration_matches_per_element_oracle(name):
+    g = ENUMERATED[name]()
+    elements, index, step, parent = bfs_oracle(g.p, g.generators)
+    assert [m.tobytes() for m in g.elements] == [m.tobytes() for m in elements]
+    assert all(m.dtype == np.int64 and m.shape == (g.dim, g.dim) for m in g.elements)
+    assert g.index == index
+    assert g.step.dtype == step.dtype and np.array_equal(g.step, step)
+    assert g.parent == parent
 
 
 @pytest.mark.parametrize("g", [sl2_adjoint_action(5), small_group("borel-12-mod-3")])
@@ -334,26 +471,53 @@ def test_h1_basis_matches_kn_oracle(g):
     assert np.array_equal(basis, want_basis)
 
 
+def sylow_bound(g):
+    """(H^0, H^1, H^2) of the Sylow p-subgroup P generated by the image of
+    [[1, 1], [0, 1]], cyclic of order p, where H^1 = ker N / (u - 1)M and
+    H^2 = M^P / N M.  Restriction to P is injective on H^n (its index is
+    prime to p), so dim H^n(G, ad) <= dim H^n(P, ad)."""
+    u = g.generators[0]
+    assert sl.FiniteGroupAction(g.p, [u]).order == g.p
+    return cyclic_h_oracle(g.p, u, g.p)
+
+
 def test_adjoint_psl2_f5_within_sylow_bound():
-    # Restriction to a Sylow p-subgroup P is injective on H^n (its index is
-    # prime to p), so dim H^n(G, ad) <= dim H^n(P, ad).  The image of
-    # [[1, 1], [0, 1]] generates P, cyclic of order 5, where
-    # H^1 = ker N / (u - 1)M and H^2 = M^P / N M.
     g = sl2_adjoint_action(5)
     assert g.order == 60 and g.order % 25
-    u = g.generators[0]
-    assert sl.FiniteGroupAction(5, [u]).order == 5
-    _, sylow_h1, sylow_h2 = cyclic_h_oracle(5, u, 5)
+    _, sylow_h1, sylow_h2 = sylow_bound(g)
     assert sylow_h1 == sylow_h2 == 1
     h1, h2 = sl.finite_cohomology(g, 1)[0], sl.finite_cohomology(g, 2)[0]
     assert (h1, h2) == (1, 1)
     assert h1 <= sylow_h1 and h2 <= sylow_h2
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_adjoint_psl2_h2_within_sylow_bound(p):
+    g = sl2_adjoint_action(p)
+    assert g.order == p * (p * p - 1) // 2 and g.order % (p * p)
+    _, _, sylow_h2 = sylow_bound(g)
+    h2, basis = sl.finite_cohomology(g, 2)
+    assert basis is None
+    assert h2 == 1 <= sylow_h2
+
+
+def psl2_f5_squared():
+    """Two adjoint PSL2(F_5) actions side by side on F_5^6: order 3600."""
+    a, b = sl2_adjoint_action(5).generators
+    one = ff.eye(3)
+    return sl.FiniteGroupAction(5, [diag_blocks(a, one), diag_blocks(b, one),
+                                    diag_blocks(one, a), diag_blocks(one, b)])
+
+
 def test_h2_over_budget_refused_before_elimination(monkeypatch):
-    g = sl2_adjoint_action(7)
-    assert g.order == 168
+    # 25 divides the order, so the group is kept and any subgroup H with 5
+    # not dividing |H| has index at least 25: the shifted module has
+    # dimension at least 6 * 24, and the system at least 3600 * 4 * 144 rows
+    # by 4 * 144 columns, over the budget before H is looked for.
+    g = psl2_f5_squared()
+    assert g.order == 3600
     monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
+    monkeypatch.setattr(sl, "_p_prime_subgroup", lambda *args: pytest.fail("searched"))
     with pytest.raises(sl.SelmerError, match="budget"):
         sl.finite_cohomology(g, 2)
 
@@ -364,6 +528,16 @@ def test_coprime_order_has_no_higher_cohomology():
     assert g.order == 100
     assert sl.finite_cohomology(g, 1)[0] == 0
     assert sl.finite_cohomology(g, 2)[0] == 0
+
+
+@pytest.mark.parametrize("make", [partial(small_group, "s3-mod-7"),
+                                  partial(small_group, "dihedral-6-mod-7"),
+                                  lambda: sl.FiniteGroupAction(101, [np.array([[2]])])])
+def test_coprime_h2_is_zero_without_elimination(monkeypatch, make):
+    g = make()
+    assert g.order % g.p
+    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
+    assert sl.finite_cohomology(g, 2) == (0, None)
 
 
 # ---------------------------------------------------------------------------
