@@ -634,10 +634,11 @@ def _signature_from_payload(payload):
     if kind == "rational":
         return num.rational_signature()
     if kind == "totally_real":
-        return num.totally_real_signature(int(payload["degree"]),
+        return num.totally_real_signature(_integer(payload["degree"], "signature degree"),
                                           payload.get("local_degrees"))
     if kind == "cm":
-        return num.cm_signature(int(payload["degree"]), payload.get("pair_degrees"))
+        return num.cm_signature(_integer(payload["degree"], "signature degree"),
+                                payload.get("pair_degrees"))
     raise ScenarioError(f"unknown signature kind {kind!r}")
 
 
@@ -646,10 +647,14 @@ def _run_numerology(payload):
         rd = parse_root_datum(payload["root_datum"])
         sig = _signature_from_payload(payload["signature"])
         mode = payload.get("mode", num.ORDINARY)
-        finite = tuple(num.FinitePlace(int(a), int(b))
-                       for a, b in payload.get("finite_places", []))
+        places = payload.get("finite_places", [])
+        if not (isinstance(places, list) and all(isinstance(e, list) and len(e) == 2
+                                                 for e in places)):
+            raise ScenarioError(f"finite_places must be a list of pairs, got {places!r}")
+        finite = tuple(num.FinitePlace(*(_integer(x, "finite_places entry") for x in e))
+                       for e in places)
         scen = num.ordinary_scenario(rd, sig, mode=mode, finite_places=finite,
-                                     h0_at_p=int(payload.get("h0_at_p", 0)))
+                                     h0_at_p=_integer(payload.get("h0_at_p", 0), "h0_at_p"))
     except (KeyError, num.NumerologyError) as exc:
         raise ScenarioError(str(exc)) from exc
     rep = num.wiles_difference(scen)
@@ -670,9 +675,12 @@ def _run_numerology(payload):
 
 def _largest_dim(payload) -> int:
     """The largest local or global dimension a selmer payload declares."""
+    local_dims = payload.get("local_dims", {})
+    if not isinstance(local_dims, dict):
+        raise ScenarioError(f"local_dims must map places to integers, got {local_dims!r}")
+    dims = [_integer(d, f"local_dims at {v}") for v, d in local_dims.items()]
+    dims.append(_integer(payload.get("global_dim", 0), "global_dim"))
     try:
-        dims = [int(d) for d in payload.get("local_dims", {}).values()]
-        dims.append(int(payload.get("global_dim", 0)))
         for key in ("res", "res_dual"):
             dims += [len(rows[0]) for rows in payload.get(key, {}).values() if rows]
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
@@ -740,7 +748,9 @@ def _run_weights(payload):
         ]
         fam = pw.DichotomyFamily(p, int(payload["d"]), int(payload["f"]),
                                  tuple(int(i) for i in payload["minus_w0"]), entries)
-    except (KeyError, pa.PrecisionError, pw.SeriesError, pw.WeightsError) as exc:
+    except KeyError as exc:
+        raise ScenarioError(f"weights payload misses the field {exc}") from exc
+    except (pa.PrecisionError, pw.SeriesError, pw.WeightsError) as exc:
         raise ScenarioError(str(exc)) from exc
     verdict = pw.passage_dichotomy(fam)
     if isinstance(verdict, pw.ParallelWeights):

@@ -24,7 +24,10 @@ nothing is ever searched for.
 
 A local condition L_v enters only through equations whose kernel it is, so
 Sel_L and Sel*_{L-perp} are each one nullspace, and exactness and the
-inflation decomposition are rank counts; no quotient space is built.
+inflation decomposition are rank counts; no quotient space is built.  The
+steps test membership in a kernel whose equations they already hold (Sel_L,
+Sel*, an annihilator, the weight subspace U) by one product, not by an
+elimination, and each builder validates the one system it returns.
 """
 
 from __future__ import annotations
@@ -374,7 +377,7 @@ class SelmerSystem:
                 raise SelmerError(f"pairing at {v} is degenerate")
         if not self.reciprocity_holds():
             raise SelmerError("reciprocity fails: sum of local pairings is nonzero")
-        if self.exact and not self.exactness_holds():
+        if self.exact and not self._ranks_complementary():
             raise SelmerError("system flagged exact but images are not annihilators")
 
     @property
@@ -413,9 +416,11 @@ class SelmerSystem:
         """Is the image of H the annihilator of the image of H'?  Reciprocity
         puts it inside, and perfect pairings give the annihilator dimension
         sum dim V_v - rank res', so equality is a rank count."""
+        return self.reciprocity_holds() and self._ranks_complementary()
+
+    def _ranks_complementary(self) -> bool:
         total = sum(self.local_dims[v] for v in self.places)
-        return self.reciprocity_holds() and \
-            ff.rank(self.stacked_res(), self.p) + ff.rank(self.stacked_res_dual(), self.p) == total
+        return ff.rank(self.stacked_res(), self.p) + ff.rank(self.stacked_res_dual(), self.p) == total
 
 
 @dataclass(eq=False)
@@ -479,6 +484,11 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
     return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h_dual)), *rows]) % p, p)
 
 
+def _vanishes(rows, x, p: int) -> bool:
+    """Is x, or every column of x, in the kernel of rows?"""
+    return not (rows @ x % p).any()
+
+
 def surjectivity_check(system: SelmerSystem, target_places) -> bool:
     mat = system.stacked_res(tuple(target_places))
     return ff.rank(mat, system.p) == sum(system.local_dims[v] for v in target_places)
@@ -527,19 +537,19 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     psi = ff.normalize(psi, p)
     sel_before = selmer(system, conditions)
     dual_before = dual_selmer(system, conditions)
-    if not ff.span_contains(sel_before, psi, p):
+    # Sel_L and Sel* are the kernels of the E_v and L_v^T P_v used just above.
+    if not all(_vanishes(conditions.equations(v), system.res[v] @ psi % p, p)
+               for v in system.places):
         raise SelmerError("psi is not a Selmer class")
-    if not ff.span_contains(dual_before, phi, p):
+    if not all(_vanishes(conditions.l_spaces[v].T @ system.pairing[v] % p,
+                         system.res_dual[v] @ phi % p, p) for v in system.places):
         raise SelmerError("phi is not a dual-Selmer class")
-    ram_perp = ff.annihilator(ram.ram, system.pairing[w], p)
-    phi_at_w = (system.res_dual[w] @ phi) % p
-    if ff.span_contains(ram_perp, phi_at_w, p):
+    if _into_ram_annihilator(system, w, ram, phi):
         raise SelmerError("phi restricts into the ramified annihilator at w")
-    psi_at_w = (system.res[w] @ psi) % p
-    meet = ff.intersect_spans(ram.unr, ram.ram, p)
-    if ff.span_contains(meet, psi_at_w, p):
+    if _into_unr_meet_ram(system, w, ram, psi):
         raise SelmerError("psi restricts into the unramified/ramified intersection at w")
-    new_conditions = conditions.replaced(w, ff.sum_spans(ram.unr, ram.ram, p))
+    # `replaced` reduces [unr | ram] to its column space, unr + ram.
+    new_conditions = conditions.replaced(w, np.hstack([ram.unr, ram.ram]))
     sel_after = selmer(system, new_conditions)
     dual_after = dual_selmer(system, new_conditions)
     report = StepReport(sel_before.shape[1], sel_after.shape[1],
@@ -549,6 +559,19 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     if report.selmer_after != report.selmer_before:
         raise SelmerError("Selmer dimension moved; system is not exact enough")
     return new_conditions, report
+
+
+def _into_ram_annihilator(system, w, ram: RamakrishnaData, phi) -> bool:
+    """Does the dual class phi restrict at w into ram's annihilator, the
+    kernel of ram^T P_w?"""
+    p = system.p
+    return _vanishes(ram.ram.T @ system.pairing[w] % p, system.res_dual[w] @ phi % p, p)
+
+
+def _into_unr_meet_ram(system, w, ram: RamakrishnaData, psi) -> bool:
+    """Does the class psi restrict at w into unr meet ram?"""
+    at_w = system.res[w] @ psi % system.p
+    return all(ff.span_contains(line, at_w, system.p) for line in (ram.unr, ram.ram))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +640,12 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     """
     p = system.p
     beta = ff.normalize(beta, p)
-    u_basis = ff.column_space(ff.normalize(u_subspace, p), p)
+    u_subspace = ff.normalize(u_subspace, p)
     d_weights = beta.shape[0]
-    if u_basis.shape[0] != d_weights or u_basis.shape[1] >= d_weights:
+    # U is the kernel of these equations, so membership in U is one product,
+    # and U is proper exactly when there is at least one.
+    u_equations = ff.nullspace(u_subspace.T, p).T
+    if u_subspace.shape[0] != d_weights or not len(u_equations):
         raise SelmerError("U must be a proper subspace of the weight space")
     if not ff.span_contains(conditions.l_spaces[y], ram.unr, p) or \
             not ff.span_contains(ram.unr, conditions.l_spaces[y], p):
@@ -629,20 +655,19 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     sel_old = selmer(system, conditions)
     if dual_selmer(system, conditions).shape[1] != 0:
         raise SelmerError("old dual Selmer must vanish before avoidance")
-    beta_sel = (beta @ sel_old) % p
-    if not ff.span_contains(u_basis, beta_sel, p):
+    if not _vanishes(u_equations, beta @ sel_old % p, p):
         raise SelmerError("beta(old Selmer) is not inside U: nothing to avoid")
     # ker Phi: conditions away from y, no condition at y.
     relaxed = conditions.replaced(y, ff.eye(system.local_dims[y]))
     ker_phi = selmer(system, relaxed)
     if ker_phi.shape[1] != sel_old.shape[1] + 1:
         raise SelmerError("enlargement dimension count is not one")
-    if ff.rank((beta @ ker_phi) % p, p) != ff.rank(beta, p):
+    if ff.rank((beta @ ker_phi) % p, p) != d_weights:  # the rank of beta, checked above
         raise SelmerError("beta does not factor through the conditioned classes")
     # Deterministic psi': first kernel basis vector extending the old Selmer.
     ext = ff.extend_basis(sel_old, ker_phi, p)
     psi_prime = ext[:, 0]
-    if ff.span_contains(u_basis, (beta @ psi_prime) % p, p):
+    if _vanishes(u_equations, beta @ psi_prime % p, p):
         raise SelmerError("enlargement does not escape U")
     new_conditions = conditions.replaced(y, ram.ram)
     sel_new = selmer(system, new_conditions)
@@ -657,7 +682,7 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
         raise SelmerError("no new Selmer class has a psi'-component")
     psi_tilde = sel_new[:, hits[0]]
     beta_val = (beta @ psi_tilde) % p
-    if ff.span_contains(u_basis, beta_val, p):
+    if _vanishes(u_equations, beta_val, p):
         raise SelmerError("avoidance failed: beta(psi_tilde) landed in U")
     return new_conditions, AvoidanceReport(
         sel_old.shape[1], sel_new.shape[1], psi_prime, psi_tilde, beta_val
@@ -677,21 +702,21 @@ def build_exact_system(rng: random.Random, p: int, local_dims: dict,
     if not 0 <= global_dim <= total:
         raise SelmerError("global dimension out of range")
     image = ff.random_subspace(rng, total, global_dim, p)
-    return _exact_system(p, tuple(sorted(local_dims)), local_dims, image)
+    places = tuple(sorted(local_dims))
+    return SelmerSystem(p, places, dict(local_dims), *_exact_blocks(p, places, local_dims, image))
 
 
-def _exact_system(p: int, places: tuple, local_dims: dict, image) -> SelmerSystem:
-    """Exact system with identity pairings: H maps onto the span of `image`
-    in the local sum, whose rows run over `places` in order, and H' onto its
-    annihilator."""
+def _exact_blocks(p: int, places: tuple, local_dims: dict, image):
+    """(res, res', pairing) of the exact system with identity pairings in
+    which H maps onto the span of `image` in the local sum, whose rows run
+    over `places` in order, and H' onto its annihilator."""
     image_dual = ff.annihilator(image, ff.eye(len(image)), p)
     res, res_dual, pos = {}, {}, 0
     for v in places:
         s = local_dims[v]
         res[v], res_dual[v] = image[pos : pos + s], image_dual[pos : pos + s]
         pos += s
-    return SelmerSystem(p, places, dict(local_dims), res, res_dual,
-                        {v: ff.eye(local_dims[v]) for v in places})
+    return res, res_dual, {v: ff.eye(local_dims[v]) for v in places}
 
 
 def random_conditions(rng: random.Random, system: SelmerSystem) -> ConditionAssignment:
@@ -701,33 +726,31 @@ def random_conditions(rng: random.Random, system: SelmerSystem) -> ConditionAssi
     return ConditionAssignment(system, l)
 
 
-def _dress(rng: random.Random, system: SelmerSystem, marked: dict):
-    """Seeded change of basis on local blocks and global spaces.
+def _dress(rng: random.Random, p: int, places: tuple, local_dims: dict, blocks, marked: dict):
+    """Seeded change of basis on the local blocks and global spaces of the
+    system with the (res, res', pairing) `blocks` of `_exact_blocks`.
 
     `marked` maps a place to a dict of named column matrices living in that
     local space; they are transported along.  Returns the dressed system, the
     transported marks, and the global change g_h (new coordinates x relate to
-    canonical ones by x_old = g_h x_new).
+    canonical ones by x_old = g_h x_new).  The changes (g_v, g_v^-T) and
+    (g_h, g_h') keep the identity pairings, reciprocity, exactness and every
+    rank, so only the dressed system is built and validated.
     """
-    p = system.p
-    res, res_dual, pairings = {}, {}, {}
+    res, res_dual = {}, {}
     new_marked = {v: {} for v in marked}
-    for v in system.places:
-        s = system.local_dims[v]
-        g = ff.random_invertible(rng, s, p)
+    for v in places:
+        g = ff.random_invertible(rng, local_dims[v], p)
         g_dual = ff.inv(g.T, p)
-        res[v] = (g @ system.res[v]) % p
-        res_dual[v] = (g_dual @ system.res_dual[v]) % p
-        pairings[v] = system.pairing[v]  # identity pairing survives (g, g^-T)
+        res[v] = (g @ blocks[0][v]) % p
+        res_dual[v] = (g_dual @ blocks[1][v]) % p
         for name, mat in marked.get(v, {}).items():
             new_marked[v][name] = (g @ mat) % p
-    gh = ff.random_invertible(rng, system.dim_h, p)
-    gh_dual = ff.random_invertible(rng, system.dim_h_dual, p)
+    gh = ff.random_invertible(rng, res[places[0]].shape[1], p)
+    gh_dual = ff.random_invertible(rng, res_dual[places[0]].shape[1], p)
     res = {v: (m @ gh) % p for v, m in res.items()}
     res_dual = {v: (m @ gh_dual) % p for v, m in res_dual.items()}
-    dressed = SelmerSystem(p, system.places, dict(system.local_dims),
-                           res, res_dual, pairings)
-    return dressed, new_marked, gh
+    return SelmerSystem(p, places, dict(local_dims), res, res_dual, blocks[2]), new_marked, gh
 
 
 @dataclass(eq=False)
@@ -763,13 +786,13 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     psi_vec = e[:, s0 - 1] + e[:, n0 : n0 + 2 * k : 2].sum(axis=1)
     ghosts = e[:, s0:n0] + e[:, n0 + 1 : n0 + 2 * k : 2]
     image = np.column_stack([e[:, : s0 - 1], psi_vec % p, ghosts % p])
-    system = _exact_system(p, places, local_dims, image)
+    blocks = _exact_blocks(p, places, local_dims, image)
     l0 = ff.zeros((n0, s0))
     l0[:s0, :] = ff.eye(s0)
     unr = ff.zeros((2, 1)); unr[0, 0] = 1
     ram = ff.zeros((2, 1)); ram[1, 0] = 1
     marked = {"v0": {"L": l0}, **{w: {"unr": unr, "ram": ram} for w in specials}}
-    system, marked, _ = _dress(rng, system, marked)
+    system, marked, _ = _dress(rng, p, places, local_dims, blocks, marked)
     conditions = ConditionAssignment(system, {
         "v0": ff.column_space(marked["v0"]["L"], p),
         **{w: marked[w]["unr"] for w in specials},
@@ -777,27 +800,19 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     ram_data = {w: RamakrishnaData(marked[w]["unr"], marked[w]["ram"]) for w in specials}
     sel = selmer(system, conditions)
     dual = dual_selmer(system, conditions)
-    phi = _class_avoiding(system, dual, specials[0], ram_data[specials[0]], p, dual_side=True)
-    psi = _class_avoiding(system, sel, specials[0], ram_data[specials[0]], p, dual_side=False)
+    phi = _class_avoiding(system, dual, specials[0], ram_data[specials[0]], dual_side=True)
+    psi = _class_avoiding(system, sel, specials[0], ram_data[specials[0]], dual_side=False)
     if phi is None or psi is None:
         raise SelmerError("scenario construction failed to expose phi or psi")
     return AnnihilationScenario(system, conditions, specials, ram_data, phi, psi)
 
 
-def _class_avoiding(system, basis, w, ram: RamakrishnaData, p, dual_side: bool):
+def _class_avoiding(system, basis, w, ram: RamakrishnaData, dual_side: bool):
     """First basis class whose restriction at w avoids the step's forbidden
     subspace: the ramified annihilator (dual side) or unr meet ram (Selmer side)."""
-    if dual_side:
-        forbidden = ff.annihilator(ram.ram, system.pairing[w], p)
-        restrict = system.res_dual[w]
-    else:
-        forbidden = ff.intersect_spans(ram.unr, ram.ram, p)
-        restrict = system.res[w]
-    for j in range(basis.shape[1]):
-        loc = (restrict @ basis[:, j]) % p
-        if not ff.span_contains(forbidden, loc, p):
-            return basis[:, j]
-    return None
+    into = _into_ram_annihilator if dual_side else _into_unr_meet_ram
+    return next((basis[:, j] for j in range(basis.shape[1])
+                 if not into(system, w, ram, basis[:, j])), None)
 
 
 @dataclass(eq=False)
@@ -837,7 +852,7 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
         (e[:, selmer_dim - 1] + e[:, n0]) % p,  # through the unramified line
         (e[:, selmer_dim:n0] + e[:, n0 + 1 : n0 + 1 + carriers]) % p,  # ramified side
     ])
-    system = _exact_system(p, places, local_dims, image)
+    blocks = _exact_blocks(p, places, local_dims, image)
     unr = ff.zeros((ny, 1)); unr[0, 0] = 1
     ram = ff.zeros((ny, 1)); ram[1, 0] = 1
     marked = {"y": {"unr": unr, "ram": ram}}
@@ -848,7 +863,7 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
     beta = ff.zeros((d_weights, image.shape[1]))
     beta[:, :selmer_dim] = u_basis[:, np.arange(selmer_dim) % u_basis.shape[1]]
     beta[:, selmer_dim:] = w[:, [d_weights - 1]]
-    system, marked, gh = _dress(rng, system, marked)
+    system, marked, gh = _dress(rng, p, places, local_dims, blocks, marked)
     beta = (beta @ gh) % p
     conditions = ConditionAssignment(system, {
         "v0": ff.eye(n0),  # the v0 bundle carries no constraint

@@ -340,6 +340,49 @@ def test_numerology_unknown_mode_exit_2(tmp_path, capsys):
     assert_one_line_input_error(capsys, path, "unknown mode 'bogus'")
 
 
+NUMEROLOGY = {"root_datum": {"gl": 2}, "signature": {"kind": "rational"}}
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    # Each used to end in a ValueError or TypeError traceback.
+    ("signature", {"kind": "cm", "degree": "x"}, "signature degree must be an integer, got 'x'"),
+    ("signature", {"kind": "totally_real", "degree": [2]},
+     "signature degree must be an integer, got [2]"),
+    ("finite_places", [["a", 1]], "finite_places entry must be an integer, got 'a'"),
+    ("finite_places", [[1]], "finite_places must be a list of pairs, got [[1]]"),
+    ("finite_places", 5, "finite_places must be a list of pairs, got 5"),
+    ("h0_at_p", "z", "h0_at_p must be an integer, got 'z'"),
+])
+def test_numerology_non_integer_field_exit_2(tmp_path, capsys, field, value, expected):
+    path = write_scenario(tmp_path, "numerology", {**NUMEROLOGY, field: value})
+    assert_one_line_input_error(capsys, path, expected)
+
+
+def test_numerology_integer_fields_still_read(tmp_path, capsys):
+    payload = {**NUMEROLOGY, "finite_places": [[1, 1]], "h0_at_p": "0"}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, "numerology", payload))
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+def test_weights_scenario_missing_entries_exit_2(tmp_path, capsys):
+    # Used to say only 'entries'.
+    path = write_scenario(tmp_path, "weights", {"p": 5, "d": 1, "f": 1, "minus_w0": [0]})
+    assert_one_line_input_error(capsys, path, "weights payload misses the field 'entries'")
+
+
+@pytest.mark.parametrize("changes,expected", [
+    # Used to say "malformed dimensions: 'str' object has no attribute 'values'".
+    ({"local_dims": "x"}, "local_dims must map places to integers, got 'x'"),
+    ({"local_dims": ["a"]}, "local_dims must map places to integers, got ['a']"),
+    ({"local_dims": {"a": "x"}}, "local_dims at a must be an integer, got 'x'"),
+    ({"global_dim": "q"}, "global_dim must be an integer, got 'q'"),
+])
+def test_selmer_scenario_bad_dimensions_exit_2(tmp_path, capsys, changes, expected):
+    payload = {"p": 5, "local_dims": {"a": 2, "b": 1}, "global_dim": 1, **changes}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(capsys, path, expected)
+
+
 def test_rootdatum_gl1_exit_2(tmp_path, capsys):
     path = write_scenario(tmp_path, "rootdatum", {"gl": 1})
     assert_one_line_input_error(capsys, path, "gl_datum requires n >= 2")

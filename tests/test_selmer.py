@@ -842,9 +842,9 @@ def test_annihilation_iteration_terminates():
         if dual == 0:
             break
         d = sl.dual_selmer(sc.system, conds)
-        phi = sl._class_avoiding(sc.system, d, w, sc.ram[w], sc.system.p, dual_side=True)
+        phi = sl._class_avoiding(sc.system, d, w, sc.ram[w], dual_side=True)
         s = sl.selmer(sc.system, conds)
-        psi = sl._class_avoiding(sc.system, s, w, sc.ram[w], sc.system.p, dual_side=False)
+        psi = sl._class_avoiding(sc.system, s, w, sc.ram[w], dual_side=False)
         conds, report = sl.annihilation_step(sc.system, conds, w, sc.ram[w], phi, psi)
         dual = report.dual_after
         steps += 1
@@ -852,13 +852,25 @@ def test_annihilation_iteration_terminates():
     assert steps <= initial
 
 
+def first_unit_outside(basis, p):
+    """The first unit vector outside span(basis)."""
+    return next(e for e in ff.eye(basis.shape[0]).T if not ff.span_contains(basis, e, p))
+
+
 def test_annihilation_hypothesis_violations():
     sc = sl.build_annihilation_scenario(seed=3)
-    w = sc.special[0]
+    w, p = sc.special[0], sc.system.p
+    # psi and phi outside Sel and Sel*.
+    outside = first_unit_outside(sl.selmer(sc.system, sc.conditions), p)
+    with pytest.raises(sl.SelmerError, match="psi is not a Selmer class"):
+        sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w], sc.phi, outside)
+    outside = first_unit_outside(sl.dual_selmer(sc.system, sc.conditions), p)
+    with pytest.raises(sl.SelmerError, match="phi is not a dual-Selmer class"):
+        sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w], outside, sc.psi)
     # phi restricting into the ramified annihilator: swap ram for unr so the
     # annihilator contains phi's restriction.
     bad_ram = sl.RamakrishnaData(sc.ram[w].unr, sc.ram[w].unr)
-    with pytest.raises(sl.SelmerError):
+    with pytest.raises(sl.SelmerError, match="ramified annihilator at w"):
         sl.annihilation_step(sc.system, sc.conditions, w, bad_ram, sc.phi, sc.psi)
     # psi in the meet: use a Selmer class vanishing at w, found by tightening
     # the condition at w to zero.
@@ -866,12 +878,12 @@ def test_annihilation_hypothesis_violations():
     sub = sl.selmer(sc.system, squeezed)
     assert sub.shape[1] >= 1
     vanishing = sub[:, 0]
-    with pytest.raises(sl.SelmerError):
+    with pytest.raises(sl.SelmerError, match="unramified/ramified intersection"):
         sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w], sc.phi, vanishing)
     # Conditions must be fresh at w.
     new_conds, _ = sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w],
                                         sc.phi, sc.psi)
-    with pytest.raises(sl.SelmerError):
+    with pytest.raises(sl.SelmerError, match="fresh unramified condition at w"):
         sl.annihilation_step(sc.system, new_conds, w, sc.ram[w], sc.phi, sc.psi)
 
 
@@ -928,9 +940,40 @@ def test_avoidance_u_zero():
     # returns a witness with beta value outside 0.
     sc = sl.build_avoidance_scenario(seed=1)
     u0 = ff.zeros((sc.beta.shape[0], 0))
-    with pytest.raises(sl.SelmerError):
+    with pytest.raises(sl.SelmerError, match="not inside U: nothing to avoid"):
         # beta(Selmer) is not inside U = 0, so there is nothing to avoid.
         sl.avoidance_step(sc.system, sc.conditions, sc.beta, u0, sc.y, sc.ram)
+
+
+def test_avoidance_hypothesis_violations(monkeypatch):
+    sc = sl.build_avoidance_scenario(seed=3, d_weights=3)
+    p, d = sc.system.p, sc.beta.shape[0]
+
+    def step(**changes):
+        args = dict(system=sc.system, conditions=sc.conditions, beta=sc.beta,
+                    u_subspace=sc.u_subspace, y=sc.y, ram=sc.ram)
+        return sl.avoidance_step(**{**args, **changes})
+
+    with pytest.raises(sl.SelmerError, match="U must be a proper subspace"):
+        step(u_subspace=ff.eye(d))
+    with pytest.raises(sl.SelmerError, match="fresh unramified condition at y"):
+        step(conditions=sc.conditions.replaced(sc.y, sc.ram.ram))
+    flat = sc.beta.copy()
+    flat[-1] = flat[0]
+    with pytest.raises(sl.SelmerError, match="beta is not surjective"):
+        step(beta=flat)
+    # No condition at v0 leaves the dual Selmer group nonzero.
+    tight = sc.conditions.replaced("v0", ff.zeros((sc.system.local_dims["v0"], 0)))
+    assert sl.dual_selmer(sc.system, tight).shape[1]
+    with pytest.raises(sl.SelmerError, match="old dual Selmer must vanish"):
+        step(conditions=tight)
+    # ker Phi is the old Selmer group plus psi', so a beta of full rank on it
+    # maps psi' outside U and the escape check cannot fail on its own.  With
+    # every rank reported full, a beta into one line of U reaches it.
+    into_u = np.outer(sc.u_subspace[:, 0], np.ones(sc.system.dim_h, dtype=np.int64)) % p
+    monkeypatch.setattr(ff, "rank", lambda a, p: len(a))
+    with pytest.raises(sl.SelmerError, match="enlargement does not escape U"):
+        step(beta=into_u)
 
 
 def test_avoidance_with_zero_u_subspace():
@@ -999,3 +1042,156 @@ def test_avoidance_dimension_count_control():
     with pytest.raises(sl.SelmerError, match="dimension count"):
         sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace,
                           sc.y, sc.ram)
+
+
+# ---------------------------------------------------------------------------
+# Membership by products: the steps test Sel_L, Sel*, the ramified
+# annihilator and U against equations they hold.  The oracles below test
+# them with ff.span_contains against the bases the steps used to build:
+# selmer, dual_selmer, ff.annihilator, ff.intersect_spans and the column
+# space of U.
+# ---------------------------------------------------------------------------
+
+STEP_PRIMES = (5, 7, 11, 13)
+ANNIHILATION_HYPOTHESES = ("psi is not a Selmer class", "phi is not a dual-Selmer class",
+                           "ramified annihilator at w", "unramified/ramified intersection")
+
+
+def inside_or_not(rng, basis, p):
+    """A random vector of span(basis), or a random vector of the ambient space."""
+    if rng.random() < 0.5:
+        return basis @ any_matrix(rng, basis.shape[1], 1, p)[:, 0] % p
+    return any_matrix(rng, basis.shape[0], 1, p)[:, 0]
+
+
+def annihilation_oracle(system, conditions, w, ram, phi, psi):
+    """The first hypothesis the step must refuse, by the bases it used to build."""
+    p = system.p
+    if not ff.span_contains(sl.selmer(system, conditions), psi, p):
+        return ANNIHILATION_HYPOTHESES[0]
+    if not ff.span_contains(sl.dual_selmer(system, conditions), phi, p):
+        return ANNIHILATION_HYPOTHESES[1]
+    ram_perp = ff.annihilator(ram.ram, system.pairing[w], p)
+    if ff.span_contains(ram_perp, system.res_dual[w] @ phi % p, p):
+        return ANNIHILATION_HYPOTHESES[2]
+    if ff.span_contains(ff.intersect_spans(ram.unr, ram.ram, p), system.res[w] @ psi % p, p):
+        return ANNIHILATION_HYPOTHESES[3]
+    return None
+
+
+@given(st.sampled_from(STEP_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_annihilation_memberships_match_span_oracle(p, seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        # A built scenario, whose phi, psi and ram pass every hypothesis.
+        sc = sl.build_annihilation_scenario(seed, p, rng.randrange(0, 3), rng.randrange(1, 4))
+        system, conditions, w = sc.system, sc.conditions, sc.special[0]
+        phi, psi, line = sc.phi, sc.psi, sc.ram[w].ram
+    else:
+        # A random exact system, with a proper nonzero condition at w.
+        dims = {f"v{i}": rng.randrange(1, 4) for i in range(rng.randrange(1, 4))}
+        w = rng.choice(list(dims))
+        dims[w] += 1
+        system = sl.build_exact_system(rng, p, dims, rng.randrange(0, sum(dims.values()) + 1))
+        conditions = sl.random_conditions(rng, system).replaced(
+            w, ff.random_subspace(rng, dims[w], rng.randrange(1, dims[w]), p))
+        phi, psi, line = 0, 0, any_matrix(rng, dims[w], 1, p)
+    psi = (psi + inside_or_not(rng, sl.selmer(system, conditions), p)) % p
+    phi = (phi + inside_or_not(rng, sl.dual_selmer(system, conditions), p)) % p
+    # ram: a line, with columns pairing to zero with phi at w, or psi's
+    # restriction at w, so that both hypotheses at w go either way.
+    phi_w, psi_w = system.res_dual[w] @ phi % p, system.res[w] @ psi % p
+    blocks = [line]
+    if rng.random() < 0.25:
+        blocks.append(ff.nullspace((system.pairing[w] @ phi_w % p).reshape(1, -1), p))
+    if rng.random() < 0.25:
+        blocks.append(psi_w.reshape(-1, 1))
+    ram = sl.RamakrishnaData(conditions.l_spaces[w], np.hstack(blocks))
+    assert sl._into_ram_annihilator(system, w, ram, phi) == ff.span_contains(
+        ff.annihilator(ram.ram, system.pairing[w], p), phi_w, p)
+    expected = annihilation_oracle(system, conditions, w, ram, phi, psi)
+    try:
+        sl.annihilation_step(system, conditions, w, ram, phi, psi)
+        got = None
+    except sl.SelmerError as exc:
+        got = str(exc)
+    if expected is not None:
+        assert expected in got
+    else:
+        assert got is None or not any(h in got for h in ANNIHILATION_HYPOTHESES)
+
+
+@given(st.sampled_from(STEP_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_u_membership_matches_span_oracle(p, seed):
+    rng = random.Random(seed)
+    d = rng.randrange(2, 6)
+    sc = sl.build_avoidance_scenario(seed=seed, p=p, d_weights=d,
+                                     selmer_dim=rng.randrange(max(2, d - 1), d + 2))
+    beta_sel = sc.beta @ sl.selmer(sc.system, sc.conditions) % p
+    # A random spanning set of U, over all of beta(Sel), over part of it, or
+    # over neither.
+    u = any_matrix(rng, d, rng.randrange(0, d), p)
+    kind = rng.randrange(3)
+    if kind < 2:
+        part = ff.eye(beta_sel.shape[1]) if kind == 0 else \
+            any_matrix(rng, beta_sel.shape[1], rng.randrange(0, beta_sel.shape[1]), p)
+        u = np.hstack([beta_sel @ part % p, u])
+    u_basis = ff.column_space(u, p)
+    equations = ff.nullspace(u.T, p).T
+    for x in (inside_or_not(rng, u_basis, p), u_basis @ any_matrix(rng, u_basis.shape[1], 1, p)):
+        assert sl._vanishes(equations, x, p) == ff.span_contains(u_basis, x, p)
+    if u_basis.shape[1] == d:
+        expected = "U must be a proper subspace"
+    elif not ff.span_contains(u_basis, beta_sel, p):
+        expected = "not inside U: nothing to avoid"
+    else:
+        expected = None
+    try:
+        _, report = sl.avoidance_step(sc.system, sc.conditions, sc.beta, u, sc.y, sc.ram)
+        got = None
+    except sl.SelmerError as exc:
+        got = str(exc)
+    if expected is not None:
+        assert expected in got
+    else:
+        assert got is None
+        assert not ff.span_contains(u_basis, sc.beta @ report.psi_prime % p, p)
+        assert not ff.span_contains(u_basis, report.beta_psi_tilde, p)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_builders_validate_one_system(monkeypatch):
+    constructed = count_calls(monkeypatch, sl.SelmerSystem, "__post_init__")
+    reciprocity = count_calls(monkeypatch, sl.SelmerSystem, "reciprocity_holds")
+    for build in (partial(sl.build_exact_system, random.Random(3), 7, {"a": 3, "b": 2}, 2),
+                  partial(sl.build_annihilation_scenario, seed=3, num_special=2),
+                  partial(sl.build_avoidance_scenario, seed=3, d_weights=3)):
+        constructed.clear()
+        reciprocity.clear()
+        build()
+        assert len(constructed) == 1 and len(reciprocity) == 1
+    system = sl.build_exact_system(random.Random(3), 7, {"a": 3, "b": 2}, 2)
+    reciprocity.clear()
+    assert system.exactness_holds() and len(reciprocity) == 1
+
+
+def test_step_eliminations(monkeypatch):
+    ann = sl.build_annihilation_scenario(seed=3)
+    avo = sl.build_avoidance_scenario(seed=3)
+    w = ann.special[0]
+    for name in ("annihilator", "intersect_spans", "sum_spans"):
+        monkeypatch.setattr(ff, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    calls = count_calls(monkeypatch, ff, "rref")
+    sl.annihilation_step(ann.system, ann.conditions, w, ann.ram[w], ann.phi, ann.psi)
+    assert len(calls) == 10  # 16 when membership was tested by eliminations
+    calls.clear()
+    sl.avoidance_step(avo.system, avo.conditions, avo.beta, avo.u_subspace, avo.y, avo.ram)
+    assert len(calls) == 17  # 21 likewise
