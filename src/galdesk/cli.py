@@ -1,7 +1,9 @@
 """Batch front end: run builtin suites or scenario files, emit reports.
 
-Exit codes: 0 when every check passes, 1 when a mathematical check fails,
-2 on input errors (unreadable file, schema violation, unknown builtin).
+Exit codes: 0 when every check passes; 1 when a mathematical check fails,
+in a report or as a `VerificationFailure` raised inside galdesk; 2 on an
+`InputError` (unreadable file, schema violation, unknown builtin, or any
+payload a layer refuses).  Each error prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import scenarios as sc
+from .errors import InputError, VerificationFailure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,46 +50,45 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
         print(text)
 
 
-def _load_scenario_file(path: Path) -> dict:
+def _run(args) -> dict:
+    path = Path(args.scenario)
+    if not path.exists():
+        seed = args.seed if args.seed is not None else 0
+        return sc.run_builtin(args.scenario, seed, args.precision)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise sc.ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise sc.ScenarioError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise sc.ScenarioError("scenario document must be a JSON object")
-    if doc.get("version") != sc.SCHEMA_VERSION:
-        raise sc.ScenarioError(f"unsupported schema version {doc.get('version')!r}")
-    kind = doc.get("kind")
+    version, kind = doc.get("version"), doc.get("kind")
+    if version != sc.SCHEMA_VERSION or isinstance(version, bool):
+        raise sc.ScenarioError(f"unsupported schema version {version!r}")
     if kind not in sc.KINDS:
         raise sc.ScenarioError(f"kind must be one of {sc.KINDS}, got {kind!r}")
-    if "payload" not in doc or not isinstance(doc["payload"], dict):
+    if not isinstance(doc.get("payload"), dict):
         raise sc.ScenarioError("missing payload object")
     if "seed" not in doc:
         raise sc.ScenarioError("seed is mandatory for reproducible runs")
-    try:
-        doc["seed"] = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise sc.ScenarioError(f"seed must be an integer, got {doc['seed']!r}") from None
-    return doc
+    seed = sc._int(doc["seed"], "seed")
+    seed = args.seed if args.seed is not None else seed
+    report = sc.run_scenario_payload(kind, doc["payload"], seed, args.precision)
+    report["scenario"] = str(path)
+    report["seed"] = seed
+    return report
 
 
 def cmd_run(args) -> int:
-    target = args.scenario
     try:
-        path = Path(target)
-        if path.exists():
-            doc = _load_scenario_file(path)
-            seed = args.seed if args.seed is not None else doc["seed"]
-            report = sc.run_scenario_payload(doc["kind"], doc["payload"], seed,
-                                             args.precision)
-            report["scenario"] = str(path)
-            report["seed"] = seed
-        else:
-            seed = args.seed if args.seed is not None else 0
-            report = sc.run_builtin(target, seed, args.precision)
-    except sc.ScenarioError as exc:
+        report = _run(args)
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except VerificationFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     _emit(report, args.format, args.out)
     return EXIT_OK if report["status"] == "pass" else EXIT_CHECK_FAILED
 

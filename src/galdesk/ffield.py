@@ -192,19 +192,6 @@ def span_contains(big, small, p: int) -> bool:
     return solve(big, small, p) is not None
 
 
-def sum_spans(a, b, p: int) -> np.ndarray:
-    return column_space(np.hstack([normalize(a, p), normalize(b, p)]), p)
-
-
-def intersect_spans(a, b, p: int) -> np.ndarray:
-    """Basis of span(a) ∩ span(b)."""
-    a = normalize(a, p)
-    b = normalize(b, p)
-    k = nullspace(np.hstack([a, -b]), p)
-    vecs = (a @ k[: a.shape[1]]) % p
-    return column_space(vecs, p)
-
-
 def annihilator(basis, pairing, p: int) -> np.ndarray:
     """{y : <x, y> = 0 for all x in span(basis)} for <x,y> = x^T P y.
 

@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ffield as ff
+from .errors import InputError
 from .root_datum import (
     RootDatum,
     TorusElement,
@@ -51,8 +52,12 @@ from .root_datum import (
 )
 
 
-class TameModuleError(ValueError):
+class TameModuleError(InputError):
     pass
+
+
+# The largest table T^0..T^p, (p + 1) n^2 entries; it bounds the pairing's O(p) products.
+MAX_TABLE_CELLS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +84,8 @@ class TameGaloisModule:
         object.__setattr__(self, "tau", tau)
         if self.q % p == 0:
             raise TameModuleError("q must be prime to p")
+        if (p + 1) * n * n > MAX_TABLE_CELLS:
+            raise TameModuleError(f"(p + 1) n^2 exceeds the table budget of {MAX_TABLE_CELLS}")
         try:
             phi_inv = self.phi_inv
         except ValueError:

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ffield as ff
+from .errors import InputError
 from .root_datum import RootDatum, dimension_profile, very_good_prime
 
 
-class NumerologyError(ValueError):
+class NumerologyError(InputError):
     pass
+
+
+# The largest field degree: a signature may list one place above p per degree.
+MAX_DEGREE = 10**4
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,8 @@ class FieldSignature:
             raise NumerologyError("a field cannot be CM and totally real")
         if sum(self.local_degrees_above_p) != self.degree:
             raise NumerologyError("local degrees above p must sum to the degree")
+        if any(f <= 0 for f in self.local_degrees_above_p):
+            raise NumerologyError("local degrees above p must be positive")
         for w, wbar, f in self.cm_pairs:
             if w == wbar:
                 raise NumerologyError("a place cannot be paired with itself")
@@ -56,6 +63,8 @@ def rational_signature() -> FieldSignature:
 
 
 def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
+    if not 1 <= degree <= MAX_DEGREE:
+        raise NumerologyError(f"degree must be between 1 and {MAX_DEGREE}")
     local = tuple(local_degrees) if local_degrees else tuple(1 for _ in range(degree))
     return FieldSignature(degree, degree, 0, cm=False, totally_real=True,
                           local_degrees_above_p=local)
@@ -63,8 +72,8 @@ def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
 
 def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
     """CM field, split above p: one (w, wbar) pair per degree-f slot."""
-    if degree % 2:
-        raise NumerologyError("CM degree must be even")
+    if not 1 <= degree <= MAX_DEGREE or degree % 2:
+        raise NumerologyError(f"CM degree must be even, between 2 and {MAX_DEGREE}")
     fs = tuple(pair_degrees) if pair_degrees else tuple(1 for _ in range(degree // 2))
     if sum(fs) != degree // 2:
         raise NumerologyError("pair degrees must sum to half the degree")
@@ -221,8 +230,6 @@ def cm_parameter(sig: FieldSignature, rd: RootDatum) -> int:
 
 def large_image_prime_bound(rd: RootDatum) -> int:
     """Smallest very good prime p with p - 1 above the image thresholds."""
-    if rd.rank_ss == 0:
-        raise NumerologyError("semisimple part is empty")
     z = rd.center_order
     h = rd.coxeter_number
     parity_bound = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z

@@ -35,10 +35,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padics import PadicInt, PrecisionError, log_unit, teichmuller, teichmuller_budget, teichmuller_part
+from .errors import InputError, VerificationFailure
+from .padics import (MAX_PRECISION, PadicInt, PrecisionError, log_unit, teichmuller,
+                     teichmuller_budget, teichmuller_part)
 
 
-class SeriesError(ValueError):
+class SeriesError(InputError):
     pass
 
 
@@ -124,8 +126,8 @@ class TruncatedSeries:
     precs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, coeffs):
-        if self.prec < 1:
-            raise SeriesError("series precision must be at least 1")
+        if not 1 <= self.prec <= MAX_PRECISION:
+            raise SeriesError(f"series precision must be between 1 and {MAX_PRECISION}")
         layout = _layout(self.nvars, self.degree_cap)
         self.residues = np.zeros(len(layout.monomials), dtype=object)
         self.precs = np.zeros(len(layout.monomials), dtype=np.int64)
@@ -303,16 +305,6 @@ class TruncatedSeries:
         }
 
 
-def series_from_payload(payload: dict) -> TruncatedSeries:
-    coeffs = {}
-    for entry in payload["coeffs"]:
-        idx, digits = entry[0], entry[1]
-        prec = entry[2] if len(entry) > 2 else payload["prec"]
-        coeffs[tuple(idx)] = PadicInt(payload["p"], int(digits), prec)
-    return TruncatedSeries(payload["p"], payload["nvars"], payload["prec"],
-                           payload["degree_cap"], coeffs)
-
-
 # -- Newton polygon / Weierstrass data ----------------------------------------
 
 
@@ -445,7 +437,7 @@ def _direction_witness(g: TruncatedSeries, zeta: PadicInt):
 # -- units model and weight points ---------------------------------------------
 
 
-class WeightsError(ValueError):
+class WeightsError(InputError):
     pass
 
 
@@ -654,12 +646,13 @@ class DichotomyFamily:
     def __post_init__(self):
         if not self.entries:
             raise WeightsError("family must carry at least one entry")
-        if sorted(self.minus_w0) != list(range(self.d)):
+        # The counts come first, so a huge d or f is refused before anything its size is built.
+        if len(self.minus_w0) != self.d or sorted(self.minus_w0) != list(range(self.d)):
             raise WeightsError("minus_w0 must be a permutation of the simple indices")
+        places = {e.place for e in self.entries}
         needed = {(e.place, e.root_index, e.gen_index) for e in self.entries}
-        want = {(pl, i, j) for pl in {e.place for e in self.entries}
-                for i in range(self.d) for j in range(self.f)}
-        if needed != want:
+        if len(self.entries) != len(places) * self.d * self.f or needed != {
+                (pl, i, j) for pl in places for i in range(self.d) for j in range(self.f)}:
             raise WeightsError("family must carry one entry per (place, root, generator)")
         series = [s for e in self.entries for s in (e.f_w, e.f_wbar)]
         if any(s.p != self.p for s in series):
@@ -668,6 +661,9 @@ class DichotomyFamily:
             raise WeightsError("family series must share one number of variables")
         if not all(s.is_unit() for s in series):
             raise WeightsError("family series must be units")
+        if any(s.degree_cap < 1 for s in series):
+            # The weights are read off the linear terms.
+            raise WeightsError("family series need a degree cap >= 1")
 
 
 @dataclass(eq=False)
@@ -725,7 +721,7 @@ def passage_dichotomy(family: DichotomyFamily, budget=None):
                     # index permutation to report the plain wbar weight.
                     x_wbar[j * family.d + family.minus_w0[i]] = b1 * pow(b0, -1, p) % p
             if not is_parallel_pair(x_w, x_wbar, family.minus_w0, p):
-                raise WeightsError("constant-ratio family produced non-parallel weights")
+                raise VerificationFailure("constant-ratio family produced non-parallel weights")
             pairs.append((pl, var, x_w, x_wbar))
     return ParallelWeights(pairs)
 

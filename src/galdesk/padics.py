@@ -9,9 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 
-class PrecisionError(ValueError):
+
+class PrecisionError(InputError):
     pass
+
+
+# The largest precision of a PadicInt; the logarithm's cost grows faster than linearly in it.
+MAX_PRECISION = 256
 
 
 @dataclass(frozen=True)
@@ -21,8 +27,8 @@ class PadicInt:
     prec: int
 
     def __post_init__(self):
-        if self.prec < 1:
-            raise PrecisionError("precision must be at least 1")
+        if not 1 <= self.prec <= MAX_PRECISION:
+            raise PrecisionError(f"precision must be between 1 and {MAX_PRECISION}")
         object.__setattr__(self, "residue", self.residue % self.p**self.prec)
 
     # -- constructors -----------------------------------------------------
@@ -143,10 +149,11 @@ def teichmuller(a: int, p: int, prec: int) -> PadicInt:
     """Teichmuller representative: the (p-1)-st root of unity congruent to a."""
     if a % p == 0:
         raise PrecisionError("Teichmuller lift of 0 is 0; need a unit")
-    x = a % p**prec
+    x = PadicInt(p, a, prec)  # refuses a precision out of range before lifting
+    r, m = x.residue, x.modulus
     for _ in range(prec + 1):
-        x = pow(x, p, p**prec)
-    return PadicInt(p, x, prec)
+        r = pow(r, p, m)
+    return PadicInt(p, r, prec)
 
 
 def teichmuller_budget(p: int, prec: int) -> list[PadicInt]:

@@ -16,13 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ffield as ff
+from .errors import InputError
 
 
-class RootDatumError(ValueError):
+class RootDatumError(InputError):
     pass
 
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+
+# The largest semisimple and central ranks; the reflection closure grows like rank^5.
+MAX_RANK = 16
 
 # Order of the center of the simply connected cover, per irreducible family.
 def _center_order(family: str, rank: int) -> int:
@@ -161,6 +165,8 @@ class RootDatum:
     @property
     def coxeter_number(self) -> int:
         """Coxeter number; max over irreducible factors for compound types."""
+        if not self.coxeter_numbers:
+            raise RootDatumError("semisimple part is empty")
         return max(self.coxeter_numbers)
 
     @property
@@ -202,14 +208,16 @@ def build_root_datum(spec, central_rank: int = 0, label: str = "") -> RootDatum:
     Roots are enumerated by reflection closure starting from the simple
     roots; the construction fails loudly on inconsistent Cartan data.
     """
-    if central_rank < 0:
-        raise RootDatumError("central_rank must be >= 0")
+    if not 0 <= central_rank <= MAX_RANK:
+        raise RootDatumError(f"central_rank must be between 0 and {MAX_RANK}")
     ctype = tuple((str(f), int(r)) for f, r in spec)
     for fam, rk in ctype:
         if fam not in FAMILIES:
             raise RootDatumError(f"unrecognized family {fam!r}")
         if rk < 1:
             raise RootDatumError("ranks must be >= 1")
+    if sum(rk for _, rk in ctype) > MAX_RANK:
+        raise RootDatumError(f"ranks must sum to at most {MAX_RANK}")
     blocks = [_cartan_matrix(fam, rk) for fam, rk in ctype]
     cartan = _block_diag(blocks) if blocks else np.zeros((0, 0), dtype=np.int64)
     d = cartan.shape[0]
@@ -256,11 +264,11 @@ def gl_datum(n: int) -> RootDatum:
     """GL_n with the standard diagonal torus model Z^n."""
     if n < 2:
         raise RootDatumError("gl_datum requires n >= 2")
+    rd = build_root_datum([("A", n - 1)], central_rank=1)  # refuses a huge n first
     # alpha_i = e_i - e_{i+1} and alpha_i^vee = e_i - e_{i+1}; characters of
     # the diagonal torus use the same Z^n model.
     simple = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    return replace(build_root_datum([("A", n - 1)], central_rank=1),
-                   cochar_pairing=simple, coroot_vectors=simple.copy(),
+    return replace(rd, cochar_pairing=simple, coroot_vectors=simple.copy(),
                    weight_pairing=simple.copy(), root_weight_vectors=simple.copy(),
                    label=f"GL{n}")
 
@@ -356,11 +364,7 @@ def longest_element(rd: RootDatum) -> tuple[list[int], list[int]]:
     minus_w0 = []
     for i in range(d):
         img = _apply_word_to_root(rd, tuple(int(k == i) for k in range(d)), word)
-        neg = tuple(-c for c in img)
-        try:
-            minus_w0.append(_simple_index(neg))
-        except ValueError:
-            raise RootDatumError("-w0 does not permute the simple roots")
+        minus_w0.append(_simple_index(tuple(-c for c in img)))
     return word, minus_w0
 
 
@@ -368,7 +372,7 @@ def _simple_index(root) -> int:
     ones = [i for i, c in enumerate(root) if c == 1]
     if len(ones) == 1 and sum(abs(c) for c in root) == 1:
         return ones[0]
-    raise ValueError("not a simple root")
+    raise RootDatumError("-w0 does not permute the simple roots")
 
 
 def _apply_word_to_root(rd: RootDatum, root, word) -> tuple[int, ...]:

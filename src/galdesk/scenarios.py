@@ -9,6 +9,7 @@ and decimal-string p-adic values, ready for stable serialization.
 from __future__ import annotations
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -21,12 +22,13 @@ from . import padic_weights as pw
 from . import padics as pa
 from . import root_datum as rdm
 from . import selmer as sl
+from .errors import InputError
 
 SCHEMA_VERSION = 1
 KINDS = ("rootdatum", "local", "numerology", "selmer", "weights", "example")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     pass
 
 
@@ -45,19 +47,12 @@ def _report(checks: list, **extra):
 def parse_root_datum(payload) -> rdm.RootDatum:
     if payload == "GL2" or payload == {"gl": 2}:
         return rdm.gl_datum(2)
-    try:
-        if isinstance(payload, dict) and "gl" in payload:
-            return rdm.gl_datum(int(payload["gl"]))
-        spec = [(str(f), int(r)) for f, r in payload["type"]]
-        central = int(payload.get("central_rank", 0))
-    except rdm.RootDatumError as exc:
-        raise ScenarioError(str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad root datum payload: {exc}") from exc
-    try:
-        return rdm.build_root_datum(spec, central)
-    except rdm.RootDatumError as exc:
-        raise ScenarioError(str(exc)) from exc
+    payload = _mapping(payload, "root_datum")
+    if "gl" in payload:
+        return rdm.gl_datum(_int(payload["gl"], "gl"))
+    spec = _list(_field(payload, "type"), "type", "be a list of [family, rank] pairs", _is_pair)
+    return rdm.build_root_datum([(str(fam), _int(rank, "rank")) for fam, rank in spec],
+                                _int(_field(payload, "central_rank", 0), "central_rank"))
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +530,86 @@ def run_builtin(name: str, seed: int, precision: int | None):
 # ---------------------------------------------------------------------------
 # File scenarios
 # ---------------------------------------------------------------------------
+# Every field is read through one of the readers below, each naming the field
+# it refuses; beyond them, only the layers' own InputErrors refuse input.
+
+_REQUIRED = object()
+# A decimal integer written as a string, within the digits int() will read.
+_DECIMAL = re.compile(r"\s*[+-]?\d{1,4000}\s*")
+
+
+def _field(payload: dict, name: str, default=_REQUIRED, where: str = ""):
+    """payload[name], or the default; a missing field is refused (as `where` misses it)."""
+    value = payload.get(name, default)
+    if value is _REQUIRED:
+        raise ScenarioError(f"{where} misses the field {name!r}" if where else repr(name))
+    return value
+
+
+def _int(value, name: str) -> int:
+    """An int, an integral float or a decimal string; never a bool."""
+    if type(value) is int or isinstance(value, np.integer) or \
+            isinstance(value, float) and value.is_integer() or \
+            isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+def _list(value, name: str, must: str, item=lambda x: True) -> list:
+    if not (isinstance(value, list) and all(item(x) for x in value)):
+        raise ScenarioError(f"{name} must {must}, got {value!r}")
+    return value
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
+
+
+def _int_list(value, name: str) -> list[int]:
+    return [_int(x, f"{name} entry") for x in _list(value, name, "be a list of integers")]
+
+
+def _mapping(value, name: str, must: str = "be an object") -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must {must}, got {value!r}")
+    return value
+
+
+def _prime(payload: dict, n: int) -> int:
+    """The payload's p: an odd prime whose sums of n products of residues fit
+    int64.  The bound comes first, so no trial division runs near 2^63."""
+    p = _int(_field(payload, "p", 0), "p")  # a missing p is refused as not prime
+    if not ff.products_fit(p, n):
+        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
+    if not ff.is_odd_prime(p):
+        raise ScenarioError("p must be an odd prime")
+    return p
+
+
+def _matrix(rows, name: str, p: int) -> np.ndarray:
+    """A list of rows of one length of integers, reduced mod p."""
+    width = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else 0
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == width for row in rows)):
+        raise ScenarioError(f"{name} must be a matrix of integers with rows of one length")
+    entry = f"{name} entry"
+    return np.array([_int(x, entry) % p for row in rows for x in row],
+                    dtype=np.int64).reshape(len(rows), width)
+
+
+def _series(value, name: str, p: int) -> pw.TruncatedSeries:
+    """A series in the form `TruncatedSeries.serialize` writes, over Z_p."""
+    s = _mapping(value, name)
+    sp, nvars, prec, cap = (_int(_field(s, key), f"{name} {key}")
+                            for key in ("p", "nvars", "prec", "degree_cap"))
+    if sp != p:
+        raise ScenarioError(f"{name} must be a series over Z_{p}, got p = {sp}")
+    terms = _list(_field(s, "coeffs"), f"{name} coeffs", "be [exponents, residue(, prec)] lists",
+                  lambda t: isinstance(t, list) and len(t) in (2, 3))
+    return pw.TruncatedSeries(p, nvars, prec, cap, {
+        tuple(_int_list(t[0], f"{name} exponents")): pa.PadicInt(
+            p, _int(t[1], f"{name} residue"), _int(t[2], f"{name} prec") if len(t) == 3 else prec)
+        for t in terms})
 
 
 def run_scenario_payload(kind: str, payload: dict, seed: int, precision: int | None):
@@ -569,43 +644,13 @@ def _run_rootdatum(payload):
                    heights=sorted(rd.height(r) for r in rd.positive_roots))
 
 
-def _check_p_fits(p: int, n: int) -> None:
-    """Refuse a p whose products overflow int64 at dimension n.  Checked
-    before the primality test: it also keeps trial division off primes near
-    2^63."""
-    if not ff.products_fit(p, n):
-        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _matrix(rows, name: str, p: int) -> np.ndarray:
-    try:
-        return ff.normalize(rows, p)
-    except (TypeError, ValueError):
-        pass
-    raise ScenarioError(f"{name} must be a matrix of integers with rows of one length")
-
-
 def _run_local(payload):
-    try:
-        rd = parse_root_datum(payload["root_datum"])
-        p = _integer(payload["p"], "p")
-        # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
-        _check_p_fits(p, 2 * (rd.rank_ss + len(rd.all_roots())))
-        values = payload["torus_values"]
-        if not isinstance(values, list):
-            raise ScenarioError(f"torus_values must be a list of integers, got {values!r}")
-        t = rdm.TorusElement(rd, p, tuple(_integer(x, "torus_values entry") for x in values))
-        twist = _integer(payload.get("twist", 0), "twist")
-        base = lt.AdjointModule(rd, t, _integer(payload["q"], "q"), 0)
-    except (KeyError, rdm.RootDatumError, lt.TameModuleError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    rd = parse_root_datum(_field(payload, "root_datum"))
+    # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
+    p = _prime(payload, 2 * (rd.rank_ss + len(rd.all_roots())))
+    t = rdm.TorusElement(rd, p, tuple(_int_list(_field(payload, "torus_values"), "torus_values")))
+    twist = _int(_field(payload, "twist", 0), "twist")
+    base = lt.AdjointModule(rd, t, _int(_field(payload, "q"), "q"), 0)
     m = base.module.twisted(twist)
     dims = lt.cohomology_dims(m)
     checks = [check("euler identity", dims[1] == dims[0] + dims[2], dims=list(dims))]
@@ -629,34 +674,29 @@ def _run_local(payload):
     return _report(checks, **details)
 
 
-def _signature_from_payload(payload):
-    kind = payload.get("kind", "totally_real")
+def _signature(value):
+    sig = _mapping(value, "signature")
+    kind = _field(sig, "kind", "totally_real")
     if kind == "rational":
         return num.rational_signature()
-    if kind == "totally_real":
-        return num.totally_real_signature(_integer(payload["degree"], "signature degree"),
-                                          payload.get("local_degrees"))
+    if kind not in ("totally_real", "cm"):
+        raise ScenarioError(f"unknown signature kind {kind!r}")
+    degree = _int(_field(sig, "degree"), "signature degree")
     if kind == "cm":
-        return num.cm_signature(_integer(payload["degree"], "signature degree"),
-                                payload.get("pair_degrees"))
-    raise ScenarioError(f"unknown signature kind {kind!r}")
+        return num.cm_signature(degree, _int_list(_field(sig, "pair_degrees", []), "pair_degrees"))
+    return num.totally_real_signature(
+        degree, _int_list(_field(sig, "local_degrees", []), "local_degrees"))
 
 
 def _run_numerology(payload):
-    try:
-        rd = parse_root_datum(payload["root_datum"])
-        sig = _signature_from_payload(payload["signature"])
-        mode = payload.get("mode", num.ORDINARY)
-        places = payload.get("finite_places", [])
-        if not (isinstance(places, list) and all(isinstance(e, list) and len(e) == 2
-                                                 for e in places)):
-            raise ScenarioError(f"finite_places must be a list of pairs, got {places!r}")
-        finite = tuple(num.FinitePlace(*(_integer(x, "finite_places entry") for x in e))
-                       for e in places)
-        scen = num.ordinary_scenario(rd, sig, mode=mode, finite_places=finite,
-                                     h0_at_p=_integer(payload.get("h0_at_p", 0), "h0_at_p"))
-    except (KeyError, num.NumerologyError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    rd = parse_root_datum(_field(payload, "root_datum"))
+    sig = _signature(_field(payload, "signature"))
+    mode = _field(payload, "mode", num.ORDINARY)
+    places = _list(_field(payload, "finite_places", []), "finite_places", "be a list of pairs",
+                   _is_pair)
+    finite = tuple(num.FinitePlace(*_int_list(e, "finite_places")) for e in places)
+    scen = num.ordinary_scenario(rd, sig, mode=mode, finite_places=finite,
+                                 h0_at_p=_int(_field(payload, "h0_at_p", 0), "h0_at_p"))
     rep = num.wiles_difference(scen)
     checks = [check("terms sum to the difference",
                     sum(v for _, v in rep.terms) == rep.difference)]
@@ -673,59 +713,29 @@ def _run_numerology(payload):
     return _report(checks, **out)
 
 
-def _largest_dim(payload) -> int:
-    """The largest local or global dimension a selmer payload declares."""
-    local_dims = payload.get("local_dims", {})
-    if not isinstance(local_dims, dict):
-        raise ScenarioError(f"local_dims must map places to integers, got {local_dims!r}")
-    dims = [_integer(d, f"local_dims at {v}") for v, d in local_dims.items()]
-    dims.append(_integer(payload.get("global_dim", 0), "global_dim"))
-    try:
-        for key in ("res", "res_dual"):
-            dims += [len(rows[0]) for rows in payload.get(key, {}).values() if rows]
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed dimensions: {exc}") from exc
-    return max(dims)
-
-
 def _run_selmer(payload, seed):
-    p = payload.get("p")
-    if not isinstance(p, int):
-        raise ScenarioError("p must be an odd prime")
-    _check_p_fits(p, _largest_dim(payload))
-    if not ff.is_odd_prime(p):
-        raise ScenarioError("p must be an odd prime")
-    if "res" in payload:
-        places = tuple(sorted(payload["local_dims"]))
-        local_dims = {v: int(payload["local_dims"][v]) for v in places}
-        try:
-            system = sl.SelmerSystem(
-                p, places, local_dims,
-                {v: _matrix(payload["res"][v], f"res at {v}", p) for v in places},
-                {v: _matrix(payload["res_dual"][v], f"res_dual at {v}", p) for v in places},
-                {v: _matrix(payload["pairing"][v], f"pairing at {v}", p) for v in places},
-            )
-        except (KeyError, sl.SelmerError) as exc:
-            raise ScenarioError(str(exc)) from exc
+    local_dims = _mapping(_field(payload, "local_dims"), "local_dims", "map places to integers")
+    local_dims = {v: _int(d, f"local_dims at {v}") for v, d in local_dims.items()}
+    places = tuple(sorted(local_dims))
+    explicit = "res" in payload
+    blocks = [_mapping(_field(payload, key), key, "map places to matrices")
+              for key in (("res", "res_dual", "pairing") if explicit else ())]
+    global_dim = _int(_field(payload, "global_dim", 0 if explicit else _REQUIRED), "global_dim")
+    # p is bounded at the largest dimension: a local one, dim H, or the
+    # widths of the explicit restrictions (dim H and dim H').
+    widths = [len(rows[0]) for block in blocks[:2] for rows in block.values()
+              if isinstance(rows, list) and rows and isinstance(rows[0], list)]
+    p = _prime(payload, max([global_dim, *local_dims.values(), *widths]))
+    if explicit:
+        system = sl.SelmerSystem(p, places, local_dims, *(
+            {v: _matrix(_field(block, v), f"{key} at {v}", p) for v in places}
+            for key, block in zip(("res", "res_dual", "pairing"), blocks)))
     else:
-        rng = random.Random(seed)
-        try:
-            system = sl.build_exact_system(
-                rng, p, {k: int(v) for k, v in payload["local_dims"].items()},
-                int(payload["global_dim"]))
-        except (KeyError, sl.SelmerError) as exc:
-            raise ScenarioError(str(exc)) from exc
-    try:
-        given = payload.get("conditions", {})
-        l_spaces = {}
-        for v in system.places:
-            if v in given:
-                l_spaces[v] = ff.normalize(np.array(given[v], dtype=np.int64), p)
-            else:
-                l_spaces[v] = ff.eye(system.local_dims[v])
-        conds = sl.ConditionAssignment(system, l_spaces)
-    except (ValueError, sl.SelmerError) as exc:
-        raise ScenarioError(f"bad condition table: {exc}") from exc
+        system = sl.build_exact_system(random.Random(seed), p, local_dims, global_dim)
+    given = _mapping(_field(payload, "conditions", {}), "conditions", "map places to matrices")
+    conds = sl.ConditionAssignment(system, {
+        v: _matrix(given[v], f"condition at {v}", p) if v in given
+        else ff.eye(system.local_dims[v]) for v in system.places})
     s = sl.selmer(system, conds)
     d = sl.dual_selmer(system, conds)
     checks = [check("reciprocity", system.reciprocity_holds()),
@@ -735,23 +745,17 @@ def _run_selmer(payload, seed):
 
 
 def _run_weights(payload):
-    try:
-        p = int(payload["p"])
-        _check_p_fits(p, 1)
-        if not ff.is_odd_prime(p):
-            raise ScenarioError("p must be an odd prime")
-        entries = [
-            pw.DichotomyEntry(
-                e["place"], int(e["root_index"]), int(e["gen_index"]),
-                pw.series_from_payload(e["f_w"]), pw.series_from_payload(e["f_wbar"]))
-            for e in payload["entries"]
-        ]
-        fam = pw.DichotomyFamily(p, int(payload["d"]), int(payload["f"]),
-                                 tuple(int(i) for i in payload["minus_w0"]), entries)
-    except KeyError as exc:
-        raise ScenarioError(f"weights payload misses the field {exc}") from exc
-    except (pa.PrecisionError, pw.SeriesError, pw.WeightsError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    p = _prime(payload, 1)
+    d, f = (_int(_field(payload, key, where="weights payload"), key) for key in ("d", "f"))
+    minus_w0 = _int_list(_field(payload, "minus_w0", where="weights payload"), "minus_w0")
+    entries = _list(_field(payload, "entries", where="weights payload"), "entries",
+                    "be a list of objects with a string place",
+                    lambda e: isinstance(e, dict) and isinstance(e.get("place"), str))
+    fam = pw.DichotomyFamily(p, d, f, tuple(minus_w0), [pw.DichotomyEntry(
+        e["place"], _int(_field(e, "root_index"), "root_index"),
+        _int(_field(e, "gen_index"), "gen_index"),
+        _series(_field(e, "f_w"), "f_w", p), _series(_field(e, "f_wbar"), "f_wbar", p))
+        for e in entries])
     verdict = pw.passage_dichotomy(fam)
     if isinstance(verdict, pw.ParallelWeights):
         pairs = [{"place": pl, "var": int(var),
@@ -771,15 +775,10 @@ def _run_weights(payload):
 
 
 def _run_example(payload):
-    try:
-        rd = parse_root_datum(payload["root_datum"])
-        r, p = int(payload["r"]), int(payload["p"])
-        _check_p_fits(p, 1)
-        if not ff.is_odd_prime(p):
-            raise ScenarioError("p must be an odd prime")
-        rep = num.example_conditions_check(rd, r, p)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    rd = parse_root_datum(_field(payload, "root_datum"))
+    r = _int(_field(payload, "r"), "r")
+    p = _prime(payload, 1)
+    rep = num.example_conditions_check(rd, r, p)
     dims = num.example_local_dims(r, p)
     checks = [
         check("pairing identity", rep.pairing_identity),

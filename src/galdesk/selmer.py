@@ -38,10 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ffield as ff
+from .errors import InputError, VerificationFailure
 
 
-class SelmerError(ValueError):
+class SelmerError(InputError):
     pass
+
+
+# The largest total local dimension build_exact_system draws a system on.
+MAX_LOCAL_DIM = 256
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +560,9 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     report = StepReport(sel_before.shape[1], sel_after.shape[1],
                         dual_before.shape[1], dual_after.shape[1])
     if report.dual_after >= report.dual_before:
-        raise SelmerError("dual Selmer did not drop; system is not exact enough")
+        raise VerificationFailure("dual Selmer did not drop; system is not exact enough")
     if report.selmer_after != report.selmer_before:
-        raise SelmerError("Selmer dimension moved; system is not exact enough")
+        raise VerificationFailure("Selmer dimension moved; system is not exact enough")
     return new_conditions, report
 
 
@@ -668,22 +673,22 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     ext = ff.extend_basis(sel_old, ker_phi, p)
     psi_prime = ext[:, 0]
     if _vanishes(u_equations, beta @ psi_prime % p, p):
-        raise SelmerError("enlargement does not escape U")
+        raise VerificationFailure("enlargement does not escape U")
     new_conditions = conditions.replaced(y, ram.ram)
     sel_new = selmer(system, new_conditions)
     if sel_new.shape[1] != sel_old.shape[1]:
-        raise SelmerError("new Selmer dimension moved; enlargement is inconsistent")
+        raise VerificationFailure("new Selmer dimension moved; enlargement is inconsistent")
     # psi_tilde: the first new-Selmer vector with nonzero psi'-coordinate.
     coords = ff.solve(np.hstack([sel_old, psi_prime.reshape(-1, 1)]), sel_new, p)
     if coords is None:
-        raise SelmerError("new Selmer leaves the span of the old Selmer and psi'")
+        raise VerificationFailure("new Selmer leaves the span of the old Selmer and psi'")
     hits = coords[-1].nonzero()[0]
     if not hits.size:
-        raise SelmerError("no new Selmer class has a psi'-component")
+        raise VerificationFailure("no new Selmer class has a psi'-component")
     psi_tilde = sel_new[:, hits[0]]
     beta_val = (beta @ psi_tilde) % p
     if _vanishes(u_equations, beta_val, p):
-        raise SelmerError("avoidance failed: beta(psi_tilde) landed in U")
+        raise VerificationFailure("avoidance failed: beta(psi_tilde) landed in U")
     return new_conditions, AvoidanceReport(
         sel_old.shape[1], sel_new.shape[1], psi_prime, psi_tilde, beta_val
     )
@@ -699,6 +704,8 @@ def build_exact_system(rng: random.Random, p: int, local_dims: dict,
     """Random exact system: H maps onto a random subspace I of the local sum,
     H' onto the annihilator of I; identity pairings."""
     total = sum(local_dims.values())
+    if any(n < 0 for n in local_dims.values()) or total > MAX_LOCAL_DIM:
+        raise SelmerError(f"local dimensions must be >= 0 with a sum of at most {MAX_LOCAL_DIM}")
     if not 0 <= global_dim <= total:
         raise SelmerError("global dimension out of range")
     image = ff.random_subspace(rng, total, global_dim, p)

@@ -1,11 +1,16 @@
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import time
 from pathlib import Path
 
 import pytest
 
+import galdesk
 from galdesk import cli
+from galdesk.errors import InputError, VerificationFailure
 from galdesk import scenarios as sc
 from galdesk import padics as pa
 from galdesk import padic_weights as pw
@@ -392,6 +397,73 @@ def test_rootdatum_gl1_exit_2(tmp_path, capsys):
 def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
     path = write_scenario(tmp_path, "rootdatum", {"gl": 2}, seed=seed)
     assert_one_line_input_error(capsys, path, f"seed must be an integer, got {seed!r}")
+
+
+def test_every_error_class_is_an_input_error_or_a_verification_failure():
+    # cli catches exactly these two; any other error class would escape it.
+    for info in pkgutil.iter_modules(galdesk.__path__):
+        module = importlib.import_module(f"galdesk.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, BaseException) \
+                    and obj.__module__ == module.__name__:
+                assert issubclass(obj, (InputError, VerificationFailure)), f"{info.name}.{name}"
+
+
+@pytest.mark.parametrize("kind,payload,expected", [
+    # A TameModuleError raised outside the runner's try: a traceback, exit 1.
+    ("local", {**LOCAL, "p": 7, "q": 14}, "q must be prime to p"),
+    ("numerology", {**NUMEROLOGY, "signature": 5}, "signature must be an object, got 5"),
+    ("numerology", {**NUMEROLOGY, "signature": {"kind": "totally_real", "degree": 2,
+                                                "local_degrees": "ab"}},
+     "local_degrees must be a list of integers, got 'ab'"),
+    ("weights", {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": 5},
+     "entries must be a list of objects with a string place, got 5"),
+    # Used to run as twist 1.
+    ("local", {**LOCAL, "twist": 1.5}, "twist must be an integer, got 1.5"),
+    # Used to be read as [[1], [0]].
+    ("selmer", {"p": 5, "local_dims": {"a": 2}, "global_dim": 1,
+                "conditions": {"a": [[1.7], [0.2]]}},
+     "condition at a entry must be an integer, got 1.7"),
+])
+def test_malformed_payload_exit_2(tmp_path, capsys, kind, payload, expected):
+    assert_one_line_input_error(capsys, write_scenario(tmp_path, kind, payload), expected)
+
+
+WEIGHTS = {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": [
+    {"place": "w0", "root_index": 0, "gen_index": 0,
+     "f_w": pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1}).serialize(),
+     "f_wbar": pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2}).serialize()}]}
+
+
+@pytest.mark.parametrize("kind,payload,expected", [
+    # Each used to hang, or to allocate an array of the size it names.
+    ("rootdatum", {"gl": 10**6}, "ranks must sum to at most 16"),
+    ("numerology", {**NUMEROLOGY, "signature": {"kind": "totally_real", "degree": 10**19}},
+     "degree must be between 1 and 10000"),
+    ("selmer", {"p": 5, "local_dims": {"a": 10**6}, "global_dim": 1},
+     "local dimensions must be >= 0 with a sum of at most 256"),
+    ("local", {**LOCAL, "p": 1000003}, "(p + 1) n^2 exceeds the table budget of 1000000"),
+    ("weights", {**WEIGHTS, "d": 10**19}, "minus_w0 must be a permutation of the simple indices"),
+    ("weights", {**WEIGHTS, "f": 10**19},
+     "family must carry one entry per (place, root, generator)"),
+])
+def test_resource_ceiling_exit_2(tmp_path, capsys, kind, payload, expected):
+    assert_one_line_input_error(capsys, write_scenario(tmp_path, kind, payload), expected)
+
+
+def test_verification_failure_exit_1(monkeypatch, capsys):
+    def fail(*args):
+        raise VerificationFailure("dual Selmer did not drop")
+
+    monkeypatch.setattr(sc, "run_builtin", fail)
+    assert cli.main(["run", "selmer-annihilation-suite"]) == 1
+    assert capsys.readouterr().err == "verification failure: dual Selmer did not drop\n"
+
+
+def test_precision_ceiling_exit_2(capsys):
+    # Used to run for more than 20 s.
+    assert cli.main(["run", "padic-log-suite", "--precision", "1000"]) == 2
+    assert capsys.readouterr().err == "input error: precision must be between 1 and 256\n"
 
 
 def test_example_scenario(tmp_path, capsys):
