@@ -278,6 +278,8 @@ def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:
     only in the quadratic extension the verification runs on exponents mod
     p^2 - 1; the report records which happened.
     """
+    if rd.rank_ss == 0:
+        raise NumerologyError("semisimple part is empty")
     if r % (p - 1) in (0, 1):
         raise NumerologyError("r = 0, 1 mod p-1 invalidates the construction")
     vg = very_good_prime(rd, p)

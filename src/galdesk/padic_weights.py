@@ -447,7 +447,6 @@ class UnitsModel:
 
     p: int
     pairs: tuple[tuple[str, str, int], ...]
-    torsion_order: int = 0  # defaults to p - 1
 
     def __post_init__(self):
         for w, wbar, f in self.pairs:
@@ -458,8 +457,6 @@ class UnitsModel:
         names = [n for w, wbar, _ in self.pairs for n in (w, wbar)]
         if len(set(names)) != len(names):
             raise WeightsError("place labels must be distinct")
-        if self.torsion_order == 0:
-            object.__setattr__(self, "torsion_order", self.p - 1)
 
     @property
     def places(self) -> tuple[str, ...]:

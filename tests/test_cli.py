@@ -205,6 +205,37 @@ def test_selmer_scenario_res_shape_exit_2(tmp_path, capsys, res, res_dual, expec
     assert_one_line_input_error(capsys, path, expected)
 
 
+# H maps onto the first coordinate of V_a, H' onto the second.
+EXPLICIT = {"p": 5, "local_dims": {"a": 2}, "res": {"a": [[1], [0]]},
+            "res_dual": {"a": [[0], [1]]}, "pairing": {"a": [[1, 0], [0, 1]]}}
+
+
+def test_selmer_scenario_degenerate_pairing_exit_2(tmp_path, capsys):
+    # Reciprocal, but the pairing kills the second coordinate.
+    payload = {**EXPLICIT, "pairing": {"a": [[1, 0], [0, 0]]}}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(capsys, path, "pairing at a is degenerate")
+
+
+def test_selmer_scenario_not_exact_exit_1(tmp_path, capsys):
+    # H' restricts to zero, so the image of H is not the whole annihilator
+    # of the image of H'.  Used to be refused with exit 2.
+    payload = {**EXPLICIT, "res_dual": {"a": [[0], [0]]}}
+    path = write_scenario(tmp_path, "selmer", payload)
+    code, out = run_cli(capsys, "run", path)
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks == {"reciprocity": True, "exactness": False}
+
+
+def test_selmer_scenario_unknown_condition_place_exit_2(tmp_path, capsys):
+    # Used to exit 0 with the full local space at every place.
+    payload = {**EXPLICIT, "conditions": {"x": [[1], [0]]}}
+    path = write_scenario(tmp_path, "selmer", payload)
+    assert_one_line_input_error(capsys, path,
+                                "conditions name 'x', which is not a place of local_dims")
+
+
 def test_weights_scenario_certificate(tmp_path, capsys):
     f_w = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})
     f_wbar = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2})
@@ -492,6 +523,13 @@ def test_example_scenario_bad_p_exit_2(tmp_path, capsys, p, expected):
     payload = {"root_datum": {"type": [["A", 1]]}, "r": 3, "p": p}
     path = write_scenario(tmp_path, "example", payload)
     assert_one_line_input_error(capsys, path, expected)
+
+
+def test_example_scenario_empty_type_exit_2(tmp_path, capsys):
+    # Used to exit 0: both checks ran over zero simple roots.
+    payload = {"root_datum": {"type": []}, "r": 3, "p": 19}
+    path = write_scenario(tmp_path, "example", payload)
+    assert_one_line_input_error(capsys, path, "semisimple part is empty")
 
 
 @pytest.mark.parametrize("kind,payload", [

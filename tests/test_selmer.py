@@ -700,10 +700,10 @@ def any_condition(rng, n, p):
 
 
 def any_selmer_case(p, seed):
-    """A system with random perfect pairings and conditions.  Exact systems
-    come from `build_exact_system` with res' moved by P_v^-1; the others
-    compose both sides with random maps into those images, which keeps
-    reciprocity and may break exactness."""
+    """A system with random perfect pairings and conditions, and whether it
+    is exact by construction.  Exact systems come from `build_exact_system`
+    with res' moved by P_v^-1; the others compose both sides with random maps
+    into those images, which keeps reciprocity and may break exactness."""
     rng = random.Random(seed)
     dims = {f"v{i}": rng.randrange(1, 5) for i in range(rng.randrange(1, 4))}
     base = sl.build_exact_system(rng, p, dims, rng.randrange(0, sum(dims.values()) + 1))
@@ -716,10 +716,10 @@ def any_selmer_case(p, seed):
         s_dual = any_matrix(rng, base.dim_h_dual, rng.randrange(0, base.dim_h_dual + 2), p)
         res = {v: ff.mat_mul(res[v], s, p) for v in dims}
         res_dual = {v: ff.mat_mul(res_dual[v], s_dual, p) for v in dims}
-    system = sl.SelmerSystem(p, base.places, dims, res, res_dual, pairing, exact=exact)
+    system = sl.SelmerSystem(p, base.places, dims, res, res_dual, pairing)
     conditions = sl.ConditionAssignment(system, {v: any_condition(rng, n, p)
                                                  for v, n in dims.items()})
-    return system, conditions
+    return system, conditions, exact
 
 
 def any_inflation_family(p, seed):
@@ -735,7 +735,7 @@ def any_inflation_family(p, seed):
     base = any_matrix(rng, n, rng.randrange(0, 3), p)
     enlargements = [np.hstack([base, any_matrix(rng, n, a, p)]) for a in added]
     full = np.hstack([base, *enlargements, any_matrix(rng, n, rng.randrange(0, 2), p)])
-    return sl.InflationFamily(p, n, base, enlargements, full)
+    return sl.InflationFamily(p, base, enlargements, full)
 
 
 SELMER_PRIMES = (3, 5, 7, 11, 13)
@@ -744,13 +744,13 @@ SELMER_PRIMES = (3, 5, 7, 11, 13)
 @given(st.sampled_from(SELMER_PRIMES), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_selmer_layer_matches_quotient_oracles(p, seed):
-    system, conditions = any_selmer_case(p, seed)
+    system, conditions, exact = any_selmer_case(p, seed)
     assert np.array_equal(sl.selmer(system, conditions),
                           quotient_selmer_oracle(system, conditions))
     assert np.array_equal(sl.dual_selmer(system, conditions),
                           quotient_dual_selmer_oracle(system, conditions))
     assert system.exactness_holds() == annihilator_exactness_oracle(system)
-    if system.exact:
+    if exact:
         assert system.exactness_holds()
 
 
@@ -793,6 +793,30 @@ def test_condition_shape_checked():
     for bad in (ff.zeros((1, 1)), ff.zeros(2), ff.zeros((3, 0))):
         with pytest.raises(sl.SelmerError, match="condition at a"):
             sl.ConditionAssignment(system, {"a": bad, "b": ff.eye(1)})
+
+
+def test_system_construction_makes_no_elimination(monkeypatch):
+    # Construction checks shapes and reciprocity, both matrix products; the
+    # builders may eliminate, but not inside SelmerSystem.__post_init__.
+    built = []
+    post_init = sl.SelmerSystem.__post_init__
+    rref = ff.rref
+
+    def counted(system):
+        built.append(system)
+        monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("rref in construction"))
+        try:
+            post_init(system)
+        finally:
+            monkeypatch.setattr(ff, "rref", rref)
+
+    monkeypatch.setattr(sl.SelmerSystem, "__post_init__", counted)
+    sl.SelmerSystem(5, ("a", "b"), {"a": 2, "b": 1}, {"a": ff.eye(2), "b": ff.zeros((1, 2))},
+                    {"a": ff.zeros((2, 1)), "b": ff.eye(1)}, {"a": ff.eye(2), "b": ff.eye(1)})
+    sl.build_exact_system(random.Random(0), 7, {"a": 3, "b": 2}, 2)
+    sl.build_annihilation_scenario(1, num_special=2)
+    sl.build_avoidance_scenario(1)
+    assert len(built) == 4
 
 
 def test_reciprocity_enforced():
@@ -918,7 +942,7 @@ def test_inflation_nesting_validated():
     base = ff.eye(4)[:, :2]
     stray = ff.eye(4)[:, 2:3]
     with pytest.raises(sl.SelmerError):
-        sl.InflationFamily(p, 4, base, [stray], ff.eye(4))
+        sl.InflationFamily(p, base, [stray], ff.eye(4))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ def test_units_model_validation():
     with pytest.raises(pw.WeightsError):
         pw.UnitsModel(5, (("w", "v", 0),))
     m = imag_quad_model()
-    assert m.torsion_order == 4
     assert m.conjugate("w0") == "wbar0"
 
 
