@@ -5,17 +5,22 @@ Usage: python scripts/dichotomy_experiment.py [count] [seed]
 
 For each family the ratio series either stay on a constant root of unity
 (verdict: parallel infinitesimal weights) or some index produces a finite
-per-root-of-unity solution bound (verdict: sparsity certificate).  Families
-are built half-and-half, so the tabulation doubles as a calibration check.
+per-root-of-unity solution bound (verdict: sparsity certificate), unless the
+precision cannot decide that index (verdict: undetermined).  Families are
+built half-and-half, so the tabulation doubles as a calibration check.
 """
 
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
-from galdesk import padics as pa
-from galdesk import padic_weights as pw
-from galdesk import root_datum as rdm
+# Import galdesk from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from galdesk import padics as pa  # noqa: E402
+from galdesk import padic_weights as pw  # noqa: E402
+from galdesk import root_datum as rdm  # noqa: E402
 
 
 def unit_series(rng, p, nvars, prec, cap):
@@ -60,6 +65,8 @@ def main() -> int:
         verdict = pw.passage_dichotomy(fam)
         if isinstance(verdict, pw.ParallelWeights):
             outcomes["parallel"] += 1
+        elif isinstance(verdict, pw.Undetermined):
+            outcomes["undetermined"] += 1
         else:
             outcomes["certificate"] += 1
             for kind, _, deg in verdict.per_zeta.values():

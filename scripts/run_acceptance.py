@@ -6,8 +6,12 @@ Exit code 0 when everything passes, 1 otherwise.
 
 import sys
 import time
+from pathlib import Path
 
-from galdesk import scenarios as sc
+# Import galdesk from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from galdesk import scenarios as sc  # noqa: E402
 
 
 def main() -> int:

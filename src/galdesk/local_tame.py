@@ -346,13 +346,13 @@ class AdjointModule:
 
     Basis order: the simple coroots spanning t0, then the roots in datum
     order.  The stored torus element is the image of geometric Frobenius,
-    so the arithmetic action on g_beta is beta(t)^{-1} (times the twist).
+    so the arithmetic action on g_beta is beta(t)^{-1}; `module.twisted(e)`
+    gives the Tate twist g0(e).
     """
 
     rd: RootDatum
     t: TorusElement
     q: int
-    twist: int = 0
 
     def __post_init__(self):
         if self.t.rd is not self.rd:
@@ -374,8 +374,7 @@ class AdjointModule:
         # beta(t)^-1 = beta(t^-1), and t^-1 has the inverse simple values.
         p = self.p
         inverse = [ff.inv_scalar(v, p) for v in self.t.simple_values]
-        scale = pow(self.q % p, self.twist % (p - 1), p)
-        return TameGaloisModule(p, adjoint_torus_matrix(self.rd, p, inverse, scale), self.q)
+        return TameGaloisModule(p, adjoint_torus_matrix(self.rd, p, inverse), self.q)
 
 
 def is_ramakrishna_type(a: AdjointModule):
@@ -389,13 +388,7 @@ def is_ramakrishna_type(a: AdjointModule):
 
 
 def ramakrishna_subspace(a: AdjointModule, alpha) -> LocalConditionSubspace:
-    """Image of H^1(W) in H^1(g0) for W = t_alpha + g_alpha.
-
-    Defined on the untwisted adjoint module: the corresponding deformation
-    condition lives on H^1 of g0 itself.
-    """
-    if a.twist != 0:
-        raise TameModuleError("Ramakrishna subspace is defined on the untwisted module")
+    """Image of H^1(W) in H^1(g0) for W = t_alpha + g_alpha."""
     ok, cert = is_ramakrishna_type(a)
     if not ok or tuple(cert) != tuple(alpha):
         raise TameModuleError("alpha is not the certified Ramakrishna root")

@@ -35,7 +35,6 @@ class FieldSignature:
     cm: bool
     totally_real: bool
     local_degrees_above_p: tuple[int, ...]
-    cm_pairs: tuple[tuple[str, str, int], ...] = ()
 
     def __post_init__(self):
         if self.real_places + 2 * self.complex_places != self.degree:
@@ -48,14 +47,6 @@ class FieldSignature:
             raise NumerologyError("local degrees above p must sum to the degree")
         if any(f <= 0 for f in self.local_degrees_above_p):
             raise NumerologyError("local degrees above p must be positive")
-        for w, wbar, f in self.cm_pairs:
-            if w == wbar:
-                raise NumerologyError("a place cannot be paired with itself")
-            if f <= 0:
-                raise NumerologyError("paired local degrees must be positive")
-        if self.cm and self.cm_pairs:
-            if sum(2 * f for _, _, f in self.cm_pairs) != self.degree:
-                raise NumerologyError("split pairs must cover the degree")
 
 
 def rational_signature() -> FieldSignature:
@@ -71,16 +62,16 @@ def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
 
 
 def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
-    """CM field, split above p: one (w, wbar) pair per degree-f slot."""
+    """CM field, split above p: a pair of places w, wbar of degree f for
+    each f in pair_degrees."""
     if not 1 <= degree <= MAX_DEGREE or degree % 2:
         raise NumerologyError(f"CM degree must be even, between 2 and {MAX_DEGREE}")
     fs = tuple(pair_degrees) if pair_degrees else tuple(1 for _ in range(degree // 2))
     if sum(fs) != degree // 2:
         raise NumerologyError("pair degrees must sum to half the degree")
-    pairs = tuple((f"w{i}", f"wbar{i}", f) for i, f in enumerate(fs))
     local = tuple(f for f in fs for _ in range(2))
     return FieldSignature(degree, 0, degree // 2, cm=True, totally_real=False,
-                          local_degrees_above_p=local, cm_pairs=pairs)
+                          local_degrees_above_p=local)
 
 
 def imaginary_quadratic_signature() -> FieldSignature:
@@ -104,10 +95,6 @@ class PlaceAboveP:
 class FinitePlace:
     dim_l: int
     h0: int
-
-    @classmethod
-    def balanced(cls, h0: int) -> "FinitePlace":
-        return cls(h0, h0)
 
 
 @dataclass(eq=False)
@@ -262,11 +249,6 @@ class ExampleReport:
     multiplicative_check: bool
     sqrt_in_base_field: bool
     notes: tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.pairing_identity and self.very_good
-                and self.extension_space_dim == 1 and self.multiplicative_check)
 
 
 def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:

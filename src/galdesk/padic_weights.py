@@ -9,8 +9,8 @@ slots of a smaller cap are a prefix of those of a larger one.  Two arrays
 run over the slots: `residues`, Python ints (p^prec overflows int64 once
 squared), and `precs`, an int64 precision per coefficient.  Precision 0
 means the term is absent, which is not the same as a present zero: the
-absent term is a zero known to the full series precision, and `serialize`
-lists only present terms.  An absent term has residue 0.
+absent term is a zero known to the full series precision, and `terms`
+returns only present terms.  An absent term has residue 0.
 
 Products are formed by index lookup.  The monomial e has the mixed-radix
 code sum_k e_k (cap+1)^k; below the cap the code of a product is the sum of
@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, VerificationFailure
-from .padics import (MAX_PRECISION, PadicInt, PrecisionError, log_unit, teichmuller,
+from .padics import (MAX_PRECISION, PadicInt, log_unit, teichmuller,
                      teichmuller_budget, teichmuller_part)
 
 
@@ -293,17 +293,6 @@ class TruncatedSeries:
         axis = layout.slots(np.arange(cap + 1) * (cap + 1) ** var)
         return self._from_arrays(self.p, 1, self.prec, cap, self.residues[axis], self.precs[axis])
 
-    def serialize(self) -> dict:
-        return {
-            "p": self.p,
-            "nvars": self.nvars,
-            "prec": self.prec,
-            "degree_cap": self.degree_cap,
-            "coeffs": sorted(
-                [[list(i), str(c.residue), c.prec] for i, c in self.terms().items()]
-            ),
-        }
-
 
 # -- Newton polygon / Weierstrass data ----------------------------------------
 
@@ -313,10 +302,6 @@ class WeierstrassData:
     vertices: tuple[tuple[int, Fraction], ...]
     degree: int | None  # None when undetermined at this precision
     slopes: tuple[tuple[Fraction, int], ...]  # (root valuation, multiplicity)
-
-    @property
-    def undetermined(self) -> bool:
-        return self.degree is None
 
 
 def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
@@ -385,23 +370,25 @@ class NonconstantWitness:
 
 @dataclass(frozen=True)
 class Undetermined:
+    """No axis of g - zeta has a unit coefficient at this precision; a
+    dichotomy verdict names the entry whose ratio is g, the constancy test
+    names none."""
+
     zeta: PadicInt
-    escalated: bool
+    entry: DichotomyEntry | None
 
 
-def constancy_test(g: TruncatedSeries, budget=None, regenerate=None):
+def constancy_test(g: TruncatedSeries, budget):
     """Is the unit series a constant root of unity?
 
     Returns Constant(zeta) when g - zeta vanishes at precision for some zeta
     in the budget; otherwise a NonconstantWitness carrying the Teichmuller
     part of the constant term and a positive Weierstrass degree in some
-    variable direction.  When every coefficient of g - zeta is a non-unit the
-    verdict escalates once (doubled caps via `regenerate`) before reporting
-    Undetermined.
+    variable direction, or Undetermined when every coefficient of g - zeta
+    on every axis is a non-unit.
     """
     if not g.is_unit():
         raise SeriesError("constancy test needs a unit series")
-    budget = budget if budget is not None else teichmuller_budget(g.p, g.prec)
     if not budget:
         raise SeriesError("empty root-of-unity budget")
     for zeta in budget:
@@ -412,13 +399,7 @@ def constancy_test(g: TruncatedSeries, budget=None, regenerate=None):
     witness = _direction_witness(g, zeta0)
     if witness is not None:
         return NonconstantWitness(zeta0, witness[0], witness[1])
-    if regenerate is not None:
-        g2 = regenerate(min(2 * g.prec, 64), 2 * g.degree_cap)
-        verdict = constancy_test(g2, None, None)
-        if isinstance(verdict, Undetermined):
-            return Undetermined(verdict.zeta, escalated=True)
-        return verdict
-    return Undetermined(zeta0, escalated=False)
+    return Undetermined(zeta0, None)
 
 
 def _direction_witness(g: TruncatedSeries, zeta: PadicInt):
@@ -468,14 +449,6 @@ class UnitsModel:
                 return f
         raise WeightsError(f"unknown place {place!r}")
 
-    def conjugate(self, place: str) -> str:
-        for w, wbar, _ in self.pairs:
-            if place == w:
-                return wbar
-            if place == wbar:
-                return w
-        raise WeightsError(f"unknown place {place!r}")
-
     def slots(self) -> list[tuple[str, int]]:
         return [(pl, j) for pl in self.places for j in range(self.degree_of(pl))]
 
@@ -506,7 +479,7 @@ class WeightPoint:
 
     model: UnitsModel
     values: dict[tuple[str, int], PadicInt]
-    algebraic_exponents: dict[tuple[str, int], int] | None = None
+    algebraic_exponents: dict[tuple[str, int], int]
 
     def __post_init__(self):
         for slot in self.model.slots():
@@ -543,8 +516,6 @@ def _unit_power(u: PadicInt, n: int) -> PadicInt:
 
 
 def is_locally_parallel(chi: WeightPoint) -> bool:
-    if chi.algebraic_exponents is None:
-        raise WeightsError("parallel predicate needs algebraic exponents")
     for w, wbar, f in chi.model.pairs:
         for j in range(f):
             if chi.algebraic_exponents.get((w, j), 0) != chi.algebraic_exponents.get((wbar, j), 0):
@@ -583,14 +554,6 @@ def closure_rank(model: UnitsModel, which: str) -> int:
 # -- infinitesimal weights -------------------------------------------------------
 
 
-def inf_weight(values, d: int, f: int, p: int) -> np.ndarray:
-    """Assemble f generator values in t0-coordinates into k^{fd}, generator-major."""
-    values = [np.asarray(v, dtype=np.int64) % p for v in values]
-    if len(values) != f or any(v.shape != (d,) for v in values):
-        raise WeightsError("need f vectors with d coordinates each")
-    return np.concatenate(values)
-
-
 def is_parallel_pair(x_w, x_wbar, minus_w0, p: int) -> bool:
     """x_w = -w0 . x_wbar coordinate-wise, generator-major layout."""
     x_w = np.asarray(x_w, dtype=np.int64) % p
@@ -604,20 +567,6 @@ def is_parallel_pair(x_w, x_wbar, minus_w0, p: int) -> bool:
             if x_w[j * d + i] != x_wbar[j * d + minus_w0[i]]:
                 return False
     return True
-
-
-def parallel_subspace(f: int, d: int, minus_w0, p: int):
-    """Graph of -w0 inside k^{fd} + k^{fd}: basis plus (dim, codim) report."""
-    if sorted(minus_w0) != list(range(d)):
-        raise WeightsError("minus_w0 must be a permutation of the simple indices")
-    n = f * d
-    basis = np.zeros((2 * n, n), dtype=np.int64)
-    for j in range(f):
-        for i in range(d):
-            col = j * d + i
-            basis[col, col] = 1
-            basis[n + j * d + minus_w0[i], col] = 1
-    return basis, n, n  # basis, dimension, codimension
 
 
 # -- the dichotomy -----------------------------------------------------------------
@@ -676,29 +625,20 @@ class SparsityCertificate:
     per_zeta: dict  # zeta residue -> ("empty", None, 0) | ("degree", var, deg)
 
 
-def passage_dichotomy(family: DichotomyFamily, budget=None):
+def passage_dichotomy(family: DichotomyFamily):
     """Either every ratio f_w/f_wbar is a constant root of unity, in which
     case the paired infinitesimal weights are returned (and checked to be
-    parallel), or some index yields a finite-solution certificate for every
-    root of unity in the budget.
+    parallel), or the first entry whose ratio is not yields a finite-solution
+    certificate for every root of unity in the budget, or is Undetermined at
+    the first root of unity whose Weierstrass data the precision cannot fix.
     """
     entry0 = family.entries[0]
     p = family.p
-    budget = budget if budget is not None else teichmuller_budget(p, entry0.f_w.prec)
-    ratios = {}
+    budget = teichmuller_budget(p, entry0.f_w.prec)
     for e in family.entries:
         g = e.f_w.divide(e.f_wbar)
-        verdict = constancy_test(g, budget)
-        if isinstance(verdict, Constant):
-            ratios[(e.place, e.root_index, e.gen_index)] = verdict.zeta
-            continue
-        cert = _sparsity_certificate(g, budget, e)
-        if cert is None:
-            raise WeightsError(
-                "ratio has no determinate Weierstrass data at this precision; "
-                "escalate the family caps"
-            )
-        return cert
+        if not isinstance(constancy_test(g, budget), Constant):
+            return _sparsity_certificate(g, budget, e)
     # Constant ratios throughout: extract dual-number reductions per variable.
     pairs = []
     places = sorted({e.place for e in family.entries})
@@ -733,6 +673,6 @@ def _sparsity_certificate(g: TruncatedSeries, budget, entry: DichotomyEntry):
             continue
         witness = _direction_witness(g, zeta)
         if witness is None:
-            return None
+            return Undetermined(zeta, entry)
         per_zeta[zeta.residue % zeta.p] = ("degree", witness[0], witness[1])
     return SparsityCertificate(entry.place, entry.root_index, entry.gen_index, per_zeta)

@@ -93,9 +93,6 @@ class PadicInt:
         n = min(self.prec, o.prec)
         return PadicInt(self.p, self.residue - o.residue, n)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         n = min(self.prec, o.prec)
@@ -128,18 +125,10 @@ class PadicInt:
         r = (self.residue // self.p**v) * pow(k, -1, self.p**new_prec)
         return PadicInt(self.p, r, new_prec)
 
-    def at_precision(self, prec: int) -> "PadicInt":
-        if prec > self.prec:
-            raise PrecisionError("cannot gain precision")
-        return PadicInt(self.p, self.residue, prec)
-
     def eq_at_shared_precision(self, other) -> bool:
         o = self._coerce(other)
         n = min(self.prec, o.prec)
         return (self.residue - o.residue) % self.p**n == 0
-
-    def __repr__(self):
-        return f"<{self.residue} mod {self.p}^{self.prec}>"
 
     def serialize(self) -> dict:
         return {"residue": str(self.residue), "prec": self.prec}

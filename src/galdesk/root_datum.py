@@ -141,10 +141,6 @@ class RootDatum:
         return self.cartan.shape[0]
 
     @property
-    def cochar_dim(self) -> int:
-        return self.coroot_vectors.shape[1]
-
-    @property
     def weight_dim(self) -> int:
         return self.root_vectors.shape[1]
 
@@ -184,9 +180,6 @@ class RootDatum:
         out = [int(c) for c in root]
         out[j] -= self.pair_root_coroot(root, j)
         return tuple(out)
-
-    def simple_pairings_cochar(self, mu) -> list[int]:
-        return [int(np.dot(self.root_vectors[i], mu)) for i in range(self.rank_ss)]
 
     def reflect_cochar(self, mu, j: int) -> np.ndarray:
         mu = np.asarray(mu, dtype=np.int64)
@@ -297,15 +290,6 @@ def dimension_profile(rd: RootDatum) -> tuple[int, int, int, int, int, int]:
     return (2 * npos + d, npos, npos + d, d, rd.coxeter_number, rd.center_order)
 
 
-def borel_height_filtration(rd: RootDatum, r: int) -> int:
-    """dim F^r b: all of b0 at r = 0, root spaces of height >= r after."""
-    if r < 0:
-        raise RootDatumError("filtration degree must be >= 0")
-    if r == 0:
-        return rd.num_positive + rd.rank_ss
-    return sum(1 for root in rd.positive_roots if rd.height(root) >= r)
-
-
 def very_good_prime(rd: RootDatum, p: int) -> bool:
     if not ff.is_odd_prime(p):
         raise RootDatumError("p must be an odd prime")
@@ -361,16 +345,14 @@ def _apply_word_to_root(rd: RootDatum, root, word) -> tuple[int, ...]:
     return root
 
 
-def w0_on_weight(rd: RootDatum, lam, word=None) -> np.ndarray:
-    word = word if word is not None else longest_element(rd)[0]
+def w0_on_weight(rd: RootDatum, lam, word) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.int64)
     for j in word:
         lam = rd.reflect_weight(lam, j)
     return lam
 
 
-def w0_on_cochar(rd: RootDatum, mu, word=None) -> np.ndarray:
-    word = word if word is not None else longest_element(rd)[0]
+def w0_on_cochar(rd: RootDatum, mu, word) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.int64)
     for j in word:
         mu = rd.reflect_cochar(mu, j)
@@ -496,12 +478,11 @@ def unique_root_certificate(rd: RootDatum, alpha_index: int, use_control: bool =
 # -- adjoint-action helpers --------------------------------------------------
 
 
-def adjoint_torus_matrix(rd: RootDatum, p: int, simple_values, scale: int = 1) -> np.ndarray:
+def adjoint_torus_matrix(rd: RootDatum, p: int, simple_values) -> np.ndarray:
     """Adjoint action of a torus element on g0 = t0 + sum of root spaces.
 
     Basis order: simple coroots (t0), then roots in the datum's enumeration
-    order (positives first, then matching negatives).  `scale` multiplies
-    the whole matrix, which is how Tate twists enter.
+    order (positives first, then matching negatives).
     """
     t = TorusElement(rd, p, tuple(v % p for v in simple_values))
     d = rd.rank_ss
@@ -509,9 +490,9 @@ def adjoint_torus_matrix(rd: RootDatum, p: int, simple_values, scale: int = 1) -
     n = d + len(roots)
     m = np.zeros((n, n), dtype=np.int64)
     for i in range(d):
-        m[i, i] = scale % p
+        m[i, i] = 1
     for k, root in enumerate(roots):
-        m[d + k, d + k] = t.root_value(root) * scale % p
+        m[d + k, d + k] = t.root_value(root)
     return m
 
 

@@ -8,6 +8,7 @@ and decimal-string p-adic values, ready for stable serialization.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -94,7 +95,8 @@ def builtin_unique_root_certificates(seed, precision):
     return _report(checks)
 
 
-def builtin_tame_cohomology_random(seed, precision, count=500):
+def builtin_tame_cohomology_random(seed, precision):
+    count = 500
     rng = random.Random(seed)
     euler_ok = duality_ok = 0
     for _ in range(count):
@@ -163,10 +165,23 @@ def builtin_gl2_f5_ramakrishna(seed, precision):
         "annihilator of unramified = dual unramified",
         ann_unr.dim == dual_unr.dim and ff.span_contains(ann_unr.basis, dual_unr.basis, 5),
     ))
+    # Frobenius acts on g/b = g_{-alpha} by alpha(t) = qbar^-1, which the
+    # cyclotomic twist by q makes trivial.
+    reg, reg_star = lt.reg_checks(rd, 5, [m.phi], [3])
+    checks.append(check("REG holds and REG* fails", reg and not reg_star,
+                        reg=reg, reg_star=reg_star))
+    # g_alpha is F_5(1) with trivial inertia: its tamely ramified cocycle
+    # (0 on sigma, 1 on tau) is not a coboundary, its unramified one is.
+    frob = int(m.phi[a.root_index(alpha), a.root_index(alpha)])
+    ramified = lt.nonsplit_check(rd, 5, 3, (frob,), (1,), (0,), (1,))
+    unramified = lt.nonsplit_check(rd, 5, 3, (frob,), (1,), (1,), (0,))
+    checks.append(check("on g_alpha the ramified cocycle is non-split, the unramified one splits",
+                        ramified and not unramified))
     return _report(checks)
 
 
-def builtin_tate_duality_suite(seed, precision, count=60):
+def builtin_tate_duality_suite(seed, precision):
+    count = 60
     rng = random.Random(seed)
     checks = []
     gram_ok = split_ok = unr_ok = tested = 0
@@ -205,7 +220,8 @@ def _rich_module(rng) -> lt.TameGaloisModule:
     return lt.TameGaloisModule(p, phi, q)
 
 
-def builtin_selmer_annihilation(seed, precision, count=100):
+def builtin_selmer_annihilation(seed, precision):
+    count = 100
     ok = 0
     for i in range(count):
         rng = random.Random(seed * 100003 + i)
@@ -237,7 +253,8 @@ def builtin_selmer_inflation(seed, precision):
     return _report(checks)
 
 
-def builtin_selmer_avoidance(seed, precision, count=100):
+def builtin_selmer_avoidance(seed, precision):
+    count = 100
     ok = 0
     for i in range(count):
         rng = random.Random(seed * 99991 + i)
@@ -263,12 +280,18 @@ def builtin_finite_cohomology(seed, precision):
                         and sl.finite_cohomology(trivial, 1)[0] == 0))
     minus = sl.FiniteGroupAction(5, [(-1) * ff.eye(1) % 5])
     checks.append(check("order-2 action: H1 = 0", sl.finite_cohomology(minus, 1)[0] == 0))
+    checks.append(check("order-2 action: H2 = 0, as p does not divide |G|",
+                        sl.finite_cohomology(minus, 2)[0] == 0))
     g7 = _sl2_adjoint(7)
     checks.append(check("adjoint image of SL2(F7): H1 = 0",
                         sl.finite_cohomology(g7, 1)[0] == 0, order=g7.order))
     g5 = _sl2_adjoint(5)
     checks.append(check("adjoint image of SL2(F5): the exceptional H1 is 1-dim",
                         sl.finite_cohomology(g5, 1)[0] == 1, order=g5.order))
+    # p exactly divides both orders, so H2 is computed on the Sylow normaliser.
+    for name, g in (("F7", g7), ("F5", g5)):
+        h2 = sl.finite_cohomology(g, 2)[0]
+        checks.append(check(f"adjoint image of SL2({name}): H2 = 1", h2 == 1, got=h2))
     return _report(checks)
 
 
@@ -306,9 +329,26 @@ def builtin_numerology_wiles(seed, precision):
                                 cm_ord == -(degree // 2) * t0, got=cm_ord))
             checks.append(check(f"{name} deg {degree}: CM nearly ordinary = +deg/2*t0",
                                 cm_no == (degree // 2) * t0, got=cm_no))
+        # An involution is odd when it fixes dim n of g0; no torus involution of A2 is.
+        odd = name != "A2"
+        involutions = [rdm.adjoint_involution_from_signs(rd, signs)
+                       for signs in itertools.product((1, -1), repeat=rd.rank_ss)]
+        audit = num.oddness_audit(rd, involutions, 5)
+        checks.append(check(f"{name}: {'some' if odd else 'no'} torus involution is odd",
+                            any(is_odd for _, is_odd in audit) == odd,
+                            h0=[h0 for h0, _ in audit]))
+        mw0 = rdm.longest_element(rd)[1]
+        omega = np.eye(rd.rank_ss, dtype=np.int64)
+        checks.append(check(f"{name}: theta fixes (omega_i, omega_j) exactly when j = -w0(i)",
+                            all(rdm.theta_involution(rd, omega[i], omega[j])[1] == (j == mw0[i])
+                                for i in range(rd.rank_ss) for j in range(rd.rank_ss))))
     gl2 = rdm.gl_datum(2)
     r = num.cm_parameter(num.imaginary_quadratic_signature(), gl2)
     checks.append(check("imaginary quadratic GL2: one-variable ring", r == 1, got=r))
+    parallel = rdm.parallel_cocharacter_check(gl2, (3, 1), (4, 2), (5, 5))
+    control = rdm.parallel_cocharacter_check(gl2, (1, 0), (1, 0), (0, 0))
+    checks.append(check("GL2: (3,1) and (4,2) are parallel for omega = (5,5); "
+                        "(1,0) and (1,0) are not for omega = 0", parallel and not control))
     return _report(checks)
 
 
@@ -393,7 +433,7 @@ def builtin_weights_parallel_functional(seed, precision):
     model = pw.UnitsModel(5, (("w0", "wbar0", 1), ("w1", "wbar1", 1)))
     elements = [pw.NormOneElement(model, (("w0", 0, 1), ("wbar0", 0, -1))),
                 pw.NormOneElement(model, (("w1", 0, 1), ("wbar1", 0, -1)))]
-    vanish = nonzero = 0
+    vanish = nonzero = parallel = 0
     for _ in range(50):
         exps = {}
         torsion = {}
@@ -406,6 +446,7 @@ def builtin_weights_parallel_functional(seed, precision):
         chi = pw.algebraic_weight(model, exps, prec=8, torsion=torsion)
         if all(pw.parallel_functional(chi, u).is_zero_at_prec() for u in elements):
             vanish += 1
+        parallel += pw.is_locally_parallel(chi)
     for _ in range(50):
         exps = {}
         for w, wbar, f in model.pairs:
@@ -417,16 +458,20 @@ def builtin_weights_parallel_functional(seed, precision):
         u = pw.NormOneElement(model, ((w, 0, 1), (wbar, 0, -1)))
         if not pw.parallel_functional(chi, u).is_zero_at_prec():
             nonzero += 1
+        parallel += not pw.is_locally_parallel(chi)
     ranks_ok = (pw.closure_rank(model, "full") == 4
                 and pw.closure_rank(model, "norm-image") == 2)
     return _report([
         check("functional vanishes on 50 parallel weights", vanish == 50, passed=vanish),
         check("functional nonzero on 50 non-parallel weights", nonzero == 50, passed=nonzero),
+        check("locally parallel exactly on the 50 parallel weights",
+              parallel == 100, passed=parallel),
         check("closure ranks (full 4, norm-image 2)", ranks_ok),
     ])
 
 
-def builtin_weights_dichotomy(seed, precision, count=100):
+def builtin_weights_dichotomy(seed, precision):
+    count = 100
     rng = random.Random(seed)
     parallel_ok = certificate_ok = 0
     for trial in range(count):
@@ -645,7 +690,7 @@ def _run_local(payload):
     p = _prime(payload, 2 * (rd.rank_ss + len(rd.all_roots())))
     t = rdm.TorusElement(rd, p, tuple(_int_list(_field(payload, "torus_values"), "torus_values")))
     twist = _int(_field(payload, "twist", 0), "twist")
-    base = lt.AdjointModule(rd, t, _int(_field(payload, "q"), "q"), 0)
+    base = lt.AdjointModule(rd, t, _int(_field(payload, "q"), "q"))
     m = base.module.twisted(twist)
     dims = lt.cohomology_dims(m)
     checks = [check("euler identity", dims[1] == dims[0] + dims[2], dims=list(dims))]
@@ -767,6 +812,12 @@ def _run_weights(payload):
                  for pr in pairs)
         return _report([check("all pairs parallel", ok)],
                        verdict="parallel-weights", pairs=pairs)
+    if isinstance(verdict, pw.Undetermined):
+        # Not a failed check: the precision does not decide this ratio.
+        e = verdict.entry
+        return _report([], verdict="undetermined", undetermined={
+            "place": e.place, "root_index": e.root_index, "gen_index": e.gen_index,
+            "zeta": verdict.zeta.residue % p})
     cert = {"place": verdict.place, "root_index": verdict.root_index,
             "gen_index": verdict.gen_index,
             "per_zeta": {str(z): [kind, -1 if var is None else int(var), int(deg)]

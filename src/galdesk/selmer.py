@@ -48,6 +48,9 @@ class SelmerError(InputError):
 # The largest total local dimension build_exact_system draws a system on.
 MAX_LOCAL_DIM = 256
 
+# The largest group order FiniteGroupAction enumerates.
+MAX_ORDER = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Finite group actions and their cohomology
@@ -74,7 +77,6 @@ class FiniteGroupAction:
 
     p: int
     generators: list[np.ndarray]
-    order_bound: int = 100_000
     elements: list = field(init=False)
     index: dict = field(init=False)
     step: np.ndarray = field(init=False)
@@ -106,7 +108,7 @@ class FiniteGroupAction:
                         index[key] = len(elements)
                         elements.append(prod)
                         parent.append((x, i))
-                        if len(elements) > self.order_bound:
+                        if len(elements) > MAX_ORDER:
                             raise SelmerError("enumeration overflow beyond the order bound")
                     row.append(index[key])
                 step.append(row)
@@ -392,9 +394,8 @@ class SelmerSystem:
     def dim_h_dual(self) -> int:
         return next(iter(self.res_dual.values())).shape[1]
 
-    def stacked_res(self, places=None):
-        places = places if places is not None else self.places
-        return np.vstack([self.res[v] for v in places]) % self.p
+    def stacked_res(self):
+        return np.vstack([self.res[v] for v in self.places]) % self.p
 
     def stacked_res_dual(self):
         return np.vstack([self.res_dual[v] for v in self.places]) % self.p
@@ -491,11 +492,6 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
 def _vanishes(rows, x, p: int) -> bool:
     """Is x, or every column of x, in the kernel of rows?"""
     return not (rows @ x % p).any()
-
-
-def surjectivity_check(system: SelmerSystem, target_places) -> bool:
-    mat = system.stacked_res(tuple(target_places))
-    return ff.rank(mat, system.p) == sum(system.local_dims[v] for v in target_places)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from galdesk.errors import InputError, VerificationFailure
 from galdesk import scenarios as sc
 from galdesk import padics as pa
 from galdesk import padic_weights as pw
+from series_payload import series_payload
 
 
 def run_cli(capsys, *argv):
@@ -242,7 +243,7 @@ def test_weights_scenario_certificate(tmp_path, capsys):
     payload = {
         "p": 5, "d": 1, "f": 1, "minus_w0": [0],
         "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
-                     "f_w": f_w.serialize(), "f_wbar": f_wbar.serialize()}],
+                     "f_w": series_payload(f_w), "f_wbar": series_payload(f_wbar)}],
     }
     path = write_scenario(tmp_path, "weights", payload)
     code, out = run_cli(capsys, "run", path)
@@ -259,7 +260,7 @@ def test_weights_scenario_parallel(tmp_path, capsys):
     payload = {
         "p": 5, "d": 1, "f": 1, "minus_w0": [0],
         "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
-                     "f_w": scaled.serialize(), "f_wbar": base.serialize()}],
+                     "f_w": series_payload(scaled), "f_wbar": series_payload(base)}],
     }
     path = write_scenario(tmp_path, "weights", payload)
     code, out = run_cli(capsys, "run", path)
@@ -270,7 +271,21 @@ def test_weights_scenario_parallel(tmp_path, capsys):
 def _weights_payload(p, f_w, f_wbar):
     return {"p": p, "d": 1, "f": 1, "minus_w0": [0],
             "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
-                         "f_w": f_w.serialize(), "f_wbar": f_wbar.serialize()}]}
+                         "f_w": series_payload(f_w), "f_wbar": series_payload(f_wbar)}]}
+
+
+def test_weights_scenario_undetermined_exit_0(tmp_path, capsys):
+    # f_w / f_wbar = 1 + 5x has no unit coefficient off the constant term at
+    # precision 8; it used to exit 2 as an input error.
+    payload = _weights_payload(5, pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 5}),
+                               pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1}))
+    path = write_scenario(tmp_path, "weights", payload)
+    code = cli.main(["run", path])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "undetermined" and report["status"] == "pass"
+    assert report["undetermined"] == {"place": "w0", "root_index": 0, "gen_index": 0, "zeta": 1}
 
 
 def test_weights_scenario_over_budget_exit_2(tmp_path, capsys):
@@ -462,8 +477,8 @@ def test_malformed_payload_exit_2(tmp_path, capsys, kind, payload, expected):
 
 WEIGHTS = {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": [
     {"place": "w0", "root_index": 0, "gen_index": 0,
-     "f_w": pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1}).serialize(),
-     "f_wbar": pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2}).serialize()}]}
+     "f_w": series_payload(pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1})),
+     "f_wbar": series_payload(pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2}))}]}
 
 
 @pytest.mark.parametrize("kind,payload,expected", [

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from galdesk import cli
 from galdesk import padic_weights as pw
+from series_payload import series_payload
 
-F_W = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1}).serialize()
-F_WBAR = pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2}).serialize()
+F_W = series_payload(pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 1}))
+F_WBAR = series_payload(pw.TruncatedSeries(5, 1, 8, 6, {(0,): 1, (1,): 2}))
 DOCUMENTS = [
     ("rootdatum", {"type": [["A", 2]], "central_rank": 1}),
     ("local", {"root_datum": {"gl": 2}, "p": 5, "torus_values": [2], "q": 3, "twist": 1}),

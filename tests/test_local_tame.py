@@ -313,10 +313,6 @@ def test_ramakrishna_wrong_root_rejected():
     a = gl2_f5_adjoint()
     with pytest.raises(lt.TameModuleError):
         lt.ramakrishna_subspace(a, (-1,))
-    # The subspace is a statement about the untwisted module.
-    twisted = lt.AdjointModule(a.rd, a.t, a.q, 1)
-    with pytest.raises(lt.TameModuleError):
-        lt.ramakrishna_subspace(twisted, (1,))
     with pytest.raises(lt.TameModuleError):
         # Torus element must belong to the same datum object.
         lt.AdjointModule(rdm.gl_datum(2), rdm.TorusElement(rdm.gl_datum(2), 5, (2,)), 3)
@@ -807,11 +803,12 @@ def test_nonsplit_check():
         lt.nonsplit_check(rd, p, q, (1,), (1,), (2,), (1,))
 
 
-def per_root_adjoint_phi(a: lt.AdjointModule) -> np.ndarray:
-    """The arithmetic Frobenius of g0 built root by root: the oracle for
-    AdjointModule.module, which reads it from adjoint_torus_matrix."""
+def per_root_adjoint_phi(a: lt.AdjointModule, twist: int) -> np.ndarray:
+    """The arithmetic Frobenius of g0(twist) built root by root: the oracle
+    for AdjointModule.module, which reads it from adjoint_torus_matrix, and
+    for its Tate twists."""
     p, d = a.p, a.rd.rank_ss
-    scale = pow(a.q % p, a.twist % (p - 1), p)
+    scale = pow(a.q % p, twist % (p - 1), p)
     m = ff.zeros((a.dim, a.dim))
     for i in range(d):
         m[i, i] = scale
@@ -828,7 +825,8 @@ def test_adjoint_module_matches_per_root_construction(name, p):
     for twist in range(-2, 3):
         values = tuple(rng.randrange(1, p) for _ in range(rd.rank_ss))
         q = rng.choice([q for q in range(2, 4 * p) if q % p])
-        a = lt.AdjointModule(rd, rdm.TorusElement(rd, p, values), q, twist)
-        expected = per_root_adjoint_phi(a)
-        assert a.module.phi.dtype == expected.dtype
-        assert a.module.phi.tobytes() == expected.tobytes(), (values, q, twist)
+        a = lt.AdjointModule(rd, rdm.TorusElement(rd, p, values), q)
+        expected = per_root_adjoint_phi(a, twist)
+        got = a.module.twisted(twist).phi_eff
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), (values, q, twist)
