@@ -33,7 +33,6 @@ class FieldSignature:
     real_places: int
     complex_places: int
     cm: bool
-    totally_real: bool
     local_degrees_above_p: tuple[int, ...]
 
     def __post_init__(self):
@@ -48,17 +47,20 @@ class FieldSignature:
         if any(f <= 0 for f in self.local_degrees_above_p):
             raise NumerologyError("local degrees above p must be positive")
 
+    @property
+    def totally_real(self) -> bool:
+        return self.complex_places == 0
+
 
 def rational_signature() -> FieldSignature:
-    return FieldSignature(1, 1, 0, cm=False, totally_real=True, local_degrees_above_p=(1,))
+    return FieldSignature(1, 1, 0, cm=False, local_degrees_above_p=(1,))
 
 
 def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
     if not 1 <= degree <= MAX_DEGREE:
         raise NumerologyError(f"degree must be between 1 and {MAX_DEGREE}")
     local = tuple(local_degrees) if local_degrees else tuple(1 for _ in range(degree))
-    return FieldSignature(degree, degree, 0, cm=False, totally_real=True,
-                          local_degrees_above_p=local)
+    return FieldSignature(degree, degree, 0, cm=False, local_degrees_above_p=local)
 
 
 def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
@@ -70,8 +72,7 @@ def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
     if sum(fs) != degree // 2:
         raise NumerologyError("pair degrees must sum to half the degree")
     local = tuple(f for f in fs for _ in range(2))
-    return FieldSignature(degree, 0, degree // 2, cm=True, totally_real=False,
-                          local_degrees_above_p=local)
+    return FieldSignature(degree, 0, degree // 2, cm=True, local_degrees_above_p=local)
 
 
 def imaginary_quadratic_signature() -> FieldSignature:
@@ -153,7 +154,7 @@ def archimedean_bound(scenario: Scenario) -> ArchimedeanReport:
     g0, n, _, t0, _, _ = dimension_profile(scenario.rd)
     lhs = sum(scenario.real_h0) + sig.complex_places * g0
     rhs = sig.degree * n + sig.complex_places * t0
-    odd = sig.totally_real and all(h == n for h in scenario.real_h0) and sig.complex_places == 0
+    odd = sig.totally_real and all(h == n for h in scenario.real_h0)
     return ArchimedeanReport(lhs, rhs, lhs >= rhs, odd and lhs == sig.degree * n)
 
 

@@ -20,9 +20,12 @@ precision of the pairs that feed it, and is reduced once mod p^prec; that
 equals chained PadicInt arithmetic, because reducing mod p^a and then mod
 p^b with b <= a is reducing mod p^b.
 
-The root-of-unity budget is the set of Teichmuller representatives: those
-are the only roots of unity in Z_p for odd p, so a unit series over Z_p can
-only be constant at one of them.
+The roots of unity in Z_p, for odd p, are the Teichmuller representatives,
+and any two of them differ by a unit.  So of all of them only zeta0, the one
+congruent to the constant term of a unit series g, can make g - zeta vanish
+or have a root in the open unit polydisk: g - zeta has a unit constant term
+for every other zeta.  The constancy test therefore subtracts zeta0 alone,
+taken at the precision of g itself.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, VerificationFailure
-from .padics import (MAX_PRECISION, PadicInt, log_unit, teichmuller,
-                     teichmuller_budget, teichmuller_part)
+from .padics import MAX_PRECISION, PadicInt, log_unit, teichmuller
 
 
 class SeriesError(InputError):
@@ -378,41 +380,28 @@ class Undetermined:
     entry: DichotomyEntry | None
 
 
-def constancy_test(g: TruncatedSeries, budget):
+def constancy_test(g: TruncatedSeries):
     """Is the unit series a constant root of unity?
 
-    Returns Constant(zeta) when g - zeta vanishes at precision for some zeta
-    in the budget; otherwise a NonconstantWitness carrying the Teichmuller
-    part of the constant term and a positive Weierstrass degree in some
-    variable direction, or Undetermined when every coefficient of g - zeta
-    on every axis is a non-unit.
+    Only zeta0, the Teichmuller lift of g's constant term at g's precision,
+    can be that constant.  Returns Constant(zeta0) when g - zeta0 vanishes
+    at precision; otherwise a NonconstantWitness with the first variable
+    whose axis of g - zeta0 has a unit coefficient, and the Weierstrass
+    degree (>= 1) there, or Undetermined when no axis has one.
     """
     if not g.is_unit():
         raise SeriesError("constancy test needs a unit series")
-    if not budget:
-        raise SeriesError("empty root-of-unity budget")
-    for zeta in budget:
-        diff = g - TruncatedSeries.constant(zeta, g.p, g.nvars, g.prec, g.degree_cap)
-        if diff.is_zero_at_prec():
-            return Constant(zeta)
-    zeta0 = teichmuller_part(g.constant_term)
-    witness = _direction_witness(g, zeta0)
-    if witness is not None:
-        return NonconstantWitness(zeta0, witness[0], witness[1])
-    return Undetermined(zeta0, None)
-
-
-def _direction_witness(g: TruncatedSeries, zeta: PadicInt):
-    """(var, degree >= 1) with a unit coefficient of g - zeta on some axis."""
-    diff = g - TruncatedSeries.constant(zeta, g.p, g.nvars, g.prec, g.degree_cap)
+    zeta0 = teichmuller(g.constant_term.unit_residue_mod_p(), g.p, g.prec)
+    diff = g - TruncatedSeries.constant(zeta0, g.p, g.nvars, g.prec, g.degree_cap)
+    if diff.is_zero_at_prec():
+        return Constant(zeta0)
     for var in range(g.nvars):
         axis = diff.specialize_to_axis(var)
-        if axis.is_zero_at_prec():
-            continue
-        wd = weierstrass_data(axis)
-        if wd.degree is not None and wd.degree >= 1:
-            return var, wd.degree
-    return None
+        # The constant term of diff is not a unit, so a unit coefficient sits
+        # at degree >= 1.
+        if not axis.is_zero_at_prec() and (degree := weierstrass_data(axis).degree) is not None:
+            return NonconstantWitness(zeta0, var, degree)
+    return Undetermined(zeta0, None)
 
 
 # -- units model and weight points ---------------------------------------------
@@ -629,16 +618,22 @@ def passage_dichotomy(family: DichotomyFamily):
     """Either every ratio f_w/f_wbar is a constant root of unity, in which
     case the paired infinitesimal weights are returned (and checked to be
     parallel), or the first entry whose ratio is not yields a finite-solution
-    certificate for every root of unity in the budget, or is Undetermined at
-    the first root of unity whose Weierstrass data the precision cannot fix.
+    certificate for every root of unity, or is Undetermined at zeta0 when the
+    precision cannot fix its Weierstrass data.
+
+    The certificate is "empty" at every zeta but zeta0 (g - zeta has a unit
+    constant term there) and the constancy test's witness at zeta0.
     """
     entry0 = family.entries[0]
     p = family.p
-    budget = teichmuller_budget(p, entry0.f_w.prec)
     for e in family.entries:
-        g = e.f_w.divide(e.f_wbar)
-        if not isinstance(constancy_test(g, budget), Constant):
-            return _sparsity_certificate(g, budget, e)
+        verdict = constancy_test(e.f_w.divide(e.f_wbar))
+        if isinstance(verdict, Undetermined):
+            return Undetermined(verdict.zeta, e)
+        if isinstance(verdict, NonconstantWitness):
+            per_zeta = {z: ("empty", None, 0) for z in range(1, p)}
+            per_zeta[verdict.zeta.residue % p] = ("degree", verdict.var, verdict.degree)
+            return SparsityCertificate(e.place, e.root_index, e.gen_index, per_zeta)
     # Constant ratios throughout: extract dual-number reductions per variable.
     pairs = []
     places = sorted({e.place for e in family.entries})
@@ -662,17 +657,3 @@ def passage_dichotomy(family: DichotomyFamily):
             pairs.append((pl, var, x_w, x_wbar))
     return ParallelWeights(pairs)
 
-
-def _sparsity_certificate(g: TruncatedSeries, budget, entry: DichotomyEntry):
-    per_zeta = {}
-    for zeta in budget:
-        diff = g - TruncatedSeries.constant(zeta, g.p, g.nvars, g.prec, g.degree_cap)
-        if diff.constant_term.is_unit():
-            # g = zeta has no solutions at all in the open unit polydisk.
-            per_zeta[zeta.residue % zeta.p] = ("empty", None, 0)
-            continue
-        witness = _direction_witness(g, zeta)
-        if witness is None:
-            return Undetermined(zeta, entry)
-        per_zeta[zeta.residue % zeta.p] = ("degree", witness[0], witness[1])
-    return SparsityCertificate(entry.place, entry.root_index, entry.gen_index, per_zeta)

@@ -145,11 +145,6 @@ def teichmuller(a: int, p: int, prec: int) -> PadicInt:
     return PadicInt(p, r, prec)
 
 
-def teichmuller_budget(p: int, prec: int) -> list[PadicInt]:
-    """All p-1 roots of unity in Z_p at the given precision."""
-    return [teichmuller(a, p, prec) for a in range(1, p)]
-
-
 def teichmuller_part(u: PadicInt) -> PadicInt:
     if not u.is_unit():
         raise PrecisionError("non-unit has no Teichmuller part")

@@ -494,22 +494,3 @@ def adjoint_torus_matrix(rd: RootDatum, p: int, simple_values) -> np.ndarray:
     for k, root in enumerate(roots):
         m[d + k, d + k] = t.root_value(root)
     return m
-
-
-def adjoint_involution_from_signs(rd: RootDatum, signs) -> np.ndarray:
-    """Adjoint matrix of a torus involution with beta_i(t) = signs[i] in {1,-1}."""
-    if any(s not in (1, -1) for s in signs):
-        raise RootDatumError("signs must be +-1")
-    d = rd.rank_ss
-    roots = rd.all_roots()
-    n = d + len(roots)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(d):
-        m[i, i] = 1
-    for k, root in enumerate(roots):
-        val = 1
-        for i, c in enumerate(root):
-            if signs[i] == -1 and c % 2 == 1:
-                val = -val
-        m[d + k, d + k] = val
-    return m

@@ -331,7 +331,7 @@ def builtin_numerology_wiles(seed, precision):
                                 cm_no == (degree // 2) * t0, got=cm_no))
         # An involution is odd when it fixes dim n of g0; no torus involution of A2 is.
         odd = name != "A2"
-        involutions = [rdm.adjoint_involution_from_signs(rd, signs)
+        involutions = [rdm.adjoint_torus_matrix(rd, 5, signs)
                        for signs in itertools.product((1, -1), repeat=rd.rank_ss)]
         audit = num.oddness_audit(rd, involutions, 5)
         checks.append(check(f"{name}: {'some' if odd else 'no'} torus involution is odd",

@@ -163,11 +163,16 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # ff.nullspace of a system in the unknowns f(x) gives the basis that is
         # the identity on the last independent coordinates of Z^1 (its free
         # columns, by matroid duality); so does reducing them in reverse.
-        z1 = ff.column_space((f.reshape(k * n, r * n) @ z % p)[::-1], p)[::-1, ::-1]
+        f = f.reshape(k * n, r * n)
+        z1 = ff.column_space((f @ z % p)[::-1], p)[::-1, ::-1]
         # Coboundaries f(x) = (x - 1) v, spanned by the columns of b1.
         b1 = ((np.array(g.elements) - ff.eye(n)) % p).reshape(k * n, n)
-        quotient = ff.QuotientSpace(z1, b1, p)
-        return quotient.dim, quotient.reps
+        # The quotient is taken on the rows f(s_i) = u_i alone: u -> F u is
+        # injective on Z^1, so the columns keep their dependencies and the
+        # same representatives are chosen, in u; F maps them back.
+        rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
+        quotient = ff.QuotientSpace(z1[rows], b1[rows], p)
+        return quotient.dim, f @ quotient.reps % p
 
     if degree == 2:
         sylow = _p_part(k, p)

@@ -288,6 +288,27 @@ def test_weights_scenario_undetermined_exit_0(tmp_path, capsys):
     assert report["undetermined"] == {"place": "w0", "root_index": 0, "gen_index": 0, "zeta": 1}
 
 
+@pytest.mark.parametrize("first", ["w0", "w1"])
+def test_weights_verdict_does_not_depend_on_entry_order(tmp_path, capsys, first):
+    # w0's ratio is 1 at precision 2.  w1's is 1 + 5^3 at precision 16, which
+    # is not a root of unity there, though it is one at w0's precision 2.
+    def entry(place, f_w, f_wbar, prec):
+        return {"place": place, "root_index": 0, "gen_index": 0,
+                "f_w": series_payload(pw.TruncatedSeries(5, 1, prec, 2, {(0,): f_w})),
+                "f_wbar": series_payload(pw.TruncatedSeries(5, 1, prec, 2, {(0,): f_wbar}))}
+
+    entries = [entry("w0", 1, 1, 2), entry("w1", 1 + 5**3, 1, 16)]
+    if first == "w1":
+        entries.reverse()
+    path = write_scenario(tmp_path, "weights",
+                          {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": entries})
+    code, out = run_cli(capsys, "run", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "undetermined"
+    assert report["undetermined"] == {"place": "w1", "root_index": 0, "gen_index": 0, "zeta": 1}
+
+
 def test_weights_scenario_over_budget_exit_2(tmp_path, capsys):
     one = {"p": 5, "nvars": 8, "prec": 8, "degree_cap": 40, "coeffs": [[[0] * 8, "1", 8]]}
     payload = {"p": 5, "d": 1, "f": 1, "minus_w0": [0],

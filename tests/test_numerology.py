@@ -14,9 +14,9 @@ GL2 = rdm.gl_datum(2)
 
 def test_signature_invariants():
     with pytest.raises(num.NumerologyError):
-        num.FieldSignature(3, 1, 2, cm=False, totally_real=False, local_degrees_above_p=(3,))
+        num.FieldSignature(3, 1, 2, cm=False, local_degrees_above_p=(3,))
     with pytest.raises(num.NumerologyError):
-        num.FieldSignature(3, 1, 1, cm=True, totally_real=False, local_degrees_above_p=(3,))
+        num.FieldSignature(3, 1, 1, cm=True, local_degrees_above_p=(3,))
     with pytest.raises(num.NumerologyError):
         num.cm_signature(3)
     sig = num.cm_signature(4, (2,))
@@ -53,17 +53,17 @@ def test_real_h0_range_validation():
 
 def test_oddness_audit_gl2():
     # Ad(diag(1,-1)) on sl2 fixes the torus line only.
-    mat = rdm.adjoint_involution_from_signs(GL2, (-1,))
+    mat = rdm.adjoint_torus_matrix(GL2, 5, (-1,))
     [(h0, odd)] = num.oddness_audit(GL2, [mat], p=5)
     assert (h0, odd) == (1, True)
-    ident = rdm.adjoint_involution_from_signs(GL2, (1,))
+    ident = rdm.adjoint_torus_matrix(GL2, 5, (1,))
     [(h0, odd)] = num.oddness_audit(GL2, [ident], p=5)
     assert (h0, odd) == (3, False)
 
 
 def test_oddness_audit_sp4():
     # Split Cartan involution of sp4 with fixed space of dimension 4 = dim n.
-    mat = rdm.adjoint_involution_from_signs(C2, (-1, -1))
+    mat = rdm.adjoint_torus_matrix(C2, 7, (-1, -1))
     [(h0, odd)] = num.oddness_audit(C2, [mat], p=7)
     assert (h0, odd) == (4, True)
 

@@ -131,9 +131,10 @@ def test_teichmuller():
     w = pa.teichmuller(2, 5, 8)
     assert pow(w.residue, 4, 5**8) == 1
     assert w.residue % 5 == 2
-    budget = pa.teichmuller_budget(5, 6)
-    assert len(budget) == 4
-    assert sorted(b.residue % 5 for b in budget) == [1, 2, 3, 4]
+    # The p - 1 roots of unity are distinct mod p, so any two differ by a unit.
+    roots = [pa.teichmuller(a, 5, 6) for a in range(1, 5)]
+    assert all(pow(z.residue, 4, 5**6) == 1 for z in roots)
+    assert sorted(z.residue % 5 for z in roots) == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +534,45 @@ def test_degree_matches_hensel_oracle():
 def test_constancy_constant():
     zeta = pa.teichmuller(2, 5, 8)  # order 4
     g = pw.TruncatedSeries.constant(zeta, 5, 1, 8, 6)
-    verdict = pw.constancy_test(g, pa.teichmuller_budget(5, 8))
+    verdict = pw.constancy_test(g)
     assert isinstance(verdict, pw.Constant)
-    assert verdict.zeta.residue == zeta.residue
+    assert (verdict.zeta.residue, verdict.zeta.prec) == (zeta.residue, 8)
 
 
 def test_constancy_witness():
     g = series(5, 1, 8, 6, [((0,), 1), ((1,), 1)])
-    verdict = pw.constancy_test(g, pa.teichmuller_budget(5, 8))
+    verdict = pw.constancy_test(g)
     assert isinstance(verdict, pw.NonconstantWitness)
     assert verdict.zeta.residue % 5 == 1
-    assert verdict.degree == 1
+    assert (verdict.var, verdict.degree) == (0, 1)
+
+
+def test_constancy_witness_on_a_later_axis():
+    # The x axis of g - 2 has no unit coefficient; the y axis has one in degree 2.
+    zeta = pa.teichmuller(2, 5, 8)
+    g = series(5, 2, 8, 6, [((0, 0), zeta.residue), ((1, 0), 5), ((0, 1), 10), ((0, 2), 3)])
+    verdict = pw.constancy_test(g)
+    assert isinstance(verdict, pw.NonconstantWitness)
+    assert (verdict.zeta.residue, verdict.var, verdict.degree) == (zeta.residue, 1, 2)
 
 
 def test_constancy_undetermined():
     g = series(5, 1, 8, 6, [((0,), 1), ((1,), 5)])
-    verdict = pw.constancy_test(g, pa.teichmuller_budget(5, 8))
+    verdict = pw.constancy_test(g)
     assert isinstance(verdict, pw.Undetermined)
     assert verdict.zeta.residue % 5 == 1 and verdict.entry is None
 
 
-def test_constancy_needs_unit_and_budget():
+def test_constancy_judged_at_the_series_precision():
+    # 1 + 5^3 is the root of unity 1 to precision 3, and not to precision 16.
+    low = pw.constancy_test(series(5, 1, 3, 2, [((0,), 1 + 5**3)]))
+    high = pw.constancy_test(series(5, 1, 16, 2, [((0,), 1 + 5**3)]))
+    assert isinstance(low, pw.Constant) and low.zeta.prec == 3
+    assert isinstance(high, pw.Undetermined) and high.zeta.prec == 16
+    assert high.zeta.residue == 1
+
+
+def test_constancy_needs_unit():
     g = series(5, 1, 8, 6, [((0,), 5)])
     with pytest.raises(pw.SeriesError):
-        pw.constancy_test(g, pa.teichmuller_budget(5, 8))
-    good = series(5, 1, 8, 6, [((0,), 1)])
-    with pytest.raises(pw.SeriesError):
-        pw.constancy_test(good, budget=[])
+        pw.constancy_test(g)

@@ -470,7 +470,12 @@ def test_step_table_and_parents(g):
 
 
 @pytest.mark.parametrize("g", [small_group(name) for name in sorted(SMALL_GROUPS)]
-                         + [sl2_adjoint_action(5), sl2_adjoint_action(7)])
+                         + [sl2_adjoint_action(5), sl2_adjoint_action(7),
+                            # An identity generator, whose f(s) = f(1) is 0, and a
+                            # repeated one, two generators on one row block.
+                            sl.FiniteGroupAction(3, [ff.eye(2), np.array(J2)]),
+                            sl.FiniteGroupAction(7, [np.array(SWAP), diag_blocks([[2]], [[4]]),
+                                                     np.array(SWAP)])])
 def test_h1_basis_matches_kn_oracle(g):
     dim, basis = sl.finite_cohomology(g, 1)
     want_dim, want_basis = kn_h1_oracle(g.p, g.elements, g.step)

@@ -296,6 +296,88 @@ def test_planted_certificate_survives_doubled_precision(seed, p, d, nvars, cap, 
         (low.place, low.root_index, low.gen_index, low.per_zeta)
 
 
+def undetermined_family(rng, p=5, d=2, f=1, nvars=2, prec=8, cap=6):
+    """A constant-ratio family with one f_w times 1 + p c x_var: that ratio's
+    difference from its root of unity has no unit coefficient."""
+    fam = constant_ratio_family(rng, p, d, f, nvars, prec, cap)
+    e = fam.entries[rng.randrange(len(fam.entries))]
+    var = rng.randrange(nvars)
+    bump = tuple(int(k == var) for k in range(nvars))
+    e.f_w = e.f_w * pw.TruncatedSeries(p, nvars, prec, cap, {
+        tuple(0 for _ in range(nvars)): pa.PadicInt.one(p, prec),
+        bump: pa.PadicInt(p, p * rng.randrange(1, p), prec),
+    })
+    return fam
+
+
+def teichmuller_budget(p, prec):
+    """All p - 1 roots of unity in Z_p at the given precision."""
+    return [pa.teichmuller(a, p, prec) for a in range(1, p)]
+
+
+def direction_witness(g, zeta):
+    """(var, degree >= 1) with a unit coefficient of g - zeta on some axis."""
+    diff = g - pw.TruncatedSeries.constant(zeta, g.p, g.nvars, g.prec, g.degree_cap)
+    for var in range(g.nvars):
+        axis = diff.specialize_to_axis(var)
+        if not axis.is_zero_at_prec():
+            degree = pw.weierstrass_data(axis).degree
+            if degree is not None and degree >= 1:
+                return var, degree
+    return None
+
+
+def two_pass_oracle(family):
+    """The dichotomy by the whole root-of-unity budget: a ratio is constant
+    when g - zeta vanishes for some zeta of it, and the first ratio that is
+    not is certified by subtracting every zeta again, "empty" where g - zeta
+    has a unit constant term, else a direction witness or undetermined."""
+    p = family.p
+    budget = teichmuller_budget(p, family.entries[0].f_w.prec)
+    for e in family.entries:
+        g = e.f_w.divide(e.f_wbar)
+        diffs = [g - pw.TruncatedSeries.constant(zeta, p, g.nvars, g.prec, g.degree_cap)
+                 for zeta in budget]
+        if any(diff.is_zero_at_prec() for diff in diffs):
+            continue
+        per_zeta = {}
+        for zeta, diff in zip(budget, diffs):
+            if diff.constant_term.is_unit():
+                per_zeta[zeta.residue % p] = ("empty", None, 0)
+                continue
+            witness = direction_witness(g, zeta)
+            if witness is None:
+                return "undetermined", (zeta.residue, zeta.prec), e
+            per_zeta[zeta.residue % p] = ("degree", *witness)
+        return "certificate", (e.place, e.root_index, e.gen_index), per_zeta
+    return "parallel-weights", None, None
+
+
+FAMILIES = {"parallel-weights": constant_ratio_family, "certificate": perturbed_family,
+            "undetermined": undetermined_family}
+
+
+@given(st.integers(0, 2**32), st.sampled_from(sorted(FAMILIES)), st.sampled_from([5, 7]),
+       st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(2, 5),
+       st.integers(2, 12))
+@settings(max_examples=60, deadline=None, database=None)
+def test_dichotomy_matches_two_pass_oracle(seed, planted, p, d, f, nvars, cap, prec):
+    """On families whose series share one precision, one subtraction per
+    entry gives the verdict, the entry and the per-zeta certificate that
+    subtracting every root of unity gives."""
+    fam = FAMILIES[planted](random.Random(seed), p, d, f, nvars, prec, cap)
+    verdict = pw.passage_dichotomy(fam)
+    if isinstance(verdict, pw.ParallelWeights):
+        got = "parallel-weights", None, None
+    elif isinstance(verdict, pw.Undetermined):
+        got = "undetermined", (verdict.zeta.residue, verdict.zeta.prec), verdict.entry
+    else:
+        got = ("certificate", (verdict.place, verdict.root_index, verdict.gen_index),
+               verdict.per_zeta)
+    assert got == two_pass_oracle(fam)
+    assert got[0] == planted
+
+
 def test_dichotomy_multi_generator_and_places():
     """f = 2 generators and two place-pairs: generator-major assembly holds."""
     rng = random.Random(12)
