@@ -69,9 +69,7 @@ def main() -> int:
             outcomes["undetermined"] += 1
         else:
             outcomes["certificate"] += 1
-            for kind, _, deg in verdict.per_zeta.values():
-                if kind == "degree":
-                    degree_hist[deg] += 1
+            degree_hist[verdict.degree] += 1
     print(f"families: {count} (seed {seed})")
     for name, n in sorted(outcomes.items()):
         print(f"  {name}: {n}")

@@ -5,15 +5,15 @@ matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
 matrix right-hand side, and the span helpers (`span_contains`,
 `extend_basis`, `QuotientSpace.coords_matrix`) each make one elimination
 rather than one per column.  A `QuotientSpace` is built from one reduction
-of [denominator | numerator] (plus a rank of at most dim(den) rows for its
-containment check), so its denominator may be any spanning set.
+of [denominator | numerator], and takes span(denominator) within
+span(numerator) as an unchecked precondition.
 
 `rref` is the one elimination, with two kernels chosen by input size.  Almost
 every system the Selmer and local-duality layers build has at most a few
 hundred cells, where numpy's per-pivot call overhead outweighs its
 arithmetic, so inputs of at most `_SMALL_CELLS` cells run row-by-row
 Gauss-Jordan on lists of Python ints.  Larger inputs, such as the
-finite-group degree-2 systems of up to about 21000 x 350, clear each pivot
+finite-group degree-2 systems under `selmer._H2_CELL_BUDGET`, clear each pivot
 column with one vectorised update over a bounded block of rows.  Where the
 crossover sits depends on how much clearing a system needs.  On the sparse,
 often rank-deficient systems the layers build, the Python kernel is about 2x
@@ -220,10 +220,12 @@ def extend_basis(sub, vectors, p: int) -> np.ndarray:
 class QuotientSpace:
     """Quotient span(numerator)/span(denominator) with canonical coordinates.
 
-    One reduction R of [den | num] gives both bases.  Its pivot columns
-    inside den are kept as `den`, so the denominator may be any spanning set
-    of the subspace, with dependent or zero columns.  Its pivot columns
-    beyond den are `reps`: the greedy complement `extend_basis` chooses.
+    Precondition, not checked: span(denominator) lies in span(numerator).
+
+    One reduction of [den | num] gives both bases.  Its pivot columns inside
+    den are kept as `den`, so the denominator may be any spanning set of the
+    subspace, with dependent or zero columns.  Its pivot columns beyond den
+    are `reps`: the greedy complement `extend_basis` chooses.
     """
 
     def __init__(self, numerator, denominator, p: int):
@@ -231,13 +233,8 @@ class QuotientSpace:
         self.num = normalize(numerator, p)
         den = normalize(denominator, p)
         k = den.shape[1]
-        r, pivots = rref(np.hstack([den, self.num]), p)
+        _, pivots = rref(np.hstack([den, self.num]), p)
         r_d = sum(c < k for c in pivots)
-        # The r_d rows with a pivot in den vanish on the pivot columns of
-        # reps, so rank [den | num] = rank num, that is span(den) lies in
-        # span(num), exactly when those rows have rank r_d on num's columns.
-        if r_d and rank(r[:r_d, k:], p) < r_d:
-            raise ValueError("denominator is not contained in numerator")
         self.den = den[:, pivots[:r_d]]
         self.reps = self.num[:, [c - k for c in pivots[r_d:]]]
         self.dim = self.reps.shape[1]

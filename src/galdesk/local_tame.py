@@ -32,6 +32,9 @@ T^p = 1, T^q, the relator's S_q as prefix sums, and T^-1 = T^(p-1) for the
 dual.  It holds (p + 1) n^2 entries.  Phi^-1 is one elimination, except for
 a dual or a twist, which inherit it in closed form and check it with one
 product.
+
+The image of H^1(W) for an invariant subspace W (the Ramakrishna condition)
+is read off the cocycles of M with values in W, so W gets no module.
 """
 
 from __future__ import annotations
@@ -199,6 +202,8 @@ class TameGaloisModule:
     @cached_property
     def _h1(self) -> "H1Space":
         z1 = ff.nullspace(self.relator_matrix, self.p)
+        # B^1 = im d0 lies in Z^1 = ker d1, as QuotientSpace requires: d1 d0 =
+        # Phi_eff T - T^q Phi_eff, which __post_init__ refuses to let be nonzero.
         return H1Space(self, ff.QuotientSpace(z1, self.coboundary_matrix, self.p))
 
 
@@ -270,27 +275,17 @@ def _class_span(m: TameGaloisModule, cocycles, label: str) -> LocalConditionSubs
     return LocalConditionSubspace(space, ff.column_space(coords, m.p), label)
 
 
-def submodule_restriction(m: TameGaloisModule, basis) -> TameGaloisModule:
-    """Module structure induced on an invariant subspace (column basis)."""
-    p = m.p
-    basis = ff.normalize(basis, p)
-    phi_r = ff.solve(basis, (m.phi_eff @ basis) % p, p)
-    tau_r = ff.solve(basis, (m.tau @ basis) % p, p)
-    if phi_r is None or tau_r is None:
-        raise TameModuleError("subspace is not invariant")
-    return TameGaloisModule(p, phi_r, m.q, tau_r, 0)
-
-
 def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalConditionSubspace:
-    """Image of H^1(W) -> H^1(M) for an invariant subspace W."""
+    """Image of H^1(W) -> H^1(M) for an invariant subspace W: the classes of
+    the cocycles of M with values in W, which are those of H^1(W)."""
     p = m.p
-    sub = submodule_restriction(m, sub_basis)
-    incl = ff.normalize(sub_basis, p)
-    n, k = incl.shape
-    # The inclusion acts on both halves of a stacked cocycle (a; b).
-    big = ff.zeros((2 * n, 2 * k))
-    big[:n, :k] = big[n:, k:] = incl
-    return _class_span(m, (big @ h1_space(sub).basis_cocycles) % p, label)
+    w = ff.normalize(sub_basis, p)
+    e = ff.nullspace(w.T, p).T  # equations whose common kernel is W
+    if any(ff.mat_mul(e, act @ w % p, p).any() for act in (m.phi_eff, m.tau)):
+        raise TameModuleError("subspace is not invariant")
+    # A cocycle (a; b) takes values in W when e a = 0 and e b = 0.
+    values_in_w = np.kron(ff.eye(2), e)
+    return _class_span(m, ff.nullspace(np.vstack([m.relator_matrix, values_in_w]), p), label)
 
 
 # -- duality pairing ---------------------------------------------------------

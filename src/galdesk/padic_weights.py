@@ -608,10 +608,22 @@ class ParallelWeights:
 
 @dataclass(eq=False)
 class SparsityCertificate:
+    """The first entry whose ratio g is not constant, and the witness that
+    g - zeta has Weierstrass degree `degree` along `var`."""
+
     place: str
     root_index: int
     gen_index: int
-    per_zeta: dict  # zeta residue -> ("empty", None, 0) | ("degree", var, deg)
+    zeta: PadicInt
+    var: int
+    degree: int
+
+    @property
+    def per_zeta(self) -> dict:
+        """The witness at zeta and "empty" at the other p - 2 roots of unity."""
+        p = self.zeta.p
+        return {z: ("degree", self.var, self.degree) if z == self.zeta.residue % p
+                else ("empty", None, 0) for z in range(1, p)}
 
 
 def passage_dichotomy(family: DichotomyFamily):
@@ -621,24 +633,22 @@ def passage_dichotomy(family: DichotomyFamily):
     certificate for every root of unity, or is Undetermined at zeta0 when the
     precision cannot fix its Weierstrass data.
 
-    The certificate is "empty" at every zeta but zeta0 (g - zeta has a unit
-    constant term there) and the constancy test's witness at zeta0.
+    The certificate holds the constancy test's witness at zeta0; it is
+    "empty" at every other zeta, where g - zeta has a unit constant term.
     """
-    entry0 = family.entries[0]
     p = family.p
     for e in family.entries:
         verdict = constancy_test(e.f_w.divide(e.f_wbar))
         if isinstance(verdict, Undetermined):
             return Undetermined(verdict.zeta, e)
         if isinstance(verdict, NonconstantWitness):
-            per_zeta = {z: ("empty", None, 0) for z in range(1, p)}
-            per_zeta[verdict.zeta.residue % p] = ("degree", verdict.var, verdict.degree)
-            return SparsityCertificate(e.place, e.root_index, e.gen_index, per_zeta)
+            return SparsityCertificate(e.place, e.root_index, e.gen_index,
+                                       verdict.zeta, verdict.var, verdict.degree)
     # Constant ratios throughout: extract dual-number reductions per variable.
     pairs = []
     places = sorted({e.place for e in family.entries})
     by_key = {(e.place, e.root_index, e.gen_index): e for e in family.entries}
-    nvars = entry0.f_w.nvars
+    nvars = family.entries[0].f_w.nvars
     for pl in places:
         for var in range(nvars):
             x_w = np.zeros(family.f * family.d, dtype=np.int64)

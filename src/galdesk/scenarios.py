@@ -812,19 +812,14 @@ def _run_weights(payload):
                  for pr in pairs)
         return _report([check("all pairs parallel", ok)],
                        verdict="parallel-weights", pairs=pairs)
-    if isinstance(verdict, pw.Undetermined):
-        # Not a failed check: the precision does not decide this ratio.
-        e = verdict.entry
-        return _report([], verdict="undetermined", undetermined={
-            "place": e.place, "root_index": e.root_index, "gen_index": e.gen_index,
-            "zeta": verdict.zeta.residue % p})
-    cert = {"place": verdict.place, "root_index": verdict.root_index,
-            "gen_index": verdict.gen_index,
-            "per_zeta": {str(z): [kind, -1 if var is None else int(var), int(deg)]
-                         for z, (kind, var, deg) in sorted(verdict.per_zeta.items())}}
-    return _report([check("certificate covers the root-of-unity budget",
-                          len(verdict.per_zeta) == p - 1)],
-                   verdict="sparsity-certificate", certificate=cert)
+    # Both other verdicts name an entry and a root of unity, and fail no check.
+    e = verdict.entry if isinstance(verdict, pw.Undetermined) else verdict
+    where = {"place": e.place, "root_index": e.root_index, "gen_index": e.gen_index,
+             "zeta": verdict.zeta.residue % p}
+    if isinstance(verdict, pw.Undetermined):  # the precision does not decide this ratio
+        return _report([], verdict="undetermined", undetermined=where)
+    return _report([], verdict="sparsity-certificate", certificate={
+        **where, "var": int(verdict.var), "degree": int(verdict.degree), "other_zeta": "empty"})
 
 
 def _run_example(payload):

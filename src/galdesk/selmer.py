@@ -169,7 +169,8 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         b1 = ((np.array(g.elements) - ff.eye(n)) % p).reshape(k * n, n)
         # The quotient is taken on the rows f(s_i) = u_i alone: u -> F u is
         # injective on Z^1, so the columns keep their dependencies and the
-        # same representatives are chosen, in u; F maps them back.
+        # same representatives are chosen, in u; F maps them back.  B^1 lies in
+        # Z^1, as QuotientSpace requires, because coboundaries are cocycles.
         rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
         quotient = ff.QuotientSpace(z1[rows], b1[rows], p)
         return quotient.dim, f @ quotient.reps % p

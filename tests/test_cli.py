@@ -250,8 +250,34 @@ def test_weights_scenario_certificate(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "sparsity-certificate"
-    kinds = {entry[0] for entry in report["certificate"]["per_zeta"].values()}
-    assert "degree" in kinds
+    # (1 + x)/(1 + 2x) - 1 = -x + ..., so the witness has degree 1 along x.
+    assert report["checks"] == []
+    assert report["certificate"] == {"place": "w0", "root_index": 0, "gen_index": 0,
+                                     "zeta": 1, "var": 0, "degree": 1, "other_zeta": "empty"}
+
+
+def certificate_report(tmp_path, capsys, p):
+    """(path, report) of a one-entry weights payload with f_w = 1 + x, f_wbar = 1."""
+    f_w = pw.TruncatedSeries(p, 1, 2, 1, {(0,): 1, (1,): 1})
+    f_wbar = pw.TruncatedSeries(p, 1, 2, 1, {(0,): 1})
+    payload = {"p": p, "d": 1, "f": 1, "minus_w0": [0],
+               "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
+                            "f_w": series_payload(f_w), "f_wbar": series_payload(f_wbar)}]}
+    path = write_scenario(tmp_path, "weights", payload, name=f"weights{p}.json")
+    code, out = run_cli(capsys, "run", path)
+    assert code == 0
+    return path, out
+
+
+def test_weights_certificate_size_does_not_depend_on_p(tmp_path, capsys):
+    """The certificate names its witness once; the p - 2 empty roots of unity
+    are not spelled out, so p = 2^31 - 1 runs and reports as p = 5 does."""
+    small_path, small = certificate_report(tmp_path, capsys, 5)
+    big_path, big = certificate_report(tmp_path, capsys, 2**31 - 1)
+    assert len(big) - len(big_path) == len(small) - len(small_path)
+    big, small = json.loads(big), json.loads(small)
+    assert big.pop("scenario") == big_path and small.pop("scenario") == small_path
+    assert big == small and big["verdict"] == "sparsity-certificate"
 
 
 def test_weights_scenario_parallel(tmp_path, capsys):

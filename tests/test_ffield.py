@@ -98,14 +98,6 @@ def test_quotient_space_coords():
     assert np.array_equal(q.coords(rebuilt), c)
 
 
-def test_quotient_requires_containment():
-    p = 5
-    num = np.array([[1], [0]], dtype=np.int64)
-    den = np.array([[0], [1]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        ff.QuotientSpace(num, den, p)
-
-
 def test_extend_basis_deterministic():
     p = 7
     sub = np.array([[1], [0], [0]], dtype=np.int64)
@@ -388,8 +380,8 @@ class TwoEliminationQuotient:
 
 @st.composite
 def quotient_cases(draw):
-    """(p, num, den): num dependent with zero columns; den dependent, zero or
-    empty, built inside span(num) unless `contained` is False."""
+    """(p, num, den): num dependent with zero columns; den = num C, dependent,
+    zero or empty, and inside span(num) as QuotientSpace requires."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(0, 8))
     k_num = draw(st.integers(0, 9))
@@ -399,13 +391,9 @@ def quotient_cases(draw):
     num_zeros = draw(st.sets(st.integers(0, k_num - 1), max_size=3)) if k_num else set()
     num = seeded_matrix(seed, p, n, k_num, draw(st.none() | st.integers(0, n)),
                         sorted(num_zeros))
-    if draw(st.booleans()):
-        # den = num . C for C of rank at most `den_rank`: inside span(num).
-        den_rank = draw(st.integers(0, min(k_num, k_den)))
-        c = seeded_matrix(seed + 1, p, k_num, k_den, den_rank)
-        den = (num @ c) % p
-    else:
-        den = seeded_matrix(seed + 1, p, n, k_den, draw(st.none() | st.integers(0, n)))
+    # C of rank at most `den_rank`.
+    den_rank = draw(st.integers(0, min(k_num, k_den)))
+    den = (num @ seeded_matrix(seed + 1, p, k_num, k_den, den_rank)) % p
     if k_den and draw(st.booleans()):
         den[:, rng.integers(0, k_den)] = 0
     return p, num, den
@@ -415,12 +403,7 @@ def quotient_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_quotient_space_matches_two_elimination_oracle(case):
     p, num, den = case
-    try:
-        expected = TwoEliminationQuotient(num, den, p)
-    except ValueError:
-        with pytest.raises(ValueError, match="not contained"):
-            ff.QuotientSpace(num, den, p)
-        return
+    expected = TwoEliminationQuotient(num, den, p)
     q = ff.QuotientSpace(num, den, p)
     assert q.dim == expected.dim
     assert q.reps.tobytes() == expected.reps.tobytes()
@@ -435,7 +418,7 @@ def test_quotient_space_matches_two_elimination_oracle(case):
     assert got.shape == (q.dim, 5)
 
 
-def test_quotient_space_makes_one_reduction_and_one_small_rank(monkeypatch):
+def test_quotient_space_makes_one_reduction(monkeypatch):
     p = 7
     num = seeded_matrix(3, p, 6, 5)
     den = np.hstack([num[:, :2], num[:, :2] * 3 % p, ff.zeros((6, 1))])  # rank 2
@@ -443,11 +426,11 @@ def test_quotient_space_makes_one_reduction_and_one_small_rank(monkeypatch):
     shapes = []
     monkeypatch.setattr(ff, "rref", lambda a, p: shapes.append(np.shape(a)) or rref(a, p))
     q = ff.QuotientSpace(num, den, p)
-    assert shapes == [(6, 10), (2, 5)]
+    assert shapes == [(6, 10)]
     assert q.den.shape == (6, 2) and q.dim == ff.rank(num, p) - 2
     shapes.clear()
     ff.QuotientSpace(num, ff.zeros((6, 3)), p)
-    assert shapes == [(6, 8)]  # no pivot in den: nothing to check
+    assert shapes == [(6, 8)]
 
 
 # Empty inputs: what the elimination returns for them is what each helper

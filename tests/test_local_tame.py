@@ -589,16 +589,23 @@ def test_dual_twist_makes_no_elimination(monkeypatch):
         assert np.array_equal(mt.phi_inv, ff.inv(mt.phi, p))
 
 
-def test_h1_makes_at_most_three_eliminations(monkeypatch):
-    """The nullspace of the relator, the quotient's reduction and its
-    containment rank."""
+def test_h1_makes_two_eliminations(monkeypatch):
+    """The nullspace of the relator and the quotient's reduction."""
     rng = random.Random(78)
     calls = count_rref(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         calls.clear()
         lt.h1_space(m)
-        assert len(calls) <= 3
+        assert len(calls) == 2
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_coboundaries_are_cocycles(seed, allow_tau):
+    """d1 d0 = 0 mod p, so B^1 lies in Z^1 as H^1's QuotientSpace requires."""
+    m = random_tame_module(random.Random(seed), allow_tau)
+    assert not (m.relator_matrix @ m.coboundary_matrix % m.p).any()
 
 
 def test_wrong_supplied_phi_inverse_rejected():
@@ -736,6 +743,148 @@ def test_dual_image_description():
         rep = ann.space.cocycle_from_coords(ann.basis[:, j])
         assert lt.dual_root_component(a, rep[:n], tuple(-c for c in alpha)) == 0
         assert lt.dual_root_component(a, rep[n:], tuple(-c for c in alpha)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Image subspaces against the route that builds W as a module of its own
+# ---------------------------------------------------------------------------
+
+def submodule_image_oracle(m: lt.TameGaloisModule, sub_basis) -> np.ndarray:
+    """Class-coordinate basis of the image of H^1(W) -> H^1(M), by way of W's
+    own module: restrict Phi_eff and T to W, take that module's H^1, map its
+    representatives into cocycles of M and take their classes."""
+    p = m.p
+    basis = ff.normalize(sub_basis, p)
+    phi_r = ff.solve(basis, (m.phi_eff @ basis) % p, p)
+    tau_r = ff.solve(basis, (m.tau @ basis) % p, p)
+    if phi_r is None or tau_r is None:
+        raise lt.TameModuleError("subspace is not invariant")
+    sub = lt.TameGaloisModule(p, phi_r, m.q, tau_r, 0)
+    n, k = basis.shape
+    # The inclusion acts on both halves of a stacked cocycle (a; b).
+    big = ff.zeros((2 * n, 2 * k))
+    big[:n, :k] = big[n:, k:] = basis
+    cocycles = (big @ lt.h1_space(sub).basis_cocycles) % p
+    return ff.column_space(lt.h1_space(m).quotient.coords_matrix(cocycles), p)
+
+
+def assert_image_matches_oracle(m, sub_basis):
+    got = lt.image_subspace(m, sub_basis, "w")
+    expected = submodule_image_oracle(m, sub_basis)
+    assert got.space is lt.h1_space(m) and got.label == "w"
+    assert got.basis.shape == expected.shape
+    assert got.basis.tobytes() == expected.tobytes()
+
+
+def closed_subspace(m: lt.TameGaloisModule, rng: random.Random) -> np.ndarray:
+    """A random subspace closed under Phi_eff and T: the closure of one or
+    two vectors, each drawn from ker (T - 1)^j, from an eigenspace of Phi_eff
+    or from the whole space (whose closure is most often all of it)."""
+    p, n = m.p, m.dim
+    eigenspaces = [e for lam in range(1, p)
+                   if (e := ff.nullspace((m.phi_eff - lam * ff.eye(n)) % p, p)).shape[1]]
+    seeds = []
+    for _ in range(rng.randrange(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            space = ff.eye(n)
+        elif kind == 1:
+            space = ff.nullspace(mat_pow((m.tau - ff.eye(n)) % p, rng.randrange(1, n + 1), p), p)
+        else:
+            space = rng.choice(eigenspaces) if eigenspaces else ff.eye(n)
+        coeffs = np.array([rng.randrange(p) for _ in range(space.shape[1])], dtype=np.int64)
+        seeds.append(space @ coeffs % p)
+    w = ff.column_space(np.column_stack(seeds), p)
+    while True:
+        grown = ff.column_space(np.hstack([w, m.phi_eff @ w % p, m.tau @ w % p]), p)
+        if grown.shape[1] == w.shape[1]:
+            return w
+        w = grown
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["inertia", "unramified", "rich"]))
+@settings(max_examples=300, deadline=None)
+def test_image_subspace_matches_submodule_oracle(seed, kind):
+    """Modules with and without inertia, and Phi/T-closed random subspaces:
+    the cocycle-equation route gives the oracle's basis byte for byte."""
+    rng = random.Random(seed)
+    m = cohomology_rich_module(rng) if kind == "rich" else random_tame_module(rng, kind == "inertia")
+    w = closed_subspace(m, rng)
+    assert_image_matches_oracle(m, w)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_image_subspace_refuses_what_the_oracle_refuses(seed, allow_tau):
+    """On a random subspace, invariant or not, both routes refuse or both
+    give the same basis."""
+    rng = random.Random(seed)
+    m = random_tame_module(rng, allow_tau)
+    w = ff.random_subspace(rng, m.dim, rng.randrange(1, m.dim + 1), m.p)
+    try:
+        submodule_image_oracle(m, w)
+    except lt.TameModuleError:
+        with pytest.raises(lt.TameModuleError, match="not invariant"):
+            lt.image_subspace(m, w, "w")
+        return
+    assert_image_matches_oracle(m, w)
+
+
+def test_image_subspace_refuses_a_non_invariant_subspace():
+    # The line of g_alpha + g_{-alpha}: Phi scales the two root lines by
+    # different values.
+    adjoint = gl2_f5_adjoint().module
+    # The line of e_2 under Phi = 1 and a unipotent T: only T moves it.
+    unipotent = lt.TameGaloisModule(5, ff.eye(2), 6, np.array([[1, 1], [0, 1]]))
+    for m, w in [(adjoint, np.array([[0], [1], [1]])), (unipotent, np.array([[0], [1]]))]:
+        with pytest.raises(lt.TameModuleError, match="not invariant"):
+            submodule_image_oracle(m, w)
+        with pytest.raises(lt.TameModuleError, match="not invariant"):
+            lt.image_subspace(m, w, "w")
+
+
+# (root datum, p, simple values of t, q) of Ramakrishna type.
+RAMAKRISHNA_CASES = {"GL2": ("GL2", 5, (2,), 3), "A2": ([("A", 2)], 7, (3, 2), 5),
+                     "B2": ([("B", 2)], 7, (2, 3), 3)}
+
+
+def ramakrishna_adjoint(name) -> lt.AdjointModule:
+    """A fresh adjoint module, so that nothing on it is cached yet."""
+    spec, p, values, q = RAMAKRISHNA_CASES[name]
+    rd = rdm.gl_datum(2) if spec == "GL2" else rdm.build_root_datum(spec)
+    return lt.AdjointModule(rd, rdm.TorusElement(rd, p, values), q)
+
+
+@pytest.mark.parametrize("name", sorted(RAMAKRISHNA_CASES))
+def test_ramakrishna_w_matches_submodule_oracle(name):
+    a = ramakrishna_adjoint(name)
+    ok, alpha = lt.is_ramakrishna_type(a)
+    assert ok
+    w = np.hstack([lt.t_alpha_basis(a.rd, alpha, a.p, a.dim), lt._root_line(a, alpha)])
+    assert_image_matches_oracle(a.module, w)
+    sub = lt.ramakrishna_subspace(a, alpha)
+    assert sub.basis.tobytes() == submodule_image_oracle(a.module, w).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RAMAKRISHNA_CASES))
+def test_ramakrishna_subspace_builds_no_second_module(monkeypatch, name):
+    a = ramakrishna_adjoint(name)
+    built = []
+    init = lt.TameGaloisModule.__init__
+    monkeypatch.setattr(lt.TameGaloisModule, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    _, alpha = lt.is_ramakrishna_type(a)
+    lt.ramakrishna_subspace(a, alpha)
+    assert built == [a.module]
+
+
+def test_dual_w_perp_matches_submodule_oracle():
+    """test_dual_image_description's W^perp(1) inside the dual of g0."""
+    a = gl2_f5_adjoint()
+    _, alpha = lt.is_ramakrishna_type(a)
+    p, n = a.p, a.dim
+    w = np.hstack([lt.t_alpha_basis(a.rd, alpha, p, n), lt._root_line(a, alpha)])
+    assert_image_matches_oracle(a.module.dual_twist(), ff.nullspace(w.T % p, p))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The corpus is what a user can run: every builtin at seed 0, `galdesk list`
 in both formats, a table report, and one valid scenario document of each
-kind (those of test_documents, a rational numerology signature and a weights
-payload whose verdict is undetermined), each through `cli.main`.  It runs
-under a call-only `sys.settrace`, and a function in src/galdesk that no call
-reaches fails the test, unless EXEMPT names it with its reason.
+kind (those of test_documents, a rational numerology signature, and weights
+payloads with an undetermined verdict and a certificate at a large p), each
+through `cli.main`.  It runs under a call-only `sys.settrace`, and a
+function in src/galdesk that no call reaches fails the test, unless EXEMPT
+names it with its reason.
 """
 
 import contextlib
@@ -37,8 +38,10 @@ EXEMPT = {
     "selmer.random_conditions": PERF,
     "padic_weights.TruncatedSeries.__add__": PERF,
     "padic_weights.TruncatedSeries.__neg__": PERF,
+    "padic_weights.SparsityCertificate.per_zeta": PERF,
 }
 
+BIG_P = 2**31 - 1
 EXTRA_DOCUMENTS = [
     ("numerology", {"root_datum": {"gl": 2}, "signature": {"kind": "rational"}}),
     # f_w / f_wbar = 1 + 5x has no unit coefficient off the constant term at
@@ -48,6 +51,15 @@ EXTRA_DOCUMENTS = [
                               "f_w": series_payload(pw.TruncatedSeries(5, 1, 8, 6,
                                                                        {(0,): 1, (1,): 5})),
                               "f_wbar": series_payload(pw.TruncatedSeries(5, 1, 8, 6,
+                                                                          {(0,): 1}))}]}),
+    # f_w / f_wbar = 1 + x: a sparsity certificate with its witness at zeta = 1,
+    # at a p where spelling out all p - 1 roots of unity would take gigabytes
+    # (test_documents' certificate has p = 5).
+    ("weights", {"p": BIG_P, "d": 1, "f": 1, "minus_w0": [0],
+                 "entries": [{"place": "w0", "root_index": 0, "gen_index": 0,
+                              "f_w": series_payload(pw.TruncatedSeries(BIG_P, 1, 2, 1,
+                                                                       {(0,): 1, (1,): 1})),
+                              "f_wbar": series_payload(pw.TruncatedSeries(BIG_P, 1, 2, 1,
                                                                           {(0,): 1}))}]}),
 ]
 
