@@ -8,19 +8,18 @@ rather than one per column.  A `QuotientSpace` is built from one reduction
 of [denominator | numerator], and takes span(denominator) within
 span(numerator) as an unchecked precondition.
 
-`rref` is the one elimination, with two kernels chosen by input size.  Almost
-every system the Selmer and local-duality layers build has at most a few
-hundred cells, where numpy's per-pivot call overhead outweighs its
-arithmetic, so inputs of at most `_SMALL_CELLS` cells run row-by-row
-Gauss-Jordan on lists of Python ints.  Larger inputs, such as the
-finite-group degree-2 systems under `selmer._H2_CELL_BUDGET`, clear each pivot
-column with one vectorised update over a bounded block of rows.  Where the
-crossover sits depends on how much clearing a system needs.  On the sparse,
-often rank-deficient systems the layers build, the Python kernel is about 2x
-faster per call up to 2^6 cells and 1.2-1.6x at 2^8, and breaks even near
-2^9; on dense full-rank matrices it is 2x faster up to 2^5 cells but 0.6x
-from 2^7 and 0.3x from 2^10.  Both kernels make the same pivot choices and
-return the same R for every p with p^2 < 2^63 (see `products_fit`).
+`rref` is the one elimination, with two kernels.  Gauss-Jordan on lists of
+Python ints costs what clearing its nonzeros, row by row, costs, and numpy a
+fixed cost per pivot.  So inputs of at most `_SMALL_CELLS` cells run in
+Python, and so do sparse ones: at most `_SPARSE_CELLS` cells and
+`_SPARSE_NONZEROS` nonzeros, no more than four rows a column, and p below
+`_SPARSE_PRIMES`.  The numpy kernel takes the rows in chunks of about
+`_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, 2008): exact matmuls (float64, or int64 for p^2 > 2^53) reduce each
+chunk against the RREF basis of the rows before it (at most n rows), one
+vectorised update per pivot eliminates the chunk, and its pivot rows join
+the basis.  RREF is canonical, so both kernels return the same R and pivots
+for every p with p^2 < 2^63 (see `products_fit`).
 """
 
 from __future__ import annotations
@@ -29,12 +28,13 @@ import math
 
 import numpy as np
 
-# rref clears a pivot column in blocks of at most this many rows, which keeps
-# the temporaries of one update small on the largest (tall) systems.
-_CLEAR_ROWS = 64
-
-# rref runs the Python-int kernel on inputs of at most this many cells.
+# Where rref's kernels win; see the module docstring.
 _SMALL_CELLS = 256
+_SPARSE_CELLS = 1024
+_SPARSE_NONZEROS = 64
+_SPARSE_PRIMES = 2**15  # residue products fit one 30-bit digit of a Python int
+_CHUNK_ROWS = 64  # at least, in a chunk of _CHUNK_CELLS cells
+_CHUNK_CELLS = 4096
 
 # random_invertible and random_subspace give up after this many draws.  For an
 # odd prime a random square matrix is invertible with probability above 1/2,
@@ -82,31 +82,70 @@ def inv_scalar(x: int, p: int) -> int:
 def rref(a, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
-    if r.size <= _SMALL_CELLS:
-        return _rref_small(r, p)
     m, n = r.shape
+    if r.size <= _SMALL_CELLS or (
+        r.size <= _SPARSE_CELLS and m <= 4 * n and p < _SPARSE_PRIMES
+        and np.count_nonzero(r) <= _SPARSE_NONZEROS
+    ):
+        return _rref_small(r, p)
+    step = max(_CHUNK_ROWS, _CHUNK_CELLS // max(n, 1))
+    if m <= step:
+        return r, _eliminate(r, p)[1]
+    rows = r.any(axis=1).nonzero()[0]  # a zero row adds nothing to the row space
+    basis, pivots = r[:0], []
+    for start in range(0, len(rows), step):
+        if len(pivots) == n:  # the basis spans F_p^n: later rows reduce to 0
+            break
+        chunk = _subtract_product(r[rows[start : start + step]], pivots, basis, p)
+        new, new_pivots = _eliminate(chunk, p)
+        if new_pivots:
+            basis = np.vstack([_subtract_product(basis, new_pivots, new, p), new])
+            pivots += new_pivots
+            basis, pivots = basis[np.argsort(pivots)], sorted(pivots)
+    out = zeros((m, n))
+    out[: len(pivots)] = basis
+    return out, pivots
+
+
+def _subtract_product(rows, pivots, basis, p: int) -> np.ndarray:
+    """rows - rows[:, pivots] @ basis mod p, in place, for a basis in RREF with
+    those pivots.  A float64 (BLAS) matmul is exact while its sums stay below
+    2^53 and an int64 one below 2^63, so each sums at most limit / p^2 products."""
+    coeffs = rows[:, pivots]
+    hit = coeffs.any(axis=1).nonzero()[0]
+    limit, dtype = (2**53, np.float64) if p * p <= 2**53 else (2**63 - 1, np.int64)
+    group = max(limit // (p * p), 1)
+    coeffs, sub = coeffs[hit].astype(dtype, copy=False), rows[hit]
+    for s in range(0, len(pivots), group):
+        c = pivots[s]  # basis rows s on are zero left of column c
+        update = coeffs[:, s : s + group] @ basis[s : s + group, c:].astype(dtype, copy=False)
+        sub[:, c:] = (sub[:, c:] - update.astype(np.int64, copy=False)) % p
+    rows[hit] = sub
+    return rows
+
+
+def _eliminate(r: np.ndarray, p: int):
+    """Gauss-Jordan on r in place.  Returns its nonzero rows and their pivots."""
     pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
+    # Row operations keep a zero column zero, so only the others can hold a pivot.
+    for col in r.any(axis=0).nonzero()[0].tolist():
+        row = len(pivots)
+        if row == len(r):
             break
         nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
-        best = row + nz[0]
-        if best != row:
-            r[[row, best]] = r[[best, row]]
-        # Entries left of `col` are zero in the pivot row, so only col: changes.
-        pivot = r[row, col:]
-        pivot[:] = (pivot * inv_scalar(int(pivot[0]), p)) % p
+        if nz[0]:
+            r[[row, row + nz[0]]] = r[[row + nz[0], row]]
+        pivot = r[row, col:]  # entries left of col are zero in the pivot row
+        if pivot[0] != 1:
+            pivot[:] = (pivot * inv_scalar(int(pivot[0]), p)) % p
         others = r[:, col].nonzero()[0]
         others = others[others != row]
-        for start in range(0, others.size, _CLEAR_ROWS):
-            rows = others[start : start + _CLEAR_ROWS]
-            r[rows, col:] = (r[rows, col:] - r[rows, col, None] * pivot) % p
+        if others.size:
+            r[others, col:] = (r[others, col:] - r[others, col, None] * pivot) % p
         pivots.append(col)
-        row += 1
-    return r, pivots
+    return r[: len(pivots)], pivots
 
 
 def _rref_small(r: np.ndarray, p: int):
@@ -114,23 +153,26 @@ def _rref_small(r: np.ndarray, p: int):
     rows = r.tolist()
     m, n = r.shape
     pivots = []
-    row = 0
     for col in range(n):
+        row = len(pivots)
         if row == m:
             break
-        best = next((i for i in range(row, m) if rows[i][col]), None)
-        if best is None:
+        for best in range(row, m):
+            if rows[best][col]:
+                break
+        else:
             continue
-        rows[row], rows[best] = rows[best], rows[row]
-        scale = inv_scalar(rows[row][col], p)
-        pivot = [x * scale % p for x in rows[row][col:]]
-        rows[row][col:] = pivot
-        for i, other in enumerate(rows):
+        pivot = rows[best]
+        rows[best], rows[row] = rows[row], pivot
+        if pivot[col] != 1:
+            scale = inv_scalar(pivot[col], p)
+            pivot[col:] = [x * scale % p for x in pivot[col:]]
+        tail = pivot[col:]
+        for other in rows:
             f = other[col]
-            if f and i != row:
-                other[col:] = [(x - f * y) % p for x, y in zip(other[col:], pivot)]
+            if f and other is not pivot:
+                other[col:] = [(x - f * y) % p for x, y in zip(other[col:], tail)]
         pivots.append(col)
-        row += 1
     return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
@@ -157,12 +199,11 @@ def solve(a, b, p: int):
     b may be a vector or a matrix; for a matrix, x solves every column at
     once and None means some column is inconsistent.
     """
-    a = normalize(a, p)
-    b = normalize(b, p)
+    b = np.asarray(b, dtype=np.int64)
     vec = b.ndim == 1
     if vec:
         b = b.reshape(-1, 1)
-    n = a.shape[1]
+    n = np.shape(a)[1]
     r, pivots = rref(np.hstack([a, b]), p)
     # Inconsistent iff some pivot lands in the augmented block.
     if pivots and pivots[-1] >= n:
@@ -173,6 +214,8 @@ def solve(a, b, p: int):
 
 
 def inv(a, p: int) -> np.ndarray:
+    if np.ndim(a) != 2 or len(a) != np.shape(a)[1]:
+        raise ValueError(f"only a square matrix has an inverse, not one of shape {np.shape(a)}")
     # A singular a leaves a pivot in the identity block, so solve gives None.
     x = solve(a, eye(len(a)), p)
     if x is None:
@@ -182,9 +225,8 @@ def inv(a, p: int) -> np.ndarray:
 
 def column_space(a, p: int) -> np.ndarray:
     """Column-span basis in RREF-canonical form (columns)."""
-    a = normalize(a, p)
-    r, pivots = rref(a.T, p)
-    return r[: len(pivots)].T % p
+    r, pivots = rref(np.transpose(a), p)
+    return r[: len(pivots)].T
 
 
 def span_contains(big, small, p: int) -> bool:
@@ -210,9 +252,8 @@ def extend_basis(sub, vectors, p: int) -> np.ndarray:
     [sub | vectors] is a pivot of its RREF exactly when it is independent of
     the columns before it, so the pivots beyond `sub` are the greedy choice.
     """
-    sub = normalize(sub, p)
     vectors = normalize(vectors, p)
-    k = sub.shape[1]
+    k = np.shape(sub)[1]
     _, pivots = rref(np.hstack([sub, vectors]), p)
     return vectors[:, [c - k for c in pivots if c >= k]]
 

@@ -65,6 +65,13 @@ def test_singular_inverse_raises():
         ff.inv(np.array([[1, 2], [2, 4]]), 5)
 
 
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones((3, 2)), np.ones(3), ff.zeros((0, 2))])
+def test_non_square_inverse_raises(a):
+    # A 2 x 3 matrix used to come back with a 3 x 2 one-sided inverse.
+    with pytest.raises(ValueError, match="square"):
+        ff.inv(a.astype(np.int64), 5)
+
+
 def test_intersect_and_sum():
     p = 7
     a = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64)
@@ -205,46 +212,199 @@ def test_rref_tall_matches_reference(case):
     assert_rref_matches(a, p)
 
 
+def sparse_matrix(seed, p, m, n, nonzeros):
+    """An m x n matrix mod p with exactly `nonzeros` nonzero entries."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(m * n, dtype=np.int64)
+    a[rng.choice(m * n, nonzeros, replace=False)] = rng.integers(1, p, size=nonzeros)
+    return a.reshape(m, n)
+
+
+def python_kernel_rule(a, p):
+    (m, n), nonzeros = a.shape, np.count_nonzero(a)
+    return a.size <= ff._SMALL_CELLS or (
+        a.size <= ff._SPARSE_CELLS and m <= 4 * n and p < ff._SPARSE_PRIMES
+        and nonzeros <= ff._SPARSE_NONZEROS)
+
+
+def rref_and_kernel(a, p):
+    """ff.rref(a, p), and whether its Python kernel ran."""
+    inner, shapes = ff._rref_small, []
+    ff._rref_small = lambda r, q: shapes.append(r.shape) or inner(r, q)
+    try:
+        return ff.rref(a, p), bool(shapes)
+    finally:
+        ff._rref_small = inner
+
+
 @st.composite
-def threshold_matrices(draw):
-    """Shapes from T/4 to 8T cells for T = ff._SMALL_CELLS, on both sides of
-    T, plus matrices with no rows or no columns."""
-    t = ff._SMALL_CELLS
-    p = draw(st.sampled_from(PRIMES + [BIG_PRIME]))
+def kernel_rule_matrices(draw):
+    """Inputs just inside and just outside the rule that sends an input to
+    rref's Python kernel, for T = ff._SMALL_CELLS, S = ff._SPARSE_CELLS and
+    Z = ff._SPARSE_NONZEROS:
+    - "small": dense, T/2 to T cells (inside);
+    - "dense": dense, T to 2T cells (outside, unless few entries are nonzero);
+    - "sparse": T to S cells with Z - 8 to Z nonzeros (inside for p below
+      ff._SPARSE_PRIMES and at most four rows a column, outside otherwise);
+    - "sparse-many": T to S cells with Z + 1 to Z + 8 nonzeros (outside);
+    - "sparse-wide": S to 2S cells with Z - 8 to Z nonzeros (outside);
+    plus matrices with no rows or no columns."""
+    t, s, z = ff._SMALL_CELLS, ff._SPARSE_CELLS, ff._SPARSE_NONZEROS
+    p = draw(st.sampled_from(PRIMES + [32749, 32771, BIG_PRIME]))  # around 2^15
     n = draw(st.integers(1, 64))
-    if draw(st.booleans()):
-        m = draw(st.integers((t // 4 + n - 1) // n, t // n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["small", "dense", "sparse", "sparse-many", "sparse-wide"]))
+    lo, hi = {"small": (t // 2 + 1, t), "dense": (t + 1, 2 * t),
+              "sparse-wide": (s + 1, 2 * s)}.get(kind, (t + 1, s))
+    m = draw(st.integers(-(-lo // n), hi // n))
+    if kind in ("small", "dense"):
+        rank = draw(st.none() | st.integers(0, min(m, n)))
+        zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=4))
+        a = seeded_matrix(seed, p, m, n, rank, sorted(zero_cols))
     else:
-        m = draw(st.integers(t // n + 1, 8 * t // n))
-    empty = draw(st.sampled_from([None, "rows", "cols"]))
+        nonzeros = draw(st.integers(z + 1, z + 8) if kind == "sparse-many"
+                        else st.integers(z - 8, z))
+        a = sparse_matrix(seed, p, m, n, nonzeros)
+    empty = draw(st.sampled_from([None, None, "rows", "cols"]))
     if empty == "rows":
-        m = 0
+        a = a[:0]
     elif empty == "cols":
-        m, n = m * n, 0
-    rank = draw(st.none() | st.integers(0, min(m, n)))
-    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=4)) if n else set()
+        a = ff.zeros((m * n, 0))
+    return p, a
+
+
+@given(kernel_rule_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_kernels_match_reference_across_threshold(case):
+    p, a = case
+    (r, pivots), python_ran = rref_and_kernel(a, p)
+    assert python_ran == python_kernel_rule(a, p)
+    ref_r, ref_pivots = ref_rref(a, p)
+    assert pivots == ref_pivots
+    assert r.shape == a.shape and r.dtype == np.int64
+    assert r.tolist() == ref_r
+
+
+def test_kernel_rule_on_named_inputs():
+    """The rule by name: a 1000 x 1000 matrix with 40 nonzeros has a million
+    cells to scan, so it goes to numpy; a 20 x 21 one with 19 goes to Python,
+    unless p is too large for one-digit products; a sparse 50 x 6 one goes to
+    numpy, whose cost per pivot does not grow with the rows."""
+    t, z = ff._SMALL_CELLS, ff._SPARSE_NONZEROS
+    cases = [
+        (np.ones((1, t), dtype=np.int64), BIG_PRIME, True),
+        (np.ones((1, t + 1), dtype=np.int64), 7, False),
+        (sparse_matrix(0, 7, 20, 21, 19), 7, True),
+        (sparse_matrix(0, 7, 20, 21, 19), BIG_PRIME, False),
+        (sparse_matrix(0, 7, 32, 32, z), 7, True),
+        (sparse_matrix(0, 7, 32, 32, z + 1), 7, False),
+        (sparse_matrix(0, 7, 40, 10, z), 7, True),
+        (sparse_matrix(0, 7, 50, 6, z), 7, False),
+        (sparse_matrix(0, 7, 1000, 1000, 40), 7, False),
+    ]
+    for a, p, python in cases:
+        assert rref_and_kernel(a, p)[1] == python
+
+
+def test_rref_does_not_modify_input():
+    """Both kernels, and the numpy kernel on one chunk and on many."""
+    inputs = {
+        "python, dense": np.array([[2, 4], [1, 3]], dtype=np.int64),
+        "python, sparse": sparse_matrix(1, 5, 20, 21, 19),
+        "numpy, one chunk": seeded_matrix(1, 5, 20, 16),
+        "numpy, chunks": seeded_matrix(2, 5, 700, 12, rank=8, zero_cols=[3]),
+    }
+    for name, a in inputs.items():
+        before = a.copy()
+        (r, _), python_ran = rref_and_kernel(a, 5)
+        assert python_ran == name.startswith("python")
+        assert np.array_equal(a, before)
+        assert r.dtype == np.int64 and r.shape == a.shape
+        assert not np.shares_memory(r, a)
+
+
+# Primes whose grouped products are few per matmul: groups of two in float64
+# (p^2 is just under 2^52) and in int64 (p = 2^31 - 1), one product in int64.
+GROUPED_PRIMES = [67108859, 2147483647, BIG_PRIME]
+
+
+def chunk_rows(n):
+    return max(ff._CHUNK_ROWS, ff._CHUNK_CELLS // n)
+
+
+@st.composite
+def tall_matrices(draw, max_cols):
+    """300 to 3000 rows, at k chunks and k chunks +- 1 row; full rank or rank
+    deficient, with zero columns."""
+    p = draw(st.sampled_from(PRIMES + GROUPED_PRIMES))
+    n = draw(st.integers(2, max_cols))  # one column takes 4096 rows a chunk
+    step = chunk_rows(n)
+    k = draw(st.integers(-(-300 // step), 3000 // step))
+    m = min(max(k * step + draw(st.sampled_from([-1, 0, 1])), 300), 3000)
+    rank = draw(st.none() | st.integers(0, n))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
     seed = draw(st.integers(0, 2**32 - 1))
     return p, seeded_matrix(seed, p, m, n, rank, sorted(zero_cols))
 
 
-@given(threshold_matrices())
-@settings(max_examples=120, deadline=None)
-def test_rref_kernels_match_reference_across_threshold(case):
+@given(tall_matrices(max_cols=10))
+@settings(max_examples=30, deadline=None)
+def test_rref_chunks_match_reference(case):
     p, a = case
     assert_rref_matches(a, p)
 
 
-def test_rref_does_not_modify_input():
-    t = ff._SMALL_CELLS
-    small = np.array([[2, 4], [1, 3]], dtype=np.int64)
-    large = seeded_matrix(1, 5, t // 8 + 1, 8)
-    for a in (small, large):
-        before = a.copy()
-        r, _ = ff.rref(a, 5)
-        assert np.array_equal(a, before)
-        assert r.dtype == np.int64 and r.shape == a.shape
-        assert not np.shares_memory(r, a)
-    assert small.size <= t < large.size
+@pytest.mark.parametrize("late", [0, 3, 7])
+def test_rref_pivot_from_the_last_chunk(late):
+    """Every row but the last lies in a hyperplane that is not a coordinate
+    one, so the chunks before the last reach rank n - 1; the last row brings
+    the pivot at column `late`, where their basis must be cleared."""
+    p, m, n = 7, 1500, 8
+    assert m > 2 * chunk_rows(n)
+    a = np.random.default_rng(late).integers(0, p, size=(m, n))
+    a[:, late] = (a[:, (late + 1) % n] + 2 * a[:, (late + 2) % n]) % p
+    a[-1] = ff.eye(n)[late]
+    assert_rref_matches(a, p)
+
+
+@st.composite
+def planted_tall_matrices(draw):
+    """A = L B for a planted RREF B (k x n) and an m x k matrix L of full
+    column rank, so RREF(A) is B over zero rows.  The first q rows of L span
+    only k - d dimensions, in no coordinate subspace, and its last m - q rows
+    hold an identity: later chunks bring pivots, in any column, at which the
+    basis must be cleared.  Wide enough for chunks of _CHUNK_ROWS rows, where
+    ref_rref is slow."""
+    p = draw(st.sampled_from(PRIMES + GROUPED_PRIMES))
+    n = draw(st.integers(40, 120))
+    step = chunk_rows(n)
+    m = min(max(draw(st.integers(300 // step, 3000 // step)) * step
+                + draw(st.sampled_from([-1, 0, 1])), 300), 3000)
+    k = draw(st.sampled_from([n, n - 1]) | st.integers(0, n))
+    d = draw(st.integers(0, min(k, 2)) | st.integers(0, k))
+    q = draw(st.integers(0, m - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pivots = sorted(rng.choice(n, k, replace=False).tolist())
+    b = ff.zeros((k, n))
+    for i, c in enumerate(pivots):
+        free = [j for j in range(c + 1, n) if j not in pivots]
+        b[i, free] = rng.integers(0, p, size=len(free))
+        b[i, c] = 1
+    left = rng.integers(0, p, size=(m, k)).astype(object)
+    left[:q] = left[:q, : k - d] @ rng.integers(0, p, size=(k - d, k)).astype(object) % p
+    left[q + rng.choice(m - q, k, replace=False)] = np.eye(k, dtype=np.int64)
+    a = (left @ b.astype(object) % p).astype(np.int64) if k else ff.zeros((m, n))
+    return p, a, b, pivots
+
+
+@given(planted_tall_matrices())
+@settings(max_examples=30, deadline=None)
+def test_rref_chunks_match_planted_basis(case):
+    p, a, b, pivots = case
+    r, got = ff.rref(a, p)
+    assert got == pivots
+    assert r.shape == a.shape and r.dtype == np.int64
+    assert r[: len(pivots)].tolist() == b.tolist() and not r[len(pivots) :].any()
 
 
 def test_products_fit_bounds_p():

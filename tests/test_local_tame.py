@@ -716,22 +716,10 @@ def test_dual_image_description():
     _, alpha = lt.is_ramakrishna_type(a)
     ram = lt.ramakrishna_subspace(a, alpha)
     ann = lt.annihilator_subspace(m, ram)
-    # W^perp in the dual coordinates: kill the functionals dual to t_alpha
-    # and to g_alpha.
-    p, n, d = a.p, m.dim, a.rd.rank_ss
-    t_alpha = lt.t_alpha_basis(a.rd, alpha, p, n)[:d]
-    keep = []
+    p, n = a.p, m.dim
     md = m.dual_twist()
-    for i in range(n):
-        v = ff.zeros(n)
-        v[i] = 1
-        if i == a.root_index(alpha):
-            continue
-        if i < d and t_alpha.size and ff.span_contains(t_alpha, v[:d], p) is False:
-            # t0 functionals not vanishing on t_alpha are excluded below.
-            pass
-        keep.append(i)
-    # Build W^ann: functionals vanishing on t_alpha + g_alpha.
+    # W^perp in the dual coordinates: the functionals vanishing on t_alpha
+    # and g_alpha.
     w = np.hstack([lt.t_alpha_basis(a.rd, alpha, p, n), ff.zeros((n, 1))])
     w[a.root_index(alpha), -1] = 1
     wann = ff.nullspace(w.T % p, p)
