@@ -3,9 +3,9 @@
 Matrices are dense numpy int64 reduced mod p; subspaces are represented by
 matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
 matrix right-hand side, and the span helpers (`span_contains`,
-`extend_basis`, `QuotientSpace.coords_matrix`) each make one elimination
-rather than one per column.  A `QuotientSpace` is built from one reduction
-of [denominator | numerator], and takes span(denominator) within
+`QuotientSpace.coords_matrix`) each make one elimination rather than one
+per column.  A `QuotientSpace` is built from one reduction of
+[denominator | numerator], and takes span(denominator) within
 span(numerator) as an unchecked precondition.
 
 `rref` is the one elimination, with two kernels.  Gauss-Jordan on lists of
@@ -244,18 +244,10 @@ def annihilator(basis, pairing, p: int) -> np.ndarray:
     return nullspace((basis.T @ pairing) % p, p)
 
 
-def extend_basis(sub, vectors, p: int) -> np.ndarray:
-    """Columns of `vectors` that extend span(sub) to span(sub, vectors).
-
-    Vectors are taken in order; the result is the greedy independent
-    complement, which makes the choice deterministic.  A column of
-    [sub | vectors] is a pivot of its RREF exactly when it is independent of
-    the columns before it, so the pivots beyond `sub` are the greedy choice.
-    """
-    vectors = normalize(vectors, p)
-    k = np.shape(sub)[1]
-    _, pivots = rref(np.hstack([sub, vectors]), p)
-    return vectors[:, [c - k for c in pivots if c >= k]]
+def fixed_equations(mats, n: int, p: int) -> np.ndarray:
+    """The blocks g - 1 of the n x n matrices `mats`, stacked: their common
+    kernel is the space that every g fixes."""
+    return np.vstack([zeros((0, n)), *((np.asarray(g) - eye(n)) % p for g in mats)])
 
 
 class QuotientSpace:
@@ -266,7 +258,8 @@ class QuotientSpace:
     One reduction of [den | num] gives both bases.  Its pivot columns inside
     den are kept as `den`, so the denominator may be any spanning set of the
     subspace, with dependent or zero columns.  Its pivot columns beyond den
-    are `reps`: the greedy complement `extend_basis` chooses.
+    are `reps`, each independent of the columns before it: the greedy
+    complement of span(den) among the numerator's columns, in order.
     """
 
     def __init__(self, numerator, denominator, p: int):

@@ -85,6 +85,8 @@ class TameGaloisModule:
         tau = self.tau if self.tau is not None else ff.eye(n)
         tau = ff.normalize(tau, p)
         object.__setattr__(self, "tau", tau)
+        if self.q < 2:
+            raise TameModuleError("q must be at least 2")
         if self.q % p == 0:
             raise TameModuleError("q must be prime to p")
         if (p + 1) * n * n > MAX_TABLE_CELLS:
@@ -195,9 +197,7 @@ class TameGaloisModule:
     @cached_property
     def coboundary_matrix(self) -> np.ndarray:
         """d0 as a (2n x n) block matrix [Phi - 1; T - 1]."""
-        p = self.p
-        return np.vstack([(self.phi_eff - ff.eye(self.dim)) % p,
-                          (self.tau - ff.eye(self.dim)) % p])
+        return ff.fixed_equations([self.phi_eff, self.tau], self.dim, self.p)
 
     @cached_property
     def _h1(self) -> "H1Space":
@@ -291,22 +291,14 @@ def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalCondition
 # -- duality pairing ---------------------------------------------------------
 
 
-def tate_pairing(m: TameGaloisModule, declared_dual: TameGaloisModule | None = None):
+def tate_pairing(m: TameGaloisModule):
     """Local duality pairing H^1(M) x H^1(M^vee(1)) -> F_p as a callable.
 
     Arguments to the returned function are stacked cocycles (a; b) on M and
     (a'; b') on M.dual_twist(), and its value is x^T G y mod p for
-    G = m.pairing_matrix.  A caller-declared dual, when given, must match
-    the canonical one.
+    G = m.pairing_matrix.
     """
     p = m.p
-    md = m.dual_twist()
-    if declared_dual is not None:
-        if declared_dual.dim != m.dim:
-            raise TameModuleError("dimension mismatch with the declared dual")
-        if not (np.array_equal(declared_dual.phi_eff, md.phi_eff)
-                and np.array_equal(declared_dual.tau, md.tau)):
-            raise TameModuleError("declared dual disagrees with M^vee(1)")
     g = m.pairing_matrix
 
     def pair(x, y) -> int:
@@ -453,14 +445,11 @@ def reg_checks(rd: RootDatum, p: int, generators, kappa_values) -> tuple[bool, b
         if g[np.ix_(neg, borel)].any():
             raise TameModuleError("generator does not preserve the Borel subalgebra")
         quotient_actions.append(g[np.ix_(neg, neg)])
-    def common_fixed_trivial(mats):
-        rows = np.vstack([(mm - ff.eye(len(neg))) % p for mm in mats])
-        return ff.nullspace(rows, p).shape[1] == 0
-    reg = common_fixed_trivial(quotient_actions)
     twisted = [(kappa_values[i] % p) * quotient_actions[i] % p
                for i in range(len(generators))]
-    reg_star = common_fixed_trivial(twisted)
-    return reg, reg_star
+    # REG (REG*) holds when the (twisted) actions fix no common vector.
+    return tuple(ff.rank(ff.fixed_equations(mats, len(neg), p), p) == len(neg)
+                 for mats in (quotient_actions, twisted))
 
 
 def nonsplit_check(rd: RootDatum, p: int, q: int, sigma_scalars, tau_scalars,

@@ -2,8 +2,8 @@
 difference formula under the standard local-condition menus, CM parameter,
 large-image prime thresholds, and the principal-homomorphism example checks.
 
-Global invariant dimensions are user inputs (default 0); nothing here
-pretends to compute cohomology of infinite groups.
+The global invariant dimensions h0(g0) and h0(g0(1)) are taken to be 0:
+nothing here pretends to compute cohomology of infinite groups.
 """
 
 from __future__ import annotations
@@ -107,8 +107,6 @@ class Scenario:
     places_above_p: tuple[PlaceAboveP, ...]
     finite_places: tuple[FinitePlace, ...] = ()
     real_h0: tuple[int, ...] = ()
-    h0_global: int = 0
-    h0_global_twist: int = 0
 
     def __post_init__(self):
         if len(self.real_h0) != self.signature.real_places:
@@ -166,7 +164,7 @@ def oddness_audit(rd: RootDatum, involutions, p: int):
         mat = ff.normalize(mat, p)
         if not np.array_equal(ff.mat_mul(mat, mat, p), ff.eye(len(mat))):
             raise NumerologyError("input does not square to the identity")
-        h0 = ff.nullspace((mat - ff.eye(len(mat))) % p, p).shape[1]
+        h0 = ff.nullspace(ff.fixed_equations([mat], len(mat), p), p).shape[1]
         out.append((h0, h0 == n))
     return out
 
@@ -192,10 +190,7 @@ def wiles_difference(scenario: Scenario) -> WilesReport:
     """Selmer minus dual-Selmer dimension from the per-place local terms, as
     a WilesReport: the difference and the named terms it sums."""
     g0, n, b0, t0, _, _ = dimension_profile(scenario.rd)
-    terms: list[tuple[str, int]] = [
-        ("h0_global", scenario.h0_global),
-        ("h0_global_twist", -scenario.h0_global_twist),
-    ]
+    terms: list[tuple[str, int]] = [("h0_global", 0), ("h0_global_twist", 0)]
     for pl in scenario.places_above_p:
         dl = tangent_dim_at_p(pl.mode, pl.local_degree, scenario.rd, pl.h0)
         terms.append((f"v|p[{pl.mode},f={pl.local_degree}]", dl - pl.h0))

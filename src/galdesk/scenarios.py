@@ -25,7 +25,6 @@ from . import selmer as sl
 from .errors import InputError
 
 SCHEMA_VERSION = 1
-KINDS = ("rootdatum", "local", "numerology", "selmer", "weights", "example")
 
 
 class ScenarioError(InputError):
@@ -45,8 +44,6 @@ def _report(checks: list, **extra):
 
 
 def parse_root_datum(payload) -> rdm.RootDatum:
-    if payload == "GL2" or payload == {"gl": 2}:
-        return rdm.gl_datum(2)
     payload = _mapping(payload, "root_datum")
     if "gl" in payload:
         return rdm.gl_datum(_int(payload["gl"], "gl"))
@@ -475,34 +472,15 @@ def builtin_weights_dichotomy(seed, precision):
     rng = random.Random(seed)
     parallel_ok = certificate_ok = 0
     for trial in range(count):
-        d = rng.choice([1, 2])
-        nvars = rng.randrange(1, 5)
-        cap = rng.randrange(2, 7)
-        mw0 = rdm.longest_element(rdm.build_root_datum([("A", d)]))[1] if d > 1 else [0]
-        entries = []
-        for i in range(d):
-            base = _unit_series(rng, 5, nvars, 8, cap)
-            zeta = pa.teichmuller(rng.randrange(1, 5), 5, 8)
-            entries.append(pw.DichotomyEntry("w0", i, 0, base.scale(zeta), base))
-        fam = pw.DichotomyFamily(5, d, 1, tuple(mw0), entries)
+        fam = dichotomy_family(rng, perturbed=trial % 2 == 1)
+        verdict = pw.passage_dichotomy(fam)
         if trial % 2 == 0:
-            verdict = pw.passage_dichotomy(fam)
             if isinstance(verdict, pw.ParallelWeights) and all(
                     pw.is_parallel_pair(xw, xwbar, fam.minus_w0, 5)
                     for _, _, xw, xwbar in verdict.pairs):
                 parallel_ok += 1
-        else:
-            e = fam.entries[rng.randrange(len(fam.entries))]
-            var = rng.randrange(nvars)
-            bump = tuple(int(k == var) for k in range(nvars))
-            perturb = pw.TruncatedSeries(5, nvars, 8, cap, {
-                tuple(0 for _ in range(nvars)): pa.PadicInt.one(5, 8),
-                bump: pa.PadicInt(5, rng.randrange(1, 5), 8),
-            })
-            e.f_w = e.f_w * perturb
-            verdict = pw.passage_dichotomy(fam)
-            if isinstance(verdict, pw.SparsityCertificate):
-                certificate_ok += 1
+        elif isinstance(verdict, pw.SparsityCertificate):
+            certificate_ok += 1
     half = count // 2
     return _report([
         check("constant-ratio families give parallel weights",
@@ -512,12 +490,35 @@ def builtin_weights_dichotomy(seed, precision):
     ])
 
 
-def _unit_series(rng, p, nvars, prec, cap):
-    terms = {tuple(0 for _ in range(nvars)): pa.PadicInt(p, rng.randrange(1, p), prec)}
-    for i in range(nvars):
-        idx = tuple(int(k == i) for k in range(nvars))
-        terms[idx] = pa.PadicInt(p, rng.randrange(0, p * p), prec)
-    return pw.TruncatedSeries(p, nvars, prec, cap, terms)
+def dichotomy_family(rng, perturbed: bool) -> pw.DichotomyFamily:
+    """A seeded family over Z_5 at precision 8 on A_d, d in {1, 2}, whose
+    ratios f_w / f_wbar are constant roots of unity; when perturbed, one
+    entry's f_w is multiplied by 1 + c x_i, which breaks its constancy."""
+    p, prec = 5, 8
+    d = rng.choice([1, 2])
+    nvars = rng.randrange(1, 5)
+    cap = rng.randrange(2, 7)
+    mw0 = rdm.longest_element(rdm.build_root_datum([("A", d)]))[1] if d > 1 else [0]
+    entries = []
+    for i in range(d):
+        # A unit series: a unit constant term and random linear terms.
+        terms = {tuple(0 for _ in range(nvars)): pa.PadicInt(p, rng.randrange(1, p), prec)}
+        for j in range(nvars):
+            idx = tuple(int(k == j) for k in range(nvars))
+            terms[idx] = pa.PadicInt(p, rng.randrange(0, p * p), prec)
+        base = pw.TruncatedSeries(p, nvars, prec, cap, terms)
+        zeta = pa.teichmuller(rng.randrange(1, p), p, prec)
+        entries.append(pw.DichotomyEntry("w0", i, 0, base.scale(zeta), base))
+    fam = pw.DichotomyFamily(p, d, 1, tuple(mw0), entries)
+    if perturbed:
+        e = fam.entries[rng.randrange(len(fam.entries))]
+        var = rng.randrange(nvars)
+        bump = tuple(int(k == var) for k in range(nvars))
+        e.f_w = e.f_w * pw.TruncatedSeries(p, nvars, prec, cap, {
+            tuple(0 for _ in range(nvars)): pa.PadicInt.one(p, prec),
+            bump: pa.PadicInt(p, rng.randrange(1, p), prec),
+        })
+    return fam
 
 
 BUILTINS = {
@@ -638,7 +639,8 @@ def _matrix(rows, name: str, p: int) -> np.ndarray:
 
 
 def _series(value, name: str, p: int) -> pw.TruncatedSeries:
-    """A series in the form `TruncatedSeries.serialize` writes, over Z_p."""
+    """A series over Z_p: {"p", "nvars", "prec", "degree_cap", "coeffs"}, each
+    coefficient an [exponents, residue] or [exponents, residue, prec] list."""
     s = _mapping(value, name)
     sp, nvars, prec, cap = (_int(_field(s, key), f"{name} {key}")
                             for key in ("p", "nvars", "prec", "degree_cap"))
@@ -653,22 +655,12 @@ def _series(value, name: str, p: int) -> pw.TruncatedSeries:
 
 
 def run_scenario_payload(kind: str, payload: dict, seed: int, precision: int | None):
-    if kind == "rootdatum":
-        return _run_rootdatum(payload)
-    if kind == "local":
-        return _run_local(payload)
-    if kind == "numerology":
-        return _run_numerology(payload)
-    if kind == "selmer":
-        return _run_selmer(payload, seed)
-    if kind == "weights":
-        return _run_weights(payload)
-    if kind == "example":
-        return _run_example(payload)
-    raise ScenarioError(f"unknown scenario kind {kind!r}")
+    if kind not in RUNNERS:
+        raise ScenarioError(f"unknown scenario kind {kind!r}")
+    return RUNNERS[kind](payload, seed)
 
 
-def _run_rootdatum(payload):
+def _run_rootdatum(payload, seed):
     rd = parse_root_datum(payload)
     profile = rdm.dimension_profile(rd)
     word, mw0 = rdm.longest_element(rd)
@@ -684,7 +676,7 @@ def _run_rootdatum(payload):
                    heights=sorted(rd.height(r) for r in rd.positive_roots))
 
 
-def _run_local(payload):
+def _run_local(payload, seed):
     rd = parse_root_datum(_field(payload, "root_datum"))
     # The pairing is a 2n x 2n matrix on the adjoint module of dimension n.
     p = _prime(payload, 2 * (rd.rank_ss + len(rd.all_roots())))
@@ -728,7 +720,7 @@ def _signature(value):
         degree, _int_list(_field(sig, "local_degrees", []), "local_degrees"))
 
 
-def _run_numerology(payload):
+def _run_numerology(payload, seed):
     rd = parse_root_datum(_field(payload, "root_datum"))
     sig = _signature(_field(payload, "signature"))
     mode = _field(payload, "mode", num.ORDINARY)
@@ -791,7 +783,7 @@ def _run_selmer(payload, seed):
                    condition_dims=conds.dims())
 
 
-def _run_weights(payload):
+def _run_weights(payload, seed):
     p = _prime(payload, 1)
     d, f = (_int(_field(payload, key, where="weights payload"), key) for key in ("d", "f"))
     minus_w0 = _int_list(_field(payload, "minus_w0", where="weights payload"), "minus_w0")
@@ -822,7 +814,7 @@ def _run_weights(payload):
         **where, "var": int(verdict.var), "degree": int(verdict.degree), "other_zeta": "empty"})
 
 
-def _run_example(payload):
+def _run_example(payload, seed):
     rd = parse_root_datum(_field(payload, "root_datum"))
     r = _int(_field(payload, "r"), "r")
     p = _prime(payload, 1)
@@ -836,3 +828,8 @@ def _run_example(payload):
     ]
     return _report(checks, local_dims=list(dims),
                    sqrt_in_base_field=rep.sqrt_in_base_field, notes=list(rep.notes))
+
+
+RUNNERS = {"rootdatum": _run_rootdatum, "local": _run_local, "numerology": _run_numerology,
+           "selmer": _run_selmer, "weights": _run_weights, "example": _run_example}
+KINDS = tuple(RUNNERS)

@@ -154,8 +154,7 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     """
     p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
-        rows = np.vstack([ff.zeros((0, n))] + [(mat - ff.eye(n)) % p for mat in g.generators])
-        basis = ff.nullspace(rows, p)
+        basis = ff.nullspace(ff.fixed_equations(g.generators, n, p), p)
         return basis.shape[1], basis
 
     if degree == 1:
@@ -165,14 +164,13 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # columns, by matroid duality); so does reducing them in reverse.
         f = f.reshape(k * n, r * n)
         z1 = ff.column_space((f @ z % p)[::-1], p)[::-1, ::-1]
-        # Coboundaries f(x) = (x - 1) v, spanned by the columns of b1.
-        b1 = ((np.array(g.elements) - ff.eye(n)) % p).reshape(k * n, n)
         # The quotient is taken on the rows f(s_i) = u_i alone: u -> F u is
         # injective on Z^1, so the columns keep their dependencies and the
-        # same representatives are chosen, in u; F maps them back.  B^1 lies in
-        # Z^1, as QuotientSpace requires, because coboundaries are cocycles.
+        # same representatives are chosen, in u; F maps them back.  There B^1
+        # is spanned by the blocks s_i - 1, and lies in Z^1, as QuotientSpace
+        # requires, because coboundaries are cocycles.
         rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
-        quotient = ff.QuotientSpace(z1[rows], b1[rows], p)
+        quotient = ff.QuotientSpace(z1[rows], ff.fixed_equations(g.generators, n, p), p)
         return quotient.dim, f @ quotient.reps % p
 
     if degree == 2:
@@ -204,7 +202,7 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         for x, i in g.parent[1:]:
             q_elements.append(q_elements[x] @ q_gens[i] % p)
         # dim H^1(G, Q) = dim Z^1 - dim B^1, and dim B^1 = dim Q - dim Q^G.
-        moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % p for q in q_gens])
+        moved = ff.fixed_equations(q_gens, dim_q, p)
         return _cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p), None
 
     raise SelmerError("degree must be 0, 1, or 2")
@@ -480,7 +478,7 @@ def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
     """
     p = system.p
     rows = [conditions.equations(v) @ system.res[v] for v in system.places]
-    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h)), *rows]) % p, p)
+    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h)), *rows]), p)
 
 
 def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
@@ -492,7 +490,7 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
     p = system.p
     rows = [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
             for v in system.places]
-    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h_dual)), *rows]) % p, p)
+    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h_dual)), *rows]), p)
 
 
 def _vanishes(rows, x, p: int) -> bool:
@@ -669,9 +667,8 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
         raise SelmerError("enlargement dimension count is not one")
     if ff.rank((beta @ ker_phi) % p, p) != d_weights:  # the rank of beta, checked above
         raise SelmerError("beta does not factor through the conditioned classes")
-    # Deterministic psi': first kernel basis vector extending the old Selmer.
-    ext = ff.extend_basis(sel_old, ker_phi, p)
-    psi_prime = ext[:, 0]
+    # Deterministic psi': the first ker Phi basis vector outside Sel_old, a subspace of it.
+    psi_prime = ff.QuotientSpace(ker_phi, sel_old, p).reps[:, 0]
     if _vanishes(u_equations, beta @ psi_prime % p, p):
         raise VerificationFailure("enlargement does not escape U")
     new_conditions = conditions.replaced(y, ram.ram)
@@ -724,13 +721,6 @@ def _exact_blocks(p: int, places: tuple, local_dims: dict, image):
         res[v], res_dual[v] = image[pos : pos + s], image_dual[pos : pos + s]
         pos += s
     return res, res_dual, {v: ff.eye(local_dims[v]) for v in places}
-
-
-def random_conditions(rng: random.Random, system: SelmerSystem) -> ConditionAssignment:
-    l = {v: ff.random_subspace(rng, system.local_dims[v],
-                               rng.randrange(0, system.local_dims[v] + 1), system.p)
-         for v in system.places}
-    return ConditionAssignment(system, l)
 
 
 def _dress(rng: random.Random, p: int, places: tuple, local_dims: dict, blocks, marked: dict):

@@ -517,6 +517,12 @@ def test_every_error_class_is_an_input_error_or_a_verification_failure():
     ("selmer", {"p": 5, "local_dims": {"a": 2}, "global_dim": 1,
                 "conditions": {"a": [[1.7], [0.2]]}},
      "condition at a entry must be an integer, got 1.7"),
+    # q is the size of a residue field; each used to report cohomology.
+    ("local", {**LOCAL, "q": 1}, "q must be at least 2"),
+    ("local", {**LOCAL, "q": -1}, "q must be at least 2"),
+    ("local", {**LOCAL, "q": -3}, "q must be at least 2"),
+    # An undocumented string form of {"gl": 2}.
+    ("local", {**LOCAL, "root_datum": "GL2"}, "root_datum must be an object, got 'GL2'"),
 ])
 def test_malformed_payload_exit_2(tmp_path, capsys, kind, payload, expected):
     assert_one_line_input_error(capsys, write_scenario(tmp_path, kind, payload), expected)

@@ -105,11 +105,11 @@ def test_quotient_space_coords():
     assert np.array_equal(q.coords(rebuilt), c)
 
 
-def test_extend_basis_deterministic():
+def test_quotient_reps_greedy_deterministic():
     p = 7
-    sub = np.array([[1], [0], [0]], dtype=np.int64)
+    sub = np.array([[1], [0], [0]], dtype=np.int64)  # column 0 minus column 1
     vecs = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int64)
-    ext = ff.extend_basis(sub, vecs, p)
+    ext = ff.QuotientSpace(vecs, sub, p).reps
     # Greedy in column order: col 0 extends, col 1 is then redundant, col 2 extends.
     assert ext.shape[1] == 2
     assert np.array_equal(ext[:, 0], vecs[:, 0])
@@ -424,7 +424,7 @@ def test_random_draws_are_capped():
 
 
 @st.composite
-def extension_cases(draw):
+def extension_cases(draw, inside=False):
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 8))
     k_sub = draw(st.integers(0, 6))
@@ -441,23 +441,25 @@ def extension_cases(draw):
             vectors[:, j] = sub[:, rng.integers(0, k_sub)]
         elif pick == 1:
             vectors[:, j] = 0
+    if inside:  # sub = vectors C lies in span(vectors), as QuotientSpace requires
+        sub = (vectors @ seeded_matrix(seed + 2, p, k_vec, k_sub, min(k_sub, k_vec, n // 2))) % p
     return p, sub, vectors
 
 
-@given(extension_cases())
+@given(extension_cases(inside=True))
 @settings(max_examples=120, deadline=None)
-def test_extend_basis_matches_greedy_reference(case):
+def test_quotient_reps_match_greedy_reference(case):
     p, sub, vectors = case
     expected = vectors[:, ref_extend_basis(sub, vectors, p)]
-    assert np.array_equal(ff.extend_basis(sub, vectors, p), expected)
+    assert np.array_equal(ff.QuotientSpace(vectors, sub, p).reps, expected)
 
 
-def test_extend_basis_empty_sub_and_zero_columns():
+def test_quotient_reps_empty_sub_and_zero_columns():
     p = 7
     vectors = np.array([[0, 1, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int64)
-    ext = ff.extend_basis(ff.zeros((3, 0)), vectors, p)
+    ext = ff.QuotientSpace(vectors, ff.zeros((3, 0)), p).reps
     assert np.array_equal(ext, vectors[:, [1, 3]])
-    assert ff.extend_basis(ff.zeros((3, 0)), ff.zeros((3, 0)), p).shape == (3, 0)
+    assert ff.QuotientSpace(ff.zeros((3, 0)), ff.zeros((3, 0)), p).reps.shape == (3, 0)
 
 
 @given(extension_cases())
@@ -506,8 +508,8 @@ def test_solve_matrix_rhs_with_one_inconsistent_column():
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the two-elimination QuotientSpace (a containment solve, then
-# extend_basis), checked against the one-reduction ff.QuotientSpace.
+# Oracle: the two-elimination QuotientSpace (a containment solve, then the
+# greedy reference extension), checked against the one-reduction ff.QuotientSpace.
 # ---------------------------------------------------------------------------
 
 
@@ -520,7 +522,7 @@ class TwoEliminationQuotient:
         self.den = ff.normalize(denominator, p)
         if self.den.size and not ff.span_contains(self.num, self.den, p):
             raise ValueError("denominator is not contained in numerator")
-        self.reps = ff.extend_basis(self.den, self.num, p)
+        self.reps = self.num[:, ref_extend_basis(self.den, self.num, p)]
         self.dim = self.reps.shape[1]
 
     def coords(self, v) -> np.ndarray:

@@ -35,7 +35,6 @@ EXEMPT = {
     "selmer.SelmerSystem.stacked_res_dual": PERF,
     "selmer.SelmerSystem.block_pairing": PERF,
     "selmer.ConditionAssignment.l_perp": PERF,
-    "selmer.random_conditions": PERF,
     "padic_weights.TruncatedSeries.__add__": PERF,
     "padic_weights.TruncatedSeries.__neg__": PERF,
     "padic_weights.SparsityCertificate.per_zeta": PERF,

@@ -32,3 +32,13 @@ def test_dichotomy_experiment_counts_undetermined(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["dichotomy_experiment.py", "4", "0"])
     assert script.main() == 0
     assert "undetermined: 4" in capsys.readouterr().out
+
+
+def test_dichotomy_experiment_splits_half_and_half(tmp_path):
+    # The script builds its families with the builtin's dichotomy_family, so a
+    # broken import or a drifting builder shows here.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "dichotomy_experiment.py"), "20", "0"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "parallel: 10" in done.stdout and "certificate: 10" in done.stdout

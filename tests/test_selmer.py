@@ -556,6 +556,14 @@ def test_coprime_h2_is_zero_without_elimination(monkeypatch, make):
 # Selmer systems
 # ---------------------------------------------------------------------------
 
+def random_conditions(rng: random.Random, system: sl.SelmerSystem) -> sl.ConditionAssignment:
+    """A random subspace L_v of random dimension at every place."""
+    l = {v: ff.random_subspace(rng, system.local_dims[v],
+                               rng.randrange(0, system.local_dims[v] + 1), system.p)
+         for v in system.places}
+    return sl.ConditionAssignment(system, l)
+
+
 def test_exact_system_reciprocity_and_extremes():
     rng = random.Random(1)
     system = sl.build_exact_system(rng, 5, {"a": 3, "b": 2, "c": 2}, 4)
@@ -573,7 +581,7 @@ def test_selmer_basis_independence():
     rng = random.Random(7)
     for _ in range(20):
         system = sl.build_exact_system(rng, 7, {"a": 3, "b": 3}, rng.randrange(0, 5))
-        conds = sl.random_conditions(rng, system)
+        conds = random_conditions(rng, system)
         d1 = sl.selmer(system, conds).shape[1] - sl.dual_selmer(system, conds).shape[1]
         # Re-express every L_v by a random change of spanning set.
         new_l = {}
@@ -630,7 +638,7 @@ def test_condition_tightening_bounds():
     for _ in range(50):
         system = sl.build_exact_system(rng, 5, {"a": 3, "b": 3, "c": 2},
                                        rng.randrange(2, 7))
-        conds = sl.random_conditions(rng, system)
+        conds = random_conditions(rng, system)
         v = rng.choice(system.places)
         l = conds.l_spaces[v]
         if l.shape[1] == 0:
@@ -780,7 +788,7 @@ def test_inflation_check_matches_quotient_oracle(p, seed):
 def test_selmer_layer_eliminations(monkeypatch):
     rng = random.Random(3)
     system = sl.build_exact_system(rng, 7, {"a": 3, "b": 2, "c": 2}, 4)
-    conditions = sl.random_conditions(rng, system)
+    conditions = random_conditions(rng, system)
     family = sl.build_inflation_family(rng, 7, base_dim=2, added=[1, 2])
     calls = []
     rref = ff.rref
@@ -1136,7 +1144,7 @@ def test_annihilation_memberships_match_span_oracle(p, seed):
         w = rng.choice(list(dims))
         dims[w] += 1
         system = sl.build_exact_system(rng, p, dims, rng.randrange(0, sum(dims.values()) + 1))
-        conditions = sl.random_conditions(rng, system).replaced(
+        conditions = random_conditions(rng, system).replaced(
             w, ff.random_subspace(rng, dims[w], rng.randrange(1, dims[w]), p))
         phi, psi, line = 0, 0, any_matrix(rng, dims[w], 1, p)
     psi = (psi + inside_or_not(rng, sl.selmer(system, conditions), p)) % p
