@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a builtin suite or a scenario file")
     run.add_argument("scenario", help="builtin id or path to a scenario JSON file")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--precision", type=int, default=None)
+    run.add_argument("--precision", type=int, default=None,
+                     help="p-adic precision of padic-log-suite, 2..256 (default 8); "
+                          "any other run given it exits 2")
     run.add_argument("--out", default=None, help="write the report here instead of stdout")
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.set_defaults(func=cmd_run)

@@ -202,7 +202,7 @@ def solve(a, b, p: int):
     b = np.asarray(b, dtype=np.int64)
     vec = b.ndim == 1
     if vec:
-        b = b.reshape(-1, 1)
+        b = b[:, None]
     n = np.shape(a)[1]
     r, pivots = rref(np.hstack([a, b]), p)
     # Inconsistent iff some pivot lands in the augmented block.
@@ -241,13 +241,13 @@ def annihilator(basis, pairing, p: int) -> np.ndarray:
     """
     basis = normalize(basis, p)
     pairing = normalize(pairing, p)
-    return nullspace((basis.T @ pairing) % p, p)
+    return nullspace(basis.T @ pairing, p)
 
 
-def fixed_equations(mats, n: int, p: int) -> np.ndarray:
-    """The blocks g - 1 of the n x n matrices `mats`, stacked: their common
-    kernel is the space that every g fixes."""
-    return np.vstack([zeros((0, n)), *((np.asarray(g) - eye(n)) % p for g in mats)])
+def fixed_equations(mats, n: int) -> np.ndarray:
+    """The blocks g - 1 of the n x n matrices `mats`, stacked and unreduced
+    (rref reduces): their common kernel is the space that every g fixes."""
+    return np.vstack([zeros((0, n)), *(np.asarray(g) - eye(n) for g in mats)])
 
 
 class QuotientSpace:

@@ -79,7 +79,7 @@ class TameGaloisModule:
             raise TameModuleError("base field characteristic must be an odd prime")
         phi = ff.normalize(self.phi, p)
         object.__setattr__(self, "phi", phi)
-        n = phi.shape[0]
+        n = len(phi)
         if phi.shape != (n, n):
             raise TameModuleError("Phi must be square")
         tau = self.tau if self.tau is not None else ff.eye(n)
@@ -116,7 +116,7 @@ class TameGaloisModule:
 
     @property
     def dim(self) -> int:
-        return self.phi.shape[0]
+        return len(self.phi)
 
     @property
     def qbar(self) -> int:
@@ -154,8 +154,10 @@ class TameGaloisModule:
         # Phi_eff = s.Phi with s = qbar^twist, and Tau^-1 = Tau^(p-1) as Tau^p = 1.
         # Phi_d = c.Phi^-T with c = qbar/s has the inverse c^-1.Phi^T.
         p = self.p
-        c = self.qbar * ff.inv_scalar(pow(self.qbar, self.twist % (p - 1), p), p) % p
-        phi_d = c * self.phi_inv.T % p
+        # c < p^2 and c Phi^-T < p^3 fit int64 under the table budget; inv_scalar
+        # and __post_init__ reduce them.
+        c = self.qbar * ff.inv_scalar(pow(self.qbar, self.twist % (p - 1), p), p)
+        phi_d = c * self.phi_inv.T
         phi_d_inv = ff.inv_scalar(c, p) * self.phi.T % p
         tau_d = self._tau_powers[p - 1].T
         return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, tau_d, 0)
@@ -172,7 +174,9 @@ class TameGaloisModule:
         p = self.p
         powers = self._tau_powers
         whole, rem = divmod(self.q, p)
-        sq = (whole % p * (powers[:p].sum(axis=0) % p) + powers[:rem].sum(axis=0)) % p
+        # Below p^3 <= 10^18 in int64, as the table budget keeps p below 10^6;
+        # reduced with Phi below.
+        sq = whole % p * powers[:p].sum(axis=0) + powers[:rem].sum(axis=0)
         return np.hstack([(ff.eye(self.dim) - powers[rem]) % p, (self.phi_eff - sq) % p])
 
     @cached_property
@@ -187,17 +191,17 @@ class TameGaloisModule:
         # large q.
         ks = [(q - c) // p + 1 for c in range(1, p + 1)]
         weights = np.array([[k % p for k in ks],
-                            [k * (q - c) % p for c, k in zip(range(1, p + 1), ks)]],
+                            [k * (q - c) % p for c, k in enumerate(ks, 1)]],
                            dtype=np.int64)
-        # Each weighted term is reduced before the sum, so p of them fit int64.
-        terms = weights[:, :, None, None] * md._tau_powers[None, 1:] % p
+        # p terms below p^2 sum below p^3, in int64 under the table budget.
+        terms = weights[:, :, None, None] * md._tau_powers[None, 1:]
         left, right = -terms.sum(axis=1) % p
         return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
 
     @cached_property
     def coboundary_matrix(self) -> np.ndarray:
         """d0 as a (2n x n) block matrix [Phi - 1; T - 1]."""
-        return ff.fixed_equations([self.phi_eff, self.tau], self.dim, self.p)
+        return ff.fixed_equations([self.phi_eff, self.tau], self.dim)
 
     @cached_property
     def _h1(self) -> "H1Space":
@@ -281,7 +285,7 @@ def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalCondition
     p = m.p
     w = ff.normalize(sub_basis, p)
     e = ff.nullspace(w.T, p).T  # equations whose common kernel is W
-    if any(ff.mat_mul(e, act @ w % p, p).any() for act in (m.phi_eff, m.tau)):
+    if any(ff.mat_mul(e, act @ w, p).any() for act in (m.phi_eff, m.tau)):
         raise TameModuleError("subspace is not invariant")
     # A cocycle (a; b) takes values in W when e a = 0 and e b = 0.
     values_in_w = np.kron(ff.eye(2), e)
@@ -396,9 +400,7 @@ def t_alpha_basis(rd: RootDatum, alpha, p: int, ambient_dim: int) -> np.ndarray:
 
 
 def _root_line(a: AdjointModule, root) -> np.ndarray:
-    v = ff.zeros((a.dim, 1))
-    v[a.root_index(root), 0] = 1
-    return v
+    return ff.eye(a.dim)[:, [a.root_index(root)]]
 
 
 def l_alpha_component(a: AdjointModule, vector, alpha) -> int:
@@ -435,8 +437,8 @@ def reg_checks(rd: RootDatum, p: int, generators, kappa_values) -> tuple[bool, b
     d = rd.rank_ss
     roots = rd.all_roots()
     n = d + len(roots)
-    borel = [i for i in range(d)] + [d + k for k, r in enumerate(roots) if sum(r) > 0]
-    neg = [d + k for k, r in enumerate(roots) if sum(r) < 0]
+    borel = list(range(d)) + [d + k for k, r in enumerate(roots) if sum(r) > 0]
+    neg = sorted(set(range(n)) - set(borel))
     quotient_actions = []
     for g in generators:
         g = ff.normalize(g, p)
@@ -445,10 +447,9 @@ def reg_checks(rd: RootDatum, p: int, generators, kappa_values) -> tuple[bool, b
         if g[np.ix_(neg, borel)].any():
             raise TameModuleError("generator does not preserve the Borel subalgebra")
         quotient_actions.append(g[np.ix_(neg, neg)])
-    twisted = [(kappa_values[i] % p) * quotient_actions[i] % p
-               for i in range(len(generators))]
+    twisted = [kappa % p * g for kappa, g in zip(kappa_values, quotient_actions)]
     # REG (REG*) holds when the (twisted) actions fix no common vector.
-    return tuple(ff.rank(ff.fixed_equations(mats, len(neg), p), p) == len(neg)
+    return tuple(ff.rank(ff.fixed_equations(mats, len(neg)), p) == len(neg)
                  for mats in (quotient_actions, twisted))
 
 
@@ -468,7 +469,9 @@ def nonsplit_check(rd: RootDatum, p: int, q: int, sigma_scalars, tau_scalars,
     for i in range(d):
         line = TameGaloisModule(p, np.array([[sig[i]]]), q, np.array([[tau[i]]]))
         cocycle = np.array([vs[i], vt[i]], dtype=np.int64)
-        if (line.relator_matrix @ cocycle % p).any():
+        # T = 1 on a line (t^p = t in F_p), so this is (Phi - S_q) v_t, a
+        # product of two residues: zero exactly when it is zero mod p.
+        if (line.relator_matrix @ cocycle).any():
             raise TameModuleError(f"cocycle relation violated on the line of root {i}")
         b1 = line.coboundary_matrix  # (2 x 1)
         if ff.span_contains(b1, cocycle, p):

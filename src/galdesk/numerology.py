@@ -164,7 +164,7 @@ def oddness_audit(rd: RootDatum, involutions, p: int):
         mat = ff.normalize(mat, p)
         if not np.array_equal(ff.mat_mul(mat, mat, p), ff.eye(len(mat))):
             raise NumerologyError("input does not square to the identity")
-        h0 = ff.nullspace(ff.fixed_equations([mat], len(mat), p), p).shape[1]
+        h0 = ff.nullspace(ff.fixed_equations([mat], len(mat)), p).shape[1]
         out.append((h0, h0 == n))
     return out
 

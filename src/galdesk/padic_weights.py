@@ -105,7 +105,7 @@ def _powers(p: int, prec: int) -> np.ndarray:
 def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges range(s, s + c), concatenated."""
     ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+    return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
 
 
 @dataclass(eq=False)
@@ -419,13 +419,9 @@ class UnitsModel:
     pairs: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
-        for w, wbar, f in self.pairs:
-            if w == wbar:
-                raise WeightsError("a place cannot be paired with itself")
-            if f < 1:
-                raise WeightsError("local degree must be >= 1")
-        names = [n for w, wbar, _ in self.pairs for n in (w, wbar)]
-        if len(set(names)) != len(names):
+        if any(f < 1 for _, _, f in self.pairs):
+            raise WeightsError("local degree must be >= 1")
+        if len(set(self.places)) != len(self.places):  # a place paired with itself too
             raise WeightsError("place labels must be distinct")
 
     @property
@@ -498,10 +494,7 @@ def algebraic_weight(model: UnitsModel, exponents: dict, prec: int,
 
 
 def _unit_power(u: PadicInt, n: int) -> PadicInt:
-    if n >= 0:
-        return PadicInt(u.p, pow(u.residue, n, u.modulus), u.prec)
-    inv = u.unit_inverse()
-    return PadicInt(u.p, pow(inv.residue, -n, u.modulus), u.prec)
+    return PadicInt(u.p, pow(u.residue, n, u.modulus), u.prec)  # n < 0 inverts the unit
 
 
 def is_locally_parallel(chi: WeightPoint) -> bool:

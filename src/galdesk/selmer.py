@@ -85,7 +85,7 @@ class FiniteGroupAction:
     def __post_init__(self):
         p = self.p
         gens = [ff.normalize(g, p) for g in self.generators]
-        n = gens[0].shape[0] if gens else 0
+        n = len(gens[0]) if gens else 0
         for g in gens:
             if g.shape != (n, n) or ff.rank(g, p) < n:
                 raise SelmerError("generators must be invertible and same-sized")
@@ -124,7 +124,7 @@ class FiniteGroupAction:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return len(self.elements[0])
 
 
 def finite_cohomology(g: FiniteGroupAction, degree: int):
@@ -154,7 +154,7 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     """
     p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
-        basis = ff.nullspace(ff.fixed_equations(g.generators, n, p), p)
+        basis = ff.nullspace(ff.fixed_equations(g.generators, n), p)
         return basis.shape[1], basis
 
     if degree == 1:
@@ -163,14 +163,14 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # the identity on the last independent coordinates of Z^1 (its free
         # columns, by matroid duality); so does reducing them in reverse.
         f = f.reshape(k * n, r * n)
-        z1 = ff.column_space((f @ z % p)[::-1], p)[::-1, ::-1]
+        z1 = ff.column_space((f @ z)[::-1], p)[::-1, ::-1]  # rref reduces mod p
         # The quotient is taken on the rows f(s_i) = u_i alone: u -> F u is
         # injective on Z^1, so the columns keep their dependencies and the
         # same representatives are chosen, in u; F maps them back.  There B^1
         # is spanned by the blocks s_i - 1, and lies in Z^1, as QuotientSpace
         # requires, because coboundaries are cocycles.
         rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
-        quotient = ff.QuotientSpace(z1[rows], ff.fixed_equations(g.generators, n, p), p)
+        quotient = ff.QuotientSpace(z1[rows], ff.fixed_equations(g.generators, n), p)
         return quotient.dim, f @ quotient.reps % p
 
     if degree == 2:
@@ -190,19 +190,19 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # Q is the complement f(t_0) = f(1) = 0, and f is reduced into it by
         # subtracting the image (t_j f(1))_j of M.
         acts = np.array(g.elements)
-        embed = acts[reps].reshape(-1, n)
+        embed = np.vstack(acts[reps])
         q_gens = []
         for i in range(r):
             y = g.step[reps, i]
             s = ff.zeros((len(reps), n, len(reps), n))
             s[np.arange(len(reps)), :, coset[y], :] = acts[head[y]]
             s = s.reshape(n * len(reps), n * len(reps))
-            q_gens.append((s[n:, n:] - embed[n:] @ s[:n, n:]) % p)
+            q_gens.append(s[n:, n:] - embed[n:] @ s[:n, n:])  # reduced where it is used
         q_elements = [ff.eye(dim_q)]
         for x, i in g.parent[1:]:
             q_elements.append(q_elements[x] @ q_gens[i] % p)
         # dim H^1(G, Q) = dim Z^1 - dim B^1, and dim B^1 = dim Q - dim Q^G.
-        moved = ff.fixed_equations(q_gens, dim_q, p)
+        moved = ff.fixed_equations(q_gens, dim_q)
         return _cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p), None
 
     raise SelmerError("degree must be 0, 1, or 2")
@@ -219,7 +219,7 @@ def _cocycles(p: int, elements, step, parent):
     the solutions u.
     """
     acts = np.asarray(elements)
-    (k, r), n = step.shape, acts.shape[1]
+    (k, r), n = step.shape, len(acts[0])
     f = ff.zeros((k, n, r * n))
     blocks = f.reshape(k, n, r, n)  # blocks[y, :, i] is the block of f(s_i)
     tree_x, tree_i = np.array(parent[1:], dtype=np.int64).reshape(k - 1, 2).T
@@ -279,7 +279,7 @@ def _subgroup(times, gens, limit: int):
     """Sorted indices of the subgroup generated by the indices gens, or None
     once it has more than limit elements."""
     members = {0}
-    frontier = np.zeros(1, dtype=np.int64)
+    frontier = np.array([0])
     while frontier.size:
         new = set(times(frontier[:, None], np.asarray(gens)).ravel().tolist()) - members
         members |= new
@@ -399,10 +399,10 @@ class SelmerSystem:
         return next(iter(self.res_dual.values())).shape[1]
 
     def stacked_res(self):
-        return np.vstack([self.res[v] for v in self.places]) % self.p
+        return np.vstack([self.res[v] for v in self.places])
 
     def stacked_res_dual(self):
-        return np.vstack([self.res_dual[v] for v in self.places]) % self.p
+        return np.vstack([self.res_dual[v] for v in self.places])
 
     def block_pairing(self):
         sizes = [self.local_dims[v] for v in self.places]
@@ -427,7 +427,7 @@ class SelmerSystem:
         the stacked P_v res'_v, of dimension sum dim V_v minus its rank, so
         equality is a rank count."""
         total = sum(self.local_dims[v] for v in self.places)
-        paired = np.vstack([self.pairing[v] @ self.res_dual[v] for v in self.places]) % self.p
+        paired = np.vstack([self.pairing[v] @ self.res_dual[v] for v in self.places])
         return (self.reciprocity_holds()
                 and ff.rank(self.stacked_res(), self.p) + ff.rank(paired, self.p) == total)
 
@@ -478,7 +478,7 @@ def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
     """
     p = system.p
     rows = [conditions.equations(v) @ system.res[v] for v in system.places]
-    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h)), *rows]), p)
+    return ff.nullspace(np.vstack(rows), p)
 
 
 def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
@@ -490,12 +490,13 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
     p = system.p
     rows = [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
             for v in system.places]
-    return ff.nullspace(np.vstack([ff.zeros((0, system.dim_h_dual)), *rows]), p)
+    return ff.nullspace(np.vstack(rows), p)
 
 
 def _vanishes(rows, x, p: int) -> bool:
-    """Is x, or every column of x, in the kernel of rows?"""
-    return not (rows @ x % p).any()
+    """Is x, or every column of x, in the kernel of rows?  Both are reduced
+    first, so each may come unreduced from a product of residues."""
+    return not ((rows % p) @ (x % p) % p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +543,11 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     sel_before = selmer(system, conditions)
     dual_before = dual_selmer(system, conditions)
     # Sel_L and Sel* are the kernels of the E_v and L_v^T P_v used just above.
-    if not all(_vanishes(conditions.equations(v), system.res[v] @ psi % p, p)
+    if not all(_vanishes(conditions.equations(v), system.res[v] @ psi, p)
                for v in system.places):
         raise SelmerError("psi is not a Selmer class")
-    if not all(_vanishes(conditions.l_spaces[v].T @ system.pairing[v] % p,
-                         system.res_dual[v] @ phi % p, p) for v in system.places):
+    if not all(_vanishes(conditions.l_spaces[v].T @ system.pairing[v],
+                         system.res_dual[v] @ phi, p) for v in system.places):
         raise SelmerError("phi is not a dual-Selmer class")
     if _into_ram_annihilator(system, w, ram, phi):
         raise SelmerError("phi restricts into the ramified annihilator at w")
@@ -568,13 +569,12 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
 def _into_ram_annihilator(system, w, ram: RamakrishnaData, phi) -> bool:
     """Does the dual class phi restrict at w into ram's annihilator, the
     kernel of ram^T P_w?"""
-    p = system.p
-    return _vanishes(ram.ram.T @ system.pairing[w] % p, system.res_dual[w] @ phi % p, p)
+    return _vanishes(ram.ram.T @ system.pairing[w], system.res_dual[w] @ phi, system.p)
 
 
 def _into_unr_meet_ram(system, w, ram: RamakrishnaData, psi) -> bool:
     """Does the class psi restrict at w into unr meet ram?"""
-    at_w = system.res[w] @ psi % system.p
+    at_w = system.res[w] @ psi  # span_contains reduces it
     return all(ff.span_contains(line, at_w, system.p) for line in (ram.unr, ram.ram))
 
 
@@ -658,27 +658,26 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     sel_old = selmer(system, conditions)
     if dual_selmer(system, conditions).shape[1] != 0:
         raise SelmerError("old dual Selmer must vanish before avoidance")
-    if not _vanishes(u_equations, beta @ sel_old % p, p):
+    if not _vanishes(u_equations, beta @ sel_old, p):
         raise SelmerError("beta(old Selmer) is not inside U: nothing to avoid")
     # ker Phi: conditions away from y, no condition at y.
     relaxed = conditions.replaced(y, ff.eye(system.local_dims[y]))
     ker_phi = selmer(system, relaxed)
     if ker_phi.shape[1] != sel_old.shape[1] + 1:
         raise SelmerError("enlargement dimension count is not one")
-    if ff.rank((beta @ ker_phi) % p, p) != d_weights:  # the rank of beta, checked above
+    if ff.rank(beta @ ker_phi, p) != d_weights:  # the rank of beta, checked above
         raise SelmerError("beta does not factor through the conditioned classes")
     # Deterministic psi': the first ker Phi basis vector outside Sel_old, a subspace of it.
     psi_prime = ff.QuotientSpace(ker_phi, sel_old, p).reps[:, 0]
-    if _vanishes(u_equations, beta @ psi_prime % p, p):
+    if _vanishes(u_equations, beta @ psi_prime, p):
         raise VerificationFailure("enlargement does not escape U")
     new_conditions = conditions.replaced(y, ram.ram)
     sel_new = selmer(system, new_conditions)
     if sel_new.shape[1] != sel_old.shape[1]:
         raise VerificationFailure("new Selmer dimension moved; enlargement is inconsistent")
-    # psi_tilde: the first new-Selmer vector with nonzero psi'-coordinate.
-    coords = ff.solve(np.hstack([sel_old, psi_prime.reshape(-1, 1)]), sel_new, p)
-    if coords is None:
-        raise VerificationFailure("new Selmer leaves the span of the old Selmer and psi'")
+    # psi_tilde: the first new-Selmer vector with nonzero psi'-coordinate.  Sel_new
+    # lies in ker Phi = Sel_old + <psi'>, so the solve always succeeds.
+    coords = ff.solve(np.hstack([sel_old, psi_prime[:, None]]), sel_new, p)
     hits = coords[-1].nonzero()[0]
     if not hits.size:
         raise VerificationFailure("no new Selmer class has a psi'-component")
@@ -780,14 +779,13 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     e = ff.eye(n0 + 2 * k)
     # psi threads the unramified coordinate of every w_i, the ghost of w_i
     # its ramified coordinate.
-    psi_vec = e[:, s0 - 1] + e[:, n0 : n0 + 2 * k : 2].sum(axis=1)
-    ghosts = e[:, s0:n0] + e[:, n0 + 1 : n0 + 2 * k : 2]
-    image = np.column_stack([e[:, : s0 - 1], psi_vec % p, ghosts % p])
+    psi_vec = e[:, s0 - 1] + e[:, n0::2].sum(axis=1)
+    ghosts = e[:, s0:n0] + e[:, n0 + 1 :: 2]
+    image = np.column_stack([e[:, : s0 - 1], psi_vec, ghosts])  # 0/1 entries
     blocks = _exact_blocks(p, places, local_dims, image)
     l0 = ff.zeros((n0, s0))
     l0[:s0, :] = ff.eye(s0)
-    unr = ff.zeros((2, 1)); unr[0, 0] = 1
-    ram = ff.zeros((2, 1)); ram[1, 0] = 1
+    unr, ram = ff.eye(2)[:, [0]], ff.eye(2)[:, [1]]
     marked = {"v0": {"L": l0}, **{w: {"unr": unr, "ram": ram} for w in specials}}
     system, marked, _ = _dress(rng, p, places, local_dims, blocks, marked)
     conditions = ConditionAssignment(system, {
@@ -823,38 +821,31 @@ class AvoidanceScenario:
 
 
 def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
-                             selmer_dim: int = 2,
-                             break_dimension_count: bool = False) -> AvoidanceScenario:
+                             selmer_dim: int = 2) -> AvoidanceScenario:
     """Vanishing dual Selmer, beta(Selmer) inside a proper subspace U, and a
     ramified escape direction at the fresh index y.
 
     The canonical image of H is spanned by Selmer vectors unramified at y,
     one Selmer vector through the unramified line, and one carrier through
-    the ramified line (two carriers under the negative control, which breaks
-    the one-dimensional enlargement count).
+    the ramified line.
     """
     if selmer_dim < max(2, d_weights - 1):
         raise SelmerError("selmer_dim too small to span U while staying inside it")
     rng = random.Random(seed)
-    # The negative control threads carriers through extra ramified-side
-    # directions at y, so the enlargement contributes three dimensions.
-    carriers = 3 if break_dimension_count else 1
-    ny = 2 + (2 if break_dimension_count else 0)
-    n0 = selmer_dim + carriers
+    n0, ny = selmer_dim + 1, 2
     places = ("v0", "y")
     local_dims = {"v0": n0, "y": ny}
     e = ff.eye(n0 + ny)
     image = np.column_stack([
         e[:, : selmer_dim - 1],
-        (e[:, selmer_dim - 1] + e[:, n0]) % p,  # through the unramified line
-        (e[:, selmer_dim:n0] + e[:, n0 + 1 : n0 + 1 + carriers]) % p,  # ramified side
+        e[:, selmer_dim - 1] + e[:, n0],  # through the unramified line
+        e[:, selmer_dim] + e[:, n0 + 1],  # the carrier, through the ramified line
     ])
     blocks = _exact_blocks(p, places, local_dims, image)
-    unr = ff.zeros((ny, 1)); unr[0, 0] = 1
-    ram = ff.zeros((ny, 1)); ram[1, 0] = 1
+    unr, ram = ff.eye(ny)[:, [0]], ff.eye(ny)[:, [1]]
     marked = {"y": {"unr": unr, "ram": ram}}
     # Weight map in canonical H-coordinates: Selmer columns land in U (spanned
-    # by the all-ones vector and d-2 unit vectors), carriers land outside.
+    # by the all-ones vector and d-2 unit vectors), the carrier lands outside.
     w = ff.eye(d_weights)
     u_basis = np.column_stack([np.ones(d_weights, dtype=np.int64), w[:, 1 : d_weights - 1]])
     beta = ff.zeros((d_weights, image.shape[1]))
@@ -883,8 +874,8 @@ def build_inflation_family(rng: random.Random, p: int, base_dim: int,
     for i, extra in enumerate(added):
         fresh = g[:, pos : pos + extra]
         if overlapping and i == 1 and k >= 2:
-            shared = g[:, base_dim : base_dim + 1]  # first enlargement's vector
-            fresh = np.hstack([shared, fresh[:, 1:]]) if extra > 1 else shared
+            shared = g[:, [base_dim]]  # first enlargement's vector
+            fresh = np.hstack([shared, fresh[:, 1:]])
         enlargements.append(ff.column_space(np.hstack([base, fresh]), p))
         pos += extra
     full_cols = [base] + [h for h in enlargements]

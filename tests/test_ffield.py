@@ -32,6 +32,7 @@ def test_rank_nullity(case):
     p, a = case
     ns = ff.nullspace(a, p)
     assert ff.rank(a, p) + ns.shape[1] == a.shape[1]
+    assert ((0 <= ns) & (ns < p)).all()
     if ns.shape[1]:
         assert not ((a @ ns) % p).any()
 
@@ -103,6 +104,8 @@ def test_quotient_space_coords():
     rebuilt = (q.reps @ c + den[:, 0] * 0) % p
     # The class of the rebuilt vector matches the input's class.
     assert np.array_equal(q.coords(rebuilt), c)
+    with pytest.raises(ValueError, match="not in the numerator span"):
+        ff.QuotientSpace(num[:, :2], den, p).coords(np.array([0, 0, 1]))
 
 
 def test_quotient_reps_greedy_deterministic():
@@ -352,6 +355,15 @@ def tall_matrices(draw, max_cols):
 def test_rref_chunks_match_reference(case):
     p, a = case
     assert_rref_matches(a, p)
+
+
+@pytest.mark.parametrize("p", [134_217_689, BIG_PRIME])
+def test_rref_chunks_exact_for_large_primes(p):
+    """At 2^53 < p^2 < 2^54 a float64 matmul would round the products, so they
+    are taken in int64; at BIG_PRIME one product at a time fits int64, and
+    two do not.  Rank 4 < 6 keeps every chunk in the loop."""
+    assert 1500 > 2 * chunk_rows(6)
+    assert_rref_matches(seeded_matrix(0, p, 1500, 6, rank=4), p)
 
 
 @pytest.mark.parametrize("late", [0, 3, 7])
@@ -629,3 +641,13 @@ def test_empty_inputs_need_no_special_case(shape):
         pairing = ff.eye(m) if m else ff.zeros((0, 0))
         assert same(ff.annihilator(empty, pairing, p), ff.eye(m))
         assert same(ff.annihilator(empty, np.ones((m, 4), dtype=np.int64), p), ff.eye(4))
+
+
+def test_primality_below_thirty():
+    assert [n for n in range(-2, 30) if ff.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [n for n in range(30) if ff.is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="0 is not invertible mod 5"):
+        ff.inv_scalar(10, 5)

@@ -150,17 +150,20 @@ def test_twist_composition():
 
 
 def test_invalid_modules_rejected():
-    with pytest.raises(lt.TameModuleError):
-        lt.TameGaloisModule(5, np.array([[0]]), 3)  # singular
-    with pytest.raises(lt.TameModuleError):
-        lt.TameGaloisModule(5, np.array([[1]]), 10)  # q divisible by p
-    with pytest.raises(lt.TameModuleError):
-        # Tau of order not dividing p.
+    for p in (2, 9):
+        with pytest.raises(lt.TameModuleError, match="must be an odd prime"):
+            lt.TameGaloisModule(p, np.array([[1]]), 3)
+    with pytest.raises(lt.TameModuleError, match="Phi must be square"):
+        lt.TameGaloisModule(5, np.ones((2, 3)), 3)
+    with pytest.raises(lt.TameModuleError, match="Phi must be invertible"):
+        lt.TameGaloisModule(5, np.array([[0]]), 3)
+    with pytest.raises(lt.TameModuleError, match="q must be prime to p"):
+        lt.TameGaloisModule(5, np.array([[1]]), 10)
+    with pytest.raises(lt.TameModuleError, match="Tau must have order dividing p"):
         lt.TameGaloisModule(5, ff.eye(2), 3, np.array([[0, 1], [1, 0]]))
-    with pytest.raises(lt.TameModuleError):
-        # Relation Phi Tau Phi^-1 = Tau^q violated (Tau unipotent, q = 2, Phi = 1).
-        tau = np.array([[1, 1], [0, 1]])
-        lt.TameGaloisModule(5, ff.eye(2), 2, tau)
+    with pytest.raises(lt.TameModuleError, match="Phi Tau Phi\\^-1 != Tau\\^q"):
+        # Tau unipotent, q = 2, Phi = 1.
+        lt.TameGaloisModule(5, ff.eye(2), 2, np.array([[1, 1], [0, 1]]))
 
 
 def test_euler_and_duality_random_500():
@@ -688,6 +691,48 @@ def test_power_table_relator_and_pairing_match_loops(p, n, twist, seed, data):
         assert np.array_equal(mod.pairing_matrix, loop_pairing_matrix(mod))
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_relator_and_pairing_at_q_beyond_int64(p):
+    """q div p = 2 10^29 / p does not fit int64, so the relator reduces it
+    mod p before it meets the power table."""
+    q = 10**30 + 2
+    m = module_with(p, p, q, 0, p, p)
+    assert np.array_equal(m.relator_matrix, loop_relator_matrix(m))
+    assert np.array_equal(m.pairing_matrix, loop_pairing_matrix(m))
+    h0, h1, h2 = lt.cohomology_dims(m)
+    assert h1 == h0 + h2
+
+
+def test_cocycle_from_coords_is_reduced():
+    m = random_tame_module(random.Random(11))
+    space = lt.h1_space(m)
+    coords = np.full(space.dim, m.p - 1)
+    assert (space.basis_cocycles @ coords >= m.p).any()
+    assert np.array_equal(space.cocycle_from_coords(coords),
+                          space.basis_cocycles @ coords % m.p)
+
+
+def test_table_budget_boundary():
+    # (p + 1) n^2 is 999,992 cells at n = 7 and p = 20407, under 10^6; the
+    # next prime, 20411, is over.
+    assert lt.TameGaloisModule(20407, ff.eye(7), 3)._tau_powers.shape == (20408, 7, 7)
+    with pytest.raises(lt.TameModuleError, match="table budget"):
+        lt.TameGaloisModule(20411, ff.eye(7), 3)
+
+
+def test_unramified_subspace_refuses_nontrivial_inertia():
+    with pytest.raises(lt.TameModuleError, match="requires Tau = identity"):
+        lt.unramified_subspace(module_with(5, 2, 3, 0, 2, 0))
+
+
+@pytest.mark.parametrize("q", [5, 6, 10, 11])
+def test_is_ramakrishna_type_refuses_q_0_or_1_mod_p(q):
+    rd = rdm.gl_datum(2)
+    a = lt.AdjointModule(rd, rdm.TorusElement(rd, 5, (2,)), q)
+    with pytest.raises(lt.TameModuleError, match="q must not be 0 or 1 mod p"):
+        lt.is_ramakrishna_type(a)
+
+
 def test_singular_phi_rejected_before_tau_checks():
     # Tau here also has the wrong order; the invertibility message comes first.
     with pytest.raises(lt.TameModuleError, match="Phi must be invertible"):
@@ -913,14 +958,38 @@ def test_reg_checks_with_unipotent_generator():
     assert reg and not reg_star
 
 
+def test_reg_checks_reduce_a_large_cyclotomic_value():
+    # kappa + p 10^30 does not fit int64; it is kappa mod p that twists.
+    rd, p = rdm.gl_datum(2), 13
+    gen = rdm.adjoint_torus_matrix(rd, p, (5,))
+    assert lt.reg_checks(rd, p, [gen], [5 + p * 10**30]) == lt.reg_checks(rd, p, [gen], [5]) \
+        == (True, False)
+
+
+def test_l_alpha_component_of_the_coroot_is_one():
+    a = gl2_f5_adjoint()
+    # <alpha, alpha^vee> = 2, halved.
+    assert lt.l_alpha_component(a, np.array([1, 0, 0]), (1,)) == 1
+
+
 def test_reg_checks_borel_validation():
     rd = rdm.gl_datum(2)
     bad = np.zeros((3, 3), dtype=np.int64)
     bad[2, 0] = 1  # maps t0 into g_{-alpha}
     bad[0, 2] = 1
     bad[1, 1] = 1
-    with pytest.raises(lt.TameModuleError):
+    with pytest.raises(lt.TameModuleError, match="does not preserve the Borel"):
         lt.reg_checks(rd, 5, [bad], [2])
+    # A generator that moves the simple root alpha into g_{-alpha}.
+    pos, neg = (1 + rd.all_roots().index(r) for r in ((1,), (-1,)))
+    bad = ff.eye(3)
+    bad[neg, pos] = 1
+    with pytest.raises(lt.TameModuleError, match="does not preserve the Borel"):
+        lt.reg_checks(rd, 5, [bad], [2])
+    with pytest.raises(lt.TameModuleError, match="one cyclotomic value per generator"):
+        lt.reg_checks(rd, 5, [ff.eye(3)], [2, 3])
+    with pytest.raises(lt.TameModuleError, match="generator has the wrong shape"):
+        lt.reg_checks(rd, 5, [ff.eye(4)], [2])
 
 
 def test_nonsplit_check():
@@ -931,9 +1000,11 @@ def test_nonsplit_check():
     assert not lt.nonsplit_check(rd, p, q, (1,), (1,), (0,), (0,))
     a2 = rdm.build_root_datum([("A", 2)])
     assert not lt.nonsplit_check(a2, p, q, (1, 1), (1, 1), (2, 0), (0, 0))
-    with pytest.raises(lt.TameModuleError):
+    with pytest.raises(lt.TameModuleError, match="cocycle relation violated"):
         # Relation violated: scalar 1, tau 1 forces (1 - qbar) phi_tau = 0.
         lt.nonsplit_check(rd, p, q, (1,), (1,), (2,), (1,))
+    with pytest.raises(lt.TameModuleError, match="one entry per simple root"):
+        lt.nonsplit_check(a2, p, q, (1,), (1,), (2,), (0,))
 
 
 def per_root_adjoint_phi(a: lt.AdjointModule, twist: int) -> np.ndarray:

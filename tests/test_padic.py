@@ -429,9 +429,44 @@ def test_dense_times_dense_exact_at_nvars4_cap10():
 def test_series_budget():
     with pytest.raises(pw.SeriesError, match="budget"):
         pw.TruncatedSeries(5, 8, 8, 40, {(0,) * 8: 1})
+    # C(29, 5) = 118,755 monomials, just over 10^5.
+    with pytest.raises(pw.SeriesError, match="budget of 100000 monomials"):
+        pw.TruncatedSeries(5, 5, 8, 24, {})
     with pytest.raises(pw.SeriesError):
         pw.TruncatedSeries(5, 70, 8, 1, {})
     assert len(pw.TruncatedSeries(5, 4, 8, 20, {}).residues) == 10626
+    # 62 variables to degree 1: codes up to 2^62 - 1 still fit int64.
+    assert len(pw.TruncatedSeries(5, 62, 2, 1, {}).residues) == 63
+    with pytest.raises(pw.SeriesError, match="monomial codes overflow int64"):
+        pw.TruncatedSeries(5, 40, 2, 2, {})  # 3^40 > 2^62
+    with pytest.raises(pw.SeriesError, match="monomial codes overflow int64"):
+        pw.TruncatedSeries(5, 27, 2, 4, {})  # 2^62 < 5^27 < 2^63: a sum of two codes overflows
+
+
+def test_series_refuses_bad_precisions_and_exponents():
+    for prec in (0, 257):
+        with pytest.raises(pw.SeriesError, match="series precision must be between 1 and 256"):
+            pw.TruncatedSeries(5, 1, prec, 4, {})
+    for idx in ((1,), (0, -1)):
+        with pytest.raises(pw.SeriesError, match="bad exponent"):
+            pw.TruncatedSeries(5, 2, 8, 4, {idx: 1})
+
+
+def test_series_arithmetic_refuses_incompatible_series():
+    one = pw.TruncatedSeries(5, 1, 8, 4, {(0,): 1})
+    for other in (pw.TruncatedSeries(7, 1, 8, 4, {(0,): 1}),
+                  pw.TruncatedSeries(5, 2, 8, 4, {(0, 0): 1})):
+        with pytest.raises(pw.SeriesError, match="incompatible series"):
+            one * other
+        with pytest.raises(pw.SeriesError, match="incompatible series"):
+            one - other
+
+
+def test_sum_keeps_a_term_known_to_precision_one():
+    rough = pw.TruncatedSeries(5, 1, 8, 4, {(1,): pa.PadicInt(5, 2, 1)})
+    exact = pw.TruncatedSeries(5, 1, 8, 4, {(1,): 3})
+    for total in (rough + exact, exact + rough):
+        assert total.coeff((1,)) == pa.PadicInt(5, 0, 1)
 
 
 def test_series_rejects_other_primes():
@@ -453,7 +488,8 @@ def test_traced_series_methods_are_defined_on_the_class():
 
 
 def test_dual_reduction():
-    g = series(5, 3, 6, 4, [((0, 0, 0), 2), ((0, 1, 0), 3), ((0, 2, 0), 4), ((1, 0, 0), 1)])
+    # Coefficients 37, 28 and 26 reduce to 2, 3 and 1 mod 5.
+    g = series(5, 3, 6, 4, [((0, 0, 0), 37), ((0, 1, 0), 28), ((0, 2, 0), 4), ((1, 0, 0), 26)])
     assert g.dual_reduction(1) == (2, 3)
     assert g.dual_reduction(0) == (2, 1)
     assert g.dual_reduction(2) == (2, 0)

@@ -319,6 +319,47 @@ def test_enumeration_overflow_guard(monkeypatch):
         bfs_oracle(5, gens, order_bound=59)
 
 
+def test_order_bound_refuses_one_more_element():
+    # 4 = 2^2 has order (200003 - 1) / 2 = 100001 in F_200003^*, one over MAX_ORDER.
+    with pytest.raises(sl.SelmerError, match="order bound"):
+        sl.FiniteGroupAction(200_003, [np.array([[4]])])
+
+
+@pytest.mark.parametrize("p, n", [(37, 15), (29, 21)])
+def test_h2_cell_budget_refuses_before_the_subgroup_search(monkeypatch, p, n):
+    """A Jordan block of size n <= p generates C_p on F_p^n.  Its shifted
+    degree-2 system has at least p (n (p - 1))^2 cells: 10,789,200 and
+    10,026,576 here, just over 10^7.  At p = 29, p (n (p - 2))^2 is under
+    10^7, so the early bound must count p - 1 coset blocks."""
+    jordan = ff.eye(n) + np.eye(n, k=1, dtype=np.int64)
+    g = sl.FiniteGroupAction(p, [jordan])
+    monkeypatch.setattr(sl, "_p_prime_subgroup", None)  # never searched for
+    with pytest.raises(sl.SelmerError, match="cell budget"):
+        sl.finite_cohomology(g, 2)
+
+
+@pytest.mark.parametrize("n, h2", [(3, 1), (13, 0)])
+def test_h2_of_a_jordan_block_under_a_deep_cyclic_group(n, h2):
+    """C_13 generated by a Jordan block of size n in a random basis: H^2 =
+    M^G / N M for the norm N = (J - 1)^12, which is zero for n < 13 and has
+    rank 1 at n = 13.  The BFS tree is 12 deep, and products along it that
+    are not reduced as they are formed overflow int64."""
+    g = ff.random_invertible(random.Random(n), n, 13)
+    jordan = ff.mat_mul(g @ (ff.eye(n) + np.eye(n, k=1, dtype=np.int64)), ff.inv(g, 13), 13)
+    assert sl.finite_cohomology(sl.FiniteGroupAction(13, [jordan]), 2)[0] == h2
+
+
+def test_group_action_without_generators_is_the_trivial_group_on_zero():
+    g = sl.FiniteGroupAction(5, [])
+    assert (g.order, g.dim) == (1, 0)
+
+
+def test_group_action_refuses_singular_or_mis_sized_generators():
+    for gens in ([np.array([[1, 2], [2, 4]])], [ff.eye(2), ff.eye(3)]):
+        with pytest.raises(sl.SelmerError, match="generators must be invertible and same-sized"):
+            sl.FiniteGroupAction(5, gens)
+
+
 def diag_blocks(*blocks):
     n = sum(len(b) for b in blocks)
     out = ff.zeros((n, n))
@@ -843,6 +884,43 @@ def test_system_construction_makes_no_elimination(monkeypatch):
     assert len(built) == 4
 
 
+def test_exact_system_may_have_an_empty_place():
+    system = sl.build_exact_system(random.Random(0), 5, {"a": 2, "b": 0}, 1)
+    assert system.res["b"].shape == (0, 1) and system.exactness_holds()
+
+
+def test_condition_assignment_refuses_a_missing_place():
+    system = sl.build_exact_system(random.Random(0), 5, {"a": 2, "b": 1}, 1)
+    with pytest.raises(sl.SelmerError, match="assignment misses place b"):
+        sl.ConditionAssignment(system, {"a": ff.eye(2)})
+
+
+def with_random_pairings(system, rng):
+    """The system moved to random perfect pairings P_v, with res'_v replaced by
+    P_v^-1 res'_v: every pairing value, so reciprocity, exactness and every
+    (dual) Selmer group, stays the same."""
+    p = system.p
+    pairing = {v: ff.random_invertible(rng, system.local_dims[v], p) for v in system.places}
+    return sl.SelmerSystem(p, system.places, system.local_dims, system.res,
+                           {v: ff.mat_mul(ff.inv(pairing[v], p), system.res_dual[v], p)
+                            for v in system.places}, pairing)
+
+
+def test_random_pairings_at_a_large_prime():
+    """At p near 10^9 the products L_v^T P_v and res_v^T P_v reach n p^2, so
+    each is reduced before it meets res'_v."""
+    p, rng = 1_000_000_007, random.Random(1)
+    dims = {"a": 3, "b": 2, "c": 2}
+    base = sl.build_exact_system(rng, p, dims, 3)
+    system = with_random_pairings(base, rng)
+    assert system.exactness_holds()
+    l_spaces = {v: ff.random_subspace(rng, n, 1, p) for v, n in dims.items()}
+    dual = sl.dual_selmer(system, sl.ConditionAssignment(system, l_spaces))
+    expected = sl.dual_selmer(base, sl.ConditionAssignment(base, l_spaces))
+    assert dual.shape[1] == expected.shape[1] > 0
+    assert np.array_equal(dual, expected)
+
+
 def test_reciprocity_enforced():
     p = 5
     with pytest.raises(sl.SelmerError):
@@ -855,6 +933,12 @@ def test_reciprocity_enforced():
 # ---------------------------------------------------------------------------
 # Annihilation step
 # ---------------------------------------------------------------------------
+
+def test_annihilation_scenario_refuses_when_no_class_avoids(monkeypatch):
+    monkeypatch.setattr(sl, "_class_avoiding", lambda *args, **kwargs: None)
+    with pytest.raises(sl.SelmerError, match="failed to expose phi or psi"):
+        sl.build_annihilation_scenario(0)
+
 
 def test_annihilation_step_canonical():
     sc = sl.build_annihilation_scenario(seed=0, extra_selmer=1)
@@ -937,6 +1021,52 @@ def test_annihilation_hypothesis_violations():
         sl.annihilation_step(sc.system, new_conds, w, sc.ram[w], sc.phi, sc.psi)
 
 
+def test_annihilation_step_refuses_an_unknown_index():
+    sc = sl.build_annihilation_scenario(seed=3)
+    w = sc.special[0]
+    with pytest.raises(sl.SelmerError, match="unknown index nowhere"):
+        sl.annihilation_step(sc.system, sc.conditions, "nowhere", sc.ram[w], sc.phi, sc.psi)
+
+
+@pytest.mark.parametrize("layer, message", [
+    ("dual_selmer", "dual Selmer did not drop"),
+    ("selmer", "Selmer dimension moved"),
+])
+def test_annihilation_step_post_conditions_fire_on_a_planted_fault(monkeypatch, layer, message):
+    """On an exact system the dual Selmer group drops and the Selmer group
+    stays; a layer that finds one class too many under the new conditions
+    is planted."""
+    sc = sl.build_annihilation_scenario(seed=3)
+    w, real = sc.special[0], getattr(sl, layer)
+
+    def planted(system, conditions):
+        basis = real(system, conditions)
+        extra = ff.zeros((len(basis), 1))
+        return basis if conditions is sc.conditions else np.hstack([basis, extra])
+
+    monkeypatch.setattr(sl, layer, planted)
+    with pytest.raises(VerificationFailure, match=message):
+        sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w], sc.phi, sc.psi)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_annihilation_step_at_a_large_prime(seed):
+    """At p near 10^9 both factors of L_v^T P_v res'_v phi, and of ram^T P_w
+    res'_w phi, must be reduced before they meet: a factor of n p^2 overflows
+    int64.  Random pairings make L_v^T P_v a full product."""
+    sc = sl.build_annihilation_scenario(seed, p=1_000_000_007, extra_selmer=1, num_special=2)
+    system, w = with_random_pairings(sc.system, random.Random(seed)), sc.special[0]
+    conditions = sl.ConditionAssignment(system, sc.conditions.l_spaces)
+    # With ram = unr, phi restricts into the ramified annihilator.
+    with pytest.raises(sl.SelmerError, match="ramified annihilator at w"):
+        sl.annihilation_step(system, conditions, w, sl.RamakrishnaData(sc.ram[w].unr,
+                                                                       sc.ram[w].unr),
+                             sc.phi, sc.psi)
+    _, report = sl.annihilation_step(system, conditions, w, sc.ram[w], sc.phi, sc.psi)
+    assert report.dual_after < report.dual_before
+    assert report.selmer_after == report.selmer_before
+
+
 # ---------------------------------------------------------------------------
 # Inflation decomposition
 # ---------------------------------------------------------------------------
@@ -961,12 +1091,21 @@ def test_inflation_overlapping_control_fails():
     assert not sl.inflation_decomposition_check(fam)
 
 
+def test_inflation_overlap_keeps_the_other_fresh_vectors():
+    fam = sl.build_inflation_family(random.Random(0), 5, base_dim=2, added=[1, 2],
+                                    overlapping=True)
+    assert [h.shape[1] for h in fam.enlargements] == [3, 4]
+    assert not sl.inflation_decomposition_check(fam)
+
+
 def test_inflation_nesting_validated():
     p = 5
     base = ff.eye(4)[:, :2]
     stray = ff.eye(4)[:, 2:3]
-    with pytest.raises(sl.SelmerError):
+    with pytest.raises(sl.SelmerError, match="not nested over the base"):
         sl.InflationFamily(p, base, [stray], ff.eye(4))
+    with pytest.raises(sl.SelmerError, match="enlargement exceeds the joint space"):
+        sl.InflationFamily(p, base, [ff.eye(4)[:, :3]], base)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1165,25 @@ def test_avoidance_hypothesis_violations(monkeypatch):
         step(beta=into_u)
 
 
+@pytest.mark.parametrize("plant, message", [
+    (lambda old, new: np.hstack([new, ff.zeros((len(new), 1))]), "new Selmer dimension moved"),
+    (lambda old, new: old, "no new Selmer class has a psi'-component"),
+])
+def test_avoidance_selmer_checks_fire_on_a_planted_fault(monkeypatch, plant, message):
+    """selmer() runs on the old conditions, on ker Phi, then on the new
+    conditions; a wrong third answer is planted."""
+    sc = sl.build_avoidance_scenario(seed=3, d_weights=3)
+    real, answers = sl.selmer, []
+
+    def selmer(system, conditions):
+        answers.append(real(system, conditions))
+        return plant(answers[0], answers[-1]) if len(answers) == 3 else answers[-1]
+
+    monkeypatch.setattr(sl, "selmer", selmer)
+    with pytest.raises(VerificationFailure, match=message):
+        sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram)
+
+
 def test_avoidance_with_zero_u_subspace():
     """U = 0 as a proper subspace: any new class with nonzero image escapes."""
     p = 5
@@ -1070,6 +1228,30 @@ def test_avoidance_100_seeds():
         assert not ff.span_contains(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_avoidance_at_a_large_prime(seed):
+    """At p near 10^9, beta times a Selmer basis reaches n p^2, so it is
+    reduced before it meets the equations of U, and before it is reported."""
+    sc = sl.build_avoidance_scenario(seed, p=1_000_000_007, d_weights=3, selmer_dim=3)
+    assert sc.beta.max() < sc.system.p
+    _, report = sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram)
+    assert report.selmer_after == report.selmer_before
+    assert np.array_equal(report.beta_psi_tilde, sc.beta @ report.psi_tilde % sc.system.p)
+    assert not ff.span_contains(sc.u_subspace, report.beta_psi_tilde, sc.system.p)
+
+
+def test_avoidance_scenario_shape_and_refusal():
+    # U is spanned by 1 and d - 2 unit vectors, which selmer_dim >= 2 Selmer
+    # columns must reach.
+    for d, dim in ((2, 1), (4, 2)):
+        with pytest.raises(sl.SelmerError, match="selmer_dim too small"):
+            sl.build_avoidance_scenario(0, d_weights=d, selmer_dim=dim)
+    sc = sl.build_avoidance_scenario(0, d_weights=4, selmer_dim=3)
+    assert sc.system.local_dims == {"v0": 4, "y": 2}
+    assert (sc.system.dim_h, sc.system.dim_h_dual) == (4, 2)
+    assert sl.selmer(sc.system, sc.conditions).shape[1] == 3
+
+
 def test_avoidance_psi_tilde_is_first_hit():
     """psi_tilde is the first new-Selmer column whose psi'-coordinate, solved
     one column at a time, is nonzero."""
@@ -1088,10 +1270,48 @@ def test_avoidance_psi_tilde_is_first_hit():
 
 
 def test_avoidance_dimension_count_control():
-    sc = sl.build_avoidance_scenario(seed=2, break_dimension_count=True)
-    with pytest.raises(sl.SelmerError, match="dimension count"):
-        sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace,
-                          sc.y, sc.ram)
+    """Two carriers threaded through y: without a condition at y the Selmer
+    group gains two dimensions, not one."""
+    p = 5
+    # v0 has dim 4 and y dim 3, with lines unr = e0 and ram = e1 at y.  H is
+    # spanned by x0, psi through unr, and carriers through e1 and e2 at y.
+    image = ff.zeros((7, 4))
+    for col, rows in enumerate([(0,), (1, 4), (2, 5), (3, 6)]):
+        image[list(rows), col] = 1
+    image_dual = ff.annihilator(image, ff.eye(7), p)
+    system = sl.SelmerSystem(p, ("v0", "y"), {"v0": 4, "y": 3},
+                             {"v0": image[:4], "y": image[4:]},
+                             {"v0": image_dual[:4], "y": image_dual[4:]},
+                             {"v0": ff.eye(4), "y": ff.eye(3)})
+    unr, ram = ff.eye(3)[:, :1], ff.eye(3)[:, 1:2]
+    conds = sl.ConditionAssignment(system, {"v0": ff.eye(4), "y": unr})
+    # beta is onto F_5^2 and maps the old Selmer group (x0, psi) into U = span(1, 1).
+    beta = np.array([[1, 1, 1, 0], [1, 1, 0, 1]], dtype=np.int64)
+    u = np.ones((2, 1), dtype=np.int64)
+    with pytest.raises(sl.SelmerError, match="enlargement dimension count is not one"):
+        sl.avoidance_step(system, conds, beta, u, "y", sl.RamakrishnaData(unr, ram))
+
+
+@pytest.mark.parametrize("planted, message", [
+    (2, "enlargement does not escape U"),
+    (3, r"avoidance failed: beta\(psi_tilde\) landed in U"),
+])
+def test_avoidance_u_checks_fire_on_a_planted_fault(monkeypatch, planted, message):
+    """The step tests U three times: beta(Sel_old) inside U, then beta(psi')
+    and beta(psi_tilde) outside it.  The last two cannot fail once the
+    checks before them pass, so a membership test that wrongly answers
+    "inside U" is planted at one of them."""
+    sc = sl.build_avoidance_scenario(seed=3, d_weights=3)
+    real, calls = sl._vanishes, []
+
+    def vanishes(rows, x, p):
+        calls.append(x)
+        return len(calls) == planted or real(rows, x, p)
+
+    monkeypatch.setattr(sl, "_vanishes", vanishes)
+    with pytest.raises(VerificationFailure, match=message):
+        sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram)
+    assert len(calls) == planted
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,40 @@ def cm_quartic_model(p=5):
 
 
 def test_units_model_validation():
-    with pytest.raises(pw.WeightsError):
-        pw.UnitsModel(5, (("w", "w", 1),))
-    with pytest.raises(pw.WeightsError):
+    for pairs in ((("w", "w", 1),), (("w", "v", 1), ("u", "w", 1))):
+        with pytest.raises(pw.WeightsError, match="place labels must be distinct"):
+            pw.UnitsModel(5, pairs)
+    with pytest.raises(pw.WeightsError, match="local degree must be >= 1"):
         pw.UnitsModel(5, (("w", "v", 0),))
+
+
+def test_weight_point_validation():
+    m = imag_quad_model()
+    one = pa.PadicInt.one(5, 8)
+    with pytest.raises(pw.WeightsError, match="missing value at"):
+        pw.WeightPoint(m, {("w0", 0): one}, {})
+    with pytest.raises(pw.WeightsError, match="weight values must be units"):
+        pw.WeightPoint(m, {("w0", 0): one, ("wbar0", 0): pa.PadicInt(5, 5, 8)}, {})
+
+
+def test_weights_default_to_exponent_zero():
+    m = imag_quad_model()
+    chi = pw.algebraic_weight(m, {}, prec=8)
+    assert chi.value("w0", 0) == pa.PadicInt.one(5, 8) and pw.is_locally_parallel(chi)
+
+
+def test_parallel_functional_refusals():
+    m = imag_quad_model()
+    chi = pw.algebraic_weight(m, {("w0", 0): 2, ("wbar0", 0): 1}, prec=8)
+    with pytest.raises(pw.WeightsError, match="different unit models"):
+        pw.parallel_functional(chi, pw.NormOneElement(imag_quad_model(), ()))
+    with pytest.raises(pw.WeightsError, match="empty support"):
+        pw.parallel_functional(chi, pw.NormOneElement(m, ()))
+
+
+def test_weierstrass_data_needs_one_variable():
+    with pytest.raises(pw.SeriesError, match="one-variable series"):
+        pw.weierstrass_data(pw.TruncatedSeries(5, 2, 8, 4, {(0, 0): 1}))
 
 
 def test_norm_one_validation():
@@ -141,7 +171,11 @@ def test_parallel_functional_suites():
 def test_is_parallel_pair():
     # GL2: minus_w0 is the identity on the single simple root.
     assert pw.is_parallel_pair([3], [3], [0], 5)
+    assert pw.is_parallel_pair([3], [8], [0], 5) and pw.is_parallel_pair([13], [3], [0], 5)
     assert not pw.is_parallel_pair([3], [2], [0], 5)
+    for x_w, x_wbar in (([1, 2], [1]), ([1, 2, 3], [1, 2, 3])):
+        with pytest.raises(pw.WeightsError, match="mismatched arity"):
+            pw.is_parallel_pair(x_w, x_wbar, [1, 0], 5)
     # A2: minus_w0 swaps the two simple roots.
     mw0 = rdm.longest_element(rdm.build_root_datum([("A", 2)]))[1]
     assert pw.is_parallel_pair([1, 2], [2, 1], mw0, 5)
@@ -417,6 +451,9 @@ def test_dichotomy_rejects_non_units():
     for f_w in (bad, other_prime, two_vars):
         with pytest.raises(pw.WeightsError):
             pw.DichotomyFamily(p, 1, 1, (0,), [pw.DichotomyEntry("w0", 0, 0, f_w, good)])
+    constant = pw.TruncatedSeries(p, 1, prec, 0, {(0,): 1})
+    with pytest.raises(pw.WeightsError, match="degree cap >= 1"):
+        pw.DichotomyFamily(p, 1, 1, (0,), [pw.DichotomyEntry("w0", 0, 0, constant, constant)])
 
 
 def test_dichotomy_arity_check():
