@@ -9,17 +9,19 @@ per column.  A `QuotientSpace` is built from one reduction of
 span(numerator) as an unchecked precondition.
 
 `rref` is the one elimination, with two kernels.  Gauss-Jordan on lists of
-Python ints costs what clearing its nonzeros, row by row, costs, and numpy a
-fixed cost per pivot.  So inputs of at most `_SMALL_CELLS` cells run in
-Python, and so do sparse ones: at most `_SPARSE_CELLS` cells and
-`_SPARSE_NONZEROS` nonzeros, no more than four rows a column, and p below
-`_SPARSE_PRIMES`.  The numpy kernel takes the rows in chunks of about
-`_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, 2008): exact matmuls (float64, or int64 for p^2 > 2^53) reduce each
-chunk against the RREF basis of the rows before it (at most n rows), one
-vectorised update per pivot eliminates the chunk, and its pivot rows join
-the basis.  RREF is canonical, so both kernels return the same R and pivots
-for every p with p^2 < 2^63 (see `products_fit`).
+Python ints costs what clearing its nonzeros, row by row, costs (a row is
+cleared by the pivot row's nonzeros alone), and numpy a fixed cost per
+pivot.  So inputs of at most `_SMALL_CELLS` cells run in Python, and so do
+sparse ones: at most `_SPARSE_CELLS` cells and `_SPARSE_NONZEROS` nonzeros,
+no more than four rows a column, and p below `_SPARSE_PRIMES`.  The numpy
+kernel takes the rows in chunks of about `_CHUNK_CELLS` cells, in the block
+style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, 2008): exact matmuls
+(float64, or int64 for p^2 > 2^53) reduce each chunk against the RREF basis
+of the rows before it (at most n rows), one vectorised update per pivot
+eliminates the chunk, and its pivot rows join the basis.  RREF is canonical,
+so both kernels return the same R and pivots for every p with p^2 < 2^63
+(see `products_fit`).  `random_invertible` reads a draw g and its inverse
+off one rref([g | 1]).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 # Where rref's kernels win; see the module docstring.
 _SMALL_CELLS = 256
 _SPARSE_CELLS = 1024
-_SPARSE_NONZEROS = 64
+_SPARSE_NONZEROS = 128
 _SPARSE_PRIMES = 2**15  # residue products fit one 30-bit digit of a Python int
 _CHUNK_ROWS = 64  # at least, in a chunk of _CHUNK_CELLS cells
 _CHUNK_CELLS = 4096
@@ -149,7 +151,7 @@ def _eliminate(r: np.ndarray, p: int):
 
 
 def _rref_small(r: np.ndarray, p: int):
-    """rref on lists of Python ints: the same pivots, scaling and clearing order."""
+    """rref on lists of Python ints, with the same pivots and scaling."""
     rows = r.tolist()
     m, n = r.shape
     pivots = []
@@ -167,11 +169,15 @@ def _rref_small(r: np.ndarray, p: int):
         if pivot[col] != 1:
             scale = inv_scalar(pivot[col], p)
             pivot[col:] = [x * scale % p for x in pivot[col:]]
-        tail = pivot[col:]
+        tail = None  # the pivot row's nonzeros right of col, once a row needs them
         for other in rows:
             f = other[col]
             if f and other is not pivot:
-                other[col:] = [(x - f * y) % p for x, y in zip(other[col:], tail)]
+                if tail is None:
+                    tail = [(j, y) for j, y in enumerate(pivot[col + 1 :], col + 1) if y]
+                other[col] = 0
+                for j, y in tail:
+                    other[j] = (other[j] - f * y) % p
         pivots.append(col)
     return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
@@ -293,11 +299,12 @@ def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(m, n)
 
 
-def random_invertible(rng, n: int, p: int) -> np.ndarray:
+def random_invertible(rng, n: int, p: int):
     for _ in range(_MAX_DRAWS):
         a = random_matrix(rng, n, n, p)
-        if rank(a, p) == n:
-            return a
+        r, pivots = rref(np.hstack([a, eye(n)]), p)
+        if pivots[:n] == list(range(n)):  # mod 1 there are no pivots at all
+            return a, r[:, n:]
     raise ValueError(f"no invertible {n} x {n} matrix mod {p} in {_MAX_DRAWS} draws")
 
 

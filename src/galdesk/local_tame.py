@@ -142,8 +142,8 @@ class TameGaloisModule:
         return (pow(self.qbar, self.twist % (self.p - 1), self.p) * self.phi) % self.p
 
     def twisted(self, e: int) -> "TameGaloisModule":
-        return TameGaloisModule._with_inverse(self.phi_inv, self.p, self.phi, self.q,
-                                              self.tau, self.twist + e)
+        return self if e == 0 else TameGaloisModule._with_inverse(
+            self.phi_inv, self.p, self.phi, self.q, self.tau, self.twist + e)
 
     def dual_twist(self) -> "TameGaloisModule":
         """M^vee(1): arithmetic action qbar * (Phi_eff^T)^-1, inertia (Tau^T)^-1."""

@@ -38,6 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ffield as ff
 from .errors import InputError, VerificationFailure
 from .padics import MAX_PRECISION, PadicInt, log_unit, teichmuller
 
@@ -128,6 +129,8 @@ class TruncatedSeries:
     precs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, coeffs):
+        if not ff.is_odd_prime(self.p):
+            raise SeriesError(f"p = {self.p} is not an odd prime")
         if not 1 <= self.prec <= MAX_PRECISION:
             raise SeriesError(f"series precision must be between 1 and {MAX_PRECISION}")
         layout = _layout(self.nvars, self.degree_cap)

@@ -116,7 +116,7 @@ def _random_module(rng) -> lt.TameGaloisModule:
     q = p  # redrawn until prime to p
     while q % p == 0:
         q = rng.randrange(2, 80)
-    phi = ff.random_invertible(rng, n, p)
+    phi = ff.random_invertible(rng, n, p)[0]
     return lt.TameGaloisModule(p, phi, q, twist=rng.randrange(-2, 3))
 
 
@@ -212,8 +212,8 @@ def _rich_module(rng) -> lt.TameGaloisModule:
     while q % p in (0, 1):
         q = rng.randrange(2, 60)
     eigs = [1, q] + [rng.randrange(1, p) for _ in range(n - 2)]  # mat_mul reduces q
-    g = ff.random_invertible(rng, n, p)
-    phi = ff.mat_mul(ff.mat_mul(g, np.diag(eigs), p), ff.inv(g, p), p)
+    g, g_inv = ff.random_invertible(rng, n, p)
+    phi = ff.mat_mul(ff.mat_mul(g, np.diag(eigs), p), g_inv, p)
     return lt.TameGaloisModule(p, phi, q)
 
 
@@ -692,7 +692,7 @@ def _run_local(payload, seed):
     dims = lt.cohomology_dims(m)
     checks = [check("euler identity", dims[1] == dims[0] + dims[2], dims=list(dims))]
     details = {"cohomology": list(dims), "twist": twist}
-    base_dims = lt.cohomology_dims(base.module) if twist else dims
+    base_dims = lt.cohomology_dims(base.module)  # m itself at twist 0, so cached
     try:
         ok, alpha = lt.is_ramakrishna_type(base)
     except lt.TameModuleError as exc:

@@ -24,10 +24,11 @@ nothing is ever searched for.
 
 A local condition L_v enters only through equations whose kernel it is, so
 Sel_L and Sel*_{L-perp} are each one nullspace, and exactness and the
-inflation decomposition are rank counts; no quotient space is built.  The
-steps test membership in a kernel whose equations they already hold (Sel_L,
-Sel*, an annihilator, the weight subspace U) by one product, not by an
-elimination, and each builder validates the one system it returns.
+inflation decomposition are rank counts; no quotient space is built.  Both
+are kept on the assignment, which a builder and its step share.  The steps
+test membership by one product against equations they hold (Sel_L, Sel*,
+L_w, the tangent lines, an annihilator, the weight subspace U), and each
+builder validates the one system it returns.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class FiniteGroupAction:
 
     def __post_init__(self):
         p = self.p
+        if not ff.is_odd_prime(p):
+            raise SelmerError(f"p = {p} is not an odd prime")
         gens = [ff.normalize(g, p) for g in self.generators]
         n = len(gens[0]) if gens else 0
         for g in gens:
@@ -440,6 +443,8 @@ class ConditionAssignment:
     l_spaces: dict
     # E_v per place, filled by `equations`; `replaced` carries over all but one.
     _equations: dict = field(default_factory=dict, init=False, repr=False)
+    # Sel_L and Sel*_{L-perp}, filled by `kept`; `replaced` carries neither over.
+    _spaces: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for v in self.system.places:
@@ -457,6 +462,15 @@ class ConditionAssignment:
         if v not in self._equations:
             self._equations[v] = ff.nullspace(self.l_spaces[v].T, self.system.p).T
         return self._equations[v]
+
+    def kept(self, system: SelmerSystem, name: str, build) -> np.ndarray:
+        """The space `name`, build() once; for the assignment's own system only."""
+        if system is not self.system:
+            raise SelmerError("the conditions belong to another Selmer system")
+        if name not in self._spaces:
+            self._spaces[name] = build()
+            self._spaces[name].setflags(write=False)  # every caller shares it
+        return self._spaces[name]
 
     def replaced(self, v, new_l) -> "ConditionAssignment":
         new = dict(self.l_spaces)
@@ -476,9 +490,8 @@ def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
     stacked E_v res_v.  All equations of L_v share one row space, so the
     basis, read off its RREF, does not depend on which are taken.
     """
-    p = system.p
-    rows = [conditions.equations(v) @ system.res[v] for v in system.places]
-    return ff.nullspace(np.vstack(rows), p)
+    return conditions.kept(system, "selmer", lambda: ff.nullspace(
+        np.vstack([conditions.equations(v) @ system.res[v] for v in system.places]), system.p))
 
 
 def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
@@ -488,9 +501,9 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
     need no elimination of their own.
     """
     p = system.p
-    rows = [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
-            for v in system.places]
-    return ff.nullspace(np.vstack(rows), p)
+    return conditions.kept(system, "dual_selmer", lambda: ff.nullspace(np.vstack(
+        [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
+         for v in system.places]), p))
 
 
 def _vanishes(rows, x, p: int) -> bool:
@@ -510,6 +523,13 @@ class RamakrishnaData:
 
     unr: np.ndarray
     ram: np.ndarray
+    _equations: dict = field(default_factory=dict, init=False, repr=False)
+
+    def equations(self, line: str, p: int) -> np.ndarray:
+        """Equations of span(unr) or span(ram), by name, mod p; made once each."""
+        if (line, p) not in self._equations:
+            self._equations[line, p] = ff.nullspace(getattr(self, line).T, p).T
+        return self._equations[line, p]
 
 
 @dataclass(eq=False)
@@ -535,13 +555,11 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     p = system.p
     if w not in system.places:
         raise SelmerError(f"unknown index {w}")
-    if not ff.span_contains(conditions.l_spaces[w], ram.unr, p) or \
-            not ff.span_contains(ram.unr, conditions.l_spaces[w], p):
+    if not _is_fresh(conditions, w, ram, p):
         raise SelmerError("step requires the fresh unramified condition at w")
     phi = ff.normalize(phi, p)
     psi = ff.normalize(psi, p)
-    sel_before = selmer(system, conditions)
-    dual_before = dual_selmer(system, conditions)
+    sel_before, dual_before = selmer(system, conditions), dual_selmer(system, conditions)
     # Sel_L and Sel* are the kernels of the E_v and L_v^T P_v used just above.
     if not all(_vanishes(conditions.equations(v), system.res[v] @ psi, p)
                for v in system.places):
@@ -555,8 +573,7 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
         raise SelmerError("psi restricts into the unramified/ramified intersection at w")
     # `replaced` reduces [unr | ram] to its column space, unr + ram.
     new_conditions = conditions.replaced(w, np.hstack([ram.unr, ram.ram]))
-    sel_after = selmer(system, new_conditions)
-    dual_after = dual_selmer(system, new_conditions)
+    sel_after, dual_after = selmer(system, new_conditions), dual_selmer(system, new_conditions)
     report = StepReport(sel_before.shape[1], sel_after.shape[1],
                         dual_before.shape[1], dual_after.shape[1])
     if report.dual_after >= report.dual_before:
@@ -564,6 +581,12 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     if report.selmer_after != report.selmer_before:
         raise VerificationFailure("Selmer dimension moved; system is not exact enough")
     return new_conditions, report
+
+
+def _is_fresh(conditions: ConditionAssignment, w, ram: RamakrishnaData, p: int) -> bool:
+    """Is L_w = span(unr)?  Each lies in the kernel of the other's equations."""
+    return _vanishes(conditions.equations(w), ram.unr, p) and \
+        _vanishes(ram.equations("unr", p), conditions.l_spaces[w], p)
 
 
 def _into_ram_annihilator(system, w, ram: RamakrishnaData, phi) -> bool:
@@ -574,8 +597,8 @@ def _into_ram_annihilator(system, w, ram: RamakrishnaData, phi) -> bool:
 
 def _into_unr_meet_ram(system, w, ram: RamakrishnaData, psi) -> bool:
     """Does the class psi restrict at w into unr meet ram?"""
-    at_w = system.res[w] @ psi  # span_contains reduces it
-    return all(ff.span_contains(line, at_w, system.p) for line in (ram.unr, ram.ram))
+    at_w = system.res[w] @ psi  # _vanishes reduces it
+    return all(_vanishes(ram.equations(x, system.p), at_w, system.p) for x in ("unr", "ram"))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +673,7 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
     u_equations = ff.nullspace(u_subspace.T, p).T
     if u_subspace.shape[0] != d_weights or not len(u_equations):
         raise SelmerError("U must be a proper subspace of the weight space")
-    if not ff.span_contains(conditions.l_spaces[y], ram.unr, p) or \
-            not ff.span_contains(ram.unr, conditions.l_spaces[y], p):
+    if not _is_fresh(conditions, y, ram, p):
         raise SelmerError("step requires the fresh unramified condition at y")
     if ff.rank(beta, p) < d_weights:
         raise SelmerError("beta is not surjective onto the weight space")
@@ -736,14 +758,13 @@ def _dress(rng: random.Random, p: int, places: tuple, local_dims: dict, blocks, 
     res, res_dual = {}, {}
     new_marked = {v: {} for v in marked}
     for v in places:
-        g = ff.random_invertible(rng, local_dims[v], p)
-        g_dual = ff.inv(g.T, p)
+        g, g_inv = ff.random_invertible(rng, local_dims[v], p)
         res[v] = (g @ blocks[0][v]) % p
-        res_dual[v] = (g_dual @ blocks[1][v]) % p
+        res_dual[v] = (g_inv.T @ blocks[1][v]) % p
         for name, mat in marked.get(v, {}).items():
             new_marked[v][name] = (g @ mat) % p
-    gh = ff.random_invertible(rng, res[places[0]].shape[1], p)
-    gh_dual = ff.random_invertible(rng, res_dual[places[0]].shape[1], p)
+    gh = ff.random_invertible(rng, res[places[0]].shape[1], p)[0]
+    gh_dual = ff.random_invertible(rng, res_dual[places[0]].shape[1], p)[0]
     res = {v: (m @ gh) % p for v, m in res.items()}
     res_dual = {v: (m @ gh_dual) % p for v, m in res_dual.items()}
     return SelmerSystem(p, places, dict(local_dims), res, res_dual, blocks[2]), new_marked, gh
@@ -793,8 +814,7 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
         **{w: marked[w]["unr"] for w in specials},
     })
     ram_data = {w: RamakrishnaData(marked[w]["unr"], marked[w]["ram"]) for w in specials}
-    sel = selmer(system, conditions)
-    dual = dual_selmer(system, conditions)
+    sel, dual = selmer(system, conditions), dual_selmer(system, conditions)
     phi = _class_avoiding(system, dual, specials[0], ram_data[specials[0]], dual_side=True)
     psi = _class_avoiding(system, sel, specials[0], ram_data[specials[0]], dual_side=False)
     if phi is None or psi is None:
@@ -867,7 +887,7 @@ def build_inflation_family(rng: random.Random, p: int, base_dim: int,
     the overlapping control makes two enlargements share a new vector."""
     k = len(added)
     ambient = base_dim + sum(added) + 2
-    g = ff.random_invertible(rng, ambient, p)
+    g = ff.random_invertible(rng, ambient, p)[0]
     base = g[:, :base_dim]
     enlargements = []
     pos = base_dim

@@ -57,7 +57,7 @@ def test_solve_inconsistent():
 def test_inverse_roundtrip():
     rng = __import__("random").Random(3)
     for p in PRIMES:
-        a = ff.random_invertible(rng, 5, p)
+        a = ff.random_invertible(rng, 5, p)[0]
         assert np.array_equal(ff.mat_mul(a, ff.inv(a, p), p), ff.eye(5))
 
 
@@ -87,7 +87,7 @@ def test_intersect_and_sum():
 def test_annihilator_dimensions():
     rng = __import__("random").Random(11)
     p = 11
-    pairing = ff.random_invertible(rng, 6, p)
+    pairing = ff.random_invertible(rng, 6, p)[0]
     sub = ff.random_subspace(rng, 6, 2, p)
     ann = ff.annihilator(sub, pairing, p)
     assert ann.shape[1] == 4
@@ -288,17 +288,53 @@ def test_rref_kernels_match_reference_across_threshold(case):
     assert r.tolist() == ref_r
 
 
+@st.composite
+def python_kernel_matrices(draw):
+    """Inputs of at most ff._SMALL_CELLS cells of the kinds the Python kernel
+    takes shortcuts on:
+    - "sparse": pivot rows with few nonzeros right of the pivot;
+    - "unit": a scaled permutation matrix with random columns appended, so
+      that many pivot columns need no row cleared;
+    - "dense": random entries, for p of 2^15 and above as well."""
+    p = draw(st.sampled_from(PRIMES + [32749, 32771, 65537, BIG_PRIME]))
+    kind = draw(st.sampled_from(["sparse", "unit", "dense"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 16))
+    n = draw(st.integers(1, ff._SMALL_CELLS // m))
+    if kind == "sparse":
+        return p, sparse_matrix(seed, p, m, n, draw(st.integers(0, min(m * n, 2 * m))))
+    if kind == "dense":
+        return p, seeded_matrix(seed, p, m, n)
+    k, rng = min(m, n), np.random.default_rng(seed)
+    unit = ff.zeros((m, k))
+    unit[rng.permutation(m)[:k], rng.permutation(k)] = rng.integers(1, p, size=k)
+    extra = sparse_matrix(seed, p, m, n - k, draw(st.integers(0, m * (n - k))))
+    return p, np.hstack([unit, extra])
+
+
+@given(python_kernel_matrices())
+@settings(max_examples=200, deadline=None)
+def test_python_kernel_matches_numpy_kernel(case):
+    p, a = case
+    r, pivots = ff._rref_small(a.copy(), p)
+    expected = a.copy()
+    assert pivots == ff._eliminate(expected, p)[1]
+    assert r.tolist() == expected.tolist()
+
+
 def test_kernel_rule_on_named_inputs():
     """The rule by name: a 1000 x 1000 matrix with 40 nonzeros has a million
     cells to scan, so it goes to numpy; a 20 x 21 one with 19 goes to Python,
-    unless p is too large for one-digit products; a sparse 50 x 6 one goes to
-    numpy, whose cost per pivot does not grow with the rows."""
+    unless p is too large for one-digit products, and so does a 16 x 17 one
+    with 77, the size of tame-duality's largest systems; a sparse 50 x 6 one
+    goes to numpy, whose cost per pivot does not grow with the rows."""
     t, z = ff._SMALL_CELLS, ff._SPARSE_NONZEROS
     cases = [
         (np.ones((1, t), dtype=np.int64), BIG_PRIME, True),
         (np.ones((1, t + 1), dtype=np.int64), 7, False),
         (sparse_matrix(0, 7, 20, 21, 19), 7, True),
         (sparse_matrix(0, 7, 20, 21, 19), BIG_PRIME, False),
+        (sparse_matrix(0, 7, 16, 17, 77), 7, True),
         (sparse_matrix(0, 7, 32, 32, z), 7, True),
         (sparse_matrix(0, 7, 32, 32, z + 1), 7, False),
         (sparse_matrix(0, 7, 40, 10, z), 7, True),
@@ -357,11 +393,12 @@ def test_rref_chunks_match_reference(case):
     assert_rref_matches(a, p)
 
 
-@pytest.mark.parametrize("p", [134_217_689, BIG_PRIME])
+@pytest.mark.parametrize("p", [67108859, 134_217_689, BIG_PRIME])
 def test_rref_chunks_exact_for_large_primes(p):
-    """At 2^53 < p^2 < 2^54 a float64 matmul would round the products, so they
-    are taken in int64; at BIG_PRIME one product at a time fits int64, and
-    two do not.  Rank 4 < 6 keeps every chunk in the loop."""
+    """Just under p^2 = 2^52 a float64 matmul sums two products exactly, and
+    four would round; at 2^53 < p^2 < 2^54 a float64 matmul would round the
+    products, so they are taken in int64; at BIG_PRIME one product at a time
+    fits int64, and two do not.  Rank 4 < 6 keeps every chunk in the loop."""
     assert 1500 > 2 * chunk_rows(6)
     assert_rref_matches(seeded_matrix(0, p, 1500, 6, rank=4), p)
 
@@ -424,6 +461,22 @@ def test_products_fit_bounds_p():
     assert not ff.products_fit(BIG_PRIME, 2)
     assert not ff.products_fit(4294967311, 1)
     assert ff.products_fit(13, 10**15) and not ff.products_fit(13, 10**17)
+
+
+def test_random_invertible_carries_its_inverse():
+    """g g^-1 = 1, and the draws are those of a rank check on each draw."""
+    for p in PRIMES + [BIG_PRIME]:
+        for n in range(6):
+            rng, ref = random.Random(p * 10 + n), random.Random(p * 10 + n)
+            for _ in range(5):
+                g, g_inv = ff.random_invertible(rng, n, p)
+                expected = ff.random_matrix(ref, n, n, p)
+                while ref_rank(expected, p) < n:
+                    expected = ff.random_matrix(ref, n, n, p)
+                assert np.array_equal(g, expected)
+                assert g_inv.dtype == np.int64 and ((0 <= g_inv) & (g_inv < p)).all()
+                product = g.astype(object) @ g_inv.astype(object) % p  # no int64 wraparound
+                assert product.tolist() == ff.eye(n).tolist()
 
 
 def test_random_draws_are_capped():
@@ -623,7 +676,7 @@ def test_empty_inputs_need_no_special_case(shape):
             and got.tobytes() == expected.tobytes()
 
     assert ff.rank(empty, p) == 0
-    assert ff.random_invertible(random.Random(0), 0, p).shape == (0, 0)
+    assert [g.shape for g in ff.random_invertible(random.Random(0), 0, p)] == [(0, 0)] * 2
     # nullspace of no equations: all of F_p^n.
     assert same(ff.nullspace(empty, p), ff.eye(n))
     # span_contains with nothing to span: only zero columns lie inside.

@@ -66,7 +66,7 @@ def random_tame_module(rng: random.Random, allow_tau=True) -> lt.TameGaloisModul
         q = rng.randrange(2, 80)
     twist = rng.randrange(-2, 3)
     if not allow_tau or n == 1 or rng.random() < 0.6:
-        phi = ff.random_invertible(rng, n, p)
+        phi = ff.random_invertible(rng, n, p)[0]
         m = lt.TameGaloisModule(p, phi, q, twist=twist)
     else:
         # Unipotent Tau: Jordan blocks of size <= min(n, p) so Tau^p = 1,
@@ -85,8 +85,7 @@ def random_tame_module(rng: random.Random, allow_tau=True) -> lt.TameGaloisModul
             pos += s
         tau_q = mat_pow(tau, q % p, p)
         phi = conjugator(tau, tau_q, p, rng)
-        g = ff.random_invertible(rng, n, p)
-        gi = ff.inv(g, p)
+        g, gi = ff.random_invertible(rng, n, p)
         m = lt.TameGaloisModule(
             p, ff.mat_mul(ff.mat_mul(g, phi, p), gi, p), q,
             ff.mat_mul(ff.mat_mul(g, tau, p), gi, p), twist=twist
@@ -147,6 +146,12 @@ def test_twist_composition():
         a = m.twisted(e).twisted(f)
         b = m.twisted(e + f)
         assert np.array_equal(a.phi_eff, b.phi_eff)
+
+
+def test_twist_by_zero_is_the_module_itself():
+    # So a `local` payload with twist 0 builds H^1 of one module, not of two equal ones.
+    m = random_tame_module(random.Random(2))
+    assert m.twisted(0) is m and m.twisted(1).twisted(0).twist == m.twist + 1
 
 
 def test_invalid_modules_rejected():
@@ -360,8 +365,8 @@ def cohomology_rich_module(rng: random.Random) -> lt.TameGaloisModule:
     while q % p in (0, 1):
         q = rng.randrange(2, 60)
     eigs = [1, q % p] + [rng.randrange(1, p) for _ in range(n - 2)]
-    g = ff.random_invertible(rng, n, p)
-    phi = ff.mat_mul(ff.mat_mul(g, np.diag(eigs), p), ff.inv(g, p), p)
+    g, gi = ff.random_invertible(rng, n, p)
+    phi = ff.mat_mul(ff.mat_mul(g, np.diag(eigs), p), gi, p)
     return lt.TameGaloisModule(p, phi, q)
 
 
@@ -454,12 +459,11 @@ def module_with(p, n, q, twist, block, seed) -> lt.TameGaloisModule:
     Tau^q, both conjugated by a random change of basis."""
     rng = random.Random(seed)
     if block == 1:
-        return lt.TameGaloisModule(p, ff.random_invertible(rng, n, p), q, twist=twist)
+        return lt.TameGaloisModule(p, ff.random_invertible(rng, n, p)[0], q, twist=twist)
     tau = ff.eye(n)
     tau[: block - 1, 1:block] += np.eye(block - 1, dtype=np.int64)
     phi = conjugator(tau, mat_pow(tau, q % p, p), p, rng)
-    g = ff.random_invertible(rng, n, p)
-    gi = ff.inv(g, p)
+    g, gi = ff.random_invertible(rng, n, p)
     return lt.TameGaloisModule(p, ff.mat_mul(ff.mat_mul(g, phi, p), gi, p), q,
                                ff.mat_mul(ff.mat_mul(g, tau, p), gi, p), twist=twist)
 

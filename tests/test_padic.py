@@ -443,6 +443,12 @@ def test_series_budget():
         pw.TruncatedSeries(5, 27, 2, 4, {})  # 2^62 < 5^27 < 2^63: a sum of two codes overflows
 
 
+def test_series_refuses_a_p_that_is_not_an_odd_prime():
+    for p in (1, 2, 6, 25):
+        with pytest.raises(pw.SeriesError, match=f"p = {p} is not an odd prime"):
+            pw.TruncatedSeries(p, 1, 8, 4, {(0,): 1})
+
+
 def test_series_refuses_bad_precisions_and_exponents():
     for prec in (0, 257):
         with pytest.raises(pw.SeriesError, match="series precision must be between 1 and 256"):
