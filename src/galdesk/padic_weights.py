@@ -22,10 +22,14 @@ p^b with b <= a is reducing mod p^b.
 
 The roots of unity in Z_p, for odd p, are the Teichmuller representatives,
 and any two of them differ by a unit.  So of all of them only zeta0, the one
-congruent to the constant term of a unit series g, can make g - zeta vanish
-or have a root in the open unit polydisk: g - zeta has a unit constant term
-for every other zeta.  The constancy test therefore subtracts zeta0 alone,
-taken at the precision of g itself.
+congruent to f0/h0 for unit series f and h, can make f/h - zeta vanish or
+have a root in the open unit polydisk: f/h - zeta has a unit constant term
+for every other zeta.  The constancy test never divides: f/h - zeta0 =
+(f - zeta0 h)/h with h a unit, and restricting to an axis is a ring map,
+under which h stays a unit, so on each axis the two have their first unit
+coefficient at the same index.  It tests f - zeta0 h, one scale and one
+subtraction at the smaller cap and precision, each term at the precision of
+the two terms it comes from.
 """
 
 from __future__ import annotations
@@ -158,13 +162,6 @@ class TruncatedSeries:
         out.p, out.nvars, out.prec, out.degree_cap = p, nvars, prec, degree_cap
         out.residues, out.precs = residues, precs
         return out
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, p: int, nvars: int, prec: int, degree_cap: int):
-        zero = tuple(0 for _ in range(nvars))
-        return cls(p, nvars, prec, degree_cap, {zero: value})
 
     # -- access ----------------------------------------------------------------
 
@@ -375,30 +372,31 @@ class NonconstantWitness:
 
 @dataclass(frozen=True)
 class Undetermined:
-    """No axis of g - zeta has a unit coefficient at this precision; a
-    dichotomy verdict names the entry whose ratio is g, the constancy test
-    names none."""
+    """No axis of f - zeta h has a unit coefficient at this precision; a
+    dichotomy verdict names the entry whose series are f and h, the
+    constancy test names none."""
 
     zeta: PadicInt
     entry: DichotomyEntry | None
 
 
-def constancy_test(g: TruncatedSeries):
-    """Is the unit series a constant root of unity?
+def constancy_test(f: TruncatedSeries, h: TruncatedSeries):
+    """Is f/h, for unit series f and h, a constant root of unity?
 
-    Only zeta0, the Teichmuller lift of g's constant term at g's precision,
-    can be that constant.  Returns Constant(zeta0) when g - zeta0 vanishes
-    at precision; otherwise a NonconstantWitness with the first variable
-    whose axis of g - zeta0 has a unit coefficient, and the Weierstrass
-    degree (>= 1) there, or Undetermined when no axis has one.
+    Only zeta0, the Teichmuller lift of f0/h0 at the smaller precision, can
+    be that constant.  Returns Constant(zeta0) when f - zeta0 h vanishes at
+    precision; otherwise a NonconstantWitness with the first variable whose
+    axis of f - zeta0 h has a unit coefficient, and the Weierstrass degree
+    (>= 1) there, or Undetermined when no axis has one.
     """
-    if not g.is_unit():
-        raise SeriesError("constancy test needs a unit series")
-    zeta0 = teichmuller(g.constant_term.unit_residue_mod_p(), g.p, g.prec)
-    diff = g - TruncatedSeries.constant(zeta0, g.p, g.nvars, g.prec, g.degree_cap)
+    f._check_compatible(h)
+    if not (f.is_unit() and h.is_unit()):
+        raise SeriesError("constancy test needs unit series")
+    zeta0 = teichmuller(f.residues[0] * pow(h.residues[0], -1, f.p), f.p, min(f.prec, h.prec))
+    diff = f - h.scale(zeta0)
     if diff.is_zero_at_prec():
         return Constant(zeta0)
-    for var in range(g.nvars):
+    for var in range(f.nvars):
         axis = diff.specialize_to_axis(var)
         # The constant term of diff is not a unit, so a unit coefficient sits
         # at degree >= 1.
@@ -604,8 +602,8 @@ class ParallelWeights:
 
 @dataclass(eq=False)
 class SparsityCertificate:
-    """The first entry whose ratio g is not constant, and the witness that
-    g - zeta has Weierstrass degree `degree` along `var`."""
+    """The first entry whose ratio f_w/f_wbar is not constant, and the
+    witness that it minus zeta has Weierstrass degree `degree` along `var`."""
 
     place: str
     root_index: int
@@ -629,12 +627,13 @@ def passage_dichotomy(family: DichotomyFamily):
     certificate for every root of unity, or is Undetermined at zeta0 when the
     precision cannot fix its Weierstrass data.
 
-    The certificate holds the constancy test's witness at zeta0; it is
-    "empty" at every other zeta, where g - zeta has a unit constant term.
+    Each entry is decided by constancy_test(f_w, f_wbar), with no quotient
+    formed.  The certificate holds its witness at zeta0; it is "empty" at
+    every other zeta, where the ratio minus zeta has a unit constant term.
     """
     p = family.p
     for e in family.entries:
-        verdict = constancy_test(e.f_w.divide(e.f_wbar))
+        verdict = constancy_test(e.f_w, e.f_wbar)
         if isinstance(verdict, Undetermined):
             return Undetermined(verdict.zeta, e)
         if isinstance(verdict, NonconstantWitness):

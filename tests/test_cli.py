@@ -330,6 +330,20 @@ def test_weights_scenario_undetermined_exit_0(tmp_path, capsys):
     assert report["undetermined"] == {"place": "w0", "root_index": 0, "gen_index": 0, "zeta": 1}
 
 
+def test_weights_mixed_precision_ratio_is_undetermined(tmp_path, capsys):
+    # f_w = 1 + 0 x + 25 x^2 with the x term known mod 5 alone.  25 x^2 is
+    # known to precision 10, so f_w / 1 is not constant, and no axis term is
+    # a unit; the quotient f_w * (1/1) once read 25 x^2 at the precision 1 of
+    # the pair x * x and reported parallel-weights.
+    f_w = pw.TruncatedSeries(5, 1, 10, 2, {(0,): 1, (1,): pa.PadicInt(5, 0, 1), (2,): 25})
+    payload = _weights_payload(5, f_w, pw.TruncatedSeries(5, 1, 10, 2, {(0,): 1}))
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, "weights", payload))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "undetermined"
+    assert report["undetermined"] == {"place": "w0", "root_index": 0, "gen_index": 0, "zeta": 1}
+
+
 @pytest.mark.parametrize("first", ["w0", "w1"])
 def test_weights_verdict_does_not_depend_on_entry_order(tmp_path, capsys, first):
     # w0's ratio is 1 at precision 2.  w1's is 1 + 5^3 at precision 16, which

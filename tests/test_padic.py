@@ -323,7 +323,7 @@ def series(p, nvars, prec, cap, terms):
 def test_series_inverse_roundtrip():
     g = series(5, 2, 6, 5, [((0, 0), 2), ((1, 0), 3), ((0, 2), 1)])
     prod = g * g.inverse()
-    one = pw.TruncatedSeries.constant(pa.PadicInt.one(5, 6), 5, 2, 6, 5)
+    one = pw.TruncatedSeries(5, 2, 6, 5, {(0, 0): 1})
     assert (prod - one).is_zero_at_prec()
 
 
@@ -435,8 +435,11 @@ def test_series_budget():
     with pytest.raises(pw.SeriesError):
         pw.TruncatedSeries(5, 70, 8, 1, {})
     assert len(pw.TruncatedSeries(5, 4, 8, 20, {}).residues) == 10626
-    # 62 variables to degree 1: codes up to 2^62 - 1 still fit int64.
-    assert len(pw.TruncatedSeries(5, 62, 2, 1, {}).residues) == 63
+    # 62 variables to degree 1: codes up to 2^62 - 1 still fit int64, and
+    # the last axis is found by its code.
+    edge = pw.TruncatedSeries(5, 62, 2, 1, {(0,) * 62: 1, (0,) * 61 + (1,): 2})
+    assert len(edge.residues) == 63
+    assert series_payload(edge.specialize_to_axis(61))["coeffs"] == [[[0], "1", 2], [[1], "2", 2]]
     with pytest.raises(pw.SeriesError, match="monomial codes overflow int64"):
         pw.TruncatedSeries(5, 40, 2, 2, {})  # 3^40 > 2^62
     with pytest.raises(pw.SeriesError, match="monomial codes overflow int64"):
@@ -575,46 +578,90 @@ def test_degree_matches_hensel_oracle():
 
 def test_constancy_constant():
     zeta = pa.teichmuller(2, 5, 8)  # order 4
-    g = pw.TruncatedSeries.constant(zeta, 5, 1, 8, 6)
-    verdict = pw.constancy_test(g)
+    h = series(5, 1, 8, 6, [((0,), 3), ((1,), 1), ((2,), 7)])
+    verdict = pw.constancy_test(h.scale(zeta), h)
     assert isinstance(verdict, pw.Constant)
     assert (verdict.zeta.residue, verdict.zeta.prec) == (zeta.residue, 8)
 
 
 def test_constancy_witness():
-    g = series(5, 1, 8, 6, [((0,), 1), ((1,), 1)])
-    verdict = pw.constancy_test(g)
+    # (1 + x)/(1 + 2x) - 1 = -x + ...: degree 1 along x.
+    verdict = pw.constancy_test(series(5, 1, 8, 6, [((0,), 1), ((1,), 1)]),
+                                series(5, 1, 8, 6, [((0,), 1), ((1,), 2)]))
     assert isinstance(verdict, pw.NonconstantWitness)
     assert verdict.zeta.residue % 5 == 1
     assert (verdict.var, verdict.degree) == (0, 1)
 
 
 def test_constancy_witness_on_a_later_axis():
-    # The x axis of g - 2 has no unit coefficient; the y axis has one in degree 2.
+    # The x axis of g - zeta has no unit coefficient; the y axis has one in degree 2.
     zeta = pa.teichmuller(2, 5, 8)
     g = series(5, 2, 8, 6, [((0, 0), zeta.residue), ((1, 0), 5), ((0, 1), 10), ((0, 2), 3)])
-    verdict = pw.constancy_test(g)
+    one = series(5, 2, 8, 6, [((0, 0), 1)])
+    verdict = pw.constancy_test(g, one)
     assert isinstance(verdict, pw.NonconstantWitness)
     assert (verdict.zeta.residue, verdict.var, verdict.degree) == (zeta.residue, 1, 2)
 
 
+def test_constancy_witness_where_h_is_not_constant():
+    # f/h = g of the test above, with h = 4 + x + y + 3y^2: on the y axis
+    # f - zeta h = (10y + 3y^2)(4 + y + 3y^2) has its first unit coefficient
+    # in degree 2, as g - zeta has, though neither f nor h is constant there.
+    zeta = pa.teichmuller(2, 5, 8)
+    g = series(5, 2, 8, 6, [((0, 0), zeta.residue), ((1, 0), 5), ((0, 1), 10), ((0, 2), 3)])
+    h = series(5, 2, 8, 6, [((0, 0), 4), ((1, 0), 1), ((0, 1), 1), ((0, 2), 3)])
+    verdict = pw.constancy_test(g * h, h)
+    assert isinstance(verdict, pw.NonconstantWitness)
+    assert (verdict.zeta.residue, verdict.zeta.prec) == (zeta.residue, 8)
+    assert (verdict.var, verdict.degree) == (1, 2)
+
+
 def test_constancy_undetermined():
-    g = series(5, 1, 8, 6, [((0,), 1), ((1,), 5)])
-    verdict = pw.constancy_test(g)
+    # (1 + 6x + 5x^2)/(1 + x) = 1 + 5x.
+    verdict = pw.constancy_test(series(5, 1, 8, 6, [((0,), 1), ((1,), 6), ((2,), 5)]),
+                                series(5, 1, 8, 6, [((0,), 1), ((1,), 1)]))
     assert isinstance(verdict, pw.Undetermined)
     assert verdict.zeta.residue % 5 == 1 and verdict.entry is None
 
 
 def test_constancy_judged_at_the_series_precision():
     # 1 + 5^3 is the root of unity 1 to precision 3, and not to precision 16.
-    low = pw.constancy_test(series(5, 1, 3, 2, [((0,), 1 + 5**3)]))
-    high = pw.constancy_test(series(5, 1, 16, 2, [((0,), 1 + 5**3)]))
+    low = pw.constancy_test(series(5, 1, 3, 2, [((0,), 1 + 5**3)]), series(5, 1, 3, 2, [((0,), 1)]))
+    high = pw.constancy_test(series(5, 1, 16, 2, [((0,), 1 + 5**3)]),
+                             series(5, 1, 16, 2, [((0,), 1)]))
     assert isinstance(low, pw.Constant) and low.zeta.prec == 3
     assert isinstance(high, pw.Undetermined) and high.zeta.prec == 16
     assert high.zeta.residue == 1
 
 
+def test_constancy_at_the_smaller_cap_and_precision():
+    # f = 1 + 5^3 + x^4: against h = 1 at cap 2 and precision 3 neither term
+    # off 1 is seen, at cap 2 and precision 16 only 5^3 is, and at cap 6 and
+    # precision 3 only x^4 is.  Either argument may hold the smaller cap or
+    # precision, and zeta is lifted to the smaller precision.
+    f = series(5, 1, 16, 6, [((0,), 1 + 5**3), ((4,), 1)])
+    for prec, cap, kind, witness in [(3, 2, pw.Constant, None), (16, 2, pw.Undetermined, None),
+                                     (3, 6, pw.NonconstantWitness, (0, 4))]:
+        h = series(5, 1, prec, cap, [((0,), 1)])
+        for verdict in (pw.constancy_test(f, h), pw.constancy_test(h, f)):
+            assert type(verdict) is kind
+            assert (verdict.zeta.residue, verdict.zeta.prec) == (1, prec)
+            if witness:
+                assert (verdict.var, verdict.degree) == witness
+
+
 def test_constancy_needs_unit():
-    g = series(5, 1, 8, 6, [((0,), 5)])
-    with pytest.raises(pw.SeriesError):
-        pw.constancy_test(g)
+    unit = series(5, 1, 8, 6, [((0,), 1)])
+    non_unit = series(5, 1, 8, 6, [((0,), 5), ((1,), 1)])
+    for f, h in [(unit, non_unit), (non_unit, unit)]:
+        with pytest.raises(pw.SeriesError, match="needs unit series"):
+            pw.constancy_test(f, h)
+
+
+def test_constancy_needs_compatible_series():
+    # 5 is a unit of Z_7 but not of Z_5: the series are refused as a pair
+    # before either constant term is inverted.
+    f = series(5, 1, 8, 6, [((0,), 1)])
+    for h in (series(7, 1, 8, 6, [((0,), 5)]), series(5, 2, 8, 6, [((0, 0), 1)])):
+        with pytest.raises(pw.SeriesError, match="incompatible series"):
+            pw.constancy_test(f, h)

@@ -349,9 +349,14 @@ def teichmuller_budget(p, prec):
     return [pa.teichmuller(a, p, prec) for a in range(1, p)]
 
 
+def constant_series(zeta, g):
+    """zeta as a series with g's variables, precision and cap."""
+    return pw.TruncatedSeries(g.p, g.nvars, g.prec, g.degree_cap, {(0,) * g.nvars: zeta})
+
+
 def direction_witness(g, zeta):
     """(var, degree >= 1) with a unit coefficient of g - zeta on some axis."""
-    diff = g - pw.TruncatedSeries.constant(zeta, g.p, g.nvars, g.prec, g.degree_cap)
+    diff = g - constant_series(zeta, g)
     for var in range(g.nvars):
         axis = diff.specialize_to_axis(var)
         if not axis.is_zero_at_prec():
@@ -370,8 +375,7 @@ def two_pass_oracle(family):
     budget = teichmuller_budget(p, family.entries[0].f_w.prec)
     for e in family.entries:
         g = e.f_w.divide(e.f_wbar)
-        diffs = [g - pw.TruncatedSeries.constant(zeta, p, g.nvars, g.prec, g.degree_cap)
-                 for zeta in budget]
+        diffs = [g - constant_series(zeta, g) for zeta in budget]
         if any(diff.is_zero_at_prec() for diff in diffs):
             continue
         per_zeta = {}
@@ -410,6 +414,126 @@ def test_dichotomy_matches_two_pass_oracle(seed, planted, p, d, f, nvars, cap, p
                verdict.per_zeta)
     assert got == two_pass_oracle(fam)
     assert got[0] == planted
+
+
+def composed_constancy_oracle(f, h):
+    """The constancy test on the quotient f/h, formed by `inverse` and a
+    product, with zeta0 lifted to the quotient's precision."""
+    g = f.divide(h)
+    if not g.is_unit():
+        raise pw.SeriesError("constancy test needs a unit series")
+    zeta0 = pa.teichmuller(g.constant_term.unit_residue_mod_p(), g.p, g.prec)
+    diff = g - constant_series(zeta0, g)
+    if diff.is_zero_at_prec():
+        return pw.Constant(zeta0)
+    for var in range(g.nvars):
+        axis = diff.specialize_to_axis(var)
+        # The constant term of diff is not a unit, so a unit coefficient sits
+        # at degree >= 1.
+        if not axis.is_zero_at_prec() and (degree := pw.weierstrass_data(axis).degree) is not None:
+            return pw.NonconstantWitness(zeta0, var, degree)
+    return pw.Undetermined(zeta0, None)
+
+
+def verdict_key(verdict):
+    return (type(verdict), verdict.zeta.residue, verdict.zeta.prec,
+            getattr(verdict, "var", None), getattr(verdict, "degree", None))
+
+
+def draw_pair(data, mixed):
+    """(f, h, kind): unit series over one p, each with its own cap and
+    precision, and how f was planted.
+
+    h is random.  f is zeta h ("constant"), zeta h plus a unit ("perturbed")
+    or p times a unit ("undetermined") on one monomial off the constant, or
+    random.  With `mixed`, some other terms of f are PadicInts at their own
+    precision; otherwise every present term carries its series' precision.
+    """
+    p = data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    (cap_f, prec_f), (cap_h, prec_h) = (
+        (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 12))) for _ in "fh")
+    top, cap = max(prec_f, prec_h), min(cap_f, cap_h)
+    zero = (0,) * nvars
+
+    def monomial(budget):
+        exponents = []
+        for _ in range(nvars):
+            exponents.append(data.draw(st.integers(0, budget - sum(exponents))))
+        return tuple(data.draw(st.permutations(exponents)))
+
+    def random_terms():
+        terms = {zero: data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(0, p**top))}
+        for _ in range(data.draw(st.integers(0, 5))):
+            budget = data.draw(st.integers(1, max(cap_f, cap_h) + 1))
+            terms.setdefault(monomial(budget), data.draw(st.integers(0, p**top)))
+        return terms
+
+    h_terms = random_terms()
+    kind = data.draw(st.sampled_from(["constant", "perturbed", "undetermined", "random"]))
+    bumped = zero
+    if kind == "random":
+        f_terms = random_terms()
+    else:
+        zeta = pa.teichmuller(data.draw(st.integers(1, p - 1)), p, top).residue
+        f_terms = {m: zeta * c for m, c in h_terms.items()}
+    if kind in ("perturbed", "undetermined"):
+        # A fresh monomial, or a multiple of a term of h: in the quotient,
+        # that term's precision reaches it.
+        below = sorted(m for m in h_terms if 0 < sum(m) < cap)
+        bumped = monomial(cap)
+        if below and data.draw(st.booleans()):
+            var = data.draw(st.integers(0, nvars - 1))
+            bumped = tuple(e + (k == var) for k, e in enumerate(data.draw(st.sampled_from(below))))
+        bumped = bumped if bumped != zero else (1,) + zero[1:]
+        unit = data.draw(st.integers(1, p - 1))
+        f_terms[bumped] = f_terms.get(bumped, 0) + (unit if kind == "perturbed" else p * unit)
+    if mixed:
+        for m in sorted(f_terms.keys() - {zero, bumped}):
+            if data.draw(st.booleans()):
+                n = data.draw(st.one_of(st.just(1), st.integers(1, prec_f)))
+                f_terms[m] = pa.PadicInt(p, f_terms[m], n)
+    return (pw.TruncatedSeries(p, nvars, prec_f, cap_f, f_terms),
+            pw.TruncatedSeries(p, nvars, prec_h, cap_h, h_terms), kind)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, database=None)
+def test_constancy_matches_composed_oracle(data):
+    """Where every present term carries its series' precision, f - zeta0 h
+    gives the verdict, zeta (residue and precision), axis and degree that
+    the quotient f/h gives."""
+    f, h, kind = draw_pair(data, mixed=False)
+    verdict = pw.constancy_test(f, h)
+    assert verdict_key(verdict) == verdict_key(composed_constancy_oracle(f, h))
+    if kind == "constant":
+        assert isinstance(verdict, pw.Constant)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, database=None)
+def test_mixed_precision_moves_only_constant_to_undetermined(data):
+    """With terms at their own precision the quotient's terms take the
+    least precision of every pair that feeds them, so it may read constant
+    where f - zeta0 h cannot decide; no other verdict, zeta, axis or degree
+    moves."""
+    f, h, _ = draw_pair(data, mixed=True)
+    verdict, oracle = pw.constancy_test(f, h), composed_constancy_oracle(f, h)
+    if verdict_key(verdict) != verdict_key(oracle):
+        assert isinstance(oracle, pw.Constant) and isinstance(verdict, pw.Undetermined)
+        assert verdict_key(verdict)[1:] == verdict_key(oracle)[1:]
+
+
+def test_mixed_precision_ratio_is_not_read_constant():
+    """f = 1 + 0 x + 25 x^2 with the x term known mod 5 alone, h = 1: the
+    quotient's x^2 term takes precision 1 from the pair x * x and reads 0,
+    but 25 x^2 is known to precision 10, so f/h is not constant."""
+    f = pw.TruncatedSeries(5, 1, 10, 2, {(0,): 1, (1,): pa.PadicInt(5, 0, 1), (2,): 25})
+    h = pw.TruncatedSeries(5, 1, 10, 2, {(0,): 1})
+    assert isinstance(composed_constancy_oracle(f, h), pw.Constant)
+    verdict = pw.constancy_test(f, h)
+    assert isinstance(verdict, pw.Undetermined)
+    assert (verdict.zeta.residue, verdict.zeta.prec) == (1, 10)
 
 
 def test_dichotomy_multi_generator_and_places():
