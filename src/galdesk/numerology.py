@@ -3,7 +3,10 @@ difference formula under the standard local-condition menus, CM parameter,
 large-image prime thresholds, and the principal-homomorphism example checks.
 
 The global invariant dimensions h0(g0) and h0(g0(1)) are taken to be 0:
-nothing here pretends to compute cohomology of infinite groups.
+nothing here pretends to compute cohomology of infinite groups.  Every real
+place is odd.  No family table lives here: the dimensions, the Coxeter
+number, the order of the centre and the very good primes all come from
+root_datum, which derives them from the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
 def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
     """CM field, split above p: a pair of places w, wbar of degree f for
     each f in pair_degrees."""
-    if not 1 <= degree <= MAX_DEGREE or degree % 2:
+    if not 2 <= degree <= MAX_DEGREE or degree % 2:
         raise NumerologyError(f"CM degree must be even, between 2 and {MAX_DEGREE}")
     fs = tuple(pair_degrees) if pair_degrees else tuple(1 for _ in range(degree // 2))
     if sum(fs) != degree // 2:
@@ -86,13 +89,6 @@ NEARLY_ORDINARY = "nearly-ordinary"
 
 
 @dataclass(frozen=True)
-class PlaceAboveP:
-    mode: str  # ORDINARY or NEARLY_ORDINARY
-    local_degree: int
-    h0: int = 0
-
-
-@dataclass(frozen=True)
 class FinitePlace:
     dim_l: int
     h0: int
@@ -100,35 +96,18 @@ class FinitePlace:
 
 @dataclass(eq=False)
 class Scenario:
-    """Everything the difference formula needs, place by place."""
+    """Everything the difference formula needs: one mode at every place above
+    p, the finite places away from p, and every real place odd (its fixed
+    space has dimension dim n)."""
 
     rd: RootDatum
     signature: FieldSignature
-    places_above_p: tuple[PlaceAboveP, ...]
+    mode: str = ORDINARY
     finite_places: tuple[FinitePlace, ...] = ()
-    real_h0: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.real_h0) != self.signature.real_places:
-            raise NumerologyError("need one involution h0 per real place")
-        degs = tuple(pl.local_degree for pl in self.places_above_p)
-        if tuple(sorted(degs)) != tuple(sorted(self.signature.local_degrees_above_p)):
-            raise NumerologyError("places above p disagree with the signature")
-        g0, n, _, _, _, _ = dimension_profile(self.rd)
-        for h in self.real_h0:
-            if not (n <= h <= g0):
-                raise NumerologyError("real-place h0 out of the [dim n, dim g0] range")
-
-
-def ordinary_scenario(rd, signature, mode=ORDINARY, finite_places=(), h0_at_p=0) -> Scenario:
-    """Scenario with the same mode at every place above p; real places all odd
-    (fixed space of dimension dim n)."""
-    if mode not in (ORDINARY, NEARLY_ORDINARY):
-        raise NumerologyError(f"unknown mode {mode!r}")
-    _, n, _, _, _, _ = dimension_profile(rd)
-    places = tuple(PlaceAboveP(mode, f, h0_at_p) for f in signature.local_degrees_above_p)
-    real = tuple(n for _ in range(signature.real_places))
-    return Scenario(rd, signature, places, tuple(finite_places), real)
+        if self.mode not in (ORDINARY, NEARLY_ORDINARY):
+            raise NumerologyError(f"unknown mode {self.mode!r}")
 
 
 # -- operations ---------------------------------------------------------------
@@ -150,10 +129,9 @@ def archimedean_bound(scenario: Scenario) -> ArchimedeanReport:
     """
     sig = scenario.signature
     g0, n, _, t0, _, _ = dimension_profile(scenario.rd)
-    lhs = sum(scenario.real_h0) + sig.complex_places * g0
+    lhs = sig.real_places * n + sig.complex_places * g0
     rhs = sig.degree * n + sig.complex_places * t0
-    odd = sig.totally_real and all(h == n for h in scenario.real_h0)
-    return ArchimedeanReport(lhs, rhs, lhs >= rhs, odd and lhs == sig.degree * n)
+    return ArchimedeanReport(lhs, rhs, lhs >= rhs, lhs == sig.degree * n)
 
 
 def oddness_audit(rd: RootDatum, involutions, p: int):
@@ -169,17 +147,6 @@ def oddness_audit(rd: RootDatum, involutions, p: int):
     return out
 
 
-def tangent_dim_at_p(mode: str, local_degree: int, rd: RootDatum, h0: int) -> int:
-    if h0 < 0:
-        raise NumerologyError("h0 must be >= 0")
-    _, n, b0, _, _, _ = dimension_profile(rd)
-    if mode == ORDINARY:
-        return h0 + local_degree * n
-    if mode == NEARLY_ORDINARY:
-        return h0 + local_degree * b0
-    raise NumerologyError(f"unknown mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class WilesReport:
     difference: int
@@ -188,16 +155,17 @@ class WilesReport:
 
 def wiles_difference(scenario: Scenario) -> WilesReport:
     """Selmer minus dual-Selmer dimension from the per-place local terms, as
-    a WilesReport: the difference and the named terms it sums."""
-    g0, n, b0, t0, _, _ = dimension_profile(scenario.rd)
+    a WilesReport: the difference and the named terms it sums.  A place above
+    p of degree f adds f dim n (ordinary) or f dim b0 (nearly ordinary)."""
+    g0, n, b0, _, _, _ = dimension_profile(scenario.rd)
+    mode = scenario.mode
     terms: list[tuple[str, int]] = [("h0_global", 0), ("h0_global_twist", 0)]
-    for pl in scenario.places_above_p:
-        dl = tangent_dim_at_p(pl.mode, pl.local_degree, scenario.rd, pl.h0)
-        terms.append((f"v|p[{pl.mode},f={pl.local_degree}]", dl - pl.h0))
+    for f in scenario.signature.local_degrees_above_p:
+        terms.append((f"v|p[{mode},f={f}]", f * (n if mode == ORDINARY else b0)))
     for pl in scenario.finite_places:
         terms.append(("v finite", pl.dim_l - pl.h0))
-    for h in scenario.real_h0:
-        terms.append(("v real", -h))  # L_v = 0 at archimedean places, p odd
+    for _ in range(scenario.signature.real_places):
+        terms.append(("v real", -n))  # L_v = 0 at archimedean places, p odd
     for _ in range(scenario.signature.complex_places):
         terms.append(("v complex", -g0))
     return WilesReport(sum(v for _, v in terms), tuple(terms))
@@ -252,45 +220,35 @@ def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:
 
     Every simple root must pull back to the r-th cyclotomic power: the
     pairing <alpha, 2 rho^vee> = 2 does the bookkeeping, with a square root
-    of the cyclotomic value on the diagonal.  When that square root lives
-    only in the quadratic extension the verification runs on exponents mod
-    p^2 - 1; the report records which happened.
+    of the cyclotomic value on the diagonal.  The verification runs on
+    exponents mod p^2 - 1, in the quadratic extension; the report records
+    whether the square root already lies in F_p.
     """
-    if rd.rank_ss == 0:
-        raise NumerologyError("semisimple part is empty")
     if r % (p - 1) in (0, 1):
         raise NumerologyError("r = 0, 1 mod p-1 invalidates the construction")
     vg = very_good_prime(rd, p)
     pairing_ok = _principal_pairing_identity(rd)
 
-    # Multiplicative verification.  c generates F_p^x; the torus element has
-    # beta(T) = a^{<beta, 2 rho^vee>} with a^2 = c^r.  As p - 1 is even, c^r
-    # is a square in F_p exactly when r is even, and then a = c^(r/2).
-    c = _primitive_root(p)
-    target = pow(c, r, p)
+    # Multiplicative verification.  With G a generator of F_{p^2}^x, c =
+    # G^(p+1) generates F_p^x; the torus element has beta(T) =
+    # a^{<beta, 2 rho^vee>} with a^2 = c^r, so a = G^((p+1)/2 r), and the
+    # check runs on exponents mod p^2 - 1.  As p - 1 is even, c^r is a
+    # square in F_p exactly when r is even.
+    modulus = p * p - 1
+    exp_a = (p + 1) // 2 * r % modulus
+    ok = all(exp_a * _pair_with_2rho(rd, i) % modulus == (p + 1) * r % modulus
+             for i in range(rd.rank_ss))
     sqrt_in_base = r % 2 == 0
-    notes = []
-    if sqrt_in_base:
-        a = pow(c, r // 2, p)
-        ok = all(pow(a, _pair_with_2rho(rd, i), p) == target for i in range(rd.rank_ss))
-    else:
-        # Exponent arithmetic in F_{p^2}: write c = G^(p+1) for a generator G,
-        # a = G^((p+1)/2 * r); check exponents mod p^2 - 1.
-        modulus = p * p - 1
-        exp_a = (p + 1) // 2 * r % modulus
-        ok = all(exp_a * _pair_with_2rho(rd, i) % modulus == (p + 1) * r % modulus
-                 for i in range(rd.rank_ss))
-        notes.append("square root of the cyclotomic power taken in the quadratic extension")
+    notes = () if sqrt_in_base else (
+        "square root of the cyclotomic power taken in the quadratic extension",)
     dims = example_local_dims(r, p)
-    if dims[1] != 1:
-        notes.append("extension space is not one-dimensional; no canonical non-split class")
     return ExampleReport(
         pairing_identity=pairing_ok,
         very_good=vg,
         extension_space_dim=dims[1],
         multiplicative_check=ok,
         sqrt_in_base_field=sqrt_in_base,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -302,25 +260,3 @@ def _pair_with_2rho(rd: RootDatum, simple_index: int) -> int:
 
 def _principal_pairing_identity(rd: RootDatum) -> bool:
     return all(_pair_with_2rho(rd, i) == 2 for i in range(rd.rank_ss))
-
-
-def _primitive_root(p: int) -> int:
-    factors = _prime_factors(p - 1)
-    for c in range(2, p):
-        if all(pow(c, (p - 1) // f, p) != 1 for f in factors):
-            return c
-    raise NumerologyError("no primitive root found")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -2,11 +2,14 @@
 
 Roots are stored in simple-root coordinates and coroots in simple-coroot
 coordinates; the Cartan matrix C with C[i][j] = <alpha_i, alpha_j^vee>
-carries the pairing.  Weights live in fundamental-weight coordinates
-extended by central coordinates, cocharacters in simple-coroot coordinates
-extended the same way.  GL_n gets its own torus model (standard basis of
-the diagonal cocharacter lattice) so that integral GL_n cocharacters like
-diag(t, 1) are representable exactly.
+carries the pairing.  Weights live in fundamental-weight coordinates,
+cocharacters in simple-coroot coordinates.  GL_n gets its own torus model
+(standard basis of the diagonal cocharacter lattice) so that integral GL_n
+cocharacters like diag(t, 1) are representable exactly.
+
+Family facts live in two places only: the Cartan matrix and the table of
+the ranks each family takes.  The roots, the Coxeter number, the order of
+the centre and the primes that are not very good all derive from C.
 """
 
 from __future__ import annotations
@@ -23,98 +26,40 @@ class RootDatumError(InputError):
     pass
 
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-# The largest semisimple and central ranks; the reflection closure grows like rank^5.
+# The ranks each family takes, as (least, greatest).  The total rank is at
+# most MAX_RANK, as the reflection closure grows like rank^5.
 MAX_RANK = 16
-
-# Order of the center of the simply connected cover, per irreducible family.
-def _center_order(family: str, rank: int) -> int:
-    if family == "A":
-        return rank + 1
-    if family in ("B", "C"):
-        return 2
-    if family == "D":
-        return 4
-    if family == "E":
-        return {6: 3, 7: 2, 8: 1}[rank]
-    return 1  # F4, G2
-
-
-# Primes that fail to be very good, per irreducible family.
-def _very_good_exclusions(family: str, rank: int) -> set[int]:
-    if family == "A":
-        return {q for q in range(2, rank + 2) if (rank + 1) % q == 0 and ff.is_prime(q)}
-    if family in ("B", "C", "D"):
-        return {2}
-    if family == "E" and rank == 8:
-        return {2, 3, 5}
-    return {2, 3}  # E6, E7, F4, G2
+RANKS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK), "D": (4, MAX_RANK),
+         "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 def _cartan_matrix(family: str, rank: int) -> np.ndarray:
     """Cartan matrix with C[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering)."""
-    if family not in FAMILIES:
-        raise RootDatumError(f"unrecognized family {family!r}")
     c = 2 * np.eye(rank, dtype=np.int64)
-
-    def link(i, j, cij=-1, cji=-1):
-        c[i, j] = cij
-        c[j, i] = cji
-
-    if family == "A":
-        if rank < 1:
-            raise RootDatumError("rank must be >= 1")
-        for i in range(rank - 1):
-            link(i, i + 1)
-    elif family == "B":
-        # alpha_rank is the short root: <alpha_{n-1}, alpha_n^vee> = -2.
-        if rank < 2:
-            raise RootDatumError("B requires rank >= 2")
-        for i in range(rank - 1):
-            link(i, i + 1)
+    # A chain of simple bonds; D's last node and E's node 2 (0-indexed 1)
+    # branch off it.
+    chain = [0, *range(2, rank)] if family == "E" else range(rank - 1 if family == "D" else rank)
+    branch = {"D": [(rank - 3, rank - 1)], "E": [(1, 3)]}.get(family, [])
+    for i, j in [*zip(chain, chain[1:]), *branch]:
+        c[i, j] = c[j, i] = -1
+    # The multiple bonds: <long, short^vee> = -2 or -3.
+    if family == "B":
         c[rank - 2, rank - 1] = -2
     elif family == "C":
-        if rank < 2:
-            raise RootDatumError("C requires rank >= 2")
-        for i in range(rank - 1):
-            link(i, i + 1)
         c[rank - 1, rank - 2] = -2
-    elif family == "D":
-        if rank < 4:
-            raise RootDatumError("D requires rank >= 4")
-        for i in range(rank - 2):
-            link(i, i + 1)
-        link(rank - 3, rank - 1)
-        c[rank - 2, rank - 1] = 0
-        c[rank - 1, rank - 2] = 0
-    elif family == "E":
-        if rank not in (6, 7, 8):
-            raise RootDatumError("E requires rank in {6,7,8}")
-        # Bourbaki: node 2 (0-indexed 1) hangs off node 4 (0-indexed 3).
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            link(a, b)
-        link(1, 3)
     elif family == "F":
-        if rank != 4:
-            raise RootDatumError("F requires rank 4")
-        link(0, 1)
-        link(1, 2, cij=-2, cji=-1)
-        link(2, 3)
+        c[1, 2] = -2
     elif family == "G":
-        if rank != 2:
-            raise RootDatumError("G requires rank 2")
-        link(0, 1, cij=-1, cji=-3)
+        c[1, 0] = -3
     return c
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
+    n = sum(len(b) for b in blocks)
     out = np.zeros((n, n), dtype=np.int64)
     pos = 0
     for b in blocks:
-        k = b.shape[0]
+        k = len(b)
         out[pos : pos + k, pos : pos + k] = b
         pos += k
     return out
@@ -127,7 +72,7 @@ class RootDatum:
     cartan_type: tuple[tuple[str, int], ...]
     cartan: np.ndarray  # d x d, C[i][j] = <alpha_i, alpha_j^vee>
     positive_roots: tuple[tuple[int, ...], ...]  # simple-root coordinates
-    coxeter_numbers: tuple[int, ...]  # one per irreducible factor
+    highest_roots: tuple[tuple[int, ...], ...]  # one per irreducible factor, in its coordinates
     # Torus model: weights and cocharacters live in dual copies of Z^n, so
     # the rows alpha_i also give <alpha_i, basis_j> and the rows alpha_i^vee
     # give <basis_j, alpha_i^vee>.
@@ -138,7 +83,7 @@ class RootDatum:
 
     @property
     def rank_ss(self) -> int:
-        return self.cartan.shape[0]
+        return len(self.cartan)
 
     @property
     def weight_dim(self) -> int:
@@ -158,17 +103,22 @@ class RootDatum:
 
     @property
     def coxeter_number(self) -> int:
-        """Coxeter number; max over irreducible factors for compound types."""
-        if not self.coxeter_numbers:
-            raise RootDatumError("semisimple part is empty")
-        return max(self.coxeter_numbers)
+        """1 + the height of the highest root; max over irreducible factors."""
+        return max(1 + self.height(r) for r in self.highest_roots)
 
     @property
     def center_order(self) -> int:
-        out = 1
-        for fam, rk in self.cartan_type:
-            out *= _center_order(fam, rk)
-        return out
+        """Order of the centre of the simply connected cover: det C, by
+        fraction-free elimination.  Every leading minor of a Cartan matrix
+        is positive, so no pivot is 0."""
+        m = [[int(x) for x in row] for row in self.cartan]
+        prev = 1
+        for k in range(len(m) - 1):
+            for i in range(k + 1, len(m)):
+                for j in range(k + 1, len(m)):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return m[-1][-1]
 
     # -- pairings and reflections ---------------------------------------
 
@@ -193,45 +143,42 @@ class RootDatum:
         return lam - self.pair_weight_coroot(lam, j) * self.root_vectors[j]
 
 
-def build_root_datum(spec, central_rank: int = 0) -> RootDatum:
+def build_root_datum(spec) -> RootDatum:
     """Build a root datum from a list of (family, rank) pairs.
 
-    Roots are enumerated by reflection closure starting from the simple
-    roots; the construction fails loudly on inconsistent Cartan data.
+    This is the one place a type is refused.  The roots are the reflection
+    closure of the simple roots in the Cartan matrix; every other invariant
+    is derived from it.
     """
-    if not 0 <= central_rank <= MAX_RANK:
-        raise RootDatumError(f"central_rank must be between 0 and {MAX_RANK}")
     ctype = tuple((str(f), int(r)) for f, r in spec)
-    for fam, rk in ctype:
-        if fam not in FAMILIES:
+    if not ctype:
+        raise RootDatumError("semisimple part is empty")
+    for fam, _ in ctype:
+        if fam not in RANKS:
             raise RootDatumError(f"unrecognized family {fam!r}")
-        if rk < 1:
-            raise RootDatumError("ranks must be >= 1")
+    # The total comes before the rank table, so a huge rank is refused as too large.
     if sum(rk for _, rk in ctype) > MAX_RANK:
         raise RootDatumError(f"ranks must sum to at most {MAX_RANK}")
-    blocks = [_cartan_matrix(fam, rk) for fam, rk in ctype]
-    cartan = _block_diag(blocks) if blocks else np.zeros((0, 0), dtype=np.int64)
-    d = cartan.shape[0]
-
-    positives = _positive_closure(cartan)
-    coxeters = []
-    offset = 0
     for fam, rk in ctype:
-        factor_pos = [r for r in positives if any(r[offset : offset + rk]) ]
-        h = 1 + max(sum(r) for r in factor_pos)
-        coxeters.append(h)
+        least, greatest = RANKS[fam]
+        if not least <= rk <= greatest:
+            raise RootDatumError(f"there is no root system of type {fam}{rk}")
+    cartan = _block_diag([_cartan_matrix(fam, rk) for fam, rk in ctype])
+    positives = _positive_closure(cartan)
+    # A factor's roots vanish off its own coordinates, so its highest root
+    # is the highest of the positive roots cut to them.
+    highest, offset = [], 0
+    for _, rk in ctype:
+        highest.append(max((r[offset : offset + rk] for r in positives), key=sum))
         offset += rk
-
-    # Simple roots are the rows of the Cartan matrix, simple coroots the unit
-    # vectors, each padded by the central rank.
-    pad = np.zeros((d, central_rank), dtype=np.int64)
+    # Simple roots are the rows of the Cartan matrix, simple coroots the unit vectors.
     return RootDatum(
         cartan_type=ctype,
         cartan=cartan,
         positive_roots=positives,
-        coxeter_numbers=tuple(coxeters),
-        root_vectors=np.hstack([cartan, pad]),
-        coroot_vectors=np.hstack([np.eye(d, dtype=np.int64), pad]),
+        highest_roots=tuple(highest),
+        root_vectors=cartan,
+        coroot_vectors=np.eye(len(cartan), dtype=np.int64),
     )
 
 
@@ -239,7 +186,7 @@ def gl_datum(n: int) -> RootDatum:
     """GL_n with the standard diagonal torus model Z^n."""
     if n < 2:
         raise RootDatumError("gl_datum requires n >= 2")
-    rd = build_root_datum([("A", n - 1)], central_rank=1)  # refuses a huge n first
+    rd = build_root_datum([("A", n - 1)])  # refuses a huge n first
     # alpha_i = e_i - e_{i+1} and alpha_i^vee = e_i - e_{i+1}; characters of
     # the diagonal torus use the same Z^n model.
     simple = np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, k=1, dtype=np.int64)
@@ -247,17 +194,10 @@ def gl_datum(n: int) -> RootDatum:
 
 
 def _positive_closure(cartan: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    d = cartan.shape[0]
-    if d == 0:
-        return ()
-    if not all(cartan[i, i] == 2 for i in range(d)):
-        raise RootDatumError("diagonal Cartan entries must equal 2")
-    if any(cartan[i, j] > 0 for i in range(d) for j in range(d) if i != j):
-        raise RootDatumError("off-diagonal Cartan entries must be <= 0")
+    d = len(cartan)
     simple = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     seen = set(simple)
     frontier = list(simple)
-    guard = 260 * max(1, d)  # no irreducible rank-8 system exceeds 240 roots
     while frontier:
         nxt = []
         for r in frontier:
@@ -270,14 +210,7 @@ def _positive_closure(cartan: np.ndarray) -> tuple[tuple[int, ...], ...]:
                     seen.add(s)
                     nxt.append(s)
         frontier = nxt
-        if len(seen) > guard:
-            raise RootDatumError("reflection closure did not terminate; inconsistent Cartan data")
-    positives = sorted(
-        (r for r in seen if all(c >= 0 for c in r)), key=lambda r: (sum(r), r)
-    )
-    if 2 * len(positives) != len(seen):
-        raise RootDatumError("root set is not symmetric; inconsistent Cartan data")
-    return tuple(positives)
+    return tuple(sorted((r for r in seen if all(c >= 0 for c in r)), key=lambda r: (sum(r), r)))
 
 
 # -- dimension bookkeeping ------------------------------------------------
@@ -291,12 +224,10 @@ def dimension_profile(rd: RootDatum) -> tuple[int, int, int, int, int, int]:
 
 
 def very_good_prime(rd: RootDatum, p: int) -> bool:
+    """p divides neither det C nor a coefficient of any factor's highest root."""
     if not ff.is_odd_prime(p):
         raise RootDatumError("p must be an odd prime")
-    for fam, rk in rd.cartan_type:
-        if p in _very_good_exclusions(fam, rk):
-            return False
-    return True
+    return rd.center_order % p != 0 and all(c % p for r in rd.highest_roots for c in r)
 
 
 # -- Weyl group ------------------------------------------------------------
@@ -307,36 +238,20 @@ def longest_element(rd: RootDatum) -> tuple[list[int], list[int]]:
 
     The word is in application order: w0 = s_{word[-1]} ... s_{word[0]} as a
     composite, i.e. apply word[0] first.  Descent drives rho to -rho,
-    breaking ties at the lowest simple index.
+    breaking ties at the lowest simple index.  It runs in fundamental-weight
+    coordinates, where <lam, alpha_j^vee> = lam_j and alpha_j is row j of
+    the Cartan matrix, whatever the torus model.
     """
     d = rd.rank_ss
-    if d == 0:
-        raise RootDatumError("semisimple part is empty")
-    lam = np.ones(rd.weight_dim, dtype=np.int64)  # rho in fw coordinates
-    lam[d:] = 0
+    lam = np.ones(d, dtype=np.int64)  # rho
     word: list[int] = []
-    while True:
-        for j in range(d):
-            if rd.pair_weight_coroot(lam, j) > 0:
-                lam = rd.reflect_weight(lam, j)
-                word.append(j)
-                break
-        else:
-            break
-    if len(word) != rd.num_positive:
-        raise RootDatumError("w0 descent produced a non-reduced word")
-    minus_w0 = []
-    for i in range(d):
-        img = _apply_word_to_root(rd, tuple(int(k == i) for k in range(d)), word)
-        minus_w0.append(_simple_index(tuple(-c for c in img)))
-    return word, minus_w0
-
-
-def _simple_index(root) -> int:
-    ones = [i for i, c in enumerate(root) if c == 1]
-    if len(ones) == 1 and sum(abs(c) for c in root) == 1:
-        return ones[0]
-    raise RootDatumError("-w0 does not permute the simple roots")
+    while (lam > 0).any():
+        j = int(np.argmax(lam > 0))
+        lam = lam - lam[j] * rd.cartan[j]
+        word.append(j)
+    # w0 sends alpha_i to -alpha_{-w0(i)}.
+    simple = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    return word, [_apply_word_to_root(rd, a, word).index(-1) for a in simple]
 
 
 def _apply_word_to_root(rd: RootDatum, root, word) -> tuple[int, ...]:
@@ -375,14 +290,14 @@ def theta_involution(rd: RootDatum, lam1, lam2):
 def dominant_representative(rd: RootDatum, mu) -> np.ndarray:
     """Dominant Weyl-chamber representative of a cocharacter."""
     mu = np.asarray(mu, dtype=np.int64)
-    for _ in range(8 * (rd.num_positive + 1) ** 2 + 8):
+    # Each reflection takes one positive root off those negative on mu.
+    while True:
         for j in range(rd.rank_ss):
             if int(np.dot(rd.root_vectors[j], mu)) < 0:
                 mu = rd.reflect_cochar(mu, j)
                 break
         else:
             return mu
-    raise RootDatumError("dominance descent did not terminate")
 
 
 def is_central_cochar(rd: RootDatum, omega) -> bool:
@@ -423,13 +338,8 @@ class TorusElement:
     def root_value(self, root) -> int:
         """beta(t), extended multiplicatively from the simple values."""
         out = 1
-        for i, c in enumerate(root):
-            c = int(c)
-            v = self.simple_values[i] % self.p
-            if c >= 0:
-                out = out * pow(v, c, self.p) % self.p
-            else:
-                out = out * pow(ff.inv_scalar(v, self.p), -c, self.p) % self.p
+        for v, c in zip(self.simple_values, root):
+            out = out * pow(v, int(c), self.p) % self.p  # a unit takes any exponent
         return out
 
 
@@ -460,8 +370,6 @@ def unique_root_certificate(rd: RootDatum, alpha_index: int, use_control: bool =
     <beta, rho^vee> = height(beta), so the pairing is 4 ht(beta) - <beta, alpha^vee>
     (control: 2 ht(beta)); brute force over the full root set.
     """
-    if rd.rank_ss == 0:
-        raise RootDatumError("semisimple part is empty")
     alpha = tuple(int(k == alpha_index) for k in range(rd.rank_ss))
     hits = []
     for beta in rd.all_roots():
@@ -484,7 +392,7 @@ def adjoint_torus_matrix(rd: RootDatum, p: int, simple_values) -> np.ndarray:
     Basis order: simple coroots (t0), then roots in the datum's enumeration
     order (positives first, then matching negatives).
     """
-    t = TorusElement(rd, p, tuple(v % p for v in simple_values))
+    t = TorusElement(rd, p, tuple(simple_values))
     d = rd.rank_ss
     roots = rd.all_roots()
     n = d + len(roots)

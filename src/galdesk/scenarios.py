@@ -48,8 +48,7 @@ def parse_root_datum(payload) -> rdm.RootDatum:
     if "gl" in payload:
         return rdm.gl_datum(_int(payload["gl"], "gl"))
     spec = _list(_field(payload, "type"), "type", "be a list of [family, rank] pairs", _is_pair)
-    return rdm.build_root_datum([(str(fam), _int(rank, "rank")) for fam, rank in spec],
-                                _int(_field(payload, "central_rank", 0), "central_rank"))
+    return rdm.build_root_datum([(str(fam), _int(rank, "rank")) for fam, rank in spec])
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +315,10 @@ def builtin_numerology_wiles(seed):
         t0 = rdm.dimension_profile(rd)[3]
         for degree in (2, 4):
             tr = num.wiles_difference(
-                num.ordinary_scenario(rd, num.totally_real_signature(degree))).difference
-            cm_ord = num.wiles_difference(
-                num.ordinary_scenario(rd, num.cm_signature(degree))).difference
-            cm_no = num.wiles_difference(num.ordinary_scenario(
-                rd, num.cm_signature(degree), mode=num.NEARLY_ORDINARY)).difference
+                num.Scenario(rd, num.totally_real_signature(degree))).difference
+            cm_ord = num.wiles_difference(num.Scenario(rd, num.cm_signature(degree))).difference
+            cm_no = num.wiles_difference(
+                num.Scenario(rd, num.cm_signature(degree), num.NEARLY_ORDINARY)).difference
             checks.append(check(f"{name} deg {degree}: totally real ordinary = 0", tr == 0, got=tr))
             checks.append(check(f"{name} deg {degree}: CM ordinary = -deg/2*t0",
                                 cm_ord == -(degree // 2) * t0, got=cm_ord))
@@ -732,8 +730,7 @@ def _run_numerology(payload, seed):
     places = _list(_field(payload, "finite_places", []), "finite_places", "be a list of pairs",
                    _is_pair)
     finite = tuple(num.FinitePlace(*_int_list(e, "finite_places")) for e in places)
-    scen = num.ordinary_scenario(rd, sig, mode=mode, finite_places=finite,
-                                 h0_at_p=_int(_field(payload, "h0_at_p", 0), "h0_at_p"))
+    scen = num.Scenario(rd, sig, mode, finite)
     rep = num.wiles_difference(scen)
     checks = [check("terms sum to the difference",
                     sum(v for _, v in rep.terms) == rep.difference)]

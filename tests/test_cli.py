@@ -57,7 +57,7 @@ def test_malformed_file_exit_2(tmp_path, capsys):
 
 
 def test_rootdatum_scenario(tmp_path, capsys):
-    path = write_scenario(tmp_path, "rootdatum", {"type": [["A", 2]], "central_rank": 0})
+    path = write_scenario(tmp_path, "rootdatum", {"type": [["A", 2]]})
     code, out = run_cli(capsys, "run", path)
     assert code == 0
     report = json.loads(out)
@@ -68,6 +68,59 @@ def test_rootdatum_scenario(tmp_path, capsys):
 def test_rootdatum_bad_family_exit_2(tmp_path, capsys):
     path = write_scenario(tmp_path, "rootdatum", {"type": [["Q", 2]]})
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("rtype,expected", [
+    ([["B", 1]], "there is no root system of type B1"),
+    ([["C", 1]], "there is no root system of type C1"),
+    ([["D", 3]], "there is no root system of type D3"),
+    ([["E", 5]], "there is no root system of type E5"),
+    ([["E", 9]], "there is no root system of type E9"),
+    ([["F", 3]], "there is no root system of type F3"),
+    ([["G", 3]], "there is no root system of type G3"),
+    ([["F", 5]], "there is no root system of type F5"),
+    ([["G", 1]], "there is no root system of type G1"),
+    ([["H", 2]], "unrecognized family 'H'"),
+    ([["A", 0]], "there is no root system of type A0"),
+    ([], "semisimple part is empty"),
+    ([["A", 9], ["B", 8]], "ranks must sum to at most 16"),
+])
+def test_rootdatum_refusals_exit_2(tmp_path, capsys, rtype, expected):
+    path = write_scenario(tmp_path, "rootdatum", {"type": rtype})
+    assert_one_line_input_error(capsys, path, expected)
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("local", {"p": 5, "torus_values": [], "q": 3}),
+    ("numerology", {"signature": {"kind": "rational"}}),
+    ("example", {"r": 3, "p": 19}),
+])
+def test_empty_type_exit_2_in_every_kind(tmp_path, capsys, kind, payload):
+    # A local payload used to report a zero-dimensional module.
+    path = write_scenario(tmp_path, kind, {**payload, "root_datum": {"type": []}})
+    assert_one_line_input_error(capsys, path, "semisimple part is empty")
+
+
+def test_rootdatum_gl3_scenario(tmp_path, capsys):
+    # Used to exit 2: the descent for w0 started from a vector that is not
+    # rho in the GL_n torus model, and stopped short for n >= 3.
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, "rootdatum", {"gl": 3}))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["minus_w0"], report["heights"]) == ([1, 0], [1, 1, 2])
+
+
+@pytest.mark.parametrize("kind,payload,field", [
+    ("rootdatum", {"type": [["A", 2]]}, "central_rank"),
+    ("numerology", {"root_datum": {"type": [["B", 2]]},
+                    "signature": {"kind": "cm", "degree": 4}}, "h0_at_p"),
+])
+def test_retired_fields_are_ignored(kind, payload, field):
+    # Neither entered a report: central_rank only padded the torus model,
+    # and h0 at p cancelled from its own term.
+    plain = sc.run_scenario_payload(kind, payload, 0, None)
+    for value in (0, 3, "z"):
+        assert sc.run_scenario_payload(kind, {**payload, field: value}, 0, None) == plain
 
 
 def test_local_scenario(tmp_path, capsys):
@@ -479,7 +532,6 @@ NUMEROLOGY = {"root_datum": {"gl": 2}, "signature": {"kind": "rational"}}
     ("finite_places", [["a", 1]], "finite_places entry must be an integer, got 'a'"),
     ("finite_places", [[1]], "finite_places must be a list of pairs, got [[1]]"),
     ("finite_places", 5, "finite_places must be a list of pairs, got 5"),
-    ("h0_at_p", "z", "h0_at_p must be an integer, got 'z'"),
 ])
 def test_numerology_non_integer_field_exit_2(tmp_path, capsys, field, value, expected):
     path = write_scenario(tmp_path, "numerology", {**NUMEROLOGY, field: value})
@@ -487,9 +539,23 @@ def test_numerology_non_integer_field_exit_2(tmp_path, capsys, field, value, exp
 
 
 def test_numerology_integer_fields_still_read(tmp_path, capsys):
-    payload = {**NUMEROLOGY, "finite_places": [[1, 1]], "h0_at_p": "0"}
+    payload = {**NUMEROLOGY, "finite_places": [["1", 1]]}
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, "numerology", payload))
     assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("signature,expected", [
+    ({"kind": "totally_real", "degree": 2, "local_degrees": [1, 2]},
+     "local degrees above p must sum to the degree"),
+    ({"kind": "totally_real", "degree": 2, "local_degrees": [2, 0]},
+     "local degrees above p must be positive"),
+    ({"kind": "cm", "degree": 4, "pair_degrees": [1]}, "pair degrees must sum to half the degree"),
+    ({"kind": "cm", "degree": 0}, "CM degree must be even, between 2 and 10000"),
+    ({"kind": "cm", "degree": 3}, "CM degree must be even, between 2 and 10000"),
+])
+def test_numerology_signature_refusals_exit_2(tmp_path, capsys, signature, expected):
+    path = write_scenario(tmp_path, "numerology", {**NUMEROLOGY, "signature": signature})
+    assert_one_line_input_error(capsys, path, expected)
 
 
 def test_weights_scenario_missing_entries_exit_2(tmp_path, capsys):
@@ -775,6 +841,49 @@ def test_out_flag_and_table_format(tmp_path, capsys):
     code, out = run_cli(capsys, "run", "rootdatum-profiles", "--format", "table")
     assert code == 0
     assert "[PASS] profile A2" in out
+
+
+def test_table_format_is_pinned(capsys):
+    # The separator, a check's extras without its name and pass, and the
+    # report's keys without checks, status, scenario and seed.
+    code, out = run_cli(capsys, "run", "sec9-example-a1", "--format", "table")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7e7cf37c3a7c0e384e16fe7fdf2074f3ef337ac0f9736082a26b78f2ae0556b3"
+
+
+def test_list_json_is_the_catalog(capsys):
+    code, out = run_cli(capsys, "list", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(sc.list_builtins(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc,expected", [
+    ([1], "scenario document must be a JSON object"),
+    ({"version": 2}, "unsupported schema version 2"),
+    ({"version": True}, "unsupported schema version True"),
+])
+def test_malformed_document_exit_2(tmp_path, capsys, doc, expected):
+    if isinstance(doc, dict):  # the rest of the document is valid
+        doc = {"kind": "rootdatum", "seed": 0, "payload": {"type": [["A", 2]]}, **doc}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert_one_line_input_error(capsys, str(path), expected)
+
+
+def test_seed_flag_overrides_the_document(tmp_path, capsys):
+    payload = {"p": 7, "local_dims": {"a": 3, "b": 2}, "global_dim": 2}
+    path = write_scenario(tmp_path, "selmer", payload, seed=3)
+    code, out = run_cli(capsys, "run", path, "--seed", "5")
+    assert code == 0
+    expected = sc.run_scenario_payload("selmer", payload, 5, None)
+    assert json.loads(out) == {**expected, "scenario": path, "seed": 5}
+
+
+def test_builtin_runs_at_seed_0_by_default(capsys):
+    code, out = run_cli(capsys, "run", "selmer-inflation-checks")
+    assert code == 0 and json.loads(out)["seed"] == 0
+    assert out == run_cli(capsys, "run", "selmer-inflation-checks", "--seed", "0")[1]
 
 
 def test_every_builtin_exits_zero(capsys):

@@ -13,6 +13,7 @@ GL2 = rdm.gl_datum(2)
 
 
 def test_signature_invariants():
+    assert num.totally_real_signature(1) == num.rational_signature()
     with pytest.raises(num.NumerologyError):
         num.FieldSignature(3, 1, 2, cm=False, local_degrees_above_p=(3,))
     with pytest.raises(num.NumerologyError):
@@ -24,14 +25,14 @@ def test_signature_invariants():
 
 
 def test_archimedean_bound_rational_gl2():
-    scen = num.ordinary_scenario(GL2, num.rational_signature())
+    scen = num.Scenario(GL2, num.rational_signature())
     rep = num.archimedean_bound(scen)
     assert (rep.lhs, rep.rhs) == (1, 1)
     assert rep.holds and rep.odd_equality
 
 
 def test_archimedean_bound_imaginary_quadratic():
-    scen = num.ordinary_scenario(GL2, num.imaginary_quadratic_signature())
+    scen = num.Scenario(GL2, num.imaginary_quadratic_signature())
     rep = num.archimedean_bound(scen)
     # One complex place contributes dim g0 = 3; the bound 2*1 + 1*1 = 3 is met
     # but the totally-real oddness target 2 is not.
@@ -40,15 +41,9 @@ def test_archimedean_bound_imaginary_quadratic():
 
 
 def test_archimedean_bound_totally_real_cubic():
-    scen = num.ordinary_scenario(GL2, num.totally_real_signature(3))
+    scen = num.Scenario(GL2, num.totally_real_signature(3))
     rep = num.archimedean_bound(scen)
     assert rep.odd_equality
-
-
-def test_real_h0_range_validation():
-    sig = num.rational_signature()
-    with pytest.raises(num.NumerologyError):
-        num.Scenario(GL2, sig, (num.PlaceAboveP(num.ORDINARY, 1),), (), (0,))
 
 
 def test_oddness_audit_gl2():
@@ -74,24 +69,26 @@ def test_oddness_audit_rejects_non_involution():
         num.oddness_audit(GL2, [bad], p=5)
 
 
-def test_tangent_dims():
-    assert num.tangent_dim_at_p(num.NEARLY_ORDINARY, 1, GL2, 1) == 3
-    assert num.tangent_dim_at_p(num.ORDINARY, 1, GL2, 1) == 2
-    assert num.tangent_dim_at_p(num.ORDINARY, 0, A2, 4) == 4
-    with pytest.raises(num.NumerologyError):
-        num.tangent_dim_at_p("crystalline", 1, GL2, 0)
+def test_place_above_p_terms():
+    # B2: dim n = 4, dim b0 = 6; a place of degree f adds f dim n or f dim b0.
+    sig = num.cm_signature(6, (2, 1))
+    for mode, local in ((num.ORDINARY, 4), (num.NEARLY_ORDINARY, 6)):
+        terms = num.wiles_difference(num.Scenario(B2, sig, mode)).terms
+        assert [v for name, v in terms if name.startswith("v|p")] == [2 * local] * 2 + [local] * 2
+        assert terms[2][0] == f"v|p[{mode},f=2]"
+    with pytest.raises(num.NumerologyError, match="unknown mode 'crystalline'"):
+        num.Scenario(GL2, sig, "crystalline")
 
 
 def test_wiles_difference_headline_values():
     # Totally real + ordinary + odd: 0.
-    scen = num.ordinary_scenario(GL2, num.totally_real_signature(2))
+    scen = num.Scenario(GL2, num.totally_real_signature(2))
     assert num.wiles_difference(scen).difference == 0
     # Imaginary quadratic + nearly ordinary: +1 (one-variable deformation ring).
-    scen = num.ordinary_scenario(GL2, num.imaginary_quadratic_signature(),
-                                 mode=num.NEARLY_ORDINARY)
+    scen = num.Scenario(GL2, num.imaginary_quadratic_signature(), mode=num.NEARLY_ORDINARY)
     assert num.wiles_difference(scen).difference == 1
     # Imaginary quadratic + ordinary on SL3: -2.
-    scen = num.ordinary_scenario(A2, num.imaginary_quadratic_signature())
+    scen = num.Scenario(A2, num.imaginary_quadratic_signature())
     assert num.wiles_difference(scen).difference == -2
 
 
@@ -101,11 +98,11 @@ def test_wiles_difference_cm_menus(rd, degree):
     t0 = rdm.dimension_profile(rd)[3]
     sig_tr = num.totally_real_signature(degree)
     sig_cm = num.cm_signature(degree)
-    assert num.wiles_difference(num.ordinary_scenario(rd, sig_tr)).difference == 0
+    assert num.wiles_difference(num.Scenario(rd, sig_tr)).difference == 0
     assert num.wiles_difference(
-        num.ordinary_scenario(rd, sig_cm)).difference == -(degree // 2) * t0
+        num.Scenario(rd, sig_cm)).difference == -(degree // 2) * t0
     assert num.wiles_difference(
-        num.ordinary_scenario(rd, sig_cm, mode=num.NEARLY_ORDINARY)
+        num.Scenario(rd, sig_cm, mode=num.NEARLY_ORDINARY)
     ).difference == (degree // 2) * t0
 
 
@@ -113,14 +110,13 @@ def test_wiles_difference_cm_menus(rd, degree):
 @settings(max_examples=40, deadline=None)
 def test_balanced_place_has_no_effect(rd, h0, cm):
     sig = num.cm_signature(2) if cm else num.totally_real_signature(2)
-    base = num.ordinary_scenario(rd, sig)
-    augmented = num.ordinary_scenario(rd, sig, finite_places=(num.FinitePlace(h0, h0),))
+    base = num.Scenario(rd, sig)
+    augmented = num.Scenario(rd, sig, finite_places=(num.FinitePlace(h0, h0),))
     assert num.wiles_difference(base).difference == num.wiles_difference(augmented).difference
 
 
 def test_wiles_report_terms():
-    scen = num.ordinary_scenario(GL2, num.imaginary_quadratic_signature(),
-                                 mode=num.NEARLY_ORDINARY)
+    scen = num.Scenario(GL2, num.imaginary_quadratic_signature(), mode=num.NEARLY_ORDINARY)
     rep = num.wiles_difference(scen)
     assert rep.difference == 1
     assert sum(v for _, v in rep.terms) == 1
@@ -137,10 +133,10 @@ def test_cm_parameter():
 @pytest.mark.parametrize("rd,degree", [(A1, 2), (A2, 2), (B2, 2), (A1, 4), (B2, 4)])
 def test_cm_parameter_matches_nearly_ordinary_difference(rd, degree):
     sig = num.cm_signature(degree)
-    scen = num.ordinary_scenario(rd, sig, mode=num.NEARLY_ORDINARY)
+    scen = num.Scenario(rd, sig, mode=num.NEARLY_ORDINARY)
     assert num.cm_parameter(sig, rd) == num.wiles_difference(scen).difference
     # Balanced away-from-p conditions leave the identity intact.
-    balanced = num.ordinary_scenario(
+    balanced = num.Scenario(
         rd, sig, mode=num.NEARLY_ORDINARY,
         finite_places=(num.FinitePlace(2, 2), num.FinitePlace(0, 0)))
     assert num.cm_parameter(sig, rd) == num.wiles_difference(balanced).difference
@@ -150,12 +146,22 @@ def test_large_image_prime_bound():
     assert num.large_image_prime_bound(A2) == 29
     assert num.large_image_prime_bound(B2) == 19
     assert num.large_image_prime_bound(A1) == 19
+    # Where the parity term binds: (2h - 2) z for an odd centre, (h - 1) z
+    # for an even one.
+    for typ, bound in ((("A", 6), 89), (("A", 9), 97), (("E", 8), 61)):
+        assert num.large_image_prime_bound(rdm.build_root_datum([typ])) == bound, typ
 
 
 def test_example_local_dims():
     assert num.example_local_dims(2, 5) == (0, 1, 0)
     assert num.example_local_dims(0, 5) == (1, 2, 0)
     assert num.example_local_dims(1, 5) == (0, 2, 1)
+    # r is read mod p - 1.
+    assert [num.example_local_dims(r, 7) for r in (7, -5, 12, -6, 8)] == \
+        [(0, 2, 1), (0, 2, 1), (1, 2, 0), (1, 2, 0), (0, 1, 0)]
+    for p in (2, 9):
+        with pytest.raises(num.NumerologyError, match="p must be an odd prime"):
+            num.example_local_dims(3, p)
     for r in range(0, 12):
         h0, h1, h2 = num.example_local_dims(r, 7)
         assert h1 == h0 + h2 + 1

@@ -118,6 +118,25 @@ def test_divide_by_int():
         pa.PadicInt(5, 3, 4).divide_by_int(5)
 
 
+def test_padic_refusals():
+    with pytest.raises(pa.PrecisionError, match="mixed primes"):
+        pa.PadicInt(5, 1, 4) + pa.PadicInt(7, 1, 4)
+    with pytest.raises(pa.PrecisionError, match="inverse of a non-unit"):
+        pa.PadicInt(5, 10, 4).unit_inverse()
+    with pytest.raises(ZeroDivisionError):
+        pa.PadicInt(5, 10, 4).divide_by_int(0)
+    # p^v with v = prec leaves no digit; v = prec - 1 leaves one.
+    with pytest.raises(pa.PrecisionError, match="exhausts the precision"):
+        pa.PadicInt(5, 0, 2).divide_by_int(25)
+    assert pa.PadicInt(5, 75, 3).divide_by_int(25) == pa.PadicInt(5, 3, 1)
+    with pytest.raises(pa.PrecisionError, match="Teichmuller lift of 0"):
+        pa.teichmuller(10, 5, 4)
+    with pytest.raises(pa.PrecisionError, match="no Teichmuller part"):
+        pa.teichmuller_part(pa.PadicInt(5, 10, 4))
+    with pytest.raises(pa.PrecisionError, match="logarithm of a non-unit"):
+        pa.log_unit(pa.PadicInt(5, 10, 4))
+
+
 @given(st.sampled_from([5, 7, 11]), st.integers(1, 10**6), st.integers(1, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_unit_inverse(p, a, b):
@@ -156,6 +175,14 @@ def test_log_1_plus_5_against_oracle():
     assert val.valuation() == 1
     expected = log_oracle(6, 5, val.prec)
     assert val.residue % 5**val.prec == expected
+
+
+def test_log_precision_loss():
+    # The divisions by k <= n cost max v_p(k) = floor(log_p n) digits, no more.
+    for p in (3, 5, 7):
+        for n in range(1, 30):
+            lost = max(k for k in range(n) if p**k <= n)
+            assert pa.log_one_unit(pa.PadicInt(p, 1 + p, n)).prec == n - lost, (p, n)
 
 
 def test_log_additivity_200_pairs():

@@ -27,8 +27,8 @@ ROOT_COUNTS = {
 }
 
 
-def datum(fam, rk, central=0):
-    return rdm.build_root_datum([(fam, rk)], central_rank=central)
+def datum(fam, rk):
+    return rdm.build_root_datum([(fam, rk)])
 
 
 @pytest.mark.parametrize("fam,rk", PROFILES)
@@ -63,6 +63,54 @@ def test_unrecognized_family():
         rdm.build_root_datum([("H", 3)])
     with pytest.raises(rdm.RootDatumError):
         rdm.build_root_datum([("A", 0)])
+
+
+# Every irreducible type build_root_datum accepts.
+ALL_TYPES = ([("A", r) for r in range(1, 17)] + [(f, r) for f in "BC" for r in range(2, 17)]
+             + [("D", r) for r in range(4, 17)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+ODD_PRIMES = [3, 5, 7, 11, 13, 17]
+
+
+def textbook(fam, rk):
+    """(Coxeter number, order of the centre of the simply connected cover,
+    the primes that are not very good), from Bourbaki's plates I-IX."""
+    if fam == "A":
+        return rk + 1, rk + 1, {q for q in [2, *ODD_PRIMES] if (rk + 1) % q == 0}
+    if fam in "BC":
+        return 2 * rk, 2, {2}
+    if fam == "D":
+        return 2 * rk - 2, 4, {2}
+    return {("E", 6): (12, 3, {2, 3}), ("E", 7): (18, 2, {2, 3}), ("E", 8): (30, 1, {2, 3, 5}),
+            ("F", 4): (12, 1, {2, 3}), ("G", 2): (6, 1, {2, 3})}[(fam, rk)]
+
+
+def test_every_type_against_the_textbook():
+    assert len(ALL_TYPES) == 64
+    for fam, rk in ALL_TYPES:
+        rd = datum(fam, rk)
+        h, z, bad = textbook(fam, rk)
+        assert (rd.coxeter_number, rd.center_order) == (h, z), (fam, rk)
+        assert len(rd.all_roots()) == rk * h, (fam, rk)
+        assert len(rdm.longest_element(rd)[0]) == rd.num_positive, (fam, rk)
+        assert {q for q in ODD_PRIMES if not rdm.very_good_prime(rd, q)} == bad - {2}, (fam, rk)
+
+
+def test_compound_type_takes_each_factor():
+    rd = rdm.build_root_datum([("A", 2), ("B", 3), ("G", 2)])
+    assert rd.center_order == 3 * 2 * 1
+    assert rd.coxeter_number == 6
+    assert rd.highest_roots == ((1, 1), (1, 2, 2), (3, 2))
+    assert not rdm.very_good_prime(rd, 3) and rdm.very_good_prime(rd, 5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gl_longest_element(n):
+    # w0 reverses the diagonal: -w0 reverses the simple roots.
+    rd = rdm.gl_datum(n)
+    word, mw0 = rdm.longest_element(rd)
+    assert len(word) == rd.num_positive == n * (n - 1) // 2
+    assert mw0 == list(range(n - 2, -1, -1))
+    assert rdm.parallel_cocharacter_check(rd, range(n), range(n), [n - 1] * n)
 
 
 def test_gl2_profile():
@@ -170,7 +218,7 @@ def test_dominant_representative_properties(typ, data):
 
 
 def test_compound_type_smoke():
-    rd = rdm.build_root_datum([("A", 1), ("A", 1)], central_rank=1)
+    rd = rdm.build_root_datum([("A", 1), ("A", 1)])
     assert rdm.dimension_profile(rd) == (6, 2, 4, 2, 2, 4)
     word, mw0 = rdm.longest_element(rd)
     assert mw0 == [0, 1]
@@ -286,6 +334,14 @@ def test_borel_height_filtration():
     assert borel_height_filtration(b2, 2) == 2
     dims = [borel_height_filtration(b2, r) for r in range(6)]
     assert dims == sorted(dims, reverse=True) and dims[-1] == 0
+
+
+def test_torus_element_refusals():
+    a2 = rdm.build_root_datum([("A", 2)])
+    for p, values in ((9, (2, 4)), (7, (2, 14)), (7, (2,))):
+        with pytest.raises(rdm.RootDatumError):
+            rdm.TorusElement(a2, p, values)
+    assert rdm.TorusElement(a2, 7, (-1, 13)).root_value((-1, -2)) == 6
 
 
 def test_torus_value_multiplicativity():
