@@ -13,12 +13,13 @@ Python ints costs what clearing its nonzeros, row by row, costs (a row is
 cleared by the pivot row's nonzeros alone), and numpy a fixed cost per
 pivot.  So inputs of at most `_SMALL_CELLS` cells run in Python, and so do
 sparse ones: at most `_SPARSE_CELLS` cells and `_SPARSE_NONZEROS` nonzeros,
-no more than four rows a column, and p below `_SPARSE_PRIMES`.  The numpy
-kernel takes the rows in chunks of about `_CHUNK_CELLS` cells, in the block
-style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, 2008): exact matmuls
-(float64, or int64 for p^2 > 2^53) reduce each chunk against the RREF basis
-of the rows before it (at most n rows), one vectorised update per pivot
-eliminates the chunk, and its pivot rows join the basis.  RREF is canonical,
+neither side more than sixteen times the other, and p below
+`_SPARSE_PRIMES`.  The numpy kernel takes the rows in chunks of about
+`_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, 2008): exact matmuls (float64, or int64 for p^2 > 2^53) reduce each
+chunk against the RREF basis of the rows before it (at most n rows), one
+vectorised update per pivot eliminates the chunk, and its pivot rows join
+the basis.  RREF is canonical,
 so both kernels return the same R and pivots for every p with p^2 < 2^63
 (see `products_fit`).  `random_invertible` reads a draw g and its inverse
 off one rref([g | 1]).
@@ -86,7 +87,7 @@ def rref(a, p: int):
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
     m, n = r.shape
     if r.size <= _SMALL_CELLS or (
-        r.size <= _SPARSE_CELLS and m <= 4 * n and p < _SPARSE_PRIMES
+        r.size <= _SPARSE_CELLS and max(m, n) <= 16 * min(m, n) and p < _SPARSE_PRIMES
         and np.count_nonzero(r) <= _SPARSE_NONZEROS
     ):
         return _rref_small(r, p)

@@ -1,6 +1,6 @@
-"""Dimension-count evaluator: archimedean bounds, oddness, the Selmer/dual-Selmer
-difference formula under the standard local-condition menus, CM parameter,
-large-image prime thresholds, and the principal-homomorphism example checks.
+"""Dimension-count evaluator: oddness, the Selmer/dual-Selmer difference
+formula under the standard local-condition menus, CM parameter, large-image
+prime thresholds, and the principal-homomorphism example conditions.
 
 The global invariant dimensions h0(g0) and h0(g0(1)) are taken to be 0:
 nothing here pretends to compute cohomology of infinite groups.  Every real
@@ -113,27 +113,6 @@ class Scenario:
 # -- operations ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchimedeanReport:
-    lhs: int
-    rhs: int
-    holds: bool
-    odd_equality: bool
-
-
-def archimedean_bound(scenario: Scenario) -> ArchimedeanReport:
-    """Sum of archimedean fixed spaces against [F:Q] dim n + C dim t0.
-
-    odd_equality records whether the sum meets the bare Taylor-Wiles target
-    [F:Q] dim n, which needs a totally real field with every place odd.
-    """
-    sig = scenario.signature
-    g0, n, _, t0, _, _ = dimension_profile(scenario.rd)
-    lhs = sig.real_places * n + sig.complex_places * g0
-    rhs = sig.degree * n + sig.complex_places * t0
-    return ArchimedeanReport(lhs, rhs, lhs >= rhs, lhs == sig.degree * n)
-
-
 def oddness_audit(rd: RootDatum, involutions, p: int):
     """(h0, is_odd) per involution matrix acting on g0."""
     _, n, _, _, _, _ = dimension_profile(rd)
@@ -207,56 +186,23 @@ def example_local_dims(r: int, p: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ExampleReport:
-    pairing_identity: bool  # <alpha, 2 rho^vee> = 2 for every simple root
     very_good: bool
-    extension_space_dim: int
-    multiplicative_check: bool
     sqrt_in_base_field: bool
     notes: tuple[str, ...]
 
 
 def example_conditions_check(rd: RootDatum, r: int, p: int) -> ExampleReport:
-    """Checks for the principal-homomorphism local construction.
+    """Conditions for the principal-homomorphism local construction.
 
-    Every simple root must pull back to the r-th cyclotomic power: the
-    pairing <alpha, 2 rho^vee> = 2 does the bookkeeping, with a square root
-    of the cyclotomic value on the diagonal.  The verification runs on
-    exponents mod p^2 - 1, in the quadratic extension; the report records
-    whether the square root already lies in F_p.
+    Every simple root pulls back to the r-th cyclotomic power, since
+    <alpha, 2 rho^vee> = 2, with a square root a of c^r on the diagonal.  As
+    p - 1 is even, c^r is a square in F_p exactly when r is even; otherwise
+    a lies in the quadratic extension, and the report says so.
     """
     if r % (p - 1) in (0, 1):
         raise NumerologyError("r = 0, 1 mod p-1 invalidates the construction")
-    vg = very_good_prime(rd, p)
-    pairing_ok = _principal_pairing_identity(rd)
-
-    # Multiplicative verification.  With G a generator of F_{p^2}^x, c =
-    # G^(p+1) generates F_p^x; the torus element has beta(T) =
-    # a^{<beta, 2 rho^vee>} with a^2 = c^r, so a = G^((p+1)/2 r), and the
-    # check runs on exponents mod p^2 - 1.  As p - 1 is even, c^r is a
-    # square in F_p exactly when r is even.
-    modulus = p * p - 1
-    exp_a = (p + 1) // 2 * r % modulus
-    ok = all(exp_a * _pair_with_2rho(rd, i) % modulus == (p + 1) * r % modulus
-             for i in range(rd.rank_ss))
     sqrt_in_base = r % 2 == 0
     notes = () if sqrt_in_base else (
         "square root of the cyclotomic power taken in the quadratic extension",)
-    dims = example_local_dims(r, p)
-    return ExampleReport(
-        pairing_identity=pairing_ok,
-        very_good=vg,
-        extension_space_dim=dims[1],
-        multiplicative_check=ok,
-        sqrt_in_base_field=sqrt_in_base,
-        notes=notes,
-    )
-
-
-def _pair_with_2rho(rd: RootDatum, simple_index: int) -> int:
-    """<alpha_i, 2 rho^vee> = 2 height(alpha_i) = 2."""
-    alpha = tuple(int(k == simple_index) for k in range(rd.rank_ss))
-    return 2 * rd.height(alpha)
-
-
-def _principal_pairing_identity(rd: RootDatum) -> bool:
-    return all(_pair_with_2rho(rd, i) == 2 for i in range(rd.rank_ss))
+    return ExampleReport(very_good=very_good_prime(rd, p), sqrt_in_base_field=sqrt_in_base,
+                         notes=notes)

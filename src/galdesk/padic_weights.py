@@ -1,6 +1,6 @@
 """Truncated power series over Z_p, Newton-polygon root counting, the
-root-of-unity constancy test, weight-space ranks, parallel-weight
-functionals, and the infinitesimal-weight dichotomy.
+root-of-unity constancy test, parallel-weight functionals, and the
+infinitesimal-weight dichotomy.
 
 A series in nvars variables to total degree cap D is dense: it has one slot
 per monomial of degree <= D, in the fixed order of `_monomials` (by total
@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ffield as ff
-from .errors import InputError, VerificationFailure
+from .errors import InputError
 from .padics import MAX_PRECISION, PadicInt, log_unit, teichmuller
 
 
@@ -465,7 +465,6 @@ class WeightPoint:
 
     model: UnitsModel
     values: dict[tuple[str, int], PadicInt]
-    algebraic_exponents: dict[tuple[str, int], int]
 
     def __post_init__(self):
         for slot in self.model.slots():
@@ -491,19 +490,11 @@ def algebraic_weight(model: UnitsModel, exponents: dict, prec: int,
         if slot in torsion:
             value = value * teichmuller(int(torsion[slot]), model.p, prec)
         values[slot] = value
-    return WeightPoint(model, values, dict(exponents))
+    return WeightPoint(model, values)
 
 
 def _unit_power(u: PadicInt, n: int) -> PadicInt:
     return PadicInt(u.p, pow(u.residue, n, u.modulus), u.prec)  # n < 0 inverts the unit
-
-
-def is_locally_parallel(chi: WeightPoint) -> bool:
-    for w, wbar, f in chi.model.pairs:
-        for j in range(f):
-            if chi.algebraic_exponents.get((w, j), 0) != chi.algebraic_exponents.get((wbar, j), 0):
-                return False
-    return True
 
 
 def parallel_functional(chi: WeightPoint, u: NormOneElement) -> PadicInt:
@@ -518,38 +509,6 @@ def parallel_functional(chi: WeightPoint, u: NormOneElement) -> PadicInt:
     if total is None:
         raise WeightsError("element has empty support")
     return total
-
-
-def closure_rank(model: UnitsModel, which: str) -> int:
-    """Rank of the exponent lattice cut out by the weight-subgroup choice.
-
-    "full" is the identity on the generator slots.  "norm-image" has one row
-    per (pair, generator index), with ones on the two slots it pairs; the rows
-    have disjoint supports, so its rank is the number of rows, sum f.
-    """
-    if which == "full":
-        return len(model.slots())
-    if which == "norm-image":
-        return sum(f for _, _, f in model.pairs)
-    raise WeightsError(f"unknown subgroup spec {which!r}")
-
-
-# -- infinitesimal weights -------------------------------------------------------
-
-
-def is_parallel_pair(x_w, x_wbar, minus_w0, p: int) -> bool:
-    """x_w = -w0 . x_wbar coordinate-wise, generator-major layout."""
-    x_w = np.asarray(x_w, dtype=np.int64) % p
-    x_wbar = np.asarray(x_wbar, dtype=np.int64) % p
-    d = len(minus_w0)
-    if x_w.shape != x_wbar.shape or x_w.size % d:
-        raise WeightsError("weight vectors have mismatched arity")
-    f = x_w.size // d
-    for j in range(f):
-        for i in range(d):
-            if x_w[j * d + i] != x_wbar[j * d + minus_w0[i]]:
-                return False
-    return True
 
 
 # -- the dichotomy -----------------------------------------------------------------
@@ -622,10 +581,11 @@ class SparsityCertificate:
 
 def passage_dichotomy(family: DichotomyFamily):
     """Either every ratio f_w/f_wbar is a constant root of unity, in which
-    case the paired infinitesimal weights are returned (and checked to be
-    parallel), or the first entry whose ratio is not yields a finite-solution
-    certificate for every root of unity, or is Undetermined at zeta0 when the
-    precision cannot fix its Weierstrass data.
+    case the paired infinitesimal weights are returned, or the first entry
+    whose ratio is not yields a finite-solution certificate for every root of
+    unity, or is Undetermined at zeta0 when the precision cannot fix its
+    Weierstrass data.  The returned pairs are parallel: f_w = zeta0 f_wbar mod
+    p on the constant and linear terms gives a1/a0 = b1/b0 for every entry.
 
     Each entry is decided by constancy_test(f_w, f_wbar), with no quotient
     formed.  The certificate holds its witness at zeta0; it is "empty" at
@@ -657,8 +617,6 @@ def passage_dichotomy(family: DichotomyFamily):
                     # The wbar series carries the -w0 composition, so undo the
                     # index permutation to report the plain wbar weight.
                     x_wbar[j * family.d + family.minus_w0[i]] = b1 * pow(b0, -1, p) % p
-            if not is_parallel_pair(x_w, x_wbar, family.minus_w0, p):
-                raise VerificationFailure("constant-ratio family produced non-parallel weights")
             pairs.append((pl, var, x_w, x_wbar))
     return ParallelWeights(pairs)
 

@@ -363,23 +363,16 @@ def ramakrishna_root_set(t: TorusElement, q: int):
     return hits, unique, (hits[0] if unique else None)
 
 
-def unique_root_certificate(rd: RootDatum, alpha_index: int, use_control: bool = False) -> bool:
+def unique_root_certificate(rd: RootDatum, alpha_index: int) -> bool:
     """Check that beta = alpha_i is the unique root pairing to 2 against
-    4 rho^vee - alpha_i^vee (or against 2 rho^vee when use_control is set).
+    4 rho^vee - alpha_i^vee.
 
-    <beta, rho^vee> = height(beta), so the pairing is 4 ht(beta) - <beta, alpha^vee>
-    (control: 2 ht(beta)); brute force over the full root set.
+    <beta, rho^vee> = height(beta), so the pairing is 4 ht(beta) - <beta, alpha^vee>;
+    brute force over the full root set.
     """
     alpha = tuple(int(k == alpha_index) for k in range(rd.rank_ss))
-    hits = []
-    for beta in rd.all_roots():
-        ht = rd.height(beta)
-        if use_control:
-            val = 2 * ht
-        else:
-            val = 4 * ht - rd.pair_root_coroot(beta, alpha_index)
-        if val == 2:
-            hits.append(beta)
+    hits = [beta for beta in rd.all_roots()
+            if 4 * rd.height(beta) - rd.pair_root_coroot(beta, alpha_index) == 2]
     return hits == [alpha]
 
 

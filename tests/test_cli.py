@@ -16,6 +16,8 @@ from galdesk import scenarios as sc
 from galdesk import padics as pa
 from galdesk import padic_weights as pw
 from series_payload import series_payload
+from test_documents import DOCUMENTS
+from test_reach import EXTRA_DOCUMENTS
 
 
 def run_cli(capsys, *argv):
@@ -280,7 +282,7 @@ def test_selmer_scenario_not_exact_exit_1(tmp_path, capsys):
     code, out = run_cli(capsys, "run", path)
     assert code == 1
     checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
-    assert checks == {"reciprocity": True, "exactness": False}
+    assert checks == {"exactness": False}
 
 
 def test_selmer_scenario_unknown_condition_place_exit_2(tmp_path, capsys):
@@ -844,12 +846,15 @@ def test_out_flag_and_table_format(tmp_path, capsys):
 
 
 def test_table_format_is_pinned(capsys):
-    # The separator, a check's extras without its name and pass, and the
-    # report's keys without checks, status, scenario and seed.
+    # The separator and the report's keys without checks, status, scenario
+    # and seed; then a check's extras without its name and pass.
     code, out = run_cli(capsys, "run", "sec9-example-a1", "--format", "table")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "7e7cf37c3a7c0e384e16fe7fdf2074f3ef337ac0f9736082a26b78f2ae0556b3"
+        "0deca7177ef91a10b84fa1b87507cacfaa6a13f2e89219718534facd3b924641"
+    code, out = run_cli(capsys, "run", "numerology-large-image", "--format", "table")
+    assert code == 0
+    assert '[PASS] A2 bound 29    {"got": 29}' in out.splitlines()
 
 
 def test_list_json_is_the_catalog(capsys):
@@ -895,3 +900,18 @@ def test_every_builtin_exits_zero(capsys):
         code, out = run_cli(capsys, "run", builtin, "--seed", "1")
         assert code == 0, builtin
         assert hashlib.sha256(out.encode()).hexdigest() == golden[builtin], builtin
+
+
+def test_every_document_report_is_pinned(tmp_path, monkeypatch, capsys):
+    # sha256 of the json report of each document at seed 3, run from its own
+    # directory so that the report's scenario field, the path, is its name.
+    golden = json.loads((Path(__file__).parent / "golden_documents.json").read_text())
+    documents = DOCUMENTS + EXTRA_DOCUMENTS
+    assert sorted(golden) == sorted(f"doc{i}.json" for i in range(len(documents)))
+    monkeypatch.chdir(tmp_path)
+    for i, (kind, payload) in enumerate(documents):
+        name = f"doc{i}.json"
+        write_scenario(tmp_path, kind, payload, seed=3, name=name)
+        code, out = run_cli(capsys, "run", name)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[name], (name, kind)

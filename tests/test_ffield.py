@@ -226,7 +226,7 @@ def sparse_matrix(seed, p, m, n, nonzeros):
 def python_kernel_rule(a, p):
     (m, n), nonzeros = a.shape, np.count_nonzero(a)
     return a.size <= ff._SMALL_CELLS or (
-        a.size <= ff._SPARSE_CELLS and m <= 4 * n and p < ff._SPARSE_PRIMES
+        a.size <= ff._SPARSE_CELLS and max(m, n) <= 16 * min(m, n) and p < ff._SPARSE_PRIMES
         and nonzeros <= ff._SPARSE_NONZEROS)
 
 
@@ -248,13 +248,14 @@ def kernel_rule_matrices(draw):
     - "small": dense, T/2 to T cells (inside);
     - "dense": dense, T to 2T cells (outside, unless few entries are nonzero);
     - "sparse": T to S cells with Z - 8 to Z nonzeros (inside for p below
-      ff._SPARSE_PRIMES and at most four rows a column, outside otherwise);
+      ff._SPARSE_PRIMES and neither side above sixteen times the other, outside
+      otherwise);
     - "sparse-many": T to S cells with Z + 1 to Z + 8 nonzeros (outside);
     - "sparse-wide": S to 2S cells with Z - 8 to Z nonzeros (outside);
     plus matrices with no rows or no columns."""
     t, s, z = ff._SMALL_CELLS, ff._SPARSE_CELLS, ff._SPARSE_NONZEROS
     p = draw(st.sampled_from(PRIMES + [32749, 32771, BIG_PRIME]))  # around 2^15
-    n = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 256))  # wide enough for both sides of the aspect bound
     seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["small", "dense", "sparse", "sparse-many", "sparse-wide"]))
     lo, hi = {"small": (t // 2 + 1, t), "dense": (t + 1, 2 * t),
@@ -326,8 +327,9 @@ def test_kernel_rule_on_named_inputs():
     """The rule by name: a 1000 x 1000 matrix with 40 nonzeros has a million
     cells to scan, so it goes to numpy; a 20 x 21 one with 19 goes to Python,
     unless p is too large for one-digit products, and so does a 16 x 17 one
-    with 77, the size of tame-duality's largest systems; a sparse 50 x 6 one
-    goes to numpy, whose cost per pivot does not grow with the rows."""
+    with 77, the size of tame-duality's largest systems, and a sparse 50 x 6
+    one; sparse 256 x 4 and 4 x 256 ones, one side 64 times the other, go to
+    numpy, whose cost per pivot does not grow with the long side."""
     t, z = ff._SMALL_CELLS, ff._SPARSE_NONZEROS
     cases = [
         (np.ones((1, t), dtype=np.int64), BIG_PRIME, True),
@@ -338,7 +340,9 @@ def test_kernel_rule_on_named_inputs():
         (sparse_matrix(0, 7, 32, 32, z), 7, True),
         (sparse_matrix(0, 7, 32, 32, z + 1), 7, False),
         (sparse_matrix(0, 7, 40, 10, z), 7, True),
-        (sparse_matrix(0, 7, 50, 6, z), 7, False),
+        (sparse_matrix(0, 7, 50, 6, z), 7, True),
+        (sparse_matrix(0, 7, 256, 4, z), 7, False),
+        (sparse_matrix(0, 7, 4, 256, z), 7, False),
         (sparse_matrix(0, 7, 1000, 1000, 40), 7, False),
     ]
     for a, p, python in cases:

@@ -84,6 +84,25 @@ def textbook(fam, rk):
             ("F", 4): (12, 1, {2, 3}), ("G", 2): (6, 1, {2, 3})}[(fam, rk)]
 
 
+def reflection_closure(m: np.ndarray) -> set:
+    """The positive roots of the Cartan matrix m, M[i][j] = <alpha_i, alpha_j^vee>,
+    in the simple-root basis: the simple roots closed under the simple
+    reflections s_j(r) = r - <r, alpha_j^vee> alpha_j, positives kept."""
+    d = len(m)
+    simple = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    found, frontier = set(simple), list(simple)
+    while frontier:
+        r = frontier.pop()
+        for j in range(d):
+            image = list(r)
+            image[j] -= sum(r[i] * int(m[i, j]) for i in range(d))
+            image = tuple(image)
+            if min(image) >= 0 and image not in found:
+                found.add(image)
+                frontier.append(image)
+    return found
+
+
 def test_every_type_against_the_textbook():
     assert len(ALL_TYPES) == 64
     for fam, rk in ALL_TYPES:
@@ -93,6 +112,10 @@ def test_every_type_against_the_textbook():
         assert len(rd.all_roots()) == rk * h, (fam, rk)
         assert len(rdm.longest_element(rd)[0]) == rd.num_positive, (fam, rk)
         assert {q for q in ODD_PRIMES if not rdm.very_good_prime(rd, q)} == bad - {2}, (fam, rk)
+        # <alpha_i, 2 rho^vee> = 2 at every simple root, with 2 rho^vee the sum
+        # of the positive coroots: the positive roots of the transposed matrix.
+        two_rho_vee = np.sum(sorted(reflection_closure(rd.cartan.T)), axis=0)
+        assert (rd.cartan @ two_rho_vee).tolist() == [2] * rk, (fam, rk)
 
 
 def test_compound_type_takes_each_factor():
@@ -224,7 +247,7 @@ def test_compound_type_smoke():
     assert mw0 == [0, 1]
     assert all(rdm.unique_root_certificate(rd, i) for i in range(2))
     # The control is non-unique across factors: both simple roots pair to 2.
-    assert not rdm.unique_root_certificate(rd, 0, use_control=True)
+    assert len(control_hits(rd)) == 2
 
 
 def test_parallel_cocharacter_requires_central():
@@ -294,16 +317,21 @@ def test_unique_root_certificate_exhaustive(fam, rk):
         assert rdm.unique_root_certificate(rd, i)
 
 
+def control_hits(rd):
+    """The roots that pair to 2 against 2 rho^vee, the control in place of the
+    certificate's 4 rho^vee - alpha_i^vee: <beta, 2 rho^vee> = 2 ht(beta)."""
+    return [beta for beta in rd.all_roots() if 2 * sum(beta) == 2]
+
+
 @pytest.mark.parametrize("fam,rk", [t for t in TEST_TYPES if t[1] >= 2])
 def test_control_certificate_fails_rank_ge_2(fam, rk):
-    rd = datum(fam, rk)
-    for i in range(rd.rank_ss):
-        assert not rdm.unique_root_certificate(rd, i, use_control=True)
+    # Every simple root is a hit, so none is the unique one.
+    assert len(control_hits(datum(fam, rk))) == rk
 
 
 def test_control_certificate_a1():
-    # Rank one: the control is vacuously unique.
-    assert rdm.unique_root_certificate(datum("A", 1), 0, use_control=True)
+    # Rank one: the one simple root is the unique hit.
+    assert control_hits(datum("A", 1)) == [(1,)]
 
 
 def test_very_good_prime():

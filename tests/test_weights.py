@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from galdesk import padics as pa
 from galdesk import padic_weights as pw
 from galdesk import root_datum as rdm
+from parallel_oracle import is_parallel_pair
 
 
 def imag_quad_model(p=5):
@@ -30,15 +30,15 @@ def test_weight_point_validation():
     m = imag_quad_model()
     one = pa.PadicInt.one(5, 8)
     with pytest.raises(pw.WeightsError, match="missing value at"):
-        pw.WeightPoint(m, {("w0", 0): one}, {})
+        pw.WeightPoint(m, {("w0", 0): one})
     with pytest.raises(pw.WeightsError, match="weight values must be units"):
-        pw.WeightPoint(m, {("w0", 0): one, ("wbar0", 0): pa.PadicInt(5, 5, 8)}, {})
+        pw.WeightPoint(m, {("w0", 0): one, ("wbar0", 0): pa.PadicInt(5, 5, 8)})
 
 
 def test_weights_default_to_exponent_zero():
     m = imag_quad_model()
     chi = pw.algebraic_weight(m, {}, prec=8)
-    assert chi.value("w0", 0) == pa.PadicInt.one(5, 8) and pw.is_locally_parallel(chi)
+    assert chi.value("w0", 0) == chi.value("wbar0", 0) == pa.PadicInt.one(5, 8)
 
 
 def test_parallel_functional_refusals():
@@ -64,49 +64,6 @@ def test_norm_one_validation():
         pw.NormOneElement(m, (("w0", 3, 1), ("wbar0", 3, -1)))
 
 
-def test_closure_ranks():
-    m = imag_quad_model()
-    assert pw.closure_rank(m, "full") == 2
-    assert pw.closure_rank(m, "norm-image") == 1
-    q = cm_quartic_model()
-    assert pw.closure_rank(q, "full") == 4
-    assert pw.closure_rank(q, "norm-image") == 2
-    with pytest.raises(pw.WeightsError):
-        pw.closure_rank(m, "zariski")
-
-
-def integer_rank(rows) -> int:
-    """Rank over Q by Fraction elimination."""
-    m = [[Fraction(int(x)) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        m[rank] = [x / m[rank][col] for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def test_closure_rank_matches_elimination():
-    rng = random.Random(12)
-    for _ in range(40):
-        pairs = tuple((f"w{i}", f"wbar{i}", rng.randrange(1, 4))
-                      for i in range(rng.randrange(1, 5)))
-        model = pw.UnitsModel(rng.choice([3, 5, 7]), pairs)
-        slots = model.slots()
-        norm_rows = [[int(pl in (w, wbar) and jj == j) for pl, jj in slots]
-                     for w, wbar, f in pairs for j in range(f)]
-        assert pw.closure_rank(model, "full") == integer_rank(np.eye(len(slots), dtype=int))
-        assert pw.closure_rank(model, "norm-image") == integer_rank(norm_rows)
-
-
 def test_parallel_functional_vanishing():
     m = imag_quad_model()
     u = pw.NormOneElement(m, (("w0", 0, 1), ("wbar0", 0, -1)))
@@ -114,7 +71,6 @@ def test_parallel_functional_vanishing():
     # kills the roots of unity, so the functional vanishes.
     chi = pw.algebraic_weight(m, {("w0", 0): 3, ("wbar0", 0): 3}, prec=8,
                               torsion={("w0", 0): 2, ("wbar0", 0): 3})
-    assert pw.is_locally_parallel(chi)
     assert pw.parallel_functional(chi, u).is_zero_at_prec()
     trivial = pw.algebraic_weight(m, {}, prec=8)
     assert pw.parallel_functional(trivial, u).is_zero_at_prec()
@@ -125,7 +81,6 @@ def test_parallel_functional_nonzero():
     u = pw.NormOneElement(m, (("w0", 0, 1), ("wbar0", 0, -1)))
     # chi(x) = x: weight (1, 0); log(1+p) has valuation 1.
     chi = pw.algebraic_weight(m, {("w0", 0): 1, ("wbar0", 0): 0}, prec=8)
-    assert not pw.is_locally_parallel(chi)
     val = pw.parallel_functional(chi, u)
     assert not val.is_zero_at_prec()
     assert val.valuation() == 1
@@ -160,7 +115,6 @@ def test_parallel_functional_suites():
         exps[(w, 0)] = exps[(wbar, 0)] + delta
         chi = pw.algebraic_weight(m, exps, prec=8)
         u = pw.NormOneElement(m, ((w, 0, 1), (wbar, 0, -1)))
-        assert not pw.is_locally_parallel(chi)
         assert not pw.parallel_functional(chi, u).is_zero_at_prec()
 
 
@@ -170,17 +124,17 @@ def test_parallel_functional_suites():
 
 def test_is_parallel_pair():
     # GL2: minus_w0 is the identity on the single simple root.
-    assert pw.is_parallel_pair([3], [3], [0], 5)
-    assert pw.is_parallel_pair([3], [8], [0], 5) and pw.is_parallel_pair([13], [3], [0], 5)
-    assert not pw.is_parallel_pair([3], [2], [0], 5)
+    assert is_parallel_pair([3], [3], [0], 5)
+    assert is_parallel_pair([3], [8], [0], 5) and is_parallel_pair([13], [3], [0], 5)
+    assert not is_parallel_pair([3], [2], [0], 5)
     for x_w, x_wbar in (([1, 2], [1]), ([1, 2, 3], [1, 2, 3])):
         with pytest.raises(pw.WeightsError, match="mismatched arity"):
-            pw.is_parallel_pair(x_w, x_wbar, [1, 0], 5)
+            is_parallel_pair(x_w, x_wbar, [1, 0], 5)
     # A2: minus_w0 swaps the two simple roots.
     mw0 = rdm.longest_element(rdm.build_root_datum([("A", 2)]))[1]
-    assert pw.is_parallel_pair([1, 2], [2, 1], mw0, 5)
-    assert not pw.is_parallel_pair([1, 2], [1, 2], mw0, 5)
-    assert pw.is_parallel_pair([0, 0], [0, 0], mw0, 5)
+    assert is_parallel_pair([1, 2], [2, 1], mw0, 5)
+    assert not is_parallel_pair([1, 2], [1, 2], mw0, 5)
+    assert is_parallel_pair([0, 0], [0, 0], mw0, 5)
 
 
 @given(st.data())
@@ -189,7 +143,7 @@ def test_is_parallel_pair_symmetric(data):
     mw0 = rdm.longest_element(rdm.build_root_datum([("A", 2)]))[1]
     x = np.array(data.draw(st.lists(st.integers(0, 4), min_size=4, max_size=4)))
     y = np.array(data.draw(st.lists(st.integers(0, 4), min_size=4, max_size=4)))
-    assert pw.is_parallel_pair(x, y, mw0, 5) == pw.is_parallel_pair(y, x, mw0, 5)
+    assert is_parallel_pair(x, y, mw0, 5) == is_parallel_pair(y, x, mw0, 5)
 
 
 def parallel_subspace(f: int, d: int, minus_w0):
@@ -213,7 +167,7 @@ def test_parallel_subspace_dims():
         # every basis column is a parallel pair
         n = f * d
         for j in range(n):
-            assert pw.is_parallel_pair(basis[:n, j], basis[n:, j], mw0, 5)
+            assert is_parallel_pair(basis[:n, j], basis[n:, j], mw0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +215,7 @@ def test_dichotomy_trivial_equal():
     verdict = pw.passage_dichotomy(fam)
     assert isinstance(verdict, pw.ParallelWeights)
     for pl, var, x_w, x_wbar in verdict.pairs:
-        assert pw.is_parallel_pair(x_w, x_wbar, (0,), p)
+        assert is_parallel_pair(x_w, x_wbar, (0,), p)
 
 
 def test_dichotomy_explicit_witness():
@@ -291,7 +245,7 @@ def test_dichotomy_teichmuller_scaled_pair():
     assert isinstance(verdict, pw.ParallelWeights)
     # The dual-number ratios agree even though the series differ by zeta.
     (pl, var, x_w, x_wbar) = verdict.pairs[0]
-    assert pw.is_parallel_pair(x_w, x_wbar, (0,), p)
+    assert is_parallel_pair(x_w, x_wbar, (0,), p)
 
 
 def test_dichotomy_corpus_100():
@@ -305,7 +259,7 @@ def test_dichotomy_corpus_100():
             verdict = pw.passage_dichotomy(fam)
             assert isinstance(verdict, pw.ParallelWeights)
             for pl, var, x_w, x_wbar in verdict.pairs:
-                assert pw.is_parallel_pair(x_w, x_wbar, fam.minus_w0, fam.p)
+                assert is_parallel_pair(x_w, x_wbar, fam.minus_w0, fam.p)
         else:
             fam = perturbed_family(rng, d=d, nvars=nvars, cap=cap)
             verdict = pw.passage_dichotomy(fam)
@@ -440,17 +394,17 @@ def verdict_key(verdict):
             getattr(verdict, "var", None), getattr(verdict, "degree", None))
 
 
-def draw_pair(data, mixed):
+def draw_pair(data, mixed, p=None, nvars=None, kind=None):
     """(f, h, kind): unit series over one p, each with its own cap and
-    precision, and how f was planted.
+    precision, and how f was planted; p, nvars and kind are drawn unless given.
 
     h is random.  f is zeta h ("constant"), zeta h plus a unit ("perturbed")
     or p times a unit ("undetermined") on one monomial off the constant, or
     random.  With `mixed`, some other terms of f are PadicInts at their own
     precision; otherwise every present term carries its series' precision.
     """
-    p = data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
-    nvars = data.draw(st.integers(1, 4), label="nvars")
+    p = p or data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
+    nvars = nvars or data.draw(st.integers(1, 4), label="nvars")
     (cap_f, prec_f), (cap_h, prec_h) = (
         (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 12))) for _ in "fh")
     top, cap = max(prec_f, prec_h), min(cap_f, cap_h)
@@ -470,7 +424,7 @@ def draw_pair(data, mixed):
         return terms
 
     h_terms = random_terms()
-    kind = data.draw(st.sampled_from(["constant", "perturbed", "undetermined", "random"]))
+    kind = kind or data.draw(st.sampled_from(["constant", "perturbed", "undetermined", "random"]))
     bumped = zero
     if kind == "random":
         f_terms = random_terms()
@@ -524,6 +478,27 @@ def test_mixed_precision_moves_only_constant_to_undetermined(data):
         assert verdict_key(verdict)[1:] == verdict_key(oracle)[1:]
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None, database=None)
+def test_constant_ratio_families_give_parallel_pairs(data):
+    """A family whose every ratio is a constant root of unity, its series
+    drawn as the constancy tests draw them (own caps and precisions, terms
+    of f at their own precision), is never given a certificate; when it is
+    given parallel weights, every pair is parallel by the oracle."""
+    p, nvars = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 3))
+    d, f = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    mw0 = rdm.longest_element(rdm.build_root_datum([("A", d)]))[1] if d > 1 else [0]
+    entries = [pw.DichotomyEntry("w0", i, j, *draw_pair(data, True, p, nvars, "constant")[:2])
+               for i in range(d) for j in range(f)]
+    fam = pw.DichotomyFamily(p, d, f, tuple(mw0), entries)
+    verdict = pw.passage_dichotomy(fam)
+    assert isinstance(verdict, (pw.ParallelWeights, pw.Undetermined))
+    if isinstance(verdict, pw.ParallelWeights):
+        assert len(verdict.pairs) == nvars
+        for _, _, x_w, x_wbar in verdict.pairs:
+            assert is_parallel_pair(x_w, x_wbar, mw0, p)
+
+
 def test_mixed_precision_ratio_is_not_read_constant():
     """f = 1 + 0 x + 25 x^2 with the x term known mod 5 alone, h = 1: the
     quotient's x^2 term takes precision 1 from the pair x * x and reads 0,
@@ -556,7 +531,7 @@ def test_dichotomy_multi_generator_and_places():
     assert len(verdict.pairs) == 2 * nvars
     for pl, var, x_w, x_wbar in verdict.pairs:
         assert x_w.size == f * d
-        assert pw.is_parallel_pair(x_w, x_wbar, mw0, p)
+        assert is_parallel_pair(x_w, x_wbar, mw0, p)
 
 
 def test_dichotomy_invalid_minus_w0():
