@@ -61,6 +61,17 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     return (normalize(a, p) @ normalize(b, p)) % p
 
 
+def block_diag(blocks) -> np.ndarray:
+    """The square matrices `blocks` down the diagonal, zeros elsewhere."""
+    n = sum(len(b) for b in blocks)
+    out = zeros((n, n))
+    pos = 0
+    for b in blocks:
+        out[pos : pos + len(b), pos : pos + len(b)] = b
+        pos += len(b)
+    return out
+
+
 def is_prime(n: int) -> bool:
     """Trial division; the one primality test every layer uses."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -73,13 +84,6 @@ def is_odd_prime(p: int) -> bool:
 def products_fit(p: int, n: int) -> bool:
     """Does a sum of n products of residues mod p stay below 2^63 (int64)?"""
     return max(n, 1) * p * p < 2**63
-
-
-def inv_scalar(x: int, p: int) -> int:
-    x %= p
-    if x == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(x, p - 2, p)
 
 
 def rref(a, p: int):
@@ -142,7 +146,7 @@ def _eliminate(r: np.ndarray, p: int):
             r[[row, row + nz[0]]] = r[[row + nz[0], row]]
         pivot = r[row, col:]  # entries left of col are zero in the pivot row
         if pivot[0] != 1:
-            pivot[:] = (pivot * inv_scalar(int(pivot[0]), p)) % p
+            pivot[:] = (pivot * pow(int(pivot[0]), -1, p)) % p
         others = r[:, col].nonzero()[0]
         others = others[others != row]
         if others.size:
@@ -168,7 +172,7 @@ def _rref_small(r: np.ndarray, p: int):
         pivot = rows[best]
         rows[best], rows[row] = rows[row], pivot
         if pivot[col] != 1:
-            scale = inv_scalar(pivot[col], p)
+            scale = pow(pivot[col], -1, p)
             pivot[col:] = [x * scale % p for x in pivot[col:]]
         tail = None  # the pivot row's nonzeros right of col, once a row needs them
         for other in rows:

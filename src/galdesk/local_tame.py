@@ -118,10 +118,6 @@ class TameGaloisModule:
     def dim(self) -> int:
         return len(self.phi)
 
-    @property
-    def qbar(self) -> int:
-        return self.q % self.p
-
     @cached_property
     def phi_inv(self) -> np.ndarray:
         return ff.inv(self.phi, self.p)
@@ -139,7 +135,7 @@ class TameGaloisModule:
     @cached_property
     def phi_eff(self) -> np.ndarray:
         """Arithmetic Frobenius including the Tate twist: qbar^e * Phi."""
-        return (pow(self.qbar, self.twist % (self.p - 1), self.p) * self.phi) % self.p
+        return (pow(self.q, self.twist, self.p) * self.phi) % self.p
 
     def twisted(self, e: int) -> "TameGaloisModule":
         return self if e == 0 else TameGaloisModule._with_inverse(
@@ -152,13 +148,13 @@ class TameGaloisModule:
     @cached_property
     def _dual(self) -> "TameGaloisModule":
         # Phi_eff = s.Phi with s = qbar^twist, and Tau^-1 = Tau^(p-1) as Tau^p = 1.
-        # Phi_d = c.Phi^-T with c = qbar/s has the inverse c^-1.Phi^T.
+        # Phi_d = c.Phi^-T with c = qbar/s = qbar^(1 - twist) has the inverse c^-1.Phi^T.
         p = self.p
-        # c < p^2 and c Phi^-T < p^3 fit int64 under the table budget; inv_scalar
-        # and __post_init__ reduce them.
-        c = self.qbar * ff.inv_scalar(pow(self.qbar, self.twist % (p - 1), p), p)
+        c = pow(self.q, 1 - self.twist, p)
+        # c Phi^-T < p^2 fits int64, as the table budget keeps p below 10^6;
+        # __post_init__ reduces it.
         phi_d = c * self.phi_inv.T
-        phi_d_inv = ff.inv_scalar(c, p) * self.phi.T % p
+        phi_d_inv = pow(c, -1, p) * self.phi.T % p
         tau_d = self._tau_powers[p - 1].T
         return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, tau_d, 0)
 
@@ -364,7 +360,7 @@ class AdjointModule:
     def module(self) -> TameGaloisModule:
         # beta(t)^-1 = beta(t^-1), and t^-1 has the inverse simple values.
         p = self.p
-        inverse = [ff.inv_scalar(v, p) for v in self.t.simple_values]
+        inverse = [pow(v, -1, p) for v in self.t.simple_values]
         return TameGaloisModule(p, adjoint_torus_matrix(self.rd, p, inverse), self.q)
 
 
@@ -408,7 +404,7 @@ def l_alpha_component(a: AdjointModule, vector, alpha) -> int:
     d = a.rd.rank_ss
     t_part = ff.normalize(vector[:d], a.p)
     pairing = sum(int(a.rd.pair_root_coroot(alpha, j)) * int(t_part[j]) for j in range(d))
-    return pairing * ff.inv_scalar(2, a.p) % a.p
+    return pairing * pow(2, -1, a.p) % a.p
 
 
 def dual_root_component(a: AdjointModule, dual_vector, root) -> int:

@@ -55,10 +55,6 @@ class FieldSignature:
         return self.complex_places == 0
 
 
-def rational_signature() -> FieldSignature:
-    return FieldSignature(1, 1, 0, cm=False, local_degrees_above_p=(1,))
-
-
 def totally_real_signature(degree: int, local_degrees=None) -> FieldSignature:
     if not 1 <= degree <= MAX_DEGREE:
         raise NumerologyError(f"degree must be between 1 and {MAX_DEGREE}")
@@ -76,10 +72,6 @@ def cm_signature(degree: int, pair_degrees=None) -> FieldSignature:
         raise NumerologyError("pair degrees must sum to half the degree")
     local = tuple(f for f in fs for _ in range(2))
     return FieldSignature(degree, 0, degree // 2, cm=True, local_degrees_above_p=local)
-
-
-def imaginary_quadratic_signature() -> FieldSignature:
-    return cm_signature(2)
 
 
 # -- places and scenarios -----------------------------------------------------

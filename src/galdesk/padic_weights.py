@@ -318,17 +318,8 @@ def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
         raise SeriesError("Newton polygon needs a one-variable series")
     if g.is_zero_at_prec():
         raise SeriesError("zero series")
-    vals = {}
-    for idx, c in g.terms().items():
-        v = c.valuation()
-        if v is not None:
-            vals[idx[0]] = v
-    degree = None
-    for i in sorted(vals):
-        if vals[i] == 0:
-            degree = i
-            break
-    points = sorted(vals.items())
+    degree = _first_unit_index(g)
+    points = sorted((i, v) for (i,), c in g.terms().items() if (v := c.valuation()) is not None)
     hull = _lower_hull(points)
     slopes: list[tuple[Fraction, int]] = []
     if degree is not None:
@@ -340,6 +331,12 @@ def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
                 slopes.append((slope, x2 - x1))
     vertices = tuple((x, Fraction(y)) for x, y in hull)
     return WeierstrassData(vertices, degree, tuple(slopes))
+
+
+def _first_unit_index(g: TruncatedSeries) -> int | None:
+    """The index of the first unit coefficient of a one-variable series, or
+    None when none is a unit at this precision; an absent term has residue 0."""
+    return next((i for i, r in enumerate(g.residues) if r % g.p), None)
 
 
 def _lower_hull(points):
@@ -397,10 +394,9 @@ def constancy_test(f: TruncatedSeries, h: TruncatedSeries):
     if diff.is_zero_at_prec():
         return Constant(zeta0)
     for var in range(f.nvars):
-        axis = diff.specialize_to_axis(var)
         # The constant term of diff is not a unit, so a unit coefficient sits
         # at degree >= 1.
-        if not axis.is_zero_at_prec() and (degree := weierstrass_data(axis).degree) is not None:
+        if (degree := _first_unit_index(diff.specialize_to_axis(var))) is not None:
             return NonconstantWitness(zeta0, var, degree)
     return Undetermined(zeta0, None)
 

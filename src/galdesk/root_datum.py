@@ -54,22 +54,10 @@ def _cartan_matrix(family: str, rank: int) -> np.ndarray:
     return c
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n), dtype=np.int64)
-    pos = 0
-    for b in blocks:
-        k = len(b)
-        out[pos : pos + k, pos : pos + k] = b
-        pos += k
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class RootDatum:
     """Immutable root datum for a split reductive group."""
 
-    cartan_type: tuple[tuple[str, int], ...]
     cartan: np.ndarray  # d x d, C[i][j] = <alpha_i, alpha_j^vee>
     positive_roots: tuple[tuple[int, ...], ...]  # simple-root coordinates
     highest_roots: tuple[tuple[int, ...], ...]  # one per irreducible factor, in its coordinates
@@ -120,27 +108,9 @@ class RootDatum:
             prev = m[k][k]
         return m[-1][-1]
 
-    # -- pairings and reflections ---------------------------------------
-
     def pair_root_coroot(self, root, coroot_index: int) -> int:
         """<root, alpha_j^vee> for a root in simple-root coordinates."""
         return int(sum(root[i] * self.cartan[i, coroot_index] for i in range(self.rank_ss)))
-
-    def reflect_root(self, root, j: int) -> tuple[int, ...]:
-        out = [int(c) for c in root]
-        out[j] -= self.pair_root_coroot(root, j)
-        return tuple(out)
-
-    def reflect_cochar(self, mu, j: int) -> np.ndarray:
-        mu = np.asarray(mu, dtype=np.int64)
-        return mu - int(np.dot(self.root_vectors[j], mu)) * self.coroot_vectors[j]
-
-    def pair_weight_coroot(self, lam, j: int) -> int:
-        return int(np.dot(self.coroot_vectors[j], np.asarray(lam, dtype=np.int64)))
-
-    def reflect_weight(self, lam, j: int) -> np.ndarray:
-        lam = np.asarray(lam, dtype=np.int64)
-        return lam - self.pair_weight_coroot(lam, j) * self.root_vectors[j]
 
 
 def build_root_datum(spec) -> RootDatum:
@@ -163,7 +133,7 @@ def build_root_datum(spec) -> RootDatum:
         least, greatest = RANKS[fam]
         if not least <= rk <= greatest:
             raise RootDatumError(f"there is no root system of type {fam}{rk}")
-    cartan = _block_diag([_cartan_matrix(fam, rk) for fam, rk in ctype])
+    cartan = ff.block_diag([_cartan_matrix(fam, rk) for fam, rk in ctype])
     positives = _positive_closure(cartan)
     # A factor's roots vanish off its own coordinates, so its highest root
     # is the highest of the positive roots cut to them.
@@ -173,7 +143,6 @@ def build_root_datum(spec) -> RootDatum:
         offset += rk
     # Simple roots are the rows of the Cartan matrix, simple coroots the unit vectors.
     return RootDatum(
-        cartan_type=ctype,
         cartan=cartan,
         positive_roots=positives,
         highest_roots=tuple(highest),
@@ -233,6 +202,18 @@ def very_good_prime(rd: RootDatum, p: int) -> bool:
 # -- Weyl group ------------------------------------------------------------
 
 
+def weyl_act(x, word, pair, shift) -> np.ndarray:
+    """Apply the simple reflections of `word` to x, word[0] first, where
+    s_j(x) = x - (pair[j] . x) shift[j] (Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI, 1.1).  The rows give the lattice: roots in simple-root
+    coordinates take (C^T, 1), weights (coroot rows, root rows) and
+    cocharacters (root rows, coroot rows)."""
+    x = np.asarray(x, dtype=np.int64)
+    for j in word:
+        x = x - int(np.dot(pair[j], x)) * shift[j]
+    return x
+
+
 def longest_element(rd: RootDatum) -> tuple[list[int], list[int]]:
     """Reduced word for w0 and the involution -w0 on simple indices.
 
@@ -242,36 +223,15 @@ def longest_element(rd: RootDatum) -> tuple[list[int], list[int]]:
     coordinates, where <lam, alpha_j^vee> = lam_j and alpha_j is row j of
     the Cartan matrix, whatever the torus model.
     """
-    d = rd.rank_ss
-    lam = np.ones(d, dtype=np.int64)  # rho
+    one = ff.eye(rd.rank_ss)
+    lam = np.ones(rd.rank_ss, dtype=np.int64)  # rho
     word: list[int] = []
     while (lam > 0).any():
         j = int(np.argmax(lam > 0))
-        lam = lam - lam[j] * rd.cartan[j]
+        lam = weyl_act(lam, [j], one, rd.cartan)
         word.append(j)
     # w0 sends alpha_i to -alpha_{-w0(i)}.
-    simple = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    return word, [_apply_word_to_root(rd, a, word).index(-1) for a in simple]
-
-
-def _apply_word_to_root(rd: RootDatum, root, word) -> tuple[int, ...]:
-    for j in word:
-        root = rd.reflect_root(root, j)
-    return root
-
-
-def w0_on_weight(rd: RootDatum, lam, word) -> np.ndarray:
-    lam = np.asarray(lam, dtype=np.int64)
-    for j in word:
-        lam = rd.reflect_weight(lam, j)
-    return lam
-
-
-def w0_on_cochar(rd: RootDatum, mu, word) -> np.ndarray:
-    mu = np.asarray(mu, dtype=np.int64)
-    for j in word:
-        mu = rd.reflect_cochar(mu, j)
-    return mu
+    return word, [weyl_act(a, word, rd.cartan.T, one).tolist().index(-1) for a in one]
 
 
 def theta_involution(rd: RootDatum, lam1, lam2):
@@ -281,8 +241,8 @@ def theta_involution(rd: RootDatum, lam1, lam2):
     if lam1.shape != (rd.weight_dim,) or lam2.shape != (rd.weight_dim,):
         raise RootDatumError("weights must lie in the same lattice as the datum")
     word = longest_element(rd)[0]
-    t1 = -w0_on_weight(rd, lam2, word)
-    t2 = -w0_on_weight(rd, lam1, word)
+    t1 = -weyl_act(lam2, word, rd.coroot_vectors, rd.root_vectors)
+    t2 = -weyl_act(lam1, word, rd.coroot_vectors, rd.root_vectors)
     fixed = bool(np.array_equal(lam1, t1) and np.array_equal(lam2, t2))
     return (t1, t2), fixed
 
@@ -294,7 +254,7 @@ def dominant_representative(rd: RootDatum, mu) -> np.ndarray:
     while True:
         for j in range(rd.rank_ss):
             if int(np.dot(rd.root_vectors[j], mu)) < 0:
-                mu = rd.reflect_cochar(mu, j)
+                mu = weyl_act(mu, [j], rd.root_vectors, rd.coroot_vectors)
                 break
         else:
             return mu
@@ -313,7 +273,8 @@ def parallel_cocharacter_check(rd: RootDatum, mu_w, mu_wbar, omega) -> bool:
     word = longest_element(rd)[0]
     dw = dominant_representative(rd, mu_w)
     dwbar = dominant_representative(rd, mu_wbar)
-    return bool(np.array_equal(dw, omega - w0_on_cochar(rd, dwbar, word)))
+    w0_dwbar = weyl_act(dwbar, word, rd.root_vectors, rd.coroot_vectors)
+    return bool(np.array_equal(dw, omega - w0_dwbar))
 
 
 # -- torus elements ---------------------------------------------------------
@@ -357,7 +318,7 @@ def ramakrishna_root_set(t: TorusElement, q: int):
     qbar = q % p
     if qbar in (0, 1):
         raise RootDatumError("q must not be 0 or 1 mod p")
-    target = ff.inv_scalar(qbar, p)
+    target = pow(qbar, -1, p)
     hits = [r for r in t.rd.all_roots() if t.root_value(r) == target]
     unique = len(hits) == 1
     return hits, unique, (hits[0] if unique else None)

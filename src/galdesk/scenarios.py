@@ -330,7 +330,7 @@ def builtin_numerology_wiles(seed):
                             all(rdm.theta_involution(rd, omega[i], omega[j])[1] == (j == mw0[i])
                                 for i in range(rd.rank_ss) for j in range(rd.rank_ss))))
     gl2 = rdm.gl_datum(2)
-    r = num.cm_parameter(num.imaginary_quadratic_signature(), gl2)
+    r = num.cm_parameter(num.cm_signature(2), gl2)
     checks.append(check("imaginary quadratic GL2: one-variable ring", r == 1, got=r))
     parallel = rdm.parallel_cocharacter_check(gl2, (3, 1), (4, 2), (5, 5))
     control = rdm.parallel_cocharacter_check(gl2, (1, 0), (1, 0), (0, 0))
@@ -469,7 +469,7 @@ def dichotomy_family(rng, perturbed: bool) -> pw.DichotomyFamily:
     d = rng.choice([1, 2])
     nvars = rng.randrange(1, 5)
     cap = rng.randrange(2, 7)
-    mw0 = rdm.longest_element(rdm.build_root_datum([("A", d)]))[1] if d > 1 else [0]
+    mw0 = rdm.longest_element(rdm.build_root_datum([("A", d)]))[1]
     entries = []
     for i in range(d):
         # A unit series: a unit constant term and random linear terms.
@@ -685,7 +685,7 @@ def _signature(value):
     sig = _mapping(value, "signature")
     kind = _field(sig, "kind", "totally_real")
     if kind == "rational":
-        return num.rational_signature()
+        return num.totally_real_signature(1)
     if kind not in ("totally_real", "cm"):
         raise ScenarioError(f"unknown signature kind {kind!r}")
     degree = _int(_field(sig, "degree"), "signature degree")

@@ -408,14 +408,7 @@ class SelmerSystem:
         return np.vstack([self.res_dual[v] for v in self.places])
 
     def block_pairing(self):
-        sizes = [self.local_dims[v] for v in self.places]
-        total = sum(sizes)
-        big = ff.zeros((total, total))
-        pos = 0
-        for v, s in zip(self.places, sizes):
-            big[pos : pos + s, pos : pos + s] = self.pairing[v]
-            pos += s
-        return big
+        return ff.block_diag([self.pairing[v] for v in self.places])
 
     def reciprocity_holds(self) -> bool:
         total = ff.zeros((self.dim_h, self.dim_h_dual))

@@ -705,6 +705,8 @@ def test_primality_below_thirty():
     assert [n for n in range(30) if ff.is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError, match="0 is not invertible mod 5"):
-        ff.inv_scalar(10, 5)
+def test_block_diag_places_each_block_on_the_diagonal():
+    out = ff.block_diag([np.array([[1, 2], [3, 4]]), ff.zeros((0, 0)), np.array([[5]])])
+    assert out.tolist() == [[1, 2, 0], [3, 4, 0], [0, 0, 5]]
+    assert out.dtype == np.int64
+    assert ff.block_diag([]).shape == (0, 0)

@@ -576,20 +576,24 @@ def count_rref(monkeypatch) -> list:
 
 def test_dual_twist_makes_no_elimination(monkeypatch):
     """The dual's Phi^-1 and Tau are closed forms in Phi and the power table,
-    and a twist inherits Phi^-1.  Oracle: the inverses by elimination."""
+    and a twist inherits Phi^-1.  Oracle: the inverses by elimination, and
+    qbar^twist by Fermat, for twists past one period of qbar of both signs."""
     rng = random.Random(77)
     calls = count_rref(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         p = m.p
-        calls.clear()
-        md = m.dual_twist()
-        mt = m.twisted(rng.randrange(-2, 3))
-        assert len(calls) == 0
-        assert np.array_equal(md.phi, m.qbar * ff.inv(m.phi_eff.T, p) % p)
-        assert np.array_equal(md.tau, ff.inv(m.tau.T, p))
-        assert np.array_equal(md.phi_inv, ff.inv(md.phi, p))
-        assert np.array_equal(mt.phi_inv, ff.inv(mt.phi, p))
+        far = [m.twisted(t - m.twist) for t in (p - 1, 1 - p, 2 * p + 1, -2 * p - 1)]
+        for mod in (m, *far):
+            calls.clear()
+            md = mod.dual_twist()
+            mt = mod.twisted(rng.randrange(-2, 3))
+            assert len(calls) == 0
+            assert np.array_equal(mod.phi_eff, pow(m.q % p, mod.twist % (p - 1), p) * m.phi % p)
+            assert np.array_equal(md.phi, m.q * ff.inv(mod.phi_eff.T, p) % p)
+            assert np.array_equal(md.tau, ff.inv(mod.tau.T, p))
+            assert np.array_equal(md.phi_inv, ff.inv(md.phi, p))
+            assert np.array_equal(mt.phi_inv, ff.inv(mt.phi, p))
 
 
 def test_h1_makes_two_eliminations(monkeypatch):
@@ -1021,7 +1025,7 @@ def per_root_adjoint_phi(a: lt.AdjointModule, twist: int) -> np.ndarray:
     for i in range(d):
         m[i, i] = scale
     for k, root in enumerate(a.rd.all_roots()):
-        m[d + k, d + k] = ff.inv_scalar(a.t.root_value(root), p) * scale % p
+        m[d + k, d + k] = pow(a.t.root_value(root), p - 2, p) * scale % p
     return m
 
 

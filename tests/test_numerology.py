@@ -13,7 +13,8 @@ GL2 = rdm.gl_datum(2)
 
 
 def test_signature_invariants():
-    assert num.totally_real_signature(1) == num.rational_signature()
+    assert num.totally_real_signature(1) == num.FieldSignature(
+        1, 1, 0, cm=False, local_degrees_above_p=(1,))
     with pytest.raises(num.NumerologyError):
         num.FieldSignature(3, 1, 2, cm=False, local_degrees_above_p=(3,))
     with pytest.raises(num.NumerologyError):
@@ -63,10 +64,10 @@ def test_wiles_difference_headline_values():
     scen = num.Scenario(GL2, num.totally_real_signature(2))
     assert num.wiles_difference(scen).difference == 0
     # Imaginary quadratic + nearly ordinary: +1 (one-variable deformation ring).
-    scen = num.Scenario(GL2, num.imaginary_quadratic_signature(), mode=num.NEARLY_ORDINARY)
+    scen = num.Scenario(GL2, num.cm_signature(2), mode=num.NEARLY_ORDINARY)
     assert num.wiles_difference(scen).difference == 1
     # Imaginary quadratic + ordinary on SL3: -2.
-    scen = num.Scenario(A2, num.imaginary_quadratic_signature())
+    scen = num.Scenario(A2, num.cm_signature(2))
     assert num.wiles_difference(scen).difference == -2
 
 
@@ -94,15 +95,15 @@ def test_balanced_place_has_no_effect(rd, h0, cm):
 
 
 def test_wiles_report_terms():
-    scen = num.Scenario(GL2, num.imaginary_quadratic_signature(), mode=num.NEARLY_ORDINARY)
+    scen = num.Scenario(GL2, num.cm_signature(2), mode=num.NEARLY_ORDINARY)
     rep = num.wiles_difference(scen)
     assert rep.difference == 1
     assert sum(v for _, v in rep.terms) == 1
 
 
 def test_cm_parameter():
-    assert num.cm_parameter(num.imaginary_quadratic_signature(), GL2) == 1
-    assert num.cm_parameter(num.imaginary_quadratic_signature(), A2) == 2
+    assert num.cm_parameter(num.cm_signature(2), GL2) == 1
+    assert num.cm_parameter(num.cm_signature(2), A2) == 2
     assert num.cm_parameter(num.cm_signature(4), B2) == 4
     with pytest.raises(num.NumerologyError):
         num.cm_parameter(num.totally_real_signature(2), GL2)

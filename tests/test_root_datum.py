@@ -143,6 +143,18 @@ def test_gl2_profile():
     assert (n, t0) == (1, 1)
 
 
+def lattice_rows(rd) -> dict:
+    """The (pair, shift) rows of the Weyl action on each lattice: roots in
+    simple-root coordinates, weights and cocharacters."""
+    return {"roots": (rd.cartan.T, np.eye(rd.rank_ss, dtype=np.int64)),
+            "weights": (rd.coroot_vectors, rd.root_vectors),
+            "cochars": (rd.root_vectors, rd.coroot_vectors)}
+
+
+def on_roots(rd, root, word) -> tuple:
+    return tuple(rdm.weyl_act(root, word, *lattice_rows(rd)["roots"]).tolist())
+
+
 @pytest.mark.parametrize("fam,rk", TEST_TYPES)
 def test_longest_element(fam, rk):
     rd = datum(fam, rk)
@@ -150,7 +162,7 @@ def test_longest_element(fam, rk):
     assert len(word) == rd.num_positive
     # w0 sends every positive root to a negative root.
     for root in rd.positive_roots:
-        img = rdm._apply_word_to_root(rd, root, word)
+        img = on_roots(rd, root, word)
         assert all(c <= 0 for c in img)
     # -w0 is an involutive Dynkin-diagram automorphism.
     assert sorted(mw0) == list(range(rd.rank_ss))
@@ -160,7 +172,7 @@ def test_longest_element(fam, rk):
             assert rd.cartan[mw0[i], mw0[j]] == rd.cartan[i, j]
     # w0 squared is the identity on the root set.
     for root in rd.positive_roots:
-        assert rdm._apply_word_to_root(rd, rdm._apply_word_to_root(rd, root, word), word) == root
+        assert on_roots(rd, on_roots(rd, root, word), word) == root
 
 
 def test_minus_w0_values():
@@ -236,8 +248,60 @@ def test_dominant_representative_properties(typ, data):
     assert np.array_equal(rdm.dominant_representative(rd, dom), dom)
     # w0 is an involution on the cocharacter lattice.
     word = rdm.longest_element(rd)[0]
-    assert np.array_equal(
-        rdm.w0_on_cochar(rd, rdm.w0_on_cochar(rd, mu, word), word), mu)
+    rows = lattice_rows(rd)["cochars"]
+    assert np.array_equal(rdm.weyl_act(rdm.weyl_act(mu, word, *rows), word, *rows), mu)
+
+
+def reflection_faults(rd, rows, lams, mus) -> list:
+    """The (relation, j) at which s_j^2 = 1 fails on roots, weights lams or
+    cocharacters mus, or <s_j lam, s_j mu> = lam . mu fails."""
+    faults = []
+    for j in range(rd.rank_ss):
+        for name, xs in (("roots", rd.all_roots()), ("weights", lams), ("cochars", mus)):
+            if not all(np.array_equal(rdm.weyl_act(x, [j, j], *rows[name]), x) for x in xs):
+                faults.append((name, j))
+        s_lams = [rdm.weyl_act(lam, [j], *rows["weights"]) for lam in lams]
+        s_mus = [rdm.weyl_act(mu, [j], *rows["cochars"]) for mu in mus]
+        if [[int(a @ b) for b in s_mus] for a in s_lams] != [[int(a @ b) for b in mus] for a in lams]:
+            faults.append(("pairing", j))
+    return faults
+
+
+REFLECTION_DATA = [(f"{fam}{rk}", datum(fam, rk)) for fam, rk in TEST_TYPES] + \
+    [(f"GL{n}", rdm.gl_datum(n)) for n in range(2, 6)]
+
+
+@given(st.sampled_from(REFLECTION_DATA), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_reflection_is_an_involution_that_keeps_the_pairing(named, data):
+    """s_j^2 = 1 on every lattice and <s_j lam, s_j mu> = <lam, mu>; theta
+    and the parallel cocharacter check apply w0 as weyl_act does."""
+    _, rd = named
+    n = rd.weight_dim
+    vectors = st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(np.array),
+                       min_size=1, max_size=3)
+    lams, mus = data.draw(vectors), data.draw(vectors)
+    rows = lattice_rows(rd)
+    assert reflection_faults(rd, rows, lams, mus) == []
+    word = rdm.longest_element(rd)[0]
+    (t1, _), _ = rdm.theta_involution(rd, lams[0], lams[0])
+    assert np.array_equal(t1, -rdm.weyl_act(lams[0], word, *rows["weights"]))
+    # -w0 keeps a dominant cocharacter dominant, so this pair is parallel for omega = 0.
+    dom = rdm.dominant_representative(rd, mus[0])
+    minus_w0_dom = -rdm.weyl_act(dom, word, *rows["cochars"])
+    assert rdm.parallel_cocharacter_check(rd, minus_w0_dom, mus[0], np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("fam,rk", [("B", 2), ("C", 3), ("G", 2)])
+def test_reflection_relations_catch_weights_reflected_with_cochar_rows(fam, rk):
+    """The pairing relation tells the two row choices apart one reflection at
+    a time; w0 acts as minus the diagram involution on both bases, so theta
+    alone cannot."""
+    rd = datum(fam, rk)
+    rows = lattice_rows(rd)
+    rows["weights"] = rows["cochars"]
+    basis = list(np.eye(rd.weight_dim, dtype=np.int64))
+    assert ("pairing", 0) in reflection_faults(rd, rows, basis, basis)
 
 
 def test_compound_type_smoke():

@@ -478,6 +478,61 @@ def test_mixed_precision_moves_only_constant_to_undetermined(data):
         assert verdict_key(verdict)[1:] == verdict_key(oracle)[1:]
 
 
+def first_unit_scan(coeffs) -> int | None:
+    """The first index whose coefficient, a PadicInt or None for an absent
+    term, has valuation 0."""
+    return next((i for i, c in enumerate(coeffs) if c is not None and c.valuation() == 0), None)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, database=None)
+def test_weierstrass_degree_is_the_first_unit_coefficient(data):
+    """Over series with absent terms, present zeros, terms at their own
+    precision and non-unit constants, the degree is the first index whose
+    term, as given, has valuation 0."""
+    p, prec, cap = (data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 8)),
+                    data.draw(st.integers(0, 8)))
+    values = st.one_of(st.just(0), st.integers(1, p - 1),
+                       st.integers(0, p**prec).map(lambda v: p * v), st.integers(0, p ** (prec + 1)))
+    terms, given_terms = {}, []
+    for i in range(cap + 1):
+        if not data.draw(st.booleans()):
+            given_terms.append(None)
+            continue
+        value, own = data.draw(values), data.draw(st.one_of(st.none(), st.integers(1, prec + 2)))
+        terms[(i,)] = value if own is None else pa.PadicInt(p, value, own)
+        given_terms.append(pa.PadicInt(p, value, min(own or prec, prec)))
+    g = pw.TruncatedSeries(p, 1, prec, cap, terms)
+    if all(c is None or c.is_zero_at_prec() for c in given_terms):
+        with pytest.raises(pw.SeriesError, match="zero series"):
+            pw.weierstrass_data(g)
+    else:
+        assert pw.weierstrass_data(g).degree == first_unit_scan(given_terms)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, database=None)
+def test_constancy_witness_is_the_first_unit_coefficient(data):
+    """A witness names the first axis on which f - zeta0 h, formed term by
+    term from PadicInts, has a unit coefficient, and the first index of
+    one; Undetermined means no axis has one."""
+    f, h, _ = draw_pair(data, mixed=data.draw(st.booleans()))
+    verdict = pw.constancy_test(f, h)
+    if isinstance(verdict, pw.Constant):
+        return
+    cap = min(f.degree_cap, h.degree_cap)
+    hits = []
+    for var in range(f.nvars):
+        axis = [tuple(k * (j == var) for j in range(f.nvars)) for k in range(cap + 1)]
+        scan = first_unit_scan([f.coeff(m) - verdict.zeta * h.coeff(m) for m in axis])
+        if scan is not None:
+            hits.append((var, scan))
+    if isinstance(verdict, pw.NonconstantWitness):
+        assert hits[0] == (verdict.var, verdict.degree)
+    else:
+        assert isinstance(verdict, pw.Undetermined) and hits == []
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None, database=None)
 def test_constant_ratio_families_give_parallel_pairs(data):
