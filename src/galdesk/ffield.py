@@ -193,7 +193,12 @@ def rank(a, p: int) -> int:
 
 def nullspace(a, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of an (n x k) matrix."""
-    r, pivots = rref(a, p)
+    return _kernel(*rref(a, p), p)[0]
+
+
+def _kernel(r, pivots, p: int):
+    """The right kernel of an RREF matrix r with these pivots: its basis and
+    the free (non-pivot) columns, at which the basis rows are the identity."""
     n = r.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
@@ -201,7 +206,7 @@ def nullspace(a, p: int) -> np.ndarray:
     basis = zeros((n, free.size))
     basis[free, np.arange(free.size)] = 1
     basis[np.array(pivots, dtype=np.intp)] = (-r[: len(pivots), free]) % p
-    return basis
+    return basis, free
 
 
 def solve(a, b, p: int):

@@ -26,15 +26,22 @@ of the dual's table of powers T'^0, ..., T'^p for any q.  The overall scalar
 is pinned down by the checks the duality operations must satisfy (perfect
 Gram matrices, annihilator of the unramified subspace).
 
-Each module builds that table of inertia powers once, in p products of
-n x n matrices, and reads every power of T from it: the order check
-T^p = 1, T^q, the relator's S_q as prefix sums, and T^-1 = T^(p-1) for the
-dual.  It holds (p + 1) n^2 entries.  Phi^-1 is one elimination, except for
-a dual or a twist, which inherit it in closed form and check it with one
+Each module family builds that table of inertia powers once, in p
+products of n x n matrices, and reads every power of T from it: the order
+check T^p = 1, T^q, the relator's S_q as prefix sums, and T^-1 = T^(p-1)
+for the dual.  It holds (p + 1) n^2 entries and is read-only: a twist
+shares it, and the dual reads it reversed and transposed, as
+T'^k = (T^(p-k))^T.  Phi^-1 is one elimination, except for a dual, a twist
+or an adjoint module, which take it in closed form and check it with one
 product.
 
-The image of H^1(W) for an invariant subspace W (the Ramakrishna condition)
-is read off the cocycles of M with values in W, so W gets no module.
+H^1 = Z^1/B^1 is reduced in the free coordinates of Z^1: a cocycle is fixed
+by its entries at the free columns of the relator's RREF, so the quotient
+is a k x (n + k) elimination for k = dim Z^1, whose right block maps a
+cocycle's free entries to its class coordinates.  The image of H^1(W) for
+an invariant subspace W (the Ramakrishna condition) is read off the
+cocycles of M with values in W, (w x; w y) for (x; y) in the kernel of the
+n x 2k system d1 (1_2 (x) w), so W gets no module.
 """
 
 from __future__ import annotations
@@ -106,11 +113,14 @@ class TameGaloisModule:
             raise TameModuleError("Phi Tau Phi^-1 != Tau^q")
 
     @classmethod
-    def _with_inverse(cls, phi_inv, p, phi, q, tau, twist) -> "TameGaloisModule":
-        """A module whose Phi^-1 is already known: it is seeded into the
-        `phi_inv` cache before __post_init__ runs, which then checks it."""
+    def _with_inverse(cls, phi_inv, p, phi, q, tau, twist, powers=None) -> "TameGaloisModule":
+        """A module whose Phi^-1, and perhaps its inertia table, is already
+        known: they are seeded into their caches before __post_init__ runs,
+        which then checks Phi^-1, T^p = 1 and T^q against them."""
         m = cls.__new__(cls)
         m.__dict__["phi_inv"] = phi_inv
+        if powers is not None:
+            m.__dict__["_tau_powers"] = powers
         m.__init__(p, phi, q, tau, twist)
         return m
 
@@ -124,12 +134,13 @@ class TameGaloisModule:
 
     @cached_property
     def _tau_powers(self) -> np.ndarray:
-        """T^0, ..., T^p stacked as a (p + 1) x n x n array."""
+        """T^0, ..., T^p stacked as a read-only (p + 1) x n x n array."""
         p = self.p
         powers = np.empty((p + 1, self.dim, self.dim), dtype=np.int64)
         powers[0] = ff.eye(self.dim)
         for i in range(p):
             powers[i + 1] = (powers[i] @ self.tau) % p
+        powers.flags.writeable = False  # twists and the dual share it
         return powers
 
     @cached_property
@@ -139,7 +150,7 @@ class TameGaloisModule:
 
     def twisted(self, e: int) -> "TameGaloisModule":
         return self if e == 0 else TameGaloisModule._with_inverse(
-            self.phi_inv, self.p, self.phi, self.q, self.tau, self.twist + e)
+            self.phi_inv, self.p, self.phi, self.q, self.tau, self.twist + e, self._tau_powers)
 
     def dual_twist(self) -> "TameGaloisModule":
         """M^vee(1): arithmetic action qbar * (Phi_eff^T)^-1, inertia (Tau^T)^-1."""
@@ -155,8 +166,9 @@ class TameGaloisModule:
         # __post_init__ reduces it.
         phi_d = c * self.phi_inv.T
         phi_d_inv = pow(c, -1, p) * self.phi.T % p
-        tau_d = self._tau_powers[p - 1].T
-        return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, tau_d, 0)
+        # T' = (T^T)^-1 has T'^k = (T^(p-k))^T: the table reversed and transposed.
+        powers = self._tau_powers[::-1].transpose(0, 2, 1)
+        return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, powers[1], 0, powers)
 
     # -- relator operators -------------------------------------------------
 
@@ -201,30 +213,43 @@ class TameGaloisModule:
 
     @cached_property
     def _h1(self) -> "H1Space":
-        z1 = ff.nullspace(self.relator_matrix, self.p)
-        # B^1 = im d0 lies in Z^1 = ker d1, as QuotientSpace requires: d1 d0 =
-        # Phi_eff T - T^q Phi_eff, which __post_init__ refuses to let be nonzero.
-        return H1Space(self, ff.QuotientSpace(z1, self.coboundary_matrix, self.p))
+        p, n = self.p, self.dim
+        z1, free = ff._kernel(*ff.rref(self.relator_matrix, p), p)
+        k = len(free)
+        # B^1 = im d0 lies in Z^1 = ker d1: d1 d0 = Phi_eff T - T^q Phi_eff,
+        # which __post_init__ refuses to let be nonzero.  As z1[free] = 1_k,
+        # v -> v[free] is one-to-one on Z^1, so [d0 | z1] and the k-row
+        # [d0[free] | 1_k] have the same column relations: the same pivots.
+        r, pivots = ff.rref(np.hstack([self.coboundary_matrix[free], ff.eye(k)]), p)
+        r_d = sum(c < n for c in pivots)
+        # Every row holds a pivot, so the right block r[:, n:] inverts the
+        # pivot columns: it maps v[free] to v's coordinates on the basis of
+        # B^1, then on the representatives.
+        return H1Space(self, z1[:, [c - n for c in pivots[r_d:]]], free, r[r_d:, n:])
 
 
 @dataclass(eq=False)
 class H1Space:
-    """H^1 of a tame module with a canonical representative basis."""
+    """H^1 of a tame module with a canonical representative basis: the
+    greedy complement of B^1 among the columns of Z^1's kernel basis."""
 
     module: TameGaloisModule
-    quotient: ff.QuotientSpace
+    basis_cocycles: np.ndarray  # (2n x h1), columns are (a; b) stacked representatives
+    free: np.ndarray  # the k = dim Z^1 free columns of the relator
+    to_class: np.ndarray  # (h1 x k), a cocycle's entries at `free` -> its class coordinates
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
-
-    @property
-    def basis_cocycles(self) -> np.ndarray:
-        """Columns are (a; b) stacked representatives."""
-        return self.quotient.reps
+        return self.basis_cocycles.shape[1]
 
     def class_coords(self, cocycle) -> np.ndarray:
-        return self.quotient.coords(cocycle)
+        """Coordinates of the class of a cocycle on the representative basis;
+        `cocycle` may be a matrix whose columns are cocycles."""
+        p = self.module.p
+        v = ff.normalize(cocycle, p)
+        if (self.module.relator_matrix @ v % p).any():
+            raise ValueError("not a cocycle")
+        return self.to_class @ v[self.free] % p
 
     def cocycle_from_coords(self, coords) -> np.ndarray:
         return (self.basis_cocycles @ ff.normalize(coords, self.module.p)) % self.module.p
@@ -238,11 +263,12 @@ def h1_space(m: TameGaloisModule) -> H1Space:
 def cohomology_dims(m: TameGaloisModule) -> tuple[int, int, int]:
     """(h0, h1, h2): fixed space, relator-kernel classes, relator cokernel.
 
-    All three are read off the cached H^1 quotient Z^1/B^1: h0 = n - rank d0
-    with B^1 = im d0, and h2 = n - rank d1 = dim Z^1 - n with Z^1 = ker d1.
+    All three are read off the cached H^1 = Z^1/B^1: h0 = n - rank d0 with
+    rank d0 = dim B^1 = dim Z^1 - h1, and h2 = n - rank d1 = dim Z^1 - n.
     """
-    quotient = h1_space(m).quotient
-    return m.dim - quotient.den.shape[1], quotient.dim, quotient.num.shape[1] - m.dim
+    h1 = h1_space(m)
+    z1_dim = len(h1.free)
+    return m.dim - (z1_dim - h1.dim), h1.dim, z1_dim - m.dim
 
 
 # -- local condition subspaces ----------------------------------------------
@@ -271,21 +297,22 @@ def unramified_subspace(m: TameGaloisModule) -> LocalConditionSubspace:
 def _class_span(m: TameGaloisModule, cocycles, label: str) -> LocalConditionSubspace:
     """The subspace of H^1(M) spanned by the classes of the columns of `cocycles`."""
     space = h1_space(m)
-    coords = space.quotient.coords_matrix(cocycles)
-    return LocalConditionSubspace(space, ff.column_space(coords, m.p), label)
+    return LocalConditionSubspace(space, ff.column_space(space.class_coords(cocycles), m.p), label)
 
 
 def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalConditionSubspace:
-    """Image of H^1(W) -> H^1(M) for an invariant subspace W: the classes of
-    the cocycles of M with values in W, which are those of H^1(W)."""
+    """Image of H^1(W) -> H^1(M) for an invariant subspace W spanned by the
+    columns of `sub_basis`: the classes of the cocycles of M with values in
+    W, which are those of H^1(W)."""
     p = m.p
     w = ff.normalize(sub_basis, p)
-    e = ff.nullspace(w.T, p).T  # equations whose common kernel is W
-    if any(ff.mat_mul(e, act @ w, p).any() for act in (m.phi_eff, m.tau)):
+    if not ff.span_contains(w, np.hstack([m.phi_eff @ w, m.tau @ w]), p):
         raise TameModuleError("subspace is not invariant")
-    # A cocycle (a; b) takes values in W when e a = 0 and e b = 0.
-    values_in_w = np.kron(ff.eye(2), e)
-    return _class_span(m, ff.nullspace(np.vstack([m.relator_matrix, values_in_w]), p), label)
+    # (a; b) = (w x; w y) is a cocycle when d1 (1_2 (x) w) (x; y) = 0; the
+    # columns of w may be dependent, as the image spans the same cocycles.
+    # Both products stay unreduced: rref and class_coords reduce.
+    both = np.kron(ff.eye(2), w)
+    return _class_span(m, both @ ff.nullspace(m.relator_matrix @ both, p), label)
 
 
 # -- duality pairing ---------------------------------------------------------
@@ -358,20 +385,29 @@ class AdjointModule:
 
     @cached_property
     def module(self) -> TameGaloisModule:
-        # beta(t)^-1 = beta(t^-1), and t^-1 has the inverse simple values.
-        p = self.p
-        inverse = [pow(v, -1, p) for v in self.t.simple_values]
-        return TameGaloisModule(p, adjoint_torus_matrix(self.rd, p, inverse), self.q)
+        # beta(t)^-1 = beta(t^-1), and t^-1 has the inverse simple values, so
+        # Phi is the adjoint matrix of t^-1 and Phi^-1 that of t.
+        p, values = self.p, self.t.simple_values
+        inverse = [pow(v, -1, p) for v in values]
+        return TameGaloisModule._with_inverse(adjoint_torus_matrix(self.rd, p, values), p,
+                                              adjoint_torus_matrix(self.rd, p, inverse),
+                                              self.q, None, 0)
+
+    @cached_property
+    def _ramakrishna(self):
+        # A refusal raises, so it is not cached and fires on every call.
+        if self.q % self.p in (0, 1):
+            raise TameModuleError("q must not be 0 or 1 mod p")
+        if not is_regular_semisimple(self.t):
+            raise TameModuleError("Frobenius image must be regular semisimple")
+        _, unique, alpha = ramakrishna_root_set(self.t, self.q)
+        return unique, alpha
 
 
 def is_ramakrishna_type(a: AdjointModule):
-    """(flag, root): exactly one root whose value at geometric Frobenius is qbar^{-1}."""
-    if a.q % a.p in (0, 1):
-        raise TameModuleError("q must not be 0 or 1 mod p")
-    if not is_regular_semisimple(a.t):
-        raise TameModuleError("Frobenius image must be regular semisimple")
-    _, unique, alpha = ramakrishna_root_set(a.t, a.q)
-    return unique, alpha
+    """(flag, root): exactly one root whose value at geometric Frobenius is
+    qbar^{-1}; computed once per adjoint module."""
+    return a._ramakrishna
 
 
 def ramakrishna_subspace(a: AdjointModule, alpha) -> LocalConditionSubspace:

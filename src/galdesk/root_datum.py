@@ -15,6 +15,7 @@ the centre and the primes that are not very good all derive from C.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,14 @@ class RootDatum:
             prev = m[k][k]
         return m[-1][-1]
 
+    @cached_property
+    def _cartan_columns(self) -> list[list[int]]:
+        """Column j of C as Python ints: <alpha_i, alpha_j^vee> for each i."""
+        return self.cartan.T.tolist()
+
     def pair_root_coroot(self, root, coroot_index: int) -> int:
         """<root, alpha_j^vee> for a root in simple-root coordinates."""
-        return int(sum(root[i] * self.cartan[i, coroot_index] for i in range(self.rank_ss)))
+        return int(sum(x * c for x, c in zip(root, self._cartan_columns[coroot_index])))
 
 
 def build_root_datum(spec) -> RootDatum:
@@ -164,17 +170,17 @@ def gl_datum(n: int) -> RootDatum:
 
 def _positive_closure(cartan: np.ndarray) -> tuple[tuple[int, ...], ...]:
     d = len(cartan)
+    columns = cartan.T.tolist()  # Python ints, not numpy scalars
     simple = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     seen = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for r in frontier:
-            for j in range(d):
-                pairing = int(sum(r[i] * cartan[i, j] for i in range(d)))
+            for j, column in enumerate(columns):
                 s = list(r)
-                s[j] -= pairing
-                s = tuple(int(x) for x in s)
+                s[j] -= sum(x * c for x, c in zip(r, column))
+                s = tuple(s)
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)

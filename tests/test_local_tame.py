@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from galdesk import ffield as ff
 from galdesk import local_tame as lt
 from galdesk import root_datum as rdm
+from galdesk import scenarios as sc
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
@@ -597,14 +598,17 @@ def test_dual_twist_makes_no_elimination(monkeypatch):
 
 
 def test_h1_makes_two_eliminations(monkeypatch):
-    """The nullspace of the relator and the quotient's reduction."""
+    """The nullspace of the relator, n x 2n, and the quotient's reduction in
+    the free coordinates of Z^1, dim Z^1 x (n + dim Z^1)."""
     rng = random.Random(78)
     calls = count_rref(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         calls.clear()
         lt.h1_space(m)
-        assert len(calls) == 2
+        shapes = [np.shape(a) for a in calls]
+        n, z1_dim = m.dim, 2 * m.dim - ff.rank(m.relator_matrix, m.p)
+        assert shapes == [(n, 2 * n), (z1_dim, n + z1_dim)]
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -668,6 +672,26 @@ def loop_pairing_matrix(m: lt.TameGaloisModule) -> np.ndarray:
         left = (left - k % p * td_c) % p
         right = (right - k * (q - c) % p * td_c) % p
     return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
+
+
+def test_seeded_tables_equal_tables_built_by_products():
+    """A twist shares its parent's table and the dual reads it reversed and
+    transposed, both without a product; each equals the table that a module
+    built from the same Phi, T and twist computes by products, and is
+    read-only."""
+    rng = random.Random(80)
+    for _ in range(40):
+        m = random_tame_module(rng)
+        p = m.p
+        mt, md = m.twisted(rng.choice([-2, -1, 1, 2])), m.dual_twist()
+        assert mt._tau_powers is m._tau_powers
+        assert np.shares_memory(md._tau_powers, m._tau_powers)
+        for mod in (m, mt, md, md.twisted(1), md.dual_twist()):
+            fresh = lt.TameGaloisModule(p, mod.phi, mod.q, mod.tau, mod.twist)
+            assert mod._tau_powers.tobytes() == fresh._tau_powers.tobytes()
+            assert not mod._tau_powers.flags.writeable
+            with pytest.raises(ValueError):
+                mod._tau_powers[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -802,7 +826,7 @@ def submodule_image_oracle(m: lt.TameGaloisModule, sub_basis) -> np.ndarray:
     big = ff.zeros((2 * n, 2 * k))
     big[:n, :k] = big[n:, k:] = basis
     cocycles = (big @ lt.h1_space(sub).basis_cocycles) % p
-    return ff.column_space(lt.h1_space(m).quotient.coords_matrix(cocycles), p)
+    return ff.column_space(lt.h1_space(m).class_coords(cocycles), p)
 
 
 def assert_image_matches_oracle(m, sub_basis):
@@ -922,6 +946,145 @@ def test_dual_w_perp_matches_submodule_oracle():
     p, n = a.p, a.dim
     w = np.hstack([lt.t_alpha_basis(a.rd, alpha, p, n), lt._root_line(a, alpha)])
     assert_image_matches_oracle(a.module.dual_twist(), ff.nullspace(w.T % p, p))
+
+
+# ---------------------------------------------------------------------------
+# Second routes to H^1 and to the image of H^1(W), as oracles: the quotient
+# reduced in all 2n coordinates, and the W-valued cocycles cut out by the
+# equations of W.
+# ---------------------------------------------------------------------------
+
+def quotient_h1(m: lt.TameGaloisModule) -> ff.QuotientSpace:
+    """Z^1/B^1 from one reduction of [d0 | z1], 2n rows."""
+    return ff.QuotientSpace(ff.nullspace(m.relator_matrix, m.p), m.coboundary_matrix, m.p)
+
+
+def equations_image(m: lt.TameGaloisModule, sub_basis) -> np.ndarray:
+    """Image basis of H^1(W) -> H^1(M): the cocycles (a; b) with e a = 0 and
+    e b = 0 for the equations e of W, in the quotient's class coordinates."""
+    p = m.p
+    w = ff.normalize(sub_basis, p)
+    e = ff.nullspace(w.T, p).T
+    if any(ff.mat_mul(e, act @ w, p).any() for act in (m.phi_eff, m.tau)):
+        raise lt.TameModuleError("subspace is not invariant")
+    cocycles = ff.nullspace(np.vstack([m.relator_matrix, np.kron(ff.eye(2), e)]), p)
+    return ff.column_space(quotient_h1(m).coords_matrix(cocycles), p)
+
+
+def spanning_set(w: np.ndarray, p: int, rng: random.Random) -> np.ndarray:
+    """The columns of w, some combinations of them and some zero columns,
+    shuffled: a spanning set of span(w) with dependent or zero columns."""
+    n, k = w.shape
+    extra = [w @ np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64) % p
+             for _ in range(rng.randrange(3))]
+    columns = [*w.T, *extra, *[ff.zeros(n)] * rng.randrange(3)]
+    rng.shuffle(columns)
+    return np.column_stack(columns) if columns else ff.zeros((n, 0))
+
+
+@given(st.sampled_from(PAIRING_PRIMES), st.integers(2, 6), st.integers(-2, 2),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_free_coordinate_h1_matches_quotient_oracle(p, n, twist, seed, data):
+    """Unipotent T of a Jordan block of size 2 and up, on the module and its
+    dual: the representatives, the dimensions, the class coordinates of drawn
+    cocycles and the image of H^1(W) for W spanned with dependent or zero
+    columns (or by nothing) are the oracle's bytes."""
+    m = module_with(p, n, data.draw(q_values(p)), twist,
+                    data.draw(st.integers(2, min(n, p))), seed)
+    rng = random.Random(seed)
+    for mod in (m, m.dual_twist()):
+        space, oracle = lt.h1_space(mod), quotient_h1(mod)
+        assert space.basis_cocycles.shape == oracle.reps.shape
+        assert space.basis_cocycles.tobytes() == oracle.reps.tobytes()
+        assert lt.cohomology_dims(mod) == (n - oracle.den.shape[1], oracle.dim,
+                                           oracle.num.shape[1] - n)
+        z1 = oracle.num
+        cocycles = z1 @ ff.random_matrix(rng, z1.shape[1], rng.randrange(4), p) % p
+        for v in (cocycles, cocycles[:, 0] if cocycles.shape[1] else z1[:, 0]):
+            got, expected = space.class_coords(v), oracle.coords(v)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        w = closed_subspace(mod, rng) if rng.random() < 0.8 else ff.zeros((n, 0))
+        sub = spanning_set(w, p, rng)
+        got = lt.image_subspace(mod, sub, "w").basis
+        expected = equations_image(mod, sub)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_class_coords_refuses_a_non_cocycle():
+    m = gl2_f5_adjoint().module
+    space = lt.h1_space(m)
+    # A unit vector off Z^1: a column where the relator is nonzero.
+    v = ff.eye(2 * m.dim)[m.relator_matrix.any(axis=0).argmax()]
+    with pytest.raises(ValueError, match="not a cocycle"):
+        space.class_coords(v)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        space.class_coords(np.column_stack([space.basis_cocycles[:, 0], v]))
+
+
+def local_payload(name, twist) -> dict:
+    spec, p, values, q = RAMAKRISHNA_CASES[name]
+    rd = {"gl": 2} if spec == "GL2" else {"type": [list(f) for f in spec]}
+    return {"root_datum": rd, "p": p, "torus_values": list(values), "q": q, "twist": twist}
+
+
+# (rref calls, cells) of one `local` payload at twists 0 and 1: no
+# elimination for Phi^-1 or for class coordinates, dim Z^1-row quotients and
+# an n x 2 dim W system for H^1(W).
+LOCAL_PAYLOAD_ELIMINATIONS = {"GL2": [(9, 116), (11, 162)], "A2": [(9, 689), (11, 970)],
+                              "B2": [(9, 1015), (11, 1446)]}
+
+
+@pytest.mark.parametrize("name", sorted(RAMAKRISHNA_CASES))
+def test_local_payload_eliminations(monkeypatch, name):
+    calls = count_rref(monkeypatch)
+    for twist, expected in enumerate(LOCAL_PAYLOAD_ELIMINATIONS[name]):
+        calls.clear()
+        report = sc.run_scenario_payload("local", local_payload(name, twist), 0, None)
+        assert report["status"] == "pass" and report["ramakrishna"]
+        assert (len(calls), sum(np.size(a) for a in calls)) == expected
+
+
+def test_adjoint_module_makes_no_elimination(monkeypatch):
+    """Phi^-1 is the adjoint matrix of t, checked by __post_init__'s product."""
+    for name in sorted(RAMAKRISHNA_CASES):
+        a = ramakrishna_adjoint(name)
+        calls = count_rref(monkeypatch)
+        m = a.module
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(m.phi_inv, ff.inv(m.phi, m.p))
+
+
+def test_ramakrishna_root_set_is_computed_once_per_adjoint_module(monkeypatch):
+    found = []
+    root_set = lt.ramakrishna_root_set
+    monkeypatch.setattr(lt, "ramakrishna_root_set",
+                        lambda *args: found.append(args) or root_set(*args))
+    for name in sorted(RAMAKRISHNA_CASES):
+        found.clear()
+        a = ramakrishna_adjoint(name)
+        _, alpha = lt.is_ramakrishna_type(a)
+        lt.ramakrishna_subspace(a, alpha)
+        assert lt.is_ramakrishna_type(a) == (True, alpha)
+        assert len(found) == 1
+        found.clear()
+        assert sc.run_scenario_payload("local", local_payload(name, 1), 0, None)["ramakrishna"]
+        assert len(found) == 1
+
+
+def test_ramakrishna_refusals_fire_on_every_call():
+    rd = rdm.gl_datum(2)
+    singular = lt.AdjointModule(rd, rdm.TorusElement(rd, 5, (1,)), 3)  # alpha(t) = 1
+    wrong = gl2_f5_adjoint()
+    for _ in range(2):
+        with pytest.raises(lt.TameModuleError, match="must be regular semisimple"):
+            lt.is_ramakrishna_type(singular)
+        with pytest.raises(lt.TameModuleError, match="must be regular semisimple"):
+            lt.ramakrishna_subspace(singular, (1,))
+        with pytest.raises(lt.TameModuleError, match="not the certified Ramakrishna root"):
+            lt.ramakrishna_subspace(wrong, (-1,))
+    assert lt.ramakrishna_subspace(wrong, (1,)).dim == 1
 
 
 # ---------------------------------------------------------------------------

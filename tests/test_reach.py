@@ -29,7 +29,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PERF = "named in perfbench/; removal waits for ROADMAP item 1"
 EXEMPT = {
-    "local_tame.H1Space.class_coords": PERF,
+    "ffield.QuotientSpace.coords": PERF,
+    "ffield.QuotientSpace.coords_matrix": PERF,
     "local_tame.tate_pairing": PERF,
     "local_tame.tate_pairing.<locals>.pair": PERF,
     "selmer.SelmerSystem.stacked_res_dual": PERF,

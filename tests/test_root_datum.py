@@ -116,6 +116,11 @@ def test_every_type_against_the_textbook():
         # of the positive coroots: the positive roots of the transposed matrix.
         two_rho_vee = np.sum(sorted(reflection_closure(rd.cartan.T)), axis=0)
         assert (rd.cartan @ two_rho_vee).tolist() == [2] * rk, (fam, rk)
+        # The roots in build_root_datum's order: by height, then lexicographically.
+        assert rd.positive_roots == tuple(sorted(reflection_closure(rd.cartan),
+                                                 key=lambda r: (sum(r), r))), (fam, rk)
+        assert [[rd.pair_root_coroot(r, j) for j in range(rk)] for r in rd.all_roots()] \
+            == (np.array(rd.all_roots()) @ rd.cartan).tolist(), (fam, rk)
 
 
 def test_compound_type_takes_each_factor():
