@@ -88,11 +88,11 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("ffield.<module>", "const", "_SPARSE_PRIMES = 2**«15»"): KERNEL,
     ("ffield.<module>", "const", "_CHUNK_ROWS = «64»"): KERNEL,
     ("ffield.<module>", "const", "_CHUNK_CELLS = «4096»"): KERNEL,
-    ("ffield.rref", "const",
+    ("ffield._reduce", "const",
      "r.size <= _SPARSE_CELLS and max(m, n) <= «16» * min(m, n) and p < _SPARSE_PRIMES"):
         KERNEL,
-    ("ffield.rref", "const", "step = max(_CHUNK_ROWS, _CHUNK_CELLS // max(n, «1»))"): KERNEL,
-    ("ffield.rref", "compare", "if «m <= step»:"): KERNEL,
+    ("ffield._reduce", "const", "step = max(_CHUNK_ROWS, _CHUNK_CELLS // max(n, «1»))"): KERNEL,
+    ("ffield._reduce", "compare", "if «m <= step»:"): KERNEL,
     ("ffield._subtract_product", "const",
      "limit, dtype = (2**53, np.float64) if p * p <= 2**53 else (2**63 - «1», np.int64)"):
         "the int64 branch has p^2 > 2^53, and 2^63 - 1 has no square factor but 7^2, so "

@@ -8,7 +8,8 @@ per column.  A `QuotientSpace` is built from one reduction of
 [denominator | numerator], and takes span(denominator) within
 span(numerator) as an unchecked precondition.
 
-`rref` is the one elimination, with two kernels.  Gauss-Jordan on lists of
+`_reduce` is the one elimination, with two kernels, behind `rref`, `rank`,
+`nullspace`, `QuotientSpace` and the draws.  Gauss-Jordan on lists of
 Python ints costs what clearing its nonzeros, row by row, costs (a row is
 cleared by the pivot row's nonzeros alone), and numpy a fixed cost per
 pivot.  So inputs of at most `_SMALL_CELLS` cells run in Python, and so do
@@ -21,17 +22,21 @@ chunk against the RREF basis of the rows before it (at most n rows), one
 vectorised update per pivot eliminates the chunk, and its pivot rows join
 the basis.  RREF is canonical,
 so both kernels return the same R and pivots for every p with p^2 < 2^63
-(see `products_fit`).  `random_invertible` reads a draw g and its inverse
-off one rref([g | 1]).
+(see `products_fit`).  The Python kernel's R stays a list of rows: `rref`
+converts it to an array, while `rank` counts its pivots, `nullspace` reads
+its basis off the rows, and `random_invertible` reads the inverse of a draw
+g off the right half of the rows of rref([g | 1]).  `random_matrix` draws
+each entry as `random.Random.randrange` does, without its Python frames.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
 
 import numpy as np
 
-# Where rref's kernels win; see the module docstring.
+# Where _reduce's kernels win; see the module docstring.
 _SMALL_CELLS = 256
 _SPARSE_CELLS = 1024
 _SPARSE_NONZEROS = 128
@@ -88,13 +93,24 @@ def products_fit(p: int, n: int) -> bool:
 
 def rref(a, p: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    r, pivots = _reduce(a, p)
+    if isinstance(r, list):
+        r = np.array(r, dtype=np.int64).reshape(np.shape(a))
+    return r, pivots
+
+
+def _reduce(a, p: int):
+    """The one elimination of this module, by the kernel rule of its docstring.
+    Returns (R, pivots): R is a fresh int64 array from the numpy kernel, and a
+    list of rows of Python ints from the Python kernel, which callers read
+    without converting it."""
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
     m, n = r.shape
     if r.size <= _SMALL_CELLS or (
         r.size <= _SPARSE_CELLS and max(m, n) <= 16 * min(m, n) and p < _SPARSE_PRIMES
         and np.count_nonzero(r) <= _SPARSE_NONZEROS
     ):
-        return _rref_small(r, p)
+        return _rref_small(r.tolist(), n, p)
     step = max(_CHUNK_ROWS, _CHUNK_CELLS // max(n, 1))
     if m <= step:
         return r, _eliminate(r, p)[1]
@@ -155,10 +171,10 @@ def _eliminate(r: np.ndarray, p: int):
     return r[: len(pivots)], pivots
 
 
-def _rref_small(r: np.ndarray, p: int):
-    """rref on lists of Python ints, with the same pivots and scaling."""
-    rows = r.tolist()
-    m, n = r.shape
+def _rref_small(rows: list, n: int, p: int):
+    """Gauss-Jordan in place on the n columns of rows, lists of Python ints,
+    with the same pivots and scaling as _eliminate.  Returns (rows, pivots)."""
+    m = len(rows)
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -184,16 +200,24 @@ def _rref_small(r: np.ndarray, p: int):
                 for j, y in tail:
                     other[j] = (other[j] - f * y) % p
         pivots.append(col)
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+    return rows, pivots
 
 
 def rank(a, p: int) -> int:
-    return len(rref(a, p)[1])
+    return len(_reduce(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of an (n x k) matrix."""
-    return _kernel(*rref(a, p), p)[0]
+    r, pivots = _reduce(a, p)
+    if not isinstance(r, list):
+        return _kernel(r, pivots, p)[0]
+    # _kernel's basis off the rows: -row at a pivot, the identity at the free columns.
+    n, at = np.shape(a)[1], dict(zip(pivots, r))
+    free = [j for j in range(n) if j not in at]
+    basis = [[-at[i][j] % p for j in free] if i in at else [int(i == j) for j in free]
+             for i in range(n)]
+    return np.array(basis, dtype=np.int64).reshape(n, len(free))
 
 
 def _kernel(r, pivots, p: int):
@@ -283,7 +307,7 @@ class QuotientSpace:
         self.num = normalize(numerator, p)
         den = normalize(denominator, p)
         k = den.shape[1]
-        _, pivots = rref(np.hstack([den, self.num]), p)
+        pivots = _reduce(np.hstack([den, self.num]), p)[1]
         r_d = sum(c < k for c in pivots)
         self.den = den[:, pivots[:r_d]]
         self.reps = self.num[:, [c - k for c in pivots[r_d:]]]
@@ -305,16 +329,23 @@ class QuotientSpace:
 
 
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
-    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    """Entries drawn as rng.randrange(p) draws them, row by row: p.bit_length()
+    random bits, drawn again until they are below p."""
+    if p < 1:  # no residue to draw: getrandbits would never give one
+        raise ValueError(f"no residues mod {p} to draw from")
+    entries = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    rows = [list(islice(entries, n)) for _ in range(m)]
     return np.array(rows, dtype=np.int64).reshape(m, n)
 
 
 def random_invertible(rng, n: int, p: int):
+    """A random invertible n x n matrix g mod p and g^-1, off one rref([g | 1])."""
     for _ in range(_MAX_DRAWS):
         a = random_matrix(rng, n, n, p)
-        r, pivots = rref(np.hstack([a, eye(n)]), p)
+        r, pivots = _reduce(np.hstack([a, eye(n)]), p)
         if pivots[:n] == list(range(n)):  # mod 1 there are no pivots at all
-            return a, r[:, n:]
+            inverse = [row[n:] for row in r] if isinstance(r, list) else r[:, n:]
+            return a, np.array(inverse, dtype=np.int64).reshape(n, n)
     raise ValueError(f"no invertible {n} x {n} matrix mod {p} in {_MAX_DRAWS} draws")
 
 
@@ -323,7 +354,8 @@ def random_subspace(rng, n: int, dim: int, p: int) -> np.ndarray:
     if dim == 0:
         return zeros((n, 0))
     for _ in range(_MAX_DRAWS):
-        a = random_matrix(rng, n, dim, p)
-        if rank(a, p) == dim:
-            return column_space(a, p)
+        # one reduction of a^T gives both the rank of a and its column basis
+        r, pivots = rref(random_matrix(rng, n, dim, p).T, p)
+        if len(pivots) == dim:
+            return r.T
     raise ValueError(f"no {dim}-dimensional subspace of F_{p}^{n} in {_MAX_DRAWS} draws")

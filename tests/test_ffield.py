@@ -232,10 +232,10 @@ def python_kernel_rule(a, p):
 
 def rref_and_kernel(a, p):
     """ff.rref(a, p), and whether its Python kernel ran."""
-    inner, shapes = ff._rref_small, []
-    ff._rref_small = lambda r, q: shapes.append(r.shape) or inner(r, q)
+    inner, ran = ff._rref_small, []
+    ff._rref_small = lambda rows, n, q: ran.append(q) or inner(rows, n, q)
     try:
-        return ff.rref(a, p), bool(shapes)
+        return ff.rref(a, p), bool(ran)
     finally:
         ff._rref_small = inner
 
@@ -317,10 +317,33 @@ def python_kernel_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_python_kernel_matches_numpy_kernel(case):
     p, a = case
-    r, pivots = ff._rref_small(a.copy(), p)
+    rows, pivots = ff._rref_small(a.tolist(), a.shape[1], p)
     expected = a.copy()
     assert pivots == ff._eliminate(expected, p)[1]
-    assert r.tolist() == expected.tolist()
+    assert rows == expected.tolist()
+
+
+@given(kernel_rule_matrices(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_and_rank_match_the_array_route(case, zero_row):
+    """nullspace and rank read the Python kernel's rows without building R;
+    the oracle is _kernel on rref's array R, the only route for numpy's."""
+    p, a = case
+    if zero_row and len(a):
+        a = a.copy()
+        a[len(a) // 2] = 0
+    r, pivots = ff.rref(a, p)
+    expected = ff._kernel(r, pivots, p)[0]
+    kernel, numpy_read = ff._kernel, []
+    ff._kernel = lambda *args: numpy_read.append(True) or kernel(*args)
+    try:
+        got = ff.nullspace(a, p)
+    finally:
+        ff._kernel = kernel
+    assert (not numpy_read) == python_kernel_rule(a, p)
+    assert got.dtype == np.int64 and got.shape == (a.shape[1], a.shape[1] - len(pivots))
+    assert got.tobytes() == expected.tobytes()
+    assert ff.rank(a, p) == len(pivots)
 
 
 def test_kernel_rule_on_named_inputs():
@@ -481,6 +504,60 @@ def test_random_invertible_carries_its_inverse():
                 assert g_inv.dtype == np.int64 and ((0 <= g_inv) & (g_inv < p)).all()
                 product = g.astype(object) @ g_inv.astype(object) % p  # no int64 wraparound
                 assert product.tolist() == ff.eye(n).tolist()
+
+
+# The draws as they were made before random_matrix drew bits itself and
+# random_invertible read g^-1 off the Python kernel's rows: the oracles.
+def randrange_matrix(rng, m, n, p):
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    return np.array(rows, dtype=np.int64).reshape(m, n)
+
+
+def randrange_invertible(rng, n, p):
+    while True:
+        a = randrange_matrix(rng, n, n, p)
+        r, pivots = ff.rref(np.hstack([a, ff.eye(n)]), p)
+        if pivots[:n] == list(range(n)):
+            return a, r[:, n:]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 13, 2**15 + 3, 2**31 - 1, BIG_PRIME])
+def test_random_matrix_draws_as_randrange(p):
+    for seed, (m, n) in enumerate([(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (6, 6), (20, 3)]):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = ff.random_matrix(rng, m, n, p)
+        assert got.dtype == np.int64 and got.shape == (m, n)
+        assert got.tobytes() == randrange_matrix(ref, m, n, p).tobytes()
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("p", [0, -1, -7])
+def test_random_matrix_refuses_a_modulus_below_one(p):
+    """As randrange does; getrandbits would never give a residue."""
+    class NoBits:
+        def getrandbits(self, k):
+            pytest.fail("drew bits")
+
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(p)
+    with pytest.raises(ValueError, match="no residues"):
+        ff.random_matrix(NoBits(), 2, 2, p)
+
+
+def test_random_invertible_draws_as_before():
+    """Byte for byte and to the generator's state, over both kernels: [g | 1]
+    is 2 n^2 cells, so n >= 12 goes to numpy unless p is small enough for
+    sparse, and mod 2 and 3 many draws are singular."""
+    for seed in range(200):
+        n = seed % 14
+        for p in (2, 3, 7, BIG_PRIME):
+            rng, ref = random.Random(seed), random.Random(seed)
+            g, g_inv = ff.random_invertible(rng, n, p)
+            expected, expected_inv = randrange_invertible(ref, n, p)
+            assert g.tobytes() == expected.tobytes() and g.shape == expected.shape
+            assert g_inv.dtype == np.int64 and g_inv.shape == (n, n)
+            assert g_inv.tobytes() == expected_inv.tobytes()
+            assert rng.getstate() == ref.getstate()
 
 
 def test_random_draws_are_capped():
@@ -653,9 +730,9 @@ def test_quotient_space_makes_one_reduction(monkeypatch):
     p = 7
     num = seeded_matrix(3, p, 6, 5)
     den = np.hstack([num[:, :2], num[:, :2] * 3 % p, ff.zeros((6, 1))])  # rank 2
-    rref = ff.rref
+    reduce = ff._reduce
     shapes = []
-    monkeypatch.setattr(ff, "rref", lambda a, p: shapes.append(np.shape(a)) or rref(a, p))
+    monkeypatch.setattr(ff, "_reduce", lambda a, p: shapes.append(np.shape(a)) or reduce(a, p))
     q = ff.QuotientSpace(num, den, p)
     assert shapes == [(6, 10)]
     assert q.den.shape == (6, 2) and q.dim == ff.rank(num, p) - 2

@@ -563,15 +563,15 @@ def test_cohomology_dims_match_rank_formulas(p, n, twist, seed, data):
 def test_cohomology_dims_eliminates_nothing_beyond_h1(monkeypatch):
     m = gl2_f5_adjoint().module
     lt.h1_space(m)
-    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated again"))
+    monkeypatch.setattr(ff, "_reduce", lambda *args: pytest.fail("eliminated again"))
     assert lt.cohomology_dims(m) == (1, 2, 1)
 
 
-def count_rref(monkeypatch) -> list:
-    """Record the input of every ff.rref call from here on."""
-    rref = ff.rref
+def count_eliminations(monkeypatch) -> list:
+    """Record the input of every elimination from here on."""
+    reduce = ff._reduce
     calls = []
-    monkeypatch.setattr(ff, "rref", lambda a, p: calls.append(a) or rref(a, p))
+    monkeypatch.setattr(ff, "_reduce", lambda a, p: calls.append(a) or reduce(a, p))
     return calls
 
 
@@ -580,7 +580,7 @@ def test_dual_twist_makes_no_elimination(monkeypatch):
     and a twist inherits Phi^-1.  Oracle: the inverses by elimination, and
     qbar^twist by Fermat, for twists past one period of qbar of both signs."""
     rng = random.Random(77)
-    calls = count_rref(monkeypatch)
+    calls = count_eliminations(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         p = m.p
@@ -601,7 +601,7 @@ def test_h1_makes_two_eliminations(monkeypatch):
     """The nullspace of the relator, n x 2n, and the quotient's reduction in
     the free coordinates of Z^1, dim Z^1 x (n + dim Z^1)."""
     rng = random.Random(78)
-    calls = count_rref(monkeypatch)
+    calls = count_eliminations(monkeypatch)
     for _ in range(40):
         m = random_tame_module(rng)
         calls.clear()
@@ -1037,7 +1037,7 @@ LOCAL_PAYLOAD_ELIMINATIONS = {"GL2": [(9, 116), (11, 162)], "A2": [(9, 689), (11
 
 @pytest.mark.parametrize("name", sorted(RAMAKRISHNA_CASES))
 def test_local_payload_eliminations(monkeypatch, name):
-    calls = count_rref(monkeypatch)
+    calls = count_eliminations(monkeypatch)
     for twist, expected in enumerate(LOCAL_PAYLOAD_ELIMINATIONS[name]):
         calls.clear()
         report = sc.run_scenario_payload("local", local_payload(name, twist), 0, None)
@@ -1049,7 +1049,7 @@ def test_adjoint_module_makes_no_elimination(monkeypatch):
     """Phi^-1 is the adjoint matrix of t, checked by __post_init__'s product."""
     for name in sorted(RAMAKRISHNA_CASES):
         a = ramakrishna_adjoint(name)
-        calls = count_rref(monkeypatch)
+        calls = count_eliminations(monkeypatch)
         m = a.module
         assert calls == []
         monkeypatch.undo()

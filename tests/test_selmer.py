@@ -576,7 +576,7 @@ def test_h2_over_budget_refused_before_elimination(monkeypatch):
     # by 4 * 144 columns, over the budget before H is looked for.
     g = psl2_f5_squared()
     assert g.order == 3600
-    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
+    monkeypatch.setattr(ff, "_reduce", lambda *args: pytest.fail("eliminated"))
     monkeypatch.setattr(sl, "_p_prime_subgroup", lambda *args: pytest.fail("searched"))
     with pytest.raises(sl.SelmerError, match="budget"):
         sl.finite_cohomology(g, 2)
@@ -596,7 +596,7 @@ def test_coprime_order_has_no_higher_cohomology():
 def test_coprime_h2_is_zero_without_elimination(monkeypatch, make):
     g = make()
     assert g.order % g.p
-    monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("eliminated"))
+    monkeypatch.setattr(ff, "_reduce", lambda *args: pytest.fail("eliminated"))
     assert sl.finite_cohomology(g, 2) == (0, None)
 
 
@@ -840,8 +840,8 @@ def test_selmer_layer_eliminations(monkeypatch):
     conditions = random_conditions(rng, system)
     family = sl.build_inflation_family(rng, 7, base_dim=2, added=[1, 2])
     calls = []
-    rref = ff.rref
-    monkeypatch.setattr(ff, "rref", lambda a, p: calls.append(a) or rref(a, p))
+    reduce = ff._reduce
+    monkeypatch.setattr(ff, "_reduce", lambda a, p: calls.append(a) or reduce(a, p))
     monkeypatch.setattr(ff, "QuotientSpace", lambda *args: pytest.fail("quotient built"))
 
     def eliminations(fn, *args):
@@ -910,15 +910,15 @@ def test_system_construction_makes_no_elimination(monkeypatch):
     # builders may eliminate, but not inside SelmerSystem.__post_init__.
     built = []
     post_init = sl.SelmerSystem.__post_init__
-    rref = ff.rref
+    reduce = ff._reduce
 
     def counted(system):
         built.append(system)
-        monkeypatch.setattr(ff, "rref", lambda *args: pytest.fail("rref in construction"))
+        monkeypatch.setattr(ff, "_reduce", lambda *args: pytest.fail("elimination in construction"))
         try:
             post_init(system)
         finally:
-            monkeypatch.setattr(ff, "rref", rref)
+            monkeypatch.setattr(ff, "_reduce", reduce)
 
     monkeypatch.setattr(sl.SelmerSystem, "__post_init__", counted)
     sl.SelmerSystem(5, ("a", "b"), {"a": 2, "b": 1}, {"a": ff.eye(2), "b": ff.zeros((1, 2))},
@@ -1526,7 +1526,7 @@ def test_step_eliminations(monkeypatch):
     avo = sl.build_avoidance_scenario(seed=3)
     w = ann.special[0]
     monkeypatch.setattr(ff, "annihilator", lambda *args: pytest.fail("annihilator called"))
-    calls = count_calls(monkeypatch, ff, "rref")
+    calls = count_calls(monkeypatch, ff, "_reduce")
     sl.annihilation_step(ann.system, ann.conditions, w, ann.ram[w], ann.phi, ann.psi)
     assert len(calls) == 4  # 10 before the builder and the step shared Sel_L and Sel*
     calls.clear()
@@ -1541,7 +1541,7 @@ def test_step_op_eliminations(monkeypatch):
     inverse, the two shared Sel_L and Sel*, and the fresh condition was
     tested by products).  Each rejected draw adds one."""
     ops = 108
-    calls = count_calls(monkeypatch, ff, "rref")
+    calls = count_calls(monkeypatch, ff, "_reduce")
     for i in range(ops):
         p = STEP_PRIMES[i % 4]
         sc = sl.build_annihilation_scenario(seed=i, p=p, extra_selmer=(i // 4) % 3,
