@@ -233,8 +233,8 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "a batch size: the breadth-first order, so every index, is the same in "
         "batches of any size (test_enumeration_overflow_guard)",
     ("selmer._cocycles", "mod-p", "blocks[ys, :, gs] = «(blocks[ys, :, gs] + acts[xs]) % p»"):
-        "the path sums stay below |G| p; the system is reduced by nullspace, the "
-        "generator rows of f @ z are exact, so dim H^1 is too, and f @ reps reaches "
+        "the path sums stay below |G| p; the system is reduced mod p by kernel_quotient "
+        "and rank, so dim H^1 and its representatives are exact, and f @ reps reaches "
         "int64 only if p divides |G| <= MAX_ORDER and r n > 9000",
     ("selmer._sylow_normaliser", "const", "sylow = [int(of_order_p[«0»])]"):
         "any element of order p generates a Sylow p-subgroup; they are all "

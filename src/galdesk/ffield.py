@@ -8,6 +8,15 @@ per column.  A `QuotientSpace` is built from one reduction of
 [denominator | numerator], and takes span(denominator) within
 span(numerator) as an unchecked precondition.
 
+H^1 = ker d1 / im d0 (d1 d0 = 0) is reduced in the free coordinates of
+ker d1 by `kernel_quotient`, for tame and finite-group H^1 alike.  The
+kernel basis z1 is the identity at the k free columns of rref(d1), so
+v -> v[free] is one-to-one on ker d1, and [d0 | z1] and the k-row
+[d0[free] | 1_k] have the same column relations.  One reduction of the
+latter picks the representatives, the greedy complement of im d0 among
+z1's columns.  Every row holds a pivot, so the rows past im d0's pivots
+map a cocycle's v[free] to its class coordinates.
+
 `_reduce` is the one elimination, with two kernels, behind `rref`, `rank`,
 `nullspace`, `QuotientSpace` and the draws.  Gauss-Jordan on lists of
 Python ints costs what clearing its nonzeros, row by row, costs (a row is
@@ -209,28 +218,36 @@ def rank(a, p: int) -> int:
 
 def nullspace(a, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of an (n x k) matrix."""
+    return _kernel(a, p)[0]
+
+
+def _kernel(a, p: int):
+    """The right kernel of a: its basis, as the columns of an (n x k) matrix,
+    and the k free (non-pivot) columns of rref(a).  The basis rows are the
+    identity at the free columns and -R's row at a pivot."""
     r, pivots = _reduce(a, p)
-    if not isinstance(r, list):
-        return _kernel(r, pivots, p)[0]
-    # _kernel's basis off the rows: -row at a pivot, the identity at the free columns.
     n, at = np.shape(a)[1], dict(zip(pivots, r))
     free = [j for j in range(n) if j not in at]
-    basis = [[-at[i][j] % p for j in free] if i in at else [int(i == j) for j in free]
-             for i in range(n)]
-    return np.array(basis, dtype=np.int64).reshape(n, len(free))
-
-
-def _kernel(r, pivots, p: int):
-    """The right kernel of an RREF matrix r with these pivots: its basis and
-    the free (non-pivot) columns, at which the basis rows are the identity."""
-    n = r.shape[1]
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = is_free.nonzero()[0]
-    basis = zeros((n, free.size))
-    basis[free, np.arange(free.size)] = 1
-    basis[np.array(pivots, dtype=np.intp)] = (-r[: len(pivots), free]) % p
+    if isinstance(r, list):  # read off the rows, with no array R
+        basis = [[-at[i][j] % p for j in free] if i in at else [int(i == j) for j in free]
+                 for i in range(n)]
+        return np.array(basis, dtype=np.int64).reshape(n, len(free)), free
+    basis = zeros((n, len(free)))
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -r[: len(pivots), free] % p
     return basis, free
+
+
+def kernel_quotient(d1, d0, p: int):
+    """(reps, free, to_class) of ker d1 / im d0 as the module docstring
+    describes, for im d0 inside ker d1 (not checked): the representatives as
+    columns, the free columns of rref(d1), and the (h1 x k) map from a
+    cocycle's entries at free to its class coordinates."""
+    z1, free = _kernel(d1, p)
+    m = np.shape(d0)[1]
+    r, pivots = rref(np.hstack([d0[free], eye(len(free))]), p)
+    r_d = sum(c < m for c in pivots)
+    return z1[:, [c - m for c in pivots[r_d:]]], free, r[r_d:, m:]
 
 
 def solve(a, b, p: int):

@@ -35,13 +35,11 @@ T'^k = (T^(p-k))^T.  Phi^-1 is one elimination, except for a dual, a twist
 or an adjoint module, which take it in closed form and check it with one
 product.
 
-H^1 = Z^1/B^1 is reduced in the free coordinates of Z^1: a cocycle is fixed
-by its entries at the free columns of the relator's RREF, so the quotient
-is a k x (n + k) elimination for k = dim Z^1, whose right block maps a
-cocycle's free entries to its class coordinates.  The image of H^1(W) for
-an invariant subspace W (the Ramakrishna condition) is read off the
-cocycles of M with values in W, (w x; w y) for (x; y) in the kernel of the
-n x 2k system d1 (1_2 (x) w), so W gets no module.
+H^1 = Z^1/B^1 is `ffield.kernel_quotient` of the relator d1 and the
+coboundaries d0, reduced as ffield's docstring describes.  The image of
+H^1(W) for an invariant subspace W (the Ramakrishna condition) is read off
+the cocycles of M with values in W, (w x; w y) for (x; y) in the kernel of
+the n x 2k system d1 (1_2 (x) w), so W gets no module.
 """
 
 from __future__ import annotations
@@ -213,19 +211,10 @@ class TameGaloisModule:
 
     @cached_property
     def _h1(self) -> "H1Space":
-        p, n = self.p, self.dim
-        z1, free = ff._kernel(*ff.rref(self.relator_matrix, p), p)
-        k = len(free)
         # B^1 = im d0 lies in Z^1 = ker d1: d1 d0 = Phi_eff T - T^q Phi_eff,
-        # which __post_init__ refuses to let be nonzero.  As z1[free] = 1_k,
-        # v -> v[free] is one-to-one on Z^1, so [d0 | z1] and the k-row
-        # [d0[free] | 1_k] have the same column relations: the same pivots.
-        r, pivots = ff.rref(np.hstack([self.coboundary_matrix[free], ff.eye(k)]), p)
-        r_d = sum(c < n for c in pivots)
-        # Every row holds a pivot, so the right block r[:, n:] inverts the
-        # pivot columns: it maps v[free] to v's coordinates on the basis of
-        # B^1, then on the representatives.
-        return H1Space(self, z1[:, [c - n for c in pivots[r_d:]]], free, r[r_d:, n:])
+        # which __post_init__ refuses to let be nonzero.
+        d1, d0 = self.relator_matrix, self.coboundary_matrix
+        return H1Space(self, *ff.kernel_quotient(d1, d0, self.p))
 
 
 @dataclass(eq=False)
@@ -235,7 +224,7 @@ class H1Space:
 
     module: TameGaloisModule
     basis_cocycles: np.ndarray  # (2n x h1), columns are (a; b) stacked representatives
-    free: np.ndarray  # the k = dim Z^1 free columns of the relator
+    free: list  # the k = dim Z^1 free columns of the relator
     to_class: np.ndarray  # (h1 x k), a cocycle's entries at `free` -> its class coordinates
 
     @property

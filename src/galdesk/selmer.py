@@ -4,8 +4,10 @@ decomposition check, and the avoidance step.
 
 Group cohomology in degrees 1 and 2 comes from one cocycle system over the
 generators, constrained by the Schreier relators of the breadth-first
-enumeration.  Degree 2 is degree 1 of a coinduced quotient (dimension
-shifting), made small in three ways:
+enumeration.  H^1 is `ffield.kernel_quotient` of that system, reduced as
+ffield's docstring describes and as tame H^1 is.  Degree 2, a count of
+ranks, is degree 1 of a coinduced quotient (dimension shifting), made small
+in three ways:
 - when p does not divide |G|, H^2 = 0 and nothing is built (Brown,
   Cohomology of Groups, III.10);
 - when p exactly divides |G|, G is replaced by the normaliser N_G(P) of a
@@ -79,7 +81,6 @@ class FiniteGroupAction:
     p: int
     generators: list[np.ndarray]
     elements: list = field(init=False)
-    index: dict = field(init=False)
     step: np.ndarray = field(init=False)
     parent: list = field(init=False)
 
@@ -117,7 +118,6 @@ class FiniteGroupAction:
                 step.append(row)
                 x += 1
         self.elements = elements
-        self.index = index
         self.step = np.array(step, dtype=np.int64).reshape(len(elements), len(gens))
         self.parent = parent
 
@@ -133,9 +133,10 @@ class FiniteGroupAction:
 def finite_cohomology(g: FiniteGroupAction, degree: int):
     """(dimension, basis) of H^degree(G, M) for degree in {0, 1, 2}.
 
-    Degree 0 is the fixed space.  Degree 1 solves the generator-level system
-    of `_cocycles` and returns a basis in the coordinates (f(x))_x, so it
-    always works on G itself.
+    Degree 0 is the fixed space.  Degree 1 reduces the generator-level
+    system of `_cocycles` in the values u = (f(s_i))_i by
+    `ffield.kernel_quotient` and lifts its representatives to the
+    coordinates (f(x))_x, so it always works on G itself.
 
     Degree 2 returns only a dimension (the basis is None), computed on a
     smaller group and a smaller module where theory allows:
@@ -161,20 +162,10 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         return basis.shape[1], basis
 
     if degree == 1:
-        z, f = _cocycles(p, g.elements, g.step, g.parent)
-        # ff.nullspace of a system in the unknowns f(x) gives the basis that is
-        # the identity on the last independent coordinates of Z^1 (its free
-        # columns, by matroid duality); so does reducing them in reverse.
-        f = f.reshape(k * n, r * n)
-        z1 = ff.column_space((f @ z)[::-1], p)[::-1, ::-1]  # rref reduces mod p
-        # The quotient is taken on the rows f(s_i) = u_i alone: u -> F u is
-        # injective on Z^1, so the columns keep their dependencies and the
-        # same representatives are chosen, in u; F maps them back.  There B^1
-        # is spanned by the blocks s_i - 1, and lies in Z^1, as QuotientSpace
-        # requires, because coboundaries are cocycles.
-        rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
-        quotient = ff.QuotientSpace(z1[rows], ff.fixed_equations(g.generators, n), p)
-        return quotient.dim, f @ quotient.reps % p
+        # u_i = f(s_i) on Z^1, so B^1 is spanned there by the blocks s_i - 1.
+        system, f = _cocycles(p, g.elements, g.step, g.parent)
+        reps = ff.kernel_quotient(system, ff.fixed_equations(g.generators, n), p)[0]
+        return reps.shape[1], f.reshape(k * n, r * n) @ reps % p
 
     if degree == 2:
         sylow = _p_part(k, p)
@@ -205,21 +196,22 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         for x, i in g.parent[1:]:
             q_elements.append(q_elements[x] @ q_gens[i] % p)
         # dim H^1(G, Q) = dim Z^1 - dim B^1, and dim B^1 = dim Q - dim Q^G.
+        system = _cocycles(p, q_elements, g.step, g.parent)[0]
         moved = ff.fixed_equations(q_gens, dim_q)
-        return _cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p), None
+        return r * dim_q - ff.rank(system, p) - ff.rank(moved, p), None
 
     raise SelmerError("degree must be 0, 1, or 2")
 
 
 def _cocycles(p: int, elements, step, parent):
-    """(Z, F) for the 1-cocycles of G on M, elements[x] acting on F_p^n.
+    """(system, F) for the 1-cocycles of G on M, elements[x] acting on F_p^n.
 
     The unknowns are u = (f(s_1), ..., f(s_r)); along the BFS tree f(y) = F[y] u
     with F[0] = 0 and F[y] = F[x] + x.E_i for parent[y] = (x, i), E_i picking
     out f(s_i).  Edge (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0.  That is
     zero on the k - 1 tree edges, so only the others enter the system: the
-    Schreier relators, which generate every relation of G.  Z is a basis of
-    the solutions u.
+    Schreier relators, which generate every relation of G.  Z^1 is the
+    kernel of the system, returned unreduced, in the unknowns u.
     """
     acts = np.asarray(elements)
     (k, r), n = step.shape, len(acts[0])
@@ -241,7 +233,7 @@ def _cocycles(p: int, elements, step, parent):
     system = f[step[xs, gs]] - f[xs]  # (edges, n, r.n), then updated in place
     for i in range(r):
         system[gs == i, :, i * n : (i + 1) * n] -= acts[xs[gs == i]]
-    return ff.nullspace(system.reshape(len(xs) * n, r * n), p), f
+    return system.reshape(len(xs) * n, r * n), f
 
 
 def _p_part(k: int, p: int) -> int:
@@ -419,13 +411,13 @@ class SelmerSystem:
 
     def exactness_holds(self) -> bool:
         """Is the image of H the annihilator of the image of H'?  Reciprocity
-        puts it inside, and the annihilator is the kernel of the transpose of
+        puts it inside, and is not tested again: __post_init__ refuses a
+        system without it.  The annihilator is the kernel of the transpose of
         the stacked P_v res'_v, of dimension sum dim V_v minus its rank, so
         equality is a rank count."""
         total = sum(self.local_dims[v] for v in self.places)
         paired = np.vstack([self.pairing[v] @ self.res_dual[v] for v in self.places])
-        return (self.reciprocity_holds()
-                and ff.rank(self.stacked_res(), self.p) + ff.rank(paired, self.p) == total)
+        return ff.rank(self.stacked_res(), self.p) + ff.rank(paired, self.p) == total
 
 
 @dataclass(eq=False)

@@ -326,22 +326,30 @@ def test_python_kernel_matches_numpy_kernel(case):
 @given(kernel_rule_matrices(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_nullspace_and_rank_match_the_array_route(case, zero_row):
-    """nullspace and rank read the Python kernel's rows without building R;
-    the oracle is _kernel on rref's array R, the only route for numpy's."""
+    """nullspace and rank read the Python kernel's rows without building R
+    (no rref call); the oracle is the kernel basis read off rref's array R:
+    the identity at the free columns and -R at the pivots."""
     p, a = case
     if zero_row and len(a):
         a = a.copy()
         a[len(a) // 2] = 0
     r, pivots = ff.rref(a, p)
-    expected = ff._kernel(r, pivots, p)[0]
-    kernel, numpy_read = ff._kernel, []
-    ff._kernel = lambda *args: numpy_read.append(True) or kernel(*args)
+    n = a.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    expected = ff.zeros((n, len(free)))
+    expected[free, np.arange(len(free))] = 1
+    expected[pivots] = -r[: len(pivots), free] % p
+    reduce, rref, kernels = ff._reduce, ff.rref, []
+    ff._reduce = lambda *args: kernels.append(reduce(*args)) or kernels[-1]
+    ff.rref = lambda *args: pytest.fail("R built as an array")
     try:
-        got = ff.nullspace(a, p)
+        got, got_free = ff._kernel(a, p)
+        assert ff.nullspace(a, p).tobytes() == got.tobytes()
     finally:
-        ff._kernel = kernel
-    assert (not numpy_read) == python_kernel_rule(a, p)
-    assert got.dtype == np.int64 and got.shape == (a.shape[1], a.shape[1] - len(pivots))
+        ff._reduce, ff.rref = reduce, rref
+    assert [isinstance(k[0], list) for k in kernels] == [python_kernel_rule(a, p)] * 2
+    assert got_free == free
+    assert got.dtype == np.int64 and got.shape == (n, n - len(pivots))
     assert got.tobytes() == expected.tobytes()
     assert ff.rank(a, p) == len(pivots)
 

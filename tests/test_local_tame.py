@@ -614,7 +614,7 @@ def test_h1_makes_two_eliminations(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_coboundaries_are_cocycles(seed, allow_tau):
-    """d1 d0 = 0 mod p, so B^1 lies in Z^1 as H^1's QuotientSpace requires."""
+    """d1 d0 = 0 mod p, so B^1 lies in Z^1 as kernel_quotient requires."""
     m = random_tame_module(random.Random(seed), allow_tau)
     assert not (m.relator_matrix @ m.coboundary_matrix % m.p).any()
 
@@ -1205,3 +1205,56 @@ def test_adjoint_module_matches_per_root_construction(name, p):
         got = a.module.twisted(twist).phi_eff
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes(), (values, q, twist)
+
+
+# ---------------------------------------------------------------------------
+# Invariance relations.  A change of basis g of M, (Phi, T) -> (g Phi g^-1,
+# g T g^-1), is an isomorphism of modules, so it cannot move the dimensions,
+# the rank of the pairing's Gram matrix, the unramified dimension or the
+# image of H^1(gW) for the Ramakrishna W; and Tate twists compose.  Neither
+# relation needs an oracle, and a change of basis moves the free columns
+# that H^1 is reduced in.
+# ---------------------------------------------------------------------------
+
+def conjugated(m: lt.TameGaloisModule, g, gi) -> lt.TameGaloisModule:
+    p = m.p
+    return lt.TameGaloisModule(p, g @ m.phi @ gi % p, m.q, g @ m.tau @ gi % p, m.twist)
+
+
+def tame_invariants(m: lt.TameGaloisModule, w=None) -> list:
+    """(h0, h1, h2), the Gram rank, the unramified dimension when T = 1, and
+    for a subspace W the dimensions of the image of H^1(W) and of its
+    annihilator."""
+    gram = lt.pairing_gram(m)[0]
+    out = [lt.cohomology_dims(m), ff.rank(gram, m.p)]
+    if np.array_equal(m.tau, ff.eye(m.dim)):
+        out.append(lt.unramified_subspace(m).dim)
+    if w is not None:
+        sub = lt.image_subspace(m, w, "ramakrishna")
+        out += [sub.dim, lt.annihilator_subspace(m, sub).dim]
+    return out
+
+
+@given(st.sampled_from(["random", *sorted(RAMAKRISHNA_CASES)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conjugation_leaves_tame_invariants(kind, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        m, w = random_tame_module(rng), None
+    else:
+        a = ramakrishna_adjoint(kind)
+        _, alpha = lt.is_ramakrishna_type(a)
+        m = a.module
+        w = np.hstack([lt.t_alpha_basis(a.rd, alpha, a.p, a.dim), lt._root_line(a, alpha)])
+        # The verdict "ramified subspace dim = h0" on either side.
+        assert lt.ramakrishna_subspace(a, alpha).dim == lt.cohomology_dims(m)[0]
+    g, gi = ff.random_invertible(rng, m.dim, m.p)
+    moved = None if w is None else g @ w % m.p
+    assert tame_invariants(conjugated(m, g, gi), moved) == tame_invariants(m, w)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(-30, 30), st.integers(-30, 30))
+@settings(max_examples=60, deadline=None)
+def test_twists_compose_in_dimensions(seed, a, b):
+    m = random_tame_module(random.Random(seed))
+    assert lt.cohomology_dims(m.twisted(a).twisted(b)) == lt.cohomology_dims(m.twisted(a + b))

@@ -11,24 +11,29 @@ from galdesk import ffield as ff
 from galdesk import selmer as sl
 from galdesk.errors import VerificationFailure
 from span_oracle import intersect_spans
+from test_ffield import ref_rref
 
 
 # ---------------------------------------------------------------------------
 # Oracles: degree-1 and degree-2 cohomology by the full bar differentials, no
 # generator shortcut.  They read a Cayley table built here from the elements,
 # independent of the enumeration's step table.  kn_h1_oracle solves for f(x)
-# on every element x (k.n unknowns) and fixes the H^1 basis bytes.
-# coind_h2_oracle shifts by the whole coinduced module, with no Sylow
-# normaliser and no subgroup, and bfs_oracle enumerates with one matrix
-# product per (element, generator).
+# on every element x (k.n unknowns), and free_h1_oracle picks the H^1 basis
+# bytes from its Z^1 by reference row reductions.  coind_h2_oracle shifts by
+# the whole coinduced module, with no Sylow normaliser and no subgroup, and
+# bfs_oracle enumerates with one matrix product per (element, generator).
 # ---------------------------------------------------------------------------
 
+def element_index(g: sl.FiniteGroupAction) -> dict:
+    return {m.tobytes(): x for x, m in enumerate(g.elements)}
+
+
 def cayley_table(g: sl.FiniteGroupAction) -> np.ndarray:
-    k = g.order
+    k, index = g.order, element_index(g)
     mult = np.zeros((k, k), dtype=np.int64)
     for i, a in enumerate(g.elements):
         for j, b in enumerate(g.elements):
-            mult[i, j] = g.index[ff.mat_mul(a, b, g.p).tobytes()]
+            mult[i, j] = index[ff.mat_mul(a, b, g.p).tobytes()]
     return mult
 
 
@@ -110,15 +115,14 @@ def bar_h2_oracle(g: sl.FiniteGroupAction):
     return z2 - b2, None
 
 
-def kn_h1_oracle(p: int, elements, step):
-    """(dim, basis) of H^1(G, M), where elements[x] is the matrix of x on M
-    and step is the table of FiniteGroupAction."""
+def kn_system(elements, step) -> np.ndarray:
+    """The 1-cocycle equations in the unknowns f(x) for all x (k.n of them),
+    where elements[x] is the matrix of x on M and step is the table of
+    FiniteGroupAction: f(1) = 0 and the generator closure f(x s) = f(x) +
+    x.f(s), one block of n rows per (s, x), written in place and unreduced."""
     k, r = step.shape
     n = elements[0].shape[0]
     one = ff.eye(n)
-    # Unknowns f(x) for all x; constraints f(1) = 0 and the generator
-    # closure f(x s) = f(x) + x.f(s), one block of n rows per (s, x),
-    # written in place; nullspace reduces the whole system mod p once.
     system = ff.zeros((n + r * k * n, k * n))
     system[:n, :n] = one
     top = n
@@ -131,11 +135,64 @@ def kn_h1_oracle(p: int, elements, step):
             block[:, x * n : (x + 1) * n] -= one
             block[:, s * n : (s + 1) * n] -= elements[x]
             top += n
-    z1 = ff.nullspace(system, p)
-    # Coboundaries f(x) = (x - 1) v.
-    b1 = ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
-    quotient = ff.QuotientSpace(z1, b1, p)
+    return system
+
+
+def coboundaries(p: int, elements) -> np.ndarray:
+    """B^1 in the coordinates (f(x))_x: the columns of the stacked x - 1."""
+    one = ff.eye(len(elements[0]))
+    return ff.column_space(np.vstack([(mat - one) % p for mat in elements]), p)
+
+
+def kn_h1_oracle(p: int, elements, step):
+    """(dim, basis) of H^1(G, M) as the quotient of the k.n-unknown Z^1 by B^1."""
+    quotient = ff.QuotientSpace(ff.nullspace(kn_system(elements, step), p),
+                                coboundaries(p, elements), p)
     return quotient.dim, quotient.reps
+
+
+def ref_kernel(a, p: int):
+    """(basis, free) of the right kernel of a: the basis is the identity at
+    the free (non-pivot) columns of ref_rref(a) and -R at its pivots."""
+    r, pivots = ref_rref(a, p)
+    n = np.shape(a)[1]
+    free = [j for j in range(n) if j not in pivots]
+    basis = ff.zeros((n, len(free)))
+    for c, j in enumerate(free):
+        basis[j, c] = 1
+        for row, i in zip(r, pivots):
+            basis[i, c] = -row[j] % p
+    return basis, free
+
+
+def free_h1_oracle(g: sl.FiniteGroupAction):
+    """(dim, basis) of H^1(G, M) in finite_cohomology's convention, with no
+    generator-level system.  Z^1 is the k.n-unknown one, restricted to the
+    rows u = (f(s_i))_i, where it stays one-to-one.  Its canonical kernel
+    basis, the one every matrix with kernel Z^1 has, is read off the RREF of
+    the annihilator of Z^1; the representatives are the greedy complement
+    of the stacked s_i - 1 among its columns, by successive rank tests; and
+    each is lifted to (f(x))_x along f(x s) = f(x) + x.f(s)."""
+    p, n, k = g.p, g.dim, g.order
+    rows = (g.step[0][:, None] * n + np.arange(n)).ravel()
+    z1_u = ff.nullspace(kn_system(g.elements, g.step), p)[rows]
+    z1 = ref_kernel(ref_kernel(z1_u.T, p)[0].T, p)[0]
+    kept = np.vstack([ff.zeros((0, n)), *(m - ff.eye(n) for m in g.generators)]) % p
+    reps = []
+    for c in range(z1.shape[1]):
+        grown = np.hstack([kept, z1[:, c : c + 1]])
+        if len(ref_rref(grown, p)[1]) > len(ref_rref(kept, p)[1]):
+            kept = grown
+            reps.append(z1[:, c])
+    lifted = []
+    for u in reps:
+        f = {0: ff.zeros(n)}
+        for x in range(k):
+            for i, y in enumerate(g.step[x].tolist()):
+                if y not in f:
+                    f[y] = (f[x] + g.elements[x] @ u[i * n : (i + 1) * n]) % p
+        lifted.append(np.concatenate([f[x] for x in range(k)]))
+    return len(reps), np.column_stack(lifted) if lifted else ff.zeros((k * n, 0))
 
 
 def coind_h2_oracle(g: sl.FiniteGroupAction) -> int:
@@ -153,7 +210,8 @@ def coind_h2_oracle(g: sl.FiniteGroupAction) -> int:
     for x, i in g.parent[1:]:
         q_elements.append(q_elements[x] @ q_gens[i] % p)
     moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % p for q in q_gens])
-    return sl._cocycles(p, q_elements, g.step, g.parent)[0].shape[1] - ff.rank(moved, p)
+    z1 = ff.nullspace(sl._cocycles(p, q_elements, g.step, g.parent)[0], p)
+    return z1.shape[1] - ff.rank(moved, p)
 
 
 def bfs_oracle(p: int, generators, order_bound: int = 100_000):
@@ -476,7 +534,7 @@ def test_sylow_normaliser(name):
     g, n, h2 = normaliser_case(name)
     p = g.p
     assert sl._p_part(g.order, p) == p
-    assert all(m.tobytes() in g.index for m in n.elements)
+    assert all(m.tobytes() in element_index(g) for m in n.elements)
     sylow = elements_of_order_p(n.elements, p)
     assert len(sylow) == p - 1
     keys = {m.tobytes() for m in sylow}
@@ -498,7 +556,7 @@ def test_enumeration_matches_per_element_oracle(name):
     elements, index, step, parent = bfs_oracle(g.p, g.generators)
     assert [m.tobytes() for m in g.elements] == [m.tobytes() for m in elements]
     assert all(m.dtype == np.int64 and m.shape == (g.dim, g.dim) for m in g.elements)
-    assert g.index == index
+    assert element_index(g) == index
     assert g.step.dtype == step.dtype and np.array_equal(g.step, step)
     assert g.parent == parent
 
@@ -526,9 +584,53 @@ def test_step_table_and_parents(g):
                                                      np.array(SWAP)])])
 def test_h1_basis_matches_kn_oracle(g):
     dim, basis = sl.finite_cohomology(g, 1)
-    want_dim, want_basis = kn_h1_oracle(g.p, g.elements, g.step)
+    want_dim, want_basis = free_h1_oracle(g)
     assert dim == want_dim
-    assert np.array_equal(basis, want_basis)
+    assert basis.dtype == want_basis.dtype and basis.tobytes() == want_basis.tobytes()
+    # The classes of the k.n-unknown quotient: with B^1, the two bases span alike.
+    kn_dim, kn_basis = kn_h1_oracle(g.p, g.elements, g.step)
+    b1 = coboundaries(g.p, g.elements)
+    spans = [ff.rank(np.hstack([b1, *bases]), g.p)
+             for bases in ([basis], [kn_basis], [basis, kn_basis])]
+    assert kn_dim == dim and spans == [b1.shape[1] + dim] * 3
+
+
+# Invariance relations: a group is the same group under any generating set
+# and any basis of M, so its order and the dimensions of H^0, H^1 and H^2
+# cannot move.  They need no oracle, and they move the BFS order, so the
+# Schreier relators, the free columns of H^1 and the P and H that H^2 picks.
+# The four groups run the three degree-2 routes: p exactly divides the order
+# of the adjoint PSL2(F_5) and PSL2(F_7) (a normaliser N_G(P) != G), not
+# that of S3 over F_7, and 27 = 3^3 is that of the unitriangular matrices.
+UNITRIANGULAR = [ff.eye(3) + np.eye(3, k=1, dtype=np.int64) * np.array([[1], [0], [0]]),
+                 ff.eye(3) + np.eye(3, k=1, dtype=np.int64) * np.array([[0], [1], [0]])]
+INVARIANCE_GROUPS = {"adjoint-psl2-f5": lambda: sl2_adjoint_action(5),
+                     "adjoint-psl2-f7": lambda: sl2_adjoint_action(7),
+                     "s3-mod-7": partial(small_group, "s3-mod-7"),
+                     "unitriangular-27-mod-3": lambda: sl.FiniteGroupAction(3, UNITRIANGULAR)}
+
+
+def group_invariants(p, gens):
+    g = sl.FiniteGroupAction(p, gens)
+    return g.order, [sl.finite_cohomology(g, d)[0] for d in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_GROUPS))
+def test_group_cohomology_is_invariant_under_generators_and_basis(name):
+    g = INVARIANCE_GROUPS[name]()
+    p, gens = g.p, g.generators
+    rng = random.Random(name)
+    i, j = rng.sample(range(len(gens)), 2)
+    product = gens[i] @ gens[j] % p
+    c, ci = ff.random_invertible(rng, g.dim, p)
+    generating_sets = {
+        "reordered": gens[::-1],
+        "redundant": [*gens, product],
+        "replaced": [product if x == i else m for x, m in enumerate(gens)],
+        "conjugated": [c @ m @ ci % p for m in gens],
+    }
+    got = {key: group_invariants(p, new) for key, new in generating_sets.items()}
+    assert got == dict.fromkeys(generating_sets, group_invariants(p, gens))
 
 
 def sylow_bound(g):
@@ -1495,7 +1597,8 @@ def test_builders_validate_one_system(monkeypatch):
         assert len(constructed) == 1 and len(reciprocity) == 1
     system = sl.build_exact_system(random.Random(3), 7, {"a": 3, "b": 2}, 2)
     reciprocity.clear()
-    assert system.exactness_holds() and len(reciprocity) == 1
+    # __post_init__ has checked reciprocity, so exactness does not again.
+    assert system.exactness_holds() and len(reciprocity) == 0
 
 
 def scenario_arrays(sc):
