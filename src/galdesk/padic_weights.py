@@ -27,9 +27,9 @@ have a root in the open unit polydisk: f/h - zeta has a unit constant term
 for every other zeta.  The constancy test never divides: f/h - zeta0 =
 (f - zeta0 h)/h with h a unit, and restricting to an axis is a ring map,
 under which h stays a unit, so on each axis the two have their first unit
-coefficient at the same index.  It tests f - zeta0 h, one scale and one
-subtraction at the smaller cap and precision, each term at the precision of
-the two terms it comes from.
+coefficient at the same index.  It tests f - zeta0 h, formed in one pass
+over the residue arrays at the smaller cap and precision, each term at the
+precision of the two terms it comes from.
 """
 
 from __future__ import annotations
@@ -165,24 +165,15 @@ class TruncatedSeries:
 
     # -- access ----------------------------------------------------------------
 
-    def coeff(self, idx) -> PadicInt:
-        slot = _layout(self.nvars, self.degree_cap).index.get(tuple(idx))
-        if slot is None or not self.precs[slot]:
-            return PadicInt.zero(self.p, self.prec)
-        return PadicInt(self.p, self.residues[slot], int(self.precs[slot]))
-
     def terms(self) -> dict[tuple[int, ...], PadicInt]:
         """The present terms, by exponent tuple."""
         monomials = _layout(self.nvars, self.degree_cap).monomials
         return {monomials[i]: PadicInt(self.p, self.residues[i], int(self.precs[i]))
                 for i in np.flatnonzero(self.precs)}
 
-    @property
-    def constant_term(self) -> PadicInt:
-        return self.coeff(tuple(0 for _ in range(self.nvars)))
-
     def is_unit(self) -> bool:
-        return self.constant_term.is_unit()
+        # Slot 0 is the constant monomial; an absent term has residue 0.
+        return self.residues[0] % self.p != 0
 
     def is_zero_at_prec(self) -> bool:
         return np.count_nonzero(self.residues) == 0
@@ -282,14 +273,21 @@ class TruncatedSeries:
 
     # -- reductions -----------------------------------------------------------
 
+    def _check_var(self, var: int):
+        if not 0 <= var < self.nvars:
+            raise SeriesError(f"no variable {var} in a series in {self.nvars} variables")
+
     def dual_reduction(self, var: int) -> tuple[int, int]:
-        """(a0, a1) mod p: image under reduction by (p, X_var^2, other vars)."""
-        zero = tuple(0 for _ in range(self.nvars))
+        """(a0, a1) mod p: image under reduction by (p, X_var^2, other vars).
+        At cap 0 there is no linear slot, and a1 is 0."""
+        self._check_var(var)
         e = tuple(int(i == var) for i in range(self.nvars))
-        return self.coeff(zero).residue % self.p, self.coeff(e).residue % self.p
+        slot = _layout(self.nvars, self.degree_cap).index.get(e)
+        return self.residues[0] % self.p, 0 if slot is None else self.residues[slot] % self.p
 
     def specialize_to_axis(self, var: int) -> "TruncatedSeries":
         """One-variable series: every other variable set to 0."""
+        self._check_var(var)
         cap = self.degree_cap
         layout = _layout(self.nvars, cap)
         axis = layout.slots(np.arange(cap + 1) * (cap + 1) ** var)
@@ -390,7 +388,9 @@ def constancy_test(f: TruncatedSeries, h: TruncatedSeries):
     if not (f.is_unit() and h.is_unit()):
         raise SeriesError("constancy test needs unit series")
     zeta0 = teichmuller(f.residues[0] * pow(h.residues[0], -1, f.p), f.p, min(f.prec, h.prec))
-    diff = f - h.scale(zeta0)
+    # One pass: where h has a term its precision is at least the slot's, so
+    # reducing zeta0 h first would change nothing, and an absent term is 0.
+    diff = f._termwise(h, lambda a, b: a - b * zeta0.residue)
     if diff.is_zero_at_prec():
         return Constant(zeta0)
     for var in range(f.nvars):

@@ -669,8 +669,7 @@ def test_payload_defaults():
     # A coefficient without a precision has the series' own.
     series = sc._series({"p": 5, "nvars": 1, "prec": 8, "degree_cap": 2,
                          "coeffs": [[[0], 3], [[1], 2, 4]]}, "f_w", 5)
-    assert (series.coeff((0,)), series.coeff((1,))) == (pa.PadicInt(5, 3, 8),
-                                                        pa.PadicInt(5, 2, 4))
+    assert series.terms() == {(0,): pa.PadicInt(5, 3, 8), (1,): pa.PadicInt(5, 2, 4)}
     # An empty condition is a basis with no column, at a place of dimension 0.
     payload = {"p": 5, "local_dims": {"a": 2, "b": 0}, "global_dim": 1, "conditions": {"b": []}}
     assert run("selmer", payload, 0, None)["condition_dims"] == {"a": 2, "b": 0}

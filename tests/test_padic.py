@@ -4,6 +4,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -433,7 +434,7 @@ def test_dense_series_match_dict_oracle(data):
     var = data.draw(st.integers(0, nvars - 1))
     _agree(f.specialize_to_axis(var), f0.specialize_to_axis(var))
     idx = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
-    assert f.coeff(idx) == f0.coeff(idx)
+    assert f.terms().get(idx) == f0.coeffs.get(idx)
 
 
 def test_dense_times_dense_exact_at_nvars4_cap10():
@@ -502,7 +503,7 @@ def test_sum_keeps_a_term_known_to_precision_one():
     rough = pw.TruncatedSeries(5, 1, 8, 4, {(1,): pa.PadicInt(5, 2, 1)})
     exact = pw.TruncatedSeries(5, 1, 8, 4, {(1,): 3})
     for total in (rough + exact, exact + rough):
-        assert total.coeff((1,)) == pa.PadicInt(5, 0, 1)
+        assert total.terms()[(1,)] == pa.PadicInt(5, 0, 1)
 
 
 def test_series_rejects_other_primes():
@@ -529,6 +530,148 @@ def test_dual_reduction():
     assert g.dual_reduction(1) == (2, 3)
     assert g.dual_reduction(0) == (2, 1)
     assert g.dual_reduction(2) == (2, 0)
+
+
+@pytest.mark.parametrize("method, var", [("dual_reduction", 2), ("dual_reduction", -1),
+                                         ("specialize_to_axis", -1), ("specialize_to_axis", 2)])
+def test_out_of_range_variable_is_refused(method, var):
+    g = series(5, 2, 6, 4, [((0, 0), 2), ((1, 0), 3), ((0, 1), 4)])
+    with pytest.raises(pw.SeriesError, match=f"no variable {var} in a series in 2 variables"):
+        getattr(g, method)(var)
+
+
+# The slot reads and the one-pass difference against the PadicInt routes they
+# replace, at small primes and at one whose powers outgrow int64 at once.
+ORACLE_PRIMES = [3, 5, 7, 2**31 - 1]
+
+
+def _pinned_terms(data, p, nvars, prec, cap):
+    """_draw_terms, with the constant and each linear monomial drawn apart:
+    absent, a present zero, a unit or a multiple of p, at its own precision."""
+    terms = _draw_terms(data, p, nvars, prec, cap)
+    for m in [(0,) * nvars] + [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]:
+        terms.pop(m, None)
+        kind = data.draw(st.sampled_from(["absent", "zero", "unit", "multiple"]))
+        if kind != "absent":
+            r = {"zero": 0, "unit": data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(0, p)),
+                 "multiple": p * data.draw(st.integers(1, p))}[kind]
+            terms[m] = pa.PadicInt(p, r, data.draw(st.integers(1, prec + 2)))
+    return terms
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, database=None)
+def test_unit_and_dual_reduction_match_the_padic_route(data):
+    """is_unit and dual_reduction read slot 0 and the linear slot off the
+    arrays; the oracle reads the dict series' PadicInts, a zero at the series
+    precision for an absent term and for the linear term at cap 0."""
+    p, nvars = data.draw(st.sampled_from(ORACLE_PRIMES)), data.draw(st.integers(1, 4))
+    prec, cap = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 3))
+    terms = _pinned_terms(data, p, nvars, prec, cap)
+    f, f0 = pw.TruncatedSeries(p, nvars, prec, cap, terms), DictSeries(p, nvars, prec, cap, terms)
+    zero = (0,) * nvars
+    assert f.is_unit() == f0.constant_term.is_unit()
+    for var in range(nvars):
+        e = tuple(int(k == var) for k in range(nvars))
+        assert f.dual_reduction(var) == (f0.coeff(zero).residue % p, f0.coeff(e).residue % p)
+
+
+def scale_then_subtract(f, h):
+    """zeta0 and f - zeta0 h by scaling h and subtracting, with zeta0 lifted
+    from the PadicInt constant terms."""
+    zero = (0,) * f.nvars
+    f0, h0 = f.terms()[zero], h.terms()[zero]
+    zeta0 = pa.teichmuller(f0.residue * pow(h0.residue, -1, f.p), f.p, min(f.prec, h.prec))
+    return zeta0, f - h.scale(zeta0)
+
+
+def verdict_of_difference(zeta0, diff):
+    """Constant when diff vanishes, else the first axis with a unit term and
+    the first index of one, else Undetermined."""
+    if diff.is_zero_at_prec():
+        return pw.Constant(zeta0)
+    for var in range(diff.nvars):
+        axis = sorted(diff.specialize_to_axis(var).terms().items())
+        if (degree := next((i for (i,), c in axis if c.is_unit()), None)) is not None:
+            return pw.NonconstantWitness(zeta0, var, degree)
+    return pw.Undetermined(zeta0, None)
+
+
+def constancy_difference(f, h):
+    """constancy_test's verdict and the difference f - zeta0 h it formed,
+    caught as the first series it asks whether it vanishes."""
+    seen, vanishes = [], pw.TruncatedSeries.is_zero_at_prec
+
+    def spy(s):
+        seen.append(s)
+        return vanishes(s)
+
+    with mock.patch.object(pw.TruncatedSeries, "is_zero_at_prec", spy):
+        verdict = pw.constancy_test(f, h)
+    return verdict, seen[0]
+
+
+def _unit_pair(data, p):
+    """Unit series f and h with their own caps (0 to 5) and precisions, terms
+    at their own precision, absent terms and present zeros.  f is random, or
+    zeta h term by term, or that with one term off the constant redrawn."""
+    nvars = data.draw(st.integers(1, 4))
+    (prec_f, cap_f), (prec_h, cap_h) = ((data.draw(st.integers(1, 9)), data.draw(st.integers(0, 5)))
+                                        for _ in "fh")
+    h_terms = _draw_terms(data, p, nvars, prec_h, cap_h, unit_constant=True)
+    kind = data.draw(st.sampled_from(["random", "constant", "bumped"]))
+    if kind == "random":
+        f_terms = _draw_terms(data, p, nvars, prec_f, cap_f, unit_constant=True)
+    else:
+        zeta = pa.teichmuller(data.draw(st.integers(1, p - 1)), p, max(prec_f, prec_h) + 2).residue
+        f_terms = {m: pa.PadicInt(p, zeta * c.residue, c.prec) if isinstance(c, pa.PadicInt)
+                   else zeta * c for m, c in h_terms.items()}
+    if kind == "bumped":
+        m = tuple(data.draw(st.integers(0, cap_f)) for _ in range(nvars))
+        m = m if any(m) else (1,) + m[1:]
+        f_terms[m] = pa.PadicInt(p, data.draw(st.integers(0, p ** (prec_f + 1))),
+                                 data.draw(st.integers(1, prec_f + 2)))
+    return (pw.TruncatedSeries(p, nvars, prec_f, cap_f, f_terms),
+            pw.TruncatedSeries(p, nvars, prec_h, cap_h, h_terms))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, database=None)
+def test_one_pass_difference_matches_scale_then_subtract(data):
+    """The difference that constancy_test forms in one pass has the bytes of
+    f - h.scale(zeta0): prec, cap, every residue and every precision; and
+    the verdict is the one that difference gives."""
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    f, h = _unit_pair(data, p)
+    verdict, diff = constancy_difference(f, h)
+    zeta0, oracle = scale_then_subtract(f, h)
+    assert (diff.p, diff.nvars, diff.prec, diff.degree_cap) == \
+        (oracle.p, oracle.nvars, oracle.prec, oracle.degree_cap)
+    assert diff.residues.tolist() == oracle.residues.tolist()
+    assert diff.precs.tolist() == oracle.precs.tolist()
+    assert verdict == verdict_of_difference(zeta0, oracle)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None, database=None)
+def test_absent_terms_hold_residue_zero(data):
+    """After every series operation a slot at precision 0 holds residue 0,
+    which is_unit, dual_reduction and the one-pass difference read as the
+    absent term's value."""
+    p, nvars = data.draw(st.sampled_from(ORACLE_PRIMES)), data.draw(st.integers(1, 4))
+
+    def draw(unit_constant):
+        prec, cap = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 5))
+        return pw.TruncatedSeries(p, nvars, prec, cap,
+                                  _draw_terms(data, p, nvars, prec, cap, unit_constant))
+
+    f, g, u = draw(False), draw(False), draw(True)
+    c = pa.PadicInt(p, data.draw(st.integers(0, p**6)), data.draw(st.integers(1, 10)))
+    var = data.draw(st.integers(0, nvars - 1))
+    unit_f, unit_h = _unit_pair(data, p)
+    for s in (f, f + g, f - g, -f, f * g, f.scale(c), u.inverse(), f.divide(u),
+              f.specialize_to_axis(var), constancy_difference(unit_f, unit_h)[1]):
+        assert not any(s.residues[s.precs == 0])
 
 
 # ---------------------------------------------------------------------------

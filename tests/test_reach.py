@@ -38,6 +38,7 @@ EXEMPT = {
     "selmer.ConditionAssignment.l_perp": PERF,
     "padic_weights.TruncatedSeries.__add__": PERF,
     "padic_weights.TruncatedSeries.__neg__": PERF,
+    "padic_weights.TruncatedSeries.__sub__": PERF,
     "padic_weights.TruncatedSeries.inverse": PERF,
     "padic_weights.TruncatedSeries.divide": PERF,
     "padic_weights.SparsityCertificate.per_zeta": PERF,

@@ -131,6 +131,21 @@ def test_compound_type_takes_each_factor():
     assert not rdm.very_good_prime(rd, 3) and rdm.very_good_prime(rd, 5)
 
 
+@pytest.mark.parametrize("first, second", [(("A", 2), ("B", 3)), (("G", 2), ("A", 1)),
+                                           (("D", 4), ("C", 3)), (("E", 6), ("F", 4))],
+                         ids=["A2+B3", "G2+A1", "D4+C3", "E6+F4"])
+def test_factor_order_leaves_the_invariants(first, second):
+    """A compound type is a product: swapping its factors leaves the profile,
+    the centre's order, the Coxeter number and every very-good verdict, and
+    lists each factor's highest root in the other order."""
+    rd, swapped = (rdm.build_root_datum(spec) for spec in ([first, second], [second, first]))
+    assert rdm.dimension_profile(swapped) == rdm.dimension_profile(rd)
+    assert (swapped.center_order, swapped.coxeter_number) == (rd.center_order, rd.coxeter_number)
+    for p in (5, 7, 11, 13):
+        assert rdm.very_good_prime(swapped, p) == rdm.very_good_prime(rd, p), p
+    assert swapped.highest_roots == rd.highest_roots[::-1]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gl_longest_element(n):
     # w0 reverses the diagonal: -w0 reverses the simple roots.

@@ -334,7 +334,7 @@ def two_pass_oracle(family):
             continue
         per_zeta = {}
         for zeta, diff in zip(budget, diffs):
-            if diff.constant_term.is_unit():
+            if diff.terms()[(0,) * g.nvars].is_unit():
                 per_zeta[zeta.residue % p] = ("empty", None, 0)
                 continue
             witness = direction_witness(g, zeta)
@@ -376,7 +376,7 @@ def composed_constancy_oracle(f, h):
     g = f.divide(h)
     if not g.is_unit():
         raise pw.SeriesError("constancy test needs a unit series")
-    zeta0 = pa.teichmuller(g.constant_term.unit_residue_mod_p(), g.p, g.prec)
+    zeta0 = pa.teichmuller(g.terms()[(0,) * g.nvars].unit_residue_mod_p(), g.p, g.prec)
     diff = g - constant_series(zeta0, g)
     if diff.is_zero_at_prec():
         return pw.Constant(zeta0)
@@ -478,6 +478,51 @@ def test_mixed_precision_moves_only_constant_to_undetermined(data):
         assert verdict_key(verdict)[1:] == verdict_key(oracle)[1:]
 
 
+def permuted(s, sigma):
+    """s with variable k renamed sigma[k]."""
+    return pw.TruncatedSeries(s.p, s.nvars, s.prec, s.degree_cap,
+                              {tuple(m[sigma.index(k)] for k in range(s.nvars)): c
+                               for m, c in s.terms().items()})
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None, database=None)
+def test_unit_factor_and_variable_order_leave_the_verdict(data):
+    """Relations of the constancy test at uniform precision.  (f u, h u),
+    for a unit series u, has the verdict, zeta, axis and degree of (f, h).
+    Renaming the variables by sigma renames the axes of f - zeta0 h that
+    carry a unit coefficient: an axis carries one, of degree d, when moving
+    it to the front gives the witness (0, d), and under any order the
+    witness is the hit axis that comes first."""
+    f, h, _ = draw_pair(data, mixed=False)
+    verdict = pw.constancy_test(f, h)
+    p, nvars = f.p, f.nvars
+    prec, cap = max(f.prec, h.prec), max(f.degree_cap, h.degree_cap)
+    u_terms = {(0,) * nvars: data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(0, p**prec))}
+    for _ in range(data.draw(st.integers(0, 4))):
+        m = tuple(data.draw(st.integers(0, cap)) for _ in range(nvars))
+        u_terms.setdefault(m, data.draw(st.integers(0, p**prec)))
+    u = pw.TruncatedSeries(p, nvars, prec, cap, u_terms)
+    assert verdict_key(pw.constancy_test(f * u, h * u)) == verdict_key(verdict)
+
+    hits = {}
+    for a in range(nvars):
+        front = list(range(nvars))
+        front[0], front[a] = a, 0
+        moved = pw.constancy_test(permuted(f, front), permuted(h, front))
+        if isinstance(moved, pw.NonconstantWitness) and moved.var == 0:
+            hits[a] = moved.degree
+    sigma = data.draw(st.permutations(range(nvars)))
+    renamed = pw.constancy_test(permuted(f, sigma), permuted(h, sigma))
+    for got, order in ((verdict, list(range(nvars))), (renamed, sigma)):
+        assert (type(got), got.zeta) == (type(verdict), verdict.zeta)
+        if hits:
+            first = min(hits, key=order.__getitem__)
+            assert (got.var, got.degree) == (order[first], hits[first])
+        else:
+            assert not isinstance(got, pw.NonconstantWitness)
+
+
 def first_unit_scan(coeffs) -> int | None:
     """The first index whose coefficient, a PadicInt or None for an absent
     term, has valuation 0."""
@@ -521,10 +566,12 @@ def test_constancy_witness_is_the_first_unit_coefficient(data):
     if isinstance(verdict, pw.Constant):
         return
     cap = min(f.degree_cap, h.degree_cap)
+    # An absent term is a zero known to the precision of its series.
+    (tf, zf), (th, zh) = ((s.terms(), pa.PadicInt.zero(s.p, s.prec)) for s in (f, h))
     hits = []
     for var in range(f.nvars):
         axis = [tuple(k * (j == var) for j in range(f.nvars)) for k in range(cap + 1)]
-        scan = first_unit_scan([f.coeff(m) - verdict.zeta * h.coeff(m) for m in axis])
+        scan = first_unit_scan([tf.get(m, zf) - verdict.zeta * th.get(m, zh) for m in axis])
         if scan is not None:
             hits.append((var, scan))
     if isinstance(verdict, pw.NonconstantWitness):
