@@ -100,6 +100,12 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("ffield.<module>", "const", "_MAX_DRAWS = «1000»"):
         "the cap is reached only for a p that is not prime, where any cap ends in the "
         "same refusal",
+    ("ffield.is_prime", "const", "return n > «1»"):
+        "n = 2 has returned at the division by 2, so no n that reaches this line lies "
+        "in (1, 2]",
+    ("ffield.is_prime", "const", "s = ((n - 1) & («1» - n)).bit_length() - 1"):
+        "n is odd, so n - 3 = (n - 1) - 2 has bit s clear and agrees with n - 1 above it: "
+        "(n - 1) & (2 - n) = (n - 1) & ~(n - 3) is 2^s as well",
     ("padic_weights.<module>", "const", "@functools.lru_cache(maxsize=«32»)"):
         "a cache size: a layout is the same whether it is cached or rebuilt",
     ("padic_weights._layout", "const", "if nvars > «62» or (cap + 1) ** nvars > 2**62:"):
@@ -220,7 +226,7 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      'g3 = pw.TruncatedSeries(5, 1, 8, 6, {(0,): «3»})'):
         WEIERSTRASS,
     ('scenarios._prime', 'const',
-     'p = _int(_field(payload, "p", «0»), "p")'):
+     'return ff.odd_prime(_int(_field(payload, "p", «0»), "p"), ScenarioError, n)'):
         "a missing p is refused as not prime, at 0 and at 1 alike",
     ('scenarios._run_selmer', 'const',
      'global_dim = _int(_field(payload, "global_dim", «0» if explicit else _REQUIRED), "global_dim")'):

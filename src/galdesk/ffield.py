@@ -1,5 +1,9 @@
 """Exact linear algebra over prime fields F_p.
 
+`odd_prime` is the one check of p: every layer that takes a p passes it
+through, with its own `InputError` subclass and the length n of its sums of
+products, and gets it back bounded (n p^2 < 2^63) and proven prime.
+
 Matrices are dense numpy int64 reduced mod p; subspaces are represented by
 matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
 matrix right-hand side, and the span helpers (`span_contains`,
@@ -40,7 +44,7 @@ each entry as `random.Random.randrange` does, without its Python frames.
 
 from __future__ import annotations
 
-import math
+import operator
 from itertools import islice, repeat
 
 import numpy as np
@@ -57,6 +61,10 @@ _CHUNK_CELLS = 4096
 # odd prime a random square matrix is invertible with probability above 1/2,
 # so the cap is reached only for a p that is not prime (p = 1 never succeeds).
 _MAX_DRAWS = 1000
+
+# is_prime's Miller-Rabin bases, and the first strong pseudoprime to all four.
+_MR_BASES = (2, 3, 5, 7)
+_MR_BOUND = 3_215_031_751
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -87,17 +95,47 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; the one primality test every layer uses."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def is_odd_prime(p: int) -> bool:
-    return p != 2 and is_prime(p)
+    """Deterministic Miller-Rabin to the bases 2, 3, 5 and 7, which is exact
+    below 3 215 031 751 (Pomerance, Selfridge and Wagstaff, 1980); every p
+    with p^2 < 2^63 lies below it, and a larger n raises ValueError.  Once
+    no base divides n, an n below 11^2 is prime."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided at or above {_MR_BOUND}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 121:
+        return n > 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # is some b^(2^r d) = -1, r < s?
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def products_fit(p: int, n: int) -> bool:
     """Does a sum of n products of residues mod p stay below 2^63 (int64)?"""
     return max(n, 1) * p * p < 2**63
+
+
+def odd_prime(p: int, error: type[Exception], n: int = 1) -> int:
+    """p, if it is an odd prime whose sums of n products of residues fit
+    int64; otherwise `error` with the reason.  The bound comes first, so
+    `is_prime` sees only p < 2^31.5."""
+    p = operator.index(p)  # a numpy integer's p * p would wrap
+    if not products_fit(p, n):
+        raise error(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
+    if p == 2 or not is_prime(p):
+        raise error("p must be an odd prime")
+    return p
 
 
 def rref(a, p: int):

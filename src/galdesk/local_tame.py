@@ -80,8 +80,7 @@ class TameGaloisModule:
 
     def __post_init__(self):
         p = self.p
-        if not ff.is_odd_prime(p):
-            raise TameModuleError("base field characteristic must be an odd prime")
+        ff.odd_prime(p, TameModuleError)
         phi = ff.normalize(self.phi, p)
         object.__setattr__(self, "phi", phi)
         n = len(phi)

@@ -169,8 +169,7 @@ def example_local_dims(r: int, p: int) -> tuple[int, int, int]:
     h0 = 1 iff r = 0 mod p-1, h2 = 1 iff r = 1 mod p-1, and the local
     Euler characteristic in degree one over Q_p adds 1 to h0 + h2.
     """
-    if not ff.is_odd_prime(p):
-        raise NumerologyError("p must be an odd prime")
+    ff.odd_prime(p, NumerologyError)
     h0 = 1 if r % (p - 1) == 0 else 0
     h2 = 1 if r % (p - 1) == 1 else 0
     return h0, h0 + h2 + 1, h2

@@ -133,8 +133,7 @@ class TruncatedSeries:
     precs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, coeffs):
-        if not ff.is_odd_prime(self.p):
-            raise SeriesError(f"p = {self.p} is not an odd prime")
+        ff.odd_prime(self.p, SeriesError)
         if not 1 <= self.prec <= MAX_PRECISION:
             raise SeriesError(f"series precision must be between 1 and {MAX_PRECISION}")
         layout = _layout(self.nvars, self.degree_cap)

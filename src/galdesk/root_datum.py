@@ -200,8 +200,7 @@ def dimension_profile(rd: RootDatum) -> tuple[int, int, int, int, int, int]:
 
 def very_good_prime(rd: RootDatum, p: int) -> bool:
     """p divides neither det C nor a coefficient of any factor's highest root."""
-    if not ff.is_odd_prime(p):
-        raise RootDatumError("p must be an odd prime")
+    ff.odd_prime(p, RootDatumError)
     return rd.center_order % p != 0 and all(c % p for r in rd.highest_roots for c in r)
 
 
@@ -295,8 +294,7 @@ class TorusElement:
     simple_values: tuple[int, ...]
 
     def __post_init__(self):
-        if not ff.is_odd_prime(self.p):
-            raise RootDatumError("base field characteristic must be an odd prime")
+        ff.odd_prime(self.p, RootDatumError)
         if len(self.simple_values) != self.rd.rank_ss:
             raise RootDatumError("need one value per simple root")
         if any(v % self.p == 0 for v in self.simple_values):

@@ -595,13 +595,9 @@ def _mapping(value, name: str, must: str = "be an object") -> dict:
 
 def _prime(payload: dict, n: int) -> int:
     """The payload's p: an odd prime whose sums of n products of residues fit
-    int64.  The bound comes first, so no trial division runs near 2^63."""
-    p = _int(_field(payload, "p", 0), "p")  # a missing p is refused as not prime
-    if not ff.products_fit(p, n):
-        raise ScenarioError(f"p is too large: n*p^2 must be below 2^63 at dimension n = {n}")
-    if not ff.is_odd_prime(p):
-        raise ScenarioError("p must be an odd prime")
-    return p
+    int64."""
+    # A missing p is refused as not prime.
+    return ff.odd_prime(_int(_field(payload, "p", 0), "p"), ScenarioError, n)
 
 
 def _matrix(rows, name: str, p: int) -> np.ndarray:

@@ -59,11 +59,13 @@ MAX_ORDER = 100_000
 # Finite group actions and their cohomology
 # ---------------------------------------------------------------------------
 
-# Cell budget of the degree-2 system, the cocycle system of a module of
-# dimension n([K:H] - 1) over K with r generators: k.r.n([K:H] - 1) x
-# r.n([K:H] - 1) for |K| = k; checked before the subgroup H is searched for,
+# Cell budget of the arrays that a group of order k with r generators on
+# F_p^n builds: its k elements (k.n^2 cells, checked as they are enumerated),
+# the degree-1 cocycle system (at most k.r.n x r.n) and the degree-2 one, the
+# cocycle system of a module of dimension n([K:H] - 1) over K: k.r.n([K:H] - 1)
+# x r.n([K:H] - 1) for |K| = k, checked before the subgroup H is searched for,
 # from [K:H] >= |K|_p, and again once H is known.
-_H2_CELL_BUDGET = 10**7
+_CELL_BUDGET = 10**7
 
 # The enumeration multiplies at most this many queued elements by the
 # generators in one matmul.
@@ -86,10 +88,10 @@ class FiniteGroupAction:
 
     def __post_init__(self):
         p = self.p
-        if not ff.is_odd_prime(p):
-            raise SelmerError(f"p = {p} is not an odd prime")
+        n = len(self.generators[0]) if self.generators else 0
+        # The enumeration sums n products, the degree-1 lift r.n of them.
+        ff.odd_prime(p, SelmerError, len(self.generators) * n)
         gens = [ff.normalize(g, p) for g in self.generators]
-        n = len(gens[0]) if gens else 0
         for g in gens:
             if g.shape != (n, n) or ff.rank(g, p) < n:
                 raise SelmerError("generators must be invertible and same-sized")
@@ -114,6 +116,7 @@ class FiniteGroupAction:
                         parent.append((x, i))
                         if len(elements) > MAX_ORDER:
                             raise SelmerError("enumeration overflow beyond the order bound")
+                        _check_budget(len(elements), 1, n, "the enumeration")
                     row.append(index[key])
                 step.append(row)
                 x += 1
@@ -162,6 +165,7 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         return basis.shape[1], basis
 
     if degree == 1:
+        _check_budget(k, r, n, "the degree-1 cocycle system")
         # u_i = f(s_i) on Z^1, so B^1 is spanned there by the blocks s_i - 1.
         system, f = _cocycles(p, g.elements, g.step, g.parent)
         reps = ff.kernel_quotient(system, ff.fixed_equations(g.generators, n), p)[0]
@@ -175,10 +179,10 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         if sylow == p and (normaliser := _sylow_normaliser(g, times)) is not g:
             g, times = normaliser, _multiplier(normaliser)
             k, r = g.step.shape
-        _check_h2_budget(k, r, n * (sylow - 1))
+        _check_budget(k, r, n * (sylow - 1), "the shifted degree-2 system")
         coset, head, reps = _right_cosets(g, times, _p_prime_subgroup(g, times))
         dim_q = n * (len(reps) - 1)
-        _check_h2_budget(k, r, dim_q)
+        _check_budget(k, r, dim_q, "the shifted degree-2 system")
         # s_i maps f to (f(t_j s_i))_j, and t_j s_i = h t_j' puts the block h
         # at (j, j') of its matrix on CoInd, in the coordinates (f(t_j))_j.
         # Q is the complement f(t_0) = f(1) = 0, and f is reduced into it by
@@ -244,9 +248,9 @@ def _p_part(k: int, p: int) -> int:
     return part
 
 
-def _check_h2_budget(k: int, r: int, dim_q: int) -> None:
-    if k * r * dim_q * r * dim_q > _H2_CELL_BUDGET:
-        raise SelmerError("the shifted degree-2 system exceeds its cell budget")
+def _check_budget(k: int, r: int, dim: int, what: str) -> None:
+    if k * r * dim * r * dim > _CELL_BUDGET:
+        raise SelmerError(f"{what} exceeds its cell budget")
 
 
 def _multiplier(g: FiniteGroupAction):
@@ -374,6 +378,7 @@ class SelmerSystem:
         if not self.places:
             raise SelmerError("a Selmer system needs at least one place")
         h, h_dual = self.dim_h, self.dim_h_dual
+        ff.odd_prime(self.p, SelmerError, max(h, h_dual, *(self.local_dims[v] for v in self.places)))
         for v in self.places:
             nv = self.local_dims[v]
             if self.res[v].shape != (nv, h):

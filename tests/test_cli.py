@@ -4,6 +4,7 @@ import inspect
 import json
 import pkgutil
 import random
+import re
 import time
 from pathlib import Path
 
@@ -12,7 +13,12 @@ import pytest
 import galdesk
 from galdesk import cli
 from galdesk.errors import InputError, VerificationFailure
+from galdesk import ffield as ff
+from galdesk import local_tame as lt
+from galdesk import numerology as num
+from galdesk import root_datum as rdm
 from galdesk import scenarios as sc
+from galdesk import selmer as sl
 from galdesk import padics as pa
 from galdesk import padic_weights as pw
 from series_payload import series_payload
@@ -740,6 +746,40 @@ def test_example_scenario_bad_p_exit_2(tmp_path, capsys, p, expected):
     payload = {"root_datum": {"type": [["A", 1]]}, "r": 3, "p": p}
     path = write_scenario(tmp_path, "example", payload)
     assert_one_line_input_error(capsys, path, expected)
+
+
+# Each layer that takes a p, with its own error class and a call that
+# reaches its check of p.
+GL2 = rdm.gl_datum(2)
+PRIME_BOUNDARIES = {
+    "TameGaloisModule": (lt.TameModuleError, lambda p: lt.TameGaloisModule(p, ff.eye(1), 3)),
+    "TruncatedSeries": (pw.SeriesError, lambda p: pw.TruncatedSeries(p, 1, 8, 4, {(0,): 1})),
+    "FiniteGroupAction": (sl.SelmerError, lambda p: sl.FiniteGroupAction(p, [ff.eye(2)])),
+    "SelmerSystem": (sl.SelmerError, lambda p: sl.SelmerSystem(
+        p, ("v",), {"v": 1}, {"v": ff.eye(1)}, {"v": ff.eye(1)}, {"v": ff.eye(1)})),
+    "TorusElement": (rdm.RootDatumError, lambda p: rdm.TorusElement(GL2, p, (2,))),
+    "very_good_prime": (rdm.RootDatumError, lambda p: rdm.very_good_prime(GL2, p)),
+    "example_local_dims": (num.NumerologyError, lambda p: num.example_local_dims(3, p)),
+    "scenarios._prime": (sc.ScenarioError, lambda p: sc._prime({"p": p}, 1)),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 25, 3_215_031_751, 2**61 - 1])
+@pytest.mark.parametrize("layer", PRIME_BOUNDARIES)
+def test_every_layer_refuses_a_bad_p_at_once(layer, p):
+    """SelmerSystem used to accept every p here, and the other constructors
+    ran trial division for minutes on 2^61 - 1."""
+    error, build = PRIME_BOUNDARIES[layer]
+    expected = ("p must be an odd prime" if p < 2**31 else
+                r"p is too large: n\*p\^2 must be below 2\^63 at dimension n = \d+")
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(error) as err:
+            build(p)
+        times.append(time.perf_counter() - start)
+        assert type(err.value) is error and re.fullmatch(expected, str(err.value))
+    assert min(times) < 1e-3
 
 
 def test_example_scenario_empty_type_exit_2(tmp_path, capsys):

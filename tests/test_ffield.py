@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -785,9 +786,67 @@ def test_empty_inputs_need_no_special_case(shape):
         assert same(ff.annihilator(empty, np.ones((m, 4), dtype=np.int64), p), ff.eye(4))
 
 
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_primality_below_thirty():
     assert [n for n in range(-2, 30) if ff.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert [n for n in range(30) if ff.is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    odd = []
+    for n in range(30):
+        try:
+            odd.append(ff.odd_prime(n, ValueError))
+        except ValueError as e:
+            assert str(e) == "p must be an odd prime"
+    assert odd == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_miller_rabin_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if ff.is_prime(n)] == \
+        [n for n in range(10**5) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+def test_each_miller_rabin_base_is_needed(n):
+    """The first strong pseudoprimes to the bases {2}, {2, 3} and {2, 3, 5}:
+    each is odd, not a multiple of 3, 5 or 7, and composite."""
+    assert not trial_division_is_prime(n) and all(n % b for b in (2, 3, 5, 7))
+    assert not ff.is_prime(n)
+
+
+def test_a_fermat_liar_to_every_base_is_composite():
+    """1 024 651 = 19.199.271 has b^(n - 1) = 1 for b = 2, 3, 5 and 7, but
+    2^((n - 1)/2) is a square root of 1 other than +-1, which only the
+    strong test sees."""
+    n = 1_024_651
+    assert not trial_division_is_prime(n) and all(pow(b, n - 1, n) == 1 for b in (2, 3, 5, 7))
+    assert pow(2, (n - 1) // 2, n) not in (1, n - 1)
+    assert not ff.is_prime(n)
+
+
+def test_primality_is_decided_below_the_first_strong_pseudoprime_to_2_3_5_7():
+    assert ff.is_prime(BIG_PRIME) and ff.is_prime(2**31 - 1) and ff.is_prime(3_215_031_749)
+    assert not ff.is_prime(BIG_PRIME - 2)
+    for n in (3_215_031_751, 2**61 - 1, 2**200):
+        with pytest.raises(ValueError, match="not decided"):
+            ff.is_prime(n)
+
+
+def test_odd_prime_bounds_p_before_testing_it():
+    assert ff.odd_prime(BIG_PRIME, ValueError) == BIG_PRIME
+    too_large = "p is too large: n*p^2 must be below 2^63 at dimension n = "
+    for p, n in ((BIG_PRIME, 2), (3_215_031_751, 1), (2**61 - 1, 1), (2**200, 3)):
+        with pytest.raises(ValueError) as err:
+            ff.odd_prime(p, ValueError, n)
+        assert str(err.value) == f"{too_large}{n}"
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
+        ff.odd_prime(BIG_PRIME - 2, ValueError)
+    # A numpy integer is bounded as the int it holds: its own p * p wraps.
+    with pytest.raises(ValueError, match="^p is too large"):
+        ff.odd_prime(np.int64(2**61 - 1), ValueError)
+    assert ff.odd_prime(np.int64(13), ValueError) == 13
+    with pytest.raises(TypeError):
+        ff.odd_prime(7.0, ValueError)
 
 
 def test_block_diag_places_each_block_on_the_diagonal():

@@ -378,6 +378,49 @@ def test_enumeration_overflow_guard(monkeypatch):
         bfs_oracle(5, gens, order_bound=59)
 
 
+def test_element_cells_are_bounded_as_they_are_enumerated(monkeypatch):
+    # The adjoint action of SL2(F_5) has 60 elements on F_5^3: 540 cells.
+    gens = sl2_adjoint_action(5).generators
+    monkeypatch.setattr(sl, "_CELL_BUDGET", 540)
+    assert sl.FiniteGroupAction(5, gens).order == 60
+    monkeypatch.setattr(sl, "_CELL_BUDGET", 539)
+    with pytest.raises(sl.SelmerError, match="^the enumeration exceeds its cell budget$"):
+        sl.FiniteGroupAction(5, gens)
+
+
+def test_degree_one_cells_are_bounded_before_the_cocycles_are_built(monkeypatch):
+    # k.r.n x r.n = 60.2.3 x 2.3 = 2160 cells for the adjoint SL2(F_5).
+    g = sl2_adjoint_action(5)
+    monkeypatch.setattr(sl, "_CELL_BUDGET", 2160)
+    assert sl.finite_cohomology(g, 1)[0] == 1
+    monkeypatch.setattr(sl, "_CELL_BUDGET", 2159)
+    monkeypatch.setattr(sl, "_cocycles", None)  # never built
+    with pytest.raises(sl.SelmerError, match="^the degree-1 cocycle system exceeds its cell budget$"):
+        sl.finite_cohomology(g, 1)
+
+
+def conjugated_three_cycle(seed: int, p: int) -> np.ndarray:
+    """g P g^-1 for the 3-cycle permutation matrix P and a random g, formed
+    in Python ints, so its order is exactly 3."""
+    g, gi = ff.random_invertible(random.Random(seed), 3, p)
+    perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    g, gi = g.tolist(), gi.tolist()
+    gp = [[sum(g[i][k] * perm[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return np.array([[sum(gp[i][k] * gi[k][j] for k in range(3)) % p for j in range(3)]
+                     for i in range(3)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [15, 28])
+def test_group_order_is_exact_or_refused_near_the_int64_bound(seed):
+    """At p = 2^31 - 1 a sum of three products of residues passes 2^63, and
+    the enumeration used to wrap: orders 6 and 5 for these seeds.  Such a p
+    is refused; at p = 10^9 + 7 the sums fit and the order is 3."""
+    with pytest.raises(sl.SelmerError) as err:
+        sl.FiniteGroupAction(2**31 - 1, [conjugated_three_cycle(seed, 2**31 - 1)])
+    assert str(err.value) == "p is too large: n*p^2 must be below 2^63 at dimension n = 3"
+    assert sl.FiniteGroupAction(10**9 + 7, [conjugated_three_cycle(seed, 10**9 + 7)]).order == 3
+
+
 def test_order_bound_refuses_one_more_element():
     # 4 = 2^2 has order (200003 - 1) / 2 = 100001 in F_200003^*, one over MAX_ORDER.
     with pytest.raises(sl.SelmerError, match="order bound"):
@@ -421,7 +464,7 @@ def test_group_action_refuses_singular_or_mis_sized_generators():
 
 def test_group_action_refuses_a_p_that_is_not_an_odd_prime():
     for p in (1, 2, 6, 25):
-        with pytest.raises(sl.SelmerError, match=f"p = {p} is not an odd prime"):
+        with pytest.raises(sl.SelmerError, match="^p must be an odd prime$"):
             sl.FiniteGroupAction(p, [ff.eye(2)])
 
 
