@@ -2,7 +2,8 @@
 
 `odd_prime` is the one check of p: every layer that takes a p passes it
 through, with its own `InputError` subclass and the length n of its sums of
-products, and gets it back bounded (n p^2 < 2^63) and proven prime.
+products, and gets it back bounded (n p^2 < 2^63), proven prime and as an
+int, which the constructors keep in place of a numpy integer.
 
 Matrices are dense numpy int64 reduced mod p; subspaces are represented by
 matrices whose *columns* are basis vectors.  `solve` accepts a vector or a
@@ -14,12 +15,14 @@ span(numerator) as an unchecked precondition.
 
 H^1 = ker d1 / im d0 (d1 d0 = 0) is reduced in the free coordinates of
 ker d1 by `kernel_quotient`, for tame and finite-group H^1 alike.  The
-kernel basis z1 is the identity at the k free columns of rref(d1), so
-v -> v[free] is one-to-one on ker d1, and [d0 | z1] and the k-row
-[d0[free] | 1_k] have the same column relations.  One reduction of the
-latter picks the representatives, the greedy complement of im d0 among
-z1's columns.  Every row holds a pivot, so the rows past im d0's pivots
-map a cocycle's v[free] to its class coordinates.
+kernel basis Z of `nullspace(d1)` is the identity at the k free columns of
+rref(d1), so v -> v[free] is one-to-one on ker d1, and [d0 | Z] and the
+k-row [d0[free] | 1_k] have the same column relations.  One reduction of
+the latter picks the representatives, the greedy complement of im d0
+among Z's columns, and only those h1 columns of Z are built (1 at the free
+column, -R's row at d1's pivots, by the builder `nullspace` uses for all
+k).  Every row holds a pivot, so the rows past im d0's pivots, read off
+the reduced rows, map a cocycle's v[free] to its class coordinates.
 
 `_reduce` is the one elimination, with two kernels, behind `rref`, `rank`,
 `nullspace`, `QuotientSpace` and the draws.  Gauss-Jordan on lists of
@@ -36,10 +39,11 @@ vectorised update per pivot eliminates the chunk, and its pivot rows join
 the basis.  RREF is canonical,
 so both kernels return the same R and pivots for every p with p^2 < 2^63
 (see `products_fit`).  The Python kernel's R stays a list of rows: `rref`
-converts it to an array, while `rank` counts its pivots, `nullspace` reads
-its basis off the rows, and `random_invertible` reads the inverse of a draw
-g off the right half of the rows of rref([g | 1]).  `random_matrix` draws
-each entry as `random.Random.randrange` does, without its Python frames.
+converts it to an array, while `rank` counts its pivots, `nullspace` and
+`kernel_quotient` read their kernel vectors and class map off the rows,
+and `random_invertible` reads the inverse of a draw g off the right half
+of the rows of rref([g | 1]).  `random_matrix` draws each entry as
+`random.Random.randrange` does, without its Python frames.
 """
 
 from __future__ import annotations
@@ -151,6 +155,7 @@ def _reduce(a, p: int):
     Returns (R, pivots): R is a fresh int64 array from the numpy kernel, and a
     list of rows of Python ints from the Python kernel, which callers read
     without converting it."""
+    p = operator.index(p)  # pow takes no numpy modulus, and p * p must not wrap
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
     m, n = r.shape
     if r.size <= _SMALL_CELLS or (
@@ -256,24 +261,33 @@ def rank(a, p: int) -> int:
 
 def nullspace(a, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of an (n x k) matrix."""
-    return _kernel(a, p)[0]
-
-
-def _kernel(a, p: int):
-    """The right kernel of a: its basis, as the columns of an (n x k) matrix,
-    and the k free (non-pivot) columns of rref(a).  The basis rows are the
-    identity at the free columns and -R's row at a pivot."""
     r, pivots = _reduce(a, p)
-    n, at = np.shape(a)[1], dict(zip(pivots, r))
-    free = [j for j in range(n) if j not in at]
+    n = np.shape(a)[1]
+    return _kernel_vectors(r, pivots, _free_columns(pivots, n), n, p)
+
+
+def _free_columns(pivots, n: int) -> list:
+    at = set(pivots)
+    return [j for j in range(n) if j not in at]
+
+
+def _kernel_vectors(r, pivots, cols, n: int, p: int) -> np.ndarray:
+    """The kernel vectors of a reduced (R, pivots) with n columns that are 1
+    at one free column of `cols` and 0 at the other free columns, as the
+    columns of an (n x len(cols)) matrix: at a pivot each holds -R's row."""
     if isinstance(r, list):  # read off the rows, with no array R
-        basis = [[-at[i][j] % p for j in free] if i in at else [int(i == j) for j in free]
-                 for i in range(n)]
-        return np.array(basis, dtype=np.int64).reshape(n, len(free)), free
-    basis = zeros((n, len(free)))
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = -r[: len(pivots), free] % p
-    return basis, free
+        vectors = []
+        for c in cols:
+            v = [0] * n
+            v[c] = 1
+            for i, row in zip(pivots, r):
+                v[i] = -row[c] % p
+            vectors.append(v)
+        return np.array(vectors, dtype=np.int64).reshape(len(cols), n).T.copy()
+    out = zeros((n, len(cols)))
+    out[cols, range(len(cols))] = 1
+    out[pivots] = -r[: len(pivots), cols] % p
+    return out
 
 
 def kernel_quotient(d1, d0, p: int):
@@ -281,11 +295,18 @@ def kernel_quotient(d1, d0, p: int):
     describes, for im d0 inside ker d1 (not checked): the representatives as
     columns, the free columns of rref(d1), and the (h1 x k) map from a
     cocycle's entries at free to its class coordinates."""
-    z1, free = _kernel(d1, p)
-    m = np.shape(d0)[1]
-    r, pivots = rref(np.hstack([d0[free], eye(len(free))]), p)
+    r1, pivots1 = _reduce(d1, p)
+    n = np.shape(d1)[1]
+    free = _free_columns(pivots1, n)
+    m, k = np.shape(d0)[1], len(free)
+    r, pivots = _reduce(np.hstack([d0[free], eye(k)]), p)
     r_d = sum(c < m for c in pivots)
-    return z1[:, [c - m for c in pivots[r_d:]]], free, r[r_d:, m:]
+    reps = _kernel_vectors(r1, pivots1, [free[c - m] for c in pivots[r_d:]], n, p)
+    if isinstance(r, list):  # every row holds a pivot, so r has k rows
+        to_class = np.array([row[m:] for row in r[r_d:]], dtype=np.int64).reshape(k - r_d, k)
+    else:
+        to_class = r[r_d:, m:]
+    return reps, free, to_class
 
 
 def solve(a, b, p: int):
@@ -386,6 +407,7 @@ class QuotientSpace:
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
     """Entries drawn as rng.randrange(p) draws them, row by row: p.bit_length()
     random bits, drawn again until they are below p."""
+    p = operator.index(p)  # a numpy integer has no bit_length
     if p < 1:  # no residue to draw: getrandbits would never give one
         raise ValueError(f"no residues mod {p} to draw from")
     entries = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))

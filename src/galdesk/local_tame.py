@@ -26,20 +26,21 @@ of the dual's table of powers T'^0, ..., T'^p for any q.  The overall scalar
 is pinned down by the checks the duality operations must satisfy (perfect
 Gram matrices, annihilator of the unramified subspace).
 
-Each module family builds that table of inertia powers once, in p
-products of n x n matrices, and reads every power of T from it: the order
-check T^p = 1, T^q, the relator's S_q as prefix sums, and T^-1 = T^(p-1)
-for the dual.  It holds (p + 1) n^2 entries and is read-only: a twist
-shares it, and the dual reads it reversed and transposed, as
-T'^k = (T^(p-k))^T.  Phi^-1 is one elimination, except for a dual, a twist
-or an adjoint module, which take it in closed form and check it with one
-product.
+Each module family builds that table of inertia powers once, by doubling
+in ceil(log2 p) batched products, T^(k+j) = T^j T^k for j <= k, and reads
+every power of T from it: the order check T^p = 1, T^q, the relator's S_q
+as prefix sums, and T^-1 = T^(p-1) for the dual.  It holds (p + 1) n^2
+entries and is read-only: a twist shares it, and the dual reads it reversed
+and transposed, as T'^k = (T^(p-k))^T.  Phi^-1 is one elimination, except
+for a dual, a twist or an adjoint module, which take it in closed form and
+check it with one product.
 
 H^1 = Z^1/B^1 is `ffield.kernel_quotient` of the relator d1 and the
-coboundaries d0, reduced as ffield's docstring describes.  The image of
-H^1(W) for an invariant subspace W (the Ramakrishna condition) is read off
-the cocycles of M with values in W, (w x; w y) for (x; y) in the kernel of
-the n x 2k system d1 (1_2 (x) w), so W gets no module.
+coboundaries d0, reduced as ffield's docstring describes; the Gram matrix
+of the pairing on the H^1 bases is formed once per module, as H^1 is.  The
+image of H^1(W) for an invariant subspace W (the Ramakrishna condition) is
+read off the cocycles of M with values in W, (w x; w y) for (x; y) in the
+kernel of the n x 2k system d1 (1_2 (x) w), so W gets no module.
 """
 
 from __future__ import annotations
@@ -79,14 +80,15 @@ class TameGaloisModule:
     twist: int = 0
 
     def __post_init__(self):
-        p = self.p
-        ff.odd_prime(p, TameModuleError)
+        p = ff.odd_prime(self.p, TameModuleError)
+        object.__setattr__(self, "p", p)  # an int, whatever integer type was given
         phi = ff.normalize(self.phi, p)
         object.__setattr__(self, "phi", phi)
         n = len(phi)
         if phi.shape != (n, n):
             raise TameModuleError("Phi must be square")
-        tau = self.tau if self.tau is not None else ff.eye(n)
+        one = ff.eye(n)
+        tau = self.tau if self.tau is not None else one
         tau = ff.normalize(tau, p)
         object.__setattr__(self, "tau", tau)
         if self.q < 2:
@@ -99,14 +101,14 @@ class TameGaloisModule:
             phi_inv = self.phi_inv
         except ValueError:
             raise TameModuleError("Phi must be invertible") from None
-        # One product checks an inverse inherited through _with_inverse.
-        if not np.array_equal(ff.mat_mul(phi, phi_inv, p), ff.eye(n)):
+        # One product checks an inverse inherited through _with_inverse.  Phi,
+        # T and Phi^-1 are reduced, so the products need no normalize.
+        if not np.array_equal(phi @ phi_inv % p, one):
             raise TameModuleError("Phi^-1 does not invert Phi")
         powers = self._tau_powers
-        if not np.array_equal(powers[p], ff.eye(n)):
+        if not np.array_equal(powers[p], one):
             raise TameModuleError("Tau must have order dividing p")
-        lhs = ff.mat_mul(ff.mat_mul(phi, tau, p), phi_inv, p)
-        if not np.array_equal(lhs, powers[self.q % p]):
+        if not np.array_equal(phi @ tau % p @ phi_inv % p, powers[self.q % p]):
             raise TameModuleError("Phi Tau Phi^-1 != Tau^q")
 
     @classmethod
@@ -131,12 +133,17 @@ class TameGaloisModule:
 
     @cached_property
     def _tau_powers(self) -> np.ndarray:
-        """T^0, ..., T^p stacked as a read-only (p + 1) x n x n array."""
+        """T^0, ..., T^p stacked as a read-only (p + 1) x n x n array, by
+        doubling: with T^0..T^k filled, one batched product gives
+        T^(k+j) = T^j T^k for j = 1..min(k, p - k)."""
         p = self.p
         powers = np.empty((p + 1, self.dim, self.dim), dtype=np.int64)
-        powers[0] = ff.eye(self.dim)
-        for i in range(p):
-            powers[i + 1] = (powers[i] @ self.tau) % p
+        powers[0], powers[1] = ff.eye(self.dim), self.tau
+        k = 1
+        while k < p:
+            j = min(k, p - k)
+            powers[k + 1 : k + j + 1] = powers[1 : j + 1] @ powers[k] % p
+            k += j
         powers.flags.writeable = False  # twists and the dual share it
         return powers
 
@@ -200,13 +207,24 @@ class TameGaloisModule:
                            dtype=np.int64)
         # p terms below p^2 sum below p^3, in int64 under the table budget.
         terms = weights[:, :, None, None] * md._tau_powers[None, 1:]
-        left, right = -terms.sum(axis=1) % p
-        return np.block([[ff.zeros((n, n)), md.phi_eff], [left, right]])
+        g = ff.zeros((2 * n, 2 * n))
+        g[:n, n:] = md.phi_eff
+        g[n:, :n], g[n:, n:] = -terms.sum(axis=1) % p
+        return g
 
     @cached_property
     def coboundary_matrix(self) -> np.ndarray:
         """d0 as a (2n x n) block matrix [Phi - 1; T - 1]."""
         return ff.fixed_equations([self.phi_eff, self.tau], self.dim)
+
+    @cached_property
+    def _gram(self):
+        # Entries below p: sums of 2n products fit int64 under the table budget.
+        p = self.p
+        h1, h1d = h1_space(self), h1_space(self.dual_twist())
+        g = h1.basis_cocycles.T @ self.pairing_matrix % p @ h1d.basis_cocycles % p
+        g.flags.writeable = False  # every caller shares it
+        return g, h1, h1d
 
     @cached_property
     def _h1(self) -> "H1Space":
@@ -299,7 +317,9 @@ def image_subspace(m: TameGaloisModule, sub_basis, label: str) -> LocalCondition
     # (a; b) = (w x; w y) is a cocycle when d1 (1_2 (x) w) (x; y) = 0; the
     # columns of w may be dependent, as the image spans the same cocycles.
     # Both products stay unreduced: rref and class_coords reduce.
-    both = np.kron(ff.eye(2), w)
+    n, d = w.shape
+    both = ff.zeros((2 * n, 2 * d))
+    both[:n, :d] = both[n:, d:] = w
     return _class_span(m, both @ ff.nullspace(m.relator_matrix @ both, p), label)
 
 
@@ -323,13 +343,10 @@ def tate_pairing(m: TameGaloisModule):
 
 
 def pairing_gram(m: TameGaloisModule):
-    """Gram matrix of the duality pairing on canonical H^1 bases: B^T G B'."""
-    p = m.p
-    h1 = h1_space(m)
-    h1d = h1_space(m.dual_twist())
-    g = ff.mat_mul(ff.mat_mul(h1.basis_cocycles.T, m.pairing_matrix, p),
-                   h1d.basis_cocycles, p)
-    return g, h1, h1d
+    """(B^T G B', H^1(M), H^1(M^vee(1))): the Gram matrix of the duality
+    pairing on the canonical H^1 bases, read-only, with both spaces;
+    computed once per module and cached on it, as H^1 is."""
+    return m._gram
 
 
 def annihilator_subspace(m: TameGaloisModule, sub: LocalConditionSubspace) -> LocalConditionSubspace:

@@ -133,7 +133,7 @@ class TruncatedSeries:
     precs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, coeffs):
-        ff.odd_prime(self.p, SeriesError)
+        self.p = ff.odd_prime(self.p, SeriesError)
         if not 1 <= self.prec <= MAX_PRECISION:
             raise SeriesError(f"series precision must be between 1 and {MAX_PRECISION}")
         layout = _layout(self.nvars, self.degree_cap)

@@ -294,7 +294,7 @@ class TorusElement:
     simple_values: tuple[int, ...]
 
     def __post_init__(self):
-        ff.odd_prime(self.p, RootDatumError)
+        object.__setattr__(self, "p", ff.odd_prime(self.p, RootDatumError))
         if len(self.simple_values) != self.rd.rank_ss:
             raise RootDatumError("need one value per simple root")
         if any(v % self.p == 0 for v in self.simple_values):

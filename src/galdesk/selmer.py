@@ -87,10 +87,9 @@ class FiniteGroupAction:
     parent: list = field(init=False)
 
     def __post_init__(self):
-        p = self.p
         n = len(self.generators[0]) if self.generators else 0
         # The enumeration sums n products, the degree-1 lift r.n of them.
-        ff.odd_prime(p, SelmerError, len(self.generators) * n)
+        p = self.p = ff.odd_prime(self.p, SelmerError, len(self.generators) * n)
         gens = [ff.normalize(g, p) for g in self.generators]
         for g in gens:
             if g.shape != (n, n) or ff.rank(g, p) < n:
@@ -378,7 +377,8 @@ class SelmerSystem:
         if not self.places:
             raise SelmerError("a Selmer system needs at least one place")
         h, h_dual = self.dim_h, self.dim_h_dual
-        ff.odd_prime(self.p, SelmerError, max(h, h_dual, *(self.local_dims[v] for v in self.places)))
+        self.p = ff.odd_prime(self.p, SelmerError,
+                              max(h, h_dual, *(self.local_dims[v] for v in self.places)))
         for v in self.places:
             nv = self.local_dims[v]
             if self.res[v].shape != (nv, h):

@@ -8,6 +8,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import galdesk
@@ -780,6 +781,61 @@ def test_every_layer_refuses_a_bad_p_at_once(layer, p):
         times.append(time.perf_counter() - start)
         assert type(err.value) is error and re.fullmatch(expected, str(err.value))
     assert min(times) < 1e-3
+
+
+A2 = rdm.build_root_datum([("A", 2)])
+
+
+def _tame(p):
+    m = lt.TameGaloisModule(p, np.diag([2, 3]), 10)
+    return type(m.p), lt.cohomology_dims(m), lt.pairing_gram(m)[0].tolist()
+
+
+def _torus(p):
+    t = rdm.TorusElement(A2, p, (2, 3))
+    return type(t.p), [t.root_value(r) for r in A2.all_roots()]
+
+
+def _series(p):
+    s = pw.TruncatedSeries(p, 1, 8, 2, {(0,): 3, (1,): 5})
+    return type(s.p), s.inverse().terms()
+
+
+def _selmer_system(p):
+    s = sl.SelmerSystem(p, ("v", "w"), {"v": 1, "w": 1}, {"v": ff.eye(1), "w": ff.eye(1)},
+                        {"v": ff.eye(1), "w": 6 * ff.eye(1)}, {"v": ff.eye(1), "w": ff.eye(1)})
+    return type(s.p), s.exactness_holds()
+
+
+def _exact_system(p):
+    s = sl.build_exact_system(random.Random(5), p, {"a": 3, "b": 2}, 2)
+    return type(s.p), s.exactness_holds(), [s.res[v].tolist() for v in s.places]
+
+
+def _group(p):
+    g = sl.FiniteGroupAction(p, [[[1, 1], [0, 1]]])
+    return type(g.p), g.order, sl.finite_cohomology(g, 1)[0]
+
+
+# A call past each constructor that takes a p, and the p it is made at.
+NUMPY_P_CALLS = {
+    "TameGaloisModule": (7, _tame),
+    "TorusElement": (7, _torus),
+    "TruncatedSeries": (10**9 + 7, _series),
+    "SelmerSystem": (7, _selmer_system),
+    "build_exact_system": (7, _exact_system),
+    "FiniteGroupAction": (7, _group),
+}
+
+
+@pytest.mark.parametrize("layer", NUMPY_P_CALLS)
+def test_a_numpy_integer_p_works_as_its_int(layer):
+    """Each constructor keeps the int that ff.odd_prime returns: a numpy p
+    used to fail at a three-argument pow or at p.bit_length()."""
+    p, call = NUMPY_P_CALLS[layer]
+    expected = call(p)
+    assert expected[0] is int
+    assert call(np.int64(p)) == expected
 
 
 def test_example_scenario_empty_type_exit_2(tmp_path, capsys):

@@ -344,15 +344,59 @@ def test_nullspace_and_rank_match_the_array_route(case, zero_row):
     ff._reduce = lambda *args: kernels.append(reduce(*args)) or kernels[-1]
     ff.rref = lambda *args: pytest.fail("R built as an array")
     try:
-        got, got_free = ff._kernel(a, p)
-        assert ff.nullspace(a, p).tobytes() == got.tobytes()
+        got = ff.nullspace(a, p)
     finally:
         ff._reduce, ff.rref = reduce, rref
-    assert [isinstance(k[0], list) for k in kernels] == [python_kernel_rule(a, p)] * 2
-    assert got_free == free
+    assert [isinstance(k[0], list) for k in kernels] == [python_kernel_rule(a, p)]
     assert got.dtype == np.int64 and got.shape == (n, n - len(pivots))
     assert got.tobytes() == expected.tobytes()
     assert ff.rank(a, p) == len(pivots)
+
+
+@st.composite
+def cocycle_systems(draw):
+    """(p, d1, d0) with d1 d0 = 0 mod p: d0 = Z X for a kernel basis Z of d1
+    and an X of any rank, zero columns included.  d1 has at most
+    ff._SMALL_CELLS cells ("small"), more ("dense"), or is sparse enough for
+    the Python kernel above that size ("sparse")."""
+    t = ff._SMALL_CELLS
+    kind = draw(st.sampled_from(["small", "dense", "sparse"]))
+    p = draw(st.sampled_from(PRIMES + [32749, 65537]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "sparse":
+        r, n = draw(st.integers(16, 32)), draw(st.integers(17, 32))
+        d1 = sparse_matrix(seed, p, r, n, draw(st.integers(8, ff._SPARSE_NONZEROS)))
+    else:
+        r = draw(st.integers(1, 16) if kind == "small" else st.integers(8, 24))
+        n = draw(st.integers(1, t // r) if kind == "small" else st.integers(t // r + 1, 40))
+        d1 = seeded_matrix(seed, p, r, n, draw(st.none() | st.integers(0, min(r, n))))
+    z = ff.nullspace(d1, p)
+    m = draw(st.integers(0, 8))
+    x = seeded_matrix(seed + 1, p, z.shape[1], m, draw(st.integers(0, min(z.shape[1], m))))
+    return p, d1, z @ x % p
+
+
+@given(cocycle_systems())
+@settings(max_examples=150, deadline=None)
+def test_kernel_quotient_keeps_the_chosen_kernel_columns(case):
+    """The representatives are the columns of nullspace(d1) that a reduction
+    of [d0 | Z] in full coordinates picks, the greedy complement of im d0;
+    free is that of rref(d1); and to_class maps each representative's
+    entries at free to a unit vector."""
+    p, d1, d0 = case
+    z = ff.nullspace(d1, p)
+    reps, free, to_class = ff.kernel_quotient(d1, d0, p)
+    expected = ff.QuotientSpace(z, d0, p).reps
+    assert reps.dtype == np.int64 and reps.shape == expected.shape
+    assert reps.tobytes() == expected.tobytes()
+    assert not (d1 @ reps % p).any()
+    pivots = ff.rref(d1, p)[1]
+    assert free == [j for j in range(d1.shape[1]) if j not in pivots]
+    h1 = reps.shape[1]
+    chosen = [np.flatnonzero(v)[0] for v in reps[free].T]  # each is 1 at one free column
+    assert reps.tobytes() == z[:, chosen].tobytes()
+    assert to_class.dtype == np.int64 and to_class.shape == (h1, len(free))
+    assert (to_class @ reps[free] % p).tolist() == ff.eye(h1).tolist()
 
 
 def test_kernel_rule_on_named_inputs():
@@ -452,6 +496,13 @@ def test_rref_pivot_from_the_last_chunk(late):
     assert_rref_matches(a, p)
 
 
+def mul_mod(a, b, p):
+    """a @ b mod p, exact in int64 for residues below p < 2^31.5 and at most
+    120 terms a sum: b is split into 16-bit halves, so every sum stays below
+    120 * 2^47.5 < 2^55."""
+    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF)) % p
+
+
 @st.composite
 def planted_tall_matrices(draw):
     """A = L B for a planted RREF B (k x n) and an m x k matrix L of full
@@ -475,11 +526,10 @@ def planted_tall_matrices(draw):
         free = [j for j in range(c + 1, n) if j not in pivots]
         b[i, free] = rng.integers(0, p, size=len(free))
         b[i, c] = 1
-    left = rng.integers(0, p, size=(m, k)).astype(object)
-    left[:q] = left[:q, : k - d] @ rng.integers(0, p, size=(k - d, k)).astype(object) % p
+    left = rng.integers(0, p, size=(m, k))
+    left[:q] = mul_mod(left[:q, : k - d], rng.integers(0, p, size=(k - d, k)), p)
     left[q + rng.choice(m - q, k, replace=False)] = np.eye(k, dtype=np.int64)
-    a = (left @ b.astype(object) % p).astype(np.int64) if k else ff.zeros((m, n))
-    return p, a, b, pivots
+    return p, mul_mod(left, b, p), b, pivots
 
 
 @given(planted_tall_matrices())

@@ -694,6 +694,20 @@ def test_seeded_tables_equal_tables_built_by_products():
                 mod._tau_powers[0, 0, 0] = 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_doubling_table_matches_sequential_products(p):
+    """The table is filled by doubling, whose last step is partial for
+    every odd p; the oracle is T^(i+1) = T^i T, one product at a time, for a
+    unipotent T of every Jordan block size up to p, and for its dual."""
+    for block in range(1, p + 1):
+        m = module_with(p, p, p + 2, 0, block, block)
+        for mod in (m, m.dual_twist()):
+            expected = [ff.eye(p)]
+            for _ in range(p):
+                expected.append(expected[-1] @ mod.tau % p)
+            assert mod._tau_powers.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_pairing_matrix_large_q_full_jordan_block(p):
     """k (q - c) passes 2^63 at these q.  A wrapped weight is off by the same
