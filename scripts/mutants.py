@@ -236,12 +236,9 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      'widths = [len(rows[0]) for block in blocks[:«2»] for rows in block.values()'):
         "the pairing blocks are local_dims[v] wide, which the maximum already counts",
     ("selmer.<module>", "const", "_ENUM_ROWS = «256»"):
-        "a batch size: the breadth-first order, so every index, is the same in "
-        "batches of any size (test_enumeration_overflow_guard)",
-    ("selmer._cocycles", "mod-p", "blocks[ys, :, gs] = «(blocks[ys, :, gs] + acts[xs]) % p»"):
-        "the path sums stay below |G| p; the system is reduced mod p by kernel_quotient "
-        "and rank, so dim H^1 and its representatives are exact, and f @ reps reaches "
-        "int64 only if p divides |G| <= MAX_ORDER and r n > 9000",
+        "a batch size: the queue is walked first in, first out, so the breadth-first "
+        "order, every index, the step table and the tree are the same in batches of "
+        "any size (test_enumeration_overflow_guard)",
     ("selmer._sylow_normaliser", "const", "sylow = [int(of_order_p[«0»])]"):
         "any element of order p generates a Sylow p-subgroup; they are all "
         "conjugate, so N_G(P) and H^2 do not depend on which",

@@ -4,10 +4,13 @@ decomposition check, and the avoidance step.
 
 Group cohomology in degrees 1 and 2 comes from one cocycle system over the
 generators, constrained by the Schreier relators of the breadth-first
-enumeration.  H^1 is `ffield.kernel_quotient` of that system, reduced as
-ffield's docstring describes and as tame H^1 is.  Degree 2, a count of
-ranks, is degree 1 of a coinduced quotient (dimension shifting), made small
-in three ways:
+enumeration (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2.4).  The group is held as arrays, each element once, with its BFS tree as
+two index arrays; the cocycle system, a coinduced module's matrices and the
+words of `_multiplier` are filled a BFS layer at a time.  H^1 is
+`ffield.kernel_quotient` of that system, reduced as ffield's docstring
+describes and as tame H^1 is.  Degree 2, a count of ranks, is degree 1 of a
+coinduced quotient (dimension shifting), made small in three ways:
 - when p does not divide |G|, H^2 = 0 and nothing is built (Brown,
   Cohomology of Groups, III.10);
 - when p exactly divides |G|, G is replaced by the normaliser N_G(P) of a
@@ -76,15 +79,17 @@ _ENUM_ROWS = 256
 class FiniteGroupAction:
     """Group generated by matrices over F_p, enumerated breadth first.
 
-    step[x, i] is the index of elements[x] @ generators[i], and parent[y] is
-    the (x, i) whose step first reached y (None for the identity, y = 0).
+    elements is one read-only (k, n, n) int64 array in BFS order, step[x, i]
+    is the index of elements[x] @ generators[i], and the BFS tree is two
+    int64 arrays, tree = (tree_x, tree_i): the step (tree_x[y - 1],
+    tree_i[y - 1]) first reached y >= 1.
     """
 
     p: int
     generators: list[np.ndarray]
-    elements: list = field(init=False)
+    elements: np.ndarray = field(init=False)
     step: np.ndarray = field(init=False)
-    parent: list = field(init=False)
+    tree: tuple = field(init=False)
 
     def __post_init__(self):
         n = len(self.generators[0]) if self.generators else 0
@@ -95,33 +100,31 @@ class FiniteGroupAction:
             if g.shape != (n, n) or ff.rank(g, p) < n:
                 raise SelmerError("generators must be invertible and same-sized")
         self.generators = gens
-        stacked = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
-        ident = ff.eye(n)
-        elements = [ident]
-        index = {ident.tobytes(): 0}
-        step, parent = [], [None]
-        # `elements` grows while it is walked, so x runs in breadth-first
-        # order; each batch of the queue is multiplied by every generator at once.
-        x = 0
-        while x < len(elements):
-            batch = np.array(elements[x : x + _ENUM_ROWS])
-            for prods in batch[:, None] @ stacked % p:
-                row = []
-                for i, prod in enumerate(prods):
-                    key = prod.tobytes()
-                    if key not in index:
-                        index[key] = len(elements)
-                        elements.append(prod)
-                        parent.append((x, i))
-                        if len(elements) > MAX_ORDER:
-                            raise SelmerError("enumeration overflow beyond the order bound")
-                        _check_budget(len(elements), 1, n, "the enumeration")
-                    row.append(index[key])
-                step.append(row)
-                x += 1
-        self.elements = elements
-        self.step = np.array(step, dtype=np.int64).reshape(len(elements), len(gens))
-        self.parent = parent
+        r, width = len(gens), 8 * n * n  # the bytes of one element
+        stacked = np.array(gens, dtype=np.int64).reshape(r, n, n)
+        # index maps each element's bytes to its index in dict order, so its
+        # keys are the only copy of the elements.  Each batch of queued keys
+        # times every generator is keyed by slices of one buffer; found holds
+        # the x.r + i of each step to a new element.
+        index = {ff.eye(n).tobytes(): 0}
+        queue, step, found = list(index), [], []
+        while queue:
+            batch, queue = queue[:_ENUM_ROWS], queue[_ENUM_ROWS:]
+            acts = np.frombuffer(b"".join(batch), dtype=np.int64).reshape(len(batch), 1, n, n)
+            prods, base = (acts @ stacked % p).tobytes(), len(step)
+            for j in range(len(batch) * r):
+                key = prods[j * width : (j + 1) * width]
+                y = index.setdefault(key, k := len(index))
+                if y == k:
+                    if len(index) > MAX_ORDER:
+                        raise SelmerError("enumeration overflow beyond the order bound")
+                    _check_budget(len(index), 1, n, "the enumeration")
+                    queue.append(key)
+                    found.append(base + j)
+                step.append(y)
+        self.elements = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), n, n)
+        self.step = np.array(step, dtype=np.int64).reshape(len(index), r)
+        self.tree = np.divmod(np.array(found, dtype=np.int64), r)
 
     @property
     def order(self) -> int:
@@ -166,9 +169,9 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     if degree == 1:
         _check_budget(k, r, n, "the degree-1 cocycle system")
         # u_i = f(s_i) on Z^1, so B^1 is spanned there by the blocks s_i - 1.
-        system, f = _cocycles(p, g.elements, g.step, g.parent)
+        system, f = _cocycles(p, g.elements, g.step, g.tree)
         reps = ff.kernel_quotient(system, ff.fixed_equations(g.generators, n), p)[0]
-        return reps.shape[1], f.reshape(k * n, r * n) @ reps % p
+        return reps.shape[1], f.transpose(0, 2, 1, 3).reshape(k * n, r * n) @ reps % p
 
     if degree == 2:
         sylow = _p_part(k, p)
@@ -186,57 +189,56 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         # at (j, j') of its matrix on CoInd, in the coordinates (f(t_j))_j.
         # Q is the complement f(t_0) = f(1) = 0, and f is reduced into it by
         # subtracting the image (t_j f(1))_j of M.
-        acts = np.array(g.elements)
-        embed = np.vstack(acts[reps])
-        q_gens = []
-        for i in range(r):
-            y = g.step[reps, i]
-            s = ff.zeros((len(reps), n, len(reps), n))
-            s[np.arange(len(reps)), :, coset[y], :] = acts[head[y]]
-            s = s.reshape(n * len(reps), n * len(reps))
-            q_gens.append(s[n:, n:] - embed[n:] @ s[:n, n:])  # reduced where it is used
-        q_elements = [ff.eye(dim_q)]
-        for x, i in g.parent[1:]:
-            q_elements.append(q_elements[x] @ q_gens[i] % p)
+        y = g.step[reps].T
+        s = ff.zeros((r, len(reps), n, len(reps), n))
+        s[np.arange(r)[:, None], np.arange(len(reps)), :, coset[y], :] = g.elements[head[y]]
+        s = s.reshape(r, n * len(reps), n * len(reps))
+        q_gens = s[:, n:, n:] - g.elements[reps[1:]].reshape(dim_q, n) @ s[:, :n, n:]  # unreduced
+        q_elements = ff.eye(dim_q)[None].repeat(k, axis=0)  # row 0 is the identity
+        for lo, hi, xs, gs in _layers(g.tree):
+            q_elements[lo:hi] = q_elements[xs] @ q_gens[gs] % p
         # dim H^1(G, Q) = dim Z^1 - dim B^1, and dim B^1 = dim Q - dim Q^G.
-        system = _cocycles(p, q_elements, g.step, g.parent)[0]
+        system = _cocycles(p, q_elements, g.step, g.tree)[0]
         moved = ff.fixed_equations(q_gens, dim_q)
         return r * dim_q - ff.rank(system, p) - ff.rank(moved, p), None
 
     raise SelmerError("degree must be 0, 1, or 2")
 
 
-def _cocycles(p: int, elements, step, parent):
-    """(system, F) for the 1-cocycles of G on M, elements[x] acting on F_p^n.
+def _cocycles(p: int, acts, step, tree):
+    """(system, F) for the 1-cocycles of G on M, acts[x] acting on F_p^n.
 
-    The unknowns are u = (f(s_1), ..., f(s_r)); along the BFS tree f(y) = F[y] u
-    with F[0] = 0 and F[y] = F[x] + x.E_i for parent[y] = (x, i), E_i picking
-    out f(s_i).  Edge (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0.  That is
-    zero on the k - 1 tree edges, so only the others enter the system: the
-    Schreier relators, which generate every relation of G.  Z^1 is the
-    kernel of the system, returned unreduced, in the unknowns u.
+    The unknowns are u = (f(s_1), ..., f(s_r)); along the BFS tree f(y) =
+    sum_i F[y, i] u_i, F blocks-major (k, r, n, n), with F[0] = 0 and F[y] =
+    F[x] + x.E_i for the parent (x, i) of y, E_i picking out f(s_i).  Edge
+    (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0.  That is zero on the k - 1
+    tree edges, so only the others enter the system: the Schreier relators,
+    which generate every relation of G.  Z^1 is the kernel of the system,
+    returned unreduced, in the unknowns u.  F is filled a BFS layer at a
+    time, as path sums below |G| p, and reduced once.
     """
-    acts = np.asarray(elements)
     (k, r), n = step.shape, len(acts[0])
-    f = ff.zeros((k, n, r * n))
-    blocks = f.reshape(k, n, r, n)  # blocks[y, :, i] is the block of f(s_i)
-    tree_x, tree_i = np.array(parent[1:], dtype=np.int64).reshape(k - 1, 2).T
-    # Parents are nondecreasing in y, so the next BFS layer is every y whose
-    # parent lies in this one; F is filled a layer at a time.
-    lo, hi = 1, 1 + np.searchsorted(tree_x, 1)
-    while lo < hi:
-        xs, gs = tree_x[lo - 1 : hi - 1], tree_i[lo - 1 : hi - 1]
-        ys = np.arange(lo, hi)
-        f[ys] = f[xs]
-        blocks[ys, :, gs] = (blocks[ys, :, gs] + acts[xs]) % p
-        lo, hi = hi, 1 + np.searchsorted(tree_x, hi)
+    f = ff.zeros((k, r, n, n))
+    for lo, hi, xs, gs in _layers(tree):
+        f[lo:hi] = f[xs]
+        f[np.arange(lo, hi), gs] += acts[xs]
+    f = f % p
     relator = np.ones((k, r), dtype=bool)
-    relator[tree_x, tree_i] = False
+    relator[tree] = False
     xs, gs = relator.nonzero()
-    system = f[step[xs, gs]] - f[xs]  # (edges, n, r.n), then updated in place
-    for i in range(r):
-        system[gs == i, :, i * n : (i + 1) * n] -= acts[xs[gs == i]]
-    return system.reshape(len(xs) * n, r * n), f
+    system = f[step[xs, gs]] - f[xs]
+    system[np.arange(len(xs)), gs] -= acts[xs]
+    return system.transpose(0, 2, 1, 3).reshape(len(xs) * n, r * n), f
+
+
+def _layers(tree):
+    """(lo, hi, xs, gs) per BFS layer: y in lo..hi-1 is xs[y - lo] . s_gs[y - lo].
+    Parents are nondecreasing, so a layer is every y whose parent is in the one before."""
+    tree_x, tree_i = tree
+    lo, hi = 1, 1 + int(tree_x.searchsorted(1))
+    while lo < hi:
+        yield lo, hi, tree_x[lo - 1 : hi - 1], tree_i[lo - 1 : hi - 1]
+        lo, hi = hi, 1 + int(tree_x.searchsorted(hi))
 
 
 def _p_part(k: int, p: int) -> int:
@@ -257,12 +259,11 @@ def _multiplier(g: FiniteGroupAction):
     index arrays.  b's word along the BFS tree is applied to a through the
     step table, so no matrix is multiplied."""
     k, r = g.step.shape
-    words = [()]
-    for x, i in g.parent[1:]:
-        words.append(words[x] + (i,))
-    letters = np.full((k, max(map(len, words))), r)  # letter r multiplies by 1
-    for y, word in enumerate(words):
-        letters[y, : len(word)] = word
+    layers = list(_layers(g.tree))
+    letters = np.full((k, len(layers)), r)  # letter r multiplies by 1
+    for depth, (lo, hi, xs, gs) in enumerate(layers):
+        letters[lo:hi] = letters[xs]
+        letters[lo:hi, depth] = gs
     table = np.hstack([g.step, np.arange(k)[:, None]])
 
     def times(a, b):
@@ -305,7 +306,7 @@ def _sylow_normaliser(g: FiniteGroupAction, times) -> FiniteGroupAction:
     while len(sylow) < p - 1:
         sylow.append(int(times(sylow[-1], sylow[0])))
     left = times(sylow[0], every)
-    normalising = np.flatnonzero(np.any([left == times(every, xj) for xj in sylow], axis=0))
+    normalising = np.flatnonzero(np.any(left == times(every, np.array(sylow)[:, None]), axis=0))
     gens, _ = _grow_subgroup(times, normalising, len(normalising))
     return FiniteGroupAction(p, [g.elements[y] for y in gens])
 
@@ -339,13 +340,12 @@ def _right_cosets(g: FiniteGroupAction, times, members):
     given sorted indices: reps[j] is the first index of the j-th coset, so
     reps[0] = 0, and y = head[y] . reps[coset[y]] with head[y] in H."""
     every = np.arange(g.order)
-    left = np.array([times(h, every) for h in members])  # left[m, y] = h_m . y
+    left = times(members[:, None], every)  # left[m, y] = h_m . y
     first = left.min(axis=0)
     reps = np.flatnonzero(first == every)
     coset = np.searchsorted(reps, first)
     head = np.empty(g.order, dtype=np.int64)
-    for h, row in zip(members, left):
-        head[row[reps]] = h
+    head[left[:, reps]] = members[:, None]
     return coset, head, reps
 
 

@@ -1,13 +1,19 @@
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdesk import ffield as ff
+from galdesk import scenarios
 from galdesk import selmer as sl
 from galdesk.errors import VerificationFailure
 from span_oracle import intersect_spans
@@ -20,8 +26,9 @@ from test_ffield import ref_rref
 # independent of the enumeration's step table.  kn_h1_oracle solves for f(x)
 # on every element x (k.n unknowns), and free_h1_oracle picks the H^1 basis
 # bytes from its Z^1 by reference row reductions.  coind_h2_oracle shifts by
-# the whole coinduced module, with no Sylow normaliser and no subgroup, and
-# bfs_oracle enumerates with one matrix product per (element, generator).
+# the whole coinduced module, with no Sylow normaliser and no subgroup;
+# bfs_oracle enumerates with one matrix product per (element, generator), and
+# cocycles_oracle fills the cocycle system one element at a time.
 # ---------------------------------------------------------------------------
 
 def element_index(g: sl.FiniteGroupAction) -> dict:
@@ -195,23 +202,56 @@ def free_h1_oracle(g: sl.FiniteGroupAction):
     return len(reps), np.column_stack(lifted) if lifted else ff.zeros((k * n, 0))
 
 
-def coind_h2_oracle(g: sl.FiniteGroupAction) -> int:
-    """dim H^2(G, M) = dim H^1(G, CoInd(M)/M) for CoInd(M) = Maps(G, M),
-    (s.f)(x) = f(x s), with no subgroup: the shift by a module of dimension
-    n(k - 1), its quotient taken by QuotientSpace."""
+def tree_parents(g: sl.FiniteGroupAction) -> list:
+    """The BFS tree as bfs_oracle gives it: parent[y] = (x, i), None at y = 0."""
+    return [None, *zip(*(a.tolist() for a in g.tree))]
+
+
+def cocycles_oracle(p: int, elements, step, parent):
+    """(system, F) of `_cocycles`, one element at a time: F[y] = F[x] + x.E_i
+    along the parent pointers, in BFS order, and the rows F[step[x, i]] -
+    F[x] - x.E_i of each edge (x, i) off the tree, in the order of (x, i)."""
+    k, r = step.shape
+    n = len(elements[0])
+    f = ff.zeros((k, r, n, n))
+    for y in range(1, k):
+        x, i = parent[y]
+        f[y] = f[x]
+        f[y, i] = (f[y, i] + elements[x]) % p
+    rows = []
+    for x in range(k):
+        for i in range(r):
+            if parent[step[x, i]] != (x, i):
+                edge = f[step[x, i]] - f[x]
+                edge[i] -= elements[x]
+                rows.append(np.hstack(list(edge)))
+    return np.vstack([ff.zeros((0, r * n)), *rows]), f
+
+
+def coinduced_quotient(g: sl.FiniteGroupAction):
+    """(generators, elements): the matrices of G on CoInd(M)/M for CoInd(M)
+    = Maps(G, M), (s.f)(x) = f(x s), its quotient taken by QuotientSpace;
+    the elements in BFS order, one at a time along the parent pointers."""
     p, n, (k, r) = g.p, g.dim, g.step.shape
-    dim_q = n * (k - 1)
     quotient = ff.QuotientSpace(ff.eye(k * n), np.vstack(g.elements), p)
     # s_i acts on Maps(G, M) by the block permutation f -> (f(x s_i))_x,
     # which moves the rows of block step[x, i] to block x.
     rows = g.step[:, :, None] * n + np.arange(n)
     q_gens = [quotient.coords_matrix(quotient.reps[rows[:, i].ravel()]) for i in range(r)]
-    q_elements = [ff.eye(dim_q)]
-    for x, i in g.parent[1:]:
+    q_elements = [ff.eye(n * (k - 1))]
+    for x, i in tree_parents(g)[1:]:
         q_elements.append(q_elements[x] @ q_gens[i] % p)
-    moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % p for q in q_gens])
-    z1 = ff.nullspace(sl._cocycles(p, q_elements, g.step, g.parent)[0], p)
-    return z1.shape[1] - ff.rank(moved, p)
+    return q_gens, q_elements
+
+
+def coind_h2_oracle(g: sl.FiniteGroupAction) -> int:
+    """dim H^2(G, M) = dim H^1(G, CoInd(M)/M) for CoInd(M) = Maps(G, M),
+    with no subgroup: the shift by a module of dimension n(k - 1)."""
+    q_gens, q_elements = coinduced_quotient(g)
+    dim_q = len(q_elements[0])
+    moved = np.vstack([ff.zeros((0, dim_q))] + [(q - ff.eye(dim_q)) % g.p for q in q_gens])
+    system = cocycles_oracle(g.p, q_elements, g.step, tree_parents(g))[0]
+    return ff.nullspace(system, g.p).shape[1] - ff.rank(moved, g.p)
 
 
 def bfs_oracle(p: int, generators, order_bound: int = 100_000):
@@ -386,6 +426,30 @@ def test_element_cells_are_bounded_as_they_are_enumerated(monkeypatch):
     monkeypatch.setattr(sl, "_CELL_BUDGET", 539)
     with pytest.raises(sl.SelmerError, match="^the enumeration exceeds its cell budget$"):
         sl.FiniteGroupAction(5, gens)
+
+
+def test_refused_enumeration_holds_each_element_once():
+    """diag(3, 1, ..., 1) over F_65537 has order 65536 on F^40, 1600 cells an
+    element, so the cell budget refuses it at element 6251, with 80 MB of
+    elements.  Kept once, as the keys of the index, they leave the child's
+    peak RSS below 140 MB; kept twice, it was about 185 MB."""
+    code = textwrap.dedent("""
+        import resource, numpy as np
+        from galdesk import selmer as sl
+        gen = np.eye(40, dtype=np.int64)
+        gen[0, 0] = 3
+        try:
+            sl.FiniteGroupAction(65537, [gen])
+        except sl.SelmerError as err:
+            print(err)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    message, peak_kb = done.stdout.splitlines()
+    assert message == "the enumeration exceeds its cell budget"
+    assert int(peak_kb) < 140 * 1024
 
 
 def test_degree_one_cells_are_bounded_before_the_cocycles_are_built(monkeypatch):
@@ -597,11 +661,34 @@ ENUMERATED = {**{name: partial(small_group, name) for name in SMALL_GROUPS},
 def test_enumeration_matches_per_element_oracle(name):
     g = ENUMERATED[name]()
     elements, index, step, parent = bfs_oracle(g.p, g.generators)
-    assert [m.tobytes() for m in g.elements] == [m.tobytes() for m in elements]
-    assert all(m.dtype == np.int64 and m.shape == (g.dim, g.dim) for m in g.elements)
+    assert isinstance(g.elements, np.ndarray) and g.elements.dtype == np.int64
+    assert g.elements.shape == (len(elements), g.dim, g.dim)
+    assert g.elements.flags.c_contiguous and not g.elements.flags.writeable
+    assert g.elements.tobytes() == b"".join(m.tobytes() for m in elements)
     assert element_index(g) == index
     assert g.step.dtype == step.dtype and np.array_equal(g.step, step)
-    assert g.parent == parent
+    assert all(a.dtype == np.int64 and a.shape == (g.order - 1,) for a in g.tree)
+    assert tree_parents(g) == parent
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_cocycles_match_per_element_oracle(name):
+    g = ENUMERATED[name]()
+    got = sl._cocycles(g.p, g.elements, g.step, g.tree)
+    want = cocycles_oracle(g.p, g.elements, g.step, tree_parents(g))
+    assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_cocycles_of_a_coinduced_module_match_per_element_oracle():
+    # The affine group of F_5 of order 20 on CoInd(F_5^2)/F_5^2, of dimension 38.
+    g = NORMALISER_GROUPS["affine-20-mod-5"]()
+    q_elements = coinduced_quotient(g)[1]
+    got = sl._cocycles(g.p, np.array(q_elements), g.step, g.tree)
+    want = cocycles_oracle(g.p, q_elements, g.step, tree_parents(g))
+    # 20 x 2 edges, of which 19 are on the tree.
+    assert got[0].shape == ((40 - 19) * 38, 2 * 38)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("g", [sl2_adjoint_action(5), small_group("borel-12-mod-3")])
@@ -612,10 +699,9 @@ def test_step_table_and_parents(g):
         for i in range(r):
             assert np.array_equal(g.elements[g.step[x, i]],
                                   ff.mat_mul(g.elements[x], g.generators[i], g.p))
-    assert g.parent[0] is None
-    for y in range(1, k):
-        x, i = g.parent[y]
-        assert x < y and g.step[x, i] == y
+    tree_x = g.tree[0]
+    assert np.all(tree_x < np.arange(1, k)) and np.array_equal(g.step[g.tree], np.arange(1, k))
+    assert np.all(np.diff(tree_x) >= 0)
 
 
 @pytest.mark.parametrize("g", [small_group(name) for name in sorted(SMALL_GROUPS)]
@@ -1702,3 +1788,89 @@ def test_step_op_eliminations(monkeypatch):
                                          selmer_dim=max(2, d - 1) + (i // 4) % 3)
         sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram)
     assert len(calls) <= 22 * ops
+
+
+# ---------------------------------------------------------------------------
+# The Selmer invariance relation.  Sel_L and Sel*_{L-perp} are cut out place
+# by place, so three changes of presentation leave Sel, Sel*, exactness and
+# the step reports unchanged: relabelling the places, which moves their
+# sorted order; reordering the `places` tuple; and scaling a place's pairing
+# P_v by a unit c and its res'_v by c^-1, which moves neither the rows
+# L_v^T P_v res'_v nor an annihilator under P_v.
+# ---------------------------------------------------------------------------
+
+def presented(system, conditions, names, order, scales):
+    """The system and its assignment with place v renamed names[v], the
+    places listed in `order`, and P_v, res'_v scaled by scales[v] and its
+    inverse."""
+    p = system.p
+    new = sl.SelmerSystem(
+        p, tuple(names[v] for v in order), {names[v]: system.local_dims[v] for v in order},
+        {names[v]: system.res[v] for v in order},
+        {names[v]: system.res_dual[v] * pow(scales[v], -1, p) % p for v in order},
+        {names[v]: system.pairing[v] * scales[v] % p for v in order})
+    return new, sl.ConditionAssignment(new, {names[v]: conditions.l_spaces[v] for v in order})
+
+
+def annihilation_case(p, seed):
+    rng = random.Random(seed)
+    sc = sl.build_annihilation_scenario(seed, p, rng.randrange(3), rng.randrange(1, 4))
+    w = sc.special[0]
+
+    def report(system, conditions, names):
+        return vars(sl.annihilation_step(system, conditions, names[w], sc.ram[w],
+                                         sc.phi, sc.psi)[1])
+    return sc.system, sc.conditions, report
+
+
+def avoidance_case(p, seed):
+    rng = random.Random(seed)
+    d = rng.randrange(2, 7)
+    sc = sl.build_avoidance_scenario(seed, p, d, max(2, d - 1) + rng.randrange(3))
+
+    def report(system, conditions, names):
+        got = sl.avoidance_step(system, conditions, sc.beta, sc.u_subspace, names[sc.y], sc.ram)
+        return {key: np.asarray(x).tolist() for key, x in vars(got[1]).items()}
+    return sc.system, sc.conditions, report
+
+
+def payload_case(p, seed):
+    """The explicit system and conditions of any_selmer_case, as a `selmer`
+    payload read by the scenario reader, whose report names the places."""
+
+    def report(system, conditions, names):
+        payload = {"p": system.p, "local_dims": {v: system.local_dims[v] for v in system.places},
+                   "conditions": {v: conditions.l_spaces[v].tolist() for v in system.places},
+                   **{key: {v: getattr(system, key)[v].tolist() for v in system.places}
+                      for key in ("res", "res_dual", "pairing")}}
+        got = scenarios.run_scenario_payload("selmer", payload, 0, None)
+        back = {new: old for old, new in names.items()}
+        return {**got, "condition_dims": {back[v]: d for v, d in got["condition_dims"].items()}}
+    return (*any_selmer_case(p, seed)[:2], report)
+
+
+SELMER_CASES = {"annihilation": annihilation_case, "avoidance": avoidance_case,
+                "payload": payload_case}
+
+
+@given(st.sampled_from(sorted(SELMER_CASES)), st.sampled_from(STEP_PRIMES),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_selmer_is_invariant_under_place_labels_order_and_pairing_scale(kind, p, seed, data):
+    system, conditions, report = SELMER_CASES[kind](p, seed)
+    places = system.places
+    labels = data.draw(st.permutations([f"u{i}" for i in range(len(places))]))
+    order = data.draw(st.permutations(places))
+    units = data.draw(st.lists(st.integers(1, p - 1), min_size=len(places), max_size=len(places)))
+    same, renamed = {v: v for v in places}, dict(zip(places, labels))
+    one, scales = dict.fromkeys(places, 1), dict(zip(places, units))
+
+    def observed(names, listed, scaled):
+        s, c = presented(system, conditions, names, listed, scaled)
+        return (sl.selmer(s, c).tolist(), sl.dual_selmer(s, c).tolist(), s.exactness_holds(),
+                report(s, c, names))
+
+    want = observed(same, places, one)
+    for names, listed, scaled in [(renamed, places, one), (same, order, one),
+                                  (same, places, scales), (renamed, order, scales)]:
+        assert observed(names, listed, scaled) == want
