@@ -8,7 +8,7 @@ file but __init__ and errors).  Each mutant changes one site:
 
     compare  flip one comparison operator (< to >=, == to !=, in to not in, ...)
     raise    disable an `if ...: raise` (its test becomes False)
-    mod-p    drop one `% p`, where the modulus is p or an attribute .p
+    mod-p    drop one `% p` or `%= p`, where the modulus is p or an attribute .p
     const    change an integer constant n to n + 1
     not      drop a `not`
 
@@ -112,7 +112,7 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "at 63 variables (cap + 1)^63 >= 2^63 refuses as well; the first test only "
         "spares a huge nvars the power",
     ("padic_weights._layout", "const",
-     "np.searchsorted(degrees, np.arange(cap + «2»)), codes, codes[order], order)"):
+     "return _Layout(monomials, index, degrees, np.searchsorted(degrees, np.arange(cap + «2»)),"):
         "an offset past degree cap + 1 is never read",
     ("padic_weights.<module>", "const", "@functools.lru_cache(maxsize=«64»)"):
         "a cache size: the powers of p are the same whether cached or rebuilt",
@@ -123,9 +123,10 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "if ff.is_prime(p) and p - «1» > threshold and very_good_prime(rd, p):"):
         "the threshold is even (8 z, (2h - 2) z, or (h - 1) z with z even), so p - 1 "
         "and p - 2 pass it at different p only at p = threshold + 2, which is even",
-    ("padics.teichmuller", "const", "for _ in range(prec + «1»):"):
-        "the lift is exact after prec - 1 p-th powers, and a further one fixes it, "
-        "as omega^p = omega",
+    ("padics.teichmuller", "const",
+     "return PadicInt(p, pow(x.residue, p ** (prec + «1»), x.modulus), prec)"):
+        "a^(p^k) is the lift mod p^prec once k >= prec - 1, and a further p-th power "
+        "fixes it, as omega^p = omega",
     ("scenarios.builtin_gl2_f5_ramakrishna", "const",
      "ramified = lt.nonsplit_check(rd, 5, 3, (frob,), (1,), («0»,), (1,))"):
         NONSPLIT,
@@ -352,6 +353,9 @@ def mutants(module: str, source: bytes) -> list[Mutant]:
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
                     and _is_modulus_p(node.right):
                 add(scope, node, "mod-p", ast.unparse(node.left))
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod) \
+                    and _is_modulus_p(node.value):
+                add(scope, node, "mod-p", ast.unparse(node.target))  # x %= p becomes (x)
             elif isinstance(node, ast.Constant) and type(node.value) is int:
                 add(scope, node, "const", str(node.value + 1))
             elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):

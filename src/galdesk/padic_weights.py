@@ -28,8 +28,11 @@ for every other zeta.  The constancy test never divides: f/h - zeta0 =
 (f - zeta0 h)/h with h a unit, and restricting to an axis is a ring map,
 under which h stays a unit, so on each axis the two have their first unit
 coefficient at the same index.  It tests f - zeta0 h, formed in one pass
-over the residue arrays at the smaller cap and precision, each term at the
-precision of the two terms it comes from.
+at the smaller cap and precision over the slots where f or h has a term,
+each term at the precision of the two terms it comes from.  Sums and
+differences take that pass too, so they cost in proportion to the present
+terms, not to the C(nvars + cap, nvars) slots; on a fully dense pair the
+per-term Python loop is about three times slower than whole-array numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
@@ -78,6 +82,7 @@ class _Layout:
     codes: np.ndarray  # mixed-radix code per slot, base cap + 1
     sorted_codes: np.ndarray
     order: np.ndarray  # slot of each entry of sorted_codes
+    linear: tuple[int, ...]  # slot of X_var, by var; empty at cap 0, where no X_var has one
 
     def slots(self, codes: np.ndarray) -> np.ndarray:
         return self.order[np.searchsorted(self.sorted_codes, codes)]
@@ -97,8 +102,11 @@ def _layout(nvars: int, cap: int) -> _Layout:
     codes = exps @ (cap + 1) ** np.arange(nvars, dtype=np.int64)
     order = np.argsort(codes)
     degrees = exps.sum(axis=1)
-    return _Layout(monomials, {m: i for i, m in enumerate(monomials)}, degrees,
-                   np.searchsorted(degrees, np.arange(cap + 2)), codes, codes[order], order)
+    index = {m: i for i, m in enumerate(monomials)}
+    linear = tuple(index[tuple(int(k == var) for k in range(nvars))]
+                   for var in range(nvars)) if cap else ()
+    return _Layout(monomials, index, degrees, np.searchsorted(degrees, np.arange(cap + 2)),
+                   codes, codes[order], order, linear)
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,7 +183,7 @@ class TruncatedSeries:
         return self.residues[0] % self.p != 0
 
     def is_zero_at_prec(self) -> bool:
-        return np.count_nonzero(self.residues) == 0
+        return np.count_nonzero(self.residues[self.precs > 0]) == 0
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -184,19 +192,27 @@ class TruncatedSeries:
             raise SeriesError("incompatible series")
 
     def _termwise(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
+        """op(a, b) on the residues of every slot where either series has a
+        term, at the smaller cap and precision; the other slots stay absent.
+        a and b are Python ints, which a numpy ufunc would cast to int64."""
         self._check_compatible(other)
         prec = min(self.prec, other.prec)
         cap = min(self.degree_cap, other.degree_cap)
         n = len(_layout(self.nvars, cap).monomials)
-        pa, pb = self.precs[:n], other.precs[:n]
+        live = (self.precs[:n] | other.precs[:n]).nonzero()[0]
         # An absent term is a zero known to the full precision of its series.
-        precs = np.minimum(np.where(pa > 0, pa, prec), np.where(pb > 0, pb, prec))
-        precs = np.where((pa > 0) | (pb > 0), np.minimum(precs, prec), 0)
-        residues = op(self.residues[:n], other.residues[:n]) % _powers(self.p, prec)[precs]
+        live_precs = [min(a or prec, b or prec, prec)
+                      for a, b in zip(self.precs[live].tolist(), other.precs[live].tolist())]
+        moduli = _powers(self.p, prec)
+        residues = np.zeros(n, dtype=object)
+        residues[live] = [op(a, b) % moduli[k] for a, b, k in zip(
+            self.residues[live].tolist(), other.residues[live].tolist(), live_precs)]
+        precs = np.zeros(n, dtype=np.int64)
+        precs[live] = live_precs
         return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._termwise(other, np.add)
+        return self._termwise(other, operator.add)
 
     def __neg__(self) -> "TruncatedSeries":
         residues = -self.residues % _powers(self.p, self.prec)[self.precs]
@@ -204,7 +220,7 @@ class TruncatedSeries:
                                  residues, self.precs)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._termwise(other, np.subtract)
+        return self._termwise(other, operator.sub)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
@@ -280,9 +296,8 @@ class TruncatedSeries:
         """(a0, a1) mod p: image under reduction by (p, X_var^2, other vars).
         At cap 0 there is no linear slot, and a1 is 0."""
         self._check_var(var)
-        e = tuple(int(i == var) for i in range(self.nvars))
-        slot = _layout(self.nvars, self.degree_cap).index.get(e)
-        return self.residues[0] % self.p, 0 if slot is None else self.residues[slot] % self.p
+        linear = _layout(self.nvars, self.degree_cap).linear
+        return self.residues[0] % self.p, self.residues[linear[var]] % self.p if linear else 0
 
     def specialize_to_axis(self, var: int) -> "TruncatedSeries":
         """One-variable series: every other variable set to 0."""
@@ -594,24 +609,22 @@ def passage_dichotomy(family: DichotomyFamily):
         if isinstance(verdict, NonconstantWitness):
             return SparsityCertificate(e.place, e.root_index, e.gen_index,
                                        verdict.zeta, verdict.var, verdict.degree)
-    # Constant ratios throughout: extract dual-number reductions per variable.
-    pairs = []
+    # Constant ratios throughout: a1/a0 mod p per variable from the dual-number
+    # reductions, one a0^-1 per series.  The family holds one entry per
+    # (place, root, generator), so every column is written once.
+    nvars, width = family.entries[0].f_w.nvars, family.f * family.d
     places = sorted({e.place for e in family.entries})
-    by_key = {(e.place, e.root_index, e.gen_index): e for e in family.entries}
-    nvars = family.entries[0].f_w.nvars
-    for pl in places:
-        for var in range(nvars):
-            x_w = np.zeros(family.f * family.d, dtype=np.int64)
-            x_wbar = np.zeros(family.f * family.d, dtype=np.int64)
-            for j in range(family.f):
-                for i in range(family.d):
-                    e = by_key[(pl, i, j)]
-                    a0, a1 = e.f_w.dual_reduction(var)
-                    x_w[j * family.d + i] = a1 * pow(a0, -1, p) % p
-                    b0, b1 = e.f_wbar.dual_reduction(var)
-                    # The wbar series carries the -w0 composition, so undo the
-                    # index permutation to report the plain wbar weight.
-                    x_wbar[j * family.d + family.minus_w0[i]] = b1 * pow(b0, -1, p) % p
-            pairs.append((pl, var, x_w, x_wbar))
-    return ParallelWeights(pairs)
+    x_w = {pl: np.zeros((nvars, width), dtype=np.int64) for pl in places}
+    x_wbar = {pl: np.zeros((nvars, width), dtype=np.int64) for pl in places}
+    for e in family.entries:
+        col = e.gen_index * family.d
+        # The wbar series carries the -w0 composition, so undo the index
+        # permutation to report the plain wbar weight.
+        for x, s, c in ((x_w[e.place], e.f_w, col + e.root_index),
+                        (x_wbar[e.place], e.f_wbar, col + family.minus_w0[e.root_index])):
+            a0_inv = pow(int(s.residues[0]), -1, p)
+            for var in range(nvars):
+                x[var, c] = s.dual_reduction(var)[1] * a0_inv % p
+    return ParallelWeights([(pl, var, x_w[pl][var], x_wbar[pl][var])
+                            for pl in places for var in range(nvars)])
 

@@ -135,14 +135,15 @@ class PadicInt:
 
 
 def teichmuller(a: int, p: int, prec: int) -> PadicInt:
-    """Teichmuller representative: the (p-1)-st root of unity congruent to a."""
+    """Teichmuller representative: the (p-1)-st root of unity congruent to a.
+
+    a^(p^k) is congruent to it mod p^(k+1), so one power a^(p^(prec+1))
+    gives it at precision prec; it is the number that prec + 1 successive
+    p-th powers mod p^prec give."""
     if a % p == 0:
         raise PrecisionError("Teichmuller lift of 0 is 0; need a unit")
     x = PadicInt(p, a, prec)  # refuses a precision out of range before lifting
-    r, m = x.residue, x.modulus
-    for _ in range(prec + 1):
-        r = pow(r, p, m)
-    return PadicInt(p, r, prec)
+    return PadicInt(p, pow(x.residue, p ** (prec + 1), x.modulus), prec)
 
 
 def teichmuller_part(u: PadicInt) -> PadicInt:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,6 +156,28 @@ def test_teichmuller():
     roots = [pa.teichmuller(a, 5, 6) for a in range(1, 5)]
     assert all(pow(z.residue, 4, 5**6) == 1 for z in roots)
     assert sorted(z.residue % 5 for z in roots) == [1, 2, 3, 4]
+
+
+def iterated_teichmuller(a: int, p: int, prec: int) -> int:
+    """The lift as prec + 1 successive p-th powers mod p^prec."""
+    r, m = a % p**prec, p**prec
+    for _ in range(prec + 1):
+        r = pow(r, p, m)
+    return r
+
+
+# At 2^31 - 1 one lift to prec 64 is a power with a 2015-bit exponent mod a
+# 1984-bit modulus, so that prime's grid is cut: every unit runs to prec 16,
+# and 2 and 49 to 64.
+TEICHMULLER_GRID = [(p, a, prec) for p in (3, 5, 7, 13) for a in range(1, p)
+                    for prec in [*range(1, 65), 256]] + \
+    [(2**31 - 1, a, prec) for a in range(1, 50)
+     for prec in range(1, 65 if a in (2, 49) else 17)]
+
+
+def test_teichmuller_is_the_iterated_lift():
+    for p, a, prec in TEICHMULLER_GRID:
+        assert pa.teichmuller(a, p, prec) == pa.PadicInt(p, iterated_teichmuller(a, p, prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +673,107 @@ def test_one_pass_difference_matches_scale_then_subtract(data):
     assert diff.residues.tolist() == oracle.residues.tolist()
     assert diff.precs.tolist() == oracle.precs.tolist()
     assert verdict == verdict_of_difference(zeta0, oracle)
+
+
+def dense_termwise(self, other, op):
+    """TruncatedSeries._termwise as it was before it skipped the absent
+    slots: op on the whole residue arrays, each slot at the smaller of its
+    two precisions, an absent term at its series precision."""
+    self._check_compatible(other)
+    prec = min(self.prec, other.prec)
+    cap = min(self.degree_cap, other.degree_cap)
+    n = len(pw._layout(self.nvars, cap).monomials)
+    pa, pb = self.precs[:n], other.precs[:n]
+    # An absent term is a zero known to the full precision of its series.
+    precs = np.minimum(np.where(pa > 0, pa, prec), np.where(pb > 0, pb, prec))
+    precs = np.where((pa > 0) | (pb > 0), np.minimum(precs, prec), 0)
+    residues = op(self.residues[:n], other.residues[:n]) % pw._powers(self.p, prec)[precs]
+    return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
+
+
+def _dense_terms(data, p, nvars, prec, cap, unit_constant=False):
+    """A term on every monomial to the cap, each at its own precision (some
+    above the series precision), present zeros among them."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    terms = {}
+    for m in _oracle_monomials(nvars, cap):
+        n = rng.randint(1, prec + 2)
+        terms[m] = pa.PadicInt(p, rng.choice([0, rng.randrange(p**n)]), n)
+    if unit_constant:
+        terms[(0,) * nvars] = pa.PadicInt(p, rng.randrange(1, p), rng.randint(1, prec + 2))
+    return terms
+
+
+def _sparse_or_dense_pair(data, p):
+    """Two series in the same variables with their own caps and precisions,
+    each sparse (_draw_terms) or dense, with unit constant terms."""
+    nvars = data.draw(st.integers(1, 4))
+    out = []
+    for _ in "fh":
+        prec, cap = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 5 if nvars < 4 else 3))
+        draw = data.draw(st.sampled_from([_draw_terms, _dense_terms]))
+        out.append(pw.TruncatedSeries(p, nvars, prec, cap,
+                                      draw(data, p, nvars, prec, cap, unit_constant=True)))
+    return out
+
+
+def _same_bytes(s, t):
+    assert (s.p, s.nvars, s.prec, s.degree_cap) == (t.p, t.nvars, t.prec, t.degree_cap)
+    assert s.residues.dtype == t.residues.dtype == object
+    assert s.residues.tolist() == t.residues.tolist()
+    assert s.precs.dtype == t.precs.dtype == np.int64
+    assert s.precs.tolist() == t.precs.tolist()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, database=None)
+def test_live_slot_pass_matches_the_dense_pass(data):
+    """+, - and constancy_test's difference, formed on the slots where
+    either series has a term, have the bytes of the dense pass over every
+    slot: absent terms, present zeros, mixed precisions, unequal caps and
+    precisions, sparse and dense series."""
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    f, h = data.draw(st.sampled_from([_unit_pair, _sparse_or_dense_pair]))(data, p)
+    _same_bytes(f + h, dense_termwise(f, h, np.add))
+    _same_bytes(f - h, dense_termwise(f, h, np.subtract))
+    _same_bytes(h - f, dense_termwise(h, f, np.subtract))
+    verdict, diff = constancy_difference(f, h)
+    _same_bytes(diff, dense_termwise(f, h, lambda a, b: a - b * verdict.zeta.residue))
+
+
+def combined_slots(f, h) -> list[int]:
+    """constancy_test(f, h), with a count of the slots each _termwise call
+    applies its op to."""
+    counts, termwise = [], pw.TruncatedSeries._termwise
+
+    def spy(self, other, op):
+        counts.append(0)
+
+        def counted(a, b):
+            counts[-1] += 1
+            return op(a, b)
+
+        return termwise(self, other, counted)
+
+    with mock.patch.object(pw.TruncatedSeries, "_termwise", spy):
+        pw.constancy_test(f, h)
+    return counts
+
+
+def test_constancy_combines_only_present_terms():
+    """A 1 + linear pair in 4 variables to degree 10 has 5 terms in 1001
+    slots, and the difference combines those 5; a dense pair combines all."""
+    p, nvars, prec, cap = 7, 4, 12, 10
+    zeta = pa.teichmuller(3, p, prec)
+    monomials = list(_oracle_monomials(nvars, cap))
+    linear = {m: pa.PadicInt(p, 2 + sum(m) + m[0], prec) for m in monomials[:nvars + 1]}
+    h = pw.TruncatedSeries(p, nvars, prec, cap, linear)
+    assert combined_slots(h.scale(zeta), h) == [nvars + 1]
+    rng = random.Random(34)
+    dense = {m: pa.PadicInt(p, rng.randrange(1, p**prec), prec) for m in monomials}
+    dense[monomials[0]] = pa.PadicInt(p, 5, prec)
+    h = pw.TruncatedSeries(p, nvars, prec, cap, dense)
+    assert combined_slots(h.scale(zeta), h) == [len(monomials)] == [1001]
 
 
 @given(st.data())

@@ -95,3 +95,26 @@ def test_every_listed_equivalent_is_a_mutant_of_the_source():
     keys = {m.key for path in src.glob("*.py")
             for m in mutants.mutants(path.stem, path.read_bytes())}
     assert sorted(set(mutants.EQUIVALENT) - keys) == []
+
+
+AUGMENTED = """
+def reduce(xs, p):
+    xs[0] %= p
+    total = 0
+    for x in xs:
+        total += x
+        total %= 3
+    return total
+"""
+
+
+def test_mutants_drops_an_augmented_reduction_mod_p():
+    """`x %= p` is a mod-p site as `x % p` is: the mutant leaves the target
+    unreduced.  `%= 3` reduces by no p and is left alone."""
+    mutants = load_script("mutants")
+    found = [m for m in mutants.mutants("aug", AUGMENTED.encode()) if m.operator == "mod-p"]
+    assert [(m.key, m.segment, m.replacement) for m in found] == \
+        [(("aug.reduce", "mod-p", "«xs[0] %= p»"), "xs[0] %= p", "(xs[0])")]
+    space = {}
+    exec(compile(found[0].apply(AUGMENTED.encode()), "aug.py", "exec"), space)
+    assert space["reduce"]([8, 1], 7) == 0  # (8 + 1) % 3; the original reads (1 + 1) % 3
