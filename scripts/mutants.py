@@ -256,12 +256,9 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("selmer._dress", "mod-p", "res[v] = «(g @ blocks[0][v]) % p»"):
         "every column of a builder's canonical image has at most one 1 among a "
         "place's rows, so g @ block is already reduced",
-    ("selmer._dress", "mod-p", "new_marked[v][name] = «(g @ mat) % p»"):
-        "every column of a builder's mark has one 1, so g @ mat is already reduced",
-    ("selmer._dress", "const", "gh = ff.random_invertible(rng, res[places[«0»]].shape[1], p)[0]"):
+    ("selmer._dress", "const", "gh = ff.random_gl(rng, res[places[«0»]].shape[1], p)"):
         "every place's block has dim H columns, and both builders have two places",
-    ("selmer._dress", "const",
-     "gh_dual = ff.random_invertible(rng, res_dual[places[«0»]].shape[1], p)[0]"):
+    ("selmer._dress", "const", "gh_dual = ff.random_gl(rng, res_dual[places[«0»]].shape[1], p)"):
         "every place's dual block has dim H' columns, and both builders have two places",
     ("selmer.build_annihilation_scenario", "const",
      "psi_vec = e[:, s0 - «1»] + e[:, n0::2].sum(axis=1)"):

@@ -25,25 +25,28 @@ k).  Every row holds a pivot, so the rows past im d0's pivots, read off
 the reduced rows, map a cocycle's v[free] to its class coordinates.
 
 `_reduce` is the one elimination, with two kernels, behind `rref`, `rank`,
-`nullspace`, `QuotientSpace` and the draws.  Gauss-Jordan on lists of
-Python ints costs what clearing its nonzeros, row by row, costs (a row is
-cleared by the pivot row's nonzeros alone), and numpy a fixed cost per
-pivot.  So inputs of at most `_SMALL_CELLS` cells run in Python, and so do
-sparse ones: at most `_SPARSE_CELLS` cells and `_SPARSE_NONZEROS` nonzeros,
-neither side more than sixteen times the other, and p below
-`_SPARSE_PRIMES`.  The numpy kernel takes the rows in chunks of about
-`_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, 2008): exact matmuls (float64, or int64 for p^2 > 2^53) reduce each
-chunk against the RREF basis of the rows before it (at most n rows), one
-vectorised update per pivot eliminates the chunk, and its pivot rows join
-the basis.  RREF is canonical,
-so both kernels return the same R and pivots for every p with p^2 < 2^63
-(see `products_fit`).  The Python kernel's R stays a list of rows: `rref`
+`nullspace`, `column_space_equations`, `QuotientSpace` and the draws.
+Gauss-Jordan on lists of Python ints costs what clearing its nonzeros, row
+by row, costs (a row is cleared by the pivot row's nonzeros alone), and
+numpy a fixed cost per pivot.  So inputs of at most `_SMALL_CELLS` cells
+run in Python, and so do sparse ones: at most `_SPARSE_CELLS` cells and
+`_SPARSE_NONZEROS` nonzeros, neither side more than sixteen times the
+other, and p below `_SPARSE_PRIMES`.  The numpy kernel takes the rows in
+chunks of about `_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK
+(Dumas, Giorgi and Pernet, 2008): exact matmuls (float64, or int64 for
+p^2 > 2^53) reduce each chunk against the RREF basis of the rows before it
+(at most n rows), one vectorised update per pivot eliminates the chunk,
+and its pivot rows join the basis.  RREF is canonical, so both kernels
+return the same R and pivots for every p with p^2 < 2^63 (see
+`products_fit`).  The Python kernel's R stays a list of rows: `rref`
 converts it to an array, while `rank` counts its pivots, `nullspace` and
 `kernel_quotient` read their kernel vectors and class map off the rows,
-and `random_invertible` reads the inverse of a draw g off the right half
-of the rows of rref([g | 1]).  `random_matrix` draws each entry as
-`random.Random.randrange` does, without its Python frames.
+`column_space_equations` reads both a column basis and its equations off
+one reduction, and `random_invertible` reads the inverse of a draw g off
+the right half of the rows of rref([g | 1]).  `random_gl` accepts the same
+draws, in the same loop, off rref(g) alone, for a caller that needs no
+inverse.  `random_matrix` draws each entry as `random.Random.randrange`
+does, without its Python frames.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ def normalize(a, p: int) -> np.ndarray:
 
 
 def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+    out = np.zeros(n * n, dtype=np.int64)  # np.eye's overhead exceeds the fill at small n
+    out[:: n + 1] = 1
+    return out.reshape(n, n)
 
 
 def zeros(shape) -> np.ndarray:
@@ -174,7 +179,7 @@ def _reduce(a, p: int):
         chunk = _subtract_product(r[rows[start : start + step]], pivots, basis, p)
         new, new_pivots = _eliminate(chunk, p)
         if new_pivots:
-            basis = np.vstack([_subtract_product(basis, new_pivots, new, p), new])
+            basis = np.concatenate([_subtract_product(basis, new_pivots, new, p), new])
             pivots += new_pivots
             basis, pivots = basis[np.argsort(pivots)], sorted(pivots)
     out = zeros((m, n))
@@ -299,7 +304,7 @@ def kernel_quotient(d1, d0, p: int):
     n = np.shape(d1)[1]
     free = _free_columns(pivots1, n)
     m, k = np.shape(d0)[1], len(free)
-    r, pivots = _reduce(np.hstack([d0[free], eye(k)]), p)
+    r, pivots = _reduce(np.concatenate([d0[free], eye(k)], axis=1), p)
     r_d = sum(c < m for c in pivots)
     reps = _kernel_vectors(r1, pivots1, [free[c - m] for c in pivots[r_d:]], n, p)
     if isinstance(r, list):  # every row holds a pivot, so r has k rows
@@ -320,7 +325,7 @@ def solve(a, b, p: int):
     if vec:
         b = b[:, None]
     n = np.shape(a)[1]
-    r, pivots = rref(np.hstack([a, b]), p)
+    r, pivots = rref(np.concatenate([a, b], axis=1), p)
     # Inconsistent iff some pivot lands in the augmented block.
     if pivots and pivots[-1] >= n:
         return None
@@ -345,6 +350,15 @@ def column_space(a, p: int) -> np.ndarray:
     return r[: len(pivots)].T
 
 
+def column_space_equations(a, p: int):
+    """(column_space(a), nullspace(a^T)^T) off the one reduction of a^T: the
+    canonical basis of span(a), and equations whose kernel it is."""
+    r, pivots = _reduce(np.transpose(a), p)
+    m = np.shape(a)[0]
+    basis = np.array(r[: len(pivots)], dtype=np.int64).reshape(len(pivots), m).T
+    return basis, _kernel_vectors(r, pivots, _free_columns(pivots, m), m, p).T
+
+
 def span_contains(big, small, p: int) -> bool:
     """Is the vector `small`, or every column of the matrix `small`, in span(big)?"""
     return solve(big, small, p) is not None
@@ -363,7 +377,7 @@ def annihilator(basis, pairing, p: int) -> np.ndarray:
 def fixed_equations(mats, n: int) -> np.ndarray:
     """The blocks g - 1 of the n x n matrices `mats`, stacked and unreduced
     (rref reduces): their common kernel is the space that every g fixes."""
-    return np.vstack([zeros((0, n)), *(np.asarray(g) - eye(n) for g in mats)])
+    return np.concatenate([zeros((0, n)), *(np.asarray(g) - eye(n) for g in mats)])
 
 
 class QuotientSpace:
@@ -383,7 +397,7 @@ class QuotientSpace:
         self.num = normalize(numerator, p)
         den = normalize(denominator, p)
         k = den.shape[1]
-        pivots = _reduce(np.hstack([den, self.num]), p)[1]
+        pivots = _reduce(np.concatenate([den, self.num], axis=1), p)[1]
         r_d = sum(c < k for c in pivots)
         self.den = den[:, pivots[:r_d]]
         self.reps = self.num[:, [c - k for c in pivots[r_d:]]]
@@ -394,7 +408,7 @@ class QuotientSpace:
 
         v may be one vector or a matrix whose columns are vectors.
         """
-        x = solve(np.hstack([self.den, self.reps]), v, self.p)
+        x = solve(np.concatenate([self.den, self.reps], axis=1), v, self.p)
         if x is None:
             raise ValueError("vector is not in the numerator span")
         return x[self.den.shape[1] :]
@@ -417,12 +431,25 @@ def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
 
 def random_invertible(rng, n: int, p: int):
     """A random invertible n x n matrix g mod p and g^-1, off one rref([g | 1])."""
+    g, r = _invertible_draw(rng, n, p, eye(n))
+    inverse = [row[n:] for row in r] if isinstance(r, list) else r[:, n:]
+    return g, np.array(inverse, dtype=np.int64).reshape(n, n)
+
+
+def random_gl(rng, n: int, p: int) -> np.ndarray:
+    """The g of `random_invertible`, drawn alike, off one rref(g): no inverse."""
+    return _invertible_draw(rng, n, p)[0]
+
+
+def _invertible_draw(rng, n: int, p: int, right=None):
+    """(g, R) for the first drawn g whose first n pivots in R = rref([g | right]),
+    or rref(g) with no right block, are the n columns of g: the first
+    invertible draw."""
     for _ in range(_MAX_DRAWS):
-        a = random_matrix(rng, n, n, p)
-        r, pivots = _reduce(np.hstack([a, eye(n)]), p)
+        g = random_matrix(rng, n, n, p)
+        r, pivots = _reduce(g if right is None else np.concatenate([g, right], axis=1), p)
         if pivots[:n] == list(range(n)):  # mod 1 there are no pivots at all
-            inverse = [row[n:] for row in r] if isinstance(r, list) else r[:, n:]
-            return a, np.array(inverse, dtype=np.int64).reshape(n, n)
+            return g, r
     raise ValueError(f"no invertible {n} x {n} matrix mod {p} in {_MAX_DRAWS} draws")
 
 

@@ -107,7 +107,7 @@ def _random_module(rng) -> lt.TameGaloisModule:
     q = p  # redrawn until prime to p
     while q % p == 0:
         q = rng.randrange(2, 80)
-    phi = ff.random_invertible(rng, n, p)[0]
+    phi = ff.random_gl(rng, n, p)
     return lt.TameGaloisModule(p, phi, q, twist=rng.randrange(-2, 3))
 
 

@@ -34,6 +34,15 @@ are kept on the assignment, which a builder and its step share.  The steps
 test membership by one product against equations they hold (Sel_L, Sel*,
 L_w, the tangent lines, an annihilator, the weight subspace U), and each
 builder validates the one system it returns.
+
+Equations are eliminated only where nothing already gives them.  A builder
+dresses canonical coordinate subspaces (L_0, the tangent lines) by a
+change of basis g_v, which moves their coordinate equations to rows of
+g_v^-1 (`_dress`), and seeds those, and none for a condition that is all
+of V_v, as E_v and as the tangent lines' equations; `replaced` reads the
+new place's E_v off the kernel vectors of the reduction that gives its
+L_v.  Sel_L is read off the RREF of the stacked E_v res_v, which depends
+on their row spaces alone, so seeded equations give the same bases.
 """
 
 from __future__ import annotations
@@ -264,7 +273,7 @@ def _multiplier(g: FiniteGroupAction):
     for depth, (lo, hi, xs, gs) in enumerate(layers):
         letters[lo:hi] = letters[xs]
         letters[lo:hi, depth] = gs
-    table = np.hstack([g.step, np.arange(k)[:, None]])
+    table = np.concatenate([g.step, np.arange(k)[:, None]], axis=1)
 
     def times(a, b):
         for column in letters.T:
@@ -399,10 +408,10 @@ class SelmerSystem:
         return next(iter(self.res_dual.values())).shape[1]
 
     def stacked_res(self):
-        return np.vstack([self.res[v] for v in self.places])
+        return np.concatenate([self.res[v] for v in self.places])
 
     def stacked_res_dual(self):
-        return np.vstack([self.res_dual[v] for v in self.places])
+        return np.concatenate([self.res_dual[v] for v in self.places])
 
     def block_pairing(self):
         return ff.block_diag([self.pairing[v] for v in self.places])
@@ -421,7 +430,7 @@ class SelmerSystem:
         the stacked P_v res'_v, of dimension sum dim V_v minus its rank, so
         equality is a rank count."""
         total = sum(self.local_dims[v] for v in self.places)
-        paired = np.vstack([self.pairing[v] @ self.res_dual[v] for v in self.places])
+        paired = np.concatenate([self.pairing[v] @ self.res_dual[v] for v in self.places])
         return ff.rank(self.stacked_res(), self.p) + ff.rank(paired, self.p) == total
 
 
@@ -447,8 +456,18 @@ class ConditionAssignment:
     def l_perp(self, v) -> np.ndarray:
         return ff.annihilator(self.l_spaces[v], self.system.pairing[v], self.system.p)
 
+    @classmethod
+    def _with_equations(cls, system, l_spaces, equations) -> "ConditionAssignment":
+        """An assignment whose E_v are already known at the places of
+        `equations`: they are seeded into the cache that `equations` fills."""
+        out = cls(system, l_spaces)
+        out._equations.update(equations)
+        return out
+
     def equations(self, v) -> np.ndarray:
-        """E_v = nullspace(L_v^T)^T, whose kernel is L_v; one elimination per place."""
+        """E_v, whose kernel is L_v: nullspace(L_v^T)^T, one elimination per
+        place, unless a builder or `replaced` seeded equations of the same
+        row space."""
         if v not in self._equations:
             self._equations[v] = ff.nullspace(self.l_spaces[v].T, self.system.p).T
         return self._equations[v]
@@ -463,11 +482,12 @@ class ConditionAssignment:
         return self._spaces[name]
 
     def replaced(self, v, new_l) -> "ConditionAssignment":
+        """The assignment with L_v = span(new_l), whose canonical basis and
+        E_v come off one reduction of new_l^T."""
         new = dict(self.l_spaces)
-        new[v] = ff.column_space(new_l, self.system.p)
-        out = ConditionAssignment(self.system, new)
-        out._equations.update((u, e) for u, e in self._equations.items() if u != v)
-        return out
+        new[v], e_v = ff.column_space_equations(new_l, self.system.p)
+        kept = {u: e for u, e in self._equations.items() if u != v}
+        return ConditionAssignment._with_equations(self.system, new, {**kept, v: e_v})
 
     def dims(self) -> dict:
         return {v: int(self.l_spaces[v].shape[1]) for v in self.system.places}
@@ -481,7 +501,7 @@ def selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
     basis, read off its RREF, does not depend on which are taken.
     """
     return conditions.kept(system, "selmer", lambda: ff.nullspace(
-        np.vstack([conditions.equations(v) @ system.res[v] for v in system.places]), system.p))
+        np.concatenate([conditions.equations(v) @ system.res[v] for v in system.places]), system.p))
 
 
 def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.ndarray:
@@ -491,7 +511,7 @@ def dual_selmer(system: SelmerSystem, conditions: ConditionAssignment) -> np.nda
     need no elimination of their own.
     """
     p = system.p
-    return conditions.kept(system, "dual_selmer", lambda: ff.nullspace(np.vstack(
+    return conditions.kept(system, "dual_selmer", lambda: ff.nullspace(np.concatenate(
         [(conditions.l_spaces[v].T @ system.pairing[v] % p) @ system.res_dual[v]
          for v in system.places]), p))
 
@@ -514,6 +534,14 @@ class RamakrishnaData:
     unr: np.ndarray
     ram: np.ndarray
     _equations: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def _with_equations(cls, p: int, unr, ram) -> "RamakrishnaData":
+        """The lines of the pairs (line, its equations mod p) unr and ram; the
+        equations are seeded into the cache that `equations` fills."""
+        out = cls(unr[0], ram[0])
+        out._equations.update({("unr", p): unr[1], ("ram", p): ram[1]})
+        return out
 
     def equations(self, line: str, p: int) -> np.ndarray:
         """Equations of span(unr) or span(ram), by name, mod p; made once each."""
@@ -562,7 +590,7 @@ def annihilation_step(system: SelmerSystem, conditions: ConditionAssignment,
     if _into_unr_meet_ram(system, w, ram, psi):
         raise SelmerError("psi restricts into the unramified/ramified intersection at w")
     # `replaced` reduces [unr | ram] to its column space, unr + ram.
-    new_conditions = conditions.replaced(w, np.hstack([ram.unr, ram.ram]))
+    new_conditions = conditions.replaced(w, np.concatenate([ram.unr, ram.ram], axis=1))
     sel_after, dual_after = selmer(system, new_conditions), dual_selmer(system, new_conditions)
     report = StepReport(sel_before.shape[1], sel_after.shape[1],
                         dual_before.shape[1], dual_after.shape[1])
@@ -606,6 +634,7 @@ class InflationFamily:
     full: np.ndarray
 
     def __post_init__(self):
+        self.p = ff.odd_prime(self.p, SelmerError)  # it only eliminates
         for h in [*self.enlargements, self.full]:
             if not ff.span_contains(h, self.base, self.p):
                 raise SelmerError("family is not nested over the base")
@@ -625,7 +654,7 @@ def inflation_decomposition_check(family: InflationFamily) -> bool:
     base = ff.rank(family.base, p)
     full = ff.rank(family.full, p)
     added = sum(ff.rank(h, p) - base for h in family.enlargements)
-    joint = np.hstack([family.base, *family.enlargements])
+    joint = np.concatenate([family.base, *family.enlargements], axis=1)
     return added == full - base and ff.rank(joint, p) == full
 
 
@@ -689,7 +718,7 @@ def avoidance_step(system: SelmerSystem, conditions: ConditionAssignment,
         raise VerificationFailure("new Selmer dimension moved; enlargement is inconsistent")
     # psi_tilde: the first new-Selmer vector with nonzero psi'-coordinate.  Sel_new
     # lies in ker Phi = Sel_old + <psi'>, so the solve always succeeds.
-    coords = ff.solve(np.hstack([sel_old, psi_prime[:, None]]), sel_new, p)
+    coords = ff.solve(np.concatenate([sel_old, psi_prime[:, None]], axis=1), sel_new, p)
     hits = coords[-1].nonzero()[0]
     if not hits.size:
         raise VerificationFailure("no new Selmer class has a psi'-component")
@@ -738,12 +767,17 @@ def _dress(rng: random.Random, p: int, places: tuple, local_dims: dict, blocks, 
     """Seeded change of basis on the local blocks and global spaces of the
     system with the (res, res', pairing) `blocks` of `_exact_blocks`.
 
-    `marked` maps a place to a dict of named column matrices living in that
-    local space; they are transported along.  Returns the dressed system, the
-    transported marks, and the global change g_h (new coordinates x relate to
-    canonical ones by x_old = g_h x_new).  The changes (g_v, g_v^-T) and
-    (g_h, g_h') keep the identity pairings, reciprocity, exactness and every
-    rank, so only the dressed system is built and validated.
+    `marked` maps a place to a dict of named coordinate subspaces of that
+    local space, each given by the coordinates that span it; they are
+    transported along.  The change g_v moves span(e_i : i in cols) to the
+    span of g_v's columns cols, and the equations e_j^T (j not in cols) of
+    the one to the rows j of g_v^-1, equations of the other.  A mark becomes
+    the pair (columns, equations), with no elimination.  Returns the dressed
+    system, the transported marks, and the global change g_h (new
+    coordinates x relate to canonical ones by x_old = g_h x_new).  The
+    changes (g_v, g_v^-T) and (g_h, g_h') keep the identity pairings,
+    reciprocity, exactness and every rank, so only the dressed system is
+    built and validated; g_h and g_h' are drawn without their inverses.
     """
     res, res_dual = {}, {}
     new_marked = {v: {} for v in marked}
@@ -751,10 +785,11 @@ def _dress(rng: random.Random, p: int, places: tuple, local_dims: dict, blocks, 
         g, g_inv = ff.random_invertible(rng, local_dims[v], p)
         res[v] = (g @ blocks[0][v]) % p
         res_dual[v] = (g_inv.T @ blocks[1][v]) % p
-        for name, mat in marked.get(v, {}).items():
-            new_marked[v][name] = (g @ mat) % p
-    gh = ff.random_invertible(rng, res[places[0]].shape[1], p)[0]
-    gh_dual = ff.random_invertible(rng, res_dual[places[0]].shape[1], p)[0]
+        for name, cols in marked.get(v, {}).items():
+            rest = [j for j in range(local_dims[v]) if j not in cols]
+            new_marked[v][name] = g[:, cols], g_inv[rest]
+    gh = ff.random_gl(rng, res[places[0]].shape[1], p)
+    gh_dual = ff.random_gl(rng, res_dual[places[0]].shape[1], p)
     res = {v: (m @ gh) % p for v, m in res.items()}
     res_dual = {v: (m @ gh_dual) % p for v, m in res_dual.items()}
     return SelmerSystem(p, places, dict(local_dims), res, res_dual, blocks[2]), new_marked, gh
@@ -780,10 +815,13 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     is spanned by plain Selmer vectors, one Selmer vector threading the
     unramified lines, and one ghost per index threading the ramified line.
     """
-    rng = random.Random(seed)
     k = num_special
+    if k < 1:
+        raise SelmerError("num_special must be at least 1")
     s0 = 2 + extra_selmer
     n0 = s0 + k
+    p = ff.odd_prime(p, SelmerError, n0 + 2 * k)  # _exact_blocks sums over the local sum
+    rng = random.Random(seed)
     specials = tuple(f"w{i}" for i in range(k))
     places = ("v0", *specials)
     local_dims = {"v0": n0, **{w: 2 for w in specials}}
@@ -794,16 +832,15 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     ghosts = e[:, s0:n0] + e[:, n0 + 1 :: 2]
     image = np.column_stack([e[:, : s0 - 1], psi_vec, ghosts])  # 0/1 entries
     blocks = _exact_blocks(p, places, local_dims, image)
-    l0 = ff.zeros((n0, s0))
-    l0[:s0, :] = ff.eye(s0)
-    unr, ram = ff.eye(2)[:, [0]], ff.eye(2)[:, [1]]
-    marked = {"v0": {"L": l0}, **{w: {"unr": unr, "ram": ram} for w in specials}}
+    # L0 is the first s0 coordinates of v0, unr and ram the two of each w_i.
+    marked = {"v0": {"L": range(s0)}, **{w: {"unr": [0], "ram": [1]} for w in specials}}
     system, marked, _ = _dress(rng, p, places, local_dims, blocks, marked)
-    conditions = ConditionAssignment(system, {
-        "v0": ff.column_space(marked["v0"]["L"], p),
-        **{w: marked[w]["unr"] for w in specials},
-    })
-    ram_data = {w: RamakrishnaData(marked[w]["unr"], marked[w]["ram"]) for w in specials}
+    l0, l0_equations = marked["v0"]["L"]
+    conditions = ConditionAssignment._with_equations(
+        system, {"v0": ff.column_space(l0, p), **{w: marked[w]["unr"][0] for w in specials}},
+        {"v0": l0_equations, **{w: marked[w]["unr"][1] for w in specials}})
+    ram_data = {w: RamakrishnaData._with_equations(p, marked[w]["unr"], marked[w]["ram"])
+                for w in specials}
     sel, dual = selmer(system, conditions), dual_selmer(system, conditions)
     phi = _class_avoiding(system, dual, specials[0], ram_data[specials[0]], dual_side=True)
     psi = _class_avoiding(system, sel, specials[0], ram_data[specials[0]], dual_side=False)
@@ -839,8 +876,11 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
     one Selmer vector through the unramified line, and one carrier through
     the ramified line.
     """
+    if d_weights < 2:
+        raise SelmerError("d_weights must be at least 2, for a proper U")
     if selmer_dim < max(2, d_weights - 1):
         raise SelmerError("selmer_dim too small to span U while staying inside it")
+    p = ff.odd_prime(p, SelmerError, selmer_dim + 3)  # _exact_blocks sums over the local sum
     rng = random.Random(seed)
     n0, ny = selmer_dim + 1, 2
     places = ("v0", "y")
@@ -852,8 +892,7 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
         e[:, selmer_dim] + e[:, n0 + 1],  # the carrier, through the ramified line
     ])
     blocks = _exact_blocks(p, places, local_dims, image)
-    unr, ram = ff.eye(ny)[:, [0]], ff.eye(ny)[:, [1]]
-    marked = {"y": {"unr": unr, "ram": ram}}
+    marked = {"y": {"unr": [0], "ram": [1]}}
     # Weight map in canonical H-coordinates: Selmer columns land in U (spanned
     # by the all-ones vector and d-2 unit vectors), the carrier lands outside.
     w = ff.eye(d_weights)
@@ -863,11 +902,11 @@ def build_avoidance_scenario(seed: int, p: int = 5, d_weights: int = 2,
     beta[:, selmer_dim:] = w[:, [d_weights - 1]]
     system, marked, gh = _dress(rng, p, places, local_dims, blocks, marked)
     beta = (beta @ gh) % p
-    conditions = ConditionAssignment(system, {
-        "v0": ff.eye(n0),  # the v0 bundle carries no constraint
-        "y": marked["y"]["unr"],
-    })
-    ram_data = RamakrishnaData(marked["y"]["unr"], marked["y"]["ram"])
+    # The v0 bundle carries no constraint: the whole space, with no equations.
+    conditions = ConditionAssignment._with_equations(
+        system, {"v0": ff.eye(n0), "y": marked["y"]["unr"][0]},
+        {"v0": ff.zeros((0, n0)), "y": marked["y"]["unr"][1]})
+    ram_data = RamakrishnaData._with_equations(p, marked["y"]["unr"], marked["y"]["ram"])
     return AvoidanceScenario(system, conditions, "y", ram_data, beta, u_basis)
 
 
@@ -875,9 +914,10 @@ def build_inflation_family(rng: random.Random, p: int, base_dim: int,
                            added: list[int], overlapping: bool = False) -> InflationFamily:
     """Nested enlargements adding the given number of fresh dimensions each;
     the overlapping control makes two enlargements share a new vector."""
+    p = ff.odd_prime(p, SelmerError)  # it only eliminates
     k = len(added)
     ambient = base_dim + sum(added) + 2
-    g = ff.random_invertible(rng, ambient, p)[0]
+    g = ff.random_gl(rng, ambient, p)
     base = g[:, :base_dim]
     enlargements = []
     pos = base_dim
@@ -885,9 +925,9 @@ def build_inflation_family(rng: random.Random, p: int, base_dim: int,
         fresh = g[:, pos : pos + extra]
         if overlapping and i == 1 and k >= 2:
             shared = g[:, [base_dim]]  # first enlargement's vector
-            fresh = np.hstack([shared, fresh[:, 1:]])
-        enlargements.append(ff.column_space(np.hstack([base, fresh]), p))
+            fresh = np.concatenate([shared, fresh[:, 1:]], axis=1)
+        enlargements.append(ff.column_space(np.concatenate([base, fresh], axis=1), p))
         pos += extra
     full_cols = [base] + [h for h in enlargements]
-    full = ff.column_space(np.hstack(full_cols), p)
+    full = ff.column_space(np.concatenate(full_cols, axis=1), p)
     return InflationFamily(p, ff.column_space(base, p), enlargements, full)

@@ -762,6 +762,12 @@ PRIME_BOUNDARIES = {
     "very_good_prime": (rdm.RootDatumError, lambda p: rdm.very_good_prime(GL2, p)),
     "example_local_dims": (num.NumerologyError, lambda p: num.example_local_dims(3, p)),
     "scenarios._prime": (sc.ScenarioError, lambda p: sc._prime({"p": p}, 1)),
+    "InflationFamily": (sl.SelmerError, lambda p: sl.InflationFamily(
+        p, ff.eye(2)[:, :1], [ff.eye(2)], ff.eye(2))),
+    "build_inflation_family": (sl.SelmerError, lambda p: sl.build_inflation_family(
+        random.Random(0), p, 1, [1])),
+    "build_annihilation_scenario": (sl.SelmerError, lambda p: sl.build_annihilation_scenario(0, p)),
+    "build_avoidance_scenario": (sl.SelmerError, lambda p: sl.build_avoidance_scenario(0, p)),
 }
 
 

@@ -619,6 +619,59 @@ def test_random_invertible_draws_as_before():
             assert rng.getstate() == ref.getstate()
 
 
+def test_random_gl_draws_as_random_invertible(monkeypatch):
+    """The same g and generator state as random_invertible, off a reduction
+    of the n x n draw alone, over both kernels."""
+    shapes = count_reduced_shapes(monkeypatch)
+    for seed in range(100):
+        n = seed % 14
+        for p in (2, 3, 7, BIG_PRIME):
+            rng, ref = random.Random(seed), random.Random(seed)
+            shapes.clear()
+            g = ff.random_gl(rng, n, p)
+            assert set(shapes) <= {(n, n)} and len(shapes) >= 1
+            assert g.tobytes() == ff.random_invertible(ref, n, p)[0].tobytes()
+            assert g.shape == (n, n) and rng.getstate() == ref.getstate()
+    with pytest.raises(ValueError, match="draws"):
+        ff.random_gl(random.Random(0), 2, 1)
+
+
+def count_reduced_shapes(monkeypatch):
+    shapes = []
+    reduce = ff._reduce
+    monkeypatch.setattr(ff, "_reduce", lambda a, p: shapes.append(np.shape(a)) or reduce(a, p))
+    return shapes
+
+
+def test_eye_is_numpy_eye():
+    for n in range(40):
+        got = ff.eye(n)
+        assert got.dtype == np.int64 and got.flags.c_contiguous and got.flags.writeable
+        assert got.shape == (n, n) and got.tobytes() == np.eye(n, dtype=np.int64).tobytes()
+
+
+@pytest.mark.parametrize("p", PRIMES + [BIG_PRIME])
+def test_column_space_equations_is_one_reduction(monkeypatch, p):
+    """column_space(a) and nullspace(a^T)^T byte for byte, off one reduction,
+    on both kernels and with dependent, zero and no columns."""
+    rng = random.Random(p)
+    cases = [ff.zeros((3, 0)), ff.zeros((0, 2)), ff.zeros((4, 2)), ff.eye(5)]
+    for _ in range(60):
+        m, k = rng.randrange(1, 40), rng.randrange(1, 12)
+        a = ff.random_matrix(rng, m, k, p)
+        cases.append(np.concatenate([a, a[:, :1] * 2 % p, ff.zeros((m, 1))], axis=1))
+    shapes = count_reduced_shapes(monkeypatch)
+    for a in cases:
+        shapes.clear()
+        basis, equations = ff.column_space_equations(a, p)
+        assert shapes == [a.T.shape]
+        assert basis.dtype == equations.dtype == np.int64
+        assert basis.shape == (len(a), ref_rank(a, p))
+        assert basis.tobytes() == ff.column_space(a, p).tobytes()
+        assert equations.tobytes() == ff.nullspace(a.T, p).T.tobytes()
+        assert equations.shape == (len(a) - basis.shape[1], len(a))
+
+
 def test_random_draws_are_capped():
     # Mod 1 every draw has rank 0, so neither loop can succeed.
     rng = __import__("random").Random(0)

@@ -17,7 +17,7 @@ from galdesk import scenarios
 from galdesk import selmer as sl
 from galdesk.errors import VerificationFailure
 from span_oracle import intersect_spans
-from test_ffield import ref_rref
+from test_ffield import ref_rank, ref_rref
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1086,9 @@ def test_selmer_layer_eliminations(monkeypatch):
     # `replaced` carries over no space and every E_v but the new place's.
     assert eliminations(sl.selmer, system, conditions) == 0
     assert eliminations(sl.dual_selmer, system, conditions) == 0
+    # `replaced` reads the new place's E_v off the reduction that gives L_v.
     tighter = conditions.replaced("a", conditions.l_spaces["a"][:, :1])
-    assert eliminations(sl.selmer, system, tighter) == 2
+    assert eliminations(sl.selmer, system, tighter) == 1
     assert eliminations(sl.dual_selmer, system, tighter) == 1
     fresh = sl.ConditionAssignment(system, dict(tighter.l_spaces))
     for space in (sl.selmer, sl.dual_selmer):
@@ -1760,18 +1761,24 @@ def test_step_eliminations(monkeypatch):
     monkeypatch.setattr(ff, "annihilator", lambda *args: pytest.fail("annihilator called"))
     calls = count_calls(monkeypatch, ff, "_reduce")
     sl.annihilation_step(ann.system, ann.conditions, w, ann.ram[w], ann.phi, ann.psi)
-    assert len(calls) == 4  # 10 before the builder and the step shared Sel_L and Sel*
+    # 10 before the builder and the step shared Sel_L and Sel*, 4 before the
+    # builders seeded the equations and `replaced` read E_w off its reduction.
+    assert len(calls) == 3
     calls.clear()
     sl.avoidance_step(avo.system, avo.conditions, avo.beta, avo.u_subspace, avo.y, avo.ram)
-    assert len(calls) == 16  # 17 when the fresh condition was tested by eliminations
+    # 17 when the fresh condition was tested by eliminations, 16 before the
+    # equations were seeded.
+    assert len(calls) == 11
 
 
 def test_step_op_eliminations(monkeypatch):
     """A builder and the step it feeds, three times over the shapes of the
-    selmer-steps benchmark: at most 20 eliminations per annihilation and 22
+    selmer-steps benchmark: at most 13 eliminations per annihilation and 17
     per avoidance on average (28.3 and 24.9 before draws carried their
     inverse, the two shared Sel_L and Sel*, and the fresh condition was
-    tested by products).  Each rejected draw adds one."""
+    tested by products; 18.85 and 21.92 before the builders seeded the
+    equations they know, `replaced` read E_v off its reduction and g_h was
+    drawn without its inverse).  Each rejected draw adds one."""
     ops = 108
     calls = count_calls(monkeypatch, ff, "_reduce")
     for i in range(ops):
@@ -1780,14 +1787,145 @@ def test_step_op_eliminations(monkeypatch):
                                             num_special=1 + (i // 12) % 3)
         w = sc.special[0]
         sl.annihilation_step(sc.system, sc.conditions, w, sc.ram[w], sc.phi, sc.psi)
-    assert len(calls) <= 20 * ops
+    assert len(calls) <= 13 * ops
     calls.clear()
     for i in range(ops):
         d = 2 + (i // 4) % 5
         sc = sl.build_avoidance_scenario(seed=i, p=STEP_PRIMES[i % 4], d_weights=d,
                                          selmer_dim=max(2, d - 1) + (i // 4) % 3)
         sl.avoidance_step(sc.system, sc.conditions, sc.beta, sc.u_subspace, sc.y, sc.ram)
-    assert len(calls) <= 22 * ops
+    assert len(calls) <= 17 * ops
+
+
+def step_shapes(ops=108):
+    """The builders over the shapes of the selmer-steps benchmark, as in
+    test_step_op_eliminations: (annihilation, avoidance) scenarios per seed."""
+    for i in range(ops):
+        p, d = STEP_PRIMES[i % 4], 2 + (i // 4) % 5
+        yield (sl.build_annihilation_scenario(seed=i, p=p, extra_selmer=(i // 4) % 3,
+                                              num_special=1 + (i // 12) % 3),
+               sl.build_avoidance_scenario(seed=i, p=p, d_weights=d,
+                                           selmer_dim=max(2, d - 1) + (i // 4) % 3))
+
+
+def equations_mismatch(e, l, p):
+    """Why e are not independent equations of span(l) with the row space
+    of nullspace(l^T)^T, by reference eliminations; None when they are."""
+    n = l.shape[0]
+    canonical = ff.nullspace(l.T, p).T
+    if e.shape[1] != n or (e.astype(object) @ l.astype(object) % p).any():
+        return "E L != 0"
+    if ref_rank(e, p) != n - ref_rank(l, p):
+        return "rank E != dim V - dim L"
+    if len(e) != len(canonical):  # a dependent row costs every stacked reduction
+        return "E has dependent rows"
+    if ref_rank(np.vstack([e, canonical]), p) != ref_rank(canonical, p):
+        return "row space differs from nullspace(L^T)^T"
+    return None
+
+
+def seeded_mismatches(sc):
+    """Every E a builder seeded or `replaced` forms on its scenario, checked
+    by equations_mismatch: E_v at every place, the tangent lines' equations,
+    and E at the place of each replacement the steps make."""
+    system, conditions, p = sc.system, sc.conditions, sc.system.p
+    seeded = dict(conditions._equations)
+    assert set(seeded) == set(system.places)  # every E_v was seeded
+    found = [equations_mismatch(seeded[v], conditions.l_spaces[v], p) for v in system.places]
+    for ram in sc.ram.values() if isinstance(sc.ram, dict) else [sc.ram]:
+        assert set(ram._equations) == {("unr", p), ("ram", p)}
+        found += [equations_mismatch(ram._equations[line, p], getattr(ram, line), p)
+                  for line in ("unr", "ram")]
+    w = sc.special[0] if hasattr(sc, "special") else sc.y
+    ram = sc.ram[w] if isinstance(sc.ram, dict) else sc.ram
+    for new_l in (np.hstack([ram.unr, ram.ram]), ram.ram, ff.eye(system.local_dims[w]),
+                  ff.zeros((system.local_dims[w], 1))):
+        new = conditions.replaced(w, new_l)
+        found.append(equations_mismatch(new.equations(w), new.l_spaces[w], p))
+    return [why for why in found if why is not None]
+
+
+def test_seeded_equations_match_the_oracle():
+    """A builder moves each canonical mark and its coordinate equations by
+    its change of basis g_v, the equations by g_v^-1, and `replaced` reads
+    E_v off the reduction that gives L_v: every E they seed cuts out its
+    space, with the row space an elimination would give."""
+    for ann, avo in step_shapes():
+        assert seeded_mismatches(ann) == [] and seeded_mismatches(avo) == []
+
+
+@given(st.sampled_from(SELMER_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_replaced_equations_match_the_oracle(p, seed):
+    """On any condition, spanning sets with dependent and zero columns and
+    the empty one included."""
+    system, conditions, _ = any_selmer_case(p, seed)
+    rng = random.Random(seed)
+    v = rng.choice(system.places)
+    cols = any_condition(rng, system.local_dims[v], p)
+    new = conditions.replaced(v, cols)
+    assert equations_mismatch(new.equations(v), new.l_spaces[v], p) is None
+    # The bytes of a column-space reduction and then a nullspace one.
+    l_v = ff.column_space(cols, p)
+    assert new.l_spaces[v].tobytes() == l_v.tobytes()
+    assert new.equations(v).tobytes() == ff.nullspace(l_v.T, p).T.tobytes()
+
+
+def test_equations_moved_by_g_fail_the_oracle(monkeypatch):
+    """The control: a `_dress` that moves the equations by g_v, not g_v^-1,
+    seeds E that do not cut out the moved marks, and the oracle says so."""
+    dress, draw = sl._dress, ff.random_invertible
+
+    def dress_by_g(rng, p, places, local_dims, blocks, marked):
+        drawn = []
+        monkeypatch.setattr(ff, "random_invertible",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        system, moved, gh = dress(rng, p, places, local_dims, blocks, marked)
+        monkeypatch.setattr(ff, "random_invertible", draw)
+        g = {v: pair[0] for v, pair in zip(places, drawn)}
+        # E g_v^-1 (g_v)^2 = E g_v.
+        return system, {v: {name: (m, e @ g[v] % p @ g[v] % p) for name, (m, e) in marks.items()}
+                        for v, marks in moved.items()}, gh
+
+    monkeypatch.setattr(sl, "_dress", dress_by_g)
+    builds = [build(seed=i, p=STEP_PRIMES[i % 4]) for i in range(24)
+              for build in (sl.build_annihilation_scenario, sl.build_avoidance_scenario)]
+    # Only a g_v whose square keeps a mark's span escapes.
+    assert sum(bool(seeded_mismatches(sc)) for sc in builds) >= 45
+
+
+@pytest.mark.parametrize("build, n", [
+    # The scenarios' n is their total local dimension, over which
+    # _exact_blocks sums; the family only eliminates.
+    (lambda p: sl.build_annihilation_scenario(0, p), 6),
+    (lambda p: sl.build_annihilation_scenario(0, p, extra_selmer=0, num_special=3), 11),
+    (lambda p: sl.build_avoidance_scenario(0, p), 5),
+    (lambda p: sl.build_avoidance_scenario(0, p, d_weights=4, selmer_dim=4), 7),
+    (lambda p: sl.build_inflation_family(random.Random(0), p, 1, [1]), 1),
+    (lambda p: sl.InflationFamily(p, ff.eye(2)[:, :1], [ff.eye(2)], ff.eye(2)), 1),
+])
+def test_selmer_entry_points_check_p_before_drawing(monkeypatch, build, n):
+    """They drew first and then died with a bare ValueError from a modular
+    inverse, or (the family) computed a verdict over Z/9."""
+    monkeypatch.setattr(ff, "random_matrix", lambda *args: pytest.fail("drew"))
+    for p in (4, 9):
+        with pytest.raises(sl.SelmerError, match="p must be an odd prime"):
+            build(p)
+    with pytest.raises(sl.SelmerError, match=f"at dimension n = {n}$"):
+        build(3_215_031_751)
+
+
+def test_scenario_builders_refuse_sizes_without_a_scenario(monkeypatch):
+    """No fresh index, or a weight space with no proper U spanned by the
+    all-ones vector, used to raise a bare IndexError or build a scenario no
+    step accepts."""
+    monkeypatch.setattr(ff, "random_matrix", lambda *args: pytest.fail("drew"))
+    for k in (0, -1):
+        with pytest.raises(sl.SelmerError, match="num_special must be at least 1"):
+            sl.build_annihilation_scenario(0, num_special=k)
+    for d in (1, 0, -1):
+        with pytest.raises(sl.SelmerError, match="d_weights must be at least 2"):
+            sl.build_avoidance_scenario(0, d_weights=d)
 
 
 # ---------------------------------------------------------------------------
