@@ -10,30 +10,35 @@ coboundaries are ((Phi-1)m, (T-1)m), and H^2 is the cokernel of that same
 relator map.  The local duality pairing is the cup product pushed through
 the relator chain:
 
-    V(x, y) = <a, Phi' b'> - <S_q b, T'^q a'> - sum_{i=1}^{q-1} <N_i b, T'^i b'>
+    V(x, y) = <a, Phi' b'> - <S_q b, T'^q a'> - sum_{i=1}^{q-1} <S_i b, T'^i b'>
 
-with primes denoting the dual-twist actions and N_i = 1 + ... + T^{i-1}.
+with primes denoting the dual-twist actions and S_i = 1 + ... + T^{i-1}.
 It is bilinear in the stacked cocycles x = (a; b) on M and y = (a'; b') on
 M^vee(1), so V(x, y) = x^T G y for one 2n x 2n matrix G.  The dual twist
-has T' = (T^T)^-1, so N_i^T T'^i = T' + T'^2 + ... + T'^i (and S_q = N_q):
+has T' = (T^T)^-1, so S_i^T T'^i = T' + T'^2 + ... + T'^i:
 
     G = [[0,                     Phi'                          ],
          [-sum_{m=1}^{q} T'^m,   -sum_{m=1}^{q-1} (q - m) T'^m ]]
 
 The upper-right block pairs a with b'; the lower blocks pair b with a' and
-with b'.  Since T'^p = 1, the terms group by m mod p, so G is a weighted sum
-of the dual's table of powers T'^0, ..., T'^p for any q.  The overall scalar
-is pinned down by the checks the duality operations must satisfy (perfect
-Gram matrices, annihilator of the unramified subspace).
+with b'.  The overall scalar is pinned down by the checks the duality
+operations must satisfy (perfect Gram matrices, annihilator of the
+unramified subspace).
 
-Each module family builds that table of inertia powers once, by doubling
-in ceil(log2 p) batched products, T^(k+j) = T^j T^k for j <= k, and reads
-every power of T from it: the order check T^p = 1, T^q, the relator's S_q
-as prefix sums, and T^-1 = T^(p-1) for the dual.  It holds (p + 1) n^2
-entries and is read-only: a twist shares it, and the dual reads it reversed
-and transposed, as T'^k = (T^(p-k))^T.  Phi^-1 is one elimination, except
-for a dual, a twist or an adjoint module, which take it in closed form and
-check it with one product.
+Inertia is read in closed form.  T^p = 1 + N^p in characteristic p for
+N = T - 1, so T^p = 1 exactly when N^J = 0, J = min(n, p).  Then
+T^m = sum_j C(m, j) N^j, and the hockey-stick identity (Graham, Knuth and
+Patashnik, Concrete Mathematics, 5.1) gives, with exact binomials for any q,
+
+    T^q = sum_j C(q, j) N^j,          S_q = sum_j C(q, j + 1) N^j,
+    sum_{m=1}^{q} T'^m = sum_j C(q + 1, j + 1) N'^j - 1,
+    sum_{m=1}^{q-1} (q - m) T'^m = sum_j C(q + 1, j + 2) N'^j - q.
+
+A module keeps N^0, N^1, ... to its last nonzero power (N^0 alone when
+T = 1) and forms T^q and S_q once; a twist shares them, and the dual's
+T' = (sum_j (-N)^j)^T and its powers are sums of the N^j.  Phi^-1 is one
+elimination, except for a dual, a twist or an adjoint module, which take it
+in closed form and check it with one product.
 
 H^1 = Z^1/B^1 is `ffield.kernel_quotient` of the relator d1 and the
 coboundaries d0, reduced as ffield's docstring describes; the Gram matrix
@@ -45,6 +50,7 @@ kernel of the n x 2k system d1 (1_2 (x) w), so W gets no module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,10 +71,6 @@ class TameModuleError(InputError):
     pass
 
 
-# The largest table T^0..T^p, (p + 1) n^2 entries; it bounds the pairing's O(p) products.
-MAX_TABLE_CELLS = 10**6
-
-
 @dataclass(frozen=True, eq=False)
 class TameGaloisModule:
     """Module over the tame quotient: arithmetic Frobenius Phi, inertia Tau."""
@@ -80,46 +82,44 @@ class TameGaloisModule:
     twist: int = 0
 
     def __post_init__(self):
-        p = ff.odd_prime(self.p, TameModuleError)
+        n = len(self.phi)
+        # _gram and class_coords sum 2n products of residues, in int64 below this bound.
+        p = ff.odd_prime(self.p, TameModuleError, 2 * n)
         object.__setattr__(self, "p", p)  # an int, whatever integer type was given
         phi = ff.normalize(self.phi, p)
         object.__setattr__(self, "phi", phi)
-        n = len(phi)
         if phi.shape != (n, n):
             raise TameModuleError("Phi must be square")
         one = ff.eye(n)
-        tau = self.tau if self.tau is not None else one
-        tau = ff.normalize(tau, p)
+        tau = one if self.tau is None else ff.normalize(self.tau, p)
+        if tau.shape != (n, n):
+            raise TameModuleError("Tau must have the shape of Phi")
         object.__setattr__(self, "tau", tau)
         if self.q < 2:
             raise TameModuleError("q must be at least 2")
         if self.q % p == 0:
             raise TameModuleError("q must be prime to p")
-        if (p + 1) * n * n > MAX_TABLE_CELLS:
-            raise TameModuleError(f"(p + 1) n^2 exceeds the table budget of {MAX_TABLE_CELLS}")
         try:
             phi_inv = self.phi_inv
         except ValueError:
             raise TameModuleError("Phi must be invertible") from None
         # One product checks an inverse inherited through _with_inverse.  Phi,
-        # T and Phi^-1 are reduced, so the products need no normalize.
-        if not np.array_equal(phi @ phi_inv % p, one):
+        # T and Phi^-1 are reduced, so the products need no normalize, and
+        # two reduced n x n int64 matrices are equal when their bytes are.
+        if (phi @ phi_inv % p).tobytes() != one.tobytes():
             raise TameModuleError("Phi^-1 does not invert Phi")
-        powers = self._tau_powers
-        if not np.array_equal(powers[p], one):
+        # T^p = 1 + N^p = 1 exactly when N^min(n, p) = 0.
+        if self._nil_powers[min(n, p):].any():
             raise TameModuleError("Tau must have order dividing p")
-        if not np.array_equal(phi @ tau % p @ phi_inv % p, powers[self.q % p]):
+        if (phi @ tau % p @ phi_inv % p).tobytes() != self._tau_sums[0].tobytes():
             raise TameModuleError("Phi Tau Phi^-1 != Tau^q")
 
     @classmethod
-    def _with_inverse(cls, phi_inv, p, phi, q, tau, twist, powers=None) -> "TameGaloisModule":
-        """A module whose Phi^-1, and perhaps its inertia table, is already
-        known: they are seeded into their caches before __post_init__ runs,
-        which then checks Phi^-1, T^p = 1 and T^q against them."""
+    def _with_inverse(cls, phi_inv, p, phi, q, tau, twist, **known) -> "TameGaloisModule":
+        """A module whose Phi^-1, and perhaps its powers of N, T^q and S_q, are
+        seeded into their caches; __post_init__ checks Phi^-1 and T^q against them."""
         m = cls.__new__(cls)
-        m.__dict__["phi_inv"] = phi_inv
-        if powers is not None:
-            m.__dict__["_tau_powers"] = powers
+        m.__dict__.update(known, phi_inv=phi_inv)
         m.__init__(p, phi, q, tau, twist)
         return m
 
@@ -132,20 +132,30 @@ class TameGaloisModule:
         return ff.inv(self.phi, self.p)
 
     @cached_property
-    def _tau_powers(self) -> np.ndarray:
-        """T^0, ..., T^p stacked as a read-only (p + 1) x n x n array, by
-        doubling: with T^0..T^k filled, one batched product gives
-        T^(k+j) = T^j T^k for j = 1..min(k, p - k)."""
-        p = self.p
-        powers = np.empty((p + 1, self.dim, self.dim), dtype=np.int64)
-        powers[0], powers[1] = ff.eye(self.dim), self.tau
-        k = 1
-        while k < p:
-            j = min(k, p - k)
-            powers[k + 1 : k + j + 1] = powers[1 : j + 1] @ powers[k] % p
-            k += j
-        powers.flags.writeable = False  # twists and the dual share it
+    def _nil_powers(self) -> np.ndarray:
+        """N^0, N^1, ... for N = T - 1, stacked, up to the last nonzero power;
+        it runs on to a nonzero N^J, J = min(n, p), which __post_init__ refuses."""
+        p, powers = self.p, [ff.eye(self.dim)]
+        power = nil = (self.tau - powers[0]) % p
+        while power.any() and len(powers) <= min(self.dim, p):
+            powers.append(power)
+            power = power @ nil % p
+        powers = np.array(powers)
+        powers.flags.writeable = False  # twists share it
         return powers
+
+    def _nil_sums(self, *coeffs) -> np.ndarray:
+        """sum_j c_j N^j mod p for each list of integers (c_0, c_1, ...), stacked."""
+        p, powers = self.p, self._nil_powers
+        c = np.array([[x % p for x in row] for row in coeffs], dtype=np.int64)
+        # At most min(n, p) terms below p^2: int64 under the constructor's bound.
+        return (c @ powers.reshape(len(powers), -1) % p).reshape(len(c), *powers.shape[1:])
+
+    @cached_property
+    def _tau_sums(self) -> np.ndarray:
+        """T^q and S_q, formed once for the constructor's check and the relator."""
+        q, js = self.q, range(len(self._nil_powers))
+        return self._nil_sums([math.comb(q, j) for j in js], [math.comb(q, j + 1) for j in js])
 
     @cached_property
     def phi_eff(self) -> np.ndarray:
@@ -154,7 +164,8 @@ class TameGaloisModule:
 
     def twisted(self, e: int) -> "TameGaloisModule":
         return self if e == 0 else TameGaloisModule._with_inverse(
-            self.phi_inv, self.p, self.phi, self.q, self.tau, self.twist + e, self._tau_powers)
+            self.phi_inv, self.p, self.phi, self.q, self.tau, self.twist + e,
+            _nil_powers=self._nil_powers, _tau_sums=self._tau_sums)
 
     def dual_twist(self) -> "TameGaloisModule":
         """M^vee(1): arithmetic action qbar * (Phi_eff^T)^-1, inertia (Tau^T)^-1."""
@@ -162,54 +173,42 @@ class TameGaloisModule:
 
     @cached_property
     def _dual(self) -> "TameGaloisModule":
-        # Phi_eff = s.Phi with s = qbar^twist, and Tau^-1 = Tau^(p-1) as Tau^p = 1.
-        # Phi_d = c.Phi^-T with c = qbar/s = qbar^(1 - twist) has the inverse c^-1.Phi^T.
-        p = self.p
-        c = pow(self.q, 1 - self.twist, p)
-        # c Phi^-T < p^2 fits int64, as the table budget keeps p below 10^6;
-        # __post_init__ reduces it.
+        # Phi_eff = s.Phi with s = qbar^twist, and Phi_d = c.Phi^-T with
+        # c = qbar/s = qbar^(1 - twist) has the inverse c^-1.Phi^T.
+        p, c = self.p, pow(self.q, 1 - self.twist, self.p)
+        # c Phi^-T < p^2 fits int64 (odd_prime bounds p); __post_init__ reduces it.
         phi_d = c * self.phi_inv.T
         phi_d_inv = pow(c, -1, p) * self.phi.T % p
-        # T' = (T^T)^-1 has T'^k = (T^(p-k))^T: the table reversed and transposed.
-        powers = self._tau_powers[::-1].transpose(0, 2, 1)
-        return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, powers[1], 0, powers)
+        # T' = (T^-1)^T = 1 + N', and N'^i is the transpose of
+        # (sum_{j>0} (-N)^j)^i = sum_j (-1)^j C(j - 1, i - 1) N^j (N'^0 = 1).
+        k = len(self._nil_powers)
+        rows = [[(-1) ** j * math.comb(j - 1, i - 1) if i and j else int(i == j)
+                 for j in range(k)] for i in range(k)]
+        dual = self._nil_sums(*rows, [(-1) ** j for j in range(k)]).transpose(0, 2, 1).copy()
+        dual.flags.writeable = False  # its twists share the powers
+        return TameGaloisModule._with_inverse(phi_d_inv, p, phi_d, self.q, dual[k], 0,
+                                              _nil_powers=dual[:k])
 
     # -- relator operators -------------------------------------------------
 
     @cached_property
     def relator_matrix(self) -> np.ndarray:
-        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b).
-
-        S_q = N_q with N_k = 1 + T + ... + T^{k-1}, folded by T^p = 1 into
-        (q div p) N_p + N_{q mod p}.
-        """
-        p = self.p
-        powers = self._tau_powers
-        whole, rem = divmod(self.q, p)
-        # Below p^3 <= 10^18 in int64, as the table budget keeps p below 10^6;
-        # reduced with Phi below.
-        sq = whole % p * powers[:p].sum(axis=0) + powers[:rem].sum(axis=0)
-        return np.hstack([(ff.eye(self.dim) - powers[rem]) % p, (self.phi_eff - sq) % p])
+        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b),
+        with S_q = 1 + T + ... + T^{q-1}."""
+        p, (tau_q, s_q) = self.p, self._tau_sums
+        return np.concatenate([(ff.eye(self.dim) - tau_q) % p, (self.phi_eff - s_q) % p], axis=1)
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
         """G (2n x 2n) with V(x, y) = x^T G y for stacked cocycles x on M and
         y on M.dual_twist(); see the module docstring."""
-        p, n, q = self.p, self.dim, self.q
-        md = self.dual_twist()
-        # -sum_{m=1}^{q} T'^m and -sum_{m=1}^{q} (q - m) T'^m (its m = q term
-        # is zero), grouped by c = m mod p, which occurs k times in 1..q.  The
-        # weights are formed in Python ints: k (q - c) overflows int64 for
-        # large q.
-        ks = [(q - c) // p + 1 for c in range(1, p + 1)]
-        weights = np.array([[k % p for k in ks],
-                            [k * (q - c) % p for c, k in enumerate(ks, 1)]],
-                           dtype=np.int64)
-        # p terms below p^2 sum below p^3, in int64 under the table budget.
-        terms = weights[:, :, None, None] * md._tau_powers[None, 1:]
+        n, q, js = self.dim, self.q, range(len(self._nil_powers))
+        md = self.dual_twist()  # its N' has as many nonzero powers as N
         g = ff.zeros((2 * n, 2 * n))
         g[:n, n:] = md.phi_eff
-        g[n:, :n], g[n:, n:] = -terms.sum(axis=1) % p
+        # -sum_{m=1}^{q} T'^m and -sum_{m=1}^{q-1} (q - m) T'^m in closed form.
+        g[n:, :n], g[n:, n:] = md._nil_sums([(j == 0) - math.comb(q + 1, j + 1) for j in js],
+                                             [q * (j == 0) - math.comb(q + 1, j + 2) for j in js])
         return g
 
     @cached_property
@@ -219,7 +218,7 @@ class TameGaloisModule:
 
     @cached_property
     def _gram(self):
-        # Entries below p: sums of 2n products fit int64 under the table budget.
+        # Entries below p: sums of 2n products fit int64 under the constructor's bound.
         p = self.p
         h1, h1d = h1_space(self), h1_space(self.dual_twist())
         g = h1.basis_cocycles.T @ self.pairing_matrix % p @ h1d.basis_cocycles % p
@@ -295,7 +294,7 @@ class LocalConditionSubspace:
 
 def unramified_subspace(m: TameGaloisModule) -> LocalConditionSubspace:
     """Classes represented with b = 0; only defined for trivial inertia."""
-    if not np.array_equal(m.tau, ff.eye(m.dim)):
+    if len(m._nil_powers) > 1:  # T = 1 exactly when N^0 is the only power kept
         raise TameModuleError("unramified subspace requires Tau = identity")
     return _class_span(m, np.vstack([ff.eye(m.dim), ff.zeros((m.dim, m.dim))]), "unramified")
 

@@ -818,6 +818,8 @@ def build_annihilation_scenario(seed: int, p: int = 5, extra_selmer: int = 1,
     k = num_special
     if k < 1:
         raise SelmerError("num_special must be at least 1")
+    if extra_selmer < -1:  # -1 leaves s0 = 1: psi alone in L0
+        raise SelmerError("extra_selmer must be at least -1")
     s0 = 2 + extra_selmer
     n0 = s0 + k
     p = ff.odd_prime(p, SelmerError, n0 + 2 * k)  # _exact_blocks sums over the local sum
@@ -914,6 +916,8 @@ def build_inflation_family(rng: random.Random, p: int, base_dim: int,
                            added: list[int], overlapping: bool = False) -> InflationFamily:
     """Nested enlargements adding the given number of fresh dimensions each;
     the overlapping control makes two enlargements share a new vector."""
+    if base_dim < 0 or any(extra < 0 for extra in added):
+        raise SelmerError("base_dim and the added dimensions must be at least 0")
     p = ff.odd_prime(p, SelmerError)  # it only eliminates
     k = len(added)
     ambient = base_dim + sum(added) + 2

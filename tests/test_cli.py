@@ -646,13 +646,27 @@ WEIGHTS = {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": [
      "degree must be between 1 and 10000"),
     ("selmer", {"p": 5, "local_dims": {"a": 10**6}, "global_dim": 1},
      "local dimensions must be >= 0 with a sum of at most 256"),
-    ("local", {**LOCAL, "p": 1000003}, "(p + 1) n^2 exceeds the table budget of 1000000"),
+    # The bound of ff.odd_prime at twice GL2's adjoint dimension 3.
+    ("local", {**LOCAL, "p": 2**31 - 1}, "p is too large: n*p^2 must be below 2^63 at dimension n = 6"),
     ("weights", {**WEIGHTS, "d": 10**19}, "minus_w0 must be a permutation of the simple indices"),
     ("weights", {**WEIGHTS, "f": 10**19},
      "family must carry one entry per (place, root, generator)"),
 ])
 def test_resource_ceiling_exit_2(tmp_path, capsys, kind, payload, expected):
     assert_one_line_input_error(capsys, write_scenario(tmp_path, kind, payload), expected)
+
+
+@pytest.mark.parametrize("payload", [
+    {**LOCAL, "p": 1000003},  # used to exceed a table budget of (p + 1) n^2 <= 10^6
+    # A Ramakrishna GL2 (its root at 3^-1) near the n*p^2 bound, twisted.
+    {**LOCAL, "p": 10**9 + 7, "torus_values": [pow(3, -1, 10**9 + 7)], "twist": 1},
+])
+def test_local_payload_at_a_large_prime_passes(tmp_path, capsys, payload):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, "local", payload))
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "pass" and time.perf_counter() - start < 1
+    assert report["cohomology"] == ([1, 1, 0] if payload["torus_values"] == [2] else [1, 2, 1])
 
 
 def test_verification_failure_exit_1(monkeypatch, capsys):
@@ -769,6 +783,35 @@ PRIME_BOUNDARIES = {
     "build_annihilation_scenario": (sl.SelmerError, lambda p: sl.build_annihilation_scenario(0, p)),
     "build_avoidance_scenario": (sl.SelmerError, lambda p: sl.build_avoidance_scenario(0, p)),
 }
+
+
+NEGATIVE_SIZES = {
+    "base_dim": lambda rng: sl.build_inflation_family(rng, 5, -1, [1]),
+    "added": lambda rng: sl.build_inflation_family(rng, 5, 1, [2, -1]),
+    "extra_selmer": lambda rng: sl.build_annihilation_scenario(0, extra_selmer=-2),
+}
+
+
+@pytest.mark.parametrize("size", NEGATIVE_SIZES)
+def test_selmer_builders_refuse_negative_sizes_before_drawing(monkeypatch, size):
+    """build_inflation_family used to return a family for base_dim = -1, and
+    build_annihilation_scenario drew before it failed at extra_selmer = -2."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    monkeypatch.setattr(ff, "random_matrix", lambda *args: pytest.fail("drew"))
+    with pytest.raises(sl.SelmerError, match="must be at least"):
+        NEGATIVE_SIZES[size](rng)
+    assert rng.getstate() == state
+
+
+def test_annihilation_scenario_at_the_smallest_extra_selmer():
+    """extra_selmer = -1 is a scenario, with L0 one-dimensional."""
+    s = sl.build_annihilation_scenario(0, extra_selmer=-1)
+    assert s.system.local_dims == {"v0": 2, "w0": 2} and s.conditions.dims()["v0"] == 1
+    w = s.special[0]
+    _, report = sl.annihilation_step(s.system, s.conditions, w, s.ram[w], s.phi, s.psi)
+    assert report.dual_after == report.dual_before - 1
+    assert report.selmer_after == report.selmer_before
 
 
 @pytest.mark.parametrize("p", [1, 2, 9, 25, 3_215_031_751, 2**61 - 1])
