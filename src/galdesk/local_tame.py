@@ -145,11 +145,12 @@ class TameGaloisModule:
         return powers
 
     def _nil_sums(self, *coeffs) -> np.ndarray:
-        """sum_j c_j N^j mod p for each list of integers (c_0, c_1, ...), stacked."""
+        """sum_j c_j N^j mod p for each list of integers (c_0, c_1, ...), stacked:
+        at most min(n, p) terms below p^2, in int64 under the constructor's bound."""
         p, powers = self.p, self._nil_powers
         c = np.array([[x % p for x in row] for row in coeffs], dtype=np.int64)
-        # At most min(n, p) terms below p^2: int64 under the constructor's bound.
-        return (c @ powers.reshape(len(powers), -1) % p).reshape(len(c), *powers.shape[1:])
+        flat = powers.reshape(len(powers), powers[0].size)
+        return (c @ flat % p).reshape(len(c), *powers.shape[1:])
 
     @cached_property
     def _tau_sums(self) -> np.ndarray:
@@ -193,8 +194,7 @@ class TameGaloisModule:
 
     @cached_property
     def relator_matrix(self) -> np.ndarray:
-        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b),
-        with S_q = 1 + T + ... + T^{q-1}."""
+        """d1 as an (n x 2n) block matrix [1 - T^q | Phi - S_q] acting on (a; b)."""
         p, (tau_q, s_q) = self.p, self._tau_sums
         return np.concatenate([(ff.eye(self.dim) - tau_q) % p, (self.phi_eff - s_q) % p], axis=1)
 

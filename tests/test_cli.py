@@ -647,7 +647,8 @@ WEIGHTS = {"p": 5, "d": 1, "f": 1, "minus_w0": [0], "entries": [
     ("selmer", {"p": 5, "local_dims": {"a": 10**6}, "global_dim": 1},
      "local dimensions must be >= 0 with a sum of at most 256"),
     # The bound of ff.odd_prime at twice GL2's adjoint dimension 3.
-    ("local", {**LOCAL, "p": 2**31 - 1}, "p is too large: n*p^2 must be below 2^63 at dimension n = 6"),
+    ("local", {**LOCAL, "p": 2**31 - 1},
+     "p is too large: n*p^2 must be below 2^63 at dimension n = 6"),
     ("weights", {**WEIGHTS, "d": 10**19}, "minus_w0 must be a permutation of the simple indices"),
     ("weights", {**WEIGHTS, "f": 10**19},
      "family must carry one entry per (place, root, generator)"),

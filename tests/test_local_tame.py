@@ -167,6 +167,8 @@ def test_invalid_modules_rejected():
         lt.TameGaloisModule(5, np.array([[0]]), 3)
     with pytest.raises(lt.TameModuleError, match="q must be prime to p"):
         lt.TameGaloisModule(5, np.array([[1]]), 10)
+    with pytest.raises(lt.TameModuleError, match="Tau must have the shape of Phi"):
+        lt.TameGaloisModule(5, ff.eye(2), 3, np.array([[1]]))
     with pytest.raises(lt.TameModuleError, match="Tau must have order dividing p"):
         lt.TameGaloisModule(5, ff.eye(2), 3, np.array([[0, 1], [1, 0]]))
     with pytest.raises(lt.TameModuleError, match="Phi Tau Phi\\^-1 != Tau\\^q"):
@@ -854,6 +856,26 @@ def test_cocycle_from_coords_is_reduced():
     assert (space.basis_cocycles @ coords >= m.p).any()
     assert np.array_equal(space.cocycle_from_coords(coords),
                           space.basis_cocycles @ coords % m.p)
+
+
+def test_a_module_at_the_2n_bound_is_exact():
+    """p is checked at twice the dimension: at n = 2, 4 p^2 < 2^63 <= 6 p^2
+    for this p, and with T != 1 every product stays exact in int64, so the
+    Gram matrix is B^T G B' reduced, as Python ints give it."""
+    p, q = 1518500213, 10**12 + 39  # the largest prime below sqrt(2^63 / 4)
+    assert 4 * p * p < 2**63 <= 6 * p * p
+    g, gi = ff.random_invertible(random.Random(1), 2, p)
+    phi = g @ np.diag([1, pow(q, -1, p)]) % p @ gi % p  # Phi T Phi^-1 = T^q
+    m = lt.TameGaloisModule(p, phi, q, g @ np.array([[1, 1], [0, 1]]) % p @ gi % p)
+    for mod, dims in ((m, (1, 1, 0)), (m.dual_twist(), (0, 1, 1))):
+        assert lt.cohomology_dims(mod) == rank_formula_dims(mod) == dims
+        gram, h1, h1d = lt.pairing_gram(mod)
+        b, g_, bd = (np.array(a, dtype=object) for a in (h1.basis_cocycles, mod.pairing_matrix,
+                                                          h1d.basis_cocycles))
+        assert gram.tolist() == (b.T @ g_ @ bd % p).tolist() and gram.any()
+    with pytest.raises(lt.TameModuleError, match="at dimension n = 2$"):
+        lt.TameGaloisModule(2**31 + 11, ff.eye(1), 3)  # the next prime past 2^31
+    assert lt.cohomology_dims(lt.TameGaloisModule(2**31 - 1, ff.eye(1), 3)) == (1, 1, 0)
 
 
 def test_unramified_subspace_refuses_nontrivial_inertia():
