@@ -860,14 +860,16 @@ def test_cocycle_from_coords_is_reduced():
 
 def test_a_module_at_the_2n_bound_is_exact():
     """p is checked at twice the dimension: at n = 2, 4 p^2 < 2^63 <= 6 p^2
-    for this p, and with T != 1 every product stays exact in int64, so the
-    Gram matrix is B^T G B' reduced, as Python ints give it."""
+    for this p, and with T != 1 or with dense H^1 bases every product stays
+    exact in int64, so the Gram matrix is B^T G B' reduced, as Python ints
+    give it."""
     p, q = 1518500213, 10**12 + 39  # the largest prime below sqrt(2^63 / 4)
     assert 4 * p * p < 2**63 <= 6 * p * p
     g, gi = ff.random_invertible(random.Random(1), 2, p)
     phi = g @ np.diag([1, pow(q, -1, p)]) % p @ gi % p  # Phi T Phi^-1 = T^q
     m = lt.TameGaloisModule(p, phi, q, g @ np.array([[1, 1], [0, 1]]) % p @ gi % p)
-    for mod, dims in ((m, (1, 1, 0)), (m.dual_twist(), (0, 1, 1))):
+    unramified = lt.TameGaloisModule(p, g @ np.diag([1, q % p]) % p @ gi % p, q)
+    for mod, dims in ((m, (1, 1, 0)), (m.dual_twist(), (0, 1, 1)), (unramified, (1, 2, 1))):
         assert lt.cohomology_dims(mod) == rank_formula_dims(mod) == dims
         gram, h1, h1d = lt.pairing_gram(mod)
         b, g_, bd = (np.array(a, dtype=object) for a in (h1.basis_cocycles, mod.pairing_matrix,
