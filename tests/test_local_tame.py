@@ -751,6 +751,23 @@ def test_closed_forms_match_products_and_loops():
     assert ramified >= 1000
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_doubling_table_matches_sequential_products(p):
+    """T^0..T^p read as sum_j C(i, j) N^j through the module's own _nil_sums,
+    against T^(i+1) = T^i T, one product at a time, for a unipotent T of every
+    Jordan block size up to p (T = 1 at size 1), and for its dual, whose
+    powers of N' come in closed form too."""
+    for block in range(1, p + 1):
+        m = module_with(p, p, p + 2, 0, block, block)
+        for mod in (m, m.dual_twist()):
+            expected = [ff.eye(p)]
+            for _ in range(p):
+                expected.append(expected[-1] @ mod.tau % p)
+            js = range(len(mod._nil_powers))
+            powers = mod._nil_sums(*[[math.comb(i, j) for j in js] for i in range(p + 1)])
+            assert powers.tobytes() == np.array(expected).tobytes()
+
+
 def small_image_module(rng: random.Random) -> lt.TameGaloisModule:
     """Phi = g D g^-1 and T = g exp(N) g^-1, D diagonal and N strictly upper
     triangular with D N D^-1 = q N, so D exp(N) D^-1 = exp(q N) = exp(N)^q
