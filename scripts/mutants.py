@@ -240,17 +240,10 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "a batch size: the queue is walked first in, first out, so the breadth-first "
         "order, every index, the step table and the tree are the same in batches of "
         "any size (test_enumeration_overflow_guard)",
-    ("selmer._sylow_normaliser", "const", "sylow = [int(of_order_p[«0»])]"):
-        "any element of order p generates a Sylow p-subgroup; they are all "
-        "conjugate, so N_G(P) and H^2 do not depend on which",
-    ("selmer._sylow_normaliser", "const", "left = times(sylow[«0»], every)"):
-        "sylow[1] = x^2 also generates P, and y^-1 x y lies in P exactly when "
-        "y^-1 x^2 y does, as p is odd",
-    ("selmer._p_prime_subgroup", "const",
-     "return _grow_subgroup(times, range(«1», k), k // _p_part(k, g.p), g.p)[1]"):
+    ("selmer._p_prime_subgroup", "const", "for y in range(«1», k):"):
         "skipping a candidate grows another subgroup H of order prime to p, and "
         "every such H gives the same H^2 (Shapiro's lemma)",
-    ("selmer._grow_subgroup", "const", "gens, members = [], np.zeros(«1», dtype=np.int64)"):
+    ("selmer._p_prime_subgroup", "const", "gens, members = [], np.zeros(«1», dtype=np.int64)"):
         "[0, 0] lists the identity twice, which changes no membership test; the "
         "count reaches limit = 1 only where no candidate can join",
     ("selmer._dress", "mod-p", "res[v] = «(g @ blocks[0][v]) % p»"):

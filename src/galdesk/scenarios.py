@@ -276,7 +276,7 @@ def builtin_finite_cohomology(seed):
     g5 = _sl2_adjoint(5)
     checks.append(check("adjoint image of SL2(F5): the exceptional H1 is 1-dim",
                         sl.finite_cohomology(g5, 1)[0] == 1, order=g5.order))
-    # p exactly divides both orders, so H2 is computed on the Sylow normaliser.
+    # p exactly divides both orders, so H2 is M^P / N_P M fixed by N_G(P).
     for name, g in (("F7", g7), ("F5", g5)):
         h2 = sl.finite_cohomology(g, 2)[0]
         checks.append(check(f"adjoint image of SL2({name}): H2 = 1", h2 == 1, got=h2))

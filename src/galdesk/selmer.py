@@ -9,17 +9,17 @@ enumeration (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 two index arrays; the cocycle system, a coinduced module's matrices and the
 words of `_multiplier` are filled a BFS layer at a time.  H^1 is
 `ffield.kernel_quotient` of that system, reduced as ffield's docstring
-describes and as tame H^1 is.  Degree 2, a count of ranks, is degree 1 of a
-coinduced quotient (dimension shifting), made small in three ways:
+describes and as tame H^1 is.  Degree 2 is a count of ranks, in three cases:
 - when p does not divide |G|, H^2 = 0 and nothing is built (Brown,
   Cohomology of Groups, III.10);
-- when p exactly divides |G|, G is replaced by the normaliser N_G(P) of a
-  subgroup P of order p, by the stable-element theorem (Cartan-Eilenberg,
-  Homological Algebra, ch. XII; Brown III.10);
-- the shift is by CoInd_H^G(M)/M for a subgroup H of order prime to p, of
-  dimension n([G:H] - 1), by Shapiro's lemma (Brown III.5-6).
-Subgroups, normalisers and cosets are found by index arithmetic on the step
-table of the enumeration, with no matrix product.
+- when p exactly divides |G|, H^2 is the N_G(P)-stable part of H^2(P, M) =
+  M^P / N_P M for a subgroup P of order p (Cartan-Eilenberg, Homological
+  Algebra, ch. XII; Brown III.10), three eliminations of n columns;
+- otherwise it is degree 1 of CoInd_H^G(M)/M (dimension shifting) for a
+  subgroup H of order prime to p, of dimension n([G:H] - 1), by Shapiro's
+  lemma (Brown III.5-6).
+Subgroups and cosets are found by index arithmetic on the step table of the
+enumeration, with no matrix product.
 
 Synthetic systems make global duality true by construction: the global space
 H maps isomorphically onto a chosen subspace I of the direct sum of local
@@ -72,11 +72,11 @@ MAX_ORDER = 100_000
 # ---------------------------------------------------------------------------
 
 # Cell budget of the arrays that a group of order k with r generators on
-# F_p^n builds: its k elements (k.n^2 cells, checked as they are enumerated),
-# the degree-1 cocycle system (at most k.r.n x r.n) and the degree-2 one, the
-# cocycle system of a module of dimension n([K:H] - 1) over K: k.r.n([K:H] - 1)
-# x r.n([K:H] - 1) for |K| = k, checked before the subgroup H is searched for,
-# from [K:H] >= |K|_p, and again once H is known.
+# F_p^n builds: its k elements (k.n^2 cells, checked as they are enumerated;
+# degree 2 builds no more when p exactly divides k), the degree-1 cocycle
+# system (at most k.r.n x r.n) and, when p^2 divides k, the degree-2 one:
+# k.r.n([G:H] - 1) x r.n([G:H] - 1), checked before the multiplier table is
+# built, from [G:H] >= |G|_p, and again once H is known.
 _CELL_BUDGET = 10**7
 
 # The enumeration multiplies at most this many queued elements by the
@@ -152,23 +152,26 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
     `ffield.kernel_quotient` and lifts its representatives to the
     coordinates (f(x))_x, so it always works on G itself.
 
-    Degree 2 returns only a dimension (the basis is None), computed on a
-    smaller group and a smaller module where theory allows:
+    Degree 2 returns only a dimension (the basis is None):
     - p does not divide |G|: restriction to the trivial Sylow subgroup is
       injective, so H^2 = 0 and nothing is built (Brown, Cohomology of
       Groups, III.10).
-    - p exactly divides |G|: a subgroup P of order p meets each conjugate
-      other than itself trivially, so by the stable-element theorem
-      restriction gives H^n(G, M) = H^n(N_G(P), M) for n >= 1
-      (Cartan-Eilenberg, ch. XII; Brown III.10), and G is replaced by N_G(P).
-    - Then, for a subgroup H of order prime to p, CoInd_H^G M = {f: G -> M,
-      f(hx) = h.f(x)} with (s.f)(x) = f(x s) has H^n(G, CoInd) = H^n(H, M) = 0
-      for n >= 1 (Shapiro's lemma, Brown III.5-6), and m -> (x -> x.m) embeds M.
-      So H^2(G, M) = H^1(G, Q) for Q = CoInd/M, of dimension n([G:H] - 1);
-      H is grown greedily (`_p_prime_subgroup`), and H = {1} gives the plain
-      coinduced module.
-    The cell budget refuses the system before H is searched for when even
-    [G:H] = |G|_p, the smallest index possible, is over it.
+    - p exactly divides |G|: a subgroup P = <x> of order p meets each
+      conjugate other than itself trivially, so by the stable-element theorem
+      restriction maps H^2(G, M) onto the N_G(P)-invariants of H^2(P, M)
+      (Cartan-Eilenberg, ch. XII; Brown III.10).  The periodic resolution of
+      P gives H^2(P, M) = M^P / N_x M, N_x = sum_a x^a, by cup product with a
+      generator of H^2(P, Z) = Hom(P, Q/Z); y with y^-1 x y = x^(b_y)
+      multiplies it by b_y, so y acts on M^P / N_x M by m -> b_y y.m
+      (`_tate_h2`).  No array has more than the enumeration's k.n^2 cells.
+    - p^2 divides |G|: for a subgroup H of order prime to p, CoInd_H^G M =
+      {f: G -> M, f(hx) = h.f(x)} with (s.f)(x) = f(x s) has H^n(G, CoInd) =
+      H^n(H, M) = 0 for n >= 1 (Shapiro's lemma, Brown III.5-6), and m -> (x
+      -> x.m) embeds M.  So H^2(G, M) = H^1(G, Q) for Q = CoInd/M, of
+      dimension n([G:H] - 1); H is grown greedily (`_p_prime_subgroup`), and
+      H = {1} gives the plain coinduced module.  The cell budget refuses the
+      system before the multiplier table is built when even [G:H] = |G|_p,
+      the smallest index possible, is over it.
     """
     p, n, (k, r) = g.p, g.dim, g.step.shape
     if degree == 0:
@@ -186,11 +189,10 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         sylow = _p_part(k, p)
         if sylow == 1:
             return 0, None
-        times = _multiplier(g)
-        if sylow == p and (normaliser := _sylow_normaliser(g, times)) is not g:
-            g, times = normaliser, _multiplier(normaliser)
-            k, r = g.step.shape
+        if sylow == p:
+            return _tate_h2(g), None
         _check_budget(k, r, n * (sylow - 1), "the shifted degree-2 system")
+        times = _multiplier(g)
         coset, head, reps = _right_cosets(g, times, _p_prime_subgroup(g, times))
         dim_q = n * (len(reps) - 1)
         _check_budget(k, r, dim_q, "the shifted degree-2 system")
@@ -263,6 +265,47 @@ def _check_budget(k: int, r: int, dim: int, what: str) -> None:
         raise SelmerError(f"{what} exceeds its cell budget")
 
 
+def _tate_h2(g: FiniteGroupAction) -> int:
+    """dim (M^P / N_x M)^{N_G(P)}, y acting by m -> b_y y.m (`finite_cohomology`):
+    Z spans M^P and E cuts out N_x M, so the fixed classes are the kernel of
+    the stacked E (b_y y - 1) Z, less the dim N_x M inside it."""
+    p, n = g.p, g.dim
+    x, powers, b = _sylow_twists(g)
+    z = ff.nullspace((x - ff.eye(n)) % p, p)
+    e = ff.nullspace(powers.sum(axis=0).T % p, p).T
+    twisted = (b[:, None, None] * g.elements - ff.eye(n))[b > 0] % p
+    rows = (e @ twisted % p @ z % p).reshape(-1, z.shape[1])
+    return z.shape[1] - ff.rank(rows, p) - (n - len(e))
+
+
+def _sylow_twists(g: FiniteGroupAction):
+    """(x, x^0 .. x^(p - 1), b) when p exactly divides |G|: x = y^(|G|/p) != 1
+    for the first such y, and b[y] the a with y^-1 x y = x^a, 0 off N_G(P).
+    Inverses are walked down the BFS tree; y^-1 x y is found by its bytes."""
+    p, n, k = g.p, g.dim, g.order
+    one, width = ff.eye(n), 8 * n * n
+    x = next(a for a in (_power(y, k // p, p) for y in g.elements) if (a != one).any())
+    powers = one[None]  # doubled
+    while len(powers) < p:
+        powers = np.concatenate([powers, powers[: p - len(powers)] @ (powers[-1] @ x % p) % p])
+    exponent = {powers[a].tobytes(): a for a in range(1, p)}
+    inverse = one[None].repeat(k, axis=0)
+    gen_inverses = g.elements[(g.step == 0).argmax(axis=0)]  # z . s_i = 1
+    for lo, hi, xs, gs in _layers(g.tree):
+        inverse[lo:hi] = gen_inverses[gs] @ inverse[xs] % p
+    conj = ((inverse @ x % p) @ g.elements % p).tobytes()
+    b = [exponent.get(conj[y * width : (y + 1) * width], 0) for y in range(k)]
+    return x, powers, np.array(b, dtype=np.int64)
+
+
+def _power(a, e: int, p: int):
+    """a^e mod p by repeated squaring."""
+    out = ff.eye(len(a))
+    while e:
+        out, a, e = out @ a % p if e & 1 else out, a @ a % p, e >> 1
+    return out
+
+
 def _multiplier(g: FiniteGroupAction):
     """times(a, b): the index of elements[a] @ elements[b], elementwise over
     index arrays.  b's word along the BFS tree is applied to a through the
@@ -297,51 +340,22 @@ def _subgroup(times, gens, limit: int):
     return np.array(sorted(members), dtype=np.int64)
 
 
-def _sylow_normaliser(g: FiniteGroupAction, times) -> FiniteGroupAction:
-    """N_G(P) for the P generated by the first x (in BFS order) of order p,
-    when p exactly divides |G|.  The Sylow subgroups then have order p and
-    share no element of order p, so P is normal, and g is returned, when
-    there are only p - 1 such elements.  Otherwise N is enumerated from a
-    greedy generating set of the y with x.y in y.P."""
-    p, k = g.p, g.order
-    every = np.arange(k)
-    power = np.zeros(k, dtype=np.int64)
-    for _ in range(p):
-        power = times(power, every)
-    of_order_p = np.flatnonzero(power[1:] == 0) + 1
-    if len(of_order_p) == p - 1:
-        return g
-    sylow = [int(of_order_p[0])]
-    while len(sylow) < p - 1:
-        sylow.append(int(times(sylow[-1], sylow[0])))
-    left = times(sylow[0], every)
-    normalising = np.flatnonzero(np.any(left == times(every, np.array(sylow)[:, None]), axis=0))
-    gens, _ = _grow_subgroup(times, normalising, len(normalising))
-    return FiniteGroupAction(p, [g.elements[y] for y in gens])
-
-
 def _p_prime_subgroup(g: FiniteGroupAction, times) -> np.ndarray:
-    """Sorted indices of a subgroup H of G with p not dividing |H|, grown
-    greedily in BFS order up to the p'-part of |G|, the most |H| can be."""
+    """Sorted indices of a subgroup H with p not dividing |H|, grown greedily
+    in BFS order: y outside H joins when the subgroup with y has order prime
+    to p and at most the p'-part of |G|, the most |H| can be."""
     k = g.order
-    return _grow_subgroup(times, range(1, k), k // _p_part(k, g.p), g.p)[1]
-
-
-def _grow_subgroup(times, candidates, limit: int, p: int | None = None):
-    """(gens, members): a generating set, greedy over candidates, and the
-    sorted indices of the subgroup it generates.  A candidate y outside the
-    subgroup joins when the subgroup with y has at most limit elements and,
-    when p is given, order prime to p; the search ends at limit elements."""
+    limit = k // _p_part(k, g.p)
     gens, members = [], np.zeros(1, dtype=np.int64)
-    for y in candidates:
+    for y in range(1, k):
         if len(members) == limit:
             break
         if y in members:
             continue
-        grown = _subgroup(times, gens + [int(y)], limit)
-        if grown is not None and (p is None or len(grown) % p):
-            gens, members = gens + [int(y)], grown
-    return gens, members
+        grown = _subgroup(times, gens + [y], limit)
+        if grown is not None and len(grown) % g.p:
+            gens, members = gens + [y], grown
+    return members
 
 
 def _right_cosets(g: FiniteGroupAction, times, members):

@@ -398,7 +398,7 @@ def test_sl2_adjoint_h1():
     assert sl.finite_cohomology(g7, 1)[0] == 0
     # Its Sylow normaliser, the Borel subgroup of order 21, has the same H^1
     # (the coinduced oracle does not reach H^2 at order 168).
-    n7 = sl._sylow_normaliser(g7, sl._multiplier(g7))
+    n7 = normaliser_oracle(g7)
     assert n7.order == 21 and sl.finite_cohomology(n7, 1)[0] == 0
 
 
@@ -491,17 +491,34 @@ def test_order_bound_refuses_one_more_element():
         sl.FiniteGroupAction(200_003, [np.array([[4]])])
 
 
-@pytest.mark.parametrize("p, n", [(37, 15), (29, 21)])
-def test_h2_cell_budget_refuses_before_the_subgroup_search(monkeypatch, p, n):
-    """A Jordan block of size n <= p generates C_p on F_p^n.  Its shifted
-    degree-2 system has at least p (n (p - 1))^2 cells: 10,789,200 and
-    10,026,576 here, just over 10^7.  At p = 29, p (n (p - 2))^2 is under
-    10^7, so the early bound must count p - 1 coset blocks."""
+@pytest.mark.parametrize("p, n, order", [(7, 10, 49), (3, 24, 27)])
+def test_h2_cell_budget_refuses_before_the_subgroup_search(monkeypatch, p, n, order):
+    """A Jordan block of size n, p < n <= p^2 or p^2 < n <= p^3, generates a
+    cyclic group of order p^2 or p^3 on F_p^n.  Its shifted degree-2 system
+    has at least k (n (k - 1))^2 cells for k = |G|: 11,289,600 and 10,513,152
+    here, just over 10^7.  At p = 3, 27 (n (27 - 2))^2 is under 10^7, so the
+    early bound must count k - 1 coset blocks.  It refuses before the
+    multiplier table is built."""
     jordan = ff.eye(n) + np.eye(n, k=1, dtype=np.int64)
     g = sl.FiniteGroupAction(p, [jordan])
-    monkeypatch.setattr(sl, "_p_prime_subgroup", None)  # never searched for
-    with pytest.raises(sl.SelmerError, match="cell budget"):
+    assert g.order == order
+    monkeypatch.setattr(sl, "_multiplier", lambda *args: pytest.fail("tabled"))
+    monkeypatch.setattr(sl, "_p_prime_subgroup", lambda *args: pytest.fail("searched"))
+    with pytest.raises(sl.SelmerError, match="^the shifted degree-2 system exceeds its cell budget$"):
         sl.finite_cohomology(g, 2)
+
+
+@pytest.mark.parametrize("p, n", [(37, 15), (29, 21), (2003, 2), (10007, 2)])
+def test_h2_of_a_jordan_block_shorter_than_p(p, n):
+    """A Jordan block J of size n < p generates C_p on F_p^n, and its norm
+    N = (J - 1)^(p - 1) is 0, so H^2 = M^G / N M = M^G, of dimension 1.  A
+    shift to a coinduced module is over the cell budget at the first two;
+    a multiplier table of the group took seconds at the last two."""
+    jordan = ff.eye(n) + np.eye(n, k=1, dtype=np.int64)
+    g = sl.FiniteGroupAction(p, [jordan])
+    assert g.order == p
+    assert sl.finite_cohomology(g, 2) == (1, None)
+    assert sl.finite_cohomology(g, 0)[0] == 1 == cyclic_h_oracle(p, jordan, p)[2]
 
 
 @pytest.mark.parametrize("n, h2", [(3, 1), (13, 0)])
@@ -613,7 +630,30 @@ NORMALISER_GROUPS = {
 def normaliser_case(name):
     """(G, N_G(P), dim H^2(G) by the coinduced oracle)."""
     g = NORMALISER_GROUPS[name]()
-    return g, sl._sylow_normaliser(g, sl._multiplier(g)), coind_h2_oracle(g)
+    return g, normaliser_oracle(g), coind_h2_oracle(g)
+
+
+def conjugation_exponents(g: sl.FiniteGroupAction, x) -> list:
+    """For each element y, the a in 1..p-1 with y^-1 x y = x^a, or 0 when
+    y^-1 x y is not a power of x, by matrix products one element at a time."""
+    p, powers = g.p, [ff.eye(g.dim)]
+    for _ in range(p - 1):
+        powers.append(ff.mat_mul(powers[-1], x, p))
+    exponent = {m.tobytes(): a for a, m in enumerate(powers) if a}
+    return [exponent.get(ff.mat_mul(ff.mat_mul(ff.inv(m, p), x, p), m, p).tobytes(), 0)
+            for m in g.elements]
+
+
+def normaliser_oracle(g: sl.FiniteGroupAction) -> sl.FiniteGroupAction:
+    """N_G(P) for P generated by the first element x of order p: the y with
+    y^-1 x y in P, generated greedily in BFS order."""
+    x = elements_of_order_p(g.elements, g.p)[0]
+    gens, members = [], {ff.eye(g.dim).tobytes()}
+    for m, a in zip(g.elements, conjugation_exponents(g, x)):
+        if a and m.tobytes() not in members:
+            gens.append(m)
+            members = set(element_index(sl.FiniteGroupAction(g.p, gens)))
+    return sl.FiniteGroupAction(g.p, gens)
 
 
 def elements_of_order_p(elements, p):
@@ -648,9 +688,40 @@ def test_sylow_normaliser(name):
     x = sylow[0]
     assert n.order == sum(ff.mat_mul(ff.mat_mul(m, x, p), ff.inv(m, p), p).tobytes() in keys
                           for m in g.elements)
-    assert (n is g) == (n.order == g.order)
     assert sl.finite_cohomology(n, 1)[0] == sl.finite_cohomology(g, 1)[0]
     assert coind_h2_oracle(n) == h2
+
+
+@pytest.mark.parametrize("name", sorted(NORMALISER_GROUPS))
+def test_sylow_twists_match_conjugation_by_matrix_products(name):
+    """The degree-2 route's x has order p, its powers are those of x, and
+    its b_y, nonzero exactly on N_G(P), are the exponents of y^-1 x y."""
+    g, n, _ = normaliser_case(name)
+    x, powers, b = sl._sylow_twists(g)
+    assert x.tobytes() in {m.tobytes() for m in elements_of_order_p(g.elements, g.p)}
+    assert len(powers) == g.p
+    assert all(ff.mat_mul(a, x, g.p).tobytes() == c.tobytes() for a, c in zip(powers, powers[1:]))
+    assert b.tolist() == conjugation_exponents(g, x)
+    assert np.count_nonzero(b) == n.order
+
+
+@pytest.mark.parametrize("make", [NORMALISER_GROUPS["affine-20-mod-5"],
+                                  partial(sl2_adjoint_action, 7)])
+def test_h2_fails_with_the_inverse_twist(monkeypatch, make):
+    """y in N_G(P) acts on M^P / N_x M by m -> b_y y.m.  With b_y^-1 in place
+    of b_y, H^2 of these groups comes out 0, not the 1 that
+    test_h2_affine_group_of_f5 and test_adjoint_psl2_h2_within_sylow_bound
+    assert."""
+    g = make()
+    assert sl.finite_cohomology(g, 2) == (1, None)
+    twists = sl._sylow_twists
+
+    def inverted(g):
+        x, powers, b = twists(g)
+        return x, powers, np.array([pow(int(a), -1, g.p) if a else 0 for a in b])
+
+    monkeypatch.setattr(sl, "_sylow_twists", inverted)
+    assert sl.finite_cohomology(g, 2) == (0, None)
 
 
 ENUMERATED = {**{name: partial(small_group, name) for name in SMALL_GROUPS},
@@ -811,6 +882,35 @@ def test_h2_over_budget_refused_before_elimination(monkeypatch):
     monkeypatch.setattr(sl, "_p_prime_subgroup", lambda *args: pytest.fail("searched"))
     with pytest.raises(sl.SelmerError, match="budget"):
         sl.finite_cohomology(g, 2)
+
+
+J4 = ff.eye(4) + np.eye(4, k=1, dtype=np.int64)
+
+# Groups where p^2 divides the order and the p'-part is not 1: C_18 by a
+# Jordan block of size 4 (order 9) beside -1, and (Z/3)^2 as the matrices
+# [[1, a, b], [0, 1, 0], [0, 0, 1]] extended by an element of order 4, whose
+# first candidates in BFS order have order 3.
+SHIFTED_GROUPS = {
+    "cyclic-18-mod-3": lambda: sl.FiniteGroupAction(3, [diag_blocks(J4, [[2]])]),
+    "affine-36-mod-3": lambda: sl.FiniteGroupAction(3, [
+        ff.eye(3) + np.eye(3, k=1, dtype=np.int64) * [[1], [0], [0]],
+        ff.eye(3) + np.eye(3, k=2, dtype=np.int64),
+        diag_blocks([[1]], [[0, 1], [2, 0]])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_GROUPS))
+def test_h2_shifts_by_a_largest_p_prime_subgroup(name):
+    """The subgroup H of the shift is closed under the Cayley table, of order
+    prime to p and as large as that allows, and H^2 equals the coinduced
+    oracle's, which shifts with no subgroup."""
+    g = SHIFTED_GROUPS[name]()
+    k, p = g.order, g.p
+    assert k % (p * p) == 0 and k > sl._p_part(k, p)
+    members = sl._p_prime_subgroup(g, sl._multiplier(g))
+    assert len(members) == k // sl._p_part(k, p)
+    assert set(cayley_table(g)[np.ix_(members, members)].ravel().tolist()) == set(members.tolist())
+    assert sl.finite_cohomology(g, 2) == (coind_h2_oracle(g), None)
 
 
 def test_coprime_order_has_no_higher_cohomology():
