@@ -512,8 +512,9 @@ def test_h2_cell_budget_refuses_before_the_subgroup_search(monkeypatch, p, n, or
 def test_h2_of_a_jordan_block_shorter_than_p(p, n):
     """A Jordan block J of size n < p generates C_p on F_p^n, and its norm
     N = (J - 1)^(p - 1) is 0, so H^2 = M^G / N M = M^G, of dimension 1.  A
-    shift to a coinduced module is over the cell budget at the first two;
-    a multiplier table of the group took seconds at the last two."""
+    shift to a coinduced module is over the cell budget at the first two,
+    and a multiplier table of the group takes seconds at the last two, so
+    the answer must come with neither."""
     jordan = ff.eye(n) + np.eye(n, k=1, dtype=np.int64)
     g = sl.FiniteGroupAction(p, [jordan])
     assert g.order == p
