@@ -805,6 +805,13 @@ def test_selmer_builders_refuse_negative_sizes_before_drawing(monkeypatch, size)
     assert rng.getstate() == state
 
 
+def test_inflation_family_at_the_smallest_sizes():
+    """base_dim = 0 and an enlargement adding 0 dimensions are a family."""
+    family = sl.build_inflation_family(random.Random(0), 5, 0, [0, 1])
+    assert family.base.shape[1] == 0 and family.enlargements[0].shape[1] == 0
+    assert sl.inflation_decomposition_check(family)
+
+
 def test_annihilation_scenario_at_the_smallest_extra_selmer():
     """extra_selmer = -1 is a scenario, with L0 one-dimensional."""
     s = sl.build_annihilation_scenario(0, extra_selmer=-1)

@@ -533,6 +533,20 @@ def test_h2_of_a_jordan_block_under_a_deep_cyclic_group(n, h2):
     assert sl.finite_cohomology(sl.FiniteGroupAction(13, [jordan]), 2)[0] == h2
 
 
+def test_h2_of_a_jordan_block_under_a_deep_p_squared_cyclic_group():
+    """C_25 generated by a Jordan block of size 6 over F_5 in a random basis:
+    p^2 divides the order, so H^2 is degree 1 of the shifted module, of
+    dimension 6 * 24.  The norm (J - 1)^24 is zero, so H^2 = M^G, of
+    dimension 1.  The BFS tree is 24 deep, and the shifted module's elements
+    overflow int64 unless each product is reduced as it is formed."""
+    g, gi = ff.random_invertible(random.Random(6), 6, 5)
+    jordan = ff.mat_mul(g @ (ff.eye(6) + np.eye(6, k=1, dtype=np.int64)), gi, 5)
+    group = sl.FiniteGroupAction(5, [jordan])
+    assert group.order == 25
+    assert sl.finite_cohomology(group, 2) == (1, None)
+    assert cyclic_h_oracle(25, jordan, 5)[2] == 1
+
+
 def test_group_action_without_generators_is_the_trivial_group_on_zero():
     g = sl.FiniteGroupAction(5, [])
     assert (g.order, g.dim) == (1, 0)
@@ -704,6 +718,24 @@ def test_sylow_twists_match_conjugation_by_matrix_products(name):
     assert all(ff.mat_mul(a, x, g.p).tobytes() == c.tobytes() for a, c in zip(powers, powers[1:]))
     assert b.tolist() == conjugation_exponents(g, x)
     assert np.count_nonzero(b) == n.order
+
+
+def test_sylow_twists_under_a_deep_tree():
+    """The affine group of F_23, generated by diag(17, 1) and then J2, has
+    order 506.  17 generates F_23^*, so d = diag(17, 1) comes first in BFS
+    order with d^22 = 1, and d^j lies 21 tree steps deep.  d^16 and d^-15 =
+    diag(19^15, 1) both pass 2^63 unless each product is reduced as it is
+    formed: the route must find x = J2's powers and b_y as the matrix
+    products do.  H^2 = 1 as for F_5: M^P = <e1> and N_x = 0, and b_d d fixes
+    e1."""
+    g = sl.FiniteGroupAction(23, [np.array([[17, 0], [0, 1]]), np.array(J2)])
+    assert g.order == 506
+    x, powers, b = sl._sylow_twists(g)
+    assert x.tobytes() in {m.tobytes() for m in elements_of_order_p(g.elements, 23)}
+    assert all(ff.mat_mul(a, x, 23).tobytes() == c.tobytes() for a, c in zip(powers, powers[1:]))
+    assert b.tolist() == conjugation_exponents(g, x)
+    assert np.count_nonzero(b) == 506  # P = <J2> is normal
+    assert sl.finite_cohomology(g, 2) == (1, None)
 
 
 @pytest.mark.parametrize("make", [NORMALISER_GROUPS["affine-20-mod-5"],
