@@ -71,11 +71,9 @@ SPOT = ("a spot check of a builtin whose verdict, all its report records, is the
 WEIERSTRASS = ("a spot example whose Newton polygon vertices, degree and slopes, all the check "
                "records, are the same for the changed series")
 
-NORMALISED = "ffield normalises every matrix it eliminates, so a % p just before nullspace or rank is idle"
-
 BOUNDED = ("p divides |G| <= MAX_ORDER = 10^5 and the enumeration keeps |G| n^2 <= 10^7, so a "
            "product of factors with entries below n p^2 and p sums below n^2 p^3 <= 10^17, "
-           "inside int64, and the % p that follows gives the same")
+           "inside int64, and the reduction that follows gives the same")
 
 SECOND_GENERATOR = ("the suite sets exponents and torsion, and its norm-one elements take exponents, "
                     "at generator 0 alone; a second generator at a place has exponent 0 and value "
@@ -252,15 +250,11 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("selmer._p_prime_subgroup", "const", "gens, members = [], np.zeros(«1», dtype=np.int64)"):
         "[0, 0] lists the identity twice, which changes no membership test; the "
         "count reaches limit = 1 only where no candidate can join",
-    ("selmer._tate_h2", "mod-p", "z = ff.nullspace(«(x - ff.eye(n)) % p», p)"): NORMALISED,
-    ("selmer._tate_h2", "mod-p", "e = ff.nullspace(«powers.sum(axis=0).T % p», p).T"): NORMALISED,
-    ("selmer._tate_h2", "mod-p", "rows = («e @ twisted % p @ z % p»).reshape(-1, z.shape[1])"):
-        NORMALISED,
     ("selmer._tate_h2", "mod-p",
      "twisted = «(b[:, None, None] * g.elements - ff.eye(n))[b > 0] % p»"): BOUNDED,
-    ("selmer._tate_h2", "mod-p", "rows = («e @ twisted % p» @ z % p).reshape(-1, z.shape[1])"):
+    ("selmer._tate_h2", "mod-p", "rows = («e @ twisted % p» @ z).reshape(-1, z.shape[1])"):
         BOUNDED,
-    ("selmer._tate_h2", "const", "rows = (e @ twisted % p @ z % p).reshape(-«1», z.shape[1])"):
+    ("selmer._tate_h2", "const", "rows = (e @ twisted % p @ z).reshape(-«1», z.shape[1])"):
         "numpy reads any negative size as the one dimension it infers",
     ("selmer._sylow_twists", "mod-p",
      "powers = np.concatenate([powers, powers[: p - len(powers)] @ («powers[-1] @ x % p») % p])"):

@@ -271,10 +271,10 @@ def _tate_h2(g: FiniteGroupAction) -> int:
     the stacked E (b_y y - 1) Z, less the dim N_x M inside it."""
     p, n = g.p, g.dim
     x, powers, b = _sylow_twists(g)
-    z = ff.nullspace((x - ff.eye(n)) % p, p)
-    e = ff.nullspace(powers.sum(axis=0).T % p, p).T
+    z = ff.nullspace(x - ff.eye(n), p)  # ffield reduces what it eliminates
+    e = ff.nullspace(powers.sum(axis=0).T, p).T
     twisted = (b[:, None, None] * g.elements - ff.eye(n))[b > 0] % p
-    rows = (e @ twisted % p @ z % p).reshape(-1, z.shape[1])
+    rows = (e @ twisted % p @ z).reshape(-1, z.shape[1])
     return z.shape[1] - ff.rank(rows, p) - (n - len(e))
 
 
@@ -285,7 +285,7 @@ def _sylow_twists(g: FiniteGroupAction):
     p, n, k = g.p, g.dim, g.order
     one, width = ff.eye(n), 8 * n * n
     x = next(a for a in (_power(y, k // p, p) for y in g.elements) if (a != one).any())
-    powers = one[None]  # doubled
+    powers = one[None]  # each pass appends them times x^len(powers)
     while len(powers) < p:
         powers = np.concatenate([powers, powers[: p - len(powers)] @ (powers[-1] @ x % p) % p])
     exponent = {powers[a].tobytes(): a for a in range(1, p)}
