@@ -31,14 +31,20 @@ by row, costs (a row is cleared by the pivot row's nonzeros alone), and
 numpy a fixed cost per pivot.  So inputs of at most `_SMALL_CELLS` cells
 run in Python, and so do sparse ones: at most `_SPARSE_CELLS` cells and
 `_SPARSE_NONZEROS` nonzeros, neither side more than sixteen times the
-other, and p below `_SPARSE_PRIMES`.  The numpy kernel takes the rows in
+other, and p below `_SPARSE_PRIMES`.  A taller input with n^2 at most
+`_SMALL_CELLS` (so m > n) and sums of n products in int64 has rank at most
+n: a block of its first n rows is reduced in Python, and one int64 product
+with the block's kernel vectors finds the rows outside its span, up to
+n - rank of which join its pivot rows, until none is left (at most n
+rounds).  The numpy kernel takes the rows of the rest in
 chunks of about `_CHUNK_CELLS` cells, in the block style of FFLAS-FFPACK
 (Dumas, Giorgi and Pernet, 2008): exact matmuls (float64, or int64 for
 p^2 > 2^53) reduce each chunk against the RREF basis of the rows before it
 (at most n rows), one vectorised update per pivot eliminates the chunk,
-and its pivot rows join the basis.  RREF is canonical, so both kernels
-return the same R and pivots for every p with p^2 < 2^63 (see
-`products_fit`).  The Python kernel's R stays a list of rows: `rref`
+and its pivot rows join the basis.  RREF is canonical, so every route
+returns the same R and pivots for every p with p^2 < 2^63 (see
+`products_fit`).  The Python kernel's R stays a list of rows (the tall
+route's is an array, mostly zero rows): `rref`
 converts it to an array, while `rank` counts its pivots, `nullspace` and
 `kernel_quotient` read their kernel vectors and class map off the rows,
 `column_space_equations` reads both a column basis and its equations off
@@ -157,9 +163,9 @@ def rref(a, p: int):
 
 def _reduce(a, p: int):
     """The one elimination of this module, by the kernel rule of its docstring.
-    Returns (R, pivots): R is a fresh int64 array from the numpy kernel, and a
-    list of rows of Python ints from the Python kernel, which callers read
-    without converting it."""
+    Returns (R, pivots): R is a fresh int64 array from the numpy kernel and
+    the tall route, and a list of rows of Python ints from the Python kernel,
+    which callers read without converting it."""
     p = operator.index(p)  # pow takes no numpy modulus, and p * p must not wrap
     r = np.ascontiguousarray(normalize(a, p))  # a fresh array; rows stay contiguous
     m, n = r.shape
@@ -168,6 +174,16 @@ def _reduce(a, p: int):
         and np.count_nonzero(r) <= _SPARSE_NONZEROS
     ):
         return _rref_small(r.tolist(), n, p)
+    if n * n <= _SMALL_CELLS and products_fit(p, n):  # tall: m > n
+        rows, pivots, missed = [], [], r[:n]
+        while len(missed):  # rows outside the span of the block's pivot rows
+            block = rows[: len(pivots)] + missed[: n - len(pivots)].tolist()
+            rows, pivots = _rref_small(block, n, p)
+            kernel = _kernel_vectors(rows, pivots, _free_columns(pivots, n), n, p)
+            missed = r[(r @ kernel % p).any(axis=1)]
+        out = zeros((m, n))
+        out[: len(rows)] = rows  # rows past the pivots are zero
+        return out, pivots
     step = max(_CHUNK_ROWS, _CHUNK_CELLS // max(n, 1))
     if m <= step:
         return r, _eliminate(r, p)[1]

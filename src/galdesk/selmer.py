@@ -6,12 +6,13 @@ Group cohomology in degrees 1 and 2 comes from one cocycle system over the
 generators, constrained by the Schreier relators of the breadth-first
 enumeration (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2.4).  The group is held as arrays, each element once, with its BFS tree as
-two index arrays; the cocycle system, a coinduced module's matrices and the
-words of `_multiplier` are filled a BFS layer at a time.  H^1 is
-`ffield.kernel_quotient` of that system, reduced as ffield's docstring
-describes and as tame H^1 is.  Degree 2 is a count of ranks, in three cases:
-- when p does not divide |G|, H^2 = 0 and nothing is built (Brown,
-  Cohomology of Groups, III.10);
+two index arrays; a coinduced module's matrices and the words of
+`_multiplier` are filled a BFS layer at a time, the cocycle system's path
+sums by pointer doubling (Wyllie, The Complexity of Parallel Computations,
+1979) in ceil(log2 depth) steps.  When p does not divide |G|, H^1 = H^2 =
+0 and nothing is built (Brown, Cohomology of Groups, III.10).  Otherwise
+H^1 is `ffield.kernel_quotient` of that system, reduced as ffield's
+docstring describes and as tame H^1 is, and degree 2 is a count of ranks:
 - when p exactly divides |G|, H^2 is the N_G(P)-stable part of H^2(P, M) =
   M^P / N_P M for a subgroup P of order p (Cartan-Eilenberg, Homological
   Algebra, ch. XII; Brown III.10), three eliminations of n columns;
@@ -147,8 +148,9 @@ class FiniteGroupAction:
 def finite_cohomology(g: FiniteGroupAction, degree: int):
     """(dimension, basis) of H^degree(G, M) for degree in {0, 1, 2}.
 
-    Degree 0 is the fixed space.  Degree 1 reduces the generator-level
-    system of `_cocycles` in the values u = (f(s_i))_i by
+    Degree 0 is the fixed space.  Degree 1 is 0, with no system built, when
+    p does not divide |G|, as degree 2 below; otherwise it reduces the
+    generator-level system of `_cocycles` in the values u = (f(s_i))_i by
     `ffield.kernel_quotient` and lifts its representatives to the
     coordinates (f(x))_x, so it always works on G itself.
 
@@ -179,6 +181,8 @@ def finite_cohomology(g: FiniteGroupAction, degree: int):
         return basis.shape[1], basis
 
     if degree == 1:
+        if k % p:
+            return 0, ff.zeros((k * n, 0))
         _check_budget(k, r, n, "the degree-1 cocycle system")
         # u_i = f(s_i) on Z^1, so B^1 is spanned there by the blocks s_i - 1.
         system, f = _cocycles(p, g.elements, g.step, g.tree)
@@ -225,14 +229,17 @@ def _cocycles(p: int, acts, step, tree):
     (x, i) gives F[step[x, i]] - F[x] - x.E_i = 0.  That is zero on the k - 1
     tree edges, so only the others enter the system: the Schreier relators,
     which generate every relation of G.  Z^1 is the kernel of the system,
-    returned unreduced, in the unknowns u.  F is filled a BFS layer at a
-    time, as path sums below |G| p, and reduced once.
+    returned unreduced, in the unknowns u.  F starts as the tree edge into
+    each y, whose path sums f += f[up]; up = up[up] doubles from the
+    parents, in ceil(log2 depth) steps, below |G| p; F is reduced once.
     """
     (k, r), n = step.shape, len(acts[0])
     f = ff.zeros((k, r, n, n))
-    for lo, hi, xs, gs in _layers(tree):
-        f[lo:hi] = f[xs]
-        f[np.arange(lo, hi), gs] += acts[xs]
+    f[np.arange(1, k), tree[1]] = acts[tree[0]]  # the tree edge into each y
+    up = np.concatenate([[0], tree[0]])  # the parents, the root its own
+    while up.any():
+        f += f[up]
+        up = up[up]
     f = f % p
     relator = np.ones((k, r), dtype=bool)
     relator[tree] = False

@@ -224,21 +224,49 @@ def sparse_matrix(seed, p, m, n, nonzeros):
     return a.reshape(m, n)
 
 
-def python_kernel_rule(a, p):
+def kernel_rule(a, p):
+    """The kernel that ff._reduce runs on a by the rule of ffield's docstring:
+    "python" (R is _rref_small's list of rows), "tall" (_rref_small on blocks
+    of the rows of an input with m > n and n^2 <= ff._SMALL_CELLS, while its
+    sums of n products fit int64; R is an array) or "numpy"."""
     (m, n), nonzeros = a.shape, np.count_nonzero(a)
-    return a.size <= ff._SMALL_CELLS or (
+    if a.size <= ff._SMALL_CELLS or (
         a.size <= ff._SPARSE_CELLS and max(m, n) <= 16 * min(m, n) and p < ff._SPARSE_PRIMES
-        and nonzeros <= ff._SPARSE_NONZEROS)
+            and nonzeros <= ff._SPARSE_NONZEROS):
+        return "python"
+    return "tall" if m > n and n * n <= ff._SMALL_CELLS and ff.products_fit(p, n) else "numpy"
 
 
 def rref_and_kernel(a, p):
-    """ff.rref(a, p), and whether its Python kernel ran."""
+    """ff.rref(a, p), and the kernel that ran: "python" when ff._reduce returns
+    _rref_small's rows, "tall" when _rref_small ran and R is an array, and
+    "numpy" when _rref_small did not run."""
     inner, ran = ff._rref_small, []
     ff._rref_small = lambda rows, n, q: ran.append(q) or inner(rows, n, q)
     try:
-        return ff.rref(a, p), bool(ran)
+        out, listed = ff.rref(a, p), isinstance(ff._reduce(a, p)[0], list)
     finally:
         ff._rref_small = inner
+    return out, "python" if listed else "tall" if ran else "numpy"
+
+
+def staircase_matrix(seed, p, m, n, rank, first):
+    """L B mod p for random L (m x rank) and B (rank x n): the first n rows of
+    L are zero past column `first`, and each later run of (m - n) / (rank -
+    first) rows reaches one column further, nonzero there.  So the rows
+    outside the first n rows' span come late, each run brings one new
+    direction, and a reduction that adds up to n - rank missed rows at a
+    time needs a round for each run of at least n rows."""
+    rng = np.random.default_rng(seed)
+    run = max((m - n) // max(rank - first, 1), 1)
+    depth = np.minimum(first + 1 + (np.arange(m) - n) // run, rank)
+    depth[:n] = first
+    left = rng.integers(0, p, size=(m, rank)).astype(object)
+    left[np.arange(rank) >= depth[:, None]] = 0
+    last = depth > 0
+    left[last.nonzero()[0], depth[last] - 1] = rng.integers(1, p, size=last.sum()).astype(object)
+    # Python-int products: for p near 2^31.5 an int64 product would wrap.
+    return (left @ rng.integers(0, p, size=(rank, n)).astype(object) % p).astype(np.int64)
 
 
 @st.composite
@@ -253,20 +281,31 @@ def kernel_rule_matrices(draw):
       otherwise);
     - "sparse-many": T to S cells with Z + 1 to Z + 8 nonzeros (outside);
     - "sparse-wide": S to 2S cells with Z - 8 to Z nonzeros (outside);
+    - "tall": 1 to 17 columns, so n^2 on both sides of T, and n + 1 to 64 n
+      rows (or 2T / n, for n < 3), of low or full rank, whose rows outside
+      the first n rows' span come late (`staircase_matrix`), for the tall route's
+      rounds;
     plus matrices with no rows or no columns."""
     t, s, z = ff._SMALL_CELLS, ff._SPARSE_CELLS, ff._SPARSE_NONZEROS
     p = draw(st.sampled_from(PRIMES + [32749, 32771, BIG_PRIME]))  # around 2^15
-    n = draw(st.integers(1, 256))  # wide enough for both sides of the aspect bound
+    kind = draw(st.sampled_from(["small", "dense", "sparse", "sparse-many", "sparse-wide",
+                                 "tall"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(["small", "dense", "sparse", "sparse-many", "sparse-wide"]))
-    lo, hi = {"small": (t // 2 + 1, t), "dense": (t + 1, 2 * t),
-              "sparse-wide": (s + 1, 2 * s)}.get(kind, (t + 1, s))
-    m = draw(st.integers(-(-lo // n), hi // n))
+    if kind == "tall":
+        n = draw(st.integers(1, 17))
+        m = draw(st.integers(n + 1, max(64 * n, 2 * t // n)))
+        rank = draw(st.just(n) | st.integers(0, n))
+        a = staircase_matrix(seed, p, m, n, rank, draw(st.integers(0, rank)))
+    else:
+        n = draw(st.integers(1, 256))  # wide enough for both sides of the aspect bound
+        lo, hi = {"small": (t // 2 + 1, t), "dense": (t + 1, 2 * t),
+                  "sparse-wide": (s + 1, 2 * s)}.get(kind, (t + 1, s))
+        m = draw(st.integers(-(-lo // n), hi // n))
     if kind in ("small", "dense"):
         rank = draw(st.none() | st.integers(0, min(m, n)))
         zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=4))
         a = seeded_matrix(seed, p, m, n, rank, sorted(zero_cols))
-    else:
+    elif kind != "tall":
         nonzeros = draw(st.integers(z + 1, z + 8) if kind == "sparse-many"
                         else st.integers(z - 8, z))
         a = sparse_matrix(seed, p, m, n, nonzeros)
@@ -282,8 +321,8 @@ def kernel_rule_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_rref_kernels_match_reference_across_threshold(case):
     p, a = case
-    (r, pivots), python_ran = rref_and_kernel(a, p)
-    assert python_ran == python_kernel_rule(a, p)
+    (r, pivots), kernel = rref_and_kernel(a, p)
+    assert kernel == kernel_rule(a, p)
     ref_r, ref_pivots = ref_rref(a, p)
     assert pivots == ref_pivots
     assert r.shape == a.shape and r.dtype == np.int64
@@ -347,7 +386,7 @@ def test_nullspace_and_rank_match_the_array_route(case, zero_row):
         got = ff.nullspace(a, p)
     finally:
         ff._reduce, ff.rref = reduce, rref
-    assert [isinstance(k[0], list) for k in kernels] == [python_kernel_rule(a, p)]
+    assert [isinstance(k[0], list) for k in kernels] == [kernel_rule(a, p) == "python"]
     assert got.dtype == np.int64 and got.shape == (n, n - len(pivots))
     assert got.tobytes() == expected.tobytes()
     assert ff.rank(a, p) == len(pivots)
@@ -404,39 +443,50 @@ def test_kernel_rule_on_named_inputs():
     cells to scan, so it goes to numpy; a 20 x 21 one with 19 goes to Python,
     unless p is too large for one-digit products, and so does a 16 x 17 one
     with 77, the size of tame-duality's largest systems, and a sparse 50 x 6
-    one; sparse 256 x 4 and 4 x 256 ones, one side 64 times the other, go to
-    numpy, whose cost per pivot does not grow with the long side."""
+    one; a sparse 4 x 256 one, one side 64 times the other, goes to numpy,
+    whose cost per pivot does not grow with the long side, and a 256 x 4 one
+    to the tall route, whose blocks have 4 rows.  Above T cells the tall
+    route takes 17 x 16 (16^2 = T) and 300 x 1 at BIG_PRIME, but not 17 x 17,
+    300 x 17 or 17 x 16 at BIG_PRIME, where 16 products pass 2^63."""
     t, z = ff._SMALL_CELLS, ff._SPARSE_NONZEROS
     cases = [
-        (np.ones((1, t), dtype=np.int64), BIG_PRIME, True),
-        (np.ones((1, t + 1), dtype=np.int64), 7, False),
-        (sparse_matrix(0, 7, 20, 21, 19), 7, True),
-        (sparse_matrix(0, 7, 20, 21, 19), BIG_PRIME, False),
-        (sparse_matrix(0, 7, 16, 17, 77), 7, True),
-        (sparse_matrix(0, 7, 32, 32, z), 7, True),
-        (sparse_matrix(0, 7, 32, 32, z + 1), 7, False),
-        (sparse_matrix(0, 7, 40, 10, z), 7, True),
-        (sparse_matrix(0, 7, 50, 6, z), 7, True),
-        (sparse_matrix(0, 7, 256, 4, z), 7, False),
-        (sparse_matrix(0, 7, 4, 256, z), 7, False),
-        (sparse_matrix(0, 7, 1000, 1000, 40), 7, False),
+        (np.ones((1, t), dtype=np.int64), BIG_PRIME, "python"),
+        (np.ones((1, t + 1), dtype=np.int64), 7, "numpy"),
+        (sparse_matrix(0, 7, 20, 21, 19), 7, "python"),
+        (sparse_matrix(0, 7, 20, 21, 19), BIG_PRIME, "numpy"),
+        (sparse_matrix(0, 7, 16, 17, 77), 7, "python"),
+        (sparse_matrix(0, 7, 32, 32, z), 7, "python"),
+        (sparse_matrix(0, 7, 32, 32, z + 1), 7, "numpy"),
+        (sparse_matrix(0, 7, 40, 10, z), 7, "python"),
+        (sparse_matrix(0, 7, 50, 6, z), 7, "python"),
+        (sparse_matrix(0, 7, 256, 4, z), 7, "tall"),
+        (sparse_matrix(0, 7, 4, 256, z), 7, "numpy"),
+        (sparse_matrix(0, 7, 1000, 1000, 40), 7, "numpy"),
+        (seeded_matrix(0, 7, 17, 16), 7, "tall"),
+        (seeded_matrix(0, 7, 17, 17), 7, "numpy"),
+        (seeded_matrix(0, 7, 300, 17), 7, "numpy"),
+        (seeded_matrix(0, BIG_PRIME, 17, 16), BIG_PRIME, "numpy"),
+        (seeded_matrix(0, BIG_PRIME, 300, 1), BIG_PRIME, "tall"),
     ]
-    for a, p, python in cases:
-        assert rref_and_kernel(a, p)[1] == python
+    for a, p, kernel in cases:
+        assert rref_and_kernel(a, p)[1] == kernel
+        assert_rref_matches(a, p)
 
 
 def test_rref_does_not_modify_input():
-    """Both kernels, and the numpy kernel on one chunk and on many."""
+    """Both kernels, the tall route, and the numpy kernel on one chunk and on
+    many, which more than 16 columns keep off the tall route."""
     inputs = {
         "python, dense": np.array([[2, 4], [1, 3]], dtype=np.int64),
         "python, sparse": sparse_matrix(1, 5, 20, 21, 19),
-        "numpy, one chunk": seeded_matrix(1, 5, 20, 16),
-        "numpy, chunks": seeded_matrix(2, 5, 700, 12, rank=8, zero_cols=[3]),
+        "tall": seeded_matrix(3, 5, 700, 12, rank=8, zero_cols=[3]),
+        "numpy, one chunk": seeded_matrix(1, 5, 20, 17),
+        "numpy, chunks": seeded_matrix(2, 5, 700, 17, rank=8, zero_cols=[3]),
     }
     for name, a in inputs.items():
         before = a.copy()
-        (r, _), python_ran = rref_and_kernel(a, 5)
-        assert python_ran == name.startswith("python")
+        (r, _), kernel = rref_and_kernel(a, 5)
+        assert kernel == name.split(",")[0]
         assert np.array_equal(a, before)
         assert r.dtype == np.int64 and r.shape == a.shape
         assert not np.shares_memory(r, a)

@@ -432,9 +432,11 @@ def test_refused_enumeration_holds_each_element_once():
     """diag(3, 1, ..., 1) over F_65537 has order 65536 on F^40, 1600 cells an
     element, so the cell budget refuses it at element 6251, with 80 MB of
     elements.  Kept once, as the keys of the index, they leave the child's
-    peak RSS below 140 MB; kept twice, it was about 185 MB."""
+    peak RSS below 140 MB; kept twice, it was about 185 MB.  The peak is the
+    child's VmHWM: ru_maxrss is carried across fork and exec, so it reads the
+    parent's peak whenever that is the larger."""
     code = textwrap.dedent("""
-        import resource, numpy as np
+        import numpy as np
         from galdesk import selmer as sl
         gen = np.eye(40, dtype=np.int64)
         gen[0, 0] = 3
@@ -442,7 +444,8 @@ def test_refused_enumeration_holds_each_element_once():
             sl.FiniteGroupAction(65537, [gen])
         except sl.SelmerError as err:
             print(err)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(sl.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -520,6 +523,20 @@ def test_h2_of_a_jordan_block_shorter_than_p(p, n):
     assert g.order == p
     assert sl.finite_cohomology(g, 2) == (1, None)
     assert sl.finite_cohomology(g, 0)[0] == 1 == cyclic_h_oracle(p, jordan, p)[2]
+
+
+@pytest.mark.parametrize("p", [2003, 10007])
+def test_h1_of_the_cyclic_group_of_j2(p):
+    """J2 generates C_p on F_p^2 with norm N = 0, so H^1 = ker N / (J2 - 1)M
+    has dimension 1.  The BFS tree is one path, p - 1 deep, and the lifted
+    cocycle satisfies f(x s) = f(x) + x.f(s) on every element."""
+    g = sl.FiniteGroupAction(p, [np.array(J2)])
+    assert g.order == p
+    dim, basis = sl.finite_cohomology(g, 1)
+    assert dim == 1 == cyclic_h_oracle(p, J2, p)[1]
+    f = basis.reshape(p, 2)
+    assert f[0].tolist() == [0, 0] and f.any()
+    assert np.array_equal(f[g.step[:, 0]], (f + g.elements @ f[g.step[0, 0]]) % p)
 
 
 @pytest.mark.parametrize("n, h2", [(3, 1), (13, 0)])
@@ -757,8 +774,12 @@ def test_h2_fails_with_the_inverse_twist(monkeypatch, make):
     assert sl.finite_cohomology(g, 2) == (0, None)
 
 
+# Beside SMALL_GROUPS and the adjoint PSL2(F_p), the cyclic group of J2 over
+# F_101: its BFS tree is one path, 100 deep, so the cocycles' path sums take
+# 7 doubling rounds.
 ENUMERATED = {**{name: partial(small_group, name) for name in SMALL_GROUPS},
-              **{f"adjoint-psl2-f{p}": partial(sl2_adjoint_action, p) for p in (5, 7, 11)}}
+              **{f"adjoint-psl2-f{p}": partial(sl2_adjoint_action, p) for p in (5, 7, 11)},
+              "cyclic-101-j2": lambda: sl.FiniteGroupAction(101, [np.array(J2)])}
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED))
@@ -952,6 +973,35 @@ def test_coprime_order_has_no_higher_cohomology():
     assert g.order == 100
     assert sl.finite_cohomology(g, 1)[0] == 0
     assert sl.finite_cohomology(g, 2)[0] == 0
+
+
+@pytest.mark.parametrize("make", [partial(small_group, "s3-mod-7"),
+                                  partial(small_group, "dihedral-6-mod-7"),
+                                  lambda: sl.FiniteGroupAction(101, [np.array([[2]])])])
+def test_coprime_h1_is_zero_without_cocycles(monkeypatch, make):
+    """No cocycle system, elimination or budget check: the answer is 0 and
+    an empty basis of the k.n coordinates."""
+    g = make()
+    assert g.order % g.p
+    monkeypatch.setattr(sl, "_cocycles", lambda *args: pytest.fail("cocycles built"))
+    monkeypatch.setattr(ff, "_reduce", lambda *args: pytest.fail("eliminated"))
+    monkeypatch.setattr(sl, "_CELL_BUDGET", 0)
+    dim, basis = sl.finite_cohomology(g, 1)
+    assert dim == 0 and basis.dtype == np.int64 and basis.shape == (g.order * g.dim, 0)
+
+
+@pytest.mark.parametrize("name", ["dihedral-6-mod-7", "s3-mod-7", "cyclic-4-mod-5"])
+def test_coprime_cocycle_system_has_no_classes(name):
+    """finite_cohomology answers H^1 = 0 for these with no cocycle system;
+    the system itself, reduced as degree 1 reduces it when p divides |G|,
+    gives no class either."""
+    g = small_group(name)
+    assert g.order % g.p
+    system = sl._cocycles(g.p, g.elements, g.step, g.tree)[0]
+    moved = ff.fixed_equations(g.generators, g.dim)
+    reps = ff.kernel_quotient(system, moved, g.p)[0]
+    assert reps.shape == (g.dim * len(g.generators), 0)
+    assert ff.nullspace(system, g.p).shape[1] == ff.rank(moved, g.p)
 
 
 @pytest.mark.parametrize("make", [partial(small_group, "s3-mod-7"),
