@@ -533,6 +533,17 @@ def test_rref_chunks_exact_for_large_primes(p):
     assert_rref_matches(seeded_matrix(0, p, 1500, 6, rank=4), p)
 
 
+@pytest.mark.parametrize("p", [67108859, 134_217_689, BIG_PRIME])
+def test_rref_chunks_exact_for_large_primes_past_the_tall_route(p):
+    """The primes of test_rref_chunks_exact_for_large_primes on 20 columns,
+    which keep the input off the tall route at every p, so the chunks' float64
+    and int64 matmuls run at each."""
+    assert 1500 > 2 * chunk_rows(20) and 20 * 20 > ff._SMALL_CELLS
+    a = seeded_matrix(0, p, 1500, 20, rank=4)
+    assert rref_and_kernel(a, p)[1] == "numpy"
+    assert_rref_matches(a, p)
+
+
 @pytest.mark.parametrize("late", [0, 3, 7])
 def test_rref_pivot_from_the_last_chunk(late):
     """Every row but the last lies in a hyperplane that is not a coordinate
