@@ -127,10 +127,6 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "if ff.is_prime(p) and p - «1» > threshold and very_good_prime(rd, p):"):
         "the threshold is even (8 z, (2h - 2) z, or (h - 1) z with z even), so p - 1 "
         "and p - 2 pass it at different p only at p = threshold + 2, which is even",
-    ("padics.teichmuller", "const",
-     "return PadicInt(p, pow(x.residue, p ** (prec + «1»), x.modulus), prec)"):
-        "a^(p^k) is the lift mod p^prec once k >= prec - 1, and a further p-th power "
-        "fixes it, as omega^p = omega",
     ("scenarios.builtin_gl2_f5_ramakrishna", "const",
      "ramified = lt.nonsplit_check(rd, 5, 3, (frob,), (1,), («0»,), (1,))"):
         NONSPLIT,

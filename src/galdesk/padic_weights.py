@@ -27,12 +27,13 @@ have a root in the open unit polydisk: f/h - zeta has a unit constant term
 for every other zeta.  The constancy test never divides: f/h - zeta0 =
 (f - zeta0 h)/h with h a unit, and restricting to an axis is a ring map,
 under which h stays a unit, so on each axis the two have their first unit
-coefficient at the same index.  It tests f - zeta0 h, formed in one pass
-at the smaller cap and precision over the slots where f or h has a term,
-each term at the precision of the two terms it comes from.  Sums and
-differences take that pass too, so they cost in proportion to the present
-terms, not to the C(nvars + cap, nvars) slots; on a fully dense pair the
-per-term Python loop is about three times slower than whole-array numpy.
+coefficient at the same index.  It forms f - zeta0 h in one pass at the
+smaller cap and precision over the slots where f or h has a term, each term
+at the precision of the two terms it comes from, and reads the verdict off
+those terms; no series is built.  Sums and differences take that pass too,
+and `scale` goes over the present terms alone, so they cost in proportion to
+the present terms, not to the C(nvars + cap, nvars) slots; on a fully dense
+pair the per-term Python loop is 2.4 to 2.9 times slower than whole-array numpy.
 """
 
 from __future__ import annotations
@@ -191,28 +192,33 @@ class TruncatedSeries:
         if (self.p, self.nvars) != (other.p, other.nvars):
             raise SeriesError("incompatible series")
 
-    def _termwise(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
+    def _termwise_pass(self, other: "TruncatedSeries", op):
         """op(a, b) on the residues of every slot where either series has a
-        term, at the smaller cap and precision; the other slots stay absent.
-        a and b are Python ints, which a numpy ufunc would cast to int64."""
+        term, at the smaller cap and precision: (prec, cap, those slots in
+        order, their residues and their precisions as lists).  a and b are
+        Python ints, which a numpy ufunc would cast to int64."""
         self._check_compatible(other)
         prec = min(self.prec, other.prec)
         cap = min(self.degree_cap, other.degree_cap)
         n = len(_layout(self.nvars, cap).monomials)
         live = (self.precs[:n] | other.precs[:n]).nonzero()[0]
         # An absent term is a zero known to the full precision of its series.
-        live_precs = [min(a or prec, b or prec, prec)
-                      for a, b in zip(self.precs[live].tolist(), other.precs[live].tolist())]
+        precs = [min(a or prec, b or prec, prec)
+                 for a, b in zip(self.precs[live].tolist(), other.precs[live].tolist())]
         moduli = _powers(self.p, prec)
-        residues = np.zeros(n, dtype=object)
-        residues[live] = [op(a, b) % moduli[k] for a, b, k in zip(
-            self.residues[live].tolist(), other.residues[live].tolist(), live_precs)]
-        precs = np.zeros(n, dtype=np.int64)
-        precs[live] = live_precs
-        return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
+        residues = [op(a, b) % moduli[k] for a, b, k in zip(
+            self.residues[live].tolist(), other.residues[live].tolist(), precs)]
+        return prec, cap, live, residues, precs
+
+    def _from_terms(self, prec, cap, live, residues, precs) -> "TruncatedSeries":
+        """The series at prec and cap with these terms on the slots `live`, absent elsewhere."""
+        n = len(_layout(self.nvars, cap).monomials)
+        out_residues, out_precs = np.zeros(n, dtype=object), np.zeros(n, dtype=np.int64)
+        out_residues[live], out_precs[live] = residues, precs
+        return self._from_arrays(self.p, self.nvars, prec, cap, out_residues, out_precs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._termwise(other, operator.add)
+        return self._from_terms(*self._termwise_pass(other, operator.add))
 
     def __neg__(self) -> "TruncatedSeries":
         residues = -self.residues % _powers(self.p, self.prec)[self.precs]
@@ -220,7 +226,7 @@ class TruncatedSeries:
                                  residues, self.precs)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._termwise(other, operator.sub)
+        return self._from_terms(*self._termwise_pass(other, operator.sub))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
@@ -248,9 +254,10 @@ class TruncatedSeries:
         if c.p != self.p:
             raise SeriesError(f"a {c.p}-adic scalar for a series over Z_{self.p}")
         prec = min(self.prec, c.prec)
-        precs = np.minimum(self.precs, prec)
-        residues = self.residues * c.residue % _powers(self.p, prec)[precs]
-        return self._from_arrays(self.p, self.nvars, prec, self.degree_cap, residues, precs)
+        live = self.precs.nonzero()[0]
+        precs = np.minimum(self.precs[live], prec)
+        residues = self.residues[live] * c.residue % _powers(self.p, prec)[precs]
+        return self._from_terms(prec, self.degree_cap, live, residues, precs)
 
     def inverse(self) -> "TruncatedSeries":
         """Unit-series inverse to the degree cap, one total degree at a time:
@@ -330,7 +337,7 @@ def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
         raise SeriesError("Newton polygon needs a one-variable series")
     if g.is_zero_at_prec():
         raise SeriesError("zero series")
-    degree = _first_unit_index(g)
+    degree = _first_unit_index(g.residues, g.p)
     points = sorted((i, v) for (i,), c in g.terms().items() if (v := c.valuation()) is not None)
     hull = _lower_hull(points)
     slopes: list[tuple[Fraction, int]] = []
@@ -345,10 +352,11 @@ def weierstrass_data(g: TruncatedSeries) -> WeierstrassData:
     return WeierstrassData(vertices, degree, tuple(slopes))
 
 
-def _first_unit_index(g: TruncatedSeries) -> int | None:
-    """The index of the first unit coefficient of a one-variable series, or
-    None when none is a unit at this precision; an absent term has residue 0."""
-    return next((i for i, r in enumerate(g.residues) if r % g.p), None)
+def _first_unit_index(residues, p: int) -> int | None:
+    """The index of the first unit among the residues of a one-variable
+    series, or None when none is a unit at this precision; an absent term has
+    residue 0."""
+    return next((i for i, r in enumerate(residues) if r % p), None)
 
 
 def _lower_hull(points):
@@ -404,13 +412,17 @@ def constancy_test(f: TruncatedSeries, h: TruncatedSeries):
     zeta0 = teichmuller(f.residues[0] * pow(h.residues[0], -1, f.p), f.p, min(f.prec, h.prec))
     # One pass: where h has a term its precision is at least the slot's, so
     # reducing zeta0 h first would change nothing, and an absent term is 0.
-    diff = f._termwise(h, lambda a, b: a - b * zeta0.residue)
-    if diff.is_zero_at_prec():
+    _, cap, live, residues, _ = f._termwise_pass(h, lambda a, b: a - b * zeta0.residue)
+    if not any(residues):
         return Constant(zeta0)
-    for var in range(f.nvars):
-        # The constant term of diff is not a unit, so a unit coefficient sits
-        # at degree >= 1.
-        if (degree := _first_unit_index(diff.specialize_to_axis(var))) is not None:
+    # Row var holds the slots of X_var^0 .. X_var^cap.  live is sorted, and a
+    # slot it lacks holds an absent term.  The constant term of the
+    # difference is not a unit, so a unit coefficient sits at degree >= 1.
+    axes = _layout(f.nvars, cap).slots(np.outer((cap + 1) ** np.arange(f.nvars), range(cap + 1)))
+    at = np.minimum(live.searchsorted(axes), len(live) - 1)
+    for var, (row, hit) in enumerate(zip(at.tolist(), (live[at] == axes).tolist())):
+        on_axis = [residues[i] if on else 0 for i, on in zip(row, hit)]
+        if (degree := _first_unit_index(on_axis, f.p)) is not None:
             return NonconstantWitness(zeta0, var, degree)
     return Undetermined(zeta0, None)
 

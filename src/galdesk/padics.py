@@ -2,7 +2,8 @@
 
 A PadicInt is a residue known modulo p^prec.  Arithmetic carries the minimal
 precision of the operands; dividing by p^v costs v digits of precision.
-Everything is exact integer arithmetic, no floating point anywhere.
+Everything is exact integer arithmetic, no floating point anywhere; a
+Teichmuller lift is about log2(prec) Newton steps, each a power to p - 1.
 """
 
 from __future__ import annotations
@@ -137,13 +138,19 @@ class PadicInt:
 def teichmuller(a: int, p: int, prec: int) -> PadicInt:
     """Teichmuller representative: the (p-1)-st root of unity congruent to a.
 
-    a^(p^k) is congruent to it mod p^(k+1), so one power a^(p^(prec+1))
-    gives it at precision prec; it is the number that prec + 1 successive
-    p-th powers mod p^prec give."""
+    By Hensel's lemma it is the one omega = a mod p with omega^(p-1) = 1 mod
+    p^prec.  Newton's method on x^(p-1) = 1 doubles the digits at each step:
+    r <- r (1 - (r^(p-1) - 1) / (p - 1)) drops Newton's factor 1/r^(p-1),
+    which is 1 + O(p^k) when r is right mod p^k, so the step stays quadratic."""
     if a % p == 0:
         raise PrecisionError("Teichmuller lift of 0 is 0; need a unit")
     x = PadicInt(p, a, prec)  # refuses a precision out of range before lifting
-    return PadicInt(p, pow(x.residue, p ** (prec + 1), x.modulus), prec)
+    r, m, modulus = x.residue, p, x.modulus
+    c = pow(p - 1, -1, modulus)
+    while m < modulus:
+        m = min(m * m, modulus)
+        r = r * (1 - (pow(r, p - 1, m) - 1) * c) % m
+    return PadicInt(p, r, prec)
 
 
 def teichmuller_part(u: PadicInt) -> PadicInt:

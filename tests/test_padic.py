@@ -166,18 +166,29 @@ def iterated_teichmuller(a: int, p: int, prec: int) -> int:
     return r
 
 
-# At 2^31 - 1 one lift to prec 64 is a power with a 2015-bit exponent mod a
-# 1984-bit modulus, so that prime's grid is cut: every unit runs to prec 16,
-# and 2 and 49 to 64.
-TEICHMULLER_GRID = [(p, a, prec) for p in (3, 5, 7, 13) for a in range(1, p)
-                    for prec in [*range(1, 65), 256]] + \
-    [(2**31 - 1, a, prec) for a in range(1, 50)
-     for prec in range(1, 65 if a in (2, 49) else 17)]
+# The iterated lift runs prec + 1 powers with a log2(p)-bit exponent, so at
+# 2^31 - 1 it is the oracle to prec 16 only.
+ITERATED_GRID = [(p, a, prec) for p in (3, 5, 7, 13) for a in range(1, p)
+                 for prec in [*range(1, 65), 256]] + \
+    [(2**31 - 1, a, prec) for a in range(1, 50) for prec in range(1, 17)]
 
 
 def test_teichmuller_is_the_iterated_lift():
-    for p, a, prec in TEICHMULLER_GRID:
+    for p, a, prec in ITERATED_GRID:
         assert pa.teichmuller(a, p, prec) == pa.PadicInt(p, iterated_teichmuller(a, p, prec), prec)
+
+
+def test_teichmuller_meets_hensel_on_the_full_grid():
+    """By Hensel's lemma omega = a mod p and omega^(p-1) = 1 mod p^top fix
+    the lift at precision top, and its reduction mod p^prec is the lift at
+    every prec <= top.  At 2^31 - 1: every a < 50 to prec 64, 2 and 49 to 256."""
+    p = 2**31 - 1
+    for a in range(1, 50):
+        top = 256 if a in (2, 49) else 64
+        omega = pa.teichmuller(a, p, top).residue
+        assert omega % p == a and pow(omega, p - 1, p**top) == 1
+        for prec in range(1, 65):
+            assert pa.teichmuller(a, p, prec) == pa.PadicInt(p, omega % p**prec, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +631,32 @@ def verdict_of_difference(zeta0, diff):
     return pw.Undetermined(zeta0, None)
 
 
-def constancy_difference(f, h):
-    """constancy_test's verdict and the difference f - zeta0 h it formed,
-    caught as the first series it asks whether it vanishes."""
-    seen, vanishes = [], pw.TruncatedSeries.is_zero_at_prec
+def constancy_pass(f, h):
+    """constancy_test's verdict and the pass over f - zeta0 h it made: (prec,
+    cap, slots, residues, precisions), caught as _termwise_pass returns it."""
+    seen, termwise_pass = [], pw.TruncatedSeries._termwise_pass
 
-    def spy(s):
-        seen.append(s)
-        return vanishes(s)
+    def spy(self, other, op):
+        seen.append(termwise_pass(self, other, op))
+        return seen[-1]
 
-    with mock.patch.object(pw.TruncatedSeries, "is_zero_at_prec", spy):
+    with mock.patch.object(pw.TruncatedSeries, "_termwise_pass", spy):
         verdict = pw.constancy_test(f, h)
+    assert len(seen) == 1
     return verdict, seen[0]
+
+
+def _same_terms(passed, s):
+    """A pass has the bytes of the present terms of the series s: prec, cap,
+    slots, residues as Python ints and precisions, and no absent slot."""
+    prec, cap, live, residues, precs = passed
+    assert (prec, cap) == (s.prec, s.degree_cap)
+    present = np.flatnonzero(s.precs)
+    assert live.tolist() == present.tolist()
+    assert {type(r) for r in residues} <= {int}
+    assert residues == s.residues[present].tolist()
+    assert precs == s.precs[present].tolist()
+    assert 0 not in precs
 
 
 def _unit_pair(data, p):
@@ -662,16 +687,13 @@ def _unit_pair(data, p):
 @settings(max_examples=150, deadline=None, database=None)
 def test_one_pass_difference_matches_scale_then_subtract(data):
     """The difference that constancy_test forms in one pass has the bytes of
-    f - h.scale(zeta0): prec, cap, every residue and every precision; and
-    the verdict is the one that difference gives."""
+    the present terms of f - h.scale(zeta0): prec, cap, every slot, residue
+    and precision; and the verdict is the one that series gives."""
     p = data.draw(st.sampled_from(ORACLE_PRIMES))
     f, h = _unit_pair(data, p)
-    verdict, diff = constancy_difference(f, h)
+    verdict, passed = constancy_pass(f, h)
     zeta0, oracle = scale_then_subtract(f, h)
-    assert (diff.p, diff.nvars, diff.prec, diff.degree_cap) == \
-        (oracle.p, oracle.nvars, oracle.prec, oracle.degree_cap)
-    assert diff.residues.tolist() == oracle.residues.tolist()
-    assert diff.precs.tolist() == oracle.precs.tolist()
+    _same_terms(passed, oracle)
     assert verdict == verdict_of_difference(zeta0, oracle)
 
 
@@ -689,6 +711,15 @@ def dense_termwise(self, other, op):
     precs = np.where((pa > 0) | (pb > 0), np.minimum(precs, prec), 0)
     residues = op(self.residues[:n], other.residues[:n]) % pw._powers(self.p, prec)[precs]
     return self._from_arrays(self.p, self.nvars, prec, cap, residues, precs)
+
+
+def dense_scale(self, c):
+    """TruncatedSeries.scale as it was before it skipped the absent slots:
+    the whole residue array times c, each slot at its precision capped by c's."""
+    prec = min(self.prec, c.prec)
+    precs = np.minimum(self.precs, prec)
+    residues = self.residues * c.residue % pw._powers(self.p, prec)[precs]
+    return self._from_arrays(self.p, self.nvars, prec, self.degree_cap, residues, precs)
 
 
 def _dense_terms(data, p, nvars, prec, cap, unit_constant=False):
@@ -728,23 +759,25 @@ def _same_bytes(s, t):
 @given(st.data())
 @settings(max_examples=150, deadline=None, database=None)
 def test_live_slot_pass_matches_the_dense_pass(data):
-    """+, - and constancy_test's difference, formed on the slots where
-    either series has a term, have the bytes of the dense pass over every
-    slot: absent terms, present zeros, mixed precisions, unequal caps and
+    """+, -, scale and constancy_test's difference, formed on the slots where
+    a series has a term, have the bytes of the dense pass over every slot:
+    absent terms, present zeros, mixed precisions, unequal caps and
     precisions, sparse and dense series."""
     p = data.draw(st.sampled_from(ORACLE_PRIMES))
     f, h = data.draw(st.sampled_from([_unit_pair, _sparse_or_dense_pair]))(data, p)
     _same_bytes(f + h, dense_termwise(f, h, np.add))
     _same_bytes(f - h, dense_termwise(f, h, np.subtract))
     _same_bytes(h - f, dense_termwise(h, f, np.subtract))
-    verdict, diff = constancy_difference(f, h)
-    _same_bytes(diff, dense_termwise(f, h, lambda a, b: a - b * verdict.zeta.residue))
+    c = pa.PadicInt(p, data.draw(st.integers(0, p**10)), data.draw(st.integers(1, 10)))
+    _same_bytes(f.scale(c), dense_scale(f, c))
+    verdict, passed = constancy_pass(f, h)
+    _same_terms(passed, dense_termwise(f, h, lambda a, b: a - b * verdict.zeta.residue))
 
 
 def combined_slots(f, h) -> list[int]:
-    """constancy_test(f, h), with a count of the slots each _termwise call
-    applies its op to."""
-    counts, termwise = [], pw.TruncatedSeries._termwise
+    """constancy_test(f, h), with a count of the slots each _termwise_pass
+    call applies its op to."""
+    counts, termwise_pass = [], pw.TruncatedSeries._termwise_pass
 
     def spy(self, other, op):
         counts.append(0)
@@ -753,9 +786,9 @@ def combined_slots(f, h) -> list[int]:
             counts[-1] += 1
             return op(a, b)
 
-        return termwise(self, other, counted)
+        return termwise_pass(self, other, counted)
 
-    with mock.patch.object(pw.TruncatedSeries, "_termwise", spy):
+    with mock.patch.object(pw.TruncatedSeries, "_termwise_pass", spy):
         pw.constancy_test(f, h)
     return counts
 
@@ -780,8 +813,9 @@ def test_constancy_combines_only_present_terms():
 @settings(max_examples=50, deadline=None, database=None)
 def test_absent_terms_hold_residue_zero(data):
     """After every series operation a slot at precision 0 holds residue 0,
-    which is_unit, dual_reduction and the one-pass difference read as the
-    absent term's value."""
+    which is_unit and dual_reduction read as the absent term's value; the
+    one-pass difference returns present terms alone, and constancy_test
+    reads a slot it does not return as 0."""
     p, nvars = data.draw(st.sampled_from(ORACLE_PRIMES)), data.draw(st.integers(1, 4))
 
     def draw(unit_constant):
@@ -794,8 +828,9 @@ def test_absent_terms_hold_residue_zero(data):
     var = data.draw(st.integers(0, nvars - 1))
     unit_f, unit_h = _unit_pair(data, p)
     for s in (f, f + g, f - g, -f, f * g, f.scale(c), u.inverse(), f.divide(u),
-              f.specialize_to_axis(var), constancy_difference(unit_f, unit_h)[1]):
+              f.specialize_to_axis(var)):
         assert not any(s.residues[s.precs == 0])
+    assert 0 not in constancy_pass(unit_f, unit_h)[1][4]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ EXEMPT = {
     "padic_weights.TruncatedSeries.__sub__": PERF,
     "padic_weights.TruncatedSeries.inverse": PERF,
     "padic_weights.TruncatedSeries.divide": PERF,
+    "padic_weights.TruncatedSeries.specialize_to_axis": PERF,
     "padic_weights.SparsityCertificate.per_zeta": PERF,
     "selmer._multiplier": API,
     "selmer._multiplier.<locals>.times": API,
