@@ -698,9 +698,9 @@ def test_one_pass_difference_matches_scale_then_subtract(data):
 
 
 def dense_termwise(self, other, op):
-    """TruncatedSeries._termwise as it was before it skipped the absent
-    slots: op on the whole residue arrays, each slot at the smaller of its
-    two precisions, an absent term at its series precision."""
+    """The termwise pass as a series, before it skipped the absent slots:
+    op on the whole residue arrays, each slot at the smaller of its two
+    precisions, an absent term at its series precision."""
     self._check_compatible(other)
     prec = min(self.prec, other.prec)
     cap = min(self.degree_cap, other.degree_cap)
